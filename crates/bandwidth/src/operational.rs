@@ -17,8 +17,10 @@
 //!
 //! Sharing one *plan* seed across a trial's multipliers is also what makes
 //! the [`PlanCache`] effective: the growing batches of a trial reuse the
-//! same BFS trees, so the cache serves every tree after the smallest batch
-//! has populated it.
+//! same BFS trees, so each tree is computed once per (trial, source) and
+//! served from memory for the trial's later batches. A trial's trees form
+//! one cache generation; when trials × sources outgrow the cache, it
+//! evicts the oldest finished trial to make room for the running one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -318,11 +318,13 @@ pub(crate) fn beta_with(
         if verbose {
             let _ = writeln!(
                 out,
-                "plan cache    : {} hits / {} misses ({:.1}% hit rate, {} trees)",
+                "plan cache    : {} hits / {} misses ({:.1}% hit rate, {} trees, {} evicted, {} refused)",
                 cache.hits(),
                 cache.misses(),
                 100.0 * cache.hit_rate(),
-                cache.entries()
+                cache.entries(),
+                cache.evictions(),
+                cache.refusals()
             );
             let _ = writeln!(
                 out,
@@ -851,6 +853,7 @@ mod tests {
         assert_eq!(code, 0, "{verbose}");
         assert!(verbose.contains("plan cache"), "{verbose}");
         assert!(verbose.contains("hit rate"), "{verbose}");
+        assert!(verbose.contains("0 evicted, 0 refused"), "{verbose}");
         assert!(verbose.contains("trials"), "{verbose}");
         // --verbose only appends; the measurement lines are unchanged.
         assert!(verbose.starts_with(&plain), "verbose must extend plain");

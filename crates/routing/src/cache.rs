@@ -7,14 +7,19 @@
 //!
 //! Correctness rests on the oracle's seeding discipline (see
 //! [`crate::oracle::PathOracle`]): a BFS tree is a pure function of the key
-//! `(graph fingerprint, node limit, source, plan seed)` — it does not depend
+//! `(graph fingerprint, node limit, plan seed, source)` — it does not depend
 //! on which other sources were routed before, or on the composition of the
 //! batch. A cache hit therefore returns bit-identical trees to a fresh
 //! computation, which `tests/plan_cache.rs` proves property-style.
 //!
 //! The cache is `Sync` (internally a mutexed map) so one cache can serve all
-//! workers of an [`fcn_exec::Pool`] sweep. Insertions stop at `capacity`
-//! entries to bound memory on huge sweeps; lookups keep working.
+//! workers of an [`fcn_exec::Pool`] sweep. It holds at most `capacity`
+//! trees. The trees of one `(graph, node limit, plan seed)` triple form a
+//! *generation* — one estimator trial — and a full cache makes room by
+//! dropping its oldest generation whole: a finished trial's trees are never
+//! asked for again, while the running trial's are. Only when the inserting
+//! generation alone fills the cache is a fresh tree refused; lookups keep
+//! working either way.
 //!
 //! Counters are [`fcn_telemetry`] instruments owned per cache instance —
 //! observability only, attaching or detaching a cache never changes a
@@ -29,46 +34,87 @@ use fcn_exec::lockdep::{lock_ranked, ranks, RankedGuard};
 use fcn_multigraph::NodeId;
 use fcn_telemetry::Counter;
 
-/// Key of one memoized BFS parent tree.
+/// The trees planned on one host graph, under one node limit, with one plan
+/// seed — one estimator trial. The unit of eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PlanKey {
+struct Generation {
     /// [`fcn_multigraph::Multigraph::fingerprint`] of the host graph.
     graph: u64,
     /// Effective node limit (`usize::MAX` when unrestricted).
     node_limit: usize,
+    /// The oracle's plan seed; per-source BFS seeds are pure functions of it.
+    plan_seed: u64,
+}
+
+/// Key of one memoized BFS parent tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct PlanKey {
+    generation: Generation,
     /// BFS source.
     source: NodeId,
-    /// The per-source BFS seed (already mixed from the plan seed).
-    bfs_seed: u64,
+}
+
+/// The trees and the order their generations arrived in, behind one lock.
+#[derive(Debug, Default)]
+struct Store {
+    trees: BTreeMap<PlanKey, Arc<Vec<NodeId>>>,
+    /// Generations with at least one stored tree, in first-insert order.
+    generations: Vec<Generation>,
+}
+
+impl Store {
+    /// The oldest stored generation other than `keep`.
+    fn oldest_except(&self, keep: Generation) -> Option<Generation> {
+        self.generations.iter().copied().find(|&g| g != keep)
+    }
+
+    /// Drop every tree of `generation`; returns how many were dropped.
+    fn evict(&mut self, generation: Generation) -> u64 {
+        self.generations.retain(|&g| g != generation);
+        let before = self.trees.len();
+        self.trees.retain(|k, _| k.generation != generation);
+        (before - self.trees.len()) as u64
+    }
+
+    fn insert(&mut self, key: PlanKey, tree: Arc<Vec<NodeId>>) {
+        if !self.generations.contains(&key.generation) {
+            self.generations.push(key.generation);
+        }
+        self.trees.insert(key, tree);
+    }
 }
 
 /// A memoizing store for BFS parent trees, shared across planning calls.
 #[derive(Debug)]
 pub struct PlanCache {
-    map: Mutex<BTreeMap<PlanKey, Arc<Vec<NodeId>>>>,
+    store: Mutex<Store>,
     capacity: usize,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+    refusals: Counter,
 }
 
 impl Default for PlanCache {
     fn default() -> Self {
-        // 4096 parent vectors at n = 4096 nodes ≈ 64 MiB worst case; actual
-        // sweeps stay far below because one tree per distinct source exists.
+        // A tree is 4n bytes, so the bound is 4096 × 4n: 64 MiB at
+        // n = 4096 and 128 MiB at n = 8192, the largest machines
+        // `table4 --full` builds. A trial stores one tree per distinct
+        // source, so small machines stay far below it.
         PlanCache::with_capacity(4096)
     }
 }
 
 impl PlanCache {
-    /// A cache that stops inserting past `capacity` entries.
+    /// A cache holding at most `capacity` trees.
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            map: Mutex::new(BTreeMap::new()),
+            store: Mutex::new(Store::default()),
             capacity,
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
+            refusals: Counter::new(),
         }
     }
 
@@ -82,23 +128,28 @@ impl PlanCache {
         self.misses.get()
     }
 
-    /// Trees computed but *not* retained because the cache was at capacity
-    /// (this cache never replaces existing entries, so "evicted at the
-    /// door" is its only eviction form).
+    /// Stored trees dropped to make room, a whole older generation at a
+    /// time.
     pub fn evictions(&self) -> u64 {
         self.evictions.get()
     }
 
-    /// Trees currently stored.
-    pub fn entries(&self) -> usize {
-        self.lock_map().len()
+    /// Trees computed but *not* stored because their own generation
+    /// already filled the cache.
+    pub fn refusals(&self) -> u64 {
+        self.refusals.get()
     }
 
-    /// Lock the tree map, recovering from a poisoned mutex: the guarded
-    /// state is a plain map that is never left half-edited (inserts are
-    /// single calls), so a panic elsewhere cannot corrupt it.
-    fn lock_map(&self) -> RankedGuard<'_, BTreeMap<PlanKey, Arc<Vec<NodeId>>>> {
-        lock_ranked(&self.map, ranks::ROUTING_PLAN_CACHE)
+    /// Trees currently stored.
+    pub fn entries(&self) -> usize {
+        self.lock_store().trees.len()
+    }
+
+    /// Lock the store, recovering from a poisoned mutex: every edit is
+    /// finished before another starts (a panic elsewhere cannot leave a
+    /// generation half-evicted), so the guarded state stays consistent.
+    fn lock_store(&self) -> RankedGuard<'_, Store> {
+        lock_ranked(&self.store, ranks::ROUTING_PLAN_CACHE)
     }
 
     /// Fraction of lookups served from the cache.
@@ -126,11 +177,16 @@ impl PlanCache {
                 fcn_telemetry::names::PLAN_CACHE_EVICTIONS_TOTAL,
                 self.evictions(),
             );
+            s.add(
+                fcn_telemetry::names::PLAN_CACHE_REFUSALS_TOTAL,
+                self.refusals(),
+            );
             s.set_gauge(fcn_telemetry::names::PLAN_CACHE_ENTRIES, entries);
         });
     }
 
-    /// Serve the parent tree for `key`, computing it on a miss.
+    /// Serve the parent tree of `source` in generation `(graph, node_limit,
+    /// plan_seed)`, computing it on a miss.
     ///
     /// The computation runs outside the lock, so a slow BFS never blocks
     /// other workers; the worst case is two workers computing the same tree
@@ -140,31 +196,36 @@ impl PlanCache {
         &self,
         graph: u64,
         node_limit: usize,
+        plan_seed: u64,
         source: NodeId,
-        bfs_seed: u64,
         compute: impl FnOnce() -> Vec<NodeId>,
     ) -> Arc<Vec<NodeId>> {
         let key = PlanKey {
-            graph,
-            node_limit,
+            generation: Generation {
+                graph,
+                node_limit,
+                plan_seed,
+            },
             source,
-            bfs_seed,
         };
-        if let Some(hit) = self.lock_map().get(&key).cloned() {
+        if let Some(hit) = self.lock_store().trees.get(&key).cloned() {
             self.hits.inc();
             return hit;
         }
         self.misses.inc();
         let fresh = Arc::new(compute());
-        let mut map = self.lock_map();
-        if let Some(raced) = map.get(&key) {
+        let mut store = self.lock_store();
+        if let Some(raced) = store.trees.get(&key) {
             return raced.clone();
         }
-        if map.len() < self.capacity {
-            map.insert(key, fresh.clone());
-        } else {
-            self.evictions.inc();
+        while store.trees.len() >= self.capacity {
+            let Some(oldest) = store.oldest_except(key.generation) else {
+                self.refusals.inc();
+                return fresh;
+            };
+            self.evictions.add(store.evict(oldest));
         }
+        store.insert(key, fresh.clone());
         fresh
     }
 }
@@ -178,7 +239,7 @@ mod tests {
         let cache = PlanCache::with_capacity(8);
         let mut computes = 0;
         for _ in 0..3 {
-            let tree = cache.get_or_compute(1, usize::MAX, 0, 42, || {
+            let tree = cache.get_or_compute(1, usize::MAX, 42, 0, || {
                 computes += 1;
                 vec![0, 0, 1]
             });
@@ -192,25 +253,61 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = PlanCache::with_capacity(8);
-        let a = cache.get_or_compute(1, usize::MAX, 0, 1, || vec![0]);
-        let b = cache.get_or_compute(1, usize::MAX, 0, 2, || vec![1]);
-        let c = cache.get_or_compute(2, usize::MAX, 0, 1, || vec![2]);
-        let d = cache.get_or_compute(1, 16, 0, 1, || vec![3]);
+        let a = cache.get_or_compute(1, usize::MAX, 1, 0, || vec![0]);
+        let b = cache.get_or_compute(1, usize::MAX, 2, 0, || vec![1]);
+        let c = cache.get_or_compute(2, usize::MAX, 1, 0, || vec![2]);
+        let d = cache.get_or_compute(1, 16, 1, 0, || vec![3]);
         assert_eq!((a[0], b[0], c[0], d[0]), (0, 1, 2, 3));
         assert_eq!(cache.entries(), 4);
     }
 
     #[test]
-    fn capacity_bounds_entries_but_not_service() {
+    fn one_generation_past_capacity_is_refused_at_the_door() {
         let cache = PlanCache::with_capacity(2);
         for src in 0..10u32 {
-            let tree = cache.get_or_compute(1, usize::MAX, src, 7, || vec![src]);
+            let tree = cache.get_or_compute(1, usize::MAX, 7, src, || vec![src]);
             assert_eq!(tree[0], src);
         }
         assert_eq!(cache.entries(), 2);
-        assert_eq!(cache.evictions(), 8, "refused inserts count as evictions");
+        assert_eq!((cache.refusals(), cache.evictions()), (8, 0));
         // Entries already stored keep hitting.
-        let again = cache.get_or_compute(1, usize::MAX, 0, 7, || unreachable!());
+        let again = cache.get_or_compute(1, usize::MAX, 7, 0, || unreachable!());
         assert_eq!(again[0], 0);
+    }
+
+    #[test]
+    fn a_full_cache_evicts_its_oldest_generation_whole() {
+        let cache = PlanCache::with_capacity(4);
+        for src in 0..3u32 {
+            cache.get_or_compute(1, usize::MAX, 10, src, || vec![src]);
+        }
+        cache.get_or_compute(1, usize::MAX, 20, 0, || vec![100]);
+        // Full: the next tree of seed 20 drops all three trees of seed 10.
+        cache.get_or_compute(1, usize::MAX, 20, 1, || vec![101]);
+        assert_eq!((cache.entries(), cache.evictions()), (2, 3));
+        // A third generation evicts seed 20 only once the cache is full again.
+        cache.get_or_compute(1, usize::MAX, 30, 0, || vec![200]);
+        cache.get_or_compute(1, usize::MAX, 30, 1, || vec![201]);
+        assert_eq!((cache.entries(), cache.evictions()), (4, 3));
+        cache.get_or_compute(1, usize::MAX, 30, 2, || vec![202]);
+        assert_eq!((cache.entries(), cache.evictions()), (3, 5));
+        let kept = cache.get_or_compute(1, usize::MAX, 30, 0, || unreachable!());
+        assert_eq!(kept[0], 200);
+        let gone = cache.get_or_compute(1, usize::MAX, 10, 0, || vec![1000]);
+        assert_eq!(gone[0], 1000, "an evicted tree is recomputed");
+        assert_eq!(cache.refusals(), 0);
+    }
+
+    #[test]
+    fn a_zero_capacity_cache_stores_nothing() {
+        let cache = PlanCache::with_capacity(0);
+        for seed in 0..3u64 {
+            let tree = cache.get_or_compute(1, usize::MAX, seed, 0, || vec![5]);
+            assert_eq!(tree[0], 5);
+        }
+        assert_eq!(
+            (cache.entries(), cache.refusals(), cache.misses()),
+            (0, 3, 3)
+        );
     }
 }

@@ -17,9 +17,9 @@
 //!
 //! * routing the same demands through oracles built with the same seed is
 //!   bit-identical regardless of what else each oracle routed before;
-//! * a tree may be memoized by `(graph fingerprint, node limit, source,
-//!   bfs seed)` — which is exactly what [`PlanCache`] does when attached
-//!   via [`PathOracle::with_cache`].
+//! * a tree may be memoized by `(graph fingerprint, node limit, plan seed,
+//!   source)` — which is exactly what [`PlanCache`] does when attached via
+//!   [`PathOracle::with_cache`].
 //!
 //! Valiant intermediate draws still come from the oracle's own sequential
 //! RNG: they are consumed in demand order before any BFS runs, so they too
@@ -193,7 +193,7 @@ impl<'g> PathOracle<'g> {
         let bfs_seed = job_seed(self.plan_seed ^ BFS_STREAM, src as u64);
         match self.cache {
             Some(cache) => {
-                cache.get_or_compute(self.graph_fp, self.node_limit, src, bfs_seed, || {
+                cache.get_or_compute(self.graph_fp, self.node_limit, self.plan_seed, src, || {
                     self.bfs_parents_randomized(src, bfs_seed)
                 })
             }
@@ -203,7 +203,8 @@ impl<'g> PathOracle<'g> {
 
     /// BFS parents with a random neighbor-preference permutation drawn from
     /// a fresh RNG at `bfs_seed`, honoring the node limit. A pure function
-    /// of `(graph, node_limit, src, bfs_seed)`.
+    /// of `(graph, node_limit, src, bfs_seed)`. `NodeId::MAX` marks an
+    /// unvisited node; the source is its own parent.
     fn bfs_parents_randomized(&self, src: NodeId, bfs_seed: u64) -> Vec<NodeId> {
         let g = self.graph;
         let n = g.node_count();
@@ -211,22 +212,23 @@ impl<'g> PathOracle<'g> {
         assert!((src as usize) < limit, "source {src} outside node limit");
         let mut rng = StdRng::seed_from_u64(bfs_seed);
         let mut parent = vec![NodeId::MAX; n];
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
+        // Every node enters the queue once, so a vector read from `head`
+        // is the FIFO.
+        let mut queue = Vec::with_capacity(n.min(limit));
         parent[src as usize] = src;
-        dist[src as usize] = 0;
-        queue.push_back(src);
+        queue.push(src);
         // A small reusable scratch buffer of neighbors, shuffled per vertex.
         let mut scratch: Vec<NodeId> = Vec::new();
-        while let Some(u) = queue.pop_front() {
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             scratch.clear();
             scratch.extend(g.neighbors(u).map(|(v, _)| v));
             scratch.shuffle(&mut rng);
             for &v in &scratch {
-                if (v as usize) < limit && dist[v as usize] == u32::MAX {
-                    dist[v as usize] = dist[u as usize] + 1;
+                if (v as usize) < limit && parent[v as usize] == NodeId::MAX {
                     parent[v as usize] = u;
-                    queue.push_back(v);
+                    queue.push(v);
                 }
             }
         }

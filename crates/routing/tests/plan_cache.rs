@@ -2,11 +2,14 @@
 //! *indistinguishable* from fresh planning.
 //!
 //! The cache memoizes BFS parent trees keyed by (graph fingerprint, node
-//! limit, source, per-source seed). Because each tree is a pure function of
-//! that key, a cache hit must reproduce exactly the path a fresh computation
+//! limit, plan seed, source). Because each tree is a pure function of that
+//! key, a cache hit must reproduce exactly the path a fresh computation
 //! would have produced — across machines, strategies, seeds, and demand
 //! batches, including cache reuse across *different* batches with the same
-//! plan seed (the saturation-sweep pattern).
+//! plan seed (the saturation-sweep pattern) and eviction of older plan
+//! seeds when the cache is full.
+
+use std::collections::BTreeSet;
 
 use fcn_routing::{plan_routes, plan_routes_cached, PlanCache, Strategy};
 use fcn_topology::{Family, Machine};
@@ -93,27 +96,70 @@ proptest! {
     #[test]
     fn capped_cache_still_plans_correctly(
         size in 24usize..64,
-        seed in proptest::strategy::any::<u64>(),
+        capacity in 1usize..8,
+        seeds in proptest::collection::vec(proptest::strategy::any::<u64>(), 2..4),
+        order in proptest::collection::vec(0usize..4, 4..12),
         raw in proptest::collection::vec(
             (proptest::strategy::any::<u64>(), proptest::strategy::any::<u64>()),
             8..32,
         ),
     ) {
-        // A capacity smaller than the working set forces evictions-by-refusal;
+        // A capacity smaller than the working set, with plan seeds
+        // interleaved, forces both generation evictions and refusals;
         // correctness must not depend on what the cache managed to keep.
         let machine = Machine::mesh(2, (size as f64).sqrt() as usize + 2);
         let demands = demands_on(&machine, &raw);
-        let cache = PlanCache::with_capacity(2);
-        let cold = plan_routes_cached(
-            &machine, &demands, Strategy::ShortestPath, seed, Some(&cache),
-        );
-        let warm = plan_routes_cached(
-            &machine, &demands, Strategy::ShortestPath, seed, Some(&cache),
-        );
-        let fresh = plan_routes(&machine, &demands, Strategy::ShortestPath, seed);
-        prop_assert_eq!(&cold, &fresh);
-        prop_assert_eq!(&warm, &fresh);
+        let cache = PlanCache::with_capacity(capacity);
+        for pick in order {
+            let seed = seeds[pick % seeds.len()];
+            let served = plan_routes_cached(
+                &machine, &demands, Strategy::ShortestPath, seed, Some(&cache),
+            );
+            let fresh = plan_routes(&machine, &demands, Strategy::ShortestPath, seed);
+            prop_assert_eq!(&served, &fresh);
+            prop_assert!(cache.entries() <= capacity);
+        }
     }
+}
+
+/// The estimator's pattern — three trials, each with its own plan seed,
+/// each planning batches of 2n, 4n and 8n messages — against a cache that
+/// holds one trial's trees but not three (n ≤ capacity < 3n). Once a trial
+/// is done its trees are dead, so the cache must make room for the next
+/// trial by evicting them rather than refusing the live trial's trees:
+/// every tree is computed exactly once per trial.
+#[test]
+fn finished_trials_make_room_for_the_next() {
+    let machine = Machine::mesh(2, 8);
+    let n = machine.processors();
+    let capacity = 100;
+    assert!(n <= capacity && capacity < 3 * n);
+    let cache = PlanCache::with_capacity(capacity);
+    let mut trees_needed = 0;
+    for trial in 0..3u64 {
+        let seed = 0x5eed ^ trial;
+        let mut sources = BTreeSet::new();
+        for multiplier in [2, 4, 8] {
+            let demands: Vec<(u32, u32)> = (0..multiplier * n)
+                .map(|i| ((i * 7 % n) as u32, ((i * 37 + 11) % n) as u32))
+                .collect();
+            sources.extend(demands.iter().map(|&(s, _)| s));
+            let served = plan_routes_cached(
+                &machine,
+                &demands,
+                Strategy::ShortestPath,
+                seed,
+                Some(&cache),
+            );
+            let fresh = plan_routes(&machine, &demands, Strategy::ShortestPath, seed);
+            assert_eq!(served, fresh, "trial {trial}, batch {multiplier}n");
+        }
+        trees_needed += sources.len() as u64;
+    }
+    assert_eq!(cache.misses(), trees_needed, "one tree per (trial, source)");
+    assert_eq!(cache.refusals(), 0);
+    assert_eq!(cache.evictions(), 2 * n as u64, "trials 1 and 2 evicted");
+    assert!(cache.entries() <= capacity);
 }
 
 #[test]

@@ -78,7 +78,7 @@ pub mod ranks {
     pub const SERVE_MERGE: LockRank = LockRank::new(30, "serve.merge");
     /// `fcn-serve` reply cache (`ReplyCache::state`).
     pub const SERVE_REPLIES: LockRank = LockRank::new(40, "serve.replies");
-    /// `fcn-routing` compiled-plan cache map (`PlanCache::map`).
+    /// `fcn-routing` BFS-tree plan cache store (`PlanCache::store`).
     pub const ROUTING_PLAN_CACHE: LockRank = LockRank::new(50, "routing.plan_cache");
     /// `fcn-exec` pool result slots.
     pub const EXEC_SLOTS: LockRank = LockRank::new(60, "exec.pool_slots");

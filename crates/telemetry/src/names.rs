@@ -36,8 +36,10 @@ pub const EXEC_WATCHDOG_FIRED_TOTAL: &str = "exec_watchdog_fired_total";
 pub const PLAN_CACHE_HITS_TOTAL: &str = "plan_cache_hits_total";
 /// BFS-tree cache misses (tree computed fresh).
 pub const PLAN_CACHE_MISSES_TOTAL: &str = "plan_cache_misses_total";
-/// Evictions under the cache's capacity bound.
+/// Stored trees dropped to make room, a whole older generation at a time.
 pub const PLAN_CACHE_EVICTIONS_TOTAL: &str = "plan_cache_evictions_total";
+/// Fresh trees not stored because their own generation fills the cache.
+pub const PLAN_CACHE_REFUSALS_TOTAL: &str = "plan_cache_refusals_total";
 /// Resident entries at publish time (gauge).
 pub const PLAN_CACHE_ENTRIES: &str = "plan_cache_entries";
 
@@ -203,6 +205,7 @@ pub const ALL: &[&str] = &[
     PLAN_CACHE_HITS_TOTAL,
     PLAN_CACHE_MISSES_TOTAL,
     PLAN_CACHE_EVICTIONS_TOTAL,
+    PLAN_CACHE_REFUSALS_TOTAL,
     PLAN_CACHE_ENTRIES,
     ROUTER_RUNS_TOTAL,
     ROUTER_TICKS_TOTAL,
