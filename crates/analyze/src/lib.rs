@@ -13,7 +13,7 @@
 //! Analysis runs in two phases:
 //!
 //! 1. **Per-file** ([`phase1`]): each file is scrubbed ([`source`]), run
-//!    through the ten per-file rules ([`rules`]), and condensed into a
+//!    through the nine per-file rules ([`rules`]), and condensed into a
 //!    lightweight symbol/event index ([`index`]). The triple (findings,
 //!    suppressions, index) is a [`FileArtifact`] — the unit of the
 //!    incremental [`cache`].

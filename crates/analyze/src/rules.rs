@@ -1,4 +1,4 @@
-//! The rule set: fourteen invariant checks (ten per-file, four cross-file).
+//! The rule set: thirteen invariant checks (nine per-file, four cross-file).
 //!
 //! | id | invariant it pins |
 //! |----|-------------------|
@@ -9,7 +9,6 @@
 //! | `SCHEMA-TAG` | every JSON emitter stamps a versioned `fcn-*/N` tag |
 //! | `TEL-NAME`   | telemetry metric names come from one const table |
 //! | `ATOMIC-DOC` | every atomic `Ordering::` carries a justification |
-//! | `SHARD-MERGE`| cross-shard buffers drain only through the merge helper |
 //! | `SERVE-DEADLINE` | service-crate sockets speak only through the framed I/O layer |
 //! | `CHAOS-SEED` | wire-fault injection lives only in the seeded ChaosPlan path |
 //! | `LOCK-ORDER` | `lock_ranked` nesting follows the declared lockdep rank order |
@@ -77,12 +76,6 @@ pub const RULES: &[(&str, &str)] = &[
         "every atomic Ordering:: use carries an `// ordering:` justification comment",
     ),
     (
-        "SHARD-MERGE",
-        "cross-shard boundary buffers iterate only through merge_outboxes: direct .msgs \
-         access elsewhere in fcn-routing can replay arrivals in shard order, not \
-         activation order",
-    ),
-    (
         "SERVE-DEADLINE",
         "raw socket reads/writes in fcn-serve only inside the framed I/O layer (io.rs): \
          every other path must go through FramedConn so no request can outlive its \
@@ -120,10 +113,6 @@ pub const RULES: &[(&str, &str)] = &[
          request deadline and must never wedge on the OS",
     ),
 ];
-
-/// The one file allowed to touch a boundary `Outbox`'s message buffer
-/// directly: the canonical boundary-exchange merge itself.
-pub const SHARD_MERGE_ALLOWLIST: &[&str] = &["crates/routing/src/boundary.rs"];
 
 /// The one file in fcn-serve allowed to call raw socket reads/writes: the
 /// deadline-wrapping framed I/O layer itself.
@@ -474,38 +463,6 @@ fn atomic_doc(sf: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// SHARD-MERGE: cross-shard boundary buffers drained outside the canonical
-/// merge. The sharded router's bit-identity proof hinges on exactly one
-/// traversal order for boundary messages — the activation-key merge in
-/// `boundary.rs`. `Outbox`'s fields are private precisely so `.msgs` can
-/// only appear there; this rule keeps it that way when fields move or a
-/// future buffer forgets the encapsulation.
-fn shard_merge(sf: &SourceFile, out: &mut Vec<Finding>) {
-    if sf.kind != FileKind::Lib || sf.crate_name != "routing" {
-        return;
-    }
-    if SHARD_MERGE_ALLOWLIST.contains(&sf.path.as_str()) {
-        return;
-    }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        if !token_hits(&line.code, ".msgs").is_empty() {
-            out.push(finding(
-                sf,
-                ln,
-                "SHARD-MERGE",
-                "direct access to a cross-shard boundary buffer (`.msgs`) outside \
-                 boundary.rs: iterate via merge_outboxes so arrivals replay in \
-                 activation order, never shard order"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 /// SERVE-DEADLINE: raw blocking socket calls in fcn-serve outside the
 /// framed I/O layer. The service's liveness contract — a deadline-armed
 /// watchdog can always cancel a request, and a drain can always finish —
@@ -599,7 +556,6 @@ pub fn check_file(sf: &SourceFile) -> Vec<Finding> {
     schema_tag_file(sf, &mut out);
     tel_name(sf, &mut out);
     atomic_doc(sf, &mut out);
-    shard_merge(sf, &mut out);
     serve_deadline(sf, &mut out);
     chaos_seed(sf, &mut out);
     out

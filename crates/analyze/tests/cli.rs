@@ -152,7 +152,6 @@ fn list_is_sorted_and_pins_the_rule_table() {
         "SCHEMA-DRIFT",
         "SCHEMA-TAG",
         "SERVE-DEADLINE",
-        "SHARD-MERGE",
         "TEL-DEAD",
         "TEL-NAME",
     ];

@@ -364,54 +364,6 @@ fn atomic_doc_suppressed_with_reason() {
     assert_suppressed(&a);
 }
 
-// ------------------------------------------------------------- SHARD-MERGE
-
-#[test]
-fn shard_merge_fires_on_direct_boundary_buffer_access_in_routing() {
-    let a = run(&[(
-        "crates/routing/src/fx.rs",
-        "pub fn f(outboxes: &[Outbox]) { for o in outboxes { scan(&o.msgs); } }\n",
-    )]);
-    assert_single(&a, "SHARD-MERGE", 1);
-}
-
-#[test]
-fn shard_merge_clean_in_boundary_rs_tests_and_other_crates() {
-    // boundary.rs owns the canonical merge: direct buffer access is its job.
-    let a = run(&[(
-        "crates/routing/src/boundary.rs",
-        "pub fn f(outboxes: &[Outbox]) { for o in outboxes { scan(&o.msgs); } }\n",
-    )]);
-    assert_clean(&a);
-    // Test code may introspect buffers freely.
-    let b = run(&[(
-        "crates/routing/tests/fx.rs",
-        "fn t(o: &Outbox) { assert!(o.msgs.is_empty()); }\n",
-    )]);
-    assert_clean(&b);
-    // The token is only meaningful inside fcn-routing.
-    let c = run(&[(
-        "crates/telemetry/src/fx.rs",
-        "pub fn f(s: &Shard) { drain(&s.msgs); }\n",
-    )]);
-    assert_clean(&c);
-    // Unrelated identifiers that merely contain the substring do not fire.
-    let d = run(&[(
-        "crates/routing/src/fx.rs",
-        "pub fn f(q: &Queue) -> usize { q.msgs_len + 1 }\n",
-    )]);
-    assert_clean(&d);
-}
-
-#[test]
-fn shard_merge_suppressed_with_reason() {
-    let a = run(&[(
-        "crates/routing/src/fx.rs",
-        "pub fn f(o: &Outbox) -> usize { o.msgs.len() } // fcn-allow: SHARD-MERGE read-only length, no iteration\n",
-    )]);
-    assert_suppressed(&a);
-}
-
 // --------------------------------------------------------- SERVE-DEADLINE
 
 #[test]

@@ -28,7 +28,7 @@ use fcn_exec::{job_seed, Pool};
 use fcn_faults::{FaultPlan, FaultSpec};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
-    plan_routes_degraded, plateau_rate, route_events_pooled, route_sharded_pooled, AbortCause,
+    plan_routes_degraded, plateau_rate, route_compiled_pooled, route_events_pooled, AbortCause,
     Backend, CompiledNet, PacketBatch, PlanCache, RateSample, RouterConfig, Strategy,
 };
 use fcn_topology::Machine;
@@ -58,9 +58,6 @@ pub struct DegradedSweep {
     /// Worker threads; `0` means one per hardware thread. Bit-identical for
     /// every value.
     pub jobs: usize,
-    /// Router shard count per cell (`1` = sequential engine). Bit-identical
-    /// for every value, including on faulted nets.
-    pub shards: usize,
     /// Router backend per cell ([`Backend::Tick`] by default). Bit-identical
     /// either way; [`Backend::Events`] skips outage windows on wires holding
     /// no packets instead of simulating through them, which is where
@@ -79,7 +76,6 @@ impl Default for DegradedSweep {
             trials: 3,
             seed: 0xbead,
             jobs: 1,
-            shards: 1,
             backend: Backend::Tick,
         }
     }
@@ -205,12 +201,6 @@ impl DegradedSweep {
         self
     }
 
-    /// This sweep with a different router shard count (builder-style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// This sweep with a different router backend (builder-style).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -249,7 +239,7 @@ impl DegradedSweep {
             .unwrap_or_else(|e| panic!("degraded planner produced unroutable path: {e}"));
         let outcome = match self.backend {
             Backend::Events => route_events_pooled(net, &batch, self.router),
-            Backend::Tick => route_sharded_pooled(net, &batch, self.router, self.shards),
+            Backend::Tick => route_compiled_pooled(net, &batch, self.router),
         };
         // "Completed" here means the router *terminated with a typed
         // outcome* — everything routable was delivered — even if some
@@ -412,19 +402,6 @@ mod tests {
         for jobs in [2, 4] {
             let par = quick_sweep(&[0.0, 0.2]).with_jobs(jobs).sweep(&m, &t);
             assert_eq!(par, seq, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn sweep_is_shard_count_invariant() {
-        // Faulted nets exercise the sharded router's stranding scan and
-        // fault-gated budgeted sends; the curve must not move.
-        let m = Machine::mesh(2, 8);
-        let t = m.symmetric_traffic();
-        let seq = quick_sweep(&[0.0, 0.2]).sweep(&m, &t);
-        for shards in [2, 4] {
-            let sh = quick_sweep(&[0.0, 0.2]).with_shards(shards).sweep(&m, &t);
-            assert_eq!(sh, seq, "shards={shards}");
         }
     }
 

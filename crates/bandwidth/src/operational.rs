@@ -55,10 +55,6 @@ pub struct BandwidthEstimator {
     /// sequential (the default), `0` means one per hardware thread. The
     /// estimate is bit-identical for every value.
     pub jobs: usize,
-    /// Router shard count for each cell's tick loop: `1` (the default) is
-    /// the sequential engine, `K ≥ 2` runs the deterministic sharded
-    /// router. The estimate is bit-identical for every value.
-    pub shards: usize,
     /// Router backend for each cell ([`Backend::Tick`] by default). The
     /// estimate is bit-identical for every backend; [`Backend::Events`] is
     /// the cheap choice when cells spend most of their ticks idle (fault
@@ -75,7 +71,6 @@ impl Default for BandwidthEstimator {
             trials: 3,
             seed: 0xbead,
             jobs: 1,
-            shards: 1,
             backend: Backend::Tick,
         }
     }
@@ -190,7 +185,6 @@ impl BandwidthEstimator {
         let pool = Pool::new(self.jobs);
         let mut ctx = RouteCtx::from_net(machine, net.clone())
             .with_cache(cache)
-            .with_shards(self.shards)
             .with_backend(self.backend);
         if let Some(c) = cancel {
             ctx = ctx.with_cancel(c);
@@ -287,12 +281,6 @@ impl BandwidthEstimator {
         self
     }
 
-    /// This estimator with a different router shard count (builder-style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// This estimator with a different router backend (builder-style).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -353,18 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_estimate_matches_sequential() {
-        let m = Machine::mesh(2, 8);
-        let seq = quick().estimate_symmetric(&m);
-        for shards in [2, 4] {
-            let sh = quick().with_shards(shards).estimate_symmetric(&m);
-            assert_eq!(sh.rate, seq.rate, "shards={shards}");
-            assert_eq!(sh.samples, seq.samples, "shards={shards}");
-            assert_eq!(sh.complete_trials, seq.complete_trials);
-        }
-    }
-
-    #[test]
     fn event_backend_estimate_matches_tick() {
         let m = Machine::mesh(2, 8);
         let tick = quick().estimate_symmetric(&m);
@@ -386,15 +362,13 @@ mod tests {
         let t = m.symmetric_traffic();
         let est = quick();
         let plain = est.estimate(&m, &t);
-        for (cancel, shards, backend) in [
-            (None, 1, Backend::Tick),
-            (Some(AtomicBool::new(false)), 1, Backend::Tick),
-            (Some(AtomicBool::new(false)), 4, Backend::Tick),
-            (Some(AtomicBool::new(false)), 1, Backend::Events),
+        for (cancel, backend) in [
+            (None, Backend::Tick),
+            (Some(AtomicBool::new(false)), Backend::Tick),
+            (Some(AtomicBool::new(false)), Backend::Events),
         ] {
             let gated = est
                 .clone()
-                .with_shards(shards)
                 .with_backend(backend)
                 .try_estimate_compiled(
                     &m,

@@ -19,9 +19,8 @@ use fcn_bandwidth::BandwidthEstimator;
 use fcn_bench::{banner, fmt, RunOpts, Scale, PERFBENCH_SCHEMA};
 use fcn_routing::engine::reference;
 use fcn_routing::{
-    plan_routes, route_compiled, route_compiled_at, route_events, route_events_at,
-    route_sharded_pooled, CompiledNet, InjectionSchedule, PacketBatch, RouterConfig, RouterScratch,
-    Strategy,
+    plan_routes, route_compiled, route_compiled_at, route_events, route_events_at, CompiledNet,
+    InjectionSchedule, PacketBatch, RouterConfig, RouterScratch, Strategy,
 };
 use fcn_topology::Machine;
 use serde::Serialize;
@@ -33,8 +32,8 @@ struct Row {
     /// merge with a file whose rows carry a different (or no) tag.
     schema: String,
     /// Benchmark id (`route_reference`, `route_compiled`,
-    /// `route_sharded_k{K}`, `route_events_{saturated,sparse,drain}`,
-    /// `estimator_grid`, `planner`, `telemetry_overhead`).
+    /// `route_events_{saturated,sparse,drain}`, `estimator_grid`, `planner`,
+    /// `telemetry_overhead`).
     bench: String,
     /// Machine the benchmark ran on.
     machine: String,
@@ -48,8 +47,7 @@ struct Row {
     /// Bench-specific throughput; `unit` names what it measures.
     rate: f64,
     /// Unit of `rate`: `packets/tick` (delivery rate — router benches and
-    /// the estimator's β̂), `node-ticks/s` (`route_sharded_k{K}` — the
-    /// scaling curve's y-axis), `packets/ms` (planner), `ratio`
+    /// the estimator's β̂), `packets/ms` (planner), `ratio`
     /// (`telemetry_overhead`: disabled-telemetry over no-telemetry-baseline
     /// time; `< 1.01` is the "<1 % off overhead" budget), or `x-vs-tick`
     /// (`route_events_*`: tick-backend wall time over event-backend wall
@@ -170,39 +168,6 @@ fn main() {
         "speedup         : {:.2}x (reference / compiled)",
         ref_ms / cmp_ms
     );
-
-    // Sharded-router scaling: the same batch through `route_sharded_pooled`
-    // at K ∈ {1, 2, 4, 8}, reported as node-ticks simulated per second so
-    // shard counts are comparable on one axis. The outcome is asserted
-    // bit-identical to the sequential run at every K; the *throughput*
-    // curve depends on the host's core count — on a single-core runner the
-    // boundary exchange is pure overhead and the curve is flat-to-negative,
-    // which is exactly what the committed numbers should say (see
-    // EXPERIMENTS.md for the schema note).
-    for k in [1usize, 2, 4, 8] {
-        let (sh_ms, ticks) = timed(reps, || {
-            let out = route_sharded_pooled(&net, &batch, cfg, k);
-            assert_eq!(
-                out.rate(),
-                cmp_rate,
-                "sharding must not change a single bit"
-            );
-            out.ticks as f64
-        });
-        let node_ticks_per_sec = n as f64 * ticks / (sh_ms / 1e3);
-        println!(
-            "route_sharded_k{k}: {:>9} ms   {} node-ticks/s",
-            fmt(sh_ms),
-            fmt(node_ticks_per_sec)
-        );
-        rows.push(Row::new(
-            &format!("route_sharded_k{k}"),
-            &machine,
-            sh_ms,
-            node_ticks_per_sec,
-            "node-ticks/s",
-        ));
-    }
 
     // Event backend, three regimes. Each row's `rate` is the tick backend's
     // wall time over the event backend's on the identical workload

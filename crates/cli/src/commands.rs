@@ -73,11 +73,11 @@ pub fn usage() -> String {
 USAGE:
   fcnemu machines
   fcnemu build   <family> <size> [--seed N] [--format summary|dot|edges|json]
-  fcnemu beta    <family> <size> [--trials N] [--steady] [--seed N] [--jobs N] [--shards N] [--backend tick|events] [--max-ticks N] [--verbose]
-  fcnemu faults  <family> <size> [--rates R1,R2,..] [--trials N] [--seed N] [--fault-seed N] [--jobs N] [--shards N] [--backend tick|events] [--quick] [--verbose]
+  fcnemu beta    <family> <size> [--trials N] [--steady] [--seed N] [--jobs N] [--backend tick|events] [--max-ticks N] [--verbose]
+  fcnemu faults  <family> <size> [--rates R1,R2,..] [--trials N] [--seed N] [--fault-seed N] [--jobs N] [--backend tick|events] [--quick] [--verbose]
   fcnemu bound   <guest-family> <host-family> [--n N] [--m M]
   fcnemu emulate <guest-family> <n> <host-family> <m> [--steps N]
-  fcnemu audit   <family> <size> [--seed N] [--jobs N] [--shards N] [--backend tick|events]
+  fcnemu audit   <family> <size> [--seed N] [--jobs N] [--backend tick|events]
   fcnemu witness <family> <size> [--alpha X]
   fcnemu verify  <family> <size> [--hosts M] [--steps N]
   fcnemu table   <1|2|3> [--size N]
@@ -109,23 +109,15 @@ fn build(id: &str, size: usize, seed: u64) -> Result<Machine, String> {
     Ok(family(id)?.build_near(size, seed))
 }
 
-/// Parse `--backend tick|events` (default `tick`) and reject combining the
-/// single-shard event engine with `--shards N > 1` — a silent precedence
-/// pick would surprise; the flags genuinely conflict.
-fn backend_flag(args: &Args, shards: usize) -> Result<Backend, CmdError> {
+/// Parse `--backend tick|events` (default `tick`).
+fn backend_flag(args: &Args) -> Result<Backend, CmdError> {
     let s = args
         .flags
         .get("backend")
         .cloned()
         .unwrap_or_else(|| "tick".into());
-    let b = Backend::parse(&s)
-        .ok_or_else(|| CmdError::Run(format!("--backend: expected tick or events, got {s:?}")))?;
-    if b == Backend::Events && shards > 1 {
-        return Err(CmdError::Run(
-            "--backend events runs the single-shard event engine; drop --shards".into(),
-        ));
-    }
-    Ok(b)
+    Backend::parse(&s)
+        .ok_or_else(|| CmdError::Run(format!("--backend: expected tick or events, got {s:?}")))
 }
 
 /// Dispatch a parsed command.
@@ -241,9 +233,6 @@ pub(crate) fn beta_with(
     // Worker threads for the trials×multipliers grid; 0 = one per hardware
     // thread. The estimate is bit-identical for every value.
     let jobs = args.flag("jobs", 1usize)?;
-    // Router shard count per cell; 1 is the sequential engine. Like --jobs,
-    // bit-identical for every value.
-    let shards = args.flag("shards", 1usize)?;
     // Router tick budget; 0 keeps the default. Cells that exhaust it are
     // reported (under --verbose) instead of silently depressing the plateau.
     let max_ticks = args.flag("max-ticks", 0u64)?;
@@ -251,7 +240,7 @@ pub(crate) fn beta_with(
     let verbose = args.has("verbose");
     Ok((|| -> CmdResult {
         // Router backend per grid cell; bit-identical either way.
-        let backend = backend_flag(args, shards)?;
+        let backend = backend_flag(args)?;
         let m = build(&id, size, seed)?;
         let t = m.symmetric_traffic();
         let mut router = RouterConfig::default();
@@ -262,7 +251,6 @@ pub(crate) fn beta_with(
             trials,
             seed,
             jobs,
-            shards,
             backend,
             router,
             ..Default::default()
@@ -364,7 +352,6 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
     let seed = args.flag("seed", 0xbeadu64)?;
     let fault_seed = args.flag("fault-seed", 0xfa17u64)?;
     let jobs = args.flag("jobs", 1usize)?;
-    let shards = args.flag("shards", 1usize)?;
     let quick = args.has("quick");
     let verbose = args.has("verbose");
     let rates_flag = args.flags.get("rates").cloned();
@@ -384,7 +371,7 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
         if fault_rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
             return Err(format!("--rates: rates must lie in [0, 1], got {fault_rates:?}").into());
         }
-        let backend = backend_flag(args, shards)?;
+        let backend = backend_flag(args)?;
         let m = build(&id, size, seed)?;
         let sweep = DegradedSweep {
             fault_rates,
@@ -393,7 +380,6 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
             trials: if quick { trials.min(2) } else { trials },
             seed,
             jobs,
-            shards,
             backend,
             ..Default::default()
         };
@@ -573,20 +559,18 @@ fn cmd_audit(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
         .map_err(|_| ParseError("size must be a positive integer".into()))?;
     let seed = args.flag("seed", 7u64)?;
     let jobs = args.flag("jobs", 1usize)?;
-    let shards = args.flag("shards", 1usize)?;
     Ok((|| -> CmdResult {
-        let backend = backend_flag(args, shards)?;
+        let backend = backend_flag(args)?;
         let m = build(&id, size, seed)?;
-        // Same cheap estimator as `quick_audit`, with the worker, shard,
-        // and backend choices threaded through: the audit cells run in
-        // parallel, the output is bit-identical for every `--jobs`,
-        // `--shards`, and `--backend` value.
+        // Same cheap estimator as `quick_audit`, with the worker and
+        // backend choices threaded through: the audit cells run in
+        // parallel, the output is bit-identical for every `--jobs` and
+        // `--backend` value.
         let est = BandwidthEstimator {
             multipliers: vec![2, 4],
             trials: 2,
             seed,
             jobs,
-            shards,
             backend,
             ..Default::default()
         };
@@ -880,24 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn beta_output_is_shards_invariant() {
-        let (code, seq) = run_s("beta mesh2 64 --trials 2 --shards 1");
-        assert_eq!(code, 0, "{seq}");
-        let (code, sh) = run_s("beta mesh2 64 --trials 2 --shards 4");
-        assert_eq!(code, 0, "{sh}");
-        assert_eq!(seq, sh, "--shards must not change the output");
-    }
-
-    #[test]
-    fn audit_output_is_shards_invariant() {
-        let (code, seq) = run_s("audit tree 31 --shards 1");
-        assert_eq!(code, 0, "{seq}");
-        let (code, sh) = run_s("audit tree 31 --shards 4");
-        assert_eq!(code, 0, "{sh}");
-        assert_eq!(seq, sh, "--shards must not change the output");
-    }
-
-    #[test]
     fn beta_output_is_backend_invariant() {
         let (code, tick) = run_s("beta mesh2 64 --trials 2 --backend tick");
         assert_eq!(code, 0, "{tick}");
@@ -919,19 +885,10 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_rejects_bad_values_and_shard_conflicts() {
+    fn backend_flag_rejects_bad_values() {
         let (code, out) = run_s("beta mesh2 64 --backend warp");
         assert_eq!(code, 1);
         assert!(out.contains("expected tick or events"), "{out}");
-        let (code, out) = run_s("beta mesh2 64 --backend events --shards 4");
-        assert_eq!(code, 1);
-        assert!(out.contains("single-shard"), "{out}");
-        let (code, out) = run_s("faults mesh2 64 --quick --backend events --shards 2");
-        assert_eq!(code, 1);
-        assert!(out.contains("single-shard"), "{out}");
-        // Tick + shards stays legal.
-        let (code, out) = run_s("audit tree 31 --backend tick --shards 2");
-        assert_eq!(code, 0, "{out}");
     }
 
     #[test]
@@ -1093,17 +1050,6 @@ mod tests {
         let (code, par) = run_s("faults mesh2 64 --quick --jobs 4");
         assert_eq!(code, 0, "{par}");
         assert_eq!(seq, par, "--jobs must not change the faults output");
-    }
-
-    #[test]
-    fn faults_output_is_shards_invariant() {
-        // Sharded routing on faulted nets (dead wires, outage windows) is
-        // still byte-identical, all the way out to the rendered curve.
-        let (code, seq) = run_s("faults mesh2 64 --quick --shards 1");
-        assert_eq!(code, 0, "{seq}");
-        let (code, sh) = run_s("faults mesh2 64 --quick --shards 4");
-        assert_eq!(code, 0, "{sh}");
-        assert_eq!(seq, sh, "--shards must not change the faults output");
     }
 
     #[test]

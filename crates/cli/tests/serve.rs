@@ -1,14 +1,14 @@
 //! Differential harness for service mode: every request kind served by a
 //! real `fcnemu serve` daemon process must return **byte-identical** output
 //! (and the same exit code) as the inline `fcnemu` invocation of the same
-//! command, across the jobs × shards × backend grid, under concurrent
+//! command, across the jobs × backend grid, under concurrent
 //! interleaved clients, and through the typed failure paths (overload,
 //! deadline cancellation, SIGTERM drain).
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStdout, Command, Stdio};
 
-use fcn_serve::{Client, ErrorKind, Request};
+use fcn_serve::{Client, ErrorKind, FramedConn, Request, Response};
 
 /// A live `fcnemu serve` child process plus its resolved address.
 struct Daemon {
@@ -104,42 +104,52 @@ fn daemon_matches_inline_across_the_grid() {
     let mut client = daemon.client();
     assert_eq!(client.call("ping", &[]).unwrap().output, "pong\n");
     for jobs in ["1", "4"] {
-        for shards in ["1", "4"] {
-            for backend in ["tick", "events"] {
-                if backend == "events" && shards != "1" {
-                    continue; // CLI-rejected combination, pinned below
-                }
-                let grid = ["--jobs", jobs, "--shards", shards, "--backend", backend];
-                let with = |head: &[&'static str]| -> Vec<&str> {
-                    let mut v = head.to_vec();
-                    v.extend_from_slice(&grid);
-                    v
-                };
-                assert_differential(
-                    &mut client,
-                    "beta",
-                    &with(&["mesh2", "36", "--trials", "2"]),
-                );
-                assert_differential(&mut client, "audit", &with(&["mesh2", "36"]));
-                assert_differential(
-                    &mut client,
-                    "faults",
-                    &with(&[
-                        "mesh2", "36", "--rates", "0.0,0.05", "--trials", "2", "--quick",
-                    ]),
-                );
-            }
+        for backend in ["tick", "events"] {
+            let grid = ["--jobs", jobs, "--backend", backend];
+            let with = |head: &[&'static str]| -> Vec<&str> {
+                let mut v = head.to_vec();
+                v.extend_from_slice(&grid);
+                v
+            };
+            assert_differential(
+                &mut client,
+                "beta",
+                &with(&["mesh2", "36", "--trials", "2"]),
+            );
+            assert_differential(&mut client, "audit", &with(&["mesh2", "36"]));
+            assert_differential(
+                &mut client,
+                "faults",
+                &with(&[
+                    "mesh2", "36", "--rates", "0.0,0.05", "--trials", "2", "--quick",
+                ]),
+            );
         }
     }
-    // The rejected events+shards combination produces the identical error
-    // bytes and exit code through the daemon.
-    assert_differential(
-        &mut client,
-        "beta",
-        &["mesh2", "36", "--shards", "4", "--backend", "events"],
-    );
-    // So does a malformed family (domain error, exit 1).
+    // A malformed family produces the identical error bytes and exit code
+    // through the daemon (domain error, exit 1).
     assert_differential(&mut client, "beta", &["no_such_family", "36"]);
+    daemon.shutdown();
+}
+
+#[test]
+fn deeply_nested_frame_is_a_bad_request_not_a_crash() {
+    // A megabyte of `[` is well inside the frame bound; before the parser
+    // bounded its nesting depth it recursed off the request thread's stack
+    // and aborted the whole daemon.
+    let daemon = Daemon::start(&[]);
+    let mut conn = FramedConn::connect(&daemon.addr).expect("connect");
+    conn.write_frame("[".repeat(1_000_000).as_bytes())
+        .expect("send nested frame");
+    let body = conn
+        .read_frame(None)
+        .expect("read reply")
+        .expect("the daemon answers the frame");
+    let resp = Response::decode(std::str::from_utf8(&body).expect("utf8")).expect("decode");
+    assert!(!resp.ok);
+    assert_eq!(resp.error.expect("typed error").kind, ErrorKind::BadRequest);
+    // The daemon is still up for everyone else.
+    assert_eq!(daemon.client().call("ping", &[]).unwrap().output, "pong\n");
     daemon.shutdown();
 }
 

@@ -420,126 +420,6 @@ impl Pool {
     }
 }
 
-/// Leader-side endpoints of a [`phased_scope`]: one request sender and one
-/// response receiver per worker, indexed by worker id.
-///
-/// Each worker's request queue is FIFO (`std::sync::mpsc` ordering), so a
-/// leader may pipeline several requests to the same worker and they are
-/// processed in send order — the property the sharded router leans on to
-/// overlap its one-way "arrivals" phase with the next tick's fan-out.
-pub struct PhasedLinks<Req, Resp> {
-    txs: Vec<std::sync::mpsc::Sender<Req>>,
-    rxs: Vec<std::sync::mpsc::Receiver<Resp>>,
-}
-
-impl<Req, Resp> PhasedLinks<Req, Resp> {
-    /// Number of workers in the scope.
-    pub fn workers(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Enqueue a request for worker `i` (FIFO per worker).
-    ///
-    /// # Panics
-    /// Panics if worker `i` already exited — only possible when its closure
-    /// panicked, in which case the enclosing scope re-raises that panic on
-    /// join, so the propagation here merely unblocks the leader.
-    pub fn send(&self, i: usize, req: Req) {
-        let sent = self.txs[i].send(req);
-        // fcn-allow: ERR-UNWRAP a dead worker means its closure panicked; panicking here lets the scope join and re-raise it
-        sent.unwrap_or_else(|_| panic!("phased worker {i} exited before the leader finished"));
-    }
-
-    /// Block until worker `i` produces its next response.
-    ///
-    /// # Panics
-    /// Panics if worker `i` exited without responding (its closure panicked
-    /// or returned early); see [`PhasedLinks::send`].
-    pub fn recv(&self, i: usize) -> Resp {
-        let resp = self.rxs[i].recv();
-        // fcn-allow: ERR-UNWRAP a dead worker means its closure panicked; panicking here lets the scope join and re-raise it
-        resp.unwrap_or_else(|_| panic!("phased worker {i} exited without responding"))
-    }
-}
-
-/// Run a leader over a fixed set of persistent scoped workers, fanning
-/// requests out to the *same* threads phase after phase.
-///
-/// [`Pool::run`] spawns-and-joins per call, which is right for one-shot
-/// grids but wrong for iterated phase loops (a tick-synchronous simulation
-/// fans out thousands of times over identical worker-local state). This
-/// primitive spawns `workers` scoped threads once, hands each the pair
-/// `(worker id, request receiver, response sender)`, and runs `leader` with
-/// the matching [`PhasedLinks`]. Workers keep their local state across
-/// phases; determinism is the caller's contract, discharged the usual way —
-/// the leader sends and receives **in worker-index order** and merges
-/// responses itself.
-///
-/// Workers observe shutdown as a channel disconnect: when the leader
-/// returns (or unwinds), the links drop, every pending `recv` on a request
-/// channel errors, and the worker closure should return. All threads are
-/// joined before `phased_scope` returns; a worker panic propagates to the
-/// caller via the scope.
-///
-/// ```
-/// use fcn_exec::phased_scope;
-///
-/// let total: u64 = phased_scope(
-///     3,
-///     &|id: usize, rx: std::sync::mpsc::Receiver<u64>, tx: std::sync::mpsc::Sender<u64>| {
-///         let mut acc = 0;
-///         while let Ok(x) = rx.recv() {
-///             acc += x + id as u64; // worker-local state persists across phases
-///             let _ = tx.send(acc);
-///         }
-///     },
-///     |links| {
-///         let mut sum = 0;
-///         for phase in 0..4u64 {
-///             for w in 0..links.workers() {
-///                 links.send(w, phase);
-///             }
-///             for w in 0..links.workers() {
-///                 sum += links.recv(w);
-///             }
-///         }
-///         sum
-///     },
-/// );
-/// assert!(total > 0);
-/// ```
-pub fn phased_scope<Req, Resp, W, L, R>(workers: usize, worker: &W, leader: L) -> R
-where
-    Req: Send,
-    Resp: Send,
-    W: Fn(usize, std::sync::mpsc::Receiver<Req>, std::sync::mpsc::Sender<Resp>) + Sync,
-    L: FnOnce(&PhasedLinks<Req, Resp>) -> R,
-{
-    assert!(workers >= 1, "phased_scope needs at least one worker");
-    let mut txs = Vec::with_capacity(workers);
-    let mut rxs = Vec::with_capacity(workers);
-    let mut ends = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (req_tx, req_rx) = std::sync::mpsc::channel();
-        let (resp_tx, resp_rx) = std::sync::mpsc::channel();
-        txs.push(req_tx);
-        rxs.push(resp_rx);
-        ends.push((req_rx, resp_tx));
-    }
-    let links = PhasedLinks { txs, rxs };
-    std::thread::scope(|scope| {
-        for (i, (req_rx, resp_tx)) in ends.into_iter().enumerate() {
-            scope.spawn(move || worker(i, req_rx, resp_tx));
-        }
-        let out = leader(&links);
-        // Disconnect every request channel so workers drain and exit; the
-        // scope then joins them before returning. If `leader` unwound
-        // instead, the links drop during unwinding with the same effect.
-        drop(links);
-        out
-    })
-}
-
 /// Fold per-job results into all-or-first-error, by job index (so the
 /// reported failure is deterministic regardless of completion order).
 fn collect_first_error<T>(results: Vec<Result<T, JobError>>) -> Result<Vec<T>, JobError> {
@@ -877,84 +757,6 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(dog.fired());
-    }
-
-    #[test]
-    fn phased_workers_keep_state_across_phases() {
-        // Each worker accumulates across phases; the leader's index-ordered
-        // fan-in sees every partial sum, proving the threads persist.
-        let worker =
-            |id: usize, rx: std::sync::mpsc::Receiver<u64>, tx: std::sync::mpsc::Sender<u64>| {
-                let mut acc = 0u64;
-                while let Ok(x) = rx.recv() {
-                    acc += x * (id as u64 + 1);
-                    let _ = tx.send(acc);
-                }
-            };
-        let history = phased_scope(4, &worker, |links| {
-            assert_eq!(links.workers(), 4);
-            let mut history = Vec::new();
-            for phase in 1..=3u64 {
-                for w in 0..links.workers() {
-                    links.send(w, phase);
-                }
-                let round: Vec<u64> = (0..links.workers()).map(|w| links.recv(w)).collect();
-                history.push(round);
-            }
-            history
-        });
-        // Worker w's accumulator after phases 1..=p is (1+2+...+p)*(w+1).
-        assert_eq!(history[0], vec![1, 2, 3, 4]);
-        assert_eq!(history[1], vec![3, 6, 9, 12]);
-        assert_eq!(history[2], vec![6, 12, 18, 24]);
-    }
-
-    #[test]
-    fn phased_requests_are_fifo_per_worker() {
-        // Pipelining several requests to one worker before collecting any
-        // response must preserve send order (the router's one-way "arrivals"
-        // phase depends on this).
-        let worker =
-            |_id: usize, rx: std::sync::mpsc::Receiver<u64>, tx: std::sync::mpsc::Sender<u64>| {
-                let mut log = Vec::new();
-                while let Ok(x) = rx.recv() {
-                    if x == u64::MAX {
-                        let _ = tx.send(
-                            log.iter()
-                                .enumerate()
-                                .map(|(i, v)| v * (i as u64 + 1))
-                                .sum(),
-                        );
-                    } else {
-                        log.push(x);
-                    }
-                }
-            };
-        let folded = phased_scope(1, &worker, |links| {
-            for x in [7u64, 11, 13] {
-                links.send(0, x);
-            }
-            links.send(0, u64::MAX);
-            links.recv(0)
-        });
-        assert_eq!(folded, 7 + 2 * 11 + 3 * 13);
-    }
-
-    #[test]
-    fn phased_leader_result_and_borrows_flow_through() {
-        let data: Vec<u64> = (0..16).collect();
-        let worker =
-            |id: usize, rx: std::sync::mpsc::Receiver<usize>, tx: std::sync::mpsc::Sender<u64>| {
-                while let Ok(i) = rx.recv() {
-                    let _ = tx.send(data[i] + id as u64);
-                }
-            };
-        let out = phased_scope(2, &worker, |links| {
-            links.send(0, 3);
-            links.send(1, 5);
-            links.recv(0) + links.recv(1)
-        });
-        assert_eq!(out, 3 + (5 + 1));
     }
 
     #[test]

@@ -202,15 +202,15 @@ impl RouterScratch {
 /// state — the tick loop never reads it back, so telemetry cannot change a
 /// routed bit.
 #[derive(Debug, Default)]
-pub(crate) struct RunTele {
+struct RunTele {
     /// Per-tick queued-packet count (queue occupancy at tick start).
-    pub(crate) occupancy: LocalHistogram,
+    occupancy: LocalHistogram,
     /// Packet-ticks spent waiting: packets that sat in a wire queue over a
     /// tick without crossing (occupancy minus that tick's crossings).
-    pub(crate) stalled: u64,
+    stalled: u64,
     /// Wire-visits whose capacity was reduced by a fault (dead wire or an
     /// open outage window) during the send phase.
-    pub(crate) faults_gated: u64,
+    faults_gated: u64,
 }
 
 /// Uniform view over the per-wire queue pool of one discipline, so the tick
@@ -460,9 +460,8 @@ pub(crate) fn dispatch_run(
 
 /// Push one run's router metrics into this thread's telemetry shard.
 /// Called only when the registry is enabled at run start. `scratch_runs`
-/// feeds the scratch-pool reuse counters; the sharded router passes 0
-/// (its workers hold per-shard state, not a pooled [`RouterScratch`]).
-pub(crate) fn publish_run(out: &RoutingOutcome, tele: &RunTele, scratch_runs: u64) {
+/// (the run's own included) feeds the scratch-pool reuse counters.
+fn publish_run(out: &RoutingOutcome, tele: &RunTele, scratch_runs: u64) {
     fcn_telemetry::with_shard(|s| {
         s.inc(fcn_telemetry::names::ROUTER_RUNS_TOTAL);
         s.add(fcn_telemetry::names::ROUTER_TICKS_TOTAL, out.ticks);
@@ -509,21 +508,19 @@ pub(crate) fn publish_run(out: &RoutingOutcome, tele: &RunTele, scratch_runs: u6
         );
         // Scratch-pool reuse: a scratch's first run is a creation, every
         // later run is an arena reuse (zero allocations after warm-up).
-        // Scratch-free runs (the sharded router) pass 0 and record neither.
         if scratch_runs == 1 {
             s.inc(fcn_telemetry::names::ROUTER_SCRATCH_CREATED_TOTAL);
-        } else if scratch_runs > 1 {
+        } else {
             s.inc(fcn_telemetry::names::ROUTER_SCRATCH_REUSED_TOTAL);
         }
     });
 }
 
 /// `const`-generic encodings of [`QueueDiscipline`] so the tick loop's
-/// priority-key computation compiles to straight-line code per discipline
-/// (shared with the sharded router, whose workers monomorphize identically).
-pub(crate) const DISC_FIFO: u8 = 0;
-pub(crate) const DISC_FARTHEST: u8 = 1;
-pub(crate) const DISC_RANDOM: u8 = 2;
+/// priority-key computation compiles to straight-line code per discipline.
+const DISC_FIFO: u8 = 0;
+const DISC_FARTHEST: u8 = 1;
+const DISC_RANDOM: u8 = 2;
 
 /// Resize a queue pool to `wires` entries and empty every queue (capacity is
 /// retained, so steady-state batches allocate nothing). Queues are already

@@ -18,9 +18,9 @@
 //! tick executes [`crate::engine`]'s `run_ticks` verbatim (the event hook
 //! is a parameter of that loop), and a span is skipped only when the state
 //! provably replays itself — so the [`RoutingOutcome`] is **bit-identical**
-//! to [`crate::route_compiled`] / `engine::reference` / the sharded router
-//! across families, disciplines, abort paths, and fault overlays (pinned
-//! by `tests/event_router.rs`). Cancellation flags are polled at every
+//! to [`crate::route_compiled`] / `engine::reference` across families,
+//! disciplines, abort paths, and fault overlays (pinned by
+//! `tests/event_router.rs`). Cancellation flags are polled at every
 //! simulated tick *and* re-polled immediately before each fast-forward
 //! commits, so a flag raised mid-run aborts with
 //! [`crate::AbortCause::Cancelled`] before the skipped span is accounted —

@@ -2,8 +2,9 @@
 //!
 //! The paper defines `β(G, π)` as the expected value, as `m → ∞`, of
 //! `m / r(m)` where `r(m)` is the time to deliver `m` messages drawn from
-//! `π`. [`measure_rate`] produces one `m / r(m)` sample; [`saturation_sweep`]
-//! grows `m` geometrically until the rate plateaus, approximating the limit.
+//! `π`. [`measure_rate`] produces one `m / r(m)` sample; [`plateau_rate`]
+//! takes the largest completed sample of a geometric `m` sweep, approximating
+//! the limit.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -24,16 +25,14 @@ use crate::packet::{PacketPath, Strategy};
 /// `(machine, batch, config)` — the choice is purely a performance knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Backend {
-    /// The synchronous tick loop ([`crate::route_compiled`]), sharded when
-    /// the context asks for shard workers. Best under dense traffic where
-    /// almost every tick moves packets.
+    /// The synchronous tick loop ([`crate::route_compiled`]). Best under
+    /// dense traffic where almost every tick moves packets.
     #[default]
     Tick,
     /// The event-driven engine ([`crate::events::route_events`]): the same
     /// tick loop, but quiescent spans are skipped via a calendar wheel.
     /// Best for sparse injection schedules, fault outage windows, and long
-    /// drain tails. Single-shard only — a context configured with both
-    /// shard workers and this backend routes through the event engine.
+    /// drain tails.
     Events,
 }
 
@@ -80,7 +79,6 @@ pub struct RouteCtx<'a> {
     machine: &'a Machine,
     net: Arc<CompiledNet>,
     cache: Option<&'a PlanCache>,
-    shards: usize,
     backend: Backend,
     cancel: Option<&'a AtomicBool>,
 }
@@ -92,7 +90,6 @@ impl<'a> RouteCtx<'a> {
             machine,
             net: CompiledNet::shared(machine),
             cache: None,
-            shards: 1,
             backend: Backend::Tick,
             cancel: None,
         }
@@ -106,7 +103,6 @@ impl<'a> RouteCtx<'a> {
             machine,
             net,
             cache: None,
-            shards: 1,
             backend: Backend::Tick,
             cancel: None,
         }
@@ -118,18 +114,8 @@ impl<'a> RouteCtx<'a> {
         self
     }
 
-    /// Route every batch through [`crate::shard::route_sharded_pooled`]
-    /// with `shards` shard workers (`<= 1` keeps the 1-shard engine).
-    /// Outcomes are bit-identical at every shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Select the router [`Backend`] for this context's batches. Outcomes
-    /// are bit-identical across backends; [`Backend::Events`] takes
-    /// precedence over a configured shard count (the event engine is
-    /// single-shard), which the CLI rejects up front as a flag conflict.
+    /// are bit-identical across backends.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -143,11 +129,6 @@ impl<'a> RouteCtx<'a> {
     pub fn with_cancel(mut self, cancel: &'a AtomicBool) -> Self {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// The configured shard count (1 = the sequential engine).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The configured router backend.
@@ -197,16 +178,6 @@ impl<'a> RouteCtx<'a> {
                     Some(c),
                 )
             }),
-            (Backend::Tick, None) if self.shards > 1 => {
-                crate::shard::route_sharded_pooled(&self.net, &batch, cfg, self.shards)
-            }
-            (Backend::Tick, Some(c)) if self.shards > 1 => {
-                // Same plan construction as `route_sharded_pooled`, so a
-                // watched run that completes is bit-identical to the
-                // unwatched dispatch above.
-                let plan = crate::shard::ShardPlan::balanced(&self.net, self.shards);
-                crate::shard::route_sharded_gated(&self.net, &batch, cfg, &plan, Some(c))
-            }
             (Backend::Tick, None) => route_compiled_pooled(&self.net, &batch, cfg),
             (Backend::Tick, Some(c)) => crate::engine::POOLED_SCRATCH.with(|s| {
                 crate::engine::route_compiled_gated(
@@ -407,39 +378,6 @@ pub fn route_traffic_ctx(
     ctx.route_paths(&routes, cfg)
 }
 
-/// Grow the batch geometrically (`m = mult · n` for each multiplier) and
-/// report all samples. The largest completed sample's rate is the bandwidth
-/// estimate (rates increase toward the saturation plateau as fixed transit
-/// latency amortizes away).
-pub fn saturation_sweep(
-    machine: &Machine,
-    traffic: &Traffic,
-    multipliers: &[usize],
-    strategy: Strategy,
-    cfg: RouterConfig,
-    seed: u64,
-) -> Vec<RateSample> {
-    let n = traffic.n();
-    // One compiled net serves every batch of the sweep.
-    let ctx = RouteCtx::new(machine);
-    multipliers
-        .iter()
-        .enumerate()
-        .map(|(i, &mult)| {
-            let s = seed.wrapping_add(i as u64);
-            measure_rate_ctx(
-                &ctx,
-                traffic,
-                (mult * n).max(1),
-                strategy,
-                cfg,
-                s ^ 0x7ea55a17,
-                s,
-            )
-        })
-        .collect()
-}
-
 /// The plateau estimate from a sweep: the maximum completed rate.
 pub fn plateau_rate(samples: &[RateSample]) -> Option<f64> {
     samples
@@ -528,15 +466,35 @@ mod tests {
     }
 
     #[test]
-    fn sweep_rates_increase_with_batch_size() {
+    fn rates_increase_with_batch_size() {
         let m = Machine::mesh(2, 8);
         let t = m.symmetric_traffic();
-        let samples = saturation_sweep(&m, &t, &[1, 4, 16], Strategy::ShortestPath, cfg(), 9);
-        assert_eq!(samples.len(), 3);
+        let ctx = RouteCtx::new(&m);
+        let samples: Vec<RateSample> = [1usize, 4, 16]
+            .iter()
+            .enumerate()
+            .map(|(i, &mult)| {
+                let s = 9 + i as u64;
+                measure_rate_ctx(&ctx, &t, mult * 64, Strategy::ShortestPath, cfg(), s ^ 1, s)
+            })
+            .collect();
         assert!(samples.iter().all(|s| s.completed));
         assert!(samples[2].rate >= samples[0].rate * 0.9);
-        let plateau = plateau_rate(&samples).unwrap();
-        assert!(plateau >= samples[2].rate * 0.999);
+        assert!(plateau_rate(&samples).unwrap() >= samples[2].rate * 0.999);
+    }
+
+    #[test]
+    fn plateau_is_the_largest_completed_rate() {
+        let sample = |rate: f64, completed: bool| RateSample {
+            messages: 64,
+            ticks: 1,
+            rate,
+            completed,
+        };
+        assert_eq!(plateau_rate(&[]), None);
+        assert_eq!(plateau_rate(&[sample(9.0, false)]), None);
+        let samples = [sample(3.0, true), sample(9.0, false), sample(5.0, true)];
+        assert_eq!(plateau_rate(&samples), Some(5.0));
     }
 
     #[test]

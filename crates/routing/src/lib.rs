@@ -24,13 +24,10 @@
 //!   calendar-wheel skip hook that jumps over quiescent spans (sparse
 //!   injection schedules, fault outage windows, drain tails), bit-identical
 //!   to the tick backend;
-//! * [`harness`] — batch-rate measurement and saturation sweeps, built
-//!   around the compile-once [`RouteCtx`] with selectable [`Backend`];
-//! * [`shard`] + [`boundary`] — the K-shard router: shard-local tick phases
-//!   joined by a deterministic boundary exchange, bit-identical to the
-//!   1-shard engine at every shard count.
+//! * [`harness`] — batch-rate measurement, built around the compile-once
+//!   [`RouteCtx`] with selectable [`Backend`];
+//! * [`steady`] — open-loop (steady-state) throughput ramps.
 
-pub mod boundary;
 pub mod cache;
 pub mod compiled;
 pub mod engine;
@@ -39,10 +36,8 @@ pub mod harness;
 pub mod native;
 pub mod oracle;
 pub mod packet;
-pub mod shard;
 pub mod steady;
 
-pub use boundary::{merge_outboxes, BoundaryMsg, Outbox};
 pub use cache::PlanCache;
 pub use compiled::{CompiledNet, InjectionSchedule, PacketBatch, RouteError};
 pub use engine::{
@@ -54,7 +49,7 @@ pub use events::{
 };
 pub use harness::{
     measure_rate, measure_rate_ctx, measure_rate_with, plateau_rate, route_traffic,
-    route_traffic_ctx, route_traffic_with, saturation_sweep, Backend, RateSample, RouteCtx,
+    route_traffic_ctx, route_traffic_with, Backend, RateSample, RouteCtx,
 };
 pub use native::{
     de_bruijn_path, plan_batch, plan_routes, plan_routes_cached, plan_routes_degraded,
@@ -62,7 +57,4 @@ pub use native::{
 };
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};
-pub use shard::{route_sharded, route_sharded_gated, route_sharded_pooled, ShardPlan, ShardView};
-pub use steady::{
-    saturation_throughput, steady_state_rate, steady_state_rate_ctx, SteadyConfig, SteadyOutcome,
-};
+pub use steady::{saturation_throughput, steady_state_rate_ctx, SteadyConfig, SteadyOutcome};

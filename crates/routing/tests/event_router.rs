@@ -1,7 +1,7 @@
 //! The event-driven backend's contract: same bits as the tick loop, which
 //! is itself pinned to the retained reference simulator.
 //!
-//! Three layers of evidence, mirroring `sharded_router.rs`:
+//! Three layers of evidence:
 //!
 //! * **Differential pins** — [`fcn_routing::route_events`] produces the
 //!   *identical* [`fcn_routing::RoutingOutcome`] as
@@ -34,7 +34,7 @@ use fcn_routing::{
 use fcn_topology::{Family, Machine};
 use proptest::prelude::*;
 
-/// The determinism-suite families (same picks as `sharded_router.rs`).
+/// The determinism-suite families.
 const FAMILIES: [Family; 4] = [
     Family::Mesh(2),
     Family::Tree,

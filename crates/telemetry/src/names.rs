@@ -77,14 +77,6 @@ pub const ROUTER_QUEUE_OCCUPANCY: &str = "router_queue_occupancy";
 pub const ROUTER_SCRATCH_CREATED_TOTAL: &str = "router_scratch_created_total";
 /// Scratch arenas reused without reallocation.
 pub const ROUTER_SCRATCH_REUSED_TOTAL: &str = "router_scratch_reused_total";
-/// Sharded router runs (K ≥ 2 shard workers).
-pub const ROUTER_SHARDED_RUNS_TOTAL: &str = "router_sharded_runs_total";
-/// Shard count of the most recent sharded run (gauge).
-pub const ROUTER_SHARDS_LAST: &str = "router_shards_last";
-/// Packets that crossed a shard boundary during the per-tick exchange.
-pub const ROUTER_BOUNDARY_MSGS_TOTAL: &str = "router_boundary_msgs_total";
-/// Per-shard maximum queue depth, recorded in shard order (histogram).
-pub const ROUTER_SHARD_MAX_QUEUE: &str = "router_shard_max_queue";
 /// Event-backend runs (`route_events` entry points).
 pub const ROUTER_EVENTS_TOTAL: &str = "router_events_total";
 /// Ticks the event backend skipped instead of simulating.
@@ -223,10 +215,6 @@ pub const ALL: &[&str] = &[
     ROUTER_QUEUE_OCCUPANCY,
     ROUTER_SCRATCH_CREATED_TOTAL,
     ROUTER_SCRATCH_REUSED_TOTAL,
-    ROUTER_SHARDED_RUNS_TOTAL,
-    ROUTER_SHARDS_LAST,
-    ROUTER_BOUNDARY_MSGS_TOTAL,
-    ROUTER_SHARD_MAX_QUEUE,
     ROUTER_EVENTS_TOTAL,
     ROUTER_TICKS_SKIPPED_TOTAL,
     ROUTER_WHEEL_MAX_DEPTH,

@@ -5,12 +5,9 @@
 //! * **No panics, typed termination** — an arbitrary seeded [`FaultPlan`]
 //!   (any rate, any graph) never panics the planner or the router, and
 //!   every routed batch ends in a typed [`AbortCause`] whose accounting is
-//!   internally consistent (no silent spinning to `max_ticks`). The same
-//!   faulted batch routed through the sharded engine terminates with the
-//!   identical typed outcome at every shard count.
+//!   internally consistent (no silent spinning to `max_ticks`).
 //! * **Worker-count byte-identity under faults** — a degraded-β sweep is
-//!   bit-identical at `jobs = 1` and `jobs = 4`, faults enabled, and at
-//!   `shards = 1` and `shards = 4`.
+//!   bit-identical at `jobs = 1` and `jobs = 4`, faults enabled.
 //! * **Transparency** — applying an *empty* fault plan yields a compiled
 //!   net equal to the original, and routing on it reproduces the intact
 //!   outcome exactly.
@@ -62,7 +59,6 @@ proptest! {
         rate in 0.0f64..0.6,
         plan_seed in any::<u64>(),
         valiant in any::<bool>(),
-        shards in 2usize..8,
         raw in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..48),
     ) {
         let machine = machine_for(pick, size);
@@ -101,13 +97,6 @@ proptest! {
             }
             AbortCause::Cancelled => prop_assert!(false, "nothing cancels this run"),
         }
-
-        // Shard-count row: the sharded engine on the same faulted net also
-        // terminates with a typed outcome, and it is the *same* outcome —
-        // delivery accounting, tick count, and abort cause all included.
-        let sharded = fcn_emu::routing::route_sharded_pooled(&net, &batch, cfg, shards);
-        prop_assert!(sharded.ticks <= cfg.max_ticks);
-        prop_assert!(out == sharded, "shards={} outcome diverged", shards);
     }
 
     /// An empty fault plan is byte-transparent: the faulted compile equals
@@ -143,8 +132,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Degraded-β sweeps are bit-identical for any worker count *and* any
-    /// router shard count, faults on.
+    /// Degraded-β sweeps are bit-identical for any worker count, faults on.
     #[test]
     fn chaos_degraded_sweep_is_worker_count_invariant(
         fault_seed in any::<u64>(),
@@ -162,10 +150,8 @@ proptest! {
             ..Default::default()
         };
         let seq = sweep.sweep_symmetric(&machine);
-        let par = DegradedSweep { jobs: 4, ..sweep.clone() }.sweep_symmetric(&machine);
+        let par = DegradedSweep { jobs: 4, ..sweep }.sweep_symmetric(&machine);
         prop_assert_eq!(&seq, &par);
-        let sharded = DegradedSweep { shards: 4, ..sweep }.sweep_symmetric(&machine);
-        prop_assert_eq!(&seq, &sharded);
     }
 
     /// A panicking pool job surfaces as a typed error naming the lowest

@@ -6,11 +6,6 @@
 //! that contract end-to-end: estimator grids, family sweeps, and bottleneck
 //! audits across four machine families, parallel vs `jobs = 1`, compared
 //! through their full serialized records (not just the headline rates).
-//!
-//! The sharded router extends the same contract along a second axis: every
-//! `jobs = 1 ≡ jobs = 4` pin here has a `shards = 1 ≡ shards = 4` twin
-//! (estimator grids, degraded sweeps, and `fcnemu` stdout), because the
-//! boundary exchange replays the sequential send order exactly.
 
 use fcn_emu::bandwidth::{audit_bottleneck_freeness, sweep_family, BandwidthEstimator};
 use fcn_emu::prelude::*;
@@ -53,91 +48,6 @@ fn estimates_are_bit_identical_across_worker_counts() {
             );
         }
     }
-}
-
-#[test]
-fn estimates_are_bit_identical_across_shard_counts() {
-    // The sharded-router twin of the jobs pin above: the tick loop itself
-    // fans out over K shard workers, and the boundary exchange must make
-    // that invisible — including combined with grid-level parallelism.
-    for family in FAMILIES {
-        let machine = family.build_near(64, 0xd5);
-        let baseline = estimator(1).estimate_symmetric(&machine);
-        for shards in [2, 4] {
-            let sharded = estimator(1)
-                .with_shards(shards)
-                .estimate_symmetric(&machine);
-            assert_eq!(
-                record(&baseline),
-                record(&sharded),
-                "{}: estimate differs at shards={shards}",
-                family.id()
-            );
-        }
-        let both = estimator(4).with_shards(4).estimate_symmetric(&machine);
-        assert_eq!(
-            record(&baseline),
-            record(&both),
-            "{}: estimate differs at jobs=4 x shards=4",
-            family.id()
-        );
-    }
-}
-
-#[test]
-fn degraded_sweeps_are_bit_identical_across_shard_counts() {
-    // Fault planes change which wires exist, not how the shard boundary
-    // replays arrival order: the full degraded curve (rates, strandings,
-    // replans, abort causes) is shard-count invariant.
-    use fcn_emu::bandwidth::DegradedSweep;
-    let sweep = DegradedSweep {
-        fault_rates: vec![0.0, 0.15],
-        multipliers: vec![2, 4],
-        trials: 2,
-        ..Default::default()
-    };
-    for family in FAMILIES {
-        let machine = family.build_near(64, 0x7a);
-        let baseline = sweep.clone().sweep_symmetric(&machine);
-        let sharded = DegradedSweep {
-            shards: 4,
-            ..sweep.clone()
-        }
-        .sweep_symmetric(&machine);
-        assert_eq!(
-            record(&baseline),
-            record(&sharded),
-            "{}: degraded sweep differs between shards=1 and shards=4",
-            family.id()
-        );
-    }
-}
-
-/// Run the `fcnemu` CLI in-process, returning (exit code, stdout).
-fn cli(args: &[&str]) -> (i32, String) {
-    let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-    let mut out = Vec::new();
-    let code = fcn_cli::run(&argv, &mut out);
-    (
-        code,
-        String::from_utf8(out).expect("fcnemu output is UTF-8"),
-    )
-}
-
-#[test]
-fn cli_reports_are_byte_identical_across_shard_counts() {
-    // End-to-end: the user-visible reports — not just the in-memory
-    // records — are byte-for-byte identical under `--shards 4`.
-    for (family, size) in [("mesh2", "64"), ("de_bruijn", "64")] {
-        let (c1, seq) = cli(&["beta", family, size, "--trials", "2", "--shards", "1"]);
-        let (c4, sh) = cli(&["beta", family, size, "--trials", "2", "--shards", "4"]);
-        assert_eq!((c1, c4), (0, 0), "{family}: beta exit codes");
-        assert_eq!(seq, sh, "{family}: beta stdout differs at --shards 4");
-    }
-    let (c1, seq) = cli(&["audit", "tree", "31", "--shards", "1"]);
-    let (c4, sh) = cli(&["audit", "tree", "31", "--shards", "4"]);
-    assert_eq!((c1, c4), (0, 0), "audit exit codes");
-    assert_eq!(seq, sh, "audit stdout differs at --shards 4");
 }
 
 #[test]
