@@ -11,7 +11,7 @@
 //! is what certifies β = Θ(1) for the global bus, whose *wire* cuts are
 //! wide).
 
-use fcn_multigraph::{best_flux_bound, Cut, CutStats, Traffic};
+use fcn_multigraph::{best_flux_bound, CutStats, Traffic};
 use fcn_topology::Machine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,10 +49,13 @@ pub fn flux_upper_bound(
         }
     };
 
-    // Canonical cuts (traffic lives on processors; machine cuts cover all
-    // nodes, so project the crossing fraction onto the processor prefix).
+    // Traffic lives on processors; machine cuts cover all nodes, so lift
+    // it to the full vertex set (auxiliary nodes send/receive nothing).
+    let padded = traffic.padded(machine.node_count());
+
+    // Canonical cuts.
     for (i, cut) in machine.canonical_cuts().iter().enumerate() {
-        if let Some(stats) = cut_stats_on_processors(machine, cut, traffic) {
+        if let Some(stats) = cut.stats(g, &padded) {
             consider(FluxBound {
                 rate_bound: stats.rate_bound,
                 cut_stats: Some(stats),
@@ -63,7 +66,6 @@ pub fn flux_upper_bound(
 
     // Generated cuts on the full graph.
     let mut rng = StdRng::seed_from_u64(seed);
-    let padded = pad_traffic(machine, traffic);
     if let Some((stats, _)) = best_flux_bound(g, &padded, &mut rng, random_seeds, improve_sweeps) {
         consider(FluxBound {
             rate_bound: stats.rate_bound,
@@ -78,27 +80,13 @@ pub fn flux_upper_bound(
     // the bound that caps expanders and shuffle-exchanges at Θ(n/lg n),
     // where no small cut exists. For machines whose *nodes* are capacitated
     // (weak hypercube), the per-tick slot supply is the total send capacity
-    // instead of the wire count.
+    // instead of the wire count. All sampled pairs are drawn before the
+    // distance kernel runs; it draws no randomness of its own.
     {
         let samples = 2000usize;
-        let mut d_sum = 0u64;
-        let mut d_cnt = 0u64;
-        let mut cache: std::collections::BTreeMap<fcn_multigraph::NodeId, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for _ in 0..samples {
-            let (s, t) = traffic.sample(&mut rng);
-            let dist = cache
-                .entry(s)
-                .or_insert_with(|| fcn_multigraph::bfs_distances(g, s));
-            let d = dist[t as usize];
-            debug_assert!(d != u32::MAX);
-            d_sum += d as u64;
-            d_cnt += 1;
-            if cache.len() > 256 {
-                cache.clear(); // bound memory on huge machines
-            }
-        }
-        let avg_d = (d_sum as f64 / d_cnt.max(1) as f64).max(1.0);
+        let pairs: Vec<_> = (0..samples).map(|_| traffic.sample(&mut rng)).collect();
+        let d_sum = fcn_multigraph::pair_distance_sum(g, &pairs);
+        let avg_d = (d_sum as f64 / samples as f64).max(1.0);
         consider(FluxBound {
             rate_bound: 2.0 * g.simple_edge_count() as f64 / avg_d,
             cut_stats: None,
@@ -158,31 +146,8 @@ pub fn flux_upper_bound(
         }
     }
 
-    // fcn-allow: ERR-UNWRAP the bisection-cut candidate is pushed unconditionally above, so `best` is always Some
+    // fcn-allow: ERR-UNWRAP the distance-bound candidate is considered unconditionally above, so `best` is always Some
     best.expect("at least one flux bound always exists")
-}
-
-/// Evaluate a full-graph cut against processor-level traffic: the crossing
-/// fraction is computed on the processor prefix of the side vector.
-fn cut_stats_on_processors(machine: &Machine, cut: &Cut, traffic: &Traffic) -> Option<CutStats> {
-    let padded = pad_traffic(machine, traffic);
-    cut.stats(machine.graph(), &padded)
-}
-
-/// Lift processor traffic to the machine's full vertex set (auxiliary nodes
-/// send/receive nothing).
-fn pad_traffic(machine: &Machine, traffic: &Traffic) -> Traffic {
-    if traffic.n() == machine.node_count() {
-        return traffic.clone();
-    }
-    match traffic.kind() {
-        fcn_multigraph::TrafficKind::Symmetric => {
-            Traffic::symmetric_on_prefix(machine.node_count(), traffic.n())
-        }
-        fcn_multigraph::TrafficKind::Pairs(p) => {
-            Traffic::from_pairs(machine.node_count(), p.clone())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,6 +199,24 @@ mod tests {
         // Canonical cut: 2^g capacity, crossing fraction ~1/2 ⇒ bound ~2^{g+1}.
         let b = bound(&Machine::butterfly(4));
         assert!(b.rate_bound <= 4.4 * 16.0, "{}", b.rate_bound);
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn distance_bound_rejects_a_disconnected_machine() {
+        // `Machine::custom` refuses a disconnected graph only in debug
+        // builds, and a deserialized machine skips the constructor. Splice
+        // a two-component graph into a path's JSON to get one.
+        let path = Machine::linear_array(6);
+        let split = fcn_multigraph::Multigraph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let json = serde_json::to_string(&path).unwrap().replacen(
+            &serde_json::to_string(path.graph()).unwrap(),
+            &serde_json::to_string(&split).unwrap(),
+            1,
+        );
+        let machine: Machine = serde_json::from_str(&json).unwrap();
+        assert!(!machine.graph().is_connected());
+        let _ = bound(&machine);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dist::bfs_distances;
 use crate::graph::{Multigraph, NodeId};
-use crate::traffic::Traffic;
+use crate::traffic::{Traffic, TrafficKind};
 
 /// A two-sided vertex cut: `side[u] == true` puts `u` in `S`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -108,7 +108,8 @@ impl Cut {
 /// Gains are maintained incrementally — flipping `u` changes the cut
 /// capacity by (same-side − cross-side incident multiplicity) and the
 /// crossing traffic by the analogous pair sums — so a full sweep costs
-/// `O(E + P)` instead of `O(n·E)`.
+/// `O(E + P)` instead of `O(n·E)`, and `O(E)` for the closed-form
+/// (prefix-)symmetric distributions.
 pub fn improve_cut(g: &Multigraph, traffic: &Traffic, cut: &mut Cut, sweeps: usize) {
     let n = g.node_count();
     if !cut.is_nontrivial() {
@@ -117,30 +118,11 @@ pub fn improve_cut(g: &Multigraph, traffic: &Traffic, cut: &mut Cut, sweeps: usi
     // Current aggregates.
     let mut capacity = cut.capacity(g) as i64;
     let mut size_s = cut.side.iter().filter(|&&b| b).count() as i64;
-    // Traffic bookkeeping: for Pairs, per-node pair adjacency (undirected
-    // weights); crossing count maintained incrementally. For Symmetric the
-    // crossing fraction is a closed form of |S|.
-    let pair_adj: Option<Vec<Vec<(NodeId, u32)>>> = match traffic.kind() {
-        crate::traffic::TrafficKind::Symmetric => None,
-        crate::traffic::TrafficKind::Pairs(p) => {
-            let mut adj: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); n];
-            for &(a, b) in p {
-                adj[a as usize].push((b, 1));
-                adj[b as usize].push((a, 1));
-            }
-            Some(adj)
-        }
-    };
+    let mut pairs = CrossingPairs::new(traffic, &cut.side);
+    let mut crossing_pairs = pairs.count(&cut.side);
     let total_pairs = traffic.pair_count() as f64;
-    let mut crossing_pairs: i64 = match traffic.kind() {
-        crate::traffic::TrafficKind::Symmetric => 0, // unused
-        crate::traffic::TrafficKind::Pairs(p) => p
-            .iter()
-            .filter(|&&(a, b)| cut.side[a as usize] != cut.side[b as usize])
-            .count() as i64,
-    };
     let nf = n as f64;
-    let symmetric = pair_adj.is_none();
+    let symmetric = matches!(pairs, CrossingPairs::Symmetric);
     let rate_of = move |capacity: i64, size_s: i64, crossing_pairs: i64| -> Option<f64> {
         if size_s == 0 || size_s == n as i64 {
             return None; // trivial
@@ -177,27 +159,14 @@ pub fn improve_cut(g: &Multigraph, traffic: &Traffic, cut: &mut Cut, sweeps: usi
                 }
             }
             let s_delta: i64 = if cut.side[u as usize] { -1 } else { 1 };
-            let cross_delta: i64 = match &pair_adj {
-                None => 0,
-                Some(adj) => adj[u as usize]
-                    .iter()
-                    .map(|&(w, wt)| {
-                        if w == u {
-                            0
-                        } else if cut.side[u as usize] == cut.side[w as usize] {
-                            wt as i64
-                        } else {
-                            -(wt as i64)
-                        }
-                    })
-                    .sum(),
-            };
+            let cross_delta = pairs.flip_delta(&cut.side, u);
             if let Some(r) = rate_of(
                 capacity + cap_delta,
                 size_s + s_delta,
                 crossing_pairs + cross_delta,
             ) {
                 if r + 1e-12 < current {
+                    pairs.flip(&cut.side, u);
                     cut.side[u as usize] = !cut.side[u as usize];
                     capacity += cap_delta;
                     size_s += s_delta;
@@ -209,6 +178,88 @@ pub fn improve_cut(g: &Multigraph, traffic: &Traffic, cut: &mut Cut, sweeps: usi
         }
         if !improved {
             break;
+        }
+    }
+}
+
+/// How [`improve_cut`] prices a flip's change in crossing traffic.
+enum CrossingPairs {
+    /// The crossing fraction is a closed form of |S|; no count is kept.
+    Symmetric,
+    /// Symmetric on `[0, m)`: the crossing count is `2·s_p·(m − s_p)` with
+    /// `s_p = |S ∩ [0, m)|`.
+    Prefix { m: usize, s_p: usize },
+    /// Explicit pairs: per-node pair adjacency (both directions, repeats
+    /// kept as weight).
+    Pairs(Vec<Vec<NodeId>>),
+}
+
+impl CrossingPairs {
+    fn new(traffic: &Traffic, side: &[bool]) -> Self {
+        match traffic.kind() {
+            TrafficKind::Symmetric => CrossingPairs::Symmetric,
+            &TrafficKind::SymmetricPrefix(m) => CrossingPairs::Prefix {
+                m,
+                s_p: side[..m].iter().filter(|&&b| b).count(),
+            },
+            TrafficKind::Pairs(p) => {
+                let mut adj = vec![Vec::new(); side.len()];
+                for &(a, b) in p {
+                    adj[a as usize].push(b);
+                    adj[b as usize].push(a);
+                }
+                CrossingPairs::Pairs(adj)
+            }
+        }
+    }
+
+    /// Ordered pairs crossing the cut (0 for symmetric traffic, which never
+    /// reads it).
+    fn count(&self, side: &[bool]) -> i64 {
+        match self {
+            CrossingPairs::Symmetric => 0,
+            &CrossingPairs::Prefix { m, s_p } => (2 * s_p * (m - s_p)) as i64,
+            CrossingPairs::Pairs(adj) => {
+                // Each crossing pair is seen from both of its endpoints.
+                let twice: usize = adj
+                    .iter()
+                    .zip(side)
+                    .map(|(ws, &sa)| ws.iter().filter(|&&w| side[w as usize] != sa).count())
+                    .sum();
+                twice as i64 / 2
+            }
+        }
+    }
+
+    /// Change in the crossing count if `u` switches sides.
+    fn flip_delta(&self, side: &[bool], u: NodeId) -> i64 {
+        let us = side[u as usize];
+        match self {
+            CrossingPairs::Symmetric => 0,
+            &CrossingPairs::Prefix { m, s_p } => {
+                if u as usize >= m {
+                    return 0;
+                }
+                let same = if us { s_p } else { m - s_p } as i64 - 1;
+                2 * (same - (m as i64 - 1 - same))
+            }
+            CrossingPairs::Pairs(adj) => adj[u as usize]
+                .iter()
+                .map(|&w| if side[w as usize] == us { 1 } else { -1 })
+                .sum(),
+        }
+    }
+
+    /// Record that `u` switches sides (`side` is read before the flip).
+    fn flip(&mut self, side: &[bool], u: NodeId) {
+        if let CrossingPairs::Prefix { m, s_p } = self {
+            if (u as usize) < *m {
+                if side[u as usize] {
+                    *s_p -= 1;
+                } else {
+                    *s_p += 1;
+                }
+            }
         }
     }
 }

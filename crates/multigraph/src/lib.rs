@@ -35,7 +35,7 @@ pub use collapse::{collapse, contiguous_blocks, random_balanced, round_robin, Co
 pub use cut::{best_flux_bound, candidate_cuts, improve_cut, Cut, CutStats};
 pub use dist::{
     avg_distance_exact, avg_distance_sampled, bfs_distances, bfs_parents, diameter, distance_stats,
-    path_from_parents, DistanceStats, UNREACHABLE,
+    pair_distance_sum, path_from_parents, DistanceStats, UNREACHABLE,
 };
 pub use embedding::{Embedding, EmbeddingStats};
 pub use graph::{EdgeRef, Multigraph, MultigraphBuilder, NodeId};

@@ -16,7 +16,7 @@
 //! A [`Traffic`] supports the two operations the pipeline needs: sampling
 //! message pairs for the router, and computing the fraction of traffic that
 //! crosses a vertex cut (for flux bounds) — without ever materializing the
-//! `Θ(n²)` pair set for the symmetric case.
+//! `Θ(n²)` pair set for the symmetric and prefix-symmetric cases.
 
 use rand::seq::IndexedRandom;
 use rand::{Rng, RngExt};
@@ -29,6 +29,12 @@ use crate::graph::{Multigraph, MultigraphBuilder, NodeId};
 pub enum TrafficKind {
     /// All ordered pairs `(u, v)`, `u != v`, equally likely.
     Symmetric,
+    /// All ordered pairs `(u, v)`, `u != v`, among the first `m` processors,
+    /// equally likely; the rest send and receive nothing. A closed form of
+    /// the lexicographic pair list `(0,1), (0,2), …, (m-1,m-2)`: sampling and
+    /// crossing counts match that list under [`TrafficKind::Pairs`] bit for
+    /// bit.
+    SymmetricPrefix(usize),
     /// An explicit list of ordered pairs with uniform probability. The pair
     /// list may contain repeats, which act as integer weights.
     Pairs(Vec<(NodeId, NodeId)>),
@@ -121,15 +127,21 @@ impl Traffic {
     /// host).
     pub fn symmetric_on_prefix(n: usize, m: usize) -> Self {
         assert!(2 <= m && m <= n);
-        let mut pairs = Vec::with_capacity(m * (m - 1));
-        for u in 0..m as NodeId {
-            for v in 0..m as NodeId {
-                if u != v {
-                    pairs.push((u, v));
-                }
-            }
+        Traffic {
+            n,
+            kind: TrafficKind::SymmetricPrefix(m),
         }
-        Traffic::from_pairs(n, pairs)
+    }
+
+    /// The same distribution over `n >= self.n()` processors: the added ones
+    /// send and receive nothing (a machine's auxiliary nodes).
+    pub fn padded(&self, n: usize) -> Self {
+        assert!(n >= self.n, "padding cannot drop processors");
+        let kind = match &self.kind {
+            TrafficKind::Symmetric if n > self.n => TrafficKind::SymmetricPrefix(self.n),
+            kind => kind.clone(),
+        };
+        Traffic { n, kind }
     }
 
     /// Number of processors.
@@ -147,6 +159,7 @@ impl Traffic {
     pub fn pair_count(&self) -> u64 {
         match &self.kind {
             TrafficKind::Symmetric => (self.n as u64) * (self.n as u64 - 1),
+            TrafficKind::SymmetricPrefix(m) => (m * (m - 1)) as u64,
             TrafficKind::Pairs(p) => p.len() as u64,
         }
     }
@@ -168,6 +181,13 @@ impl Traffic {
                 }
                 (u, v)
             }
+            TrafficKind::SymmetricPrefix(m) => {
+                // Index into the lexicographic pair list, drawn with the
+                // same reduction `choose` uses on an explicit list.
+                let k = rng.random_range(0..(m * (m - 1)) as u64);
+                let (u, r) = (k / (*m as u64 - 1), k % (*m as u64 - 1));
+                (u as NodeId, (r + u64::from(r >= u)) as NodeId)
+            }
             // fcn-allow: ERR-UNWRAP the Pairs constructor asserts a nonempty list
             TrafficKind::Pairs(p) => *p.choose(rng).expect("nonempty pair list"),
         }
@@ -185,6 +205,10 @@ impl Traffic {
                 let t = self.n as f64 - s;
                 2.0 * s * t / (self.n as f64 * (self.n as f64 - 1.0))
             }
+            TrafficKind::SymmetricPrefix(m) => {
+                let s = side[..*m].iter().filter(|&&b| b).count();
+                (2 * s * (m - s)) as f64 / (m * (m - 1)) as f64
+            }
             TrafficKind::Pairs(p) => {
                 let crossing = p
                     .iter()
@@ -198,22 +222,24 @@ impl Traffic {
     /// Materialize the traffic multigraph `T_π` (undirected; the ordered
     /// pairs `(u,v)` and `(v,u)` merge into multiplicity on `{u,v}`).
     ///
-    /// For the symmetric case this is `K_n` with multiplicity 2 per pair;
-    /// only call it for small `n`.
+    /// For the symmetric case this is `K_n` with multiplicity 2 per pair
+    /// (`K_m` on the prefix for prefix-symmetric traffic); only call it for
+    /// small `n`.
     pub fn to_multigraph(&self) -> Multigraph {
         let mut b = MultigraphBuilder::new(self.n);
-        match &self.kind {
-            TrafficKind::Symmetric => {
-                for u in 0..self.n as NodeId {
-                    for v in (u + 1)..self.n as NodeId {
-                        b.add_edge_mult(u, v, 2);
-                    }
-                }
-            }
+        let clique = match &self.kind {
+            TrafficKind::Symmetric => self.n,
+            TrafficKind::SymmetricPrefix(m) => *m,
             TrafficKind::Pairs(p) => {
                 for &(u, v) in p {
                     b.add_edge(u, v);
                 }
+                0
+            }
+        };
+        for u in 0..clique as NodeId {
+            for v in (u + 1)..clique as NodeId {
+                b.add_edge_mult(u, v, 2);
             }
         }
         b.build()
