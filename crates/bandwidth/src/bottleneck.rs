@@ -86,14 +86,7 @@ pub fn audit_bottleneck_freeness(
     // net depends only on the machine, not on the traffic).
     let net = fcn_routing::CompiledNet::shared(machine);
     let rates: Vec<f64> = pool.run(cells.len(), |i| {
-        inner
-            .estimate_compiled(
-                machine,
-                &net,
-                &cells[i].1,
-                &fcn_routing::PlanCache::default(),
-            )
-            .rate
+        inner.estimate_on(machine, &net, &cells[i].1).rate
     });
     let symmetric = rates[0];
     let mut quasi_rates = Vec::new();

@@ -28,8 +28,8 @@ use fcn_exec::{job_seed, Pool};
 use fcn_faults::{FaultPlan, FaultSpec};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
-    plan_routes_degraded, plateau_rate, route_compiled_pooled, route_events_pooled, AbortCause,
-    Backend, CompiledNet, PacketBatch, PlanCache, RateSample, RouterConfig, Strategy,
+    plan_routes_degraded, plateau_rate, route_compiled_pooled, AbortCause, CompiledNet,
+    PacketBatch, PlanCache, RateSample, RouterConfig, Strategy,
 };
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
@@ -58,11 +58,6 @@ pub struct DegradedSweep {
     /// Worker threads; `0` means one per hardware thread. Bit-identical for
     /// every value.
     pub jobs: usize,
-    /// Router backend per cell ([`Backend::Tick`] by default). Bit-identical
-    /// either way; [`Backend::Events`] skips outage windows on wires holding
-    /// no packets instead of simulating through them, which is where
-    /// degraded sweeps spend most of their idle ticks.
-    pub backend: Backend,
 }
 
 impl Default for DegradedSweep {
@@ -76,7 +71,6 @@ impl Default for DegradedSweep {
             trials: 3,
             seed: 0xbead,
             jobs: 1,
-            backend: Backend::Tick,
         }
     }
 }
@@ -201,12 +195,6 @@ impl DegradedSweep {
         self
     }
 
-    /// This sweep with a different router backend (builder-style).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// One grid cell: draw demands, plan around the faults, route on the
     /// faulted net.
     #[allow(clippy::too_many_arguments)]
@@ -237,10 +225,7 @@ impl DegradedSweep {
         let batch = PacketBatch::compile(net, &dp.paths)
             // fcn-allow: ERR-UNWRAP the fault-aware planner only emits paths along surviving wires, so compile cannot reject them
             .unwrap_or_else(|e| panic!("degraded planner produced unroutable path: {e}"));
-        let outcome = match self.backend {
-            Backend::Events => route_events_pooled(net, &batch, self.router),
-            Backend::Tick => route_compiled_pooled(net, &batch, self.router),
-        };
+        let outcome = route_compiled_pooled(net, &batch, self.router);
         // "Completed" here means the router *terminated with a typed
         // outcome* — everything routable was delivered — even if some
         // packets were stranded by dead wires. Only hitting the tick budget
@@ -403,19 +388,6 @@ mod tests {
             let par = quick_sweep(&[0.0, 0.2]).with_jobs(jobs).sweep(&m, &t);
             assert_eq!(par, seq, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn sweep_is_backend_invariant() {
-        // Faulted nets exercise the event backend's window wakeups and
-        // skipped-window accounting; the curve must not move.
-        let m = Machine::mesh(2, 8);
-        let t = m.symmetric_traffic();
-        let tick = quick_sweep(&[0.0, 0.2]).sweep(&m, &t);
-        let events = quick_sweep(&[0.0, 0.2])
-            .with_backend(Backend::Events)
-            .sweep(&m, &t);
-        assert_eq!(events, tick);
     }
 
     #[test]

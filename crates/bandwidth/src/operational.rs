@@ -28,7 +28,7 @@ use std::sync::Arc;
 use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
-    measure_rate_ctx, Backend, CompiledNet, PlanCache, RateSample, RouteCtx, RouterConfig, Strategy,
+    measure_rate_ctx, CompiledNet, PlanCache, RateSample, RouteCtx, RouterConfig, Strategy,
 };
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
@@ -55,11 +55,6 @@ pub struct BandwidthEstimator {
     /// sequential (the default), `0` means one per hardware thread. The
     /// estimate is bit-identical for every value.
     pub jobs: usize,
-    /// Router backend for each cell ([`Backend::Tick`] by default). The
-    /// estimate is bit-identical for every backend; [`Backend::Events`] is
-    /// the cheap choice when cells spend most of their ticks idle (fault
-    /// outage windows, drain tails).
-    pub backend: Backend,
 }
 
 impl Default for BandwidthEstimator {
@@ -71,7 +66,6 @@ impl Default for BandwidthEstimator {
             trials: 3,
             seed: 0xbead,
             jobs: 1,
-            backend: Backend::Tick,
         }
     }
 }
@@ -127,42 +121,38 @@ pub struct BandwidthEstimate {
 
 impl BandwidthEstimator {
     /// Estimate the delivery rate of `machine` under `traffic`.
+    ///
+    /// # Panics
+    /// Panics when no trial completes within the tick budget; use
+    /// [`BandwidthEstimator::try_estimate_compiled`] to get the typed
+    /// [`EstimateAborted`] instead.
     pub fn estimate(&self, machine: &Machine, traffic: &Traffic) -> BandwidthEstimate {
-        self.estimate_with_cache(machine, traffic, &PlanCache::default())
+        self.estimate_on(machine, &CompiledNet::shared(machine), traffic)
     }
 
-    /// [`BandwidthEstimator::estimate`] with a caller-owned [`PlanCache`],
-    /// so the caller can inspect hit/miss counters afterwards (`fcnemu beta
-    /// --verbose`). The cache is bit-transparent: results are identical to
-    /// [`BandwidthEstimator::estimate`].
-    pub fn estimate_with_cache(
-        &self,
-        machine: &Machine,
-        traffic: &Traffic,
-        cache: &PlanCache,
-    ) -> BandwidthEstimate {
-        self.estimate_compiled(machine, &CompiledNet::shared(machine), traffic, cache)
-    }
-
-    /// The estimator's core: run the `trials × multipliers` grid over an
-    /// already-compiled net (shared across all cells and, via `Arc`, with
-    /// any sibling estimates the caller runs on the same machine).
-    pub fn estimate_compiled(
+    /// [`BandwidthEstimator::estimate`] over an already-compiled net, with a
+    /// fresh plan cache — for callers that run several estimates on one
+    /// machine.
+    pub(crate) fn estimate_on(
         &self,
         machine: &Machine,
         net: &Arc<CompiledNet>,
         traffic: &Traffic,
-        cache: &PlanCache,
     ) -> BandwidthEstimate {
-        match self.try_estimate_compiled(machine, net, traffic, cache, None) {
+        match self.try_estimate_compiled(machine, net, traffic, &PlanCache::default(), None) {
             Ok(est) => est,
             // fcn-allow: ERR-UNWRAP ungated path keeps the historical panic contract
             Err(_) => panic!("no trial completed within the tick budget; raise router.max_ticks"),
         }
     }
 
-    /// [`BandwidthEstimator::estimate_compiled`] gated on a cancellation
-    /// flag: a set flag aborts every in-flight cell with
+    /// The estimator's core: run the `trials × multipliers` grid over an
+    /// already-compiled net (shared across all cells and, via `Arc`, with
+    /// any sibling estimates the caller runs on the same machine) and a
+    /// caller-owned [`PlanCache`] (bit-transparent; `fcnemu beta --verbose`
+    /// reports its counters), gated on an optional cancellation flag.
+    ///
+    /// A set flag aborts every in-flight cell with
     /// [`fcn_routing::AbortCause::Cancelled`] and the call returns
     /// [`EstimateAborted`] with partial accounting instead of panicking.
     /// An un-cancelled run that produces at least one plateau is
@@ -183,9 +173,7 @@ impl BandwidthEstimator {
         let m_len = self.multipliers.len();
         let cells = self.trials * m_len;
         let pool = Pool::new(self.jobs);
-        let mut ctx = RouteCtx::from_net(machine, net.clone())
-            .with_cache(cache)
-            .with_backend(self.backend);
+        let mut ctx = RouteCtx::from_net(machine, net.clone()).with_cache(cache);
         if let Some(c) = cancel {
             ctx = ctx.with_cancel(c);
         }
@@ -280,12 +268,6 @@ impl BandwidthEstimator {
         self.jobs = jobs;
         self
     }
-
-    /// This estimator with a different router backend (builder-style).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -341,16 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_estimate_matches_tick() {
-        let m = Machine::mesh(2, 8);
-        let tick = quick().estimate_symmetric(&m);
-        let events = quick().with_backend(Backend::Events).estimate_symmetric(&m);
-        assert_eq!(events.rate, tick.rate);
-        assert_eq!(events.samples, tick.samples);
-        assert_eq!(events.complete_trials, tick.complete_trials);
-    }
-
-    #[test]
     fn bus_saturates_at_unit_rate() {
         let est = quick().estimate_symmetric(&Machine::global_bus(16));
         assert!(est.rate <= 1.05, "bus rate {}", est.rate);
@@ -362,14 +334,8 @@ mod tests {
         let t = m.symmetric_traffic();
         let est = quick();
         let plain = est.estimate(&m, &t);
-        for (cancel, backend) in [
-            (None, Backend::Tick),
-            (Some(AtomicBool::new(false)), Backend::Tick),
-            (Some(AtomicBool::new(false)), Backend::Events),
-        ] {
+        for cancel in [None, Some(AtomicBool::new(false))] {
             let gated = est
-                .clone()
-                .with_backend(backend)
                 .try_estimate_compiled(
                     &m,
                     &CompiledNet::shared(&m),

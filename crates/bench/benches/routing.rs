@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fcn_routing::engine::reference;
 use fcn_routing::{
-    measure_rate_with, route_batch, route_compiled, CompiledNet, PacketBatch, PathOracle,
-    PlanCache, QueueDiscipline, RouterConfig, RouterScratch, Strategy,
+    measure_rate_ctx, route_batch, route_compiled, CompiledNet, PacketBatch, PathOracle, PlanCache,
+    QueueDiscipline, RouteCtx, RouterConfig, RouterScratch, Strategy,
 };
 use fcn_topology::Machine;
 
@@ -112,17 +112,20 @@ fn bench_plan_cache(c: &mut Criterion) {
     let traffic = m.symmetric_traffic();
     let n = traffic.n();
     let sweep = |cache: Option<&PlanCache>| {
+        let mut ctx = RouteCtx::new(&m);
+        if let Some(c) = cache {
+            ctx = ctx.with_cache(c);
+        }
         let mut ticks = 0;
         for (cell, mult) in [2usize, 4, 8].iter().enumerate() {
-            let s = measure_rate_with(
-                &m,
+            let s = measure_rate_ctx(
+                &ctx,
                 &traffic,
                 mult * n,
                 Strategy::ShortestPath,
                 RouterConfig::default(),
                 fcn_exec::job_seed(11, cell as u64),
                 17, // shared per-trial plan seed, as in BandwidthEstimator
-                cache,
             );
             ticks += s.ticks;
         }
@@ -165,7 +168,7 @@ fn bench_compiled_vs_reference(c: &mut Criterion) {
     let batch = PacketBatch::compile(&net, &routes).expect("planner paths are walks");
     let mut scratch = RouterScratch::new();
     group.bench_function("compiled", |b| {
-        b.iter(|| route_compiled(&net, &batch, cfg, &mut scratch).ticks)
+        b.iter(|| route_compiled(&net, &batch, None, cfg, &mut scratch, None).ticks)
     });
     group.finish();
 }

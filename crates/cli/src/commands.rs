@@ -10,7 +10,7 @@ use fcn_core::{
     build_witness, direct_emulation, fig1_data, generate_table, max_host_size, numeric_host_size,
     slowdown_lower_bound, table1_spec, table2_spec, table3_spec, EmulationConfig, Lemma9Config,
 };
-use fcn_routing::{saturation_throughput, Backend, RouterConfig, SteadyConfig};
+use fcn_routing::{saturation_throughput, RouterConfig, SteadyConfig};
 use fcn_topology::{Family, Machine};
 
 use crate::args::{Args, ParseError};
@@ -73,11 +73,11 @@ pub fn usage() -> String {
 USAGE:
   fcnemu machines
   fcnemu build   <family> <size> [--seed N] [--format summary|dot|edges|json]
-  fcnemu beta    <family> <size> [--trials N] [--steady] [--seed N] [--jobs N] [--backend tick|events] [--max-ticks N] [--verbose]
-  fcnemu faults  <family> <size> [--rates R1,R2,..] [--trials N] [--seed N] [--fault-seed N] [--jobs N] [--backend tick|events] [--quick] [--verbose]
+  fcnemu beta    <family> <size> [--trials N] [--steady] [--seed N] [--jobs N] [--max-ticks N] [--verbose]
+  fcnemu faults  <family> <size> [--rates R1,R2,..] [--trials N] [--seed N] [--fault-seed N] [--jobs N] [--quick] [--verbose]
   fcnemu bound   <guest-family> <host-family> [--n N] [--m M]
   fcnemu emulate <guest-family> <n> <host-family> <m> [--steps N]
-  fcnemu audit   <family> <size> [--seed N] [--jobs N] [--backend tick|events]
+  fcnemu audit   <family> <size> [--seed N] [--jobs N]
   fcnemu witness <family> <size> [--alpha X]
   fcnemu verify  <family> <size> [--hosts M] [--steps N]
   fcnemu table   <1|2|3> [--size N]
@@ -89,7 +89,8 @@ USAGE:
 
 Every subcommand also accepts --metrics-out <path>: run with telemetry
 enabled and write a versioned JSONL metrics snapshot to <path> (the
-report itself is byte-identical with or without the flag).
+report itself is byte-identical with or without the flag). Any other
+flag not on a subcommand's usage line is an error.
 
 Families: linear_array ring global_bus tree weak_ppn xtree mesh{1,2,3}
 torus{1,2,3} xgrid{1,2,3} mesh_of_trees{1,2,3} multigrid{1,2,3}
@@ -109,20 +110,49 @@ fn build(id: &str, size: usize, seed: u64) -> Result<Machine, String> {
     Ok(family(id)?.build_near(size, seed))
 }
 
-/// Parse `--backend tick|events` (default `tick`).
-fn backend_flag(args: &Args) -> Result<Backend, CmdError> {
-    let s = args
+/// The flags `command`'s usage line names, or `None` for a command without
+/// a usage line (unknown commands and the `--help`/`-h` aliases).
+fn usage_flags(command: &str) -> Option<Vec<String>> {
+    let usage = usage();
+    let line = usage.lines().find(|l| {
+        l.trim_start()
+            .strip_prefix("fcnemu ")
+            .and_then(|rest| rest.split_whitespace().next())
+            == Some(command)
+    })?;
+    Some(
+        line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|tok| tok.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .map(String::from)
+            .collect(),
+    )
+}
+
+/// Reject any flag that `args.command`'s usage line does not name
+/// (`--metrics-out` is accepted everywhere), so a misspelled or retired
+/// flag fails loudly instead of silently running the defaults.
+pub(crate) fn check_flags(args: &Args) -> Result<(), ParseError> {
+    let Some(allowed) = usage_flags(&args.command) else {
+        return Ok(());
+    };
+    match args
         .flags
-        .get("backend")
-        .cloned()
-        .unwrap_or_else(|| "tick".into());
-    Backend::parse(&s)
-        .ok_or_else(|| CmdError::Run(format!("--backend: expected tick or events, got {s:?}")))
+        .keys()
+        .find(|k| *k != "metrics-out" && !allowed.contains(k))
+    {
+        None => Ok(()),
+        Some(k) => Err(ParseError(format!(
+            "unknown flag --{k} for `fcnemu {}` (see `fcnemu help`)",
+            args.command
+        ))),
+    }
 }
 
 /// Dispatch a parsed command.
 pub fn dispatch(args: &Args, out: Out) -> CmdResult {
     let r: Result<CmdResult, ParseError> = (|| {
+        check_flags(args)?;
         Ok(match args.command.as_str() {
             "machines" => cmd_machines(out),
             "build" => cmd_build(args, out)?,
@@ -239,8 +269,9 @@ pub(crate) fn beta_with(
     let steady = args.has("steady");
     let verbose = args.has("verbose");
     Ok((|| -> CmdResult {
-        // Router backend per grid cell; bit-identical either way.
-        let backend = backend_flag(args)?;
+        if trials == 0 {
+            return Err("--trials must be at least 1".into());
+        }
         let m = build(&id, size, seed)?;
         let t = m.symmetric_traffic();
         let mut router = RouterConfig::default();
@@ -251,7 +282,6 @@ pub(crate) fn beta_with(
             trials,
             seed,
             jobs,
-            backend,
             router,
             ..Default::default()
         };
@@ -356,6 +386,9 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
     let verbose = args.has("verbose");
     let rates_flag = args.flags.get("rates").cloned();
     Ok((|| -> CmdResult {
+        if trials == 0 {
+            return Err("--trials must be at least 1".into());
+        }
         let fault_rates: Vec<f64> = match rates_flag {
             Some(s) => s
                 .split(',')
@@ -371,7 +404,6 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
         if fault_rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
             return Err(format!("--rates: rates must lie in [0, 1], got {fault_rates:?}").into());
         }
-        let backend = backend_flag(args)?;
         let m = build(&id, size, seed)?;
         let sweep = DegradedSweep {
             fault_rates,
@@ -380,17 +412,15 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
             trials: if quick { trials.min(2) } else { trials },
             seed,
             jobs,
-            backend,
             ..Default::default()
         };
-        // Under `--verbose --backend events`, run the sweep with telemetry
-        // collecting so the event engine's skip counters can be reported
-        // (telemetry is bit-transparent, so the curve itself is unchanged).
-        // The registry's prior enabled state is restored, and the counters
-        // are read as a delta, so a surrounding `--metrics-out` run still
+        // Under `--verbose`, run the sweep with telemetry collecting so the
+        // router's skip counters can be reported (telemetry is
+        // bit-transparent, so the curve itself is unchanged). The
+        // registry's prior enabled state is restored, and the counters are
+        // read as a delta, so a surrounding `--metrics-out` run still
         // reports exactly its own contribution.
-        let event_stats = verbose && backend == Backend::Events;
-        let (points, skip_stats) = if event_stats {
+        let (points, skip_stats) = if verbose {
             let reg = fcn_telemetry::global();
             let was_enabled = reg.enabled();
             let base = reg.snapshot();
@@ -451,13 +481,13 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
             );
         }
         if verbose {
-            // The event engine's skip accounting: how many quiescent ticks
-            // were jumped over, and how many outage windows opened *and*
-            // closed inside jumps — windows no simulated tick ever touched.
+            // The router's skip accounting: how many quiescent ticks were
+            // jumped over, and how many outage windows opened *and* closed
+            // inside jumps — windows no simulated tick ever touched.
             if let Some((ticks_skipped, windows_skipped)) = skip_stats {
                 let _ = writeln!(
                     out,
-                    "event backend : {ticks_skipped} quiescent ticks skipped, \
+                    "skip hook  : {ticks_skipped} quiescent ticks skipped, \
                      {windows_skipped} outage windows skipped entirely"
                 );
             }
@@ -560,18 +590,15 @@ fn cmd_audit(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
     let seed = args.flag("seed", 7u64)?;
     let jobs = args.flag("jobs", 1usize)?;
     Ok((|| -> CmdResult {
-        let backend = backend_flag(args)?;
         let m = build(&id, size, seed)?;
-        // Same cheap estimator as `quick_audit`, with the worker and
-        // backend choices threaded through: the audit cells run in
-        // parallel, the output is bit-identical for every `--jobs` and
-        // `--backend` value.
+        // Same cheap estimator as `quick_audit`, with the worker count
+        // threaded through: the audit cells run in parallel, the output is
+        // bit-identical for every `--jobs` value.
         let est = BandwidthEstimator {
             multipliers: vec![2, 4],
             trials: 2,
             seed,
             jobs,
-            backend,
             ..Default::default()
         };
         let audit = audit_bottleneck_freeness(&m, &est, seed);
@@ -864,31 +891,51 @@ mod tests {
     }
 
     #[test]
-    fn beta_output_is_backend_invariant() {
-        let (code, tick) = run_s("beta mesh2 64 --trials 2 --backend tick");
-        assert_eq!(code, 0, "{tick}");
-        let (code, events) = run_s("beta mesh2 64 --trials 2 --backend events");
-        assert_eq!(code, 0, "{events}");
-        assert_eq!(tick, events, "--backend must not change the output");
-        let (code, default) = run_s("beta mesh2 64 --trials 2");
-        assert_eq!(code, 0, "{default}");
-        assert_eq!(tick, default, "tick is the default backend");
+    fn beta_rejects_unknown_flags() {
+        // The benchmark's argv shapes still parse.
+        let (code, out) = run_s("beta mesh2 16 --seed 3 --trials 1");
+        assert_eq!(code, 0, "{out}");
+        // A misspelled flag no longer runs the defaults silently.
+        let (code, out) = run_s("beta mesh2 16 --trails 1");
+        assert_eq!(code, 1, "{out}");
+        assert!(
+            out.contains("unknown flag --trails for `fcnemu beta`"),
+            "{out}"
+        );
     }
 
     #[test]
-    fn audit_output_is_backend_invariant() {
-        let (code, tick) = run_s("audit tree 31 --backend tick");
-        assert_eq!(code, 0, "{tick}");
-        let (code, events) = run_s("audit tree 31 --backend events");
-        assert_eq!(code, 0, "{events}");
-        assert_eq!(tick, events, "--backend must not change the output");
+    fn backend_flag_is_rejected_by_every_subcommand() {
+        // The retired router-backend switch fails loudly everywhere.
+        for cmd in [
+            "machines", "build", "beta", "faults", "bound", "emulate", "audit", "witness",
+            "verify", "table", "fig1", "metrics", "serve", "request", "help",
+        ] {
+            let (code, out) = run_s(&format!("{cmd} --backend events"));
+            assert_eq!(code, 1, "{cmd}: {out}");
+            let want = format!("unknown flag --backend for `fcnemu {cmd}`");
+            assert!(out.contains(&want), "{cmd}: {out}");
+        }
+        // The accepted set is read off the usage line.
+        assert_eq!(
+            super::usage_flags("beta").unwrap(),
+            ["trials", "steady", "seed", "jobs", "max-ticks", "verbose"]
+        );
+        assert_eq!(super::usage_flags("frobnicate"), None);
     }
 
     #[test]
-    fn backend_flag_rejects_bad_values() {
-        let (code, out) = run_s("beta mesh2 64 --backend warp");
-        assert_eq!(code, 1);
-        assert!(out.contains("expected tick or events"), "{out}");
+    fn beta_zero_trials_is_an_error_not_a_panic() {
+        let (code, out) = run_s("beta mesh2 16 --trials 0");
+        assert_eq!(code, 1, "{out}");
+        assert_eq!(out, "error: --trials must be at least 1\n");
+    }
+
+    #[test]
+    fn faults_zero_trials_is_an_error_not_a_panic() {
+        let (code, out) = run_s("faults mesh2 16 --trials 0 --quick");
+        assert_eq!(code, 1, "{out}");
+        assert_eq!(out, "error: --trials must be at least 1\n");
     }
 
     #[test]
@@ -1053,40 +1100,25 @@ mod tests {
     }
 
     #[test]
-    fn faults_output_is_backend_invariant() {
-        let (code, tick) = run_s("faults mesh2 64 --quick --backend tick");
-        assert_eq!(code, 0, "{tick}");
-        let (code, events) = run_s("faults mesh2 64 --quick --backend events");
-        assert_eq!(code, 0, "{events}");
-        assert_eq!(tick, events, "--backend must not change the faults output");
-    }
-
-    #[test]
     fn faults_verbose_events_reports_skipped_windows() {
-        // `--verbose --backend events` toggles the global registry to read
-        // the skip counters, so serialize with the other metrics tests.
+        // `--verbose` toggles the global registry to read the skip
+        // counters, so serialize with the other metrics tests.
         let _gate = METRICS_GATE.lock().unwrap();
-        let (code, plain) = run_s("faults mesh2 64 --quick --backend events");
+        let (code, plain) = run_s("faults mesh2 64 --quick");
         assert_eq!(code, 0, "{plain}");
-        let (code, verbose) = run_s("faults mesh2 64 --quick --verbose --backend events");
+        let (code, verbose) = run_s("faults mesh2 64 --quick --verbose");
         assert_eq!(code, 0, "{verbose}");
         assert!(
             verbose.contains("outage windows skipped entirely"),
             "{verbose}"
         );
         assert!(verbose.contains("quiescent ticks skipped"), "{verbose}");
+        assert!(!plain.contains("quiescent ticks skipped"), "{plain}");
         // The verbose skip accounting only appends lines; the curve itself
         // is byte-identical (telemetry is a read-only lens).
         for line in plain.lines() {
             assert!(verbose.contains(line), "verbose lost line {line:?}");
         }
-        // The tick backend has nothing to skip and prints no such line.
-        let (code, tick_verbose) = run_s("faults mesh2 64 --quick --verbose --backend tick");
-        assert_eq!(code, 0, "{tick_verbose}");
-        assert!(
-            !tick_verbose.contains("quiescent ticks skipped"),
-            "{tick_verbose}"
-        );
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl CliHandler {
                 };
             }
         };
-        let result = match commands::beta_with(&args, &mut buf, Some(&self.registry), Some(cancel))
+        let result = match commands::check_flags(&args)
+            .and_then(|()| commands::beta_with(&args, &mut buf, Some(&self.registry), Some(cancel)))
         {
             Ok(r) => r,
             // dispatch() wraps in-command parse errors as domain errors;

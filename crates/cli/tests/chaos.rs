@@ -59,22 +59,20 @@ impl Drop for Inproc {
 }
 
 /// The request matrix from the acceptance criteria: heavy kinds at jobs
-/// {1, 4} and backends {tick, events}, followed by a `metrics` render.
+/// {1, 4}, followed by a `metrics` render.
 fn request_matrix() -> Vec<(&'static str, Vec<String>)> {
     let mut matrix = Vec::new();
-    for backend in ["tick", "events"] {
-        for jobs in ["1", "4"] {
-            let tail = ["--jobs", jobs, "--backend", backend];
-            let with_tail = |head: &[&str]| -> Vec<String> {
-                head.iter()
-                    .chain(tail.iter())
-                    .map(|s| s.to_string())
-                    .collect()
-            };
-            matrix.push(("beta", with_tail(&["mesh2", "16", "--trials", "1"])));
-            matrix.push(("audit", with_tail(&["ring", "16"])));
-            matrix.push(("faults", with_tail(&["ring", "16", "--quick"])));
-        }
+    for jobs in ["1", "4"] {
+        let tail = ["--jobs", jobs];
+        let with_tail = |head: &[&str]| -> Vec<String> {
+            head.iter()
+                .chain(tail.iter())
+                .map(|s| s.to_string())
+                .collect()
+        };
+        matrix.push(("beta", with_tail(&["mesh2", "16", "--trials", "1"])));
+        matrix.push(("audit", with_tail(&["ring", "16"])));
+        matrix.push(("faults", with_tail(&["ring", "16", "--quick"])));
     }
     matrix.push(("metrics", Vec::new()));
     matrix

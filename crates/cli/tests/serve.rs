@@ -1,7 +1,7 @@
 //! Differential harness for service mode: every request kind served by a
 //! real `fcnemu serve` daemon process must return **byte-identical** output
 //! (and the same exit code) as the inline `fcnemu` invocation of the same
-//! command, across the jobs × backend grid, under concurrent
+//! command, across the worker-count grid, under concurrent
 //! interleaved clients, and through the typed failure paths (overload,
 //! deadline cancellation, SIGTERM drain).
 
@@ -104,31 +104,47 @@ fn daemon_matches_inline_across_the_grid() {
     let mut client = daemon.client();
     assert_eq!(client.call("ping", &[]).unwrap().output, "pong\n");
     for jobs in ["1", "4"] {
-        for backend in ["tick", "events"] {
-            let grid = ["--jobs", jobs, "--backend", backend];
-            let with = |head: &[&'static str]| -> Vec<&str> {
-                let mut v = head.to_vec();
-                v.extend_from_slice(&grid);
-                v
-            };
-            assert_differential(
-                &mut client,
-                "beta",
-                &with(&["mesh2", "36", "--trials", "2"]),
-            );
-            assert_differential(&mut client, "audit", &with(&["mesh2", "36"]));
-            assert_differential(
-                &mut client,
-                "faults",
-                &with(&[
-                    "mesh2", "36", "--rates", "0.0,0.05", "--trials", "2", "--quick",
-                ]),
-            );
-        }
+        let with = |head: &[&'static str]| -> Vec<&str> {
+            let mut v = head.to_vec();
+            v.extend_from_slice(&["--jobs", jobs]);
+            v
+        };
+        assert_differential(
+            &mut client,
+            "beta",
+            &with(&["mesh2", "36", "--trials", "2"]),
+        );
+        assert_differential(&mut client, "audit", &with(&["mesh2", "36"]));
+        assert_differential(
+            &mut client,
+            "faults",
+            &with(&[
+                "mesh2", "36", "--rates", "0.0,0.05", "--trials", "2", "--quick",
+            ]),
+        );
     }
     // A malformed family produces the identical error bytes and exit code
     // through the daemon (domain error, exit 1).
     assert_differential(&mut client, "beta", &["no_such_family", "36"]);
+    daemon.shutdown();
+}
+
+#[test]
+fn daemon_matches_inline_on_rejected_arguments() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    // `--trials 0` is a typed error (exit 1), not a panic that takes the
+    // request thread down; an unknown flag is refused with its name.
+    for (kind, args) in [
+        ("beta", &["mesh2", "36", "--trials", "0"][..]),
+        ("faults", &["mesh2", "36", "--trials", "0", "--quick"][..]),
+        ("beta", &["mesh2", "36", "--trails", "1"][..]),
+        ("audit", &["mesh2", "36", "--job", "2"][..]),
+    ] {
+        let resp = client.call(kind, args).expect("framed response");
+        assert_eq!(resp.exit_code, 1, "{kind} {args:?}: {}", resp.output);
+        assert_differential(&mut client, kind, args);
+    }
     daemon.shutdown();
 }
 

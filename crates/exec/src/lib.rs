@@ -440,8 +440,8 @@ fn record_job_panic() {
 }
 
 /// A shared cancellation flag: cloned into workers/watchdogs, checked by
-/// long loops at a natural granularity (the router checks once per tick via
-/// `route_compiled_gated`). Raising it is idempotent and never unsafe —
+/// long loops at a natural granularity (the router checks once per
+/// simulated tick via `route_compiled`'s `cancel` argument). Raising it is idempotent and never unsafe —
 /// consumers stop at their next check with a typed `Cancelled` outcome.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -466,7 +466,7 @@ impl CancelToken {
     }
 
     /// The underlying flag, for consumers that poll a raw
-    /// `&AtomicBool` (e.g. `fcn_routing::route_compiled_gated`).
+    /// `&AtomicBool` (e.g. `fcn_routing::route_compiled`'s `cancel`).
     pub fn flag(&self) -> &AtomicBool {
         &self.0
     }
@@ -484,7 +484,7 @@ impl CancelToken {
 ///
 /// let dog = Watchdog::arm(Duration::from_secs(3600));
 /// let cancel = dog.token().clone();
-/// // ... long sweep passing `cancel.flag()` into route_compiled_gated ...
+/// // ... long sweep passing `cancel.flag()` into route_compiled ...
 /// assert!(!dog.fired());
 /// drop(dog); // disarms
 /// ```

@@ -17,7 +17,7 @@
 //!   the host graph (replacing the engine's old `panic!` lookup failure).
 //!
 //! Compilation is pure bookkeeping: it draws no randomness and therefore
-//! cannot perturb the engine's RNG stream. `route_compiled(net, batch)` is
+//! cannot perturb the engine's RNG stream. `route_compiled` is
 //! bit-identical to the legacy per-call rebuild (pinned by
 //! `tests/compiled_router.rs`).
 
@@ -35,8 +35,8 @@ use crate::packet::PacketPath;
 /// Paths produced by [`crate::oracle::PathOracle`] and
 /// [`crate::native::plan_routes`] are walks by construction, so this error
 /// only surfaces for hand-built [`PacketPath`]s (ablations, tests, external
-/// inputs) — which is why [`crate::engine::try_route_batch`] exists
-/// alongside the infallible planner-facing entry points.
+/// inputs) — which is why [`PacketBatch::compile`] returns it while the
+/// planner-facing entry points panic instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {
     /// A path mentions a vertex the host does not have.
@@ -350,7 +350,7 @@ impl CompiledNet {
     /// wire's effective capacity *may* change. `None` when the capacity is
     /// constant from `tick` on: intact nets, permanently dead wires (stuck
     /// at 0), and wires whose windows have all closed. This is what lets
-    /// the event backend bound how far it may skip ahead: between
+    /// the router's skip hook bound how far it may jump ahead: between
     /// consecutive boundaries `effective_wire_capacity` is constant.
     pub(crate) fn next_capacity_boundary(&self, w: u32, tick: u64) -> Option<u64> {
         let f = self.faults.as_ref()?;
@@ -372,8 +372,8 @@ impl CompiledNet {
 
     /// Every transient outage window as a `(start, end)` span, in wire-id
     /// order (a window on an undirected link appears once per direction).
-    /// Empty for intact nets. The event backend sorts these by `start` once
-    /// per run to count windows that a skip jumped over entirely.
+    /// Empty for intact nets. The router's skip hook sorts these by `start`
+    /// once per run to count windows that a skip jumped over entirely.
     pub(crate) fn outage_spans(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let (starts, ends): (&[u64], &[u64]) = match &self.faults {
             None => (&[], &[]),
@@ -631,10 +631,9 @@ impl PacketBatch {
 /// its first wire queue at the *end* of that tick (tick-0 packets are
 /// injected before the loop, exactly the batch semantics), so its first
 /// possible crossing is the following tick, and a 0-hop packet delivers at
-/// its injection tick. Both router backends accept an optional schedule
-/// (`route_compiled_at` / `route_events_at`) and produce bit-identical
-/// outcomes for any schedule; `InjectionSchedule::uniform(n, 0)` is
-/// bit-identical to passing no schedule at all.
+/// its injection tick. `route_compiled` takes an optional schedule and
+/// skips the idle gaps between injections; `InjectionSchedule::uniform(n,
+/// 0)` is bit-identical to passing no schedule at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionSchedule {
     /// Injection tick per packet id.

@@ -19,11 +19,13 @@
 //! [`PacketBatch`] over a shared [`CompiledNet`] using a caller-owned
 //! [`RouterScratch`], so a sweep performs O(1) allocations per batch and
 //! the tick loop touches only flat arrays (no per-hop adjacency search —
-//! hops were resolved to wire ids at batch-compile time). [`route_batch`]
-//! keeps the legacy compile-on-every-call signature as a thin wrapper, and
-//! [`reference`] retains the original single-function simulator as the
-//! executable specification the compiled path is pinned against
-//! (`tests/compiled_router.rs`).
+//! hops were resolved to wire ids at batch-compile time). Every run arms
+//! the [`crate::events`] skip hook, so ticks on which nothing can move are
+//! jumped, not simulated. [`route_batch`] keeps the legacy
+//! compile-on-every-call signature as a thin wrapper, and [`reference`]
+//! retains the original single-function simulator and the skip-free tick
+//! loop as the executable specifications the compiled path is pinned
+//! against (`tests/compiled_router.rs`, `tests/event_router.rs`).
 //!
 //! Determinism: for a given `(batch, RouterConfig)` the compiled and
 //! reference engines draw the same `StdRng` stream (one `u32` rank per
@@ -43,7 +45,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::compiled::{CompiledNet, InjectionSchedule, PacketBatch, RouteError};
+use crate::compiled::{CompiledNet, InjectionSchedule, PacketBatch};
 use crate::events::{EventCtl, EventKind};
 use crate::packet::{PacketPath, QueueDiscipline};
 
@@ -281,57 +283,44 @@ impl WireQueues for PrioQueues<'_> {
 
 /// Route a pre-compiled batch over a compiled net, reusing `scratch`.
 ///
-/// This is the hot path: zero allocations after scratch warm-up, no
-/// adjacency lookups in the tick loop (hops are pre-resolved wire ids;
-/// consistency degrades to debug assertions), and bit-identical outcomes to
-/// [`reference::route_batch`] for every `(batch, config)`.
+/// This is the one run-a-batch kernel: zero allocations after scratch
+/// warm-up, no adjacency lookups in the tick loop (hops are pre-resolved
+/// wire ids; consistency degrades to debug assertions), and quiescent
+/// spans skipped through [`crate::events`]' calendar wheel. Outcomes are
+/// bit-identical to [`reference::route_batch`] for every `(batch, config)`
+/// and to [`reference::route_every_tick`] for every schedule, fault
+/// overlay and cancellation flag.
+///
+/// * `sched: None` is the paper's batch semantics (every packet injected at
+///   tick 0). `Some(schedule)` enters packet `i` on its first wire queue at
+///   the end of tick `schedule.tick_of(i)` (a 0-hop packet delivers at its
+///   injection tick); the schedule must cover the batch
+///   (`schedule.len() == batch.len()`), and
+///   `InjectionSchedule::uniform(batch.len(), 0)` is bit-identical to
+///   `None`.
+/// * `cancel` is polled once per simulated tick and again before every
+///   skip (one relaxed load). A raised flag stops the run at the last
+///   simulated tick with [`AbortCause::Cancelled`] — the graceful-stop
+///   hook used by `fcn_exec::Watchdog`. A flag that is never raised is
+///   byte-identical to `None`.
 pub fn route_compiled(
     net: &CompiledNet,
     batch: &PacketBatch,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-) -> RoutingOutcome {
-    route_compiled_gated(net, batch, cfg, scratch, None)
-}
-
-/// [`route_compiled`] with an optional cancellation flag, checked once per
-/// tick (one relaxed load). When the flag is raised the run stops at the
-/// next tick boundary with [`AbortCause::Cancelled`] — the graceful-stop
-/// hook used by `fcn_exec::Watchdog`. `cancel: None` is byte-identical to
-/// [`route_compiled`].
-pub fn route_compiled_gated(
-    net: &CompiledNet,
-    batch: &PacketBatch,
+    sched: Option<&InjectionSchedule>,
     cfg: RouterConfig,
     scratch: &mut RouterScratch,
     cancel: Option<&AtomicBool>,
 ) -> RoutingOutcome {
-    dispatch_run(net, batch, None, cfg, scratch, cancel, None)
+    crate::events::with_skip_hook(net, sched, |ctl| {
+        dispatch_run(net, batch, sched, cfg, scratch, cancel, Some(ctl))
+    })
 }
 
-/// [`route_compiled`] under an [`InjectionSchedule`]: packet `i` enters its
-/// first wire queue at the end of tick `schedule.tick_of(i)` instead of at
-/// tick 0 (a 0-hop packet delivers at its injection tick). The schedule
-/// must cover the batch (`schedule.len() == batch.len()`).
-/// `InjectionSchedule::uniform(batch.len(), 0)` is bit-identical to
-/// [`route_compiled_gated`], and any schedule is bit-identical to the
-/// event backend's [`crate::events::route_events_at`].
-pub fn route_compiled_at(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    schedule: &InjectionSchedule,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
-) -> RoutingOutcome {
-    dispatch_run(net, batch, Some(schedule), cfg, scratch, cancel, None)
-}
-
-/// The shared entry of both backends: size the scratch, draw ranks, pick
-/// the queue pool for the discipline, and run the tick loop. The event
-/// backend differs from the tick backend *only* by passing an [`EventCtl`]
-/// — every simulated tick runs this exact code, which is what makes the
-/// two backends structurally bit-identical.
+/// Size the scratch, draw ranks, pick the queue pool for the discipline,
+/// and run the tick loop. [`route_compiled`] passes an armed [`EventCtl`];
+/// [`reference::route_every_tick`] passes none and simulates every tick.
+/// Every simulated tick runs this exact code either way, which is what
+/// makes the skip structurally bit-identical.
 pub(crate) fn dispatch_run(
     net: &CompiledNet,
     batch: &PacketBatch,
@@ -885,15 +874,16 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
             );
             pending = s.order().len() - inj_cursor;
         }
-        // Event-backend skip hook (tick backend passes `ev: None` and the
-        // whole block compiles to one branch). A tick is *quiescent* when
-        // nothing crossed a wire and nothing was injected: from this exact
-        // state, every future tick replays identically until either an
-        // injection comes due or a fault-capacity boundary is crossed on a
-        // wire that holds packets. Jump `ticks` to just before the earliest
-        // such event, folding the per-tick side effects of the skipped span
-        // (rotate advance, occupancy/stall/gating accumulation) in closed
-        // form — bit-identical to simulating the span tick by tick.
+        // Quiescent-span skip hook (the skip-free reference loop passes
+        // `ev: None` and the whole block compiles to one branch). A tick is
+        // *quiescent* when nothing crossed a wire and nothing was injected:
+        // from this exact state, every future tick replays identically
+        // until either an injection comes due or a fault-capacity boundary
+        // is crossed on a wire that holds packets. Jump `ticks` to just
+        // before the earliest such event, folding the per-tick side
+        // effects of the skipped span (rotate advance,
+        // occupancy/stall/gating accumulation) in closed form —
+        // bit-identical to simulating the span tick by tick.
         if let Some(ctl) = ev.as_deref_mut() {
             if scr.arrivals.is_empty() && !injected_now && delivered < routable {
                 // Queued wires can only wake at a capacity boundary; their
@@ -982,13 +972,14 @@ thread_local! {
     pub(crate) static POOLED_SCRATCH: RefCell<RouterScratch> = RefCell::new(RouterScratch::new());
 }
 
-/// [`route_compiled`] using this thread's pooled [`RouterScratch`].
+/// [`route_compiled`] with batch semantics, no cancellation flag, and this
+/// thread's pooled [`RouterScratch`].
 pub fn route_compiled_pooled(
     net: &CompiledNet,
     batch: &PacketBatch,
     cfg: RouterConfig,
 ) -> RoutingOutcome {
-    POOLED_SCRATCH.with(|s| route_compiled(net, batch, cfg, &mut s.borrow_mut()))
+    POOLED_SCRATCH.with(|s| route_compiled(net, batch, None, cfg, &mut s.borrow_mut(), None))
 }
 
 /// Route a batch of packets to completion on a machine.
@@ -1003,40 +994,50 @@ pub fn route_compiled_pooled(
 /// (or go through [`crate::harness::RouteCtx`]).
 ///
 /// # Panics
-/// Panics if some path is not a walk of the host graph; use
-/// [`try_route_batch`] to get the typed [`RouteError`] instead.
+/// Panics if some path is not a walk of the host graph; compile the batch
+/// with [`PacketBatch::compile`] to get the typed [`crate::RouteError`]
+/// instead.
 pub fn route_batch(
     machine: &Machine,
     packets: Vec<PacketPath>,
     cfg: RouterConfig,
 ) -> RoutingOutcome {
-    // fcn-allow: ERR-UNWRAP documented panicking wrapper; `try_route_batch` is the typed-error entry point
-    try_route_batch(machine, &packets, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`route_batch`] surfacing malformed routes as a typed [`RouteError`]
-/// instead of panicking. Planner-produced paths are walks by construction
-/// and never hit the error arm.
-pub fn try_route_batch(
-    machine: &Machine,
-    packets: &[PacketPath],
-    cfg: RouterConfig,
-) -> Result<RoutingOutcome, RouteError> {
     let net = CompiledNet::compile(machine);
-    let batch = PacketBatch::compile(&net, packets)?;
-    Ok(route_compiled_pooled(&net, &batch, cfg))
+    let batch = PacketBatch::compile(&net, &packets)
+        // fcn-allow: ERR-UNWRAP documented panicking wrapper; `PacketBatch::compile` is the typed-error entry point
+        .unwrap_or_else(|e| panic!("{e}"));
+    route_compiled_pooled(&net, &batch, cfg)
 }
 
-/// The original single-function simulator, retained verbatim as the
-/// executable specification of the wire model.
+/// The executable specifications [`route_compiled`] is pinned against.
 ///
-/// `tests/compiled_router.rs` pins [`route_compiled`] against this
-/// implementation across machine families and queue disciplines, and
-/// `perfbench` uses it as the pre-compilation baseline for the recorded
-/// speedup trajectory. Not a hot path — new code should use
-/// [`route_compiled`].
+/// * [`reference::route_batch`] is the original single-function simulator,
+///   retained verbatim as the spec of the wire model under batch
+///   semantics. `tests/compiled_router.rs` pins [`route_compiled`] against
+///   it across machine families and queue disciplines, and `perfbench`
+///   uses it as the pre-compilation baseline for the recorded speedup
+///   trajectory.
+/// * [`reference::route_every_tick`] is the compiled tick loop with the
+///   quiescent-span skip switched off: the spec for scheduled and faulted
+///   runs, which `reference::route_batch` predates. `tests/event_router.rs`
+///   pins the skip against it.
+///
+/// Not hot paths — new code should use [`route_compiled`].
 pub mod reference {
     use super::*;
+
+    /// [`route_compiled`] simulating every tick, quiescent or not: the
+    /// same kernel with no skip hook, bit-identical outcomes.
+    pub fn route_every_tick(
+        net: &CompiledNet,
+        batch: &PacketBatch,
+        sched: Option<&InjectionSchedule>,
+        cfg: RouterConfig,
+        scratch: &mut RouterScratch,
+        cancel: Option<&AtomicBool>,
+    ) -> RoutingOutcome {
+        dispatch_run(net, batch, sched, cfg, scratch, cancel, None)
+    }
 
     /// Per-wire queue under a discipline. Priority queues pop the smallest
     /// key.
@@ -1407,13 +1408,16 @@ mod tests {
     #[test]
     fn malformed_route_panics_with_typed_message() {
         let m = Machine::linear_array(4);
-        let err = try_route_batch(
-            &m,
-            &[PacketPath::new(vec![0, 3])],
-            cfg(QueueDiscipline::Fifo),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("no wire 0 -> 3"));
+        let panic = std::panic::catch_unwind(|| {
+            route_batch(
+                &m,
+                vec![PacketPath::new(vec![0, 3])],
+                cfg(QueueDiscipline::Fifo),
+            )
+        })
+        .expect_err("a path off the host graph must panic");
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("no wire 0 -> 3"), "{msg}");
     }
 
     #[test]
@@ -1442,10 +1446,11 @@ mod tests {
                 // Abort run first to leave residue in the queues...
                 let mut short = cfg(d);
                 short.max_ticks = 1;
-                let _ = route_compiled(&net, &batch, short, &mut scratch);
+                let _ = route_compiled(&net, &batch, None, short, &mut scratch, None);
                 // ...then the real run must still be clean.
-                let pooled = route_compiled(&net, &batch, cfg(d), &mut scratch);
-                let fresh = route_compiled(&net, &batch, cfg(d), &mut RouterScratch::new());
+                let pooled = route_compiled(&net, &batch, None, cfg(d), &mut scratch, None);
+                let fresh =
+                    route_compiled(&net, &batch, None, cfg(d), &mut RouterScratch::new(), None);
                 assert_eq!(pooled, fresh, "{} {d:?}", m.name());
             }
         }

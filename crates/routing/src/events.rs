@@ -1,32 +1,33 @@
-//! The event-driven router backend: skip quiescent ticks.
+//! Quiescent-span skipping: the router's calendar wheel.
 //!
-//! The synchronous tick loop pays for every tick even when nothing can
-//! move — long drain tails, sparse injection schedules, fault outage
-//! windows. This backend runs the **same** tick loop over the same
-//! [`CompiledNet`]/[`PacketBatch`] arenas, but when a simulated tick turns
-//! out to be *quiescent* (no packet crossed a wire and no packet was
-//! injected) it consults an [`EventWheel`] of next-actionable ticks —
-//! pending injections, fault-capacity boundaries on wires that hold
-//! packets — and jumps straight to the earliest one, folding the skipped
-//! span's side effects (rotate advance, occupancy/stall/gating telemetry)
-//! in closed form. Cost therefore scales with *events* (injections,
-//! crossings, window edges), not `ticks × wires`.
+//! A synchronous tick loop pays for every tick even when nothing can move —
+//! long drain tails, sparse injection schedules, fault outage windows.
+//! Every [`crate::route_compiled`] run therefore arms a skip hook: when a
+//! simulated tick turns out to be *quiescent* (no packet crossed a wire
+//! and no packet was injected) the engine consults an [`EventWheel`] of
+//! next-actionable ticks — pending injections, fault-capacity boundaries
+//! on wires that hold packets — and jumps straight to the earliest one,
+//! folding the skipped span's side effects (rotate advance,
+//! occupancy/stall/gating telemetry) in closed form. Cost therefore scales
+//! with *events* (injections, crossings, window edges), not `ticks ×
+//! wires`. Dense batch runs on intact machines have no quiescent tick
+//! before they finish, so for them the hook is one branch per tick.
 //!
 //! ## Determinism contract
 //!
-//! [`route_events`] does not re-implement the wire model: every simulated
-//! tick executes [`crate::engine`]'s `run_ticks` verbatim (the event hook
-//! is a parameter of that loop), and a span is skipped only when the state
-//! provably replays itself — so the [`RoutingOutcome`] is **bit-identical**
-//! to [`crate::route_compiled`] / `engine::reference` across families,
-//! disciplines, abort paths, and fault overlays (pinned by
-//! `tests/event_router.rs`). Cancellation flags are polled at every
-//! simulated tick *and* re-polled immediately before each fast-forward
-//! commits, so a flag raised mid-run aborts with
+//! The hook does not re-implement the wire model: every simulated tick
+//! executes [`crate::engine`]'s `run_ticks` verbatim (the hook is a
+//! parameter of that loop), and a span is skipped only when the state
+//! provably replays itself — so the [`RoutingOutcome`] is
+//! **bit-identical** to `engine::reference`'s skip-free loop across
+//! families, disciplines, abort paths, schedules and fault overlays
+//! (pinned by `tests/event_router.rs`). Cancellation flags are polled at
+//! every simulated tick *and* re-polled immediately before each
+//! fast-forward commits, so a flag raised mid-run aborts with
 //! [`crate::AbortCause::Cancelled`] before the skipped span is accounted —
 //! a cancelled outcome never reports ticks beyond its last simulated tick
-//! (a flag raised before the run starts behaves identically to the tick
-//! backend's, and `event_pin_cancelled_before_skip` pins the
+//! (a flag raised before the run starts behaves identically to the
+//! skip-free loop's, and `event_pin_cancelled_before_skip` pins the
 //! frozen-net case where the next jump would have burned the whole
 //! budget).
 //!
@@ -40,10 +41,9 @@
 //! to the earliest wake therefore commutes with single-stepping.
 
 use std::cell::RefCell;
-use std::sync::atomic::AtomicBool;
 
-use crate::compiled::{CompiledNet, InjectionSchedule, PacketBatch};
-use crate::engine::{dispatch_run, RouterConfig, RouterScratch, RoutingOutcome};
+use crate::compiled::{CompiledNet, InjectionSchedule};
+use crate::engine::RoutingOutcome;
 
 /// Wheel levels: level `l` covers ticks `[64^l, 64^(l+1))` (level 0 is
 /// exact, one tick per slot), so six levels span `64^6 = 2^36` ticks —
@@ -206,9 +206,9 @@ impl EventWheel {
     }
 }
 
-/// Per-run event-backend state threaded into the engine's tick loop. The
-/// tick backend passes no `EventCtl`; its presence is the *only* behavioral
-/// difference between the backends.
+/// Per-run skip state threaded into the engine's tick loop. The skip-free
+/// reference loop passes no `EventCtl`; its presence is the *only*
+/// behavioral difference between the two.
 pub(crate) struct EventCtl<'a> {
     /// Pending wake ticks (injections at run start, window wakeups pushed
     /// at skip decisions).
@@ -253,76 +253,19 @@ impl EventCtl<'_> {
 }
 
 thread_local! {
-    /// Pooled wheel + sorted-span arena, reused across event runs on this
-    /// thread (the companion of the engine's pooled [`RouterScratch`]).
+    /// Pooled wheel + sorted-span arena, reused across runs on this thread
+    /// (the companion of the engine's pooled `RouterScratch`).
     static EVENT_STATE: RefCell<(EventWheel, Vec<(u64, u64)>)> =
         RefCell::new((EventWheel::new(), Vec::new()));
 }
 
-/// Route a pre-compiled batch with the event-driven backend.
-///
-/// Bit-identical outcomes to [`crate::route_compiled`] for every
-/// `(net, batch, cfg)`; faster whenever the run contains idle spans (the
-/// batch semantics inject everything at tick 0, so intact batch runs have
-/// none — the wins come from fault outage windows, and from
-/// [`route_events_at`]'s sparse injection schedules).
-pub fn route_events(
+/// Arm the skip hook for one run and hand it to `run`: seed the wheel (one
+/// `Inject` wake per distinct future injection tick; window spans sorted
+/// for the skipped counter), then publish the skip metrics.
+pub(crate) fn with_skip_hook(
     net: &CompiledNet,
-    batch: &PacketBatch,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-) -> RoutingOutcome {
-    route_events_inner(net, batch, None, cfg, scratch, None)
-}
-
-/// [`route_events`] with a cancellation flag, polled at simulated ticks
-/// (see the module docs for the mid-skip caveat).
-pub fn route_events_gated(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
-) -> RoutingOutcome {
-    route_events_inner(net, batch, None, cfg, scratch, cancel)
-}
-
-/// [`route_events`] under an [`InjectionSchedule`] — bit-identical to
-/// [`crate::engine::route_compiled_at`] for every schedule, and the case
-/// the backend exists for: idle gaps between scheduled injections are
-/// skipped, not simulated.
-pub fn route_events_at(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    schedule: &InjectionSchedule,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
-) -> RoutingOutcome {
-    route_events_inner(net, batch, Some(schedule), cfg, scratch, cancel)
-}
-
-/// [`route_events`] using this thread's pooled [`RouterScratch`] — the
-/// event-backend twin of [`crate::route_compiled_pooled`].
-pub fn route_events_pooled(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    cfg: RouterConfig,
-) -> RoutingOutcome {
-    crate::engine::POOLED_SCRATCH.with(|s| route_events(net, batch, cfg, &mut s.borrow_mut()))
-}
-
-/// Shared body: seed the wheel (one `Inject` wake per distinct future
-/// injection tick; window spans sorted for the skipped counter), run the
-/// engine's tick loop with the event hook armed, then publish the
-/// event-backend metrics.
-fn route_events_inner(
-    net: &CompiledNet,
-    batch: &PacketBatch,
     sched: Option<&InjectionSchedule>,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
+    run: impl FnOnce(&mut EventCtl) -> RoutingOutcome,
 ) -> RoutingOutcome {
     EVENT_STATE.with(|st| {
         let (wheel, spans) = &mut *st.borrow_mut();
@@ -350,12 +293,11 @@ fn route_events_inner(
             skipped: 0,
             windows_skipped: 0,
         };
-        let out = dispatch_run(net, batch, sched, cfg, scratch, cancel, Some(&mut ctl));
+        let out = run(&mut ctl);
         let (skipped, windows_skipped) = (ctl.skipped, ctl.windows_skipped);
         let max_depth = ctl.wheel.max_depth() as u64;
         if fcn_telemetry::global().enabled() {
             fcn_telemetry::with_shard(|sh| {
-                sh.inc(fcn_telemetry::names::ROUTER_EVENTS_TOTAL);
                 sh.add(fcn_telemetry::names::ROUTER_TICKS_SKIPPED_TOTAL, skipped);
                 sh.record(fcn_telemetry::names::ROUTER_WHEEL_MAX_DEPTH, max_depth);
                 if windows_skipped > 0 {

@@ -15,45 +15,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::PlanCache;
 use crate::compiled::{CompiledNet, PacketBatch};
-use crate::engine::{route_compiled_pooled, RouterConfig, RoutingOutcome};
-use crate::events::route_events_pooled;
+use crate::engine::{route_compiled, RouterConfig, RoutingOutcome, POOLED_SCRATCH};
 use crate::packet::{PacketPath, Strategy};
-
-/// Which router executes a context's batches.
-///
-/// Both backends produce **bit-identical** [`RoutingOutcome`]s for every
-/// `(machine, batch, config)` — the choice is purely a performance knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Backend {
-    /// The synchronous tick loop ([`crate::route_compiled`]). Best under
-    /// dense traffic where almost every tick moves packets.
-    #[default]
-    Tick,
-    /// The event-driven engine ([`crate::events::route_events`]): the same
-    /// tick loop, but quiescent spans are skipped via a calendar wheel.
-    /// Best for sparse injection schedules, fault outage windows, and long
-    /// drain tails.
-    Events,
-}
-
-impl Backend {
-    /// Parse a CLI flag value (`tick` | `events`).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "tick" => Some(Backend::Tick),
-            "events" => Some(Backend::Events),
-            _ => None,
-        }
-    }
-
-    /// The CLI flag spelling of this backend.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Tick => "tick",
-            Backend::Events => "events",
-        }
-    }
-}
 
 /// A compile-once routing context: one machine, its [`CompiledNet`], and an
 /// optional [`PlanCache`].
@@ -79,7 +42,6 @@ pub struct RouteCtx<'a> {
     machine: &'a Machine,
     net: Arc<CompiledNet>,
     cache: Option<&'a PlanCache>,
-    backend: Backend,
     cancel: Option<&'a AtomicBool>,
 }
 
@@ -90,7 +52,6 @@ impl<'a> RouteCtx<'a> {
             machine,
             net: CompiledNet::shared(machine),
             cache: None,
-            backend: Backend::Tick,
             cancel: None,
         }
     }
@@ -103,7 +64,6 @@ impl<'a> RouteCtx<'a> {
             machine,
             net,
             cache: None,
-            backend: Backend::Tick,
             cancel: None,
         }
     }
@@ -111,13 +71,6 @@ impl<'a> RouteCtx<'a> {
     /// Attach a [`PlanCache`] serving the BFS trees of route planning.
     pub fn with_cache(mut self, cache: &'a PlanCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Select the router [`Backend`] for this context's batches. Outcomes
-    /// are bit-identical across backends.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -129,11 +82,6 @@ impl<'a> RouteCtx<'a> {
     pub fn with_cancel(mut self, cancel: &'a AtomicBool) -> Self {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// The configured router backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The machine being routed on.
@@ -157,38 +105,27 @@ impl<'a> RouteCtx<'a> {
     }
 
     /// Compile and route planner-produced paths on this context's machine,
-    /// reusing the calling thread's pooled scratch.
+    /// reusing the calling thread's pooled scratch and observing the
+    /// context's cancellation flag.
     ///
     /// # Panics
     /// Panics if some path is not a walk of the host graph — impossible for
-    /// planner output; use [`crate::engine::try_route_batch`] for untrusted
-    /// paths.
+    /// planner output; compile untrusted paths with
+    /// [`PacketBatch::compile`] to get the typed error instead.
     pub fn route_paths(&self, paths: &[PacketPath], cfg: RouterConfig) -> RoutingOutcome {
         let batch = PacketBatch::compile(&self.net, paths)
-            // fcn-allow: ERR-UNWRAP documented panicking wrapper over planner output; `try_route_batch` covers untrusted paths
+            // fcn-allow: ERR-UNWRAP documented panicking wrapper over planner output; `PacketBatch::compile` covers untrusted paths
             .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"));
-        match (self.backend, self.cancel) {
-            (Backend::Events, None) => route_events_pooled(&self.net, &batch, cfg),
-            (Backend::Events, Some(c)) => crate::engine::POOLED_SCRATCH.with(|s| {
-                crate::events::route_events_gated(
-                    &self.net,
-                    &batch,
-                    cfg,
-                    &mut s.borrow_mut(),
-                    Some(c),
-                )
-            }),
-            (Backend::Tick, None) => route_compiled_pooled(&self.net, &batch, cfg),
-            (Backend::Tick, Some(c)) => crate::engine::POOLED_SCRATCH.with(|s| {
-                crate::engine::route_compiled_gated(
-                    &self.net,
-                    &batch,
-                    cfg,
-                    &mut s.borrow_mut(),
-                    Some(c),
-                )
-            }),
-        }
+        POOLED_SCRATCH.with(|s| {
+            route_compiled(
+                &self.net,
+                &batch,
+                None,
+                cfg,
+                &mut s.borrow_mut(),
+                self.cancel,
+            )
+        })
     }
 }
 
@@ -226,103 +163,28 @@ pub fn measure_rate(
     cfg: RouterConfig,
     seed: u64,
 ) -> RateSample {
-    let outcome = route_traffic(machine, traffic, messages, strategy, cfg, seed);
-    RateSample {
-        messages,
-        ticks: outcome.ticks,
-        rate: outcome.rate(),
-        completed: outcome.completed,
-    }
-}
-
-/// [`measure_rate`] with split seeds and an optional [`PlanCache`].
-///
-/// `demand_seed` drives the traffic draw, `plan_seed` drives route
-/// planning. Splitting them lets saturation sweeps vary the batch
-/// (different demand seeds per cell) while *reusing* one plan seed per
-/// trial, so every cell of the trial shares the same BFS trees — which the
-/// cache then serves instead of recomputing. Results are bit-identical with
-/// or without the cache.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_rate_with(
-    machine: &Machine,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    demand_seed: u64,
-    plan_seed: u64,
-    cache: Option<&PlanCache>,
-) -> RateSample {
-    let outcome = route_traffic_with(
-        machine,
-        traffic,
-        messages,
-        strategy,
-        cfg,
-        demand_seed,
-        plan_seed,
-        cache,
-    );
-    RateSample {
-        messages,
-        ticks: outcome.ticks,
-        rate: outcome.rate(),
-        completed: outcome.completed,
-    }
-}
-
-/// Route a batch and return the raw outcome (queue stats included).
-pub fn route_traffic(
-    machine: &Machine,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    seed: u64,
-) -> RoutingOutcome {
-    route_traffic_with(
-        machine,
+    measure_rate_ctx(
+        &RouteCtx::new(machine),
         traffic,
         messages,
         strategy,
         cfg,
         seed ^ 0x7ea55a17,
         seed,
-        None,
     )
 }
 
-/// [`route_traffic`] with split demand/plan seeds and an optional cache.
+/// [`measure_rate`] over a compile-once [`RouteCtx`], with split seeds:
+/// sample demands, plan routes (through the context's cache, if any),
+/// compile the batch to wire ids, and run it on the shared net with pooled
+/// scratch.
 ///
-/// Compiles the machine afresh; sweeps should build a [`RouteCtx`] once and
-/// call [`route_traffic_ctx`] instead.
-#[allow(clippy::too_many_arguments)]
-pub fn route_traffic_with(
-    machine: &Machine,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    demand_seed: u64,
-    plan_seed: u64,
-    cache: Option<&PlanCache>,
-) -> RoutingOutcome {
-    let mut ctx = RouteCtx::new(machine);
-    ctx.cache = cache;
-    // (no cancellation: this is the compile-per-call convenience path)
-    route_traffic_ctx(
-        &ctx,
-        traffic,
-        messages,
-        strategy,
-        cfg,
-        demand_seed,
-        plan_seed,
-    )
-}
-
-/// [`measure_rate_with`] over a compile-once [`RouteCtx`].
+/// `demand_seed` drives the traffic draw, `plan_seed` drives route
+/// planning. Splitting them lets saturation sweeps vary the batch
+/// (different demand seeds per cell) while *reusing* one plan seed per
+/// trial, so every cell of the trial shares the same BFS trees — which the
+/// context's [`PlanCache`] then serves instead of recomputing. Results are
+/// bit-identical with or without the cache.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_rate_ctx(
     ctx: &RouteCtx<'_>,
@@ -333,36 +195,6 @@ pub fn measure_rate_ctx(
     demand_seed: u64,
     plan_seed: u64,
 ) -> RateSample {
-    let outcome = route_traffic_ctx(
-        ctx,
-        traffic,
-        messages,
-        strategy,
-        cfg,
-        demand_seed,
-        plan_seed,
-    );
-    RateSample {
-        messages,
-        ticks: outcome.ticks,
-        rate: outcome.rate(),
-        completed: outcome.completed,
-    }
-}
-
-/// Route one traffic batch over a compile-once [`RouteCtx`]: sample
-/// demands, plan routes (through the context's cache, if any), compile the
-/// batch to wire ids, and run it on the shared net with pooled scratch.
-/// Bit-identical to [`route_traffic_with`] on a fresh context.
-pub fn route_traffic_ctx(
-    ctx: &RouteCtx<'_>,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    demand_seed: u64,
-    plan_seed: u64,
-) -> RoutingOutcome {
     assert!(messages >= 1);
     assert!(
         traffic.n() <= ctx.machine.processors(),
@@ -375,7 +207,13 @@ pub fn route_traffic_ctx(
     let demands: Vec<_> = (0..messages).map(|_| traffic.sample(&mut rng)).collect();
     let routes =
         crate::native::plan_routes_cached(ctx.machine, &demands, strategy, plan_seed, ctx.cache);
-    ctx.route_paths(&routes, cfg)
+    let outcome = ctx.route_paths(&routes, cfg);
+    RateSample {
+        messages,
+        ticks: outcome.ticks,
+        rate: outcome.rate(),
+        completed: outcome.completed,
+    }
 }
 
 /// The plateau estimate from a sweep: the maximum completed rate.
@@ -507,35 +345,31 @@ mod tests {
     }
 
     #[test]
-    fn backend_choice_is_outcome_invariant() {
+    fn route_paths_matches_the_skip_free_reference() {
         let m = Machine::mesh(2, 8);
         let t = m.symmetric_traffic();
-        let tick = RouteCtx::new(&m);
-        let events = RouteCtx::new(&m).with_backend(Backend::Events);
-        assert_eq!(events.backend(), Backend::Events);
+        let never = AtomicBool::new(false);
+        let plain = RouteCtx::new(&m);
+        let watched = RouteCtx::new(&m).with_cancel(&never);
+        let mut scratch = crate::engine::RouterScratch::new();
         for seed in 0..3u64 {
-            let a = route_traffic_ctx(&tick, &t, 96, Strategy::ShortestPath, cfg(), seed ^ 1, seed);
-            let b = route_traffic_ctx(
-                &events,
-                &t,
-                96,
-                Strategy::ShortestPath,
+            let mut rng = {
+                use rand::SeedableRng;
+                rand::rngs::StdRng::seed_from_u64(seed ^ 1)
+            };
+            let demands: Vec<_> = (0..96).map(|_| t.sample(&mut rng)).collect();
+            let paths = crate::native::plan_routes(&m, &demands, Strategy::ShortestPath, seed);
+            let batch = PacketBatch::compile(plain.net(), &paths).unwrap();
+            let spec = crate::engine::reference::route_every_tick(
+                plain.net(),
+                &batch,
+                None,
                 cfg(),
-                seed ^ 1,
-                seed,
+                &mut scratch,
+                None,
             );
-            assert_eq!(a, b, "backends diverged at seed {seed}");
-        }
-    }
-
-    #[test]
-    fn backend_flag_round_trips() {
-        assert_eq!(Backend::parse("tick"), Some(Backend::Tick));
-        assert_eq!(Backend::parse("events"), Some(Backend::Events));
-        assert_eq!(Backend::parse("warp"), None);
-        assert_eq!(Backend::default(), Backend::Tick);
-        for b in [Backend::Tick, Backend::Events] {
-            assert_eq!(Backend::parse(b.as_str()), Some(b));
+            assert_eq!(plain.route_paths(&paths, cfg()), spec, "seed {seed}");
+            assert_eq!(watched.route_paths(&paths, cfg()), spec, "seed {seed}");
         }
     }
 

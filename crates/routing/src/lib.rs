@@ -19,13 +19,13 @@
 //!   [`PacketBatch`] (flat SoA paths with hops pre-resolved to wire ids);
 //! * [`engine`] — the tick simulator: one packet per wire per tick, per-node
 //!   send budgets for the "weak" machines, pluggable queue disciplines,
-//!   pooled [`RouterScratch`] arenas;
-//! * [`events`] — the event-driven backend: the same tick loop armed with a
-//!   calendar-wheel skip hook that jumps over quiescent spans (sparse
-//!   injection schedules, fault outage windows, drain tails), bit-identical
-//!   to the tick backend;
+//!   pooled [`RouterScratch`] arenas, and one run-a-batch kernel,
+//!   [`route_compiled`];
+//! * [`events`] — the calendar wheel behind every run's quiescent-span
+//!   skip (sparse injection schedules, fault outage windows, drain tails),
+//!   bit-identical to simulating every tick;
 //! * [`harness`] — batch-rate measurement, built around the compile-once
-//!   [`RouteCtx`] with selectable [`Backend`];
+//!   [`RouteCtx`];
 //! * [`steady`] — open-loop (steady-state) throughput ramps.
 
 pub mod cache;
@@ -41,16 +41,11 @@ pub mod steady;
 pub use cache::PlanCache;
 pub use compiled::{CompiledNet, InjectionSchedule, PacketBatch, RouteError};
 pub use engine::{
-    route_batch, route_compiled, route_compiled_at, route_compiled_gated, route_compiled_pooled,
-    try_route_batch, AbortCause, RouterConfig, RouterScratch, RoutingOutcome,
+    route_batch, route_compiled, route_compiled_pooled, AbortCause, RouterConfig, RouterScratch,
+    RoutingOutcome,
 };
-pub use events::{
-    route_events, route_events_at, route_events_gated, route_events_pooled, EventKind, EventWheel,
-};
-pub use harness::{
-    measure_rate, measure_rate_ctx, measure_rate_with, plateau_rate, route_traffic,
-    route_traffic_ctx, route_traffic_with, Backend, RateSample, RouteCtx,
-};
+pub use events::{EventKind, EventWheel};
+pub use harness::{measure_rate, measure_rate_ctx, plateau_rate, RateSample, RouteCtx};
 pub use native::{
     de_bruijn_path, plan_batch, plan_routes, plan_routes_cached, plan_routes_degraded,
     plan_routes_faulted, shuffle_exchange_path, DegradedPlan,

@@ -105,7 +105,7 @@ proptest! {
         ] {
             let cfg = RouterConfig { discipline, seed, ..Default::default() };
             let old = reference::route_batch(&machine, paths.clone(), cfg);
-            let new = route_compiled(&net, &batch, cfg, &mut scratch);
+            let new = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
             prop_assert_eq!(old, new);
         }
     }
@@ -140,7 +140,7 @@ fn equivalence_pin_families_times_disciplines() {
                     max_ticks,
                 };
                 let old = reference::route_batch(&machine, paths.clone(), cfg);
-                let new = route_compiled(&net, &batch, cfg, &mut scratch);
+                let new = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
                 assert_eq!(
                     old,
                     new,
@@ -172,7 +172,7 @@ fn weak_machines_pin_send_budgets() {
         let mut scratch = RouterScratch::new();
         let cfg = RouterConfig::default();
         let old = reference::route_batch(&machine, paths.clone(), cfg);
-        let new = route_compiled(&net, &batch, cfg, &mut scratch);
+        let new = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
         assert_eq!(old, new, "{}", machine.name());
     }
 }

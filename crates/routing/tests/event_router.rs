@@ -1,34 +1,36 @@
-//! The event-driven backend's contract: same bits as the tick loop, which
-//! is itself pinned to the retained reference simulator.
+//! The quiescent-span skip's contract: every run of
+//! [`fcn_routing::route_compiled`] (skip hook armed) has the same bits as
+//! `engine::reference::route_every_tick` (the same kernel simulating every
+//! tick), which is itself pinned to the retained reference simulator.
 //!
 //! Three layers of evidence:
 //!
-//! * **Differential pins** — [`fcn_routing::route_events`] produces the
-//!   *identical* [`fcn_routing::RoutingOutcome`] as
-//!   [`fcn_routing::route_compiled`] AND `engine::reference::route_batch`
-//!   across the determinism families × all three disciplines, through every
-//!   abort path (MaxTicks via a starved budget *and* via a permanently
-//!   gated wire the wheel fast-forwards over, Stranded via fault overlays,
-//!   Cancelled via a pre-set flag), on the weak machines whose send budgets
-//!   gate the budgeted send arm, and under sparse
-//!   [`fcn_routing::InjectionSchedule`]s — the workload the backend exists
+//! * **Differential pins** — `route_compiled` produces the *identical*
+//!   [`fcn_routing::RoutingOutcome`] as `reference::route_every_tick` AND
+//!   `engine::reference::route_batch` across the determinism families ×
+//!   all three disciplines, through every abort path (MaxTicks via a
+//!   starved budget *and* via a permanently gated wire the wheel
+//!   fast-forwards over, Stranded via fault overlays, Cancelled via a
+//!   pre-set flag), on the weak machines whose send budgets gate the
+//!   budgeted send arm, and under sparse
+//!   [`fcn_routing::InjectionSchedule`]s — the workload the skip exists
 //!   for.
 //! * **Arbitrary-schedule proptests** — *any* sparse injection schedule and
 //!   *any* assembled outage schedule on any small net leaves the outcome
-//!   bit-identical between `route_compiled_at` and `route_events_at`.
-//! * **Drain-tail regression** — on a saturated mesh with one straggler the
-//!   event backend must actually *skip* ticks (a positive
+//!   bit-identical between the skip-free loop and `route_compiled`.
+//! * **Drain-tail regression** — on a saturated mesh with one straggler
+//!   `route_compiled` must actually *skip* ticks (a positive
 //!   `router_ticks_skipped_total`) while its outcome and delivered-packet
-//!   telemetry stay equal to the tick backend's.
+//!   telemetry stay equal to the skip-free loop's.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 
 use fcn_faults::{FaultPlan, FaultSpec, LinkOutage};
 use fcn_routing::engine::reference;
+use fcn_routing::engine::reference::route_every_tick;
 use fcn_routing::{
-    plan_routes, route_compiled, route_compiled_at, route_compiled_gated, route_events,
-    route_events_at, route_events_gated, route_events_pooled, CompiledNet, InjectionSchedule,
+    plan_routes, route_compiled, route_compiled_pooled, CompiledNet, InjectionSchedule,
     PacketBatch, QueueDiscipline, RouterConfig, RouterScratch, Strategy,
 };
 use fcn_topology::{Family, Machine};
@@ -73,8 +75,8 @@ fn sparse_schedule(n: usize, stride: u64, span: u64) -> InjectionSchedule {
     InjectionSchedule::new((0..n as u64).map(|i| (i * stride) % span).collect())
 }
 
-/// The headline pin: families × disciplines × tick budgets, event backend
-/// vs compiled vs reference — batch semantics (everything at tick 0).
+/// The headline pin: families × disciplines × tick budgets, skip-armed run
+/// vs skip-free loop vs reference — batch semantics (everything at tick 0).
 #[test]
 fn event_pin_families_disciplines_and_aborts() {
     for (fi, family) in FAMILIES.iter().enumerate() {
@@ -92,9 +94,9 @@ fn event_pin_families_disciplines_and_aborts() {
                     max_ticks,
                 };
                 let reference = reference::route_batch(&machine, paths.clone(), cfg);
-                let compiled = route_compiled(&net, &batch, cfg, &mut scratch);
+                let compiled = route_every_tick(&net, &batch, None, cfg, &mut scratch, None);
                 assert_eq!(reference, compiled, "compiled drifted from reference");
-                let events = route_events(&net, &batch, cfg, &mut escratch);
+                let events = route_compiled(&net, &batch, None, cfg, &mut escratch, None);
                 assert_eq!(
                     events,
                     compiled,
@@ -110,8 +112,8 @@ fn event_pin_families_disciplines_and_aborts() {
 }
 
 /// Sparse schedules: families × disciplines, scattered injection ticks with
-/// idle gaps the event backend skips — `route_events_at` vs
-/// `route_compiled_at`, plus the degenerate uniform-0 schedule vs the batch
+/// idle gaps the skip jumps — `route_compiled` vs
+/// `route_every_tick`, plus the degenerate uniform-0 schedule vs the batch
 /// path.
 #[test]
 fn event_pin_sparse_schedules() {
@@ -130,22 +132,22 @@ fn event_pin_sparse_schedules() {
                 seed: 13,
                 ..Default::default()
             };
-            let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-            let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+            let tick = route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None);
+            let events = route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None);
             assert_eq!(events, tick, "{} / {discipline:?}", machine.name());
             assert!(tick.completed);
             assert!(
                 tick.ticks >= sched.max_tick(),
                 "last injection bounds the run"
             );
-            // Uniform tick-0 schedule ≡ batch semantics, on both backends.
-            let batch_sem = route_compiled(&net, &batch, cfg, &mut scratch);
+            // Uniform tick-0 schedule ≡ batch semantics, skip armed or not.
+            let batch_sem = route_every_tick(&net, &batch, None, cfg, &mut scratch, None);
             assert_eq!(
-                route_compiled_at(&net, &batch, &uniform, cfg, &mut scratch, None),
+                route_every_tick(&net, &batch, Some(&uniform), cfg, &mut scratch, None),
                 batch_sem
             );
             assert_eq!(
-                route_events_at(&net, &batch, &uniform, cfg, &mut escratch, None),
+                route_compiled(&net, &batch, Some(&uniform), cfg, &mut escratch, None),
                 batch_sem
             );
         }
@@ -153,7 +155,7 @@ fn event_pin_sparse_schedules() {
 }
 
 /// Fault overlays: dead wires strand packets at injection, outage windows
-/// gate the budgeted send arm mid-run — the event backend must reproduce
+/// gate the budgeted send arm mid-run — the skip-armed run must reproduce
 /// both (Stranded abort cause included), batch and scheduled semantics.
 #[test]
 fn event_pin_fault_overlays() {
@@ -174,16 +176,16 @@ fn event_pin_fault_overlays() {
                 seed: 7,
                 ..Default::default()
             };
-            let compiled = route_compiled(&net, &batch, cfg, &mut scratch);
-            let events = route_events(&net, &batch, cfg, &mut escratch);
+            let compiled = route_every_tick(&net, &batch, None, cfg, &mut scratch, None);
+            let events = route_compiled(&net, &batch, None, cfg, &mut escratch, None);
             assert_eq!(
                 events,
                 compiled,
                 "{} faulted / {discipline:?}",
                 machine.name()
             );
-            let tick_at = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-            let events_at = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+            let tick_at = route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None);
+            let events_at = route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None);
             assert_eq!(
                 events_at,
                 tick_at,
@@ -194,9 +196,9 @@ fn event_pin_fault_overlays() {
     }
 }
 
-/// A wire gated shut far beyond the budget freezes the net: the tick loop
-/// burns `max_ticks` one by one, the event backend burns them in one wheel
-/// jump — same MaxTicks abort, same tick count, same bits.
+/// A wire gated shut far beyond the budget freezes the net: the skip-free
+/// loop burns `max_ticks` one by one, `route_compiled` burns them in one
+/// wheel jump — same MaxTicks abort, same tick count, same bits.
 #[test]
 fn event_pin_frozen_net_fast_forwards_to_max_ticks() {
     let machine = Machine::linear_array(4);
@@ -222,8 +224,8 @@ fn event_pin_frozen_net_fast_forwards_to_max_ticks() {
             seed: 3,
             max_ticks: 50_000,
         };
-        let tick = route_compiled(&net, &batch, cfg, &mut scratch);
-        let events = route_events(&net, &batch, cfg, &mut escratch);
+        let tick = route_every_tick(&net, &batch, None, cfg, &mut scratch, None);
+        let events = route_compiled(&net, &batch, None, cfg, &mut escratch, None);
         assert_eq!(events, tick, "{discipline:?}");
         assert_eq!(tick.abort, fcn_routing::AbortCause::MaxTicks);
         assert_eq!(tick.ticks, 50_000, "budget burned to the tick");
@@ -232,7 +234,7 @@ fn event_pin_frozen_net_fast_forwards_to_max_ticks() {
 
 /// A pre-set cancellation flag aborts tick 1 on every path with identical
 /// outcomes — the documented cancel-at-simulated-ticks semantics coincide
-/// with the tick loop's whenever the flag predates the run.
+/// with the skip-free loop's whenever the flag predates the run.
 #[test]
 fn event_pin_cancelled_abort() {
     let machine = Family::Mesh(2).build_near(64, 0x11);
@@ -248,15 +250,15 @@ fn event_pin_cancelled_abort() {
             seed: 3,
             ..Default::default()
         };
-        let compiled = route_compiled_gated(&net, &batch, cfg, &mut scratch, Some(&cancel));
+        let compiled = route_every_tick(&net, &batch, None, cfg, &mut scratch, Some(&cancel));
         assert_eq!(compiled.abort, fcn_routing::AbortCause::Cancelled);
-        let events = route_events_gated(&net, &batch, cfg, &mut escratch, Some(&cancel));
+        let events = route_compiled(&net, &batch, None, cfg, &mut escratch, Some(&cancel));
         assert_eq!(events, compiled, "{discipline:?}");
     }
 }
 
 /// Cancellation must win against a wheel fast-forward: on a frozen net
-/// (every injection due beyond the budget) the event backend's next jump
+/// (every injection due beyond the budget) the skip-armed run's next jump
 /// would burn the whole 10⁶-tick budget in one skip — a raised cancel flag
 /// has to abort with `Cancelled` at the last simulated tick instead of
 /// committing the skip and reporting `MaxTicks` with the budget burned.
@@ -278,22 +280,29 @@ fn event_pin_cancelled_before_skip() {
     let mut scratch = RouterScratch::new();
     let mut escratch = RouterScratch::new();
     // Counterfactual (no cancel): one fast-forward to the budget cap.
-    let free = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+    let free = route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None);
     assert_eq!(free.abort, fcn_routing::AbortCause::MaxTicks);
     assert_eq!(free.ticks, 1_000_000, "budget burned in one skip");
     assert_eq!(
         free,
-        route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None)
+        route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None)
     );
     // Cancelled: the flag is observed before any span is skipped — the
     // outcome must not report a single tick beyond the last simulated one.
     let cancel = AtomicBool::new(true);
-    let cancelled = route_events_at(&net, &batch, &sched, cfg, &mut escratch, Some(&cancel));
+    let cancelled = route_compiled(
+        &net,
+        &batch,
+        Some(&sched),
+        cfg,
+        &mut escratch,
+        Some(&cancel),
+    );
     assert_eq!(cancelled.abort, fcn_routing::AbortCause::Cancelled);
     assert_eq!(cancelled.ticks, 0, "no skipped span may be accounted");
     assert_eq!(
         cancelled,
-        route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, Some(&cancel))
+        route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, Some(&cancel))
     );
 }
 
@@ -309,27 +318,27 @@ fn event_pin_weak_machine_send_budgets() {
         let mut scratch = RouterScratch::new();
         let mut escratch = RouterScratch::new();
         let cfg = RouterConfig::default();
-        let compiled = route_compiled(&net, &batch, cfg, &mut scratch);
+        let compiled = route_every_tick(&net, &batch, None, cfg, &mut scratch, None);
         assert_eq!(
             reference::route_batch(&machine, paths.clone(), cfg),
             compiled
         );
         assert_eq!(
-            route_events(&net, &batch, cfg, &mut escratch),
+            route_compiled(&net, &batch, None, cfg, &mut escratch, None),
             compiled,
             "{}",
             machine.name()
         );
         assert_eq!(
-            route_events_at(&net, &batch, &sched, cfg, &mut escratch, None),
-            route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None),
+            route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None),
+            route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None),
             "{} scheduled",
             machine.name()
         );
     }
 }
 
-/// `route_events_pooled` is the harness dispatch point: same bits as an
+/// `route_compiled_pooled` is the harness dispatch point: same bits as an
 /// explicit-scratch run, and reusable across batches.
 #[test]
 fn event_pooled_dispatch_is_transparent() {
@@ -339,18 +348,18 @@ fn event_pooled_dispatch_is_transparent() {
     let batch = PacketBatch::compile(&net, &paths).unwrap();
     let cfg = RouterConfig::default();
     let mut scratch = RouterScratch::new();
-    let baseline = route_events(&net, &batch, cfg, &mut scratch);
+    let baseline = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
     for _ in 0..2 {
-        assert_eq!(route_events_pooled(&net, &batch, cfg), baseline);
+        assert_eq!(route_compiled_pooled(&net, &batch, cfg), baseline);
     }
 }
 
-/// The drain-tail regression (issue satellite): a saturated mesh with one
-/// straggler scheduled long after the bulk drains. The event backend must
-/// (a) return the identical outcome, (b) publish the same delivered-packet
-/// telemetry, and (c) have actually skipped the idle gap
-/// (`router_ticks_skipped_total > 0`, `router_events_total` counting the
-/// run).
+/// The drain-tail regression: a saturated mesh with one straggler
+/// scheduled long after the bulk drains. `route_compiled` must (a) return
+/// the identical outcome, (b) publish the same delivered-packet telemetry,
+/// and (c) have actually skipped the idle gap
+/// (`router_ticks_skipped_total > 0`, one `router_wheel_max_depth`
+/// observation for its one run).
 #[test]
 fn drain_tail_skips_ticks_with_equal_outcome_and_telemetry() {
     let _gate = TELEMETRY_GATE.lock().unwrap();
@@ -370,12 +379,12 @@ fn drain_tail_skips_ticks_with_equal_outcome_and_telemetry() {
     let reg = fcn_telemetry::global();
     let _ = fcn_telemetry::take_shard();
     reg.set_enabled(true);
-    let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
+    let tick = route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None);
     reg.set_enabled(false);
     let tick_shard = fcn_telemetry::take_shard();
 
     reg.set_enabled(true);
-    let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+    let events = route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None);
     reg.set_enabled(false);
     let events_shard = fcn_telemetry::take_shard();
 
@@ -390,9 +399,9 @@ fn drain_tail_skips_ticks_with_equal_outcome_and_telemetry() {
     assert_eq!(
         events_shard.counter(fcn_telemetry::names::ROUTER_TICKS_TOTAL),
         tick_shard.counter(fcn_telemetry::names::ROUTER_TICKS_TOTAL),
-        "simulated-tick telemetry is outcome ticks on both backends"
+        "simulated-tick telemetry is outcome ticks, skip armed or not"
     );
-    // The tick loop never skips; the event backend must have skipped almost
+    // The skip-free loop never skips; the armed run must have skipped almost
     // the whole idle gap.
     assert_eq!(
         tick_shard.counter(fcn_telemetry::names::ROUTER_TICKS_SKIPPED_TOTAL),
@@ -400,12 +409,26 @@ fn drain_tail_skips_ticks_with_equal_outcome_and_telemetry() {
     );
     let skipped = events_shard.counter(fcn_telemetry::names::ROUTER_TICKS_SKIPPED_TOTAL);
     assert!(skipped > 40_000, "only {skipped} ticks skipped");
+    // One run, armed once: the wheel-depth histogram observes the
+    // skip-armed run and never the skip-free loop.
     assert_eq!(
-        events_shard.counter(fcn_telemetry::names::ROUTER_EVENTS_TOTAL),
+        events_shard.counter(fcn_telemetry::names::ROUTER_RUNS_TOTAL),
         1
     );
+    assert_eq!(
+        events_shard
+            .histogram(fcn_telemetry::names::ROUTER_WHEEL_MAX_DEPTH)
+            .count,
+        1
+    );
+    assert_eq!(
+        tick_shard
+            .histogram(fcn_telemetry::names::ROUTER_WHEEL_MAX_DEPTH)
+            .count,
+        0
+    );
     // The occupancy histogram observes every tick — simulated or skipped —
-    // on both backends.
+    // skip armed or not.
     assert_eq!(
         events_shard
             .histogram(fcn_telemetry::names::ROUTER_QUEUE_OCCUPANCY)
@@ -422,7 +445,7 @@ fn drain_tail_skips_ticks_with_equal_outcome_and_telemetry() {
 
 /// Outage windows that open and close entirely inside a skipped gap are
 /// counted as skipped (the `fcnemu faults --verbose` counter), and the
-/// outcome still matches the tick backend, which dutifully simulates them.
+/// outcome still matches the skip-free loop, which dutifully simulates them.
 #[test]
 fn fully_idle_outage_windows_are_counted_skipped() {
     let _gate = TELEMETRY_GATE.lock().unwrap();
@@ -449,11 +472,11 @@ fn fully_idle_outage_windows_are_counted_skipped() {
     let reg = fcn_telemetry::global();
     let _ = fcn_telemetry::take_shard();
     reg.set_enabled(true);
-    let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+    let events = route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None);
     reg.set_enabled(false);
     let shard = fcn_telemetry::take_shard();
 
-    let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
+    let tick = route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None);
     assert_eq!(events, tick);
     assert!(events.completed);
     // Each undirected outage window covers two directed wires.
@@ -490,7 +513,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Arbitrary sparse batches with arbitrary injection schedules never
-    /// diverge between the tick and event backends: any machine, any
+    /// diverge between the skip-free loop and the skip-armed run: any machine, any
     /// demands, any scatter of injection ticks, all three disciplines,
     /// generous and starved budgets.
     #[test]
@@ -519,8 +542,8 @@ proptest! {
                 seed,
                 max_ticks: if starved { 4 } else { u64::MAX },
             };
-            let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-            let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+            let tick = route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None);
+            let events = route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None);
             prop_assert!(
                 events == tick,
                 "{:?}: {:?} != {:?}",
@@ -567,11 +590,11 @@ proptest! {
         let mut scratch = RouterScratch::new();
         let mut escratch = RouterScratch::new();
         let cfg = RouterConfig { discipline: QueueDiscipline::Fifo, seed, ..Default::default() };
-        let batch_tick = route_compiled(&net, &batch, cfg, &mut scratch);
-        let batch_events = route_events(&net, &batch, cfg, &mut escratch);
+        let batch_tick = route_every_tick(&net, &batch, None, cfg, &mut scratch, None);
+        let batch_events = route_compiled(&net, &batch, None, cfg, &mut escratch, None);
         prop_assert!(batch_events == batch_tick, "batch: {:?} != {:?}", batch_events, batch_tick);
-        let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-        let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+        let tick = route_every_tick(&net, &batch, Some(&sched), cfg, &mut scratch, None);
+        let events = route_compiled(&net, &batch, Some(&sched), cfg, &mut escratch, None);
         prop_assert!(events == tick, "scheduled: {:?} != {:?}", events, tick);
     }
 }
@@ -639,7 +662,7 @@ proptest! {
 }
 
 /// Regression pin for the seeded-wakeup path: a seeded scatter of wake
-/// ticks (the shape `route_events` pushes for injections and fault-window
+/// ticks (the shape `route_compiled` pushes for injections and fault-window
 /// wakeups) must be visited by the `now = next_after(now)` walk in exactly
 /// sorted-distinct order, across level rollovers and into the overflow
 /// list, leaving the wheel empty once the walk passes the last wake.

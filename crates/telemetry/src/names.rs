@@ -77,13 +77,11 @@ pub const ROUTER_QUEUE_OCCUPANCY: &str = "router_queue_occupancy";
 pub const ROUTER_SCRATCH_CREATED_TOTAL: &str = "router_scratch_created_total";
 /// Scratch arenas reused without reallocation.
 pub const ROUTER_SCRATCH_REUSED_TOTAL: &str = "router_scratch_reused_total";
-/// Event-backend runs (`route_events` entry points).
-pub const ROUTER_EVENTS_TOTAL: &str = "router_events_total";
-/// Ticks the event backend skipped instead of simulating.
+/// Quiescent ticks the router skipped instead of simulating.
 pub const ROUTER_TICKS_SKIPPED_TOTAL: &str = "router_ticks_skipped_total";
 /// Per-run peak event-wheel depth (histogram).
 pub const ROUTER_WHEEL_MAX_DEPTH: &str = "router_wheel_max_depth";
-/// Fault outage windows skipped over entirely by the event backend.
+/// Fault outage windows the router skipped over entirely.
 pub const ROUTER_OUTAGE_WINDOWS_SKIPPED_TOTAL: &str = "router_outage_windows_skipped_total";
 
 // --- fault plane --------------------------------------------------------
@@ -215,7 +213,6 @@ pub const ALL: &[&str] = &[
     ROUTER_QUEUE_OCCUPANCY,
     ROUTER_SCRATCH_CREATED_TOTAL,
     ROUTER_SCRATCH_REUSED_TOTAL,
-    ROUTER_EVENTS_TOTAL,
     ROUTER_TICKS_SKIPPED_TOTAL,
     ROUTER_WHEEL_MAX_DEPTH,
     ROUTER_OUTAGE_WINDOWS_SKIPPED_TOTAL,

@@ -120,12 +120,12 @@ fn flux_time_bound_lemma8_composition() {
     // T ≥ β(C,π)/β(H,π) per unit. Executable version: route the pattern on
     // the host, compare measured ticks with E(C)/flux-bound.
     use fcn_emu::bandwidth::flux_upper_bound;
-    use fcn_emu::routing::{route_traffic, RouterConfig, Strategy};
+    use fcn_emu::routing::{measure_rate, RouterConfig, Strategy};
 
     let host = Machine::mesh(2, 4);
     let traffic = host.symmetric_traffic();
     let messages = 32 * traffic.n();
-    let out = route_traffic(
+    let out = measure_rate(
         &host,
         &traffic,
         messages,
