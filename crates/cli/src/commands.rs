@@ -925,6 +925,41 @@ mod tests {
     }
 
     #[test]
+    fn backend_flag_rejects_bad_values() {
+        // Any value, valid once or not, now fails on the flag itself.
+        for value in ["warp", "tick", "events"] {
+            let (code, out) = run_s(&format!("beta mesh2 64 --backend {value}"));
+            assert_eq!(code, 1, "{value}: {out}");
+            assert!(
+                out.contains("unknown flag --backend for `fcnemu beta`"),
+                "{value}: {out}"
+            );
+            assert!(!out.contains("expected tick or events"), "{out}");
+        }
+    }
+
+    #[test]
+    fn audit_output_is_backend_invariant() {
+        // There is one router run, so no flag can change the report: the
+        // retired switch is refused whatever its value, and the report
+        // without it is reproducible byte for byte.
+        let (code, tick) = run_s("audit tree 31 --backend tick");
+        assert_eq!(code, 1, "{tick}");
+        let (code, events) = run_s("audit tree 31 --backend events");
+        assert_eq!(code, 1, "{events}");
+        assert_eq!(tick, events, "the refusal must not depend on the value");
+        assert!(
+            tick.contains("unknown flag --backend for `fcnemu audit`"),
+            "{tick}"
+        );
+        let (code, first) = run_s("audit tree 31");
+        assert_eq!(code, 0, "{first}");
+        let (code, second) = run_s("audit tree 31");
+        assert_eq!(code, 0, "{second}");
+        assert_eq!(first, second, "audit output must be reproducible");
+    }
+
+    #[test]
     fn beta_zero_trials_is_an_error_not_a_panic() {
         let (code, out) = run_s("beta mesh2 16 --trials 0");
         assert_eq!(code, 1, "{out}");
@@ -1097,6 +1132,26 @@ mod tests {
         let (code, par) = run_s("faults mesh2 64 --quick --jobs 4");
         assert_eq!(code, 0, "{par}");
         assert_eq!(seq, par, "--jobs must not change the faults output");
+    }
+
+    #[test]
+    fn faults_output_is_backend_invariant() {
+        // As for audit: the retired switch is refused whatever its value,
+        // and the faults table without it is reproducible byte for byte.
+        let (code, tick) = run_s("faults mesh2 64 --quick --backend tick");
+        assert_eq!(code, 1, "{tick}");
+        let (code, events) = run_s("faults mesh2 64 --quick --backend events");
+        assert_eq!(code, 1, "{events}");
+        assert_eq!(tick, events, "the refusal must not depend on the value");
+        assert!(
+            tick.contains("unknown flag --backend for `fcnemu faults`"),
+            "{tick}"
+        );
+        let (code, first) = run_s("faults mesh2 64 --quick");
+        assert_eq!(code, 0, "{first}");
+        let (code, second) = run_s("faults mesh2 64 --quick");
+        assert_eq!(code, 0, "{second}");
+        assert_eq!(first, second, "faults output must be reproducible");
     }
 
     #[test]
