@@ -1,8 +1,8 @@
 //! Findings, baselines, and the `fcn-analyze/1` report format.
 //!
 //! Text diagnostics are `path:line: [RULE-ID] message`. JSON reports are
-//! JSONL (matching the workspace's `fcn-telemetry/1` / `fcn-perfbench/3`
-//! convention): one header object followed by one object per finding, every
+//! JSONL (matching the workspace's telemetry snapshots and BENCH files):
+//! one header object followed by one object per finding, every
 //! line stamped with the [`REPORT_SCHEMA`] tag. [`validate_report`] is the
 //! matching line-numbered validator, exercised by CI and the test suite.
 

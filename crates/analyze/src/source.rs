@@ -37,7 +37,7 @@ pub enum FileKind {
     Bin,
     /// Integration tests (`tests/` directories).
     Test,
-    /// Criterion benches (`benches/` directories).
+    /// Cargo bench targets (`benches/` directories).
     Bench,
     /// Example programs (`examples/`).
     Example,

@@ -146,39 +146,11 @@ fn main() {
 
     // The committed curve (or its quick shadow), merged under the same
     // schema-validated discipline as BENCH_router.json.
-    let curve_path = if quick {
-        let dir = std::env::var_os("CARGO_TARGET_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("target"));
-        std::fs::create_dir_all(&dir).expect("create target dir");
-        dir.join("BENCH_faults.quick.json")
-    } else {
-        std::path::PathBuf::from("BENCH_faults.json")
-    };
-    let existing = match std::fs::read_to_string(&curve_path) {
-        Ok(body) => match fcn_bench::validate_rows(&body, FAULTS_SCHEMA) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!(
-                    "error: existing {} is not mergeable: {e}",
-                    curve_path.display()
-                );
-                std::process::exit(2);
-            }
-        },
-        Err(_) => Vec::new(),
-    };
-    let fresh: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            let line = serde_json::to_string(r).expect("row serializes");
-            (r.bench.clone(), line)
-        })
-        .collect();
-    let body = fcn_bench::merge_bench_rows(&existing, &fresh);
-    if let Err(e) = std::fs::write(&curve_path, body) {
-        eprintln!("error: cannot write {}: {e}", curve_path.display());
-        std::process::exit(2);
-    }
-    println!("wrote {} rows to {}", rows.len(), curve_path.display());
+    fcn_bench::commit_bench_rows(
+        "BENCH_faults",
+        quick,
+        &rows,
+        |r| &r.bench,
+        |body| fcn_bench::validate_rows(body, FAULTS_SCHEMA),
+    );
 }

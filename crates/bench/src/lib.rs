@@ -3,7 +3,7 @@
 //! # fcn-bench
 //!
 //! Shared infrastructure for the table/figure regeneration binaries and the
-//! Criterion micro-benchmarks.
+//! BENCH trajectory binaries (`perfbench`, `faults`, `fcn-serve-load`).
 //!
 //! Each regeneration binary (`table1`..`table4`, `fig1`, `fig2`,
 //! `ablation_*`, `repro-all`) prints a human-readable report to stdout and
@@ -12,7 +12,7 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
@@ -183,13 +183,72 @@ impl Scale {
     }
 }
 
+/// `target/` of the workspace; `CARGO_TARGET_DIR` respected when set.
+fn target_dir() -> PathBuf {
+    std::env::var_os("CARGO_TARGET_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("target"))
+}
+
 /// Where JSON-lines records land.
 pub fn repro_dir() -> PathBuf {
-    // target/ of the workspace; CARGO_TARGET_DIR respected when set.
-    let base = std::env::var_os("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target"));
-    base.join("repro")
+    target_dir().join("repro")
+}
+
+/// Validate the rows already at `path` (a missing file counts as empty),
+/// merge `fresh` `(bench, line)` pairs over them, validate the merged body
+/// too (so an emitter bug fails here, not at the next merge) and write it.
+fn merge_bench_file(
+    path: &Path,
+    fresh: &[(String, String)],
+    validate: impl Fn(&str) -> Result<Vec<(String, String)>, String>,
+) -> Result<(), String> {
+    let existing = match fs::read_to_string(path) {
+        Ok(body) => validate(&body)
+            .map_err(|e| format!("existing {} is not mergeable: {e}", path.display()))?,
+        Err(_) => Vec::new(),
+    };
+    let body = merge_bench_rows(&existing, fresh);
+    validate(&body).map_err(|e| format!("fresh rows for {} are invalid: {e}", path.display()))?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// A BENCH binary's last step: serialize `rows` (keyed by `bench`) and
+/// merge them into the committed `<stem>.json` at the repo root, or for a
+/// `--quick` smoke run into its shadow `<target>/<stem>.quick.json`, so a
+/// smoke run never clobbers the committed numbers. Rows already in the file
+/// must pass `validate` first: rows written under another schema would
+/// silently mix incompatible measurements; the merged rows must pass it
+/// too. Fresh rows replace same-`bench` rows in place
+/// ([`merge_bench_rows`]). Any failure prints the error and exits 2,
+/// leaving the file untouched.
+pub fn commit_bench_rows<R: Serialize>(
+    stem: &str,
+    quick: bool,
+    rows: &[R],
+    bench: impl Fn(&R) -> &str,
+    validate: impl Fn(&str) -> Result<Vec<(String, String)>, String>,
+) {
+    let path = if quick {
+        target_dir().join(format!("{stem}.quick.json"))
+    } else {
+        PathBuf::from(format!("{stem}.json"))
+    };
+    let fresh: Result<Vec<(String, String)>, String> = rows
+        .iter()
+        .map(|r| {
+            let line = serde_json::to_string(r).map_err(|e| format!("row serializes: {e}"))?;
+            Ok((bench(r).to_string(), line))
+        })
+        .collect();
+    if let Err(e) = fresh.and_then(|fresh| merge_bench_file(&path, &fresh, validate)) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+    println!("wrote {} rows to {}", rows.len(), path.display());
 }
 
 /// Append serialized records to `target/repro/<name>.jsonl` (created fresh
@@ -279,6 +338,30 @@ mod tests {
         assert_eq!(fmt(2.46813), "2.468");
         assert!(fmt(123456.0).contains('e'));
         assert!(fmt(0.0001).contains('e'));
+    }
+
+    #[test]
+    fn merge_bench_file_refuses_a_mismatched_schema() {
+        let dir = repro_dir().join("merge_bench_file_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let stale = "{\"schema\":\"fcn-perfbench/1\",\"bench\":\"a\",\"unit\":\"ratio\"}\n";
+        fs::write(&path, stale).unwrap();
+        let fresh = [("a".to_string(), "{}".to_string())];
+        let err = merge_bench_file(&path, &fresh, validate_bench_rows).unwrap_err();
+        assert!(err.contains("not mergeable"), "{err}");
+        assert!(err.contains("fcn-perfbench/1"), "{err}");
+        assert_eq!(fs::read_to_string(&path).unwrap(), stale, "file untouched");
+        // A missing file merges as empty; fresh rows must validate too.
+        fs::remove_file(&path).unwrap();
+        let faults = |b: &str| validate_rows(b, FAULTS_SCHEMA);
+        let err = merge_bench_file(&path, &fresh, faults).unwrap_err();
+        assert!(err.contains("fresh rows"), "{err}");
+        assert!(!path.exists(), "nothing written");
+        let line = format!("{{\"schema\":\"{FAULTS_SCHEMA}\",\"bench\":\"a\"}}");
+        let fresh = [("a".to_string(), line.clone())];
+        merge_bench_file(&path, &fresh, faults).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), format!("{line}\n"));
     }
 
     #[test]

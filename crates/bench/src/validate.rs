@@ -21,7 +21,11 @@
 /// [`validate_bench_rows`], so a row can never be misread across benches
 /// whose `rate` semantics differ) and the `cores` field (hardware threads of
 /// the measuring host, so throughput rows are comparable across runners).
-pub const PERFBENCH_SCHEMA: &str = "fcn-perfbench/3";
+/// Version 4 keeps only the rows that gate an always-on mechanism
+/// (`route_skip_{saturated,sparse,drain}`, `telemetry_overhead`) and adds
+/// the `min_ms`/`max_ms` spread of the repetitions, enforced by
+/// [`validate_bench_rows`] as `min_ms ≤ median_ms ≤ max_ms`.
+pub const PERFBENCH_SCHEMA: &str = "fcn-perfbench/4";
 
 /// Schema tag stamped on every `faults` degraded-β row (the committed
 /// `BENCH_faults.json` curve).
@@ -69,12 +73,14 @@ pub fn validate_serve_rows(body: &str) -> Result<Vec<(String, String)>, String> 
 /// new rows into it.
 ///
 /// Every non-empty line must be a JSON object whose `schema` field equals
-/// [`PERFBENCH_SCHEMA`], whose `bench` field is a string (the row key), and
+/// [`PERFBENCH_SCHEMA`], whose `bench` field is a string (the row key),
 /// whose `unit` field is a non-empty string naming what the `rate` column
-/// measures. Returns `(bench_id, raw_line)` pairs in file order, or a
-/// message naming the offending line and how to recover.
+/// measures, and whose `min_ms`, `median_ms` and `max_ms` fields are
+/// numbers in that order. Returns `(bench_id, raw_line)` pairs in file
+/// order, or a message naming the offending row and how to recover.
 pub fn validate_bench_rows(body: &str) -> Result<Vec<(String, String)>, String> {
     let rows = validate_rows(body, PERFBENCH_SCHEMA)?;
+    let regenerate = "delete the file and re-run the binary at full scale to regenerate";
     for (bench, line) in &rows {
         let v: serde::Value = serde_json::from_str(line)
             .map_err(|e| format!("bench row {bench:?}: not valid JSON: {e}"))?;
@@ -83,10 +89,24 @@ pub fn validate_bench_rows(body: &str) -> Result<Vec<(String, String)>, String> 
             _ => {
                 return Err(format!(
                     "bench row {bench:?}: missing or empty `unit` field (required by \
-                     {PERFBENCH_SCHEMA}); delete the file and re-run the binary at full \
-                     scale to regenerate"
+                     {PERFBENCH_SCHEMA}); {regenerate}"
                 ))
             }
+        }
+        let ms = |field: &str| match serde::value_field(&v, field) {
+            Ok(serde::Value::Float(x)) => Ok(*x),
+            Ok(serde::Value::UInt(x)) => Ok(*x as f64),
+            _ => Err(format!(
+                "bench row {bench:?}: missing or non-numeric `{field}` field (required by \
+                 {PERFBENCH_SCHEMA}); {regenerate}"
+            )),
+        };
+        let (min, median, max) = (ms("min_ms")?, ms("median_ms")?, ms("max_ms")?);
+        if !(min <= median && median <= max) {
+            return Err(format!(
+                "bench row {bench:?}: spread out of order (min_ms {min} ≤ median_ms \
+                 {median} ≤ max_ms {max} does not hold); {regenerate}"
+            ));
         }
     }
     Ok(rows)
@@ -165,19 +185,41 @@ pub fn merge_bench_rows(existing: &[(String, String)], fresh: &[(String, String)
 mod tests {
     use super::*;
 
+    /// A current-schema perfbench row with the given spread.
+    fn bench_row(bench: &str, min: f64, median: f64, max: f64) -> String {
+        format!(
+            "{{\"schema\":\"{PERFBENCH_SCHEMA}\",\"bench\":\"{bench}\",\"median_ms\":{median:?},\
+             \"min_ms\":{min:?},\"max_ms\":{max:?},\"unit\":\"ratio\"}}"
+        )
+    }
+
     #[test]
     fn validate_accepts_current_schema_rows() {
         let body = format!(
-            "{{\"schema\":\"{PERFBENCH_SCHEMA}\",\"bench\":\"a\",\"median_ms\":1.0,\
-             \"unit\":\"packets/tick\"}}\n\
-             \n\
-             {{\"schema\":\"{PERFBENCH_SCHEMA}\",\"bench\":\"b\",\"median_ms\":2.0,\
-             \"unit\":\"ratio\"}}\n"
+            "{}\n\n{}\n",
+            bench_row("a", 0.5, 1.0, 1.5),
+            bench_row("b", 2.0, 2.0, 2.0)
         );
         let rows = validate_bench_rows(&body).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, "a");
         assert_eq!(rows[1].0, "b");
+    }
+
+    #[test]
+    fn validate_requires_an_ordered_spread() {
+        let err = validate_bench_rows(&bench_row("a", 1.5, 1.0, 2.0)).unwrap_err();
+        assert!(err.contains("spread out of order"), "{err}");
+        assert!(err.contains("\"a\""), "{err}");
+        let err = validate_bench_rows(&bench_row("a", 0.5, 3.0, 2.0)).unwrap_err();
+        assert!(err.contains("spread out of order"), "{err}");
+        // A /3-era row without spread fields is refused by name.
+        let body = format!(
+            "{{\"schema\":\"{PERFBENCH_SCHEMA}\",\"bench\":\"a\",\"median_ms\":1.0,\
+             \"unit\":\"ratio\"}}\n"
+        );
+        let err = validate_bench_rows(&body).unwrap_err();
+        assert!(err.contains("`min_ms`"), "{err}");
     }
 
     #[test]

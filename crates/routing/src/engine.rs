@@ -1014,13 +1014,12 @@ pub fn route_batch(
 /// * [`reference::route_batch`] is the original single-function simulator,
 ///   retained verbatim as the spec of the wire model under batch
 ///   semantics. `tests/compiled_router.rs` pins [`route_compiled`] against
-///   it across machine families and queue disciplines, and `perfbench`
-///   uses it as the pre-compilation baseline for the recorded speedup
-///   trajectory.
+///   it across machine families and queue disciplines.
 /// * [`reference::route_every_tick`] is the compiled tick loop with the
 ///   quiescent-span skip switched off: the spec for scheduled and faulted
 ///   runs, which `reference::route_batch` predates. `tests/event_router.rs`
-///   pins the skip against it.
+///   pins the skip against it, and `perfbench`'s `route_skip_*` rows time
+///   the skip against it.
 ///
 /// Not hot paths — new code should use [`route_compiled`].
 pub mod reference {
