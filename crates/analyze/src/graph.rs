@@ -1,5 +1,4 @@
-//! Phase 2 of the two-phase analysis: cross-file rules over the merged
-//! [`FileIndex`] set.
+//! Cross-file rules over the merged [`FileIndex`] set.
 //!
 //! * **LOCK-ORDER** — replays each function's event stream against the
 //!   declared `lockdep::ranks` table: every `lock_ranked` acquisition made
@@ -18,8 +17,7 @@
 //!   validator presence) and **TEL-NAME** (duplicate metric-name values),
 //!   which moved here from the per-file pass.
 //!
-//! Everything operates on [`FileIndex`] only — never on raw sources — so a
-//! cache-hit file participates in cross-file analysis at full fidelity.
+//! Everything operates on [`FileIndex`] only, never on raw sources.
 
 use std::collections::{BTreeMap, BTreeSet};
 

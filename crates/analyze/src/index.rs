@@ -1,4 +1,4 @@
-//! Phase 1 of the two-phase analysis: a lightweight per-file symbol index.
+//! A lightweight per-file symbol index for the cross-file rules.
 //!
 //! [`build_index`] walks the scrubbed code plane of one [`SourceFile`] and
 //! extracts everything the cross-file rules in [`crate::graph`] need,
@@ -7,16 +7,12 @@
 //! * function items with their enclosing `impl` type and a compact *event
 //!   stream* — brace opens/closes, ranked lock acquisitions, calls, condvar
 //!   waits, explicit `drop(var)` releases, and blocking-I/O sites — that
-//!   phase 2 replays to simulate lock nesting;
+//!   [`crate::graph`] replays to simulate lock nesting;
 //! * `LockRank::new(N, …)` constant definitions (the declared lock order);
 //! * the telemetry name table (`pub const` entries of `names.rs`) and every
 //!   `names::X` reference elsewhere;
 //! * versioned `fcn-*/N` schema-tag literals (including CI gate files);
 //! * whether the file carries a validator-shaped function.
-//!
-//! The index is also the unit of the incremental cache: it round-trips
-//! losslessly through [`crate::cache`], so a cache hit skips scrubbing and
-//! phase 1 entirely while phase 2 still sees the full workspace picture.
 
 use crate::rules::{has_prefix_token, schema_tags_in};
 use crate::source::{FileKind, SourceFile};
@@ -53,7 +49,7 @@ pub enum EventKind {
         /// `let` binding receiving the guard, when present.
         bound: Option<String>,
     },
-    /// A call that phase 2 may resolve and inline one level.
+    /// A call that the cross-file pass may resolve and inline one level.
     Call {
         /// Callee identifier as written.
         callee: String,
@@ -145,12 +141,12 @@ pub struct TagSite {
     pub line: usize,
 }
 
-/// Everything phase 2 needs to know about one file.
+/// Everything the cross-file rules need to know about one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileIndex {
     /// Workspace-relative path.
     pub path: String,
-    /// Kind derived from the path (never serialized; recomputed on load).
+    /// Kind derived from the path.
     pub kind: FileKind,
     /// Owning crate name.
     pub crate_name: String,
@@ -167,23 +163,6 @@ pub struct FileIndex {
     pub schema_tags: Vec<TagSite>,
     /// Whether any line starts a `from_*`/`validate*`/`parse*` identifier.
     pub has_validator: bool,
-}
-
-impl FileIndex {
-    /// An empty index for `path`, with kind and crate derived from it.
-    pub fn empty(path: &str) -> FileIndex {
-        FileIndex {
-            path: path.to_string(),
-            kind: crate::source::classify(path),
-            crate_name: crate::source::crate_of(path),
-            fns: Vec::new(),
-            rank_defs: Vec::new(),
-            tel_consts: Vec::new(),
-            tel_refs: Vec::new(),
-            schema_tags: Vec::new(),
-            has_validator: false,
-        }
-    }
 }
 
 /// Keywords that look like calls when followed by `(` but never are.
@@ -349,11 +328,21 @@ struct Indexer<'a> {
     link: Link,
 }
 
-/// Build the phase-1 index for one scrubbed file.
+/// Build the index for one scrubbed file.
 pub fn build_index(sf: &SourceFile) -> FileIndex {
     let mut ix = Indexer {
         sf,
-        out: FileIndex::empty(&sf.path),
+        out: FileIndex {
+            path: sf.path.clone(),
+            kind: sf.kind,
+            crate_name: sf.crate_name.clone(),
+            fns: Vec::new(),
+            rank_defs: Vec::new(),
+            tel_consts: Vec::new(),
+            tel_refs: Vec::new(),
+            schema_tags: Vec::new(),
+            has_validator: false,
+        },
         depth: 0,
         fn_stack: Vec::new(),
         impl_stack: Vec::new(),

@@ -1,9 +1,9 @@
 //! `fcn-analyze` — run the workspace invariant checker.
 //!
 //! ```text
-//! fcn-analyze [--rule ID]... [--format text|json|sarif] [--baseline PATH]
-//!             [--no-baseline] [--write-baseline] [--cache PATH]
-//!             [--root DIR] [--list] [paths…]
+//! fcn-analyze [--rule ID]... [--format text|json] [--baseline PATH]
+//!             [--no-baseline] [--write-baseline] [--root DIR] [--list]
+//!             [paths…]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 I/O or usage error (matching the
@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fcn_analyze::{analyze_workspace_cached, report, rules, walk};
+use fcn_analyze::{analyze_workspace, report, rules, walk};
 
 struct Opts {
     rules: Vec<String>,
@@ -20,21 +20,20 @@ struct Opts {
     baseline: Option<PathBuf>,
     no_baseline: bool,
     write_baseline: bool,
-    cache: Option<PathBuf>,
     root: Option<PathBuf>,
     list: bool,
     paths: Vec<String>,
 }
 
 fn usage() -> &'static str {
-    "usage: fcn-analyze [--rule ID]... [--format text|json|sarif] [--baseline PATH]\n\
-     \x20                  [--no-baseline] [--write-baseline] [--cache PATH]\n\
-     \x20                  [--root DIR] [--list] [paths...]\n\
+    "usage: fcn-analyze [--rule ID]... [--format text|json] [--baseline PATH]\n\
+     \x20                  [--no-baseline] [--write-baseline] [--root DIR]\n\
+     \x20                  [--list] [paths...]\n\
      \n\
-     Checks the workspace against the determinism/error-typing/schema rules.\n\
+     Checks the workspace against the determinism/error-typing/schema rules\n\
+     that the compiler and clippy cannot hold (see --list).\n\
      Suppress one finding with `// fcn-allow: RULE-ID reason` on or above the\n\
-     offending line. `--cache PATH` reuses per-file results for unchanged\n\
-     files (cross-file rules always rerun; output is identical either way).\n\
+     offending line.\n\
      Exit codes: 0 clean, 1 findings, 2 I/O or usage error."
 }
 
@@ -45,7 +44,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         baseline: None,
         no_baseline: false,
         write_baseline: false,
-        cache: None,
         root: None,
         list: false,
         paths: Vec::new(),
@@ -63,9 +61,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 o.rules.push(id);
             }
             "--format" => {
-                let f = it.next().ok_or("--format needs text|json|sarif")?.clone();
-                if f != "text" && f != "json" && f != "sarif" {
-                    return Err(format!("unknown format `{f}` (want text|json|sarif)"));
+                let f = it.next().ok_or("--format needs text|json")?.clone();
+                if f != "text" && f != "json" {
+                    return Err(format!("unknown format `{f}` (want text|json)"));
                 }
                 o.format = f;
             }
@@ -74,9 +72,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             }
             "--no-baseline" => o.no_baseline = true,
             "--write-baseline" => o.write_baseline = true,
-            "--cache" => {
-                o.cache = Some(PathBuf::from(it.next().ok_or("--cache needs a path")?));
-            }
             "--root" => {
                 o.root = Some(PathBuf::from(it.next().ok_or("--root needs a dir")?));
             }
@@ -144,13 +139,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let analysis = match analyze_workspace_cached(
-        &root,
-        &opts.paths,
-        &opts.rules,
-        &baseline,
-        opts.cache.as_deref(),
-    ) {
+    let analysis = match analyze_workspace(&root, &opts.paths, &opts.rules, &baseline) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("fcn-analyze: scanning {}: {e}", root.display());
@@ -179,14 +168,6 @@ fn main() -> ExitCode {
             // same discipline the BENCH writers follow.
             if let Err(e) = report::validate_report(&text) {
                 eprintln!("fcn-analyze: internal error: emitted invalid report: {e}");
-                return ExitCode::from(2);
-            }
-            print!("{text}");
-        }
-        "sarif" => {
-            let text = report::render_sarif(&analysis.findings);
-            if let Err(e) = report::validate_sarif(&text) {
-                eprintln!("fcn-analyze: internal error: emitted invalid SARIF: {e}");
                 return ExitCode::from(2);
             }
             print!("{text}");

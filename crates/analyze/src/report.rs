@@ -18,7 +18,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id, e.g. `DET-HASH`.
+    /// Rule id, e.g. `ERR-UNWRAP`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -53,7 +53,7 @@ pub fn parse_baseline(text: &str) -> Vec<String> {
 /// Occurrence-indexed baseline keys for a `(path, line)`-ordered finding
 /// slice: the first occurrence of a `(path, rule, message)` triple keeps
 /// the plain [`Finding::baseline_key`]; the k-th repeat (same message on
-/// another line — e.g. two identical `HashMap` imports) gets ` (#k)`
+/// another line — e.g. two identical `unwrap()` calls) gets ` (#k)`
 /// appended. Without the index, one baseline entry would silently swallow
 /// every later identical finding in the same file.
 pub fn occurrence_keys(findings: &[Finding]) -> Vec<String> {
@@ -201,88 +201,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     }
 }
 
-/// Render the findings as a SARIF 2.1.0 log (single run, one result per
-/// finding, rule metadata from the analyzer's rule table sorted by id).
-/// Deterministic: equal inputs produce identical bytes, which is what lets
-/// CI `cmp` a cached run against a cold one.
-pub fn render_sarif(findings: &[Finding]) -> String {
-    let mut rules: Vec<(&str, &str)> = crate::rules::RULES.to_vec();
-    rules.sort();
-    let mut out = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"fcn-analyze\",\"version\":\"",
-    );
-    out.push_str(env!("CARGO_PKG_VERSION"));
-    out.push_str("\",\"rules\":[");
-    for (i, (id, why)) in rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            esc(id),
-            esc(why)
-        );
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let rule_index = rules
-            .iter()
-            .position(|(id, _)| *id == f.rule)
-            .unwrap_or(usize::MAX);
-        let _ = write!(
-            out,
-            "{{\"ruleId\":\"{}\",\"ruleIndex\":{rule_index},\"level\":\"error\",\
-             \"message\":{{\"text\":\"{}\"}},\"locations\":[{{\"physicalLocation\":\
-             {{\"artifactLocation\":{{\"uri\":\"{}\"}},\"region\":{{\"startLine\":{}}}}}}}]}}",
-            esc(f.rule),
-            esc(&f.message),
-            esc(&f.path),
-            f.line
-        );
-    }
-    out.push_str("]}]}\n");
-    out
-}
-
-/// Validate a SARIF log against the 2.1.0 required shape this emitter
-/// produces: version, one run with a named tool driver and rule table, and
-/// per-result ruleId/message/location fields in matching numbers.
-pub fn validate_sarif(text: &str) -> Result<(), String> {
-    if !text.contains("\"version\":\"2.1.0\"") {
-        return Err("missing required `version: 2.1.0`".to_string());
-    }
-    if !text.contains("\"runs\":[") {
-        return Err("missing required `runs` array".to_string());
-    }
-    if !text.contains("\"driver\":{\"name\":\"fcn-analyze\"") {
-        return Err("missing required tool.driver.name".to_string());
-    }
-    if !text.contains("\"rules\":[{\"id\":") {
-        return Err("missing tool.driver.rules table".to_string());
-    }
-    let results = text.matches("\"ruleId\":").count();
-    for (key, what) in [
-        ("\"message\":{\"text\":", "message.text"),
-        ("\"artifactLocation\":{\"uri\":", "artifactLocation.uri"),
-        ("\"startLine\":", "region.startLine"),
-    ] {
-        let got = text.matches(key).count();
-        if got != results {
-            return Err(format!(
-                "{results} results but {got} `{what}` fields: every result needs \
-                 ruleId, message.text, and a physical location"
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn extract_usize(line: &str, key: &str) -> Option<usize> {
     let at = line.find(key)? + key.len();
     let rest = &line[at..];
@@ -304,8 +222,8 @@ mod tests {
             Finding {
                 path: "crates/x/src/lib.rs".into(),
                 line: 3,
-                rule: "DET-TIME",
-                message: "wall clock in simulation path".into(),
+                rule: "DET-RNG",
+                message: "entropy-seeded rng in simulation path".into(),
             },
             Finding {
                 path: "crates/y/src/a.rs".into(),
@@ -364,7 +282,7 @@ mod tests {
         let body = render_baseline(&sample());
         let keys = parse_baseline(&body);
         assert_eq!(keys.len(), 2);
-        assert!(keys[0].contains("[DET-TIME]"));
+        assert!(keys[0].contains("[DET-RNG]"));
     }
 
     #[test]
@@ -380,23 +298,5 @@ mod tests {
         // a baseline written from these findings masks each exactly once
         let body = render_baseline(&fs);
         assert_eq!(parse_baseline(&body).len(), 3);
-    }
-
-    #[test]
-    fn sarif_log_validates_and_is_deterministic() {
-        let text = render_sarif(&sample());
-        validate_sarif(&text).expect("self-emitted SARIF validates");
-        assert_eq!(text, render_sarif(&sample()), "byte-stable");
-        assert!(text.contains("\"version\":\"2.1.0\""));
-        assert!(text.contains("\"ruleId\":\"DET-TIME\""));
-        assert!(text.contains("\"uri\":\"crates/x/src/lib.rs\""));
-        assert!(text.contains("\"startLine\":3"));
-    }
-
-    #[test]
-    fn sarif_validator_rejects_broken_logs() {
-        let good = render_sarif(&sample());
-        assert!(validate_sarif(&good.replace("2.1.0", "2.0.0")).is_err());
-        assert!(validate_sarif(&good.replacen("\"startLine\":", "\"line\":", 1)).is_err());
     }
 }

@@ -1,60 +1,32 @@
-//! The rule set: thirteen invariant checks (nine per-file, four cross-file).
+//! The rule set: ten invariant checks (six per-file, four cross-file).
 //!
 //! | id | invariant it pins |
 //! |----|-------------------|
-//! | `DET-HASH`   | no hash-ordered containers in simulation crates |
-//! | `DET-TIME`   | wall clock only in allowlisted measurement files |
 //! | `DET-RNG`    | all randomness flows from explicit seeds |
 //! | `ERR-UNWRAP` | no `unwrap`/`expect`/`panic!` in library code |
 //! | `SCHEMA-TAG` | every JSON emitter stamps a versioned `fcn-*/N` tag |
 //! | `TEL-NAME`   | telemetry metric names come from one const table |
 //! | `ATOMIC-DOC` | every atomic `Ordering::` carries a justification |
 //! | `SERVE-DEADLINE` | service-crate sockets speak only through the framed I/O layer |
-//! | `CHAOS-SEED` | wire-fault injection lives only in the seeded ChaosPlan path |
 //! | `LOCK-ORDER` | `lock_ranked` nesting follows the declared lockdep rank order |
 //! | `TEL-DEAD`   | every telemetry name is recorded somewhere, every record site named |
 //! | `SCHEMA-DRIFT` | emitter, validator, and CI gate agree on every tag's version |
 //! | `BLOCKING-IN-HANDLER` | no blocking I/O reachable from fcn-serve handlers |
 //!
+//! Wall-clock reads and hash-ordered collections are not rules here:
+//! `clippy.toml` bans them in every workspace crate.
+//!
 //! Per-file rules run over the scrubbed planes of [`SourceFile`]; matches
 //! inside strings, comments, and `#[cfg(test)]` regions never fire (except
 //! where a rule explicitly reads the string or comment plane). The four
-//! cross-file rules live in [`crate::graph`] and run over the phase-1
+//! cross-file rules live in [`crate::graph`] and run over the
 //! [`crate::index::FileIndex`] set.
 
 use crate::report::Finding;
 use crate::source::{FileKind, SourceFile};
 
-/// Crates whose code runs *inside* the simulation: any nondeterminism here
-/// changes table bytes.
-pub const SIM_CRATES: &[&str] = &[
-    "topology",
-    "routing",
-    "bandwidth",
-    "core",
-    "faults",
-    "multigraph",
-];
-
-/// Files allowed to read the wall clock: the measurement harness itself.
-pub const TIME_ALLOWLIST: &[&str] = &[
-    // span timers are wall-clock by definition and are stripped from
-    // determinism comparisons by `MetricsSnapshot::without_wall_clock`
-    "crates/telemetry/src/span.rs",
-    // pool busy/idle accounting + the watchdog deadline
-    "crates/exec/src/lib.rs",
-];
-
 /// All rule ids with one-line rationales (drives `--list` and the docs).
 pub const RULES: &[(&str, &str)] = &[
-    (
-        "DET-HASH",
-        "no HashMap/HashSet in simulation crates: hash iteration order is nondeterministic",
-    ),
-    (
-        "DET-TIME",
-        "Instant::now/SystemTime/thread::sleep only in allowlisted measurement files",
-    ),
     (
         "DET-RNG",
         "no entropy-seeded RNG: all randomness must flow from explicit seed parameters",
@@ -80,12 +52,6 @@ pub const RULES: &[(&str, &str)] = &[
         "raw socket reads/writes in fcn-serve only inside the framed I/O layer (io.rs): \
          every other path must go through FramedConn so no request can outlive its \
          deadline or wedge a drain on a stalled peer",
-    ),
-    (
-        "CHAOS-SEED",
-        "fault injection in fcn-serve is handled only by the seeded ChaosPlan path \
-         (chaos.rs deciding, io.rs applying): a ChaosAction constructed or matched \
-         anywhere else is an injection site the differential pin cannot replay",
     ),
     (
         "LOCK-ORDER",
@@ -117,10 +83,6 @@ pub const RULES: &[(&str, &str)] = &[
 /// The one file in fcn-serve allowed to call raw socket reads/writes: the
 /// deadline-wrapping framed I/O layer itself.
 pub const SERVE_IO_ALLOWLIST: &[&str] = &["crates/serve/src/io.rs"];
-
-/// The two files that make up the seeded wire-chaos path: the plan that
-/// decides each fault and the framed I/O layer that applies it.
-pub const CHAOS_SEED_ALLOWLIST: &[&str] = &["crates/serve/src/chaos.rs", "crates/serve/src/io.rs"];
 
 /// True if `id` names a known rule.
 pub fn known_rule(id: &str) -> bool {
@@ -174,69 +136,29 @@ pub(crate) fn has_prefix_token(code: &str, pat: &str) -> bool {
     false
 }
 
-fn finding(sf: &SourceFile, line: usize, rule: &'static str, message: String) -> Finding {
-    Finding {
-        path: sf.path.clone(),
-        line,
-        rule,
-        message,
-    }
-}
-
-/// DET-HASH: hash-ordered containers inside simulation crates.
-fn det_hash(sf: &SourceFile, out: &mut Vec<Finding>) {
-    if sf.kind != FileKind::Lib || !SIM_CRATES.contains(&sf.crate_name.as_str()) {
-        return;
-    }
+/// Push one `rule` finding for each line whose code plane holds any of
+/// `pats`, worded by `message` for the first pattern that hits. Lines in
+/// test regions are skipped unless `in_tests`.
+fn flag_lines(
+    sf: &SourceFile,
+    rule: &'static str,
+    pats: &[&str],
+    in_tests: bool,
+    message: impl Fn(&str) -> String,
+    out: &mut Vec<Finding>,
+) {
     for (i, line) in sf.lines.iter().enumerate() {
         let ln = i + 1;
-        if sf.is_test_line(ln) {
+        if !in_tests && sf.is_test_line(ln) {
             continue;
         }
-        for pat in ["HashMap", "HashSet", "hash_map", "hash_set"] {
-            if !token_hits(&line.code, pat).is_empty() {
-                out.push(finding(
-                    sf,
-                    ln,
-                    "DET-HASH",
-                    format!(
-                        "`{pat}` in simulation crate `{}`: hash iteration order is \
-                         nondeterministic; use BTreeMap/BTreeSet or a documented sort",
-                        sf.crate_name
-                    ),
-                ));
-                break; // one finding per line
-            }
-        }
-    }
-}
-
-/// DET-TIME: wall-clock reads outside the measurement allowlist.
-fn det_time(sf: &SourceFile, out: &mut Vec<Finding>) {
-    if sf.kind == FileKind::Test || sf.kind == FileKind::Bench {
-        return;
-    }
-    if sf.crate_name == "bench" || TIME_ALLOWLIST.contains(&sf.path.as_str()) {
-        return;
-    }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        for pat in ["Instant::now", "SystemTime", "thread::sleep"] {
-            if !token_hits(&line.code, pat).is_empty() {
-                out.push(finding(
-                    sf,
-                    ln,
-                    "DET-TIME",
-                    format!(
-                        "`{pat}` outside the measurement allowlist: simulation output \
-                         must not depend on the wall clock"
-                    ),
-                ));
-                break;
-            }
+        if let Some(pat) = pats.iter().find(|p| !token_hits(&line.code, p).is_empty()) {
+            out.push(Finding {
+                path: sf.path.clone(),
+                line: ln,
+                rule,
+                message: message(pat),
+            });
         }
     }
 }
@@ -244,30 +166,27 @@ fn det_time(sf: &SourceFile, out: &mut Vec<Finding>) {
 /// DET-RNG: entropy-seeded randomness anywhere (tests included — the
 /// reproducibility contract covers them too).
 fn det_rng(sf: &SourceFile, out: &mut Vec<Finding>) {
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        for pat in [
-            "thread_rng",
-            "from_entropy",
-            "from_os_rng",
-            "OsRng",
-            "rand::random",
-            "RandomState",
-        ] {
-            if !token_hits(&line.code, pat).is_empty() {
-                out.push(finding(
-                    sf,
-                    ln,
-                    "DET-RNG",
-                    format!(
-                        "`{pat}` is entropy-seeded: all randomness must flow from \
-                         job_seed/retry_seed or an explicit seed parameter"
-                    ),
-                ));
-                break;
-            }
-        }
-    }
+    let pats = [
+        "thread_rng",
+        "from_entropy",
+        "from_os_rng",
+        "OsRng",
+        "rand::random",
+        "RandomState",
+    ];
+    flag_lines(
+        sf,
+        "DET-RNG",
+        &pats,
+        true,
+        |pat| {
+            format!(
+                "`{pat}` is entropy-seeded: all randomness must flow from \
+                 job_seed/retry_seed or an explicit seed parameter"
+            )
+        },
+        out,
+    );
 }
 
 /// ERR-UNWRAP: panicking escape hatches in non-test library code.
@@ -275,27 +194,21 @@ fn err_unwrap(sf: &SourceFile, out: &mut Vec<Finding>) {
     if sf.kind != FileKind::Lib {
         return;
     }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        for pat in [".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!"] {
-            if !token_hits(&line.code, pat).is_empty() {
-                out.push(finding(
-                    sf,
-                    ln,
-                    "ERR-UNWRAP",
-                    format!(
-                        "`{}` in library code: return the crate's typed error \
-                         (CmdError/RouteError convention) instead of panicking",
-                        pat.trim_start_matches('.')
-                    ),
-                ));
-                break;
-            }
-        }
-    }
+    let pats = [".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!"];
+    flag_lines(
+        sf,
+        "ERR-UNWRAP",
+        &pats,
+        false,
+        |pat| {
+            format!(
+                "`{}` in library code: return the crate's typed error \
+                 (CmdError/RouteError convention) instead of panicking",
+                pat.trim_start_matches('.')
+            )
+        },
+        out,
+    );
 }
 
 /// The `fcn-xyz/N` schema-tag pattern, scanned over the string plane.
@@ -345,25 +258,18 @@ fn schema_tag_file(sf: &SourceFile, out: &mut Vec<Finding>) {
     if has_tag {
         return;
     }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        for pat in ["serde_json::to_string", "to_writer("] {
-            if !token_hits(&line.code, pat).is_empty() {
-                out.push(finding(
-                    sf,
-                    ln,
-                    "SCHEMA-TAG",
-                    "serde_json emitter in a file with no versioned `fcn-*/N` schema \
-                     tag: stamp the payload and validate it on read"
-                        .to_string(),
-                ));
-                break;
-            }
-        }
-    }
+    flag_lines(
+        sf,
+        "SCHEMA-TAG",
+        &["serde_json::to_string", "to_writer("],
+        false,
+        |_| {
+            "serde_json emitter in a file with no versioned `fcn-*/N` schema \
+             tag: stamp the payload and validate it on read"
+                .to_string()
+        },
+        out,
+    );
 }
 
 /// TEL-NAME, per-file half: string literals fed straight into telemetry
@@ -375,38 +281,32 @@ fn tel_name(sf: &SourceFile, out: &mut Vec<Finding>) {
     if sf.path == "crates/telemetry/src/names.rs" {
         return; // the table itself
     }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        for pat in [
-            ".add(\"",
-            ".inc(\"",
-            ".record(\"",
-            ".set_gauge(\"",
-            ".record_histogram(\"",
-            ".record_span(\"",
-            ".counter(\"",
-            ".gauge(\"",
-            ".histogram(\"",
-            "Span::enter(\"",
-        ] {
-            if !token_hits(&line.code, pat).is_empty() {
-                out.push(finding(
-                    sf,
-                    ln,
-                    "TEL-NAME",
-                    format!(
-                        "metric name passed as a string literal to `{}`: use a const \
-                         from fcn_telemetry::names so names cannot drift",
-                        pat.trim_end_matches('"')
-                    ),
-                ));
-                break;
-            }
-        }
-    }
+    let pats = [
+        ".add(\"",
+        ".inc(\"",
+        ".record(\"",
+        ".set_gauge(\"",
+        ".record_histogram(\"",
+        ".record_span(\"",
+        ".counter(\"",
+        ".gauge(\"",
+        ".histogram(\"",
+        "Span::enter(\"",
+    ];
+    flag_lines(
+        sf,
+        "TEL-NAME",
+        &pats,
+        false,
+        |pat| {
+            format!(
+                "metric name passed as a string literal to `{}`: use a const \
+                 from fcn_telemetry::names so names cannot drift",
+                pat.trim_end_matches('"')
+            )
+        },
+        out,
+    );
 }
 
 /// ATOMIC-DOC: atomic orderings without an `// ordering:` justification.
@@ -435,30 +335,26 @@ fn atomic_doc(sf: &SourceFile, out: &mut Vec<Finding>) {
         if sf.is_test_line(ln) {
             continue;
         }
-        let mut which = None;
-        for pat in [
+        let pats = [
             "Ordering::Relaxed",
             "Ordering::Acquire",
             "Ordering::Release",
             "Ordering::AcqRel",
             "Ordering::SeqCst",
-        ] {
-            if !token_hits(&line.code, pat).is_empty() {
-                which = Some(pat);
-                break;
-            }
-        }
-        let Some(pat) = which else { continue };
+        ];
+        let Some(pat) = pats.iter().find(|p| !token_hits(&line.code, p).is_empty()) else {
+            continue;
+        };
         if !covered {
-            out.push(finding(
-                sf,
-                ln,
-                "ATOMIC-DOC",
-                format!(
+            out.push(Finding {
+                path: sf.path.clone(),
+                line: ln,
+                rule: "ATOMIC-DOC",
+                message: format!(
                     "`{pat}` without an `// ordering:` justification comment \
                      heading its paragraph (same contiguous non-blank block)"
                 ),
-            ));
+            });
         }
     }
 }
@@ -470,6 +366,8 @@ fn atomic_doc(sf: &SourceFile, out: &mut Vec<Finding>) {
 /// write runs under a timeout, and *that* holds only while all socket
 /// traffic funnels through `FramedConn` in `io.rs`. A bare `.read(` /
 /// `.write_all(` anywhere else is a path a stalled peer can wedge forever.
+/// BLOCKING-IN-HANDLER does not cover these: it sees only path-qualified
+/// calls (`fs::read_to_string`, `TcpStream::connect`), never method calls.
 fn serve_deadline(sf: &SourceFile, out: &mut Vec<Finding>) {
     if sf.kind != FileKind::Lib || sf.crate_name != "serve" {
         return;
@@ -477,97 +375,41 @@ fn serve_deadline(sf: &SourceFile, out: &mut Vec<Finding>) {
     if SERVE_IO_ALLOWLIST.contains(&sf.path.as_str()) {
         return;
     }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        for pat in [
-            ".read(",
-            ".read_exact(",
-            ".read_to_end(",
-            ".write(",
-            ".write_all(",
-            ".flush(",
-        ] {
-            if !token_hits(&line.code, pat).is_empty() {
-                out.push(finding(
-                    sf,
-                    ln,
-                    "SERVE-DEADLINE",
-                    format!(
-                        "raw socket call `{}` outside the framed I/O layer: route it \
-                         through FramedConn (crates/serve/src/io.rs) so the read polls \
-                         the stop flag and the write runs under a timeout",
-                        pat.trim_start_matches('.')
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-}
-
-/// CHAOS-SEED: chaos actions handled outside the seeded plan path. The
-/// differential chaos pin (retrying client vs chaos daemon is byte-identical
-/// to a clean run) holds because every injected fault is a pure function of
-/// (seed, rates, connection, frame) — decided in `chaos.rs`, applied in
-/// `io.rs`, nowhere else. Any other site constructing or matching a
-/// `ChaosAction` is an ad-hoc injection point the plan cannot account for,
-/// which silently unpins the replay. Imports/re-exports don't inject and
-/// are exempt.
-fn chaos_seed(sf: &SourceFile, out: &mut Vec<Finding>) {
-    if sf.kind != FileKind::Lib || sf.crate_name != "serve" {
-        return;
-    }
-    if CHAOS_SEED_ALLOWLIST.contains(&sf.path.as_str()) {
-        return;
-    }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        let code = line.code.trim_start();
-        if code.starts_with("use ") || code.starts_with("pub use ") {
-            continue;
-        }
-        if !token_hits(&line.code, "ChaosAction").is_empty() {
-            out.push(finding(
-                sf,
-                ln,
-                "CHAOS-SEED",
-                "`ChaosAction` handled outside the seeded chaos path (chaos.rs / \
-                 io.rs): route all fault injection through ChaosPlan so the \
-                 differential replay pin stays sound"
-                    .to_string(),
-            ));
-        }
-    }
+    let pats = [
+        ".read(",
+        ".read_exact(",
+        ".read_to_end(",
+        ".write(",
+        ".write_all(",
+        ".flush(",
+    ];
+    flag_lines(
+        sf,
+        "SERVE-DEADLINE",
+        &pats,
+        false,
+        |pat| {
+            format!(
+                "raw socket call `{}` outside the framed I/O layer: route it \
+                 through FramedConn (crates/serve/src/io.rs) so the read polls \
+                 the stop flag and the write runs under a timeout",
+                pat.trim_start_matches('.')
+            )
+        },
+        out,
+    );
 }
 
 /// Run every per-file rule over `sf`.
 pub fn check_file(sf: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    det_hash(sf, &mut out);
-    det_time(sf, &mut out);
     det_rng(sf, &mut out);
     err_unwrap(sf, &mut out);
     schema_tag_file(sf, &mut out);
     tel_name(sf, &mut out);
     atomic_doc(sf, &mut out);
     serve_deadline(sf, &mut out);
-    chaos_seed(sf, &mut out);
     out
-}
-
-/// Cross-file checks now run in [`crate::graph::check_workspace`] over the
-/// phase-1 index; this thin wrapper keeps the historical entry point for
-/// callers holding parsed sources.
-pub fn check_workspace(files: &[SourceFile]) -> Vec<Finding> {
-    let indexes: Vec<crate::index::FileIndex> =
-        files.iter().map(crate::index::build_index).collect();
-    crate::graph::check_workspace(&indexes)
 }
 
 #[cfg(test)]

@@ -56,8 +56,6 @@ pub struct Suppression {
     pub rule: String,
     /// Free-text justification (must be non-empty to count).
     pub reason: String,
-    /// Set by the analyzer when the suppression actually masked a finding.
-    pub used: std::cell::Cell<bool>,
 }
 
 /// A fully scrubbed and classified source file.
@@ -112,15 +110,12 @@ impl SourceFile {
         self.kind == FileKind::Test || self.test_lines.get(line - 1).copied().unwrap_or(false)
     }
 
-    /// Does an `fcn-allow` for `rule` cover 1-based `line`? Marks it used.
-    pub fn suppressed(&self, rule: &str, line: usize) -> bool {
-        for s in &self.suppressions {
-            if s.rule == rule && (s.line == line || s.line + 1 == line) {
-                s.used.set(true);
-                return true;
-            }
-        }
-        false
+    /// Does an `fcn-allow` for `rule` with a non-empty reason cover 1-based
+    /// `line` (the comment's own line or the one below it)?
+    pub fn suppresses(&self, rule: &str, line: usize) -> bool {
+        self.suppressions.iter().any(|s| {
+            !s.reason.is_empty() && s.rule == rule && (s.line == line || s.line + 1 == line)
+        })
     }
 }
 
@@ -449,7 +444,6 @@ fn collect_suppressions(lines: &[ScrubbedLine]) -> Vec<Suppression> {
                     line: ln + 1,
                     rule,
                     reason,
-                    used: std::cell::Cell::new(false),
                 });
             }
         }
@@ -505,12 +499,20 @@ mod tests {
 
     #[test]
     fn suppression_covers_same_and_next_line() {
-        let src = "// fcn-allow: DET-TIME bench timing\nlet t = 1;\nlet u = 2;\n";
+        let src = "// fcn-allow: ERR-UNWRAP caller checked Some\nlet t = 1;\nlet u = 2;\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.suppressed("DET-TIME", 1));
-        assert!(f.suppressed("DET-TIME", 2));
-        assert!(!f.suppressed("DET-TIME", 3));
-        assert!(!f.suppressed("DET-HASH", 2));
+        assert!(f.suppresses("ERR-UNWRAP", 1));
+        assert!(f.suppresses("ERR-UNWRAP", 2));
+        assert!(!f.suppresses("ERR-UNWRAP", 3));
+        assert!(!f.suppresses("DET-RNG", 2));
+        let bare = SourceFile::parse(
+            "crates/x/src/lib.rs",
+            "// fcn-allow: ERR-UNWRAP\nlet t = 1;\n",
+        );
+        assert!(
+            !bare.suppresses("ERR-UNWRAP", 2),
+            "an empty reason masks nothing"
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Everything here runs the real binary (`CARGO_BIN_EXE_fcn-analyze`)
 //! against throwaway scratch workspaces, pinning the parts of the tool
 //! that CI and editor integrations script against: the 0/1/2 exit-code
-//! contract, `--rule` filtering, the sorted `--list` table, SARIF output,
-//! and cold-vs-cached byte identity.
+//! contract, `--rule` filtering, the sorted `--list` table, a failing
+//! fixture for every rule, and the baseline round trip.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -88,11 +88,11 @@ fn findings_exit_one() {
     let s = Scratch::new("findings");
     s.write(
         "crates/routing/src/bad.rs",
-        "use std::collections::HashMap;\n",
+        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
     );
     let out = s.run(&[]);
     assert_eq!(code(&out), 1);
-    assert!(stdout(&out).contains("[DET-HASH]"));
+    assert!(stdout(&out).contains("[ERR-UNWRAP]"));
     assert!(stdout(&out).contains("crates/routing/src/bad.rs:1"));
 }
 
@@ -111,22 +111,22 @@ fn rule_filter_limits_findings_and_exit() {
     let s = Scratch::new("filter");
     s.write(
         "crates/routing/src/bad.rs",
-        "use std::collections::HashMap;\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        "pub fn g() { let _r = rand::thread_rng(); }\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
     );
     let all = s.run(&[]);
     assert_eq!(code(&all), 1);
-    assert!(stdout(&all).contains("[DET-HASH]"));
+    assert!(stdout(&all).contains("[DET-RNG]"));
     assert!(stdout(&all).contains("[ERR-UNWRAP]"));
 
-    let only_hash = s.run(&["--rule", "DET-HASH"]);
-    assert_eq!(code(&only_hash), 1);
-    assert!(stdout(&only_hash).contains("[DET-HASH]"));
-    assert!(!stdout(&only_hash).contains("[ERR-UNWRAP]"));
+    let only_rng = s.run(&["--rule", "DET-RNG"]);
+    assert_eq!(code(&only_rng), 1);
+    assert!(stdout(&only_rng).contains("[DET-RNG]"));
+    assert!(!stdout(&only_rng).contains("[ERR-UNWRAP]"));
 
     // Filtering to a rule this tree never violates is a clean run.
-    let only_time = s.run(&["--rule", "DET-TIME"]);
-    assert_eq!(code(&only_time), 0);
-    assert_eq!(stdout(&only_time), "");
+    let only_atomic = s.run(&["--rule", "ATOMIC-DOC"]);
+    assert_eq!(code(&only_atomic), 0);
+    assert_eq!(stdout(&only_atomic), "");
 }
 
 // ----------------------------------------------------------------- --list
@@ -143,10 +143,7 @@ fn list_is_sorted_and_pins_the_rule_table() {
     let expected = vec![
         "ATOMIC-DOC",
         "BLOCKING-IN-HANDLER",
-        "CHAOS-SEED",
-        "DET-HASH",
         "DET-RNG",
-        "DET-TIME",
         "ERR-UNWRAP",
         "LOCK-ORDER",
         "SCHEMA-DRIFT",
@@ -161,6 +158,117 @@ fn list_is_sorted_and_pins_the_rule_table() {
             line.split_whitespace().count() > 1,
             "every rule carries a one-line summary: {line:?}"
         );
+    }
+}
+
+// ------------------------------------------------------------ every rule
+
+/// One seeded violation per rule: the files of a scratch tree on which
+/// `--rule ID` must exit 1 and print `[ID]`.
+const SEEDED: &[(&str, &[(&str, &str)])] = &[
+    (
+        "ATOMIC-DOC",
+        &[(
+            "crates/core/src/bad.rs",
+            "pub fn f(a: &AtomicUsize) { a.fetch_add(1, Ordering::Relaxed); }\n",
+        )],
+    ),
+    (
+        "BLOCKING-IN-HANDLER",
+        &[(
+            "crates/serve/src/server.rs",
+            "fn handle_frame(p: &str) { let t = fs::read_to_string(p); }\n",
+        )],
+    ),
+    (
+        "DET-RNG",
+        &[(
+            "crates/core/src/bad.rs",
+            "pub fn f() { let _r = rand::thread_rng(); }\n",
+        )],
+    ),
+    (
+        "ERR-UNWRAP",
+        &[(
+            "crates/core/src/lib.rs",
+            "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        )],
+    ),
+    (
+        "LOCK-ORDER",
+        &[
+            ("crates/telemetry/src/lockdep.rs", RANKS_FIXTURE),
+            (
+                "crates/serve/src/bad.rs",
+                "pub fn inverted(r: &M, a: &M) {\n    let g = lock_ranked(r, ranks::SERVE_REGISTRY);\n    let h = lock_ranked(a, ranks::SERVE_ADMISSION);\n}\n",
+            ),
+        ],
+    ),
+    (
+        "SCHEMA-DRIFT",
+        &[
+            (
+                "crates/x/src/lib.rs",
+                "pub const S: &str = \"fcn-demo/2\";\nfn validate_s() {}\n",
+            ),
+            (
+                "crates/y/src/lib.rs",
+                "fn emit() { let t = \"fcn-demo/1\"; }\nfn from_t() {}\n",
+            ),
+        ],
+    ),
+    (
+        "SCHEMA-TAG",
+        &[(
+            "crates/core/src/bad.rs",
+            "pub fn emit(v: &u32) -> String { serde_json::to_string(v).unwrap_or_default() }\n",
+        )],
+    ),
+    (
+        "SERVE-DEADLINE",
+        &[(
+            "crates/serve/src/bad.rs",
+            "pub fn f(s: &mut TcpStream, buf: &mut [u8]) { s.read(buf).ok(); }\n",
+        )],
+    ),
+    (
+        "TEL-DEAD",
+        &[(
+            "crates/telemetry/src/names.rs",
+            "pub const DEAD: &str = \"dead_total\";\n",
+        )],
+    ),
+    (
+        "TEL-NAME",
+        &[(
+            "crates/core/src/bad.rs",
+            "pub fn f(t: &Telemetry) { t.inc(\"router.batches\", 1); }\n",
+        )],
+    ),
+];
+
+#[test]
+fn every_rule_fails_on_its_seeded_fixture() {
+    let mut seeded: Vec<&str> = SEEDED.iter().map(|(id, _)| *id).collect();
+    let mut declared: Vec<&str> = fcn_analyze::rules::RULES
+        .iter()
+        .map(|(id, _)| *id)
+        .collect();
+    seeded.sort();
+    declared.sort();
+    assert_eq!(
+        seeded, declared,
+        "every rule needs exactly one seeded fixture"
+    );
+
+    for (id, files) in SEEDED {
+        let s = Scratch::new(&id.to_lowercase());
+        for (path, text) in *files {
+            s.write(path, text);
+        }
+        let out = s.run(&["--rule", id]);
+        assert_eq!(code(&out), 1, "{id}: stdout {}", stdout(&out));
+        assert!(stdout(&out).contains(&format!("[{id}]")), "{id}");
     }
 }
 
@@ -195,70 +303,6 @@ fn seeded_lock_order_violation_exits_one() {
     assert_eq!(code(&s.run(&["--rule", "LOCK-ORDER"])), 0);
 }
 
-// ------------------------------------------------------------------ SARIF
-
-#[test]
-fn sarif_output_validates_and_carries_findings() {
-    let s = Scratch::new("sarif");
-    s.write(
-        "crates/routing/src/bad.rs",
-        "use std::collections::HashMap;\n",
-    );
-    let out = s.run(&["--format", "sarif"]);
-    assert_eq!(code(&out), 1, "SARIF format keeps the exit contract");
-    let text = stdout(&out);
-    fcn_analyze::report::validate_sarif(&text).expect("emitted SARIF validates");
-    assert!(text.contains("\"ruleId\":\"DET-HASH\""));
-    assert!(text.contains("\"uri\":\"crates/routing/src/bad.rs\""));
-    assert!(text.contains("\"startLine\":1"));
-
-    // A clean tree still emits a valid (empty-results) log, exit 0.
-    let s2 = Scratch::new("sarif-clean");
-    s2.write("crates/routing/src/ok.rs", "pub fn f() {}\n");
-    let out2 = s2.run(&["--format", "sarif"]);
-    assert_eq!(code(&out2), 0);
-    fcn_analyze::report::validate_sarif(&stdout(&out2)).expect("clean SARIF validates");
-    assert!(stdout(&out2).contains("\"results\":[]"));
-}
-
-// ------------------------------------------------------------------ cache
-
-#[test]
-fn cache_is_transparent_and_invalidates_on_edit() {
-    let s = Scratch::new("cache");
-    s.write(
-        "crates/routing/src/bad.rs",
-        "use std::collections::HashMap;\n",
-    );
-    s.write("crates/routing/src/ok.rs", "pub fn f() {}\n");
-    let cache = s.root.join("analysis.cache");
-    let cache_arg = cache.to_str().expect("utf8 path");
-
-    let cold = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&cold), 1);
-    assert!(cache.exists(), "cache file written");
-
-    let warm = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&warm), 1);
-    assert_eq!(
-        stdout(&cold),
-        stdout(&warm),
-        "cold and cached runs must be byte-identical"
-    );
-
-    // Editing the file changes its hash: the stale artifact must not replay.
-    s.write("crates/routing/src/bad.rs", "pub fn fixed() {}\n");
-    let edited = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&edited), 0, "fix is visible through the cache");
-    assert!(stdout(&edited).contains("\"results\":[]"));
-
-    // A corrupted cache is discarded, not trusted.
-    std::fs::write(&cache, "fcn-analyze-cache/1 rules=999\ngarbage\n").expect("corrupt");
-    let recovered = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&recovered), 0);
-    assert_eq!(stdout(&edited), stdout(&recovered));
-}
-
 // --------------------------------------------------------------- baseline
 
 #[test]
@@ -266,7 +310,7 @@ fn write_baseline_then_rerun_is_clean() {
     let s = Scratch::new("baseline");
     s.write(
         "crates/routing/src/bad.rs",
-        "use std::collections::HashMap;\nuse std::collections::HashMap;\n",
+        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\npub fn g(x: Option<u32>) -> u32 { x.unwrap() }\n",
     );
     assert_eq!(code(&s.run(&[])), 1);
     assert_eq!(code(&s.run(&["--write-baseline"])), 0);

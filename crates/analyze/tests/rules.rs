@@ -3,9 +3,10 @@
 //! Every rule gets three fixtures — firing, clean, and suppressed — driven
 //! through [`fcn_analyze::analyze_sources`], the same entry point the CLI
 //! walker funnels into, so what these tests prove is exactly what
-//! `fcn-analyze` enforces on the real tree. The final test self-runs the
-//! analyzer over the committed workspace and asserts zero non-baseline
-//! findings: the tree must stay clean under its own checker.
+//! `fcn-analyze` enforces on the real tree. The self-hosting tests run the
+//! analyzer over the committed workspace and assert zero non-baseline
+//! findings (the tree must stay clean under its own checker), and check
+//! that `clippy.toml` still bans what the analyzer leaves to clippy.
 
 use fcn_analyze::{analyze_sources, Analysis};
 
@@ -52,78 +53,6 @@ fn assert_suppressed(a: &Analysis) {
         a.findings
     );
     assert_eq!(a.totals.suppressed, 1, "totals: {:?}", a.totals);
-}
-
-// ---------------------------------------------------------------- DET-HASH
-
-#[test]
-fn det_hash_fires_in_simulation_crates() {
-    let a = run(&[(
-        "crates/routing/src/fx.rs",
-        "use std::collections::HashMap;\n",
-    )]);
-    assert_single(&a, "DET-HASH", 1);
-}
-
-#[test]
-fn det_hash_clean_for_btree_and_for_non_sim_crates() {
-    // BTreeMap in a simulation crate: the sanctioned replacement.
-    let a = run(&[(
-        "crates/routing/src/fx.rs",
-        "use std::collections::BTreeMap;\npub fn f() -> BTreeMap<u32, u32> { BTreeMap::new() }\n",
-    )]);
-    assert_clean(&a);
-    // HashMap outside the simulation boundary (tooling crate) is allowed.
-    let b = run(&[(
-        "crates/analyze/src/fx.rs",
-        "use std::collections::HashMap;\n",
-    )]);
-    assert_clean(&b);
-}
-
-#[test]
-fn det_hash_suppressed_with_reason() {
-    let a = run(&[(
-        "crates/routing/src/fx.rs",
-        "use std::collections::HashMap; // fcn-allow: DET-HASH keys are sorted before every iteration\n",
-    )]);
-    assert_suppressed(&a);
-}
-
-// ---------------------------------------------------------------- DET-TIME
-
-#[test]
-fn det_time_fires_outside_the_allowlist() {
-    let a = run(&[(
-        "crates/core/src/fx.rs",
-        "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-    )]);
-    assert_single(&a, "DET-TIME", 1);
-}
-
-#[test]
-fn det_time_clean_in_allowlisted_measurement_files() {
-    // span.rs is the canonical wall-clock measurement site.
-    let a = run(&[(
-        "crates/telemetry/src/span.rs",
-        "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-    )]);
-    assert_clean(&a);
-    // the bench crate is measurement by definition.
-    let b = run(&[(
-        "crates/bench/src/fx.rs",
-        "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-    )]);
-    assert_clean(&b);
-}
-
-#[test]
-fn det_time_suppressed_from_the_line_above() {
-    let a = run(&[(
-        "crates/core/src/fx.rs",
-        "// fcn-allow: DET-TIME diagnostic-only deadline, stripped from table output\npub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-    )]);
-    assert_suppressed(&a);
 }
 
 // ----------------------------------------------------------------- DET-RNG
@@ -411,60 +340,6 @@ fn serve_deadline_suppressed_with_reason() {
     assert_suppressed(&a);
 }
 
-// ------------------------------------------------------------- CHAOS-SEED
-
-#[test]
-fn chaos_seed_fires_on_actions_handled_outside_the_plan_path() {
-    let a = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub fn f() -> ChaosAction { ChaosAction::Truncate }\n",
-    )]);
-    assert_single(&a, "CHAOS-SEED", 1);
-    // Matching an action is an injection site too, not just constructing.
-    let b = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub fn g(a: &ChaosAction) -> bool { matches!(a, ChaosAction::Truncate) }\n",
-    )]);
-    assert_eq!(rule_ids(&b), vec!["CHAOS-SEED"]);
-}
-
-#[test]
-fn chaos_seed_clean_in_the_plan_path_imports_and_other_crates() {
-    // chaos.rs decides and io.rs applies: both are the sanctioned path.
-    let a = run(&[
-        (
-            "crates/serve/src/chaos.rs",
-            "pub fn f() -> ChaosAction { ChaosAction::Truncate }\n",
-        ),
-        (
-            "crates/serve/src/io.rs",
-            "pub fn g(a: ChaosAction) -> bool { a == ChaosAction::Truncate }\n",
-        ),
-    ]);
-    assert_clean(&a);
-    // Imports and re-exports don't inject anything.
-    let b = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub use crate::chaos::ChaosAction;\nuse crate::chaos::ChaosAction as Act;\n",
-    )]);
-    assert_clean(&b);
-    // Other crates are outside the rule's jurisdiction.
-    let c = run(&[(
-        "crates/cli/src/fx.rs",
-        "pub fn f() -> ChaosAction { ChaosAction::Truncate }\n",
-    )]);
-    assert_clean(&c);
-}
-
-#[test]
-fn chaos_seed_suppressed_with_reason() {
-    let a = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub fn f(a: &ChaosAction) { render(a); } // fcn-allow: CHAOS-SEED fixture, display only\n",
-    )]);
-    assert_suppressed(&a);
-}
-
 // ------------------------------------------------------------ self-hosting
 
 /// The committed workspace must be clean under its own analyzer: zero
@@ -492,4 +367,26 @@ fn workspace_self_run_has_zero_non_baseline_findings() {
         "walker saw too few files: {:?}",
         a.totals
     );
+}
+
+/// Wall-clock reads, sleeps and hash-ordered collections have no analyzer
+/// rule: `clippy.toml` is their only enforcement, so it must keep banning
+/// them (CI seeds a violation and requires `cargo clippy` to fail).
+#[test]
+fn clippy_toml_bans_wall_clock_and_hash_order() {
+    let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = fcn_analyze::walk::find_workspace_root(here).expect("inside the fcn workspace");
+    let text = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml readable");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::sleep",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+    ] {
+        assert!(
+            text.contains(&format!("path = \"{path}\"")),
+            "clippy.toml no longer bans {path}"
+        );
+    }
 }

@@ -8,8 +8,8 @@
 //! previous reply lands, so offered load scales with the client count, not
 //! with a timer. The request mix is seeded (~90 % `ping`, ~10 % small warm
 //! `beta`), making the *sequence* of requests reproducible even though the
-//! measured latencies are wall clock (timing is the product here — the
-//! bench crate is the sanctioned DET-TIME exemption).
+//! measured latencies are wall clock (timing is the product here, so the
+//! clock reads carry `#[allow(clippy::disallowed_methods)]`).
 //!
 //! Rows ([`fcn_bench::SERVE_SCHEMA`]):
 //!

@@ -46,6 +46,11 @@ fn bench_faults_validates() {
 
 #[test]
 fn bench_serve_validates() {
+    // The validator checks the fcn-serve-curve/2 tag and the v2
+    // chaos_rate / offered_load / shed_fraction columns on every row.
     let rows = validate_serve_rows(&committed("BENCH_serve.json")).unwrap();
-    assert!(!rows.is_empty());
+    let benches: Vec<&str> = rows.iter().map(|(b, _)| b.as_str()).collect();
+    for row in ["cold-vs-warm", "chaos@0.15", "offered@4x"] {
+        assert!(benches.contains(&row), "BENCH_serve.json lost {row}");
+    }
 }

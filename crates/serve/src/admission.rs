@@ -203,7 +203,6 @@ impl Admission {
         // client's patience, not a simulated quantity); the condvar wakes on
         // every slot release and re-checks both FIFO position and budget.
         #[allow(clippy::disallowed_methods)]
-        // fcn-allow: DET-TIME admission wait budget — wall-clock service-level bound, never feeds simulated state
         let deadline = Instant::now() + Duration::from_millis(wait_ms);
         loop {
             if st.queue.front() == Some(&ticket) && st.inflight < self.limit {
@@ -216,7 +215,6 @@ impl Admission {
                 });
             }
             #[allow(clippy::disallowed_methods)]
-            // fcn-allow: DET-TIME expiry check against the wait budget taken above
             let now = Instant::now();
             if now >= deadline {
                 st.queue.retain(|t| *t != ticket);

@@ -173,7 +173,6 @@ impl Client {
                 // retries); the *schedule* stays deterministic because the
                 // durations are seeded draws.
                 #[allow(clippy::disallowed_methods)]
-                // fcn-allow: DET-TIME seeded backoff sleep — schedule is a pure function of the retry seed
                 std::thread::sleep(Duration::from_millis(wait));
                 if self.reconnect(&addr, &mut last).is_err() {
                     continue;

@@ -18,9 +18,10 @@
 //!
 //! ## Chaos injection
 //!
-//! This file is also the single place a [`ChaosStream`] decision is
-//! *applied* (enforced by the `CHAOS-SEED` rule): when a stream is attached
-//! via [`FramedConn::set_chaos`], every outgoing frame consults the
+//! This module is also the single place a chaos decision is *applied*: the
+//! decision types live in the child module `chaos` as `pub(super)` items,
+//! so no other module can construct or match one. When a stream is attached
+//! via `FramedConn::set_chaos`, every outgoing frame consults the
 //! deterministic plan and may be reset mid-write, stalled, truncated, or
 //! corrupted. Both corruption constructions are detectable **by
 //! construction**: a corrupted length prefix always claims more than
@@ -34,7 +35,9 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use crate::chaos::{ChaosAction, ChaosStream, CorruptTarget, ResetPoint};
+pub(crate) mod chaos;
+
+use chaos::{ChaosAction, ChaosStream, CorruptTarget, ResetPoint};
 
 /// Upper bound on a frame's payload length (64 MiB) — far above any real
 /// report body, low enough that a corrupt length prefix cannot OOM the
@@ -78,7 +81,7 @@ impl FramedConn {
     /// Attach a chaos decision stream: every subsequent outgoing frame
     /// consults it. Used by the server's accept loop when a `ChaosPlan`
     /// is configured; never on the client side.
-    pub fn set_chaos(&mut self, stream: ChaosStream) {
+    pub(crate) fn set_chaos(&mut self, stream: ChaosStream) {
         self.chaos = Some(stream);
     }
 
@@ -193,7 +196,6 @@ impl FramedConn {
                 // congested peer, feeds no simulated quantity, and is
                 // bounded by the spec's max_stall_ms.
                 #[allow(clippy::disallowed_methods)]
-                // fcn-allow: DET-TIME injected write stall (chaos harness), bounded and never read back
                 std::thread::sleep(Duration::from_millis(ms));
                 self.write_resumed(&frame)?;
                 self.stream.flush()
@@ -339,7 +341,7 @@ mod tests {
 
     // ------------------------------------------------------------- chaos
 
-    use crate::chaos::{ChaosPlan, ChaosRates, ChaosSpec};
+    use super::chaos::{ChaosPlan, ChaosRates, ChaosSpec};
 
     /// A plan whose first decision on connection 0 matches `want`, found by
     /// scanning seeds (decisions are pure, so the scan is deterministic).

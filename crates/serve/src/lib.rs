@@ -50,10 +50,10 @@
 //!   reply path, and only *after* the request executed — so a retrying
 //!   client recovers byte-identical payloads, with completed-but-lost
 //!   replies replayed from the idempotent reply cache instead of
-//!   re-running.
+//!   re-running. The decision types are `pub(super)` in `io::chaos`, so
+//!   no module outside `io` can construct or apply one.
 
 pub mod admission;
-pub mod chaos;
 pub mod client;
 pub mod io;
 pub mod proto;
@@ -63,8 +63,8 @@ pub mod server;
 pub use admission::{
     class_of, Admission, AdmissionSnapshot, Admit, Class, Permit, Shed, ShedReason,
 };
-pub use chaos::{ChaosAction, ChaosPlan, ChaosRates, ChaosSpec, ChaosStats, ChaosStream};
 pub use client::{Client, ClientError, RetryPolicy};
+pub use io::chaos::{ChaosPlan, ChaosRates, ChaosSpec, ChaosStats};
 pub use io::FramedConn;
 pub use proto::{ErrorKind, Request, Response, ServeError, SERVE_SCHEMA};
 pub use registry::{Registry, RegistryEntry};

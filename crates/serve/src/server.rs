@@ -32,7 +32,7 @@ use fcn_telemetry::names;
 use fcn_telemetry::{take_shard, with_shard, LocalShard, MetricsRegistry};
 
 use crate::admission::{Admission, Admit};
-use crate::chaos::{ChaosPlan, ChaosSpec, ChaosStats};
+use crate::io::chaos::{ChaosPlan, ChaosSpec, ChaosStats};
 use crate::io::FramedConn;
 use crate::proto::{ErrorKind, Request, Response};
 
@@ -336,7 +336,7 @@ impl<H: Handler> Server<H> {
     /// in-flight request finish and reply, answer any frame that arrives
     /// during the drain with a framed `Shutdown` error, and return once all
     /// connection threads have exited.
-    #[allow(clippy::disallowed_methods)] // the accept poll below is annotated
+    #[allow(clippy::disallowed_methods)] // the accept-loop poll sleep below
     pub fn run(&self, shutdown: &AtomicBool) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let poll = Duration::from_millis(self.config.poll_interval_ms.max(1));
@@ -356,7 +356,7 @@ impl<H: Handler> Server<H> {
                         scope.spawn(move || self.serve_conn(stream, shutdown));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        // fcn-allow: DET-TIME accept-loop shutdown poll; no simulated quantity depends on it
+                        // shutdown poll; no simulated quantity depends on it
                         std::thread::sleep(poll);
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
