@@ -12,7 +12,7 @@
 //!   a smoke run never clobbers the committed numbers.
 //!
 //! Rows are schema-tagged ([`fcn_bench::FAULTS_SCHEMA`]) and merged through
-//! the same line-numbered validation as `perfbench`'s trajectory file. All
+//! the shared line-numbered validation of `fcn_bench::validate`. All
 //! output is bit-identical for every `--jobs` value.
 
 use fcn_bandwidth::{DegradedPoint, DegradedSweep};
@@ -145,7 +145,7 @@ fn main() {
     println!("\nrecords: {}", path.display());
 
     // The committed curve (or its quick shadow), merged under the same
-    // schema-validated discipline as BENCH_router.json.
+    // schema-validated discipline as `fcn-serve-load`.
     fcn_bench::commit_bench_rows(
         "BENCH_faults",
         quick,

@@ -3,7 +3,7 @@
 //! # fcn-bench
 //!
 //! Shared infrastructure for the table/figure regeneration binaries and the
-//! BENCH trajectory binaries (`perfbench`, `faults`, `fcn-serve-load`).
+//! BENCH trajectory binaries (`faults`, `fcn-serve-load`).
 //!
 //! Each regeneration binary (`table1`..`table4`, `fig1`, `fig2`,
 //! `ablation_*`, `repro-all`) prints a human-readable report to stdout and
@@ -19,8 +19,7 @@ use serde::Serialize;
 pub mod validate;
 
 pub use validate::{
-    merge_bench_rows, validate_bench_rows, validate_rows, validate_serve_rows, FAULTS_SCHEMA,
-    PERFBENCH_SCHEMA, SERVE_SCHEMA,
+    merge_bench_rows, validate_rows, validate_serve_rows, FAULTS_SCHEMA, SERVE_SCHEMA,
 };
 
 /// Scale of a reproduction run, from the command line (`--quick` /
@@ -345,16 +344,16 @@ mod tests {
         let dir = repro_dir().join("merge_bench_file_test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_test.json");
-        let stale = "{\"schema\":\"fcn-perfbench/1\",\"bench\":\"a\",\"unit\":\"ratio\"}\n";
+        let stale = "{\"schema\":\"fcn-faults-curve/0\",\"bench\":\"a\"}\n";
         fs::write(&path, stale).unwrap();
         let fresh = [("a".to_string(), "{}".to_string())];
-        let err = merge_bench_file(&path, &fresh, validate_bench_rows).unwrap_err();
+        let faults = |b: &str| validate_rows(b, FAULTS_SCHEMA);
+        let err = merge_bench_file(&path, &fresh, faults).unwrap_err();
         assert!(err.contains("not mergeable"), "{err}");
-        assert!(err.contains("fcn-perfbench/1"), "{err}");
+        assert!(err.contains("fcn-faults-curve/0"), "{err}");
         assert_eq!(fs::read_to_string(&path).unwrap(), stale, "file untouched");
         // A missing file merges as empty; fresh rows must validate too.
         fs::remove_file(&path).unwrap();
-        let faults = |b: &str| validate_rows(b, FAULTS_SCHEMA);
         let err = merge_bench_file(&path, &fresh, faults).unwrap_err();
         assert!(err.contains("fresh rows"), "{err}");
         assert!(!path.exists(), "nothing written");

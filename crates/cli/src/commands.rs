@@ -20,7 +20,7 @@ type Out<'a> = &'a mut dyn Write;
 /// A typed command failure, mapped to the process exit code: `Run` is a
 /// domain error (exit 1 — unknown family, failed verification), `Io` is an
 /// I/O or schema error (exit 2 — unreadable snapshot, invalid metrics
-/// file), matching `perfbench`'s validation conventions.
+/// file), the same convention as the BENCH binaries' validation.
 #[derive(Debug)]
 pub enum CmdError {
     /// Domain failure; exit code 1.
@@ -414,32 +414,7 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
             jobs,
             ..Default::default()
         };
-        // Under `--verbose`, run the sweep with telemetry collecting so the
-        // router's skip counters can be reported (telemetry is
-        // bit-transparent, so the curve itself is unchanged). The
-        // registry's prior enabled state is restored, and the counters are
-        // read as a delta, so a surrounding `--metrics-out` run still
-        // reports exactly its own contribution.
-        let (points, skip_stats) = if verbose {
-            let reg = fcn_telemetry::global();
-            let was_enabled = reg.enabled();
-            let base = reg.snapshot();
-            reg.set_enabled(true);
-            let points = sweep.sweep_symmetric(&m);
-            fcn_telemetry::flush_thread_shard(reg);
-            reg.set_enabled(was_enabled);
-            let delta = reg.snapshot().delta_since(&base);
-            let get = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
-            (
-                points,
-                Some((
-                    get(fcn_telemetry::names::ROUTER_TICKS_SKIPPED_TOTAL),
-                    get(fcn_telemetry::names::ROUTER_OUTAGE_WINDOWS_SKIPPED_TOTAL),
-                )),
-            )
-        } else {
-            (sweep.sweep_symmetric(&m), None)
-        };
+        let points = sweep.sweep_symmetric(&m);
         let _ = writeln!(out, "machine    : {} (n = {})", m.name(), m.processors());
         let _ = writeln!(
             out,
@@ -481,16 +456,6 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
             );
         }
         if verbose {
-            // The router's skip accounting: how many quiescent ticks were
-            // jumped over, and how many outage windows opened *and* closed
-            // inside jumps — windows no simulated tick ever touched.
-            if let Some((ticks_skipped, windows_skipped)) = skip_stats {
-                let _ = writeln!(
-                    out,
-                    "skip hook  : {ticks_skipped} quiescent ticks skipped, \
-                     {windows_skipped} outage windows skipped entirely"
-                );
-            }
             for p in &points {
                 for (i, s) in p.samples.iter().enumerate() {
                     if !s.sample.completed {
@@ -1156,21 +1121,12 @@ mod tests {
 
     #[test]
     fn faults_verbose_events_reports_skipped_windows() {
-        // `--verbose` toggles the global registry to read the skip
-        // counters, so serialize with the other metrics tests.
-        let _gate = METRICS_GATE.lock().unwrap();
         let (code, plain) = run_s("faults mesh2 64 --quick");
         assert_eq!(code, 0, "{plain}");
         let (code, verbose) = run_s("faults mesh2 64 --quick --verbose");
         assert_eq!(code, 0, "{verbose}");
-        assert!(
-            verbose.contains("outage windows skipped entirely"),
-            "{verbose}"
-        );
-        assert!(verbose.contains("quiescent ticks skipped"), "{verbose}");
-        assert!(!plain.contains("quiescent ticks skipped"), "{plain}");
-        // The verbose skip accounting only appends lines; the curve itself
-        // is byte-identical (telemetry is a read-only lens).
+        // `--verbose` only appends aborted-cell warnings; the curve itself
+        // is byte-identical.
         for line in plain.lines() {
             assert!(verbose.contains(line), "verbose lost line {line:?}");
         }

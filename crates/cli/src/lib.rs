@@ -44,7 +44,7 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
     });
     // Typed failures map to exit codes: domain errors (unknown family,
     // failed verification) exit 1, I/O and schema errors exit 2 — the same
-    // convention `perfbench` uses for snapshot validation.
+    // convention the BENCH binaries use for snapshot validation.
     let code = match commands::dispatch(&args, out) {
         Ok(()) => 0,
         Err(e) => {

@@ -46,11 +46,9 @@ impl CliHandler {
     /// `beta` goes through [`commands::beta_with`] so the warm registry and
     /// the cancel flag reach the estimator; the error-path bytes mirror
     /// [`crate::run`] exactly.
-    fn handle_beta(&self, req_args: &[String], cancel: &AtomicBool) -> HandlerOutcome {
-        let mut argv = vec!["beta".to_string()];
-        argv.extend(req_args.iter().cloned());
+    fn handle_beta(&self, argv: &[String], cancel: &AtomicBool) -> HandlerOutcome {
         let mut buf = Vec::new();
-        let args = match Args::parse(&argv) {
+        let args = match Args::parse(argv) {
             Ok(args) => args,
             Err(e) => {
                 // Byte-for-byte what crate::run writes on a parse failure.
@@ -89,15 +87,26 @@ impl CliHandler {
 
 impl Handler for CliHandler {
     fn handle(&self, kind: &str, req_args: &[String], cancel: &AtomicBool) -> HandlerOutcome {
+        // `--metrics-out` would write a file on the daemon's host and toggle
+        // the process-global registry that every other request records
+        // into; a served request reads its counters through `metrics`.
+        let mut argv = vec![kind.to_string()];
+        argv.extend(req_args.iter().cloned());
+        if Args::parse(&argv).is_ok_and(|a| a.flags.contains_key("metrics-out")) {
+            return HandlerOutcome::Failed {
+                kind: fcn_serve::ErrorKind::BadRequest,
+                message: "--metrics-out is not accepted by a served request \
+                          (use a `metrics` request instead)"
+                    .into(),
+            };
+        }
         match kind {
-            "beta" => self.handle_beta(req_args, cancel),
+            "beta" => self.handle_beta(&argv, cancel),
             // These kinds have no warm-state or cancellation hooks yet, so
             // the whole inline entry point runs into the reply buffer —
             // byte-identity (including error text and exit codes) is then
             // true by construction, not by imitation.
             "audit" | "faults" => {
-                let mut argv = vec![kind.to_string()];
-                argv.extend(req_args.iter().cloned());
                 let mut buf = Vec::new();
                 let exit_code = crate::run(&argv, &mut buf);
                 HandlerOutcome::Done {

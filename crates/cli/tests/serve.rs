@@ -320,3 +320,60 @@ fn sigterm_drain_finishes_the_inflight_request() {
         "drained reply must still be byte-identical"
     );
 }
+
+/// The daemon's `router_runs_total`, read through a `metrics` request.
+fn router_runs(client: &mut Client) -> u64 {
+    let metrics = client.call("metrics", &[]).expect("metrics response");
+    let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&metrics.output).expect("snapshot");
+    snap.counters
+        .get(fcn_telemetry::names::ROUTER_RUNS_TOTAL)
+        .copied()
+        .unwrap_or(0)
+}
+
+#[test]
+fn served_metrics_out_is_refused_and_writes_nothing() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let path = std::env::temp_dir().join(format!("fcn-serve-refused-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let p = path.to_str().unwrap();
+    let eq = format!("--metrics-out={p}");
+    for (kind, args) in [
+        ("faults", vec!["mesh2", "16", "--quick", "--metrics-out", p]),
+        ("beta", vec!["mesh2", "16", "--trials", "1", &eq]),
+        ("audit", vec!["mesh2", "16", "--metrics-out", p]),
+    ] {
+        let resp = client.call(kind, &args).expect("framed response");
+        let err = resp.error.expect("a typed refusal");
+        assert_eq!(err.kind, ErrorKind::BadRequest, "{kind} {args:?}");
+        assert!(err.message.contains("--metrics-out"), "{}", err.message);
+        assert!(!path.exists(), "{kind} wrote {p} on the daemon's host");
+    }
+    // The refusal left the daemon's telemetry collecting.
+    let before = router_runs(&mut client);
+    assert!(
+        client
+            .call("beta", &["mesh2", "16", "--trials", "1"])
+            .unwrap()
+            .ok
+    );
+    assert!(router_runs(&mut client) > before);
+    daemon.shutdown();
+}
+
+#[test]
+fn served_faults_verbose_counts_in_daemon_metrics() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let mut delta = |args: &[&str]| {
+        let before = router_runs(&mut client);
+        assert!(client.call("faults", args).unwrap().ok, "{args:?}");
+        router_runs(&mut client) - before
+    };
+    let plain = delta(&["mesh2", "16", "--quick"]);
+    let verbose = delta(&["mesh2", "16", "--quick", "--verbose"]);
+    assert!(plain > 0);
+    assert_eq!(verbose, plain, "a verbose run must count like a plain one");
+    daemon.shutdown();
+}

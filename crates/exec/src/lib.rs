@@ -17,9 +17,10 @@
 //! 2. **Results are returned in job-index order**, whatever order the
 //!    worker threads finished in.
 //!
-//! Together these make `pool.run_seeded(n, seed, f)` bit-identical for any
-//! worker count — `--jobs 8` and `--jobs 1` produce the same bytes — which
-//! the `tests/determinism.rs` suite checks end to end.
+//! Together these make `pool.run(n, |i| f(i, job_seed(seed, i)))`
+//! bit-identical for any worker count — `--jobs 8` and `--jobs 1` produce
+//! the same bytes — which the `tests/determinism.rs` suite checks end to
+//! end.
 //!
 //! ## Telemetry
 //!
@@ -35,7 +36,6 @@
 //! costs one relaxed load per `run` call.
 
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -64,8 +64,8 @@ pub const RETRY_STREAM: u64 = 0x7e72_a110_0000_0001;
 
 /// The seed for attempt `attempt` (0 = first try) of job `job_index`.
 ///
-/// Attempt 0 is exactly [`job_seed`]`(base_seed, job_index)` — a zero-retry
-/// [`Pool::try_run_seeded`] draws the same seeds as [`Pool::run_seeded`].
+/// Attempt 0 is exactly [`job_seed`]`(base_seed, job_index)`, so a first
+/// try draws the seed an un-retried job would.
 #[inline]
 pub fn retry_seed(base_seed: u64, job_index: u64, attempt: u32) -> u64 {
     if attempt == 0 {
@@ -100,45 +100,6 @@ pub fn backoff_ms(seed: u64, index: u64, attempt: u32, base_ms: u64, cap_ms: u64
     let span = window - base; // window ≥ base by construction
     base + retry_seed(seed, index, attempt) % (span + 1)
 }
-
-/// Render a panic payload as text (panics carry `&str` or `String` in
-/// practice; anything else is reported opaquely).
-fn payload_text(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        p.downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic payload".to_string())
-    }
-}
-
-/// A job that panicked (every configured attempt), caught and reported as
-/// data instead of aborting the sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobError {
-    /// Index of the failing job.
-    pub index: usize,
-    /// Stringified panic payload of the *last* attempt.
-    pub payload: String,
-    /// Attempts made (1 = no retries configured).
-    pub attempts: u32,
-}
-
-impl std::fmt::Display for JobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "job {} panicked after {} attempt{}: {}",
-            self.index,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.payload
-        )
-    }
-}
-
-impl std::error::Error for JobError {}
 
 /// SplitMix64 finalizer over a base seed and a job index.
 ///
@@ -330,112 +291,11 @@ impl Pool {
             .map(|(i, slot)| {
                 // A missing slot means job `i`'s closure unwound before
                 // writing its result; name the culprit instead of the old
-                // anonymous double-panic. (Reachable only if the caller's
-                // closure swallows its own unwind bookkeeping —
-                // `try_run`/`try_run_seeded` never leave holes.)
+                // anonymous double-panic.
                 // fcn-allow: ERR-UNWRAP deliberate panic propagation: re-raises a swallowed job panic with the job named
                 slot.unwrap_or_else(|| panic!("job {i} panicked and produced no result"))
             })
             .collect()
-    }
-
-    /// [`Pool::run`] with per-job panic isolation: a panicking job becomes
-    /// a typed [`JobError`] naming the job index instead of unwinding
-    /// through the pool (first failing index wins, deterministically —
-    /// never "whichever thread crashed first"). Successful results are
-    /// bit-identical to [`Pool::run`].
-    pub fn try_run<T, F>(&self, count: usize, f: F) -> Result<Vec<T>, JobError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        collect_first_error(self.run(count, |i| {
-            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| {
-                record_job_panic();
-                JobError {
-                    index: i,
-                    payload: payload_text(p.as_ref()),
-                    attempts: 1,
-                }
-            })
-        }))
-    }
-
-    /// [`Pool::run_seeded`] with panic isolation *and* deterministic seeded
-    /// retry: a job that panics is re-run up to `retries` more times, each
-    /// attempt with [`retry_seed`]`(base_seed, index, attempt)` — a fresh
-    /// but fully reproducible seed, so a crash caused by one unlucky draw
-    /// is retried identically at `--jobs 1` and `--jobs 64`. Jobs that
-    /// exhaust every attempt surface as the lowest-index [`JobError`].
-    ///
-    /// With `retries = 0` and no panics this is bit-identical to
-    /// [`Pool::run_seeded`].
-    pub fn try_run_seeded<T, F>(
-        &self,
-        count: usize,
-        base_seed: u64,
-        retries: u32,
-        f: F,
-    ) -> Result<Vec<T>, JobError>
-    where
-        T: Send,
-        F: Fn(usize, u64) -> T + Sync,
-    {
-        collect_first_error(self.run(count, |i| {
-            let mut payload = String::new();
-            for attempt in 0..=retries {
-                if attempt > 0 && fcn_telemetry::global().enabled() {
-                    fcn_telemetry::with_shard(|s| {
-                        s.inc(fcn_telemetry::names::EXEC_JOB_RETRIES_TOTAL)
-                    });
-                }
-                let seed = retry_seed(base_seed, i as u64, attempt);
-                match catch_unwind(AssertUnwindSafe(|| f(i, seed))) {
-                    Ok(v) => return Ok(v),
-                    Err(p) => {
-                        record_job_panic();
-                        payload = payload_text(p.as_ref());
-                    }
-                }
-            }
-            Err(JobError {
-                index: i,
-                payload,
-                attempts: retries + 1,
-            })
-        }))
-    }
-
-    /// Run `count` jobs, each receiving `(index, job_seed(base_seed, index))`.
-    ///
-    /// This is the canonical entry point for randomized sweeps: all entropy
-    /// a job uses must flow from its seed argument, which makes the result
-    /// a pure function of `(count, base_seed)`.
-    pub fn run_seeded<T, F>(&self, count: usize, base_seed: u64, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, u64) -> T + Sync,
-    {
-        self.run(count, |i| f(i, job_seed(base_seed, i as u64)))
-    }
-}
-
-/// Fold per-job results into all-or-first-error, by job index (so the
-/// reported failure is deterministic regardless of completion order).
-fn collect_first_error<T>(results: Vec<Result<T, JobError>>) -> Result<Vec<T>, JobError> {
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
-/// Bump the job-panic counter into this worker's shard (merged in job-index
-/// order like every other metric, so panic counts are worker-count
-/// independent).
-fn record_job_panic() {
-    if fcn_telemetry::global().enabled() {
-        fcn_telemetry::with_shard(|s| s.inc(fcn_telemetry::names::EXEC_JOB_PANICS_TOTAL));
     }
 }
 
@@ -502,11 +362,7 @@ pub struct Watchdog {
 impl Watchdog {
     /// Arm a watchdog with a fresh token.
     pub fn arm(timeout: Duration) -> Watchdog {
-        Watchdog::arm_token(CancelToken::new(), timeout)
-    }
-
-    /// Arm a watchdog that cancels an existing `token` on expiry.
-    pub fn arm_token(token: CancelToken, timeout: Duration) -> Watchdog {
+        let token = CancelToken::new();
         let disarm = Arc::new((Mutex::new(false), Condvar::new()));
         let pair = Arc::clone(&disarm);
         let fire = token.clone();
@@ -598,9 +454,10 @@ mod tests {
             // A job whose output depends on both index and seed.
             (i as u64).wrapping_mul(seed) ^ seed.rotate_left(i as u32 % 64)
         };
-        let seq = Pool::sequential().run_seeded(64, 42, work);
+        let seeded = |i: usize| work(i, job_seed(42, i as u64));
+        let seq = Pool::sequential().run(64, seeded);
         for jobs in [2, 3, 8, 16] {
-            let par = Pool::new(jobs).run_seeded(64, 42, work);
+            let par = Pool::new(jobs).run(64, seeded);
             assert_eq!(par, seq, "jobs={jobs} diverged from sequential");
         }
     }
@@ -680,68 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn try_run_reports_the_lowest_failing_index() {
-        for jobs in [1, 4] {
-            let pool = Pool::new(jobs);
-            let err = pool
-                .try_run(32, |i| {
-                    if i == 7 || i == 21 {
-                        panic!("boom at {i}");
-                    }
-                    i * 2
-                })
-                .unwrap_err();
-            assert_eq!(err.index, 7, "jobs={jobs}");
-            assert_eq!(err.attempts, 1);
-            assert!(err.payload.contains("boom at 7"), "{}", err.payload);
-            assert!(err.to_string().contains("job 7 panicked"));
-        }
-    }
-
-    #[test]
-    fn try_run_matches_run_when_nothing_panics() {
-        let pool = Pool::new(3);
-        let ok = pool.try_run(20, |i| i + 1).unwrap();
-        assert_eq!(ok, pool.run(20, |i| i + 1));
-        let seeded = pool.try_run_seeded(20, 9, 0, |_, s| s).unwrap();
-        assert_eq!(seeded, pool.run_seeded(20, 9, |_, s| s));
-    }
-
-    #[test]
-    fn seeded_retry_is_deterministic_across_worker_counts() {
-        // Job 5 panics on its first-attempt seed and succeeds on the
-        // deterministic retry seed; every worker count must agree on the
-        // final output bytes.
-        let work = |i: usize, seed: u64| {
-            if i == 5 && seed == retry_seed(0xabc, 5, 0) {
-                panic!("flaky draw");
-            }
-            seed ^ (i as u64)
-        };
-        let seq = Pool::sequential()
-            .try_run_seeded(12, 0xabc, 2, work)
-            .unwrap();
-        for jobs in [2, 4, 8] {
-            let par = Pool::new(jobs).try_run_seeded(12, 0xabc, 2, work).unwrap();
-            assert_eq!(par, seq, "jobs={jobs}");
-        }
-        assert_eq!(seq[5], retry_seed(0xabc, 5, 1) ^ 5);
-    }
-
-    #[test]
-    fn exhausted_retries_surface_attempt_count() {
-        let err = Pool::new(2)
-            .try_run_seeded(4, 1, 3, |i, _| {
-                if i == 2 {
-                    panic!("always fails");
-                }
-                i
-            })
-            .unwrap_err();
-        assert_eq!((err.index, err.attempts), (2, 4));
-    }
-
-    #[test]
     // Testing the watchdog *is* measuring wall time (one of clippy.toml's
     // sanctioned sites); the deadline guards against a hung test, not output.
     #[allow(clippy::disallowed_methods)]
@@ -761,8 +556,8 @@ mod tests {
 
     #[test]
     fn dropped_watchdog_does_not_fire() {
-        let token = CancelToken::new();
-        let dog = Watchdog::arm_token(token.clone(), Duration::from_secs(3600));
+        let dog = Watchdog::arm(Duration::from_secs(3600));
+        let token = dog.token().clone();
         assert!(!dog.fired());
         drop(dog); // must disarm + join promptly, not hang for an hour
         assert!(!token.is_cancelled());

@@ -164,13 +164,6 @@ pub(crate) struct FaultOverlay {
     /// True when at least one wire is permanently dead (enables the
     /// engine's injection-time stranding scan).
     any_dead: bool,
-    /// First tick by which every window has closed — beyond this the net
-    /// behaves like its permanent part, which bounds router termination.
-    last_window_end: u64,
-    /// Dead directed wires (telemetry/reporting).
-    dead_wires: u32,
-    /// Dead nodes (telemetry/reporting).
-    dead_nodes: u32,
 }
 
 impl CompiledNet {
@@ -280,14 +273,11 @@ impl CompiledNet {
         }
         let overlay = FaultOverlay {
             any_dead: dead_wires > 0,
-            last_window_end: plan.last_outage_end(),
             wire_dead,
             win_offsets,
             win_start,
             win_end,
             win_cap,
-            dead_wires,
-            dead_nodes,
         };
         CompiledNet {
             send_cap,
@@ -343,57 +333,6 @@ impl CompiledNet {
                 cap
             }
         }
-    }
-
-    /// Smallest outage-window boundary (a `start` or an `end`) of wire `w`
-    /// that is strictly greater than `tick` — the next tick at which the
-    /// wire's effective capacity *may* change. `None` when the capacity is
-    /// constant from `tick` on: intact nets, permanently dead wires (stuck
-    /// at 0), and wires whose windows have all closed. This is what lets
-    /// the router's skip hook bound how far it may jump ahead: between
-    /// consecutive boundaries `effective_wire_capacity` is constant.
-    pub(crate) fn next_capacity_boundary(&self, w: u32, tick: u64) -> Option<u64> {
-        let f = self.faults.as_ref()?;
-        if f.wire_dead[w as usize] {
-            return None;
-        }
-        let lo = f.win_offsets[w as usize] as usize;
-        let hi = f.win_offsets[w as usize + 1] as usize;
-        let mut next: Option<u64> = None;
-        for i in lo..hi {
-            for b in [f.win_start[i], f.win_end[i]] {
-                if b > tick && next.is_none_or(|n| b < n) {
-                    next = Some(b);
-                }
-            }
-        }
-        next
-    }
-
-    /// Every transient outage window as a `(start, end)` span, in wire-id
-    /// order (a window on an undirected link appears once per direction).
-    /// Empty for intact nets. The router's skip hook sorts these by `start`
-    /// once per run to count windows that a skip jumped over entirely.
-    pub(crate) fn outage_spans(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let (starts, ends): (&[u64], &[u64]) = match &self.faults {
-            None => (&[], &[]),
-            Some(f) => (&f.win_start, &f.win_end),
-        };
-        starts.iter().copied().zip(ends.iter().copied())
-    }
-
-    /// `(dead nodes, dead directed wires, outage windows)` of the applied
-    /// fault plan — all zeros for intact nets.
-    pub fn fault_summary(&self) -> (u32, u32, usize) {
-        match &self.faults {
-            None => (0, 0, 0),
-            Some(f) => (f.dead_nodes, f.dead_wires, f.win_start.len()),
-        }
-    }
-
-    /// First tick by which every transient outage window has closed.
-    pub fn last_fault_window_end(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.last_window_end)
     }
 
     /// [`CompiledNet::compile`] wrapped for sharing across sweep batches
@@ -623,117 +562,11 @@ impl PacketBatch {
     }
 }
 
-/// Per-packet injection ticks for staggered (non-batch) workloads.
-///
-/// The paper's batch semantics inject every packet at tick 0; sparse and
-/// bursty scenarios instead release packets over time. A schedule assigns
-/// each packet of a [`PacketBatch`] an injection tick: the packet enters
-/// its first wire queue at the *end* of that tick (tick-0 packets are
-/// injected before the loop, exactly the batch semantics), so its first
-/// possible crossing is the following tick, and a 0-hop packet delivers at
-/// its injection tick. `route_compiled` takes an optional schedule and
-/// skips the idle gaps between injections; `InjectionSchedule::uniform(n,
-/// 0)` is bit-identical to passing no schedule at all.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectionSchedule {
-    /// Injection tick per packet id.
-    inject_at: Vec<u64>,
-    /// Packet ids sorted by `(inject_at, pid)` — the engine's injection
-    /// order (pid order within a tick, matching tick-0 injection order).
-    order: Vec<u32>,
-}
-
-impl InjectionSchedule {
-    /// Schedule packet `i` at `inject_at[i]`.
-    pub fn new(inject_at: Vec<u64>) -> InjectionSchedule {
-        let mut order: Vec<u32> = (0..inject_at.len() as u32).collect();
-        order.sort_by_key(|&pid| (inject_at[pid as usize], pid));
-        InjectionSchedule { inject_at, order }
-    }
-
-    /// Every one of `n` packets at the same `tick` (`tick = 0` reproduces
-    /// the batch semantics bit-for-bit).
-    pub fn uniform(n: usize, tick: u64) -> InjectionSchedule {
-        InjectionSchedule::new(vec![tick; n])
-    }
-
-    /// Packet count covered by the schedule (must equal the batch's).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inject_at.len()
-    }
-
-    /// True when the schedule covers no packets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inject_at.is_empty()
-    }
-
-    /// Injection tick of packet `pid`.
-    #[inline]
-    pub fn tick_of(&self, pid: usize) -> u64 {
-        self.inject_at[pid]
-    }
-
-    /// Packet ids in injection order (`(tick, pid)` ascending).
-    #[inline]
-    pub(crate) fn order(&self) -> &[u32] {
-        &self.order
-    }
-
-    /// Latest injection tick (0 when empty).
-    pub fn max_tick(&self) -> u64 {
-        self.inject_at.iter().copied().max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::PacketPath;
     use fcn_topology::Machine;
-
-    #[test]
-    fn schedule_orders_by_tick_then_pid() {
-        let s = InjectionSchedule::new(vec![5, 0, 5, 2, 0]);
-        assert_eq!(s.order(), &[1, 4, 3, 0, 2]);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.max_tick(), 5);
-        assert_eq!(s.tick_of(3), 2);
-        let u = InjectionSchedule::uniform(3, 0);
-        assert_eq!(u.order(), &[0, 1, 2]);
-        assert_eq!(u.max_tick(), 0);
-        assert!(InjectionSchedule::uniform(0, 9).is_empty());
-    }
-
-    #[test]
-    fn next_capacity_boundary_walks_window_edges() {
-        use fcn_faults::{FaultPlan, LinkOutage};
-        let m = Machine::linear_array(3);
-        let net = CompiledNet::compile(&m);
-        assert_eq!(net.next_capacity_boundary(0, 0), None);
-        let win = |start, end| LinkOutage {
-            u: 0,
-            v: 1,
-            start,
-            end,
-            capacity: 0,
-        };
-        let plan = FaultPlan::assemble(vec![], vec![], vec![win(10, 20), win(40, 45)]);
-        let faulted = net.apply_faults(&plan);
-        let w = faulted.wire_between(0, 1).unwrap();
-        assert_eq!(faulted.next_capacity_boundary(w, 0), Some(10));
-        assert_eq!(faulted.next_capacity_boundary(w, 10), Some(20));
-        assert_eq!(faulted.next_capacity_boundary(w, 20), Some(40));
-        assert_eq!(faulted.next_capacity_boundary(w, 44), Some(45));
-        assert_eq!(faulted.next_capacity_boundary(w, 45), None);
-        // Unaffected wires have constant capacity.
-        let other = faulted.wire_between(1, 2).unwrap();
-        assert_eq!(faulted.next_capacity_boundary(other, 0), None);
-        // Both directions of the link carry the window.
-        assert_eq!(faulted.outage_spans().count(), 4);
-        assert!(faulted.outage_spans().all(|(s, e)| s < e));
-    }
 
     #[test]
     fn compiled_net_matches_graph_adjacency() {

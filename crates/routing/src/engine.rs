@@ -19,13 +19,11 @@
 //! [`PacketBatch`] over a shared [`CompiledNet`] using a caller-owned
 //! [`RouterScratch`], so a sweep performs O(1) allocations per batch and
 //! the tick loop touches only flat arrays (no per-hop adjacency search —
-//! hops were resolved to wire ids at batch-compile time). Every run arms
-//! the [`crate::events`] skip hook, so ticks on which nothing can move are
-//! jumped, not simulated. [`route_batch`] keeps the legacy
-//! compile-on-every-call signature as a thin wrapper, and [`reference`]
-//! retains the original single-function simulator and the skip-free tick
-//! loop as the executable specifications the compiled path is pinned
-//! against (`tests/compiled_router.rs`, `tests/event_router.rs`).
+//! hops were resolved to wire ids at batch-compile time). [`route_batch`]
+//! keeps the legacy compile-on-every-call signature as a thin wrapper, and
+//! [`reference`] retains the original single-function simulator as the
+//! executable specification the compiled path is pinned against
+//! (`tests/compiled_router.rs`).
 //!
 //! Determinism: for a given `(batch, RouterConfig)` the compiled and
 //! reference engines draw the same `StdRng` stream (one `u32` rank per
@@ -45,8 +43,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::compiled::{CompiledNet, InjectionSchedule, PacketBatch};
-use crate::events::{EventCtl, EventKind};
+use crate::compiled::{CompiledNet, PacketBatch};
 use crate::packet::{PacketPath, QueueDiscipline};
 
 /// Router configuration.
@@ -284,51 +281,22 @@ impl WireQueues for PrioQueues<'_> {
 /// Route a pre-compiled batch over a compiled net, reusing `scratch`.
 ///
 /// This is the one run-a-batch kernel: zero allocations after scratch
-/// warm-up, no adjacency lookups in the tick loop (hops are pre-resolved
-/// wire ids; consistency degrades to debug assertions), and quiescent
-/// spans skipped through [`crate::events`]' calendar wheel. Outcomes are
-/// bit-identical to [`reference::route_batch`] for every `(batch, config)`
-/// and to [`reference::route_every_tick`] for every schedule, fault
-/// overlay and cancellation flag.
+/// warm-up and no adjacency lookups in the tick loop (hops are pre-resolved
+/// wire ids; consistency degrades to debug assertions). Every packet is
+/// injected at tick 0 — the paper's batch semantics — and every tick is
+/// simulated. Outcomes are bit-identical to [`reference::route_batch`] for
+/// every `(batch, config)` on intact machines.
 ///
-/// * `sched: None` is the paper's batch semantics (every packet injected at
-///   tick 0). `Some(schedule)` enters packet `i` on its first wire queue at
-///   the end of tick `schedule.tick_of(i)` (a 0-hop packet delivers at its
-///   injection tick); the schedule must cover the batch
-///   (`schedule.len() == batch.len()`), and
-///   `InjectionSchedule::uniform(batch.len(), 0)` is bit-identical to
-///   `None`.
-/// * `cancel` is polled once per simulated tick and again before every
-///   skip (one relaxed load). A raised flag stops the run at the last
-///   simulated tick with [`AbortCause::Cancelled`] — the graceful-stop
-///   hook used by `fcn_exec::Watchdog`. A flag that is never raised is
-///   byte-identical to `None`.
+/// `cancel` is polled once per tick (one relaxed load). A raised flag stops
+/// the run at the last simulated tick with [`AbortCause::Cancelled`] — the
+/// graceful-stop hook used by `fcn_exec::Watchdog`. A flag that is never
+/// raised is byte-identical to `None`.
 pub fn route_compiled(
     net: &CompiledNet,
     batch: &PacketBatch,
-    sched: Option<&InjectionSchedule>,
     cfg: RouterConfig,
     scratch: &mut RouterScratch,
     cancel: Option<&AtomicBool>,
-) -> RoutingOutcome {
-    crate::events::with_skip_hook(net, sched, |ctl| {
-        dispatch_run(net, batch, sched, cfg, scratch, cancel, Some(ctl))
-    })
-}
-
-/// Size the scratch, draw ranks, pick the queue pool for the discipline,
-/// and run the tick loop. [`route_compiled`] passes an armed [`EventCtl`];
-/// [`reference::route_every_tick`] passes none and simulates every tick.
-/// Every simulated tick runs this exact code either way, which is what
-/// makes the skip structurally bit-identical.
-pub(crate) fn dispatch_run(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    sched: Option<&InjectionSchedule>,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
-    mut ev: Option<&mut EventCtl>,
 ) -> RoutingOutcome {
     scratch.prepare(net.node_count(), batch.len());
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -342,100 +310,49 @@ pub(crate) fn dispatch_run(
     } else {
         None
     };
+    // Monomorphize the tick loop on the capacity regime and discipline.
     let unit = net.unit_capacity();
+    macro_rules! run {
+        ($queues:expr, $disc:ident) => {
+            if unit {
+                run_ticks::<_, true, $disc>(
+                    net,
+                    batch,
+                    cfg,
+                    $queues,
+                    scratch,
+                    tele.as_mut(),
+                    cancel,
+                )
+            } else {
+                run_ticks::<_, false, $disc>(
+                    net,
+                    batch,
+                    cfg,
+                    $queues,
+                    scratch,
+                    tele.as_mut(),
+                    cancel,
+                )
+            }
+        };
+    }
     let out = match cfg.discipline {
         QueueDiscipline::Fifo => {
             let mut pool = std::mem::take(&mut scratch.fifo);
             grow_and_clear(&mut pool, net.wire_count(), VecDeque::new);
-            let mut q = FifoQueues(&mut pool);
-            let out = if unit {
-                run_ticks::<_, true, DISC_FIFO>(
-                    net,
-                    batch,
-                    sched,
-                    cfg,
-                    &mut q,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                    ev.as_deref_mut(),
-                )
-            } else {
-                run_ticks::<_, false, DISC_FIFO>(
-                    net,
-                    batch,
-                    sched,
-                    cfg,
-                    &mut q,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                    ev.as_deref_mut(),
-                )
-            };
+            let out = run!(&mut FifoQueues(&mut pool), DISC_FIFO);
             scratch.fifo = pool;
             out
         }
-        QueueDiscipline::FarthestFirst => {
+        discipline => {
             let mut pool = std::mem::take(&mut scratch.prio);
             grow_and_clear(&mut pool, net.wire_count(), Vec::new);
-            let mut q = PrioQueues(&mut pool);
-            let out = if unit {
-                run_ticks::<_, true, DISC_FARTHEST>(
-                    net,
-                    batch,
-                    sched,
-                    cfg,
-                    &mut q,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                    ev.as_deref_mut(),
-                )
+            let queues = &mut PrioQueues(&mut pool);
+            let out = if discipline == QueueDiscipline::FarthestFirst {
+                run!(queues, DISC_FARTHEST)
             } else {
-                run_ticks::<_, false, DISC_FARTHEST>(
-                    net,
-                    batch,
-                    sched,
-                    cfg,
-                    &mut q,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                    ev.as_deref_mut(),
-                )
-            };
-            scratch.prio = pool;
-            out
-        }
-        QueueDiscipline::RandomRank => {
-            let mut pool = std::mem::take(&mut scratch.prio);
-            grow_and_clear(&mut pool, net.wire_count(), Vec::new);
-            let mut q = PrioQueues(&mut pool);
-            let out = if unit {
-                run_ticks::<_, true, DISC_RANDOM>(
-                    net,
-                    batch,
-                    sched,
-                    cfg,
-                    &mut q,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                    ev.as_deref_mut(),
-                )
-            } else {
-                run_ticks::<_, false, DISC_RANDOM>(
-                    net,
-                    batch,
-                    sched,
-                    cfg,
-                    &mut q,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                    ev,
-                )
+                run!(queues, DISC_RANDOM)
             };
             scratch.prio = pool;
             out
@@ -552,70 +469,6 @@ fn key_of<const DISC: u8>(remaining: u32, rank: u32) -> u32 {
     }
 }
 
-/// Enqueue packet `pid` on the first wire of its path and activate the
-/// source node — the single injection action shared by tick-0 batch
-/// injection and scheduled mid-run injection (same code, same bits).
-#[inline]
-fn inject_packet<Q: WireQueues, const DISC: u8>(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    queues: &mut Q,
-    scr: &mut RouterScratch,
-    pid: usize,
-    max_queue: &mut usize,
-) {
-    let hops = batch.hops(pid);
-    let wb = batch.wire_base(pid);
-    let w = batch.wire_at(wb, 0) as usize;
-    let src = net.wire_tail(w as u32);
-    debug_assert_eq!(src, batch.node_at(batch.node_base(pid), 0));
-    scr.remaining[pid] = hops;
-    scr.cursor[pid] = wb + 1;
-    let key = key_of::<DISC>(hops, scr.rank[pid]);
-    *max_queue = (*max_queue).max(queues.push(w, key, pid as u32));
-    scr.node_queued[src as usize] += 1;
-    if !scr.node_listed[src as usize] {
-        scr.node_listed[src as usize] = true;
-        scr.active_nodes.push(src);
-    }
-}
-
-/// Consume every schedule entry due at `tick` (pid order within the tick):
-/// trivial packets deliver on the spot, stranded packets are dropped (they
-/// were counted before the loop started), everything else is injected.
-/// Returns whether any entry was consumed — a consuming tick is never
-/// quiescent, even when every entry was trivial or stranded, because
-/// `pending`/`delivered` moved.
-#[allow(clippy::too_many_arguments)]
-fn run_injections<Q: WireQueues, const DISC: u8>(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    sched: &InjectionSchedule,
-    tick: u64,
-    strand_scan: bool,
-    inj_cursor: &mut usize,
-    delivered: &mut usize,
-    queues: &mut Q,
-    scr: &mut RouterScratch,
-    max_queue: &mut usize,
-) -> bool {
-    let order = sched.order();
-    let start = *inj_cursor;
-    while *inj_cursor < order.len() && sched.tick_of(order[*inj_cursor] as usize) == tick {
-        let pid = order[*inj_cursor] as usize;
-        *inj_cursor += 1;
-        if batch.hops(pid) == 0 {
-            *delivered += 1;
-            continue;
-        }
-        if strand_scan && batch.wires(pid).iter().any(|&w| net.wire_dead(w)) {
-            continue;
-        }
-        inject_packet::<Q, DISC>(net, batch, queues, scr, pid, max_queue);
-    }
-    *inj_cursor > start
-}
-
 /// The tick loop, monomorphized per queue pool (`Q`), capacity regime
 /// (`UNIT`: every wire capacity 1 and every send budget unlimited — the
 /// budget bookkeeping compiles away entirely), and discipline (`DISC`: the
@@ -627,17 +480,14 @@ fn run_injections<Q: WireQueues, const DISC: u8>(
 /// tracked as `(remaining, cursor)` columns instead of the reference's
 /// vertex position: an arrival touches one `wire_ids` slot and one
 /// wire-tail slot instead of re-deriving its location from the path arrays.
-#[allow(clippy::too_many_arguments)]
 fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
     net: &CompiledNet,
     batch: &PacketBatch,
-    sched: Option<&InjectionSchedule>,
     cfg: RouterConfig,
     queues: &mut Q,
     scr: &mut RouterScratch,
     mut tele: Option<&mut RunTele>,
     cancel: Option<&AtomicBool>,
-    mut ev: Option<&mut EventCtl>,
 ) -> RoutingOutcome {
     let total = batch.len();
 
@@ -656,49 +506,28 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
     // take the exact pre-fault-plane injection path.
     let mut stranded = 0usize;
     let strand_scan = net.has_dead_wires();
-    // Scheduled runs: packets not yet at their injection tick. Trivial and
-    // stranded packets stay "pending" until their tick too, so the
-    // occupancy observation (`total - pending - delivered`) degenerates to
-    // the legacy `total - delivered` exactly when every tick is 0.
-    let mut pending = 0usize;
-    let mut inj_cursor = 0usize;
-    if let Some(s) = sched {
-        debug_assert_eq!(s.len(), total, "schedule must cover the batch");
-        // Strandedness is decided for *every* packet up front — before any
-        // future injection runs — so `routable` is a constant of the run.
-        if strand_scan {
-            for pid in 0..total {
-                if batch.hops(pid) > 0 && batch.wires(pid).iter().any(|&w| net.wire_dead(w)) {
-                    stranded += 1;
-                }
-            }
+    for pid in 0..total {
+        let hops = batch.hops(pid);
+        if hops == 0 {
+            delivered += 1;
+            continue;
         }
-        // Tick-0 injections, in pid order — the batch semantics verbatim.
-        run_injections::<Q, DISC>(
-            net,
-            batch,
-            s,
-            0,
-            strand_scan,
-            &mut inj_cursor,
-            &mut delivered,
-            queues,
-            scr,
-            &mut max_queue,
-        );
-        pending = s.order().len() - inj_cursor;
-    } else {
-        for pid in 0..total {
-            let hops = batch.hops(pid);
-            if hops == 0 {
-                delivered += 1;
-                continue;
-            }
-            if strand_scan && batch.wires(pid).iter().any(|&w| net.wire_dead(w)) {
-                stranded += 1;
-                continue;
-            }
-            inject_packet::<Q, DISC>(net, batch, queues, scr, pid, &mut max_queue);
+        if strand_scan && batch.wires(pid).iter().any(|&w| net.wire_dead(w)) {
+            stranded += 1;
+            continue;
+        }
+        let wb = batch.wire_base(pid);
+        let w = batch.wire_at(wb, 0) as usize;
+        let src = net.wire_tail(w as u32);
+        debug_assert_eq!(src, batch.node_at(batch.node_base(pid), 0));
+        scr.remaining[pid] = hops;
+        scr.cursor[pid] = wb + 1;
+        let key = key_of::<DISC>(hops, scr.rank[pid]);
+        max_queue = max_queue.max(queues.push(w, key, pid as u32));
+        scr.node_queued[src as usize] += 1;
+        if !scr.node_listed[src as usize] {
+            scr.node_listed[src as usize] = true;
+            scr.active_nodes.push(src);
         }
     }
 
@@ -718,7 +547,6 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
             }
         }
         ticks += 1;
-        let gated_at_tick_start = gated;
         scr.arrivals.clear();
         // Send phase: each active node pushes packets subject to per-wire
         // and per-node budgets, starting at a rotating wire offset for
@@ -823,7 +651,7 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
         // tick start, so occupancy is `total - delivered` in O(1); the ones
         // that did not make it into `arrivals` stalled for this tick.
         if let Some(t) = tele.as_deref_mut() {
-            let queued_start = (total - pending - delivered) as u64;
+            let queued_start = (total - delivered) as u64;
             t.occupancy.record(queued_start);
             t.stalled += queued_start - scr.arrivals.len() as u64;
         }
@@ -854,92 +682,6 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
             }
         }
         scr.arrivals = arrivals;
-        // Injection step: packets scheduled for this tick enter their first
-        // wire queue now (end of tick), after arrivals — their first
-        // possible crossing is next tick, exactly like tick-0 packets whose
-        // first crossing is tick 1.
-        let mut injected_now = false;
-        if let Some(s) = sched {
-            injected_now = run_injections::<Q, DISC>(
-                net,
-                batch,
-                s,
-                ticks,
-                strand_scan,
-                &mut inj_cursor,
-                &mut delivered,
-                queues,
-                scr,
-                &mut max_queue,
-            );
-            pending = s.order().len() - inj_cursor;
-        }
-        // Quiescent-span skip hook (the skip-free reference loop passes
-        // `ev: None` and the whole block compiles to one branch). A tick is
-        // *quiescent* when nothing crossed a wire and nothing was injected:
-        // from this exact state, every future tick replays identically
-        // until either an injection comes due or a fault-capacity boundary
-        // is crossed on a wire that holds packets. Jump `ticks` to just
-        // before the earliest such event, folding the per-tick side
-        // effects of the skipped span (rotate advance,
-        // occupancy/stall/gating accumulation) in closed form —
-        // bit-identical to simulating the span tick by tick.
-        if let Some(ctl) = ev.as_deref_mut() {
-            if scr.arrivals.is_empty() && !injected_now && delivered < routable {
-                // Queued wires can only wake at a capacity boundary; their
-                // wake ticks join the pending-injection ticks in the wheel.
-                if net.is_faulted() {
-                    for &u in &scr.active_nodes {
-                        let (lo, hi) = net.wire_range(u);
-                        for w in lo..hi {
-                            if !queues.is_empty(w) {
-                                if let Some(b) = net.next_capacity_boundary(w as u32, ticks - 1) {
-                                    ctl.wheel.push(b + 1, EventKind::WindowWakeup);
-                                }
-                            }
-                        }
-                    }
-                }
-                // No event at all means the state is frozen forever: burn
-                // the remaining budget in one jump (MaxTicks abort, at the
-                // same tick count the tick loop would reach).
-                let next_sim = ctl
-                    .wheel
-                    .next_after(ticks)
-                    .unwrap_or(u64::MAX)
-                    .min(cfg.max_ticks.saturating_add(1));
-                if next_sim > ticks + 1 {
-                    // Re-poll cancellation before committing the jump: a
-                    // flag raised since the loop-top poll must abort *here*,
-                    // not after the whole skipped span has been accounted —
-                    // otherwise a watchdog firing just before a huge idle
-                    // skip reports MaxTicks with the budget burned instead
-                    // of Cancelled at the last simulated tick.
-                    // ordering: same monotone stop hint as the loop-top
-                    // poll; Relaxed is sufficient.
-                    if let Some(c) = cancel {
-                        if c.load(Ordering::Relaxed) {
-                            cancelled = true;
-                            break;
-                        }
-                    }
-                    let k = next_sim - 1 - ticks;
-                    ctl.note_skip(ticks, next_sim);
-                    for &u in &scr.active_nodes {
-                        let (lo, hi) = net.wire_range(u);
-                        let deg = (hi - lo) as u64;
-                        scr.rotate[u as usize] = ((scr.rotate[u as usize] as u64 + k) % deg) as u32;
-                    }
-                    if let Some(t) = tele.as_deref_mut() {
-                        let occ = (total - pending - delivered) as u64;
-                        t.occupancy.record_many(occ, k);
-                        t.stalled = t.stalled.saturating_add(occ.saturating_mul(k));
-                    }
-                    gated += (gated - gated_at_tick_start).saturating_mul(k);
-                    ticks = next_sim - 1;
-                }
-            }
-        }
     }
 
     if let Some(t) = tele {
@@ -979,7 +721,7 @@ pub fn route_compiled_pooled(
     batch: &PacketBatch,
     cfg: RouterConfig,
 ) -> RoutingOutcome {
-    POOLED_SCRATCH.with(|s| route_compiled(net, batch, None, cfg, &mut s.borrow_mut(), None))
+    POOLED_SCRATCH.with(|s| route_compiled(net, batch, cfg, &mut s.borrow_mut(), None))
 }
 
 /// Route a batch of packets to completion on a machine.
@@ -1009,34 +751,17 @@ pub fn route_batch(
     route_compiled_pooled(&net, &batch, cfg)
 }
 
-/// The executable specifications [`route_compiled`] is pinned against.
+/// The executable specification [`route_compiled`] is pinned against.
 ///
-/// * [`reference::route_batch`] is the original single-function simulator,
-///   retained verbatim as the spec of the wire model under batch
-///   semantics. `tests/compiled_router.rs` pins [`route_compiled`] against
-///   it across machine families and queue disciplines.
-/// * [`reference::route_every_tick`] is the compiled tick loop with the
-///   quiescent-span skip switched off: the spec for scheduled and faulted
-///   runs, which `reference::route_batch` predates. `tests/event_router.rs`
-///   pins the skip against it, and `perfbench`'s `route_skip_*` rows time
-///   the skip against it.
+/// [`reference::route_batch`] is the original single-function simulator,
+/// retained verbatim as the spec of the wire model under batch semantics.
+/// `tests/compiled_router.rs` pins [`route_compiled`] against it across
+/// machine families and queue disciplines. It predates the fault plane, so
+/// faulted runs are pinned to hand-computed outcomes instead.
 ///
-/// Not hot paths — new code should use [`route_compiled`].
+/// Not a hot path — new code should use [`route_compiled`].
 pub mod reference {
     use super::*;
-
-    /// [`route_compiled`] simulating every tick, quiescent or not: the
-    /// same kernel with no skip hook, bit-identical outcomes.
-    pub fn route_every_tick(
-        net: &CompiledNet,
-        batch: &PacketBatch,
-        sched: Option<&InjectionSchedule>,
-        cfg: RouterConfig,
-        scratch: &mut RouterScratch,
-        cancel: Option<&AtomicBool>,
-    ) -> RoutingOutcome {
-        dispatch_run(net, batch, sched, cfg, scratch, cancel, None)
-    }
 
     /// Per-wire queue under a discipline. Priority queues pop the smallest
     /// key.
@@ -1445,11 +1170,10 @@ mod tests {
                 // Abort run first to leave residue in the queues...
                 let mut short = cfg(d);
                 short.max_ticks = 1;
-                let _ = route_compiled(&net, &batch, None, short, &mut scratch, None);
+                let _ = route_compiled(&net, &batch, short, &mut scratch, None);
                 // ...then the real run must still be clean.
-                let pooled = route_compiled(&net, &batch, None, cfg(d), &mut scratch, None);
-                let fresh =
-                    route_compiled(&net, &batch, None, cfg(d), &mut RouterScratch::new(), None);
+                let pooled = route_compiled(&net, &batch, cfg(d), &mut scratch, None);
+                let fresh = route_compiled(&net, &batch, cfg(d), &mut RouterScratch::new(), None);
                 assert_eq!(pooled, fresh, "{} {d:?}", m.name());
             }
         }

@@ -116,16 +116,8 @@ impl<'a> RouteCtx<'a> {
         let batch = PacketBatch::compile(&self.net, paths)
             // fcn-allow: ERR-UNWRAP documented panicking wrapper over planner output; `PacketBatch::compile` covers untrusted paths
             .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"));
-        POOLED_SCRATCH.with(|s| {
-            route_compiled(
-                &self.net,
-                &batch,
-                None,
-                cfg,
-                &mut s.borrow_mut(),
-                self.cancel,
-            )
-        })
+        POOLED_SCRATCH
+            .with(|s| route_compiled(&self.net, &batch, cfg, &mut s.borrow_mut(), self.cancel))
     }
 }
 
@@ -351,7 +343,6 @@ mod tests {
         let never = AtomicBool::new(false);
         let plain = RouteCtx::new(&m);
         let watched = RouteCtx::new(&m).with_cancel(&never);
-        let mut scratch = crate::engine::RouterScratch::new();
         for seed in 0..3u64 {
             let mut rng = {
                 use rand::SeedableRng;
@@ -359,15 +350,7 @@ mod tests {
             };
             let demands: Vec<_> = (0..96).map(|_| t.sample(&mut rng)).collect();
             let paths = crate::native::plan_routes(&m, &demands, Strategy::ShortestPath, seed);
-            let batch = PacketBatch::compile(plain.net(), &paths).unwrap();
-            let spec = crate::engine::reference::route_every_tick(
-                plain.net(),
-                &batch,
-                None,
-                cfg(),
-                &mut scratch,
-                None,
-            );
+            let spec = crate::engine::reference::route_batch(&m, paths.clone(), cfg());
             assert_eq!(plain.route_paths(&paths, cfg()), spec, "seed {seed}");
             assert_eq!(watched.route_paths(&paths, cfg()), spec, "seed {seed}");
         }

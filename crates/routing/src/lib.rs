@@ -21,9 +21,6 @@
 //!   send budgets for the "weak" machines, pluggable queue disciplines,
 //!   pooled [`RouterScratch`] arenas, and one run-a-batch kernel,
 //!   [`route_compiled`];
-//! * [`events`] — the calendar wheel behind every run's quiescent-span
-//!   skip (sparse injection schedules, fault outage windows, drain tails),
-//!   bit-identical to simulating every tick;
 //! * [`harness`] — batch-rate measurement, built around the compile-once
 //!   [`RouteCtx`];
 //! * [`steady`] — open-loop (steady-state) throughput ramps.
@@ -31,7 +28,6 @@
 pub mod cache;
 pub mod compiled;
 pub mod engine;
-pub mod events;
 pub mod harness;
 pub mod native;
 pub mod oracle;
@@ -39,12 +35,11 @@ pub mod packet;
 pub mod steady;
 
 pub use cache::PlanCache;
-pub use compiled::{CompiledNet, InjectionSchedule, PacketBatch, RouteError};
+pub use compiled::{CompiledNet, PacketBatch, RouteError};
 pub use engine::{
     route_batch, route_compiled, route_compiled_pooled, AbortCause, RouterConfig, RouterScratch,
     RoutingOutcome,
 };
-pub use events::{EventKind, EventWheel};
 pub use harness::{measure_rate, measure_rate_ctx, plateau_rate, RateSample, RouteCtx};
 pub use native::{
     de_bruijn_path, plan_batch, plan_routes, plan_routes_cached, plan_routes_degraded,

@@ -12,14 +12,21 @@
 //!   the retained pre-compilation simulator
 //!   `fcn_routing::engine::reference::route_batch` across the determinism
 //!   families × all three queue disciplines, including tick-budget aborts.
+//! * **Hand-computed pins** — the reference simulator predates the fault
+//!   plane and cancellation, so outage windows, dead wires, the frozen-net
+//!   `MaxTicks` abort and a pre-set cancel flag are pinned to outcomes
+//!   worked out by hand on tiny machines.
 //!
 //! Together these justify calling the rewrite a pure performance change:
 //! every number the paper tables ingest is unchanged.
 
+use std::sync::atomic::AtomicBool;
+
+use fcn_faults::{FaultPlan, LinkOutage};
 use fcn_routing::engine::reference;
 use fcn_routing::{
-    plan_routes, route_compiled, CompiledNet, PacketBatch, PacketPath, QueueDiscipline, RouteError,
-    RouterConfig, RouterScratch, Strategy,
+    plan_routes, route_compiled, AbortCause, CompiledNet, PacketBatch, PacketPath, QueueDiscipline,
+    RouteError, RouterConfig, RouterScratch, RoutingOutcome, Strategy,
 };
 use fcn_topology::{Family, Machine};
 use proptest::prelude::*;
@@ -105,7 +112,7 @@ proptest! {
         ] {
             let cfg = RouterConfig { discipline, seed, ..Default::default() };
             let old = reference::route_batch(&machine, paths.clone(), cfg);
-            let new = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
+            let new = route_compiled(&net, &batch, cfg, &mut scratch, None);
             prop_assert_eq!(old, new);
         }
     }
@@ -140,7 +147,7 @@ fn equivalence_pin_families_times_disciplines() {
                     max_ticks,
                 };
                 let old = reference::route_batch(&machine, paths.clone(), cfg);
-                let new = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
+                let new = route_compiled(&net, &batch, cfg, &mut scratch, None);
                 assert_eq!(
                     old,
                     new,
@@ -172,8 +179,163 @@ fn weak_machines_pin_send_budgets() {
         let mut scratch = RouterScratch::new();
         let cfg = RouterConfig::default();
         let old = reference::route_batch(&machine, paths.clone(), cfg);
-        let new = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
+        let new = route_compiled(&net, &batch, cfg, &mut scratch, None);
         assert_eq!(old, new, "{}", machine.name());
+    }
+}
+
+const DISCIPLINES: [QueueDiscipline; 3] = [
+    QueueDiscipline::Fifo,
+    QueueDiscipline::FarthestFirst,
+    QueueDiscipline::RandomRank,
+];
+
+/// `linear_array(4)` with the link 1 — 2 at capacity 0 over ticks
+/// `start..end`, and the one-packet batch 0 → 1 → 2 → 3.
+fn gated_line(start: u64, end: u64) -> (CompiledNet, PacketBatch) {
+    let machine = Machine::linear_array(4);
+    let outage = LinkOutage {
+        u: 1,
+        v: 2,
+        start,
+        end,
+        capacity: 0,
+    };
+    let plan = FaultPlan::assemble(vec![], vec![], vec![outage]);
+    let net = CompiledNet::compile(&machine).apply_faults(&plan);
+    let batch = PacketBatch::compile(&net, &[PacketPath::new(vec![0, 1, 2, 3])]).unwrap();
+    (net, batch)
+}
+
+/// Tick `t` sends with the capacity in force at `t - 1`. The packet crosses
+/// 0 → 1 at tick 1 and then waits on wire 1 → 2 while the window is open
+/// (queries 1..=9, ticks 2..=10). It crosses 1 → 2 at tick 11 and 2 → 3 at
+/// tick 12.
+#[test]
+fn outage_window_delays_delivery_to_the_exact_tick() {
+    let (net, batch) = gated_line(1, 10);
+    let mut scratch = RouterScratch::new();
+    for discipline in DISCIPLINES {
+        let cfg = RouterConfig {
+            discipline,
+            ..Default::default()
+        };
+        let out = route_compiled(&net, &batch, cfg, &mut scratch, None);
+        assert_eq!(
+            out,
+            RoutingOutcome {
+                ticks: 12,
+                delivered: 1,
+                total: 1,
+                completed: true,
+                max_queue: 1,
+                total_hops: 3,
+                stranded: 0,
+                abort: AbortCause::Completed,
+            },
+            "{discipline:?}"
+        );
+    }
+    // A window that closes before the packet reaches the link costs nothing.
+    let (net, batch) = gated_line(0, 1);
+    let out = route_compiled(&net, &batch, RouterConfig::default(), &mut scratch, None);
+    assert_eq!((out.ticks, out.abort), (3, AbortCause::Completed));
+}
+
+/// A window far past the budget freezes the packet on wire 1 → 2: the run
+/// spends every tick of `max_ticks` and aborts with exactly one hop made.
+#[test]
+fn frozen_net_aborts_at_exactly_max_ticks() {
+    let (net, batch) = gated_line(1, 1 << 40);
+    let mut scratch = RouterScratch::new();
+    for discipline in DISCIPLINES {
+        let cfg = RouterConfig {
+            discipline,
+            seed: 3,
+            max_ticks: 50_000,
+        };
+        let out = route_compiled(&net, &batch, cfg, &mut scratch, None);
+        assert_eq!(out.abort, AbortCause::MaxTicks, "{discipline:?}");
+        assert_eq!(out.ticks, 50_000, "budget spent to the tick");
+        assert_eq!((out.delivered, out.total_hops), (0, 1));
+        assert!(!out.completed);
+    }
+}
+
+/// A flag raised before the run stops it before tick 1: only the 0-hop
+/// packets (delivered at injection) count, and no wire is crossed.
+#[test]
+fn preset_cancel_flag_stops_at_tick_zero() {
+    let machine = Machine::linear_array(4);
+    let net = CompiledNet::compile(&machine);
+    let paths = [
+        PacketPath::new(vec![0, 1, 2, 3]),
+        PacketPath::new(vec![2]),
+        PacketPath::new(vec![3, 2]),
+    ];
+    let batch = PacketBatch::compile(&net, &paths).unwrap();
+    let cancel = AtomicBool::new(true);
+    let mut scratch = RouterScratch::new();
+    for discipline in DISCIPLINES {
+        let cfg = RouterConfig {
+            discipline,
+            ..Default::default()
+        };
+        let out = route_compiled(&net, &batch, cfg, &mut scratch, Some(&cancel));
+        assert_eq!(
+            out,
+            RoutingOutcome {
+                ticks: 0,
+                delivered: 1,
+                total: 3,
+                completed: false,
+                max_queue: 1,
+                total_hops: 0,
+                stranded: 0,
+                abort: AbortCause::Cancelled,
+            },
+            "{discipline:?}"
+        );
+    }
+}
+
+/// With link 1 — 2 dead, the two packets whose paths cross it are stranded
+/// at injection; the two 1-hop packets deliver at tick 1 and the 0-hop one
+/// at tick 0.
+#[test]
+fn dead_wire_paths_are_stranded_with_exact_counts() {
+    let machine = Machine::linear_array(4);
+    let plan = FaultPlan::assemble(vec![], vec![(1, 2)], vec![]);
+    let net = CompiledNet::compile(&machine).apply_faults(&plan);
+    let paths = [
+        PacketPath::new(vec![0, 1, 2, 3]),
+        PacketPath::new(vec![0, 1]),
+        PacketPath::new(vec![3, 2]),
+        PacketPath::new(vec![2, 1]),
+        PacketPath::new(vec![2]),
+    ];
+    let batch = PacketBatch::compile(&net, &paths).unwrap();
+    let mut scratch = RouterScratch::new();
+    for discipline in DISCIPLINES {
+        let cfg = RouterConfig {
+            discipline,
+            ..Default::default()
+        };
+        let out = route_compiled(&net, &batch, cfg, &mut scratch, None);
+        assert_eq!(
+            out,
+            RoutingOutcome {
+                ticks: 1,
+                delivered: 3,
+                total: 5,
+                completed: false,
+                max_queue: 1,
+                total_hops: 2,
+                stranded: 2,
+                abort: AbortCause::Stranded,
+            },
+            "{discipline:?}"
+        );
     }
 }
 

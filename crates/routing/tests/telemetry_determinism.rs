@@ -66,8 +66,8 @@ fn route_once(machine: &Machine, discipline: QueueDiscipline, max_ticks: u64) ->
     let mut scratch = RouterScratch::new();
     // Route twice through the same scratch so both the scratch-created and
     // scratch-reused instrumentation branches are exercised.
-    let first = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
-    let second = route_compiled(&net, &batch, None, cfg, &mut scratch, None);
+    let first = route_compiled(&net, &batch, cfg, &mut scratch, None);
+    let second = route_compiled(&net, &batch, cfg, &mut scratch, None);
     assert_eq!(
         record(&first),
         record(&second),

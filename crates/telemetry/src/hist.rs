@@ -75,18 +75,6 @@ impl LocalHistogram {
         self.sum = self.sum.wrapping_add(v);
     }
 
-    /// Record the same observation `n` times in O(1) — one bucket add
-    /// instead of `n` calls to [`record`](Self::record). The event-driven
-    /// router uses this to account for skipped idle spans, where a constant
-    /// occupancy held for the whole span; the resulting histogram is
-    /// bit-identical to `n` individual records.
-    #[inline]
-    pub fn record_many(&mut self, v: u64, n: u64) {
-        self.buckets[bucket_index(v)] += n;
-        self.count += n;
-        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
-    }
-
     /// Merge another histogram into this one (bucket-wise addition — the
     /// associative, commutative shard-merge operation).
     pub fn merge(&mut self, other: &LocalHistogram) {
@@ -162,20 +150,6 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged, all);
         assert_eq!(merged.count, 8);
-    }
-
-    #[test]
-    fn record_many_matches_repeated_record() {
-        let mut bulk = LocalHistogram::new();
-        let mut loop_ = LocalHistogram::new();
-        for (v, n) in [(0u64, 3u64), (5, 1), (9, 1000), (1 << 40, 2)] {
-            bulk.record_many(v, n);
-            for _ in 0..n {
-                loop_.record(v);
-            }
-        }
-        bulk.record_many(7, 0); // n = 0 is a no-op
-        assert_eq!(bulk, loop_);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!
 //! 1. **Disabled means free.** The [`global`] registry starts disabled, and
 //!    every instrumented hot path checks [`MetricsRegistry::enabled`] (one
-//!    relaxed load) before doing any collection work. The
-//!    `telemetry_overhead` perfbench row pins the disabled path to <1% on
-//!    the mesh2(64) saturation benchmark.
+//!    relaxed load) once per run before doing any collection work; the
+//!    router's disabled path is one `None` branch per tick.
 //! 2. **Telemetry never perturbs the simulation.** Collection only *reads*
 //!    simulation state; no simulated bit depends on whether metrics are on.
 //!    `crates/routing/tests/telemetry_determinism.rs` asserts byte-identical

@@ -23,10 +23,6 @@ pub const EXEC_WORKERS_LAST: &str = "exec_workers_last";
 pub const EXEC_WORKER_BUSY_NANOS_TOTAL: &str = "exec_worker_busy_nanos_total";
 /// Wall-clock nanoseconds workers spent waiting for work.
 pub const EXEC_WORKER_IDLE_NANOS_TOTAL: &str = "exec_worker_idle_nanos_total";
-/// Seeded retries after a job panic.
-pub const EXEC_JOB_RETRIES_TOTAL: &str = "exec_job_retries_total";
-/// Job panics caught by the pool's isolation boundary.
-pub const EXEC_JOB_PANICS_TOTAL: &str = "exec_job_panics_total";
 /// Watchdog deadline expiries that triggered cancellation.
 pub const EXEC_WATCHDOG_FIRED_TOTAL: &str = "exec_watchdog_fired_total";
 
@@ -77,12 +73,6 @@ pub const ROUTER_QUEUE_OCCUPANCY: &str = "router_queue_occupancy";
 pub const ROUTER_SCRATCH_CREATED_TOTAL: &str = "router_scratch_created_total";
 /// Scratch arenas reused without reallocation.
 pub const ROUTER_SCRATCH_REUSED_TOTAL: &str = "router_scratch_reused_total";
-/// Quiescent ticks the router skipped instead of simulating.
-pub const ROUTER_TICKS_SKIPPED_TOTAL: &str = "router_ticks_skipped_total";
-/// Per-run peak event-wheel depth (histogram).
-pub const ROUTER_WHEEL_MAX_DEPTH: &str = "router_wheel_max_depth";
-/// Fault outage windows the router skipped over entirely.
-pub const ROUTER_OUTAGE_WINDOWS_SKIPPED_TOTAL: &str = "router_outage_windows_skipped_total";
 
 // --- fault plane --------------------------------------------------------
 
@@ -189,8 +179,6 @@ pub const ALL: &[&str] = &[
     EXEC_WORKERS_LAST,
     EXEC_WORKER_BUSY_NANOS_TOTAL,
     EXEC_WORKER_IDLE_NANOS_TOTAL,
-    EXEC_JOB_RETRIES_TOTAL,
-    EXEC_JOB_PANICS_TOTAL,
     EXEC_WATCHDOG_FIRED_TOTAL,
     PLAN_CACHE_HITS_TOTAL,
     PLAN_CACHE_MISSES_TOTAL,
@@ -213,9 +201,6 @@ pub const ALL: &[&str] = &[
     ROUTER_QUEUE_OCCUPANCY,
     ROUTER_SCRATCH_CREATED_TOTAL,
     ROUTER_SCRATCH_REUSED_TOTAL,
-    ROUTER_TICKS_SKIPPED_TOTAL,
-    ROUTER_WHEEL_MAX_DEPTH,
-    ROUTER_OUTAGE_WINDOWS_SKIPPED_TOTAL,
     FAULT_PLANS_APPLIED_TOTAL,
     FAULT_DEAD_WIRES_TOTAL,
     FAULT_DEAD_NODES_TOTAL,

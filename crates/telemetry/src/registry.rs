@@ -150,8 +150,7 @@ impl Histogram {
 ///
 /// The registry starts **disabled**: hot paths check
 /// [`MetricsRegistry::enabled`] once per run and skip all collection work
-/// when it is off, which is what keeps the disabled path within the <1%
-/// overhead budget (`telemetry_overhead` row of `BENCH_router.json`).
+/// when it is off.
 /// Instrument creation is get-or-create by name, so any number of call
 /// sites can share one counter.
 ///

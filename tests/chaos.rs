@@ -1,6 +1,6 @@
 //! Chaos tests for the fault plane and the resilient harness.
 //!
-//! Four contracts, exercised with randomized inputs:
+//! Three contracts, exercised with randomized inputs:
 //!
 //! * **No panics, typed termination** — an arbitrary seeded [`FaultPlan`]
 //!   (any rate, any graph) never panics the planner or the router, and
@@ -11,12 +11,8 @@
 //! * **Transparency** — applying an *empty* fault plan yields a compiled
 //!   net equal to the original, and routing on it reproduces the intact
 //!   outcome exactly.
-//! * **Panic isolation** — a pool job that panics surfaces as a typed
-//!   [`fcn_emu::exec::JobError`] (lowest failing index, deterministically)
-//!   and seeded retries re-run it identically at any worker count.
 
 use fcn_emu::bandwidth::DegradedSweep;
-use fcn_emu::exec::{retry_seed, Pool};
 use fcn_emu::faults::{FaultPlan, FaultSpec};
 use fcn_emu::routing::{
     plan_routes_degraded, route_compiled_pooled, AbortCause, CompiledNet, PacketBatch,
@@ -153,69 +149,4 @@ proptest! {
         let par = DegradedSweep { jobs: 4, ..sweep }.sweep_symmetric(&machine);
         prop_assert_eq!(&seq, &par);
     }
-
-    /// A panicking pool job surfaces as a typed error naming the lowest
-    /// failing index, and seeded retries recover it deterministically at
-    /// any worker count.
-    #[test]
-    fn chaos_pool_survives_injected_panics(
-        base_seed in any::<u64>(),
-        count in 4usize..24,
-        panic_mask in any::<u32>(),
-    ) {
-        silence_panic_hook();
-        // Jobs whose low mask bit is set panic on their first attempt only.
-        let flaky = move |i: usize, seed: u64| {
-            if seed == retry_seed(base_seed, i as u64, 0) && (panic_mask >> (i % 32)) & 1 == 1 {
-                panic!("chaos: injected failure in job {i}");
-            }
-            (i as u64) ^ seed
-        };
-
-        // With retries, every worker count recovers the identical vector.
-        let seq = Pool::new(1).try_run_seeded(count, base_seed, 2, flaky);
-        let par = Pool::new(4).try_run_seeded(count, base_seed, 2, flaky);
-        prop_assert_eq!(&seq, &par);
-        let values = seq.expect("one retry clears every injected panic");
-        for (i, v) in values.iter().enumerate() {
-            let attempt = u32::from((panic_mask >> (i % 32)) & 1 == 1);
-            prop_assert_eq!(*v, (i as u64) ^ retry_seed(base_seed, i as u64, attempt));
-        }
-
-        // Without retries, the error is typed and names the lowest failing
-        // index regardless of scheduling.
-        let first_failing = (0..count).find(|i| (panic_mask >> (i % 32)) & 1 == 1);
-        match (
-            Pool::new(4).try_run_seeded(count, base_seed, 0, flaky),
-            first_failing,
-        ) {
-            (Ok(_), None) => {}
-            (Err(e), Some(idx)) => {
-                prop_assert_eq!(e.index, idx);
-                prop_assert!(e.payload.contains("injected failure"), "{}", e.payload);
-            }
-            (Ok(_), Some(idx)) => prop_assert!(false, "job {idx} should have failed"),
-            (Err(e), None) => prop_assert!(false, "unexpected failure: {e}"),
-        }
-    }
-}
-
-/// The default panic hook would print every injected panic; silence it once
-/// for this test binary so chaos runs keep CI logs readable. Caught panics
-/// still surface as typed [`fcn_emu::exec::JobError`]s — only the hook's
-/// stderr spam is suppressed.
-fn silence_panic_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.starts_with("chaos:"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
 }
