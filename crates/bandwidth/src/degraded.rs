@@ -13,9 +13,10 @@
 //!
 //! ## Transparency and determinism
 //!
-//! The sweep shares its seed streams with [`crate::BandwidthEstimator`]:
-//! cell `(trial, multiplier i)` draws demands with `job_seed(seed, cell)`
-//! and plans with `job_seed(seed ⊕ PLAN_STREAM, trial)`. A fault rate of
+//! The sweep derives its cells' seeds with the estimator's own grid cell
+//! (`operational::GridCell`): cell `(trial, multiplier i)` draws demands
+//! with `job_seed(seed, cell)` and plans with
+//! `job_seed(seed ⊕ PLAN_STREAM, trial)`. A fault rate of
 //! `0.0` therefore reproduces the intact estimator's samples **bit for
 //! bit** (pinned by `zero_rate_point_matches_intact_estimator`), and every
 //! point is bit-identical for any worker count — the fault plan is a pure
@@ -24,7 +25,7 @@
 
 use std::sync::Arc;
 
-use fcn_exec::{job_seed, Pool};
+use fcn_exec::Pool;
 use fcn_faults::{FaultPlan, FaultSpec};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
@@ -34,7 +35,7 @@ use fcn_routing::{
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
 
-use crate::operational::PLAN_STREAM;
+use crate::operational::GridCell;
 
 /// Configuration for a degraded-β sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -165,19 +166,8 @@ impl DegradedSweep {
                     Arc::new(base.apply_faults(&plan))
                 };
                 let samples: Vec<DegradedSample> = pool.run(cells, |cell| {
-                    let trial = cell / m_len;
-                    let mi = cell % m_len;
-                    let messages = (self.multipliers[mi] * n).max(1);
-                    self.cell(
-                        machine,
-                        &net,
-                        traffic,
-                        &plan,
-                        &cache,
-                        messages,
-                        job_seed(self.seed, cell as u64),
-                        job_seed(self.seed ^ PLAN_STREAM, trial as u64),
-                    )
+                    let c = GridCell::new(self.seed, &self.multipliers, n, cell);
+                    self.cell(machine, &net, traffic, &plan, &cache, c)
                 });
                 self.aggregate(fault_rate, &plan, samples, m_len)
             })
@@ -197,7 +187,6 @@ impl DegradedSweep {
 
     /// One grid cell: draw demands, plan around the faults, route on the
     /// faulted net.
-    #[allow(clippy::too_many_arguments)]
     fn cell(
         &self,
         machine: &Machine,
@@ -205,20 +194,18 @@ impl DegradedSweep {
         traffic: &Traffic,
         plan: &FaultPlan,
         cache: &PlanCache,
-        messages: usize,
-        demand_seed: u64,
-        plan_seed: u64,
+        c: GridCell,
     ) -> DegradedSample {
         let mut rng = {
             use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(demand_seed)
+            rand::rngs::StdRng::seed_from_u64(c.demand_seed)
         };
-        let demands: Vec<_> = (0..messages).map(|_| traffic.sample(&mut rng)).collect();
+        let demands: Vec<_> = (0..c.messages).map(|_| traffic.sample(&mut rng)).collect();
         let dp = plan_routes_degraded(
             machine,
             &demands,
             self.strategy,
-            plan_seed,
+            c.plan_seed,
             plan,
             Some(cache),
         );
@@ -234,7 +221,7 @@ impl DegradedSweep {
         let terminated = !matches!(outcome.abort, AbortCause::MaxTicks | AbortCause::Cancelled);
         DegradedSample {
             sample: RateSample {
-                messages,
+                messages: c.messages,
                 ticks: outcome.ticks,
                 rate: outcome.rate(),
                 completed: terminated,

@@ -13,7 +13,10 @@
 //! `job_seed(seed, trial · M + i)` and plans routes with
 //! `job_seed(seed ⊕ PLAN_STREAM, trial)`. No cell reads another cell's RNG,
 //! so the estimate is bit-identical for any worker count (`jobs = 1` and
-//! `jobs = 16` agree exactly — see `tests/determinism.rs`).
+//! `jobs = 16` agree exactly — see `tests/determinism.rs`). A family sweep
+//! (`crate::sandwich`) schedules whole trials instead of cells; both derive
+//! every cell's seeds from the one `GridCell` and reduce with the one
+//! `reduce`.
 //!
 //! Sharing one *plan* seed across a trial's multipliers is also what makes
 //! the [`PlanCache`] effective: the growing batches of a trial reuse the
@@ -34,9 +37,43 @@ use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
 
 /// Domain separator for the plan-seed stream (vs the demand-seed stream).
-/// Shared with [`crate::degraded`] so a zero-fault degraded sweep reproduces
-/// the estimator's cells bit-for-bit.
-pub(crate) const PLAN_STREAM: u64 = 0x9_1a7e_5eed;
+const PLAN_STREAM: u64 = 0x9_1a7e_5eed;
+
+/// What one cell `(trial, multiplier i)` of a `trials × multipliers` grid
+/// routes: the only place the grid's seed streams are derived, shared with
+/// [`crate::degraded`] so a zero-fault degraded sweep reproduces the
+/// estimator's cells bit-for-bit.
+pub(crate) struct GridCell {
+    /// Batch size, `multipliers[i] · n` (at least one).
+    pub(crate) messages: usize,
+    /// `job_seed(seed, cell)`: the cell's own demand stream.
+    pub(crate) demand_seed: u64,
+    /// `job_seed(seed ⊕ PLAN_STREAM, trial)`: shared by the trial's cells.
+    pub(crate) plan_seed: u64,
+}
+
+impl GridCell {
+    /// Cell `cell` (trial-major) of the grid over `n` processors.
+    pub(crate) fn new(seed: u64, multipliers: &[usize], n: usize, cell: usize) -> GridCell {
+        let m_len = multipliers.len();
+        GridCell {
+            messages: (multipliers[cell % m_len] * n).max(1),
+            demand_seed: job_seed(seed, cell as u64),
+            plan_seed: job_seed(seed ^ PLAN_STREAM, (cell / m_len) as u64),
+        }
+    }
+}
+
+/// The ungated paths' contract: a grid with no completed trial panics.
+pub(crate) fn budget_exhausted(
+    estimate: Result<BandwidthEstimate, EstimateAborted>,
+) -> BandwidthEstimate {
+    match estimate {
+        Ok(est) => est,
+        // fcn-allow: ERR-UNWRAP ungated path keeps the historical panic contract
+        Err(_) => panic!("no trial completed within the tick budget; raise router.max_ticks"),
+    }
+}
 
 /// Configuration for operational bandwidth estimation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -139,11 +176,13 @@ impl BandwidthEstimator {
         net: &Arc<CompiledNet>,
         traffic: &Traffic,
     ) -> BandwidthEstimate {
-        match self.try_estimate_compiled(machine, net, traffic, &PlanCache::default(), None) {
-            Ok(est) => est,
-            // fcn-allow: ERR-UNWRAP ungated path keeps the historical panic contract
-            Err(_) => panic!("no trial completed within the tick budget; raise router.max_ticks"),
-        }
+        budget_exhausted(self.try_estimate_compiled(
+            machine,
+            net,
+            traffic,
+            &PlanCache::default(),
+            None,
+        ))
     }
 
     /// The estimator's core: run the `trials × multipliers` grid over an
@@ -167,34 +206,70 @@ impl BandwidthEstimator {
         cache: &PlanCache,
         cancel: Option<&AtomicBool>,
     ) -> Result<BandwidthEstimate, EstimateAborted> {
-        assert!(self.trials >= 1 && !self.multipliers.is_empty());
+        let cells = self.cells();
         let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_BANDWIDTH_ESTIMATE);
-        let n = traffic.n();
-        let m_len = self.multipliers.len();
-        let cells = self.trials * m_len;
-        let pool = Pool::new(self.jobs);
         let mut ctx = RouteCtx::from_net(machine, net.clone()).with_cache(cache);
         if let Some(c) = cancel {
             ctx = ctx.with_cancel(c);
         }
-        let samples: Vec<RateSample> = pool.run(cells, |cell| {
-            let trial = cell / m_len;
-            let mi = cell % m_len;
-            let messages = (self.multipliers[mi] * n).max(1);
-            measure_rate_ctx(
-                &ctx,
-                traffic,
-                messages,
-                self.strategy,
-                self.router,
-                job_seed(self.seed, cell as u64),
-                job_seed(self.seed ^ PLAN_STREAM, trial as u64),
-            )
-        });
+        let samples: Vec<RateSample> =
+            Pool::new(self.jobs).run(cells, |cell| self.run_cell(&ctx, traffic, cell));
+        // ordering: the flag is a monotone stop hint set by another thread;
+        // Relaxed suffices for the final observation too.
+        let cancelled = cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+        self.reduce(samples, cancelled)
+    }
 
+    /// Grid size, `trials × multipliers`.
+    ///
+    /// # Panics
+    /// Panics on an empty grid (no trials or no multipliers).
+    pub(crate) fn cells(&self) -> usize {
+        assert!(self.trials >= 1 && !self.multipliers.is_empty());
+        self.trials * self.multipliers.len()
+    }
+
+    /// One grid cell: draw its demands, plan on its trial's seed, route.
+    fn run_cell(&self, ctx: &RouteCtx<'_>, traffic: &Traffic, cell: usize) -> RateSample {
+        let c = GridCell::new(self.seed, &self.multipliers, traffic.n(), cell);
+        measure_rate_ctx(
+            ctx,
+            traffic,
+            c.messages,
+            self.strategy,
+            self.router,
+            c.demand_seed,
+            c.plan_seed,
+        )
+    }
+
+    /// Trial `trial`'s cells in multiplier order — the unit a family sweep
+    /// schedules as one task. The trial's cells share one plan seed, so
+    /// `ctx`'s cache serves the trial's later batches from its first.
+    pub(crate) fn run_trial(
+        &self,
+        ctx: &RouteCtx<'_>,
+        traffic: &Traffic,
+        trial: usize,
+    ) -> Vec<RateSample> {
+        let m_len = self.multipliers.len();
+        (trial * m_len..(trial + 1) * m_len)
+            .map(|cell| self.run_cell(ctx, traffic, cell))
+            .collect()
+    }
+
+    /// Reduce the whole grid's samples (trial-major) to the estimate: the
+    /// best per-trial plateau and their mean. Publishes the grid's metrics
+    /// when telemetry is on; returns [`EstimateAborted`] when `cancelled` or
+    /// when no trial produced a plateau.
+    pub(crate) fn reduce(
+        &self,
+        samples: Vec<RateSample>,
+        cancelled: bool,
+    ) -> Result<BandwidthEstimate, EstimateAborted> {
         let mut plateaus = Vec::new();
         let mut complete_trials = 0;
-        for trial in samples.chunks(m_len) {
+        for trial in samples.chunks(self.multipliers.len()) {
             if trial.iter().all(|s| s.completed) {
                 complete_trials += 1;
             }
@@ -205,13 +280,10 @@ impl BandwidthEstimator {
         if fcn_telemetry::global().enabled() {
             self.publish(&samples, complete_trials as u64);
         }
-        // ordering: the flag is a monotone stop hint set by another thread;
-        // Relaxed suffices for the final observation too.
-        let cancelled = cancel.is_some_and(|c| c.load(Ordering::Relaxed));
         if cancelled || plateaus.is_empty() {
             return Err(EstimateAborted {
                 cells_completed: samples.iter().filter(|s| s.completed).count(),
-                cells_total: cells,
+                cells_total: samples.len(),
                 ticks_spent: samples.iter().map(|s| s.ticks).sum(),
                 cancelled,
             });

@@ -7,15 +7,22 @@
 //! Table 4 reproduction, and [`sweep_family`] collects rows across sizes for
 //! exponent fitting.
 
+use std::cmp::Reverse;
+use std::sync::{Arc, OnceLock};
+
 use fcn_asymptotics::fit::{classify_growth, classify_growth_offset, table4_candidates};
 use fcn_asymptotics::{fit_power_log, Asym, PowerLogFit};
 use fcn_exec::{job_seed, Pool};
-use fcn_multigraph::Traffic;
+use fcn_multigraph::{DistanceStats, Traffic};
+use fcn_routing::{CompiledNet, PlanCache, RateSample, RouteCtx};
 use fcn_topology::{Family, Machine};
 use serde::{Deserialize, Serialize};
 
 use crate::flux::{flux_upper_bound, FluxBound};
-use crate::operational::{BandwidthEstimate, BandwidthEstimator};
+use crate::operational::{budget_exhausted, BandwidthEstimator};
+
+/// Domain separator for a sweep's per-machine row seeds.
+const SANDWICH_STREAM: u64 = 0x5eed_5a9d;
 
 /// One machine-size data point of the Table 4 reproduction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,25 +45,129 @@ pub struct BandwidthSandwich {
     pub avg_distance: f64,
 }
 
-/// Measure one machine completely.
+/// Measure one machine completely: its estimator trials, flux bound and
+/// distance stats, run in sequence on the calling thread (whatever
+/// `estimator.jobs` says). [`sweep_family`] runs the same pieces on a pool
+/// and produces the same row bit for bit.
 pub fn sandwich(machine: &Machine, estimator: &BandwidthEstimator, seed: u64) -> BandwidthSandwich {
-    let traffic: Traffic = machine.symmetric_traffic();
-    let est: BandwidthEstimate = estimator.estimate(machine, &traffic);
-    let flux: FluxBound = flux_upper_bound(machine, &traffic, seed, 4, 2);
-    let mut srng = {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(seed)
-    };
-    let dstats = fcn_multigraph::distance_stats(machine.graph(), 2048, 16, &mut srng);
-    BandwidthSandwich {
-        machine: machine.name().to_string(),
-        family: machine.family().id(),
-        n: machine.processors(),
-        measured: est.rate,
-        flux_bound: flux.rate_bound,
-        analytic: machine.beta_at_size(),
-        diameter: dstats.diameter,
-        avg_distance: dstats.avg_distance,
+    let subject = Subject::new(machine, seed);
+    let outs = Piece::all(estimator)
+        .map(|piece| subject.run(estimator, piece))
+        .collect();
+    subject.assemble(estimator, outs)
+}
+
+/// One independent piece of a machine's row. None reads another's result,
+/// so a sweep may run them on any worker in any order.
+#[derive(Debug, Clone, Copy)]
+enum Piece {
+    /// One estimator trial: its multipliers' cells on one plan seed.
+    Trial(usize),
+    /// The certified flux upper bound.
+    Flux,
+    /// Diameter and mean pairwise distance.
+    Distance,
+}
+
+impl Piece {
+    /// A row's pieces in the order [`Subject::assemble`] expects them:
+    /// every trial, then the flux bound, then the distance stats.
+    fn all(estimator: &BandwidthEstimator) -> impl Iterator<Item = Piece> {
+        // `cells` rejects an empty grid before any piece runs.
+        (0..estimator.cells() / estimator.multipliers.len())
+            .map(Piece::Trial)
+            .chain([Piece::Flux, Piece::Distance])
+    }
+}
+
+/// What a [`Piece`] produced.
+enum PieceOut {
+    Trial(Vec<RateSample>),
+    Flux(FluxBound),
+    Distance(DistanceStats),
+}
+
+/// A machine with what its pieces share: its traffic, its row seed and its
+/// compiled net (compiled by whichever trial runs first).
+struct Subject<'m> {
+    machine: &'m Machine,
+    traffic: Traffic,
+    seed: u64,
+    net: OnceLock<Arc<CompiledNet>>,
+}
+
+impl<'m> Subject<'m> {
+    fn new(machine: &'m Machine, seed: u64) -> Self {
+        Subject {
+            machine,
+            traffic: machine.symmetric_traffic(),
+            seed,
+            net: OnceLock::new(),
+        }
+    }
+
+    fn run(&self, estimator: &BandwidthEstimator, piece: Piece) -> PieceOut {
+        match piece {
+            Piece::Trial(trial) => {
+                // One cache per trial: each trial plans on its own seed, so
+                // trials share no trees, and two live trials in one cache
+                // would only evict each other. A sweep therefore holds at
+                // most one cache per worker.
+                let cache = PlanCache::default();
+                let net = self
+                    .net
+                    .get_or_init(|| CompiledNet::shared(self.machine))
+                    .clone();
+                let ctx = RouteCtx::from_net(self.machine, net).with_cache(&cache);
+                PieceOut::Trial(estimator.run_trial(&ctx, &self.traffic, trial))
+            }
+            Piece::Flux => PieceOut::Flux(flux_upper_bound(
+                self.machine,
+                &self.traffic,
+                self.seed,
+                4,
+                2,
+            )),
+            Piece::Distance => {
+                let mut srng = {
+                    use rand::SeedableRng;
+                    rand::rngs::StdRng::seed_from_u64(self.seed)
+                };
+                PieceOut::Distance(fcn_multigraph::distance_stats(
+                    self.machine.graph(),
+                    2048,
+                    16,
+                    &mut srng,
+                ))
+            }
+        }
+    }
+
+    /// The row from its pieces' outputs, in [`Piece::all`] order.
+    fn assemble(&self, estimator: &BandwidthEstimator, outs: Vec<PieceOut>) -> BandwidthSandwich {
+        let mut samples = Vec::with_capacity(estimator.cells());
+        let (mut flux, mut dstats) = (None, None);
+        for out in outs {
+            match out {
+                PieceOut::Trial(trial) => samples.extend(trial),
+                PieceOut::Flux(f) => flux = Some(f),
+                PieceOut::Distance(d) => dstats = Some(d),
+            }
+        }
+        let est = budget_exhausted(estimator.reduce(samples, false));
+        let (Some(flux), Some(dstats)) = (flux, dstats) else {
+            unreachable!("every row has one flux and one distance piece")
+        };
+        BandwidthSandwich {
+            machine: self.machine.name().to_string(),
+            family: self.machine.family().id(),
+            n: self.machine.processors(),
+            measured: est.rate,
+            flux_bound: flux.rate_bound,
+            analytic: self.machine.beta_at_size(),
+            diameter: dstats.diameter,
+            avg_distance: dstats.avg_distance,
+        }
     }
 }
 
@@ -111,18 +222,32 @@ pub fn sweep_family(
         }
         machines.push((i, machine));
     }
-    // ... then measure the `(family, size)` cells in parallel: each
-    // sandwich is independent and the largest sizes dominate the wall
-    // clock. The *outer* pool takes the estimator's worker budget; the
-    // inner estimates run sequentially so parallelism never nests (seeds
-    // are index-pure either way, so this only shapes the thread tree, not
-    // the numbers).
-    let pool = Pool::new(estimator.jobs);
-    let inner = estimator.clone().with_jobs(1);
-    let mut rows: Vec<BandwidthSandwich> = pool.run(machines.len(), |k| {
-        let (i, machine) = &machines[k];
-        sandwich(machine, &inner, job_seed(seed ^ 0x5eed_5a9d, *i as u64))
+    // ... then run every machine's pieces as one task list on the pool,
+    // largest machine first, so the big machines' trials start at once and
+    // the small ones fill in behind them. Every piece's seeds are pure
+    // functions of its machine and index, and the rows are sorted by size
+    // at the end, so the schedule never moves a bit.
+    machines.sort_by_key(|(_, m)| Reverse(m.processors()));
+    let subjects: Vec<Subject> = machines
+        .iter()
+        .map(|(i, m)| Subject::new(m, job_seed(seed ^ SANDWICH_STREAM, *i as u64)))
+        .collect();
+    let tasks: Vec<(usize, Piece)> = (0..subjects.len())
+        .flat_map(|k| Piece::all(estimator).map(move |p| (k, p)))
+        .collect();
+    let outs = Pool::new(estimator.jobs).run(tasks.len(), |t| {
+        let (k, piece) = tasks[t];
+        subjects[k].run(estimator, piece)
     });
+    let mut per_machine: Vec<Vec<PieceOut>> = subjects.iter().map(|_| Vec::new()).collect();
+    for (&(k, _), out) in tasks.iter().zip(outs) {
+        per_machine[k].push(out);
+    }
+    let mut rows: Vec<BandwidthSandwich> = subjects
+        .iter()
+        .zip(per_machine)
+        .map(|(subject, outs)| subject.assemble(estimator, outs))
+        .collect();
     rows.sort_by_key(|r| r.n);
     assert!(rows.len() >= 2, "need at least two distinct sizes to fit");
     let beta_samples: Vec<(f64, f64)> = rows
@@ -185,6 +310,32 @@ mod tests {
                 s.flux_bound
             );
             assert!(s.diameter > 0);
+        }
+    }
+
+    #[test]
+    fn sandwich_equals_the_sweep_row() {
+        // `sandwich` runs a row's pieces in sequence; `sweep_family` runs
+        // them interleaved with other machines' pieces on the pool. Same
+        // machine and row seed, same row, bit for bit.
+        let targets = [64, 256];
+        let seed = 0x5a4d;
+        for family in [Family::Mesh(2), Family::DeBruijn, Family::MeshOfTrees(1)] {
+            for jobs in [1, 2] {
+                let est = quick().with_jobs(jobs);
+                let sweep = sweep_family(family, &targets, &est, seed);
+                for (i, &t) in targets.iter().enumerate() {
+                    let m = family.build_near(t, seed.wrapping_add(i as u64));
+                    let row = sandwich(&m, &est, job_seed(seed ^ SANDWICH_STREAM, i as u64));
+                    let swept = sweep.rows.iter().find(|r| r.n == row.n);
+                    assert_eq!(
+                        swept.map(|r| format!("{r:?}")),
+                        Some(format!("{row:?}")),
+                        "{} jobs={jobs}",
+                        m.name()
+                    );
+                }
+            }
         }
     }
 

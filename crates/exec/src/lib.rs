@@ -3,9 +3,9 @@
 //! Deterministic fork-join execution for sweep workloads.
 //!
 //! The workspace's hot paths — saturation sweeps over `trials ×
-//! multipliers` grids, family sweeps over `(family, size)` cells, and
-//! bottleneck audits over demand distributions — are embarrassingly
-//! parallel, but naive parallelization destroys reproducibility: when jobs
+//! multipliers` grids, family sweeps over their machines' trial, flux and
+//! distance pieces, and bottleneck audits over demand distributions — are
+//! embarrassingly parallel, but naive parallelization destroys reproducibility: when jobs
 //! share one sequential RNG, the answer depends on which thread draws
 //! first.
 //!

@@ -71,6 +71,19 @@ pub enum RouteError {
         /// Index of the demand that cannot be satisfied.
         packet: usize,
     },
+    /// An arena grew past what its `u32` offsets can index: a net with
+    /// more directed wires or outage windows, or a batch with more path
+    /// vertices, than `u32::MAX`.
+    OffsetOverflow {
+        /// Arena length that did not fit.
+        len: usize,
+    },
+}
+
+/// `len` as a `u32` arena offset, or [`RouteError::OffsetOverflow`] — the
+/// one conversion every CSR offset goes through, so no offset wraps.
+pub(crate) fn offset(len: usize) -> Result<u32, RouteError> {
+    u32::try_from(len).map_err(|_| RouteError::OffsetOverflow { len })
 }
 
 impl fmt::Display for RouteError {
@@ -92,6 +105,9 @@ impl fmt::Display for RouteError {
                     f,
                     "packet {packet}: {src} -> {dst} unreachable in the degraded host"
                 )
+            }
+            RouteError::OffsetOverflow { len } => {
+                write!(f, "arena of {len} entries overflows its u32 offsets")
             }
         }
     }
@@ -168,6 +184,10 @@ pub(crate) struct FaultOverlay {
 
 impl CompiledNet {
     /// Compile `machine`'s wire arrays. Pure bookkeeping; no randomness.
+    ///
+    /// # Panics
+    /// Panics with [`RouteError::OffsetOverflow`] when the machine has more
+    /// than `u32::MAX` directed wires.
     pub fn compile(machine: &Machine) -> CompiledNet {
         let g = machine.graph();
         let n = g.node_count();
@@ -185,7 +205,10 @@ impl CompiledNet {
                     wire_cap.push(m);
                 }
             }
-            wire_offsets.push(wire_to.len() as u32);
+            wire_offsets.push(offset(wire_to.len()).unwrap_or_else(|e| {
+                // fcn-allow: ERR-UNWRAP documented panic: wire ids are u32 by design
+                panic!("{}: {e}", machine.name())
+            }));
             send_cap.push(machine.send_capacity(u));
         }
         let unit = wire_cap.iter().all(|&c| c == 1) && send_cap.iter().all(|&b| b == u32::MAX);
@@ -209,6 +232,10 @@ impl CompiledNet {
     /// Dead nodes additionally get a zero send budget. The transparency
     /// pin: applying [`FaultPlan::none`] (or any empty plan) returns a net
     /// `==` to `self`, so empty plans are byte-invisible to the engine.
+    ///
+    /// # Panics
+    /// Panics with [`RouteError::OffsetOverflow`] when the plan's outages
+    /// resolve to more than `u32::MAX` windows.
     pub fn apply_faults(&self, plan: &FaultPlan) -> CompiledNet {
         if plan.is_empty() {
             return self.clone();
@@ -246,7 +273,10 @@ impl CompiledNet {
                 win_cap.push(c);
                 cursor += 1;
             }
-            win_offsets.push(win_start.len() as u32);
+            win_offsets.push(offset(win_start.len()).unwrap_or_else(|e| {
+                // fcn-allow: ERR-UNWRAP documented panic: window offsets are u32 by design
+                panic!("fault overlay: {e}")
+            }));
         }
         let mut send_cap = self.send_cap.clone();
         let mut dead_nodes = 0u32;
@@ -480,7 +510,7 @@ impl PacketBatch {
             });
         }
         self.path_nodes.extend_from_slice(path);
-        self.path_offsets.push(self.path_nodes.len() as u32);
+        self.path_offsets.push(offset(self.path_nodes.len())?);
         Ok(())
     }
 
@@ -567,6 +597,19 @@ mod tests {
     use super::*;
     use crate::packet::PacketPath;
     use fcn_topology::Machine;
+
+    #[test]
+    fn offsets_are_checked_at_the_u32_boundary() {
+        assert_eq!(offset(0), Ok(0));
+        assert_eq!(offset(u32::MAX as usize), Ok(u32::MAX));
+        let over = u32::MAX as usize + 1;
+        let err = offset(over).expect_err("u32::MAX + 1 must not wrap to 0");
+        assert_eq!(err, RouteError::OffsetOverflow { len: over });
+        assert_eq!(
+            err.to_string(),
+            "arena of 4294967296 entries overflows its u32 offsets"
+        );
+    }
 
     #[test]
     fn compiled_net_matches_graph_adjacency() {

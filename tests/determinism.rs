@@ -54,14 +54,16 @@ fn estimates_are_bit_identical_across_worker_counts() {
 fn family_sweeps_are_bit_identical_across_worker_counts() {
     let targets = [64usize, 128, 256];
     for family in FAMILIES {
-        let baseline = sweep_family(family, &targets, &estimator(1), 0x5eed);
-        let parallel = sweep_family(family, &targets, &estimator(0), 0x5eed);
-        assert_eq!(
-            record(&baseline),
-            record(&parallel),
-            "{}: sweep differs between jobs=1 and jobs=0",
-            family.id()
-        );
+        let baseline = record(&sweep_family(family, &targets, &estimator(1), 0x5eed));
+        for jobs in [2, 3, 0] {
+            let parallel = sweep_family(family, &targets, &estimator(jobs), 0x5eed);
+            assert_eq!(
+                baseline,
+                record(&parallel),
+                "{}: sweep differs between jobs=1 and jobs={jobs}",
+                family.id()
+            );
+        }
     }
 }
 
