@@ -1,10 +1,10 @@
 //! Operational bandwidth estimation: the measured side of `β`.
 //!
-//! Fans the full `trials × multipliers` grid out over a deterministic
-//! [`fcn_exec::Pool`] and combines the cells into a [`BandwidthEstimate`].
-//! The paper's `β` is the `m → ∞` expected rate; at finite size we report
-//! the best plateau across trials together with the per-cell samples so
-//! downstream fitting can see the spread.
+//! Runs the `trials × multipliers` grid one trial at a time on a
+//! deterministic [`fcn_exec::Pool`] and combines the cells into a
+//! [`BandwidthEstimate`]. The paper's `β` is the `m → ∞` expected rate; at
+//! finite size we report the best plateau across trials together with the
+//! per-cell samples so downstream fitting can see the spread.
 //!
 //! ## Determinism
 //!
@@ -14,16 +14,22 @@
 //! `job_seed(seed ⊕ PLAN_STREAM, trial)`. No cell reads another cell's RNG,
 //! so the estimate is bit-identical for any worker count (`jobs = 1` and
 //! `jobs = 16` agree exactly — see `tests/determinism.rs`). A family sweep
-//! (`crate::sandwich`) schedules whole trials instead of cells; both derive
-//! every cell's seeds from the one `GridCell` and reduce with the one
-//! `reduce`.
+//! (`crate::sandwich`) schedules whole trials on one worker each; both
+//! derive every cell's seeds from the one `GridCell`, run a trial with the
+//! one `run_trial` and reduce with the one `reduce`.
 //!
-//! Sharing one *plan* seed across a trial's multipliers is also what makes
-//! the [`PlanCache`] effective: the growing batches of a trial reuse the
-//! same BFS trees, so each tree is computed once per (trial, source) and
-//! served from memory for the trial's later batches. A trial's trees form
-//! one cache generation; when trials × sources outgrow the cache, it
-//! evicts the oldest finished trial to make room for the running one.
+//! ## A trial is one unit
+//!
+//! Sharing one *plan* seed across a trial's multipliers means the trial's
+//! growing batches route over the same BFS trees. A trial therefore runs
+//! in two phases ([`fcn_routing::measure_rates_ctx`]): a *plan* phase that
+//! groups the demands of all its cells by source and fans the sources out
+//! over the pool, computing each tree once and unwinding it into every
+//! path from that source; then a *route* phase that runs the trial's cells
+//! on the pool, largest batch first. Trials run one after another, so the
+//! caller's [`PlanCache`] fills one generation (one trial's trees) at a
+//! time and never asks for a tree twice within an estimate; it earns its
+//! hits across estimates (a daemon's repeated requests).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,7 +37,7 @@ use std::sync::Arc;
 use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
-    measure_rate_ctx, CompiledNet, PlanCache, RateSample, RouteCtx, RouterConfig, Strategy,
+    measure_rates_ctx, CompiledNet, PlanCache, RateSample, RouteCtx, RouterConfig, Strategy,
 };
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
@@ -88,7 +94,7 @@ pub struct BandwidthEstimator {
     pub trials: usize,
     /// Base seed; grid cells derive their seeds from it by index.
     pub seed: u64,
-    /// Worker threads for the `trials × multipliers` grid: `1` is
+    /// Worker threads for each trial's plan and route phases: `1` is
     /// sequential (the default), `0` means one per hardware thread. The
     /// estimate is bit-identical for every value.
     pub jobs: usize,
@@ -167,9 +173,9 @@ impl BandwidthEstimator {
         self.estimate_on(machine, &CompiledNet::shared(machine), traffic)
     }
 
-    /// [`BandwidthEstimator::estimate`] over an already-compiled net, with a
-    /// fresh plan cache — for callers that run several estimates on one
-    /// machine.
+    /// [`BandwidthEstimator::estimate`] over an already-compiled net — for
+    /// callers that run several estimates on one machine. An estimate plans
+    /// each tree once, so its plan cache stores nothing.
     pub(crate) fn estimate_on(
         &self,
         machine: &Machine,
@@ -180,16 +186,17 @@ impl BandwidthEstimator {
             machine,
             net,
             traffic,
-            &PlanCache::default(),
+            &PlanCache::with_capacity(0),
             None,
         ))
     }
 
-    /// The estimator's core: run the `trials × multipliers` grid over an
-    /// already-compiled net (shared across all cells and, via `Arc`, with
-    /// any sibling estimates the caller runs on the same machine) and a
-    /// caller-owned [`PlanCache`] (bit-transparent; `fcnemu beta --verbose`
-    /// reports its counters), gated on an optional cancellation flag.
+    /// The estimator's core: run the `trials × multipliers` grid, one trial
+    /// at a time, over an already-compiled net (shared across all cells
+    /// and, via `Arc`, with any sibling estimates the caller runs on the
+    /// same machine) and a caller-owned [`PlanCache`] (bit-transparent;
+    /// `fcnemu beta --verbose` reports its counters), gated on an optional
+    /// cancellation flag.
     ///
     /// A set flag aborts every in-flight cell with
     /// [`fcn_routing::AbortCause::Cancelled`] and the call returns
@@ -206,14 +213,16 @@ impl BandwidthEstimator {
         cache: &PlanCache,
         cancel: Option<&AtomicBool>,
     ) -> Result<BandwidthEstimate, EstimateAborted> {
-        let cells = self.cells();
+        self.cells(); // rejects an empty grid
         let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_BANDWIDTH_ESTIMATE);
         let mut ctx = RouteCtx::from_net(machine, net.clone()).with_cache(cache);
         if let Some(c) = cancel {
             ctx = ctx.with_cancel(c);
         }
-        let samples: Vec<RateSample> =
-            Pool::new(self.jobs).run(cells, |cell| self.run_cell(&ctx, traffic, cell));
+        let pool = Pool::new(self.jobs);
+        let samples: Vec<RateSample> = (0..self.trials)
+            .flat_map(|trial| self.run_trial(&ctx, traffic, trial, pool))
+            .collect();
         // ordering: the flag is a monotone stop hint set by another thread;
         // Relaxed suffices for the final observation too.
         let cancelled = cancel.is_some_and(|c| c.load(Ordering::Relaxed));
@@ -229,33 +238,33 @@ impl BandwidthEstimator {
         self.trials * self.multipliers.len()
     }
 
-    /// One grid cell: draw its demands, plan on its trial's seed, route.
-    fn run_cell(&self, ctx: &RouteCtx<'_>, traffic: &Traffic, cell: usize) -> RateSample {
-        let c = GridCell::new(self.seed, &self.multipliers, traffic.n(), cell);
-        measure_rate_ctx(
-            ctx,
-            traffic,
-            c.messages,
-            self.strategy,
-            self.router,
-            c.demand_seed,
-            c.plan_seed,
-        )
-    }
-
-    /// Trial `trial`'s cells in multiplier order — the unit a family sweep
-    /// schedules as one task. The trial's cells share one plan seed, so
-    /// `ctx`'s cache serves the trial's later batches from its first.
+    /// Trial `trial`'s cells in multiplier order, planned as one (one tree
+    /// per distinct source, sources fanned out over `pool`) and routed on
+    /// `pool` largest batch first. The estimator runs its trials in turn on
+    /// its own pool; a family sweep runs each trial as one task on a
+    /// sequential pool.
     pub(crate) fn run_trial(
         &self,
         ctx: &RouteCtx<'_>,
         traffic: &Traffic,
         trial: usize,
+        pool: Pool,
     ) -> Vec<RateSample> {
         let m_len = self.multipliers.len();
-        (trial * m_len..(trial + 1) * m_len)
-            .map(|cell| self.run_cell(ctx, traffic, cell))
-            .collect()
+        let cells: Vec<GridCell> = (trial * m_len..(trial + 1) * m_len)
+            .map(|cell| GridCell::new(self.seed, &self.multipliers, traffic.n(), cell))
+            .collect();
+        let batches: Vec<(usize, u64)> =
+            cells.iter().map(|c| (c.messages, c.demand_seed)).collect();
+        measure_rates_ctx(
+            ctx,
+            traffic,
+            &batches,
+            self.strategy,
+            self.router,
+            cells[0].plan_seed,
+            pool,
+        )
     }
 
     /// Reduce the whole grid's samples (trial-major) to the estimate: the
@@ -390,6 +399,23 @@ mod tests {
             let par = quick().with_jobs(jobs).estimate_symmetric(&m);
             assert_eq!(par.rate, seq.rate, "jobs={jobs}");
             assert_eq!(par.samples, seq.samples, "jobs={jobs}");
+            assert_eq!(par.complete_trials, seq.complete_trials);
+        }
+    }
+
+    #[test]
+    fn valiant_estimate_matches_at_one_and_two_workers() {
+        // Valiant plans cell by cell (its intermediates come from a
+        // sequential per-cell RNG); the cells still run on the pool.
+        for m in [Machine::mesh(2, 8), Machine::de_bruijn(5)] {
+            let est = BandwidthEstimator {
+                strategy: Strategy::Valiant,
+                ..quick()
+            };
+            let seq = est.estimate_symmetric(&m);
+            let par = est.with_jobs(2).estimate_symmetric(&m);
+            assert_eq!(par.rate.to_bits(), seq.rate.to_bits(), "{}", m.name());
+            assert_eq!(par.samples, seq.samples, "{}", m.name());
             assert_eq!(par.complete_trials, seq.complete_trials);
         }
     }

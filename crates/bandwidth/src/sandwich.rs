@@ -14,7 +14,7 @@ use fcn_asymptotics::fit::{classify_growth, classify_growth_offset, table4_candi
 use fcn_asymptotics::{fit_power_log, Asym, PowerLogFit};
 use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::{DistanceStats, Traffic};
-use fcn_routing::{CompiledNet, PlanCache, RateSample, RouteCtx};
+use fcn_routing::{CompiledNet, RateSample, RouteCtx};
 use fcn_topology::{Family, Machine};
 use serde::{Deserialize, Serialize};
 
@@ -109,17 +109,15 @@ impl<'m> Subject<'m> {
     fn run(&self, estimator: &BandwidthEstimator, piece: Piece) -> PieceOut {
         match piece {
             Piece::Trial(trial) => {
-                // One cache per trial: each trial plans on its own seed, so
-                // trials share no trees, and two live trials in one cache
-                // would only evict each other. A sweep therefore holds at
-                // most one cache per worker.
-                let cache = PlanCache::default();
+                // One worker per trial: the sweep's pool already runs many
+                // pieces at once. The trial plans each source's tree once,
+                // so it needs no plan cache.
                 let net = self
                     .net
                     .get_or_init(|| CompiledNet::shared(self.machine))
                     .clone();
-                let ctx = RouteCtx::from_net(self.machine, net).with_cache(&cache);
-                PieceOut::Trial(estimator.run_trial(&ctx, &self.traffic, trial))
+                let ctx = RouteCtx::from_net(self.machine, net);
+                PieceOut::Trial(estimator.run_trial(&ctx, &self.traffic, trial, Pool::sequential()))
             }
             Piece::Flux => PieceOut::Flux(flux_upper_bound(
                 self.machine,

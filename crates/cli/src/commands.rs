@@ -87,6 +87,10 @@ USAGE:
   fcnemu request <addr> <kind> [--deadline-ms N] [--retries N] [--retry-seed N] [-- <forwarded args>]
   fcnemu help
 
+`beta --jobs` defaults to 0 (one worker per hardware thread; a served
+request defaults to 1); every other --jobs defaults to 1. Output is
+byte-identical for every --jobs value.
+
 Every subcommand also accepts --metrics-out <path>: run with telemetry
 enabled and write a versioned JSONL metrics snapshot to <path> (the
 report itself is byte-identical with or without the flag). Any other
@@ -260,9 +264,11 @@ pub(crate) fn beta_with(
         .map_err(|_| ParseError("size must be a positive integer".into()))?;
     let trials = args.flag("trials", 3usize)?;
     let seed = args.flag("seed", 0xbeadu64)?;
-    // Worker threads for the trials×multipliers grid; 0 = one per hardware
-    // thread. The estimate is bit-identical for every value.
-    let jobs = args.flag("jobs", 1usize)?;
+    // Worker threads for each trial's plan and route phases; 0 = one per
+    // hardware thread (the inline default). A served request defaults to
+    // one worker: the daemon's concurrency comes from its connections. The
+    // estimate is bit-identical for every value.
+    let jobs = args.flag("jobs", if warm.is_some() { 1 } else { 0 })?;
     // Router tick budget; 0 keeps the default. Cells that exhaust it are
     // reported (under --verbose) instead of silently depressing the plateau.
     let max_ticks = args.flag("max-ticks", 0u64)?;
@@ -833,17 +839,46 @@ mod tests {
         assert!(verbose.contains("trials"), "{verbose}");
         // --verbose only appends; the measurement lines are unchanged.
         assert!(verbose.starts_with(&plain), "verbose must extend plain");
-        // The shared-seed trials actually exercise the cache.
-        assert!(!verbose.contains("0 hits"), "{verbose}");
+        // Each trial plans every source's tree once: one miss per (trial,
+        // source) and no tree asked for twice within the estimate.
+        assert!(verbose.contains("0 hits / 128 misses"), "{verbose}");
+    }
+
+    /// The processor count `beta` prints on its `machine` line.
+    fn printed_n(out: &str) -> usize {
+        let tail = out.split("(n = ").nth(1).expect("machine line");
+        tail[..tail.find(')').unwrap()].parse().unwrap()
     }
 
     #[test]
     fn beta_output_is_jobs_invariant() {
-        let (code, seq) = run_s("beta mesh2 64 --trials 2 --jobs 1");
-        assert_eq!(code, 0, "{seq}");
-        let (code, par) = run_s("beta mesh2 64 --trials 2 --jobs 0");
-        assert_eq!(code, 0, "{par}");
-        assert_eq!(seq, par, "--jobs must not change the output");
+        // xtree routes by level with a per-cell sequential RNG; the others
+        // plan BFS trees (mesh2, butterfly) or bit corrections (de_bruijn).
+        for machine in ["mesh2 64", "butterfly 64", "de_bruijn 64", "xtree 63"] {
+            let (code, seq) = run_s(&format!("beta {machine} --trials 2 --jobs 1"));
+            assert_eq!(code, 0, "{seq}");
+            for jobs in [2, 3, 0] {
+                let (code, par) = run_s(&format!("beta {machine} --trials 2 --jobs {jobs}"));
+                assert_eq!(code, 0, "{par}");
+                assert_eq!(seq, par, "{machine}: --jobs {jobs} changed the output");
+            }
+        }
+    }
+
+    #[test]
+    fn beta_plans_each_tree_once_at_any_worker_count() {
+        for machine in ["mesh2 256", "butterfly 256"] {
+            for jobs in [1, 2, 3] {
+                let (code, out) = run_s(&format!("beta {machine} --verbose --jobs {jobs}"));
+                assert_eq!(code, 0, "{out}");
+                // Three trials, and 14n demands per trial reach every source.
+                let misses = 3 * printed_n(&out);
+                assert!(
+                    out.contains(&format!("0 hits / {misses} misses")),
+                    "{machine} --jobs {jobs}: {out}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1017,7 +1052,7 @@ mod tests {
         let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&text).expect("snapshot validates");
         assert!(snap.counters.contains_key("router_runs_total"), "{text}");
         assert!(snap.counters.contains_key("router_ticks_total"));
-        assert!(snap.counters.contains_key("plan_cache_hits_total"));
+        assert!(snap.counters.contains_key("plan_cache_misses_total"));
         assert!(snap.counters.contains_key("bandwidth_trials_total"));
         assert!(snap.counters.contains_key("exec_jobs_total"));
         assert!(snap

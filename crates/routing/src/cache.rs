@@ -1,9 +1,11 @@
 //! Memoized route plans.
 //!
 //! Planning a batch of routes costs one randomized BFS tree per distinct
-//! source. Saturation sweeps re-plan on the *same* machine with the *same*
-//! plan seed at growing batch sizes, so most of those trees are recomputed
-//! verbatim. [`PlanCache`] memoizes them.
+//! source. An estimator trial already plans each of its trees once
+//! ([`crate::plan_trial`]), but repeated estimates on the *same* machine
+//! with the *same* seed (a daemon's warm requests, audits) and cell-by-cell
+//! planners (the degraded sweep) would recompute those trees verbatim.
+//! [`PlanCache`] memoizes them.
 //!
 //! Correctness rests on the oracle's seeding discipline (see
 //! [`crate::oracle::PathOracle`]): a BFS tree is a pure function of the key

@@ -86,6 +86,13 @@ pub(crate) fn offset(len: usize) -> Result<u32, RouteError> {
     u32::try_from(len).map_err(|_| RouteError::OffsetOverflow { len })
 }
 
+/// Check that `packets` packets fit the router's `u32` packet ids: its
+/// queues store `pid as u32` (packed as `key << 32 | pid` under priority
+/// disciplines), so a compiled batch holds at most `u32::MAX` packets.
+fn packet_ids(packets: usize) -> Result<u32, RouteError> {
+    offset(packets)
+}
+
 impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -461,8 +468,11 @@ impl PacketBatch {
     /// Compile `paths` against `net`, resolving every hop to a wire id.
     ///
     /// Fails with a [`RouteError`] when some path is not a walk of the host
-    /// graph; planner-produced paths are walks by construction.
+    /// graph (planner-produced paths are walks by construction), and with
+    /// [`RouteError::OffsetOverflow`] when the batch holds more than
+    /// `u32::MAX` packets.
     pub fn compile(net: &CompiledNet, paths: &[PacketPath]) -> Result<PacketBatch, RouteError> {
+        packet_ids(paths.len())?;
         let total_nodes: usize = paths.iter().map(|p| p.path.len()).sum();
         let mut batch = PacketBatch {
             path_offsets: Vec::with_capacity(paths.len() + 1),
@@ -609,6 +619,20 @@ mod tests {
             err.to_string(),
             "arena of 4294967296 entries overflows its u32 offsets"
         );
+    }
+
+    #[test]
+    fn packet_ids_are_checked_at_the_u32_boundary() {
+        assert_eq!(packet_ids(u32::MAX as usize), Ok(u32::MAX));
+        let over = u32::MAX as usize + 1;
+        assert_eq!(
+            packet_ids(over),
+            Err(RouteError::OffsetOverflow { len: over }),
+            "a batch of u32::MAX + 1 packets must be refused, not wrap pid 0"
+        );
+        let net = CompiledNet::compile(&Machine::mesh(2, 2));
+        let batch = PacketBatch::compile(&net, &[PacketPath::new(vec![0, 1])]);
+        assert_eq!(batch.map(|b| b.len()), Ok(1));
     }
 
     #[test]

@@ -523,6 +523,7 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
         scr.remaining[pid] = hops;
         scr.cursor[pid] = wb + 1;
         let key = key_of::<DISC>(hops, scr.rank[pid]);
+        // `PacketBatch::compile` refuses batches past `u32::MAX` packets.
         max_queue = max_queue.max(queues.push(w, key, pid as u32));
         scr.node_queued[src as usize] += 1;
         if !scr.node_listed[src as usize] {

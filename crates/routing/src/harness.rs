@@ -6,10 +6,12 @@
 //! takes the largest completed sample of a geometric `m` sweep, approximating
 //! the limit.
 
+use std::cmp::Reverse;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use fcn_multigraph::Traffic;
+use fcn_exec::Pool;
+use fcn_multigraph::{NodeId, Traffic};
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
 
@@ -169,14 +171,13 @@ pub fn measure_rate(
 /// [`measure_rate`] over a compile-once [`RouteCtx`], with split seeds:
 /// sample demands, plan routes (through the context's cache, if any),
 /// compile the batch to wire ids, and run it on the shared net with pooled
-/// scratch.
+/// scratch — the one-batch case of [`measure_rates_ctx`].
 ///
 /// `demand_seed` drives the traffic draw, `plan_seed` drives route
 /// planning. Splitting them lets saturation sweeps vary the batch
 /// (different demand seeds per cell) while *reusing* one plan seed per
-/// trial, so every cell of the trial shares the same BFS trees — which the
-/// context's [`PlanCache`] then serves instead of recomputing. Results are
-/// bit-identical with or without the cache.
+/// trial, so every cell of the trial shares the same BFS trees. Results
+/// are bit-identical with or without the cache.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_rate_ctx(
     ctx: &RouteCtx<'_>,
@@ -187,25 +188,71 @@ pub fn measure_rate_ctx(
     demand_seed: u64,
     plan_seed: u64,
 ) -> RateSample {
-    assert!(messages >= 1);
+    measure_rates_ctx(
+        ctx,
+        traffic,
+        &[(messages, demand_seed)],
+        strategy,
+        cfg,
+        plan_seed,
+        Pool::sequential(),
+    )[0]
+}
+
+/// [`measure_rate_ctx`] for several batches that share `plan_seed` — one
+/// estimator trial's cells, each `(messages, demand_seed)`.
+///
+/// Every batch draws its demands, then [`crate::plan_trial`] plans them all
+/// at once (one BFS tree per distinct source across the batches, sources
+/// fanned out over `pool`), then the batches route on `pool`, largest
+/// first, so the longest run starts at once. Samples come back in batch
+/// order, each bit-identical to [`measure_rate_ctx`] on that batch alone,
+/// for every worker count.
+pub fn measure_rates_ctx(
+    ctx: &RouteCtx<'_>,
+    traffic: &Traffic,
+    batches: &[(usize, u64)],
+    strategy: Strategy,
+    cfg: RouterConfig,
+    plan_seed: u64,
+    pool: Pool,
+) -> Vec<RateSample> {
     assert!(
         traffic.n() <= ctx.machine.processors(),
         "traffic addresses more processors than the machine has"
     );
-    let mut rng = {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(demand_seed)
-    };
-    let demands: Vec<_> = (0..messages).map(|_| traffic.sample(&mut rng)).collect();
+    let demands: Vec<Vec<(NodeId, NodeId)>> = batches
+        .iter()
+        .map(|&(messages, demand_seed)| {
+            assert!(messages >= 1);
+            let mut rng = {
+                use rand::SeedableRng;
+                rand::rngs::StdRng::seed_from_u64(demand_seed)
+            };
+            (0..messages).map(|_| traffic.sample(&mut rng)).collect()
+        })
+        .collect();
+    let slices: Vec<&[(NodeId, NodeId)]> = demands.iter().map(Vec::as_slice).collect();
     let routes =
-        crate::native::plan_routes_cached(ctx.machine, &demands, strategy, plan_seed, ctx.cache);
-    let outcome = ctx.route_paths(&routes, cfg);
-    RateSample {
-        messages,
-        ticks: outcome.ticks,
-        rate: outcome.rate(),
-        completed: outcome.completed,
-    }
+        crate::native::plan_trial(ctx.machine, &slices, strategy, plan_seed, ctx.cache, pool);
+    let mut order: Vec<usize> = (0..batches.len()).collect();
+    order.sort_by_key(|&b| Reverse(batches[b].0));
+    let outcomes = pool.run(order.len(), |k| ctx.route_paths(&routes[order[k]], cfg));
+    let mut samples: Vec<(usize, RateSample)> = order
+        .into_iter()
+        .zip(outcomes)
+        .map(|(b, outcome)| {
+            let sample = RateSample {
+                messages: batches[b].0,
+                ticks: outcome.ticks,
+                rate: outcome.rate(),
+                completed: outcome.completed,
+            };
+            (b, sample)
+        })
+        .collect();
+    samples.sort_by_key(|&(b, _)| b);
+    samples.into_iter().map(|(_, sample)| sample).collect()
 }
 
 /// The plateau estimate from a sweep: the maximum completed rate.

@@ -40,10 +40,12 @@ pub use engine::{
     route_batch, route_compiled, route_compiled_pooled, AbortCause, RouterConfig, RouterScratch,
     RoutingOutcome,
 };
-pub use harness::{measure_rate, measure_rate_ctx, plateau_rate, RateSample, RouteCtx};
+pub use harness::{
+    measure_rate, measure_rate_ctx, measure_rates_ctx, plateau_rate, RateSample, RouteCtx,
+};
 pub use native::{
     de_bruijn_path, plan_batch, plan_routes, plan_routes_cached, plan_routes_degraded,
-    plan_routes_faulted, shuffle_exchange_path, DegradedPlan,
+    plan_routes_faulted, plan_trial, shuffle_exchange_path, DegradedPlan,
 };
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};

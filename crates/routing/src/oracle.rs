@@ -25,6 +25,12 @@
 //! RNG: they are consumed in demand order before any BFS runs, so they too
 //! are a pure function of `(plan_seed, demand index)`.
 //!
+//! Attaching a [`Pool`] via [`PathOracle::with_pool`] fans the distinct
+//! sources of a batch out over its workers: each source's tree is still
+//! fetched or computed exactly once and unwound for all of that source's
+//! demands, and the routes come back in input order, so the output is
+//! bit-identical for every worker count.
+//!
 //! Every emitted path is a walk on the host graph (BFS parents are graph
 //! edges by construction), so compiling oracle output into a
 //! [`crate::compiled::PacketBatch`] against the same machine's
@@ -34,7 +40,7 @@
 
 use std::sync::Arc;
 
-use fcn_exec::job_seed;
+use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::{path_from_parents, Multigraph, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -61,6 +67,8 @@ pub struct PathOracle<'g> {
     /// once when the cache is attached.
     cache: Option<&'g PlanCache>,
     graph_fp: u64,
+    /// Workers the distinct sources of a batch fan out over.
+    pool: Pool,
 }
 
 impl<'g> PathOracle<'g> {
@@ -73,6 +81,7 @@ impl<'g> PathOracle<'g> {
             node_limit: usize::MAX,
             cache: None,
             graph_fp: 0,
+            pool: Pool::sequential(),
         }
     }
 
@@ -89,6 +98,13 @@ impl<'g> PathOracle<'g> {
     pub fn with_cache(mut self, cache: &'g PlanCache) -> Self {
         self.graph_fp = self.graph.fingerprint();
         self.cache = Some(cache);
+        self
+    }
+
+    /// Fan each batch's distinct sources out over `pool` (sequential by
+    /// default). Routes are bit-identical for every worker count.
+    pub fn with_pool(mut self, pool: Pool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -164,25 +180,30 @@ impl<'g> PathOracle<'g> {
     }
 
     /// Shortest-path legs for all demands, one BFS per distinct source,
-    /// trees dropped eagerly (unless cached). Returns raw vertex sequences
-    /// in input order; `None` marks demands with no path (disconnected or
-    /// degraded hosts).
-    fn legs_grouped(&mut self, demands: &[(NodeId, NodeId)]) -> Vec<Option<Vec<NodeId>>> {
+    /// sources fanned out over the oracle's pool, trees dropped eagerly
+    /// (unless cached). Returns raw vertex sequences in input order; `None`
+    /// marks demands with no path (disconnected or degraded hosts).
+    fn legs_grouped(&self, demands: &[(NodeId, NodeId)]) -> Vec<Option<Vec<NodeId>>> {
         let mut order: Vec<usize> = (0..demands.len()).collect();
         order.sort_by_key(|&i| demands[i].0);
+        let groups: Vec<&[usize]> = order
+            .chunk_by(|&a, &b| demands[a].0 == demands[b].0)
+            .collect();
+        let legs = self.pool.run(groups.len(), |g| {
+            let src = demands[groups[g][0]].0;
+            let parent = self.parents_for(src);
+            groups[g]
+                .iter()
+                .map(|&i| match demands[i].1 {
+                    dst if dst == src => Some(vec![src]),
+                    dst => path_from_parents(&parent, src, dst),
+                })
+                .collect::<Vec<_>>()
+        });
         let mut out: Vec<Option<Vec<NodeId>>> = vec![None; demands.len()];
-        let mut current_src: Option<NodeId> = None;
-        let mut parent: Arc<Vec<NodeId>> = Arc::new(Vec::new());
-        for &i in &order {
-            let (s, d) = demands[i];
-            if current_src != Some(s) {
-                parent = self.parents_for(s);
-                current_src = Some(s);
-            }
-            if s == d {
-                out[i] = Some(vec![s]);
-            } else {
-                out[i] = path_from_parents(&parent, s, d);
+        for (group, legs) in groups.iter().zip(legs) {
+            for (&i, leg) in group.iter().zip(legs) {
+                out[i] = leg;
             }
         }
         out

@@ -221,6 +221,13 @@ struct ReplyCacheState {
 /// client bug, not something the server should buffer unboundedly for.
 const REPLY_CACHE_CAP: usize = 128;
 
+/// Polls the accept loop makes at one-millisecond intervals after it
+/// starts and after each accept, before it falls back to the poll
+/// interval. Clients tend to connect in bursts (a load generator opening
+/// its connections, a client reconnecting), and a full idle interval would
+/// add up to `poll_interval_ms` to each of those connects.
+const ACCEPT_BURST_POLLS: u32 = 100;
+
 /// What makes two frames "the same logical request" for replay purposes:
 /// everything except the per-attempt id.
 fn fingerprint(req: &Request) -> String {
@@ -340,6 +347,8 @@ impl<H: Handler> Server<H> {
     pub fn run(&self, shutdown: &AtomicBool) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let poll = Duration::from_millis(self.config.poll_interval_ms.max(1));
+        let burst_poll = poll.min(Duration::from_millis(1));
+        let mut idle_polls = 0u32;
         std::thread::scope(|scope| -> io::Result<()> {
             // ordering: the shutdown flag is a monotone drain hint (signal
             // handler or test harness); Relaxed polling is sufficient. The
@@ -348,6 +357,7 @@ impl<H: Handler> Server<H> {
             while !shutdown.load(Ordering::Relaxed) {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
+                        idle_polls = 0;
                         self.connections.fetch_add(1, Ordering::Relaxed);
                         let g = fcn_telemetry::global();
                         if g.enabled() {
@@ -357,7 +367,9 @@ impl<H: Handler> Server<H> {
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         // shutdown poll; no simulated quantity depends on it
-                        std::thread::sleep(poll);
+                        let burst = idle_polls < ACCEPT_BURST_POLLS;
+                        std::thread::sleep(if burst { burst_poll } else { poll });
+                        idle_polls = idle_polls.saturating_add(1);
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => return Err(e),
