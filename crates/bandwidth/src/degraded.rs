@@ -6,36 +6,38 @@
 //! how gracefully does the *measured* rate degrade when a seeded fraction of
 //! the machine is dead or flapping? [`DegradedSweep`] answers with a
 //! β-vs-fault-rate curve: for each fault rate it generates one
-//! [`FaultPlan`], compiles one faulted net, fans the usual
-//! `trials × multipliers` grid over a deterministic [`fcn_exec::Pool`], and
-//! aggregates the per-cell outcomes (rate, strandings, unreachable demands,
-//! replans) into one [`DegradedPoint`].
+//! [`FaultPlan`], builds one routing context over the faulted net (which
+//! also builds the surviving graph planners route on), runs the
+//! estimator's trials on it one after another, and aggregates the cells
+//! (rate, strandings, unreachable demands, replans) into one
+//! [`DegradedPoint`].
 //!
-//! ## Transparency and determinism
+//! ## One trial unit
 //!
-//! The sweep derives its cells' seeds with the estimator's own grid cell
-//! (`operational::GridCell`): cell `(trial, multiplier i)` draws demands
-//! with `job_seed(seed, cell)` and plans with
-//! `job_seed(seed ⊕ PLAN_STREAM, trial)`. A fault rate of
-//! `0.0` therefore reproduces the intact estimator's samples **bit for
-//! bit** (pinned by `zero_rate_point_matches_intact_estimator`), and every
-//! point is bit-identical for any worker count — the fault plan is a pure
+//! A degraded sweep is the intact estimator on a faulted context: the same
+//! `BandwidthEstimator::run_trial` plans each trial as one (one BFS tree
+//! per distinct source, sources fanned out over the pool) and routes its
+//! cells largest first, and the same `reduce_grid` turns the cells into a
+//! plateau. A cell counts as complete when the router *terminates* —
+//! everything routable was delivered, even if dead wires stranded some
+//! packets — which on an intact host is exactly
+//! [`fcn_routing::RoutingOutcome::completed`]. A fault rate of `0.0`
+//! therefore reproduces the intact estimator's samples **bit for bit**
+//! (pinned by `zero_rate_point_matches_intact_estimator`), and every point
+//! is bit-identical for any worker count — the fault plan is a pure
 //! function of `(fault_seed, graph)` and each cell derives its randomness
-//! purely from its indices.
-
-use std::sync::Arc;
+//! purely from its indices. No tree is asked for twice, so the sweep holds
+//! no plan cache.
 
 use fcn_exec::Pool;
 use fcn_faults::{FaultPlan, FaultSpec};
 use fcn_multigraph::Traffic;
-use fcn_routing::{
-    plan_routes_degraded, plateau_rate, route_compiled_pooled, AbortCause, CompiledNet,
-    PacketBatch, PlanCache, RateSample, RouterConfig, Strategy,
-};
+use fcn_routing::{CellSample, CompiledNet, RateSample, RouteCtx, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
 
-use crate::operational::GridCell;
+use crate::operational::reduce_grid;
+use crate::BandwidthEstimator;
 
 /// Configuration for a degraded-β sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,25 +78,6 @@ impl Default for DegradedSweep {
     }
 }
 
-/// One grid cell of a degraded sweep: the usual rate sample plus the fault
-/// accounting that explains it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DegradedSample {
-    /// The delivery-rate sample. `completed` means the router terminated
-    /// with a typed outcome (delivered everything routable) rather than
-    /// hitting the tick budget.
-    pub sample: RateSample,
-    /// Packets stranded at injection (path crossed a permanently dead wire).
-    pub stranded: usize,
-    /// Demands with no surviving route in the degraded host.
-    pub unreachable: usize,
-    /// Demands whose native route crossed a fault and were re-routed by BFS
-    /// on the degraded graph.
-    pub replans: u64,
-    /// Why the router run ended.
-    pub abort: AbortCause,
-}
-
 /// One point of the β-vs-fault-rate curve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradedPoint {
@@ -106,7 +89,7 @@ pub struct DegradedPoint {
     /// Mean of per-trial plateau rates.
     pub mean_rate: f64,
     /// All cells (trial-major, multiplier-minor).
-    pub samples: Vec<DegradedSample>,
+    pub samples: Vec<CellSample>,
     /// Trials whose cells all terminated within the tick budget.
     pub complete_trials: usize,
     /// Processors killed by the plan.
@@ -145,31 +128,26 @@ impl DegradedSweep {
         assert!(!self.multipliers.is_empty(), "at least one multiplier");
         assert!(!self.fault_rates.is_empty(), "at least one fault rate");
         let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_DEGRADED_BETA_SWEEP);
-        let n = traffic.n();
-        let m_len = self.multipliers.len();
-        let cells = self.trials * m_len;
+        let estimator = BandwidthEstimator {
+            multipliers: self.multipliers.clone(),
+            strategy: self.strategy,
+            router: self.router,
+            trials: self.trials,
+            seed: self.seed,
+            jobs: self.jobs,
+        };
         let pool = Pool::new(self.jobs);
         let base = CompiledNet::shared(machine);
-        let cache = PlanCache::default();
         self.fault_rates
             .iter()
             .map(|&fault_rate| {
                 let spec = FaultSpec::uniform(self.fault_seed, fault_rate);
                 let plan = FaultPlan::generate(machine.graph(), &spec);
-                // The faulted net keeps the intact CSR (dead wires are
-                // flagged, not removed), so batches compile against it
-                // exactly as against the base net. An empty plan shares the
-                // base compilation outright.
-                let net: Arc<CompiledNet> = if plan.is_empty() {
-                    base.clone()
-                } else {
-                    Arc::new(base.apply_faults(&plan))
-                };
-                let samples: Vec<DegradedSample> = pool.run(cells, |cell| {
-                    let c = GridCell::new(self.seed, &self.multipliers, n, cell);
-                    self.cell(machine, &net, traffic, &plan, &cache, c)
-                });
-                self.aggregate(fault_rate, &plan, samples, m_len)
+                let ctx = RouteCtx::from_net(machine, base.clone()).with_faults(&plan);
+                let samples: Vec<CellSample> = (0..self.trials)
+                    .flat_map(|trial| estimator.run_trial(&ctx, traffic, trial, pool))
+                    .collect();
+                self.aggregate(fault_rate, &plan, samples)
             })
             .collect()
     }
@@ -185,86 +163,20 @@ impl DegradedSweep {
         self
     }
 
-    /// One grid cell: draw demands, plan around the faults, route on the
-    /// faulted net.
-    fn cell(
-        &self,
-        machine: &Machine,
-        net: &Arc<CompiledNet>,
-        traffic: &Traffic,
-        plan: &FaultPlan,
-        cache: &PlanCache,
-        c: GridCell,
-    ) -> DegradedSample {
-        let mut rng = {
-            use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(c.demand_seed)
-        };
-        let demands: Vec<_> = (0..c.messages).map(|_| traffic.sample(&mut rng)).collect();
-        let dp = plan_routes_degraded(
-            machine,
-            &demands,
-            self.strategy,
-            c.plan_seed,
-            plan,
-            Some(cache),
-        );
-        let batch = PacketBatch::compile(net, &dp.paths)
-            // fcn-allow: ERR-UNWRAP the fault-aware planner only emits paths along surviving wires, so compile cannot reject them
-            .unwrap_or_else(|e| panic!("degraded planner produced unroutable path: {e}"));
-        let outcome = route_compiled_pooled(net, &batch, self.router);
-        // "Completed" here means the router *terminated with a typed
-        // outcome* — everything routable was delivered — even if some
-        // packets were stranded by dead wires. Only hitting the tick budget
-        // (or cancellation) disqualifies a sample from the plateau. On an
-        // intact host this coincides exactly with `RoutingOutcome::completed`.
-        let terminated = !matches!(outcome.abort, AbortCause::MaxTicks | AbortCause::Cancelled);
-        DegradedSample {
-            sample: RateSample {
-                messages: c.messages,
-                ticks: outcome.ticks,
-                rate: outcome.rate(),
-                completed: terminated,
-            },
-            stranded: outcome.stranded,
-            unreachable: dp.unreachable.len(),
-            replans: dp.replans,
-            abort: outcome.abort,
-        }
-    }
-
     fn aggregate(
         &self,
         fault_rate: f64,
         plan: &FaultPlan,
-        samples: Vec<DegradedSample>,
-        m_len: usize,
+        samples: Vec<CellSample>,
     ) -> DegradedPoint {
-        let mut plateaus = Vec::new();
-        let mut complete_trials = 0;
         let rate_samples: Vec<RateSample> = samples.iter().map(|s| s.sample).collect();
-        for trial in rate_samples.chunks(m_len) {
-            if trial.iter().all(|s| s.completed) {
-                complete_trials += 1;
-            }
-            if let Some(p) = plateau_rate(trial) {
-                plateaus.push(p);
-            }
-        }
-        let rate = plateaus.iter().cloned().fold(0.0, f64::max);
-        let mean_rate = if plateaus.is_empty() {
-            0.0
-        } else {
-            plateaus.iter().sum::<f64>() / plateaus.len() as f64
-        };
+        let (plateau, complete_trials) = reduce_grid(&rate_samples, self.multipliers.len());
+        let (rate, mean_rate) = plateau.unwrap_or((0.0, 0.0));
         let (dead_nodes, dead_links, outages) = plan.summary();
         let stranded: usize = samples.iter().map(|s| s.stranded).sum();
         let unreachable: usize = samples.iter().map(|s| s.unreachable).sum();
         let replans: u64 = samples.iter().map(|s| s.replans).sum();
-        let aborted_cells = samples
-            .iter()
-            .filter(|s| matches!(s.abort, AbortCause::MaxTicks | AbortCause::Cancelled))
-            .count();
+        let aborted_cells = samples.iter().filter(|s| !s.sample.completed).count();
         if fcn_telemetry::global().enabled() {
             let cell_ticks: u64 = samples.iter().map(|s| s.sample.ticks).sum();
             fcn_telemetry::with_shard(|s| {
@@ -309,7 +221,7 @@ impl DegradedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BandwidthEstimator;
+    use fcn_routing::AbortCause;
     use fcn_topology::Machine;
 
     fn quick_sweep(rates: &[f64]) -> DegradedSweep {

@@ -27,7 +27,7 @@ pub mod sandwich;
 pub mod theorem6;
 
 pub use bottleneck::{audit_bottleneck_freeness, quick_audit, BottleneckAudit};
-pub use degraded::{DegradedPoint, DegradedSample, DegradedSweep};
+pub use degraded::{DegradedPoint, DegradedSweep};
 pub use flux::{flux_upper_bound, FluxBound};
 pub use operational::{BandwidthEstimate, BandwidthEstimator, EstimateAborted};
 pub use sandwich::{sandwich, sweep_family, BandwidthSandwich, FamilySweep};

@@ -14,9 +14,11 @@
 //! `job_seed(seed ⊕ PLAN_STREAM, trial)`. No cell reads another cell's RNG,
 //! so the estimate is bit-identical for any worker count (`jobs = 1` and
 //! `jobs = 16` agree exactly — see `tests/determinism.rs`). A family sweep
-//! (`crate::sandwich`) schedules whole trials on one worker each; both
-//! derive every cell's seeds from the one `GridCell`, run a trial with the
-//! one `run_trial` and reduce with the one `reduce`.
+//! (`crate::sandwich`) schedules whole trials on one worker each, and a
+//! degraded sweep (`crate::degraded`) runs the estimator's trials on a
+//! faulted context; all three derive every cell's seeds from the one
+//! `GridCell`, run a trial with the one `run_trial` and reduce with the one
+//! `reduce_grid`.
 //!
 //! ## A trial is one unit
 //!
@@ -26,10 +28,10 @@
 //! groups the demands of all its cells by source and fans the sources out
 //! over the pool, computing each tree once and unwinding it into every
 //! path from that source; then a *route* phase that runs the trial's cells
-//! on the pool, largest batch first. Trials run one after another, so the
-//! caller's [`PlanCache`] fills one generation (one trial's trees) at a
-//! time and never asks for a tree twice within an estimate; it earns its
-//! hits across estimates (a daemon's repeated requests).
+//! on the pool, largest batch first. Trials run one after another and an
+//! estimate never asks for a tree twice, so one-shot callers attach a
+//! zero-capacity [`PlanCache`]; a warm cache only earns hits across
+//! estimates (a daemon's repeated requests).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,7 +39,8 @@ use std::sync::Arc;
 use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
-    measure_rates_ctx, CompiledNet, PlanCache, RateSample, RouteCtx, RouterConfig, Strategy,
+    measure_rates_ctx, CellSample, CompiledNet, PlanCache, RateSample, RouteCtx, RouterConfig,
+    Strategy,
 };
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
@@ -46,21 +49,22 @@ use serde::{Deserialize, Serialize};
 const PLAN_STREAM: u64 = 0x9_1a7e_5eed;
 
 /// What one cell `(trial, multiplier i)` of a `trials × multipliers` grid
-/// routes: the only place the grid's seed streams are derived, shared with
-/// [`crate::degraded`] so a zero-fault degraded sweep reproduces the
-/// estimator's cells bit-for-bit.
-pub(crate) struct GridCell {
+/// routes: the only place the grid's seed streams are derived. The
+/// estimator, family sweeps and degraded sweeps all reach it through
+/// [`BandwidthEstimator::run_trial`], so a zero-fault degraded sweep
+/// reproduces the estimator's cells bit-for-bit.
+struct GridCell {
     /// Batch size, `multipliers[i] · n` (at least one).
-    pub(crate) messages: usize,
+    messages: usize,
     /// `job_seed(seed, cell)`: the cell's own demand stream.
-    pub(crate) demand_seed: u64,
+    demand_seed: u64,
     /// `job_seed(seed ⊕ PLAN_STREAM, trial)`: shared by the trial's cells.
-    pub(crate) plan_seed: u64,
+    plan_seed: u64,
 }
 
 impl GridCell {
     /// Cell `cell` (trial-major) of the grid over `n` processors.
-    pub(crate) fn new(seed: u64, multipliers: &[usize], n: usize, cell: usize) -> GridCell {
+    fn new(seed: u64, multipliers: &[usize], n: usize, cell: usize) -> GridCell {
         let m_len = multipliers.len();
         GridCell {
             messages: (multipliers[cell % m_len] * n).max(1),
@@ -79,6 +83,27 @@ pub(crate) fn budget_exhausted(
         // fcn-allow: ERR-UNWRAP ungated path keeps the historical panic contract
         Err(_) => panic!("no trial completed within the tick budget; raise router.max_ticks"),
     }
+}
+
+/// Reduce a grid's samples (trial-major, `m_len` cells per trial): the best
+/// per-trial plateau and the mean of the plateaus (`None` when no trial has
+/// one), and the number of trials whose cells all completed.
+pub(crate) fn reduce_grid(samples: &[RateSample], m_len: usize) -> (Option<(f64, f64)>, usize) {
+    let mut plateaus = Vec::new();
+    let mut complete_trials = 0;
+    for trial in samples.chunks(m_len) {
+        if trial.iter().all(|s| s.completed) {
+            complete_trials += 1;
+        }
+        if let Some(p) = fcn_routing::plateau_rate(trial) {
+            plateaus.push(p);
+        }
+    }
+    let plateau = (!plateaus.is_empty()).then(|| {
+        let rate = plateaus.iter().cloned().fold(0.0, f64::max);
+        (rate, plateaus.iter().sum::<f64>() / plateaus.len() as f64)
+    });
+    (plateau, complete_trials)
 }
 
 /// Configuration for operational bandwidth estimation.
@@ -222,6 +247,7 @@ impl BandwidthEstimator {
         let pool = Pool::new(self.jobs);
         let samples: Vec<RateSample> = (0..self.trials)
             .flat_map(|trial| self.run_trial(&ctx, traffic, trial, pool))
+            .map(|cell| cell.sample)
             .collect();
         // ordering: the flag is a monotone stop hint set by another thread;
         // Relaxed suffices for the final observation too.
@@ -238,18 +264,18 @@ impl BandwidthEstimator {
         self.trials * self.multipliers.len()
     }
 
-    /// Trial `trial`'s cells in multiplier order, planned as one (one tree
-    /// per distinct source, sources fanned out over `pool`) and routed on
-    /// `pool` largest batch first. The estimator runs its trials in turn on
-    /// its own pool; a family sweep runs each trial as one task on a
-    /// sequential pool.
+    /// Trial `trial`'s cells in multiplier order, planned as one around the
+    /// context's faults (one tree per distinct source, sources fanned out
+    /// over `pool`) and routed on `pool` largest batch first. The estimator
+    /// and a degraded sweep run their trials in turn on their own pool; a
+    /// family sweep runs each trial as one task on a sequential pool.
     pub(crate) fn run_trial(
         &self,
         ctx: &RouteCtx<'_>,
         traffic: &Traffic,
         trial: usize,
         pool: Pool,
-    ) -> Vec<RateSample> {
+    ) -> Vec<CellSample> {
         let m_len = self.multipliers.len();
         let cells: Vec<GridCell> = (trial * m_len..(trial + 1) * m_len)
             .map(|cell| GridCell::new(self.seed, &self.multipliers, traffic.n(), cell))
@@ -267,44 +293,33 @@ impl BandwidthEstimator {
         )
     }
 
-    /// Reduce the whole grid's samples (trial-major) to the estimate: the
-    /// best per-trial plateau and their mean. Publishes the grid's metrics
-    /// when telemetry is on; returns [`EstimateAborted`] when `cancelled` or
-    /// when no trial produced a plateau.
+    /// Reduce the whole grid's samples (trial-major) to the estimate (see
+    /// [`reduce_grid`]). Publishes the grid's metrics when telemetry is on;
+    /// returns [`EstimateAborted`] when `cancelled` or when no trial
+    /// produced a plateau.
     pub(crate) fn reduce(
         &self,
         samples: Vec<RateSample>,
         cancelled: bool,
     ) -> Result<BandwidthEstimate, EstimateAborted> {
-        let mut plateaus = Vec::new();
-        let mut complete_trials = 0;
-        for trial in samples.chunks(self.multipliers.len()) {
-            if trial.iter().all(|s| s.completed) {
-                complete_trials += 1;
-            }
-            if let Some(p) = fcn_routing::plateau_rate(trial) {
-                plateaus.push(p);
-            }
-        }
+        let (plateau, complete_trials) = reduce_grid(&samples, self.multipliers.len());
         if fcn_telemetry::global().enabled() {
             self.publish(&samples, complete_trials as u64);
         }
-        if cancelled || plateaus.is_empty() {
-            return Err(EstimateAborted {
+        match plateau {
+            Some((rate, mean_rate)) if !cancelled => Ok(BandwidthEstimate {
+                rate,
+                mean_rate,
+                samples,
+                complete_trials,
+            }),
+            _ => Err(EstimateAborted {
                 cells_completed: samples.iter().filter(|s| s.completed).count(),
                 cells_total: samples.len(),
                 ticks_spent: samples.iter().map(|s| s.ticks).sum(),
                 cancelled,
-            });
+            }),
         }
-        let rate = plateaus.iter().cloned().fold(0.0, f64::max);
-        let mean_rate = plateaus.iter().sum::<f64>() / plateaus.len() as f64;
-        Ok(BandwidthEstimate {
-            rate,
-            mean_rate,
-            samples,
-            complete_trials,
-        })
     }
 
     /// Push one estimate's metrics into this thread's telemetry shard.

@@ -14,7 +14,7 @@ use fcn_asymptotics::fit::{classify_growth, classify_growth_offset, table4_candi
 use fcn_asymptotics::{fit_power_log, Asym, PowerLogFit};
 use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::{DistanceStats, Traffic};
-use fcn_routing::{CompiledNet, RateSample, RouteCtx};
+use fcn_routing::{CellSample, CompiledNet, RouteCtx};
 use fcn_topology::{Family, Machine};
 use serde::{Deserialize, Serialize};
 
@@ -82,7 +82,7 @@ impl Piece {
 
 /// What a [`Piece`] produced.
 enum PieceOut {
-    Trial(Vec<RateSample>),
+    Trial(Vec<CellSample>),
     Flux(FluxBound),
     Distance(DistanceStats),
 }
@@ -147,7 +147,7 @@ impl<'m> Subject<'m> {
         let (mut flux, mut dstats) = (None, None);
         for out in outs {
             match out {
-                PieceOut::Trial(trial) => samples.extend(trial),
+                PieceOut::Trial(trial) => samples.extend(trial.iter().map(|cell| cell.sample)),
                 PieceOut::Flux(f) => flux = Some(f),
                 PieceOut::Distance(d) => dstats = Some(d),
             }

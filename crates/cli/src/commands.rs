@@ -87,9 +87,9 @@ USAGE:
   fcnemu request <addr> <kind> [--deadline-ms N] [--retries N] [--retry-seed N] [-- <forwarded args>]
   fcnemu help
 
-`beta --jobs` defaults to 0 (one worker per hardware thread; a served
-request defaults to 1); every other --jobs defaults to 1. Output is
-byte-identical for every --jobs value.
+`beta --jobs` and `faults --jobs` default to 0 (one worker per hardware
+thread; a served request defaults to 1); `audit --jobs` defaults to 1.
+Output is byte-identical for every --jobs value.
 
 Every subcommand also accepts --metrics-out <path>: run with telemetry
 enabled and write a versioned JSONL metrics snapshot to <path> (the
@@ -246,7 +246,8 @@ fn cmd_beta(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
 }
 
 /// The `beta` body, parameterized for service mode. Inline `fcnemu beta`
-/// is `beta_with(args, out, None, None)`; the daemon passes its warm
+/// is `beta_with(args, out, None, None)`, and its plan cache stores no tree
+/// (an estimate never asks for one twice); the daemon passes its warm
 /// [`fcn_serve::Registry`] (compiled net + plan cache reused across
 /// requests — both bit-transparent to the estimate) and the request's
 /// deadline flag. Non-verbose output is byte-identical across all four
@@ -291,10 +292,9 @@ pub(crate) fn beta_with(
             router,
             ..Default::default()
         };
-        // Caller-owned plan cache so --verbose can report its effectiveness;
-        // the cache is bit-transparent to the estimate. In service mode the
-        // net and cache come warm out of the daemon's registry instead of
-        // being compiled per invocation.
+        // In service mode the net and plan cache come warm out of the
+        // daemon's registry; inline, the zero-capacity cache stores nothing
+        // and only counts the trees the estimate computes.
         let (net, cache) = match warm {
             Some(registry) => {
                 let (entry, _hit) = registry.get_or_compile(&m);
@@ -302,9 +302,12 @@ pub(crate) fn beta_with(
             }
             None => (
                 fcn_routing::CompiledNet::shared(&m),
-                std::sync::Arc::new(fcn_routing::PlanCache::default()),
+                std::sync::Arc::new(fcn_routing::PlanCache::with_capacity(0)),
             ),
         };
+        // Misses are trees computed. On a warm daemon cache this also counts
+        // trees that concurrent requests for the same machine computed.
+        let misses_before = cache.misses();
         let b = est
             .try_estimate_compiled(&m, &net, &t, &cache, cancel)
             .map_err(|aborted| {
@@ -340,16 +343,7 @@ pub(crate) fn beta_with(
         // when telemetry is disabled).
         cache.publish();
         if verbose {
-            let _ = writeln!(
-                out,
-                "plan cache    : {} hits / {} misses ({:.1}% hit rate, {} trees, {} evicted, {} refused)",
-                cache.hits(),
-                cache.misses(),
-                100.0 * cache.hit_rate(),
-                cache.entries(),
-                cache.evictions(),
-                cache.refusals()
-            );
+            let _ = writeln!(out, "trees computed: {}", cache.misses() - misses_before);
             let _ = writeln!(
                 out,
                 "trials        : {}/{} complete ({} samples)",
@@ -376,9 +370,14 @@ pub(crate) fn beta_with(
     })())
 }
 
-/// `fcnemu faults`: the β-vs-fault-rate curve for one machine — the intact
-/// estimator re-run against a deterministic fault plane at each rate.
 fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+    faults_with(args, out, false)
+}
+
+/// `fcnemu faults`: the β-vs-fault-rate curve for one machine — the intact
+/// estimator re-run against a deterministic fault plane at each rate. A
+/// `served` request defaults to one worker, as a served `beta` does.
+pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> Result<CmdResult, ParseError> {
     let id = args.pos(0, "family")?.to_string();
     let size: usize = args
         .pos(1, "size")?
@@ -387,7 +386,7 @@ fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
     let trials = args.flag("trials", 3usize)?;
     let seed = args.flag("seed", 0xbeadu64)?;
     let fault_seed = args.flag("fault-seed", 0xfa17u64)?;
-    let jobs = args.flag("jobs", 1usize)?;
+    let jobs = args.flag("jobs", if served { 1 } else { 0 })?;
     let quick = args.has("quick");
     let verbose = args.has("verbose");
     let rates_flag = args.flags.get("rates").cloned();
@@ -833,15 +832,12 @@ mod tests {
         assert_eq!(code, 0, "{plain}");
         let (code, verbose) = run_s("beta mesh2 64 --trials 2 --verbose");
         assert_eq!(code, 0, "{verbose}");
-        assert!(verbose.contains("plan cache"), "{verbose}");
-        assert!(verbose.contains("hit rate"), "{verbose}");
-        assert!(verbose.contains("0 evicted, 0 refused"), "{verbose}");
         assert!(verbose.contains("trials"), "{verbose}");
         // --verbose only appends; the measurement lines are unchanged.
         assert!(verbose.starts_with(&plain), "verbose must extend plain");
-        // Each trial plans every source's tree once: one miss per (trial,
-        // source) and no tree asked for twice within the estimate.
-        assert!(verbose.contains("0 hits / 128 misses"), "{verbose}");
+        // Each trial plans every source's tree once: one tree per (trial,
+        // source), none computed twice within the estimate.
+        assert!(verbose.contains("trees computed: 128\n"), "{verbose}");
     }
 
     /// The processor count `beta` prints on its `machine` line.
@@ -872,9 +868,9 @@ mod tests {
                 let (code, out) = run_s(&format!("beta {machine} --verbose --jobs {jobs}"));
                 assert_eq!(code, 0, "{out}");
                 // Three trials, and 14n demands per trial reach every source.
-                let misses = 3 * printed_n(&out);
+                let trees = 3 * printed_n(&out);
                 assert!(
-                    out.contains(&format!("0 hits / {misses} misses")),
+                    out.contains(&format!("trees computed: {trees}\n")),
                     "{machine} --jobs {jobs}: {out}"
                 );
             }
@@ -1124,14 +1120,23 @@ mod tests {
 
     #[test]
     fn faults_renders_a_curve_and_is_jobs_invariant() {
-        let (code, seq) = run_s("faults mesh2 64 --quick --jobs 1");
-        assert_eq!(code, 0, "{seq}");
-        assert!(seq.contains("fault seed"), "{seq}");
-        assert!(seq.contains(" 0.000"), "{seq}");
-        assert!(seq.contains(" 0.100"), "{seq}");
-        let (code, par) = run_s("faults mesh2 64 --quick --jobs 4");
-        assert_eq!(code, 0, "{par}");
-        assert_eq!(seq, par, "--jobs must not change the faults output");
+        // mesh2 plans BFS trees on the surviving graph; de_bruijn routes by
+        // bit correction and repairs blocked routes by BFS.
+        for machine in ["mesh2 64", "de_bruijn 64"] {
+            let (code, seq) = run_s(&format!("faults {machine} --quick --jobs 1"));
+            assert_eq!(code, 0, "{seq}");
+            assert!(seq.contains("fault seed"), "{seq}");
+            assert!(seq.contains(" 0.000"), "{seq}");
+            assert!(seq.contains(" 0.100"), "{seq}");
+            for jobs in [2, 3, 0] {
+                let (code, par) = run_s(&format!("faults {machine} --quick --jobs {jobs}"));
+                assert_eq!(code, 0, "{par}");
+                assert_eq!(
+                    seq, par,
+                    "{machine}: --jobs {jobs} changed the faults output"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The daemon side plugs the existing subcommand bodies into
 //! [`fcn_serve::Server`] via [`CliHandler`], which is what makes a served
-//! response byte-identical to the inline invocation: `audit` and `faults`
-//! requests literally run [`crate::run`] into a buffer, and `beta` runs the
-//! same body through [`crate::commands::beta_with`] with the daemon's warm
-//! registry and the request's deadline flag threaded in.
+//! response byte-identical to the inline invocation: `audit` requests
+//! literally run [`crate::run`] into a buffer, `beta` runs the same body
+//! through [`crate::commands::beta_with`] with the daemon's warm registry
+//! and the request's deadline flag threaded in, and `faults` runs
+//! [`crate::commands::faults_with`] with the served worker default.
 
 use std::io::Write;
 use std::sync::atomic::AtomicBool;
@@ -43,10 +44,12 @@ impl CliHandler {
         }
     }
 
-    /// `beta` goes through [`commands::beta_with`] so the warm registry and
-    /// the cancel flag reach the estimator; the error-path bytes mirror
-    /// [`crate::run`] exactly.
-    fn handle_beta(&self, argv: &[String], cancel: &AtomicBool) -> HandlerOutcome {
+    /// Run one subcommand `body` the way [`crate::run`] dispatches it: the
+    /// error-path bytes mirror it exactly.
+    fn handle_body(
+        argv: &[String],
+        body: impl FnOnce(&Args, &mut Vec<u8>) -> Result<CmdResult, ParseError>,
+    ) -> HandlerOutcome {
         let mut buf = Vec::new();
         let args = match Args::parse(argv) {
             Ok(args) => args,
@@ -60,9 +63,7 @@ impl CliHandler {
                 };
             }
         };
-        let result = match commands::check_flags(&args)
-            .and_then(|()| commands::beta_with(&args, &mut buf, Some(&self.registry), Some(cancel)))
-        {
+        let result = match commands::check_flags(&args).and_then(|()| body(&args, &mut buf)) {
             Ok(r) => r,
             // dispatch() wraps in-command parse errors as domain errors;
             // mirror that so the framed bytes match the inline run.
@@ -101,12 +102,17 @@ impl Handler for CliHandler {
             };
         }
         match kind {
-            "beta" => self.handle_beta(&argv, cancel),
-            // These kinds have no warm-state or cancellation hooks yet, so
-            // the whole inline entry point runs into the reply buffer —
+            // `beta` goes through [`commands::beta_with`] so the warm
+            // registry and the cancel flag reach the estimator.
+            "beta" => Self::handle_body(&argv, |args, buf| {
+                commands::beta_with(args, buf, Some(&self.registry), Some(cancel))
+            }),
+            "faults" => Self::handle_body(&argv, |args, buf| commands::faults_with(args, buf, true)),
+            // `audit` has no warm-state or cancellation hooks yet, so the
+            // whole inline entry point runs into the reply buffer —
             // byte-identity (including error text and exit codes) is then
             // true by construction, not by imitation.
-            "audit" | "faults" => {
+            "audit" => {
                 let mut buf = Vec::new();
                 let exit_code = crate::run(&argv, &mut buf);
                 HandlerOutcome::Done {

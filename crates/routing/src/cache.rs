@@ -1,11 +1,13 @@
 //! Memoized route plans.
 //!
 //! Planning a batch of routes costs one randomized BFS tree per distinct
-//! source. An estimator trial already plans each of its trees once
-//! ([`crate::plan_trial`]), but repeated estimates on the *same* machine
-//! with the *same* seed (a daemon's warm requests, audits) and cell-by-cell
-//! planners (the degraded sweep) would recompute those trees verbatim.
-//! [`PlanCache`] memoizes them.
+//! source. A trial, intact or faulted, plans each of its trees once
+//! ([`crate::plan_trial`]), so a one-shot estimate or sweep never asks for
+//! a tree twice and stores none. Repeated estimates on the *same* machine
+//! with the *same* seed — a daemon's warm requests — would recompute those
+//! trees verbatim; [`PlanCache`] memoizes them, and the daemon's registry
+//! is what holds one warm. A zero-capacity cache stores nothing and only
+//! counts the trees computed (its misses).
 //!
 //! Correctness rests on the oracle's seeding discipline (see
 //! [`crate::oracle::PathOracle`]): a BFS tree is a pure function of the key
@@ -26,8 +28,8 @@
 //! Counters are [`fcn_telemetry`] instruments owned per cache instance —
 //! observability only, attaching or detaching a cache never changes a
 //! routed bit. [`PlanCache::publish`] pushes them into the thread's metric
-//! shard under the `plan_cache_*` names (surfaced by `fcnemu beta
-//! --verbose` and `--metrics-out`).
+//! shard under the `plan_cache_*` names (surfaced by `--metrics-out`;
+//! `fcnemu beta --verbose` prints the misses as trees computed).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -154,16 +156,6 @@ impl PlanCache {
         lock_ranked(&self.store, ranks::ROUTING_PLAN_CACHE)
     }
 
-    /// Fraction of lookups served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits(), self.misses());
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
     /// Push this cache's counters into the thread's telemetry shard (no-op
     /// when the global registry is disabled). Call once per run, after the
     /// work that used the cache.
@@ -249,7 +241,6 @@ mod tests {
         }
         assert_eq!(computes, 1);
         assert_eq!((cache.hits(), cache.misses(), cache.entries()), (2, 1, 1));
-        assert!(cache.hit_rate() > 0.6);
     }
 
     #[test]

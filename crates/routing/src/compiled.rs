@@ -58,19 +58,6 @@ pub enum RouteError {
         /// Index of the packet whose path is malformed.
         packet: usize,
     },
-    /// No surviving route exists between a demand's endpoints once a
-    /// [`fcn_faults::FaultPlan`]'s dead wires and nodes are removed — the
-    /// fault-aware planner's typed "this demand is stranded" outcome
-    /// (produced by [`crate::native::plan_routes_faulted`], never by an
-    /// intact machine).
-    Unreachable {
-        /// Demand source.
-        src: NodeId,
-        /// Demand destination.
-        dst: NodeId,
-        /// Index of the demand that cannot be satisfied.
-        packet: usize,
-    },
     /// An arena grew past what its `u32` offsets can index: a net with
     /// more directed wires or outage windows, or a batch with more path
     /// vertices, than `u32::MAX`.
@@ -106,12 +93,6 @@ impl fmt::Display for RouteError {
             ),
             RouteError::NoWire { from, to, packet } => {
                 write!(f, "packet {packet}: no wire {from} -> {to}")
-            }
-            RouteError::Unreachable { src, dst, packet } => {
-                write!(
-                    f,
-                    "packet {packet}: {src} -> {dst} unreachable in the degraded host"
-                )
             }
             RouteError::OffsetOverflow { len } => {
                 write!(f, "arena of {len} entries overflows its u32 offsets")

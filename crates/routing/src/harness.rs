@@ -11,17 +11,20 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use fcn_exec::Pool;
+use fcn_faults::FaultPlan;
 use fcn_multigraph::{NodeId, Traffic};
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::PlanCache;
 use crate::compiled::{CompiledNet, PacketBatch};
-use crate::engine::{route_compiled, RouterConfig, RoutingOutcome, POOLED_SCRATCH};
+use crate::engine::{route_compiled, AbortCause, RouterConfig, RoutingOutcome, POOLED_SCRATCH};
+use crate::native::{plan_trial, Faults};
 use crate::packet::{PacketPath, Strategy};
 
-/// A compile-once routing context: one machine, its [`CompiledNet`], and an
-/// optional [`PlanCache`].
+/// A compile-once routing context: one machine, its [`CompiledNet`], the
+/// faults it routes around (none by default), and an optional
+/// [`PlanCache`].
 ///
 /// Every β estimate, saturation sweep, and audit routes hundreds of batches
 /// on the *same* machine; the context compiles the machine's wire arrays
@@ -43,6 +46,7 @@ use crate::packet::{PacketPath, Strategy};
 pub struct RouteCtx<'a> {
     machine: &'a Machine,
     net: Arc<CompiledNet>,
+    faults: Option<Faults<'a>>,
     cache: Option<&'a PlanCache>,
     cancel: Option<&'a AtomicBool>,
 }
@@ -50,12 +54,7 @@ pub struct RouteCtx<'a> {
 impl<'a> RouteCtx<'a> {
     /// Compile `machine`'s wire arrays and wrap them in a context.
     pub fn new(machine: &'a Machine) -> Self {
-        RouteCtx {
-            machine,
-            net: CompiledNet::shared(machine),
-            cache: None,
-            cancel: None,
-        }
+        RouteCtx::from_net(machine, CompiledNet::shared(machine))
     }
 
     /// A context over an already-compiled net (for sharing one compilation
@@ -65,9 +64,22 @@ impl<'a> RouteCtx<'a> {
         RouteCtx {
             machine,
             net,
+            faults: None,
             cache: None,
             cancel: None,
         }
+    }
+
+    /// Route around `plan`: batches run on the faulted net
+    /// ([`CompiledNet::apply_faults`]) and are planned on the surviving
+    /// graph, which is built here once for every batch of the context. An
+    /// empty plan leaves the context intact.
+    pub fn with_faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.faults = Faults::new(self.machine, plan);
+        if self.faults.is_some() {
+            self.net = Arc::new(self.net.apply_faults(plan));
+        }
+        self
     }
 
     /// Attach a [`PlanCache`] serving the BFS trees of route planning.
@@ -94,11 +106,6 @@ impl<'a> RouteCtx<'a> {
     /// The shared compiled net.
     pub fn net(&self) -> &Arc<CompiledNet> {
         &self.net
-    }
-
-    /// The attached plan cache, if any.
-    pub fn cache(&self) -> Option<&PlanCache> {
-        self.cache
     }
 
     /// The attached cancellation flag, if any.
@@ -132,8 +139,27 @@ pub struct RateSample {
     pub ticks: u64,
     /// `messages / ticks`.
     pub rate: f64,
-    /// Whether routing completed within the tick budget.
+    /// Whether the run terminated within the tick budget: everything
+    /// routable was delivered, even if a faulted host stranded some
+    /// packets. On an intact host this is [`RoutingOutcome::completed`].
     pub completed: bool,
+}
+
+/// One routed batch of a trial: its rate sample and the fault accounting
+/// that explains it (all zero on an intact host).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CellSample {
+    /// The delivery-rate sample.
+    pub sample: RateSample,
+    /// Packets stranded at injection (path crossed a permanently dead wire).
+    pub stranded: usize,
+    /// Demands with no surviving route in the degraded host.
+    pub unreachable: usize,
+    /// Demands whose native route crossed a fault and were re-routed by BFS
+    /// on the degraded graph.
+    pub replans: u64,
+    /// Why the router run ended.
+    pub abort: AbortCause,
 }
 
 /// Route `messages` random pairs from `traffic` and report the delivery
@@ -169,7 +195,8 @@ pub fn measure_rate(
 }
 
 /// [`measure_rate`] over a compile-once [`RouteCtx`], with split seeds:
-/// sample demands, plan routes (through the context's cache, if any),
+/// sample demands, plan routes (around the context's faults and through its
+/// cache, if any),
 /// compile the batch to wire ids, and run it on the shared net with pooled
 /// scratch — the one-batch case of [`measure_rates_ctx`].
 ///
@@ -197,17 +224,18 @@ pub fn measure_rate_ctx(
         plan_seed,
         Pool::sequential(),
     )[0]
+    .sample
 }
 
 /// [`measure_rate_ctx`] for several batches that share `plan_seed` — one
 /// estimator trial's cells, each `(messages, demand_seed)`.
 ///
 /// Every batch draws its demands, then [`crate::plan_trial`] plans them all
-/// at once (one BFS tree per distinct source across the batches, sources
-/// fanned out over `pool`), then the batches route on `pool`, largest
-/// first, so the longest run starts at once. Samples come back in batch
-/// order, each bit-identical to [`measure_rate_ctx`] on that batch alone,
-/// for every worker count.
+/// at once around the context's faults (one BFS tree per distinct source
+/// across the batches, sources fanned out over `pool`), then the batches
+/// route on `pool`, largest first, so the longest run starts at once.
+/// Samples come back in batch order, each bit-identical to
+/// [`measure_rate_ctx`] on that batch alone, for every worker count.
 pub fn measure_rates_ctx(
     ctx: &RouteCtx<'_>,
     traffic: &Traffic,
@@ -216,7 +244,7 @@ pub fn measure_rates_ctx(
     cfg: RouterConfig,
     plan_seed: u64,
     pool: Pool,
-) -> Vec<RateSample> {
+) -> Vec<CellSample> {
     assert!(
         traffic.n() <= ctx.machine.processors(),
         "traffic addresses more processors than the machine has"
@@ -233,20 +261,38 @@ pub fn measure_rates_ctx(
         })
         .collect();
     let slices: Vec<&[(NodeId, NodeId)]> = demands.iter().map(Vec::as_slice).collect();
-    let routes =
-        crate::native::plan_trial(ctx.machine, &slices, strategy, plan_seed, ctx.cache, pool);
+    let plans = plan_trial(
+        ctx.machine,
+        &slices,
+        strategy,
+        plan_seed,
+        ctx.faults.as_ref(),
+        ctx.cache,
+        pool,
+    );
     let mut order: Vec<usize> = (0..batches.len()).collect();
     order.sort_by_key(|&b| Reverse(batches[b].0));
-    let outcomes = pool.run(order.len(), |k| ctx.route_paths(&routes[order[k]], cfg));
-    let mut samples: Vec<(usize, RateSample)> = order
+    let outcomes = pool.run(order.len(), |k| {
+        ctx.route_paths(&plans[order[k]].paths, cfg)
+    });
+    let mut samples: Vec<(usize, CellSample)> = order
         .into_iter()
         .zip(outcomes)
         .map(|(b, outcome)| {
-            let sample = RateSample {
-                messages: batches[b].0,
-                ticks: outcome.ticks,
-                rate: outcome.rate(),
-                completed: outcome.completed,
+            let sample = CellSample {
+                sample: RateSample {
+                    messages: batches[b].0,
+                    ticks: outcome.ticks,
+                    rate: outcome.rate(),
+                    completed: !matches!(
+                        outcome.abort,
+                        AbortCause::MaxTicks | AbortCause::Cancelled
+                    ),
+                },
+                stranded: outcome.stranded,
+                unreachable: plans[b].unreachable.len(),
+                replans: plans[b].replans,
+                abort: outcome.abort,
             };
             (b, sample)
         })

@@ -41,11 +41,12 @@ pub use engine::{
     RoutingOutcome,
 };
 pub use harness::{
-    measure_rate, measure_rate_ctx, measure_rates_ctx, plateau_rate, RateSample, RouteCtx,
+    measure_rate, measure_rate_ctx, measure_rates_ctx, plateau_rate, CellSample, RateSample,
+    RouteCtx,
 };
 pub use native::{
-    de_bruijn_path, plan_batch, plan_routes, plan_routes_cached, plan_routes_degraded,
-    plan_routes_faulted, plan_trial, shuffle_exchange_path, DegradedPlan,
+    de_bruijn_path, plan_routes, plan_routes_cached, plan_routes_degraded, plan_trial,
+    shuffle_exchange_path, DegradedPlan, Faults,
 };
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};

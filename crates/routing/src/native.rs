@@ -11,11 +11,10 @@
 
 use fcn_exec::Pool;
 use fcn_faults::FaultPlan;
-use fcn_multigraph::NodeId;
+use fcn_multigraph::{Multigraph, NodeId};
 use fcn_topology::{Machine, RoutePolicy};
 
 use crate::cache::PlanCache;
-use crate::compiled::{CompiledNet, PacketBatch, RouteError};
 use crate::oracle::PathOracle;
 use crate::packet::{PacketPath, Strategy};
 
@@ -33,12 +32,12 @@ pub fn plan_routes(
 }
 
 /// [`plan_routes`] with an optional [`PlanCache`] serving the BFS trees:
-/// the one-batch case of [`plan_trial`].
+/// the one-batch, intact case of [`plan_trial`].
 ///
 /// Cached planning is bit-identical to fresh planning — the oracle's BFS
 /// trees are pure functions of `(graph, node limit, source, seed)` — so the
 /// cache is purely a wall-clock optimization for repeated batches on the
-/// same machine with the same seed (served requests, audits). Policies
+/// same machine with the same seed (a daemon's warm requests). Policies
 /// that route arithmetically (de Bruijn / shuffle-exchange bit correction,
 /// X-tree levels) compute no trees and ignore the cache.
 pub fn plan_routes_cached(
@@ -53,107 +52,36 @@ pub fn plan_routes_cached(
         &[demands],
         strategy,
         seed,
+        None,
         cache,
         Pool::sequential(),
     )
     .into_iter()
-    .flatten()
+    .flat_map(|plan| plan.paths)
     .collect()
 }
 
-/// Plan several batches that share one plan seed — the cells of one
-/// estimator trial — returning each batch's routes in input order.
-///
-/// Under [`Strategy::ShortestPath`] on a BFS policy (shortest-path or
-/// prefix-restricted), the batches are planned as one: every distinct
-/// source across them gets one tree, fetched or computed once (through
-/// `cache`, if any) and unwound for all of that source's demands, and the
-/// sources fan out over `pool`. Native policies and [`Strategy::Valiant`]
-/// draw from a sequential per-batch RNG, so they plan batch by batch, one
-/// batch per pool job. Either way each batch's routes equal
-/// [`plan_routes_cached`] on that batch alone, for every worker count.
-pub fn plan_trial(
-    machine: &Machine,
-    batches: &[&[(NodeId, NodeId)]],
-    strategy: Strategy,
-    seed: u64,
-    cache: Option<&PlanCache>,
-    pool: Pool,
-) -> Vec<Vec<PacketPath>> {
-    let policy = machine.route_policy();
-    let oracle = || {
-        let o = match policy {
-            RoutePolicy::RestrictToPrefix(p) => {
-                PathOracle::with_node_limit(machine.graph(), p, seed)
-            }
-            _ => PathOracle::new(machine.graph(), seed),
-        };
-        match cache {
-            Some(c) => o.with_cache(c),
-            None => o,
-        }
-    };
-    if strategy == Strategy::ShortestPath
-        && matches!(
-            policy,
-            RoutePolicy::ShortestPath | RoutePolicy::RestrictToPrefix(_)
-        )
-    {
-        let mut routes = oracle()
-            .with_pool(pool)
-            .routes(&batches.concat(), strategy)
-            .into_iter();
-        return batches
-            .iter()
-            .map(|b| routes.by_ref().take(b.len()).collect())
-            .collect();
+/// A non-empty [`FaultPlan`] as planners see it: the plan, and the surviving
+/// graph ([`FaultPlan::degrade_graph`]) their BFS trees grow on. Built once
+/// per plan and shared by every trial planned around it.
+pub struct Faults<'a> {
+    plan: &'a FaultPlan,
+    graph: Multigraph,
+}
+
+impl<'a> Faults<'a> {
+    /// `plan` resolved against `machine`'s graph, or `None` for an empty
+    /// plan: the intact case.
+    pub fn new(machine: &Machine, plan: &'a FaultPlan) -> Option<Faults<'a>> {
+        (!plan.is_empty()).then(|| Faults {
+            plan,
+            graph: plan.degrade_graph(machine.graph()),
+        })
     }
-    pool.run(batches.len(), |b| {
-        let demands = batches[b];
-        match (strategy, policy) {
-            (Strategy::ShortestPath, RoutePolicy::DeBruijnBits { g }) => demands
-                .iter()
-                .map(|&(u, v)| PacketPath::new(de_bruijn_path(u, v, g)))
-                .collect(),
-            (Strategy::ShortestPath, RoutePolicy::ShuffleExchangeBits { g }) => demands
-                .iter()
-                .map(|&(u, v)| PacketPath::new(shuffle_exchange_path(u, v, g)))
-                .collect(),
-            (Strategy::ShortestPath, RoutePolicy::XTreeLevels { depth }) => {
-                use rand::SeedableRng as _;
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                demands
-                    .iter()
-                    .map(|&(u, v)| PacketPath::new(xtree_level_path(u, v, depth, &mut rng)))
-                    .collect()
-            }
-            // Valiant; BFS shortest paths were planned above.
-            _ => oracle().routes(demands, strategy),
-        }
-    })
 }
 
-/// Plan `demands` and compile the resulting paths straight into a
-/// [`PacketBatch`] against an already-compiled `net` — the fused front half
-/// of the compile-once/run-many pipeline ([`crate::harness::RouteCtx`] is
-/// the ergonomic wrapper).
-///
-/// Every native planner emits walks on the machine graph, so compilation
-/// only fails (`Err(RouteError)`) for a planner bug; callers routing
-/// oracle-planned paths may safely `expect` the result.
-pub fn plan_batch(
-    machine: &Machine,
-    net: &CompiledNet,
-    demands: &[(NodeId, NodeId)],
-    strategy: Strategy,
-    seed: u64,
-    cache: Option<&PlanCache>,
-) -> Result<PacketBatch, RouteError> {
-    let paths = plan_routes_cached(machine, demands, strategy, seed, cache);
-    PacketBatch::compile(net, &paths)
-}
-
-/// Outcome of planning a batch against a [`FaultPlan`]-degraded machine.
+/// Outcome of planning one batch, around a [`FaultPlan`] or on the intact
+/// machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedPlan {
     /// Routes for every *routable* demand, in input order (unreachable
@@ -168,24 +96,8 @@ pub struct DegradedPlan {
 }
 
 /// Fault-aware [`plan_routes_cached`]: plan `demands` around the dead wires
-/// and nodes of `fault_plan`, degrading gracefully per policy.
-///
-/// * **Empty plan** — delegates to [`plan_routes_cached`] untouched (the
-///   transparency pin: zero overhead, bit-identical output).
-/// * **BFS policies** (shortest-path, prefix-restricted, Valiant) — the
-///   oracle runs on [`FaultPlan::degrade_graph`], so every emitted route
-///   avoids dead wires by construction. A failed Valiant route (e.g. a dead
-///   random intermediate) falls back to a direct BFS route, counted as a
-///   replan.
-/// * **Arithmetic policies** (de Bruijn / shuffle-exchange bit correction,
-///   X-tree levels) — the native route is computed first; when it crosses a
-///   fault, the demand is re-planned by seeded BFS on the degraded graph
-///   (counted in [`DegradedPlan::replans`]).
-///
-/// Demands with a permanently dead endpoint are always unreachable, even
-/// the trivial `s == s` ones — a dead processor originates nothing.
-/// Attaching a [`PlanCache`] is safe: the degraded graph's fingerprint
-/// differs from the intact one's, so cached trees never cross over.
+/// and nodes of `fault_plan` — the one-batch case of [`plan_trial`]. An
+/// empty plan is the intact case: zero overhead, bit-identical output.
 pub fn plan_routes_degraded(
     machine: &Machine,
     demands: &[(NodeId, NodeId)],
@@ -194,126 +106,183 @@ pub fn plan_routes_degraded(
     fault_plan: &FaultPlan,
     cache: Option<&PlanCache>,
 ) -> DegradedPlan {
-    if fault_plan.is_empty() {
-        return DegradedPlan {
-            paths: plan_routes_cached(machine, demands, strategy, seed, cache),
-            unreachable: Vec::new(),
-            replans: 0,
-        };
-    }
-    let degraded = fault_plan.degrade_graph(machine.graph());
+    let faults = Faults::new(machine, fault_plan);
+    plan_trial(
+        machine,
+        &[demands],
+        strategy,
+        seed,
+        faults.as_ref(),
+        cache,
+        Pool::sequential(),
+    )
+    .swap_remove(0)
+}
+
+/// Plan several batches that share one plan seed — the cells of one
+/// estimator trial — around `faults` (`None`: the intact machine),
+/// returning each batch's plan in input order.
+///
+/// * **BFS policies** (shortest-path, prefix-restricted) under
+///   [`Strategy::ShortestPath`] — the batches are planned as one: every
+///   distinct source across them gets one tree on the surviving graph,
+///   fetched or computed once (through `cache`, if any) and unwound for all
+///   of that source's demands, and the sources fan out over `pool`. Every
+///   route avoids the faults by construction; a demand the tree does not
+///   reach is unreachable (a second tree from the same source and seed
+///   would not reach it either).
+/// * **Arithmetic policies** (de Bruijn / shuffle-exchange bit correction,
+///   X-tree levels) and [`Strategy::Valiant`] draw from a sequential
+///   per-batch RNG, so they plan batch by batch, one batch per pool job:
+///   arithmetic routes on the intact topology, Valiant on the surviving
+///   graph. A route that crosses a fault, or a Valiant route with a dead
+///   intermediate, is then re-planned by BFS on the surviving graph —
+///   every batch's repairs at once, one tree per distinct source —
+///   and counted in [`DegradedPlan::replans`].
+///
+/// Demands with a permanently dead endpoint are always unreachable, even
+/// the trivial `s == s` ones — a dead processor originates nothing. Each
+/// batch's plan equals [`plan_routes_degraded`] on that batch alone, for
+/// every worker count. Attaching a [`PlanCache`] is safe: the degraded
+/// graph's fingerprint differs from the intact one's, so cached trees never
+/// cross over.
+///
+/// # Panics
+/// On the intact machine, when some demand has no path in the host.
+pub fn plan_trial(
+    machine: &Machine,
+    batches: &[&[(NodeId, NodeId)]],
+    strategy: Strategy,
+    seed: u64,
+    faults: Option<&Faults<'_>>,
+    cache: Option<&PlanCache>,
+    pool: Pool,
+) -> Vec<DegradedPlan> {
     let policy = machine.route_policy();
-    let limit = match policy {
-        RoutePolicy::RestrictToPrefix(p) => Some(p),
-        _ => None,
-    };
-    let oracle = |lim: Option<usize>| {
-        let o = match lim {
-            Some(p) => PathOracle::with_node_limit(&degraded, p, seed),
-            None => PathOracle::new(&degraded, seed),
+    let graph = faults.map_or(machine.graph(), |f| &f.graph);
+    let oracle = || {
+        let o = match policy {
+            RoutePolicy::RestrictToPrefix(p) => PathOracle::with_node_limit(graph, p, seed),
+            _ => PathOracle::new(graph, seed),
         };
         match cache {
             Some(c) => o.with_cache(c),
             None => o,
         }
     };
-    // Phase 1 — candidate routes. Arithmetic policies compute their native
-    // route on the intact topology (to be fault-checked below); every other
-    // policy plans directly on the degraded graph and is fault-free by
-    // construction.
-    let arithmetic = matches!(
-        (strategy, policy),
-        (
-            Strategy::ShortestPath,
-            RoutePolicy::DeBruijnBits { .. }
-                | RoutePolicy::ShuffleExchangeBits { .. }
-                | RoutePolicy::XTreeLevels { .. }
-        )
-    );
-    let mut candidates: Vec<Option<PacketPath>> = if arithmetic {
-        plan_routes_cached(machine, demands, strategy, seed, cache)
-            .into_iter()
-            .map(Some)
+    let bfs = strategy == Strategy::ShortestPath
+        && matches!(
+            policy,
+            RoutePolicy::ShortestPath | RoutePolicy::RestrictToPrefix(_)
+        );
+    // Phase 1 — candidate routes, one list per batch.
+    let mut candidates: Vec<Vec<Option<PacketPath>>> = if bfs {
+        let mut routes = oracle()
+            .with_pool(pool)
+            .try_routes(&batches.concat(), strategy)
+            .into_iter();
+        batches
+            .iter()
+            .map(|b| routes.by_ref().take(b.len()).collect())
             .collect()
     } else {
-        oracle(limit).try_routes(demands, strategy)
-    };
-    // Phase 2 — fault-check and repair. A blocked or missing candidate is
-    // re-planned by direct BFS on the degraded graph; per-source BFS
-    // seeding keeps the repair a pure function of `(seed, demand)`,
-    // independent of which other demands needed repair.
-    let mut needs_bfs: Vec<usize> = Vec::new();
-    for (i, cand) in candidates.iter_mut().enumerate() {
-        let (s, d) = demands[i];
-        if fault_plan.node_dead(s) || fault_plan.node_dead(d) {
-            *cand = None; // dead endpoint: never routable
-            continue;
-        }
-        let blocked = match cand {
-            Some(p) => fault_plan.path_blocked(&p.path),
-            None => true,
-        };
-        if blocked {
-            *cand = None;
-            needs_bfs.push(i);
-        }
-    }
-    let mut replans = 0u64;
-    if !needs_bfs.is_empty() {
-        let sub: Vec<(NodeId, NodeId)> = needs_bfs.iter().map(|&i| demands[i]).collect();
-        let repaired = oracle(limit).try_routes(&sub, Strategy::ShortestPath);
-        for (&i, r) in needs_bfs.iter().zip(repaired) {
-            if r.is_some() {
-                replans += 1;
+        pool.run(batches.len(), |b| {
+            let demands = batches[b];
+            match (strategy, policy) {
+                (Strategy::ShortestPath, RoutePolicy::DeBruijnBits { g }) => demands
+                    .iter()
+                    .map(|&(u, v)| Some(PacketPath::new(de_bruijn_path(u, v, g))))
+                    .collect(),
+                (Strategy::ShortestPath, RoutePolicy::ShuffleExchangeBits { g }) => demands
+                    .iter()
+                    .map(|&(u, v)| Some(PacketPath::new(shuffle_exchange_path(u, v, g))))
+                    .collect(),
+                (Strategy::ShortestPath, RoutePolicy::XTreeLevels { depth }) => {
+                    use rand::SeedableRng as _;
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    demands
+                        .iter()
+                        .map(|&(u, v)| {
+                            Some(PacketPath::new(xtree_level_path(u, v, depth, &mut rng)))
+                        })
+                        .collect()
+                }
+                // Valiant; BFS shortest paths were planned above.
+                _ => oracle().try_routes(demands, strategy),
             }
-            candidates[i] = r;
+        })
+    };
+    let mut replans = vec![0u64; batches.len()];
+    if let Some(faults) = faults {
+        // Phase 2 — fault-check. Dead endpoints are never routable; a
+        // blocked or missing non-BFS candidate is queued for repair.
+        let mut repairs: Vec<(usize, usize)> = Vec::new();
+        for (b, routes) in candidates.iter_mut().enumerate() {
+            for (i, route) in routes.iter_mut().enumerate() {
+                let (s, d) = batches[b][i];
+                let dead_end = faults.plan.node_dead(s) || faults.plan.node_dead(d);
+                let blocked = route
+                    .as_ref()
+                    .is_none_or(|p| faults.plan.path_blocked(&p.path));
+                if dead_end || blocked {
+                    *route = None;
+                    if !dead_end && !bfs {
+                        repairs.push((b, i));
+                    }
+                }
+            }
+        }
+        // Phase 3 — repair by BFS on the surviving graph. Per-source BFS
+        // seeding keeps a repair a pure function of `(seed, demand)`,
+        // independent of which other demands needed one.
+        if !repairs.is_empty() {
+            let demands: Vec<(NodeId, NodeId)> =
+                repairs.iter().map(|&(b, i)| batches[b][i]).collect();
+            let repaired = oracle()
+                .with_pool(pool)
+                .try_routes(&demands, Strategy::ShortestPath);
+            for (&(b, i), route) in repairs.iter().zip(repaired) {
+                replans[b] += u64::from(route.is_some());
+                candidates[b][i] = route;
+            }
         }
     }
-    // Phase 3 — split routable from stranded.
-    let mut paths = Vec::with_capacity(candidates.len());
-    let mut unreachable = Vec::new();
-    for (i, cand) in candidates.into_iter().enumerate() {
-        match cand {
-            Some(p) => paths.push(p),
-            None => unreachable.push(i),
+    // Phase 4 — split routable from stranded.
+    let plans: Vec<DegradedPlan> = candidates
+        .into_iter()
+        .zip(batches)
+        .zip(replans)
+        .map(|((routes, demands), replans)| {
+            let mut plan = DegradedPlan {
+                paths: Vec::with_capacity(routes.len()),
+                unreachable: Vec::new(),
+                replans,
+            };
+            for (i, route) in routes.into_iter().enumerate() {
+                match route {
+                    Some(p) => plan.paths.push(p),
+                    None if faults.is_some() => plan.unreachable.push(i),
+                    // fcn-allow: ERR-UNWRAP documented panic: every machine graph is connected
+                    None => panic!("no path {} -> {} in host", demands[i].0, demands[i].1),
+                }
+            }
+            plan
+        })
+        .collect();
+    if fcn_telemetry::global().enabled() {
+        let replans: u64 = plans.iter().map(|p| p.replans).sum();
+        let dropped: usize = plans.iter().map(|p| p.unreachable.len()).sum();
+        if replans > 0 || dropped > 0 {
+            fcn_telemetry::with_shard(|s| {
+                s.add(fcn_telemetry::names::PLANNER_REPLANS_TOTAL, replans);
+                s.add(
+                    fcn_telemetry::names::PLANNER_UNREACHABLE_TOTAL,
+                    dropped as u64,
+                );
+            });
         }
     }
-    if fcn_telemetry::global().enabled() && (replans > 0 || !unreachable.is_empty()) {
-        let dropped = unreachable.len() as u64;
-        fcn_telemetry::with_shard(|s| {
-            s.add(fcn_telemetry::names::PLANNER_REPLANS_TOTAL, replans);
-            s.add(fcn_telemetry::names::PLANNER_UNREACHABLE_TOTAL, dropped);
-        });
-    }
-    DegradedPlan {
-        paths,
-        unreachable,
-        replans,
-    }
-}
-
-/// Strict fault-aware planning: like [`plan_routes_degraded`] but an
-/// unreachable demand is a typed [`RouteError::Unreachable`] (carrying the
-/// first stranded demand) instead of being dropped. Use this when the
-/// caller requires every demand delivered.
-pub fn plan_routes_faulted(
-    machine: &Machine,
-    demands: &[(NodeId, NodeId)],
-    strategy: Strategy,
-    seed: u64,
-    fault_plan: &FaultPlan,
-    cache: Option<&PlanCache>,
-) -> Result<Vec<PacketPath>, RouteError> {
-    let planned = plan_routes_degraded(machine, demands, strategy, seed, fault_plan, cache);
-    if let Some(&i) = planned.unreachable.first() {
-        let (src, dst) = demands[i];
-        return Err(RouteError::Unreachable {
-            src,
-            dst,
-            packet: i,
-        });
-    }
-    Ok(planned.paths)
+    plans
 }
 
 /// The classical de Bruijn route: shift in the destination's bits, most
@@ -604,7 +573,7 @@ mod tests {
 
     #[test]
     fn plan_batch_compiles_native_plans_infallibly() {
-        use crate::compiled::CompiledNet;
+        use crate::compiled::{CompiledNet, PacketBatch};
         for m in [
             Machine::de_bruijn(5),
             Machine::mesh(2, 6),
@@ -614,10 +583,9 @@ mod tests {
             let n = m.processors() as u32;
             let demands: Vec<_> = (0..n / 2).map(|i| (i, n - 1 - i)).collect();
             let net = CompiledNet::compile(&m);
-            let batch = plan_batch(&m, &net, &demands, Strategy::ShortestPath, 9, None)
-                .expect("native plans are graph walks");
-            assert_eq!(batch.len(), demands.len());
             let paths = plan_routes(&m, &demands, Strategy::ShortestPath, 9);
+            let batch = PacketBatch::compile(&net, &paths).expect("native plans are graph walks");
+            assert_eq!(batch.len(), demands.len());
             for (i, p) in paths.iter().enumerate() {
                 assert_eq!(batch.decode_path(&net, i), p.path, "{}", m.name());
             }
@@ -626,6 +594,8 @@ mod tests {
 
     #[test]
     fn plan_trial_equals_planning_each_batch_alone() {
+        use fcn_faults::FaultSpec;
+        let mut replans = 0;
         for m in [
             Machine::mesh(2, 6),
             Machine::pyramid(2, 4),
@@ -637,21 +607,45 @@ mod tests {
                 .map(|k| (0..k * n).map(|i| (i * 7 % n, (i * 13 + k) % n)).collect())
                 .collect();
             let slices: Vec<&[(u32, u32)]> = batches.iter().map(Vec::as_slice).collect();
-            for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
-                let alone: Vec<_> = batches
-                    .iter()
-                    .map(|b| plan_routes(&m, b, strategy, 9))
-                    .collect();
-                for jobs in [1, 2, 3] {
-                    let cache = PlanCache::default();
-                    let trial = plan_trial(&m, &slices, strategy, 9, Some(&cache), Pool::new(jobs));
-                    assert_eq!(trial, alone, "{} {strategy:?} jobs={jobs}", m.name());
-                    if strategy == Strategy::ShortestPath {
-                        assert_eq!(cache.hits(), 0, "{}: a tree planned twice", m.name());
+            let faulted = FaultPlan::generate(m.graph(), &FaultSpec::uniform(3, 0.15));
+            assert!(!faulted.is_empty(), "{}", m.name());
+            for fault_plan in [FaultPlan::none(), faulted] {
+                let faults = Faults::new(&m, &fault_plan);
+                for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
+                    let alone: Vec<_> = batches
+                        .iter()
+                        .map(|b| plan_routes_degraded(&m, b, strategy, 9, &fault_plan, None))
+                        .collect();
+                    for (plan, batch) in alone.iter().zip(&batches) {
+                        replans += plan.replans;
+                        assert_eq!(plan.paths.len() + plan.unreachable.len(), batch.len());
+                        assert!(plan.paths.iter().all(|p| !fault_plan.path_blocked(&p.path)));
+                    }
+                    for jobs in [1, 2, 3] {
+                        let cache = PlanCache::default();
+                        let trial = plan_trial(
+                            &m,
+                            &slices,
+                            strategy,
+                            9,
+                            faults.as_ref(),
+                            Some(&cache),
+                            Pool::new(jobs),
+                        );
+                        let what = format!(
+                            "{} {strategy:?} faulted={} jobs={jobs}",
+                            m.name(),
+                            faults.is_some()
+                        );
+                        assert_eq!(trial, alone, "{what}");
+                        if strategy == Strategy::ShortestPath {
+                            assert_eq!(cache.hits(), 0, "{what}: a tree planned twice");
+                        }
                     }
                 }
             }
         }
+        assert!(replans > 0, "the fault plans must force some repairs");
     }
 
     #[test]
