@@ -5,8 +5,10 @@
 //! audit measures, for every family, the worst ratio of quasi-symmetric to
 //! symmetric delivery rate — the empirical bottleneck constant.
 
-use fcn_bandwidth::{audit_bottleneck_freeness, BandwidthEstimator};
-use fcn_bench::{banner, fmt, write_records, RunOpts, Scale};
+use std::io::Write;
+
+use fcn_bandwidth::audit_bottleneck_freeness;
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts};
 use fcn_topology::Family;
 use serde::Serialize;
 
@@ -19,27 +21,18 @@ struct Row {
     distributions: Vec<(String, f64)>,
 }
 
-fn main() {
-    let opts = RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let target = match scale {
-        Scale::Quick => 128,
-        Scale::Default => 256,
-        Scale::Full => 512,
-    };
-    let estimator = BandwidthEstimator {
-        multipliers: scale.multipliers(),
-        trials: scale.trials(),
-        jobs: opts.jobs,
-        ..Default::default()
-    };
+fcn_bench::repro_main!(report);
 
-    banner("Bottleneck-freeness audit (worst quasi-symmetric/symmetric ratio)");
-    println!(
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let target = opts.scale.pick(128, 256, 512);
+    let estimator = opts.estimator();
+
+    out.banner("Bottleneck-freeness audit (worst quasi-symmetric/symmetric ratio)")?;
+    writeln!(
+        out,
         "{:<18} {:>6} {:>12} {:>12}  verdict",
         "family", "n", "β̂ (sym)", "worst ratio"
-    );
+    )?;
     let mut rows = Vec::new();
     for family in Family::all_with_dims(&[1, 2, 3]) {
         let machine = family.build_near(target, 0xb0);
@@ -49,13 +42,14 @@ fn main() {
         } else {
             "SUSPECT"
         };
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>6} {:>12} {:>12}  {verdict}",
             family.id(),
             machine.processors(),
             fmt(audit.symmetric_rate),
             fmt(audit.worst_ratio)
-        );
+        )?;
         rows.push(Row {
             family: family.id(),
             n: machine.processors(),
@@ -65,6 +59,5 @@ fn main() {
         });
     }
 
-    let path = write_records("ablation_bottleneck", &rows).expect("write records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "ablation_bottleneck", &rows)
 }

@@ -7,7 +7,9 @@
 //! X-tree, tree) under w ∈ {1, 2, 4, 8} and reports communication slowdown
 //! per guest step and the inefficiency factor.
 
-use fcn_bench::{banner, fmt, write_records, Scale};
+use std::io::Write;
+
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale};
 use fcn_core::{block_mesh_emulation, direct_emulation, EmulationConfig};
 use fcn_topology::Machine;
 use serde::Serialize;
@@ -22,11 +24,10 @@ struct Row {
     work_ratio: f64,
 }
 
-fn main() {
-    let opts = fcn_bench::RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let guest_side = if scale == Scale::Quick { 32 } else { 64 };
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let guest_side = if opts.scale == Scale::Quick { 32 } else { 64 };
     let guest = Machine::mesh(2, guest_side);
     // 16-processor hosts: a mesh (short distances), and a tree-shaped host
     // (Θ(lg m) distances) built as a custom machine over the tree graph.
@@ -44,17 +45,18 @@ fn main() {
     let cfg = EmulationConfig::default();
     let steps = 8u64;
 
-    banner("Redundancy ablation: mesh2 guest, 16-processor hosts");
+    out.banner("Redundancy ablation: mesh2 guest, 16-processor hosts")?;
     let mut rows = Vec::new();
     for host in &hosts {
-        println!("\nhost {}:", host.name());
+        writeln!(out, "\nhost {}:", host.name())?;
         let direct = direct_emulation(&guest, host, steps, &cfg);
-        println!(
+        writeln!(
+            out,
             "  direct        comm/step {:>10}  total slowdown {:>10}  work x{}",
             fmt(direct.communication_slowdown()),
             fmt(direct.slowdown()),
             fmt(direct.work_ratio)
-        );
+        )?;
         rows.push(Row {
             host: host.name().to_string(),
             strategy: "direct".into(),
@@ -65,12 +67,13 @@ fn main() {
         });
         for w in [1u32, 2, 4, 8] {
             let r = block_mesh_emulation(2, guest_side, host, w, steps.max(w as u64), &cfg);
-            println!(
+            writeln!(
+                out,
                 "  block w={w:<2}    comm/step {:>10}  total slowdown {:>10}  work x{}",
                 fmt(r.communication_slowdown()),
                 fmt(r.slowdown()),
                 fmt(r.work_ratio)
-            );
+            )?;
             rows.push(Row {
                 host: host.name().to_string(),
                 strategy: "block".into(),
@@ -81,12 +84,12 @@ fn main() {
             });
         }
     }
-    println!(
+    writeln!(
+        out,
         "\ninterpretation: on the tree host, increasing w amortizes the Θ(lg m) \
          distance (comm/step falls) while work stays within a constant — the \
          redundant regime the lower bound is proven against."
-    );
+    )?;
 
-    let path = write_records("ablation_redundancy", &rows).expect("write records");
-    println!("records: {}", path.display());
+    write_records(out, "ablation_redundancy", &rows)
 }

@@ -6,7 +6,9 @@
 //! whose scheduling idea `RandomRank` mirrors; this ablation shows the
 //! measured β is robust to the choice (constants move, exponents don't).
 
-use fcn_bench::{banner, fmt, write_records, Scale};
+use std::io::Write;
+
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale};
 use fcn_routing::{measure_rate, QueueDiscipline, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use serde::Serialize;
@@ -20,11 +22,10 @@ struct Row {
     rate: f64,
 }
 
-fn main() {
-    let opts = fcn_bench::RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let machines: Vec<Machine> = match scale {
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let machines: Vec<Machine> = match opts.scale {
         Scale::Quick => vec![Machine::mesh(2, 8), Machine::de_bruijn(6)],
         _ => vec![
             Machine::mesh(2, 16),
@@ -41,11 +42,11 @@ fn main() {
     ];
     let strategies = [Strategy::ShortestPath, Strategy::Valiant];
 
-    banner("Ablation: queue discipline x routing strategy -> measured rate");
+    out.banner("Ablation: queue discipline x routing strategy -> measured rate")?;
     let mut rows = Vec::new();
     for m in &machines {
         let t = m.symmetric_traffic();
-        println!("\n{} (n = {}):", m.name(), m.processors());
+        writeln!(out, "\n{} (n = {}):", m.name(), m.processors())?;
         for d in disciplines {
             for s in strategies {
                 let cfg = RouterConfig {
@@ -53,8 +54,13 @@ fn main() {
                     ..Default::default()
                 };
                 let sample = measure_rate(m, &t, 8 * t.n(), s, cfg, 0xab1);
-                assert!(sample.completed, "routing incomplete");
-                println!("  {d:?} + {s:?}: rate {}", fmt(sample.rate));
+                if !sample.completed {
+                    let name = m.name();
+                    return Err(Failure::Check(format!(
+                        "{name} {d:?} + {s:?}: routing incomplete"
+                    )));
+                }
+                writeln!(out, "  {d:?} + {s:?}: rate {}", fmt(sample.rate))?;
                 rows.push(Row {
                     machine: m.name().to_string(),
                     n: m.processors(),
@@ -67,7 +73,7 @@ fn main() {
     }
 
     // Spread summary: max/min rate ratio per machine.
-    banner("spread per machine (max/min over the 6 configurations)");
+    out.banner("spread per machine (max/min over the 6 configurations)")?;
     for m in &machines {
         let rates: Vec<f64> = rows
             .iter()
@@ -78,9 +84,8 @@ fn main() {
             rates.iter().cloned().fold(f64::MAX, f64::min),
             rates.iter().cloned().fold(0.0f64, f64::max),
         );
-        println!("{:<24} spread x{}", m.name(), fmt(hi / lo));
+        writeln!(out, "{:<24} spread x{}", m.name(), fmt(hi / lo))?;
     }
 
-    let path = write_records("ablation_routing", &rows).expect("write records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "ablation_routing", &rows)
 }

@@ -5,8 +5,10 @@
 //! saturation — and check the two estimators agree within constants across
 //! machine families.
 
+use std::io::Write;
+
 use fcn_bandwidth::BandwidthEstimator;
-use fcn_bench::{banner, fmt, write_records, RunOpts, Scale};
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale};
 use fcn_routing::{saturation_throughput, SteadyConfig};
 use fcn_topology::Family;
 use serde::Serialize;
@@ -20,23 +22,21 @@ struct Row {
     ratio: f64,
 }
 
-fn main() {
-    let opts = RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let target = if scale == Scale::Quick { 128 } else { 256 };
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let target = if opts.scale == Scale::Quick { 128 } else { 256 };
     let estimator = BandwidthEstimator {
-        multipliers: scale.multipliers(),
         trials: 2,
-        jobs: opts.jobs,
-        ..Default::default()
+        ..opts.estimator()
     };
 
-    banner("Batch vs steady-state bandwidth estimates");
-    println!(
+    out.banner("Batch vs steady-state bandwidth estimates")?;
+    writeln!(
+        out,
         "{:<18} {:>6} {:>12} {:>12} {:>8}",
         "family", "n", "batch β̂", "steady β̂", "ratio"
-    );
+    )?;
     let mut rows = Vec::new();
     for family in [
         Family::LinearArray,
@@ -53,14 +53,15 @@ fn main() {
         let batch = estimator.estimate(&machine, &t).rate;
         let (steady, _) = saturation_throughput(&machine, &t, SteadyConfig::default());
         let ratio = steady / batch;
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>6} {:>12} {:>12} {:>8}",
             family.id(),
             machine.processors(),
             fmt(batch),
             fmt(steady),
             fmt(ratio)
-        );
+        )?;
         rows.push(Row {
             family: family.id(),
             n: machine.processors(),
@@ -69,7 +70,9 @@ fn main() {
             ratio,
         });
     }
-    println!("\nagreement within a small constant validates both estimators.");
-    let path = write_records("ablation_steady", &rows).expect("write records");
-    println!("records: {}", path.display());
+    writeln!(
+        out,
+        "\nagreement within a small constant validates both estimators."
+    )?;
+    write_records(out, "ablation_steady", &rows)
 }

@@ -15,8 +15,10 @@
 //! the shared line-numbered validation of `fcn_bench::validate`. All
 //! output is bit-identical for every `--jobs` value.
 
+use std::io::Write;
+
 use fcn_bandwidth::{DegradedPoint, DegradedSweep};
-use fcn_bench::{banner, fmt, write_records, RunOpts, Scale, FAULTS_SCHEMA};
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale, FAULTS_SCHEMA};
 use fcn_topology::Machine;
 use serde::Serialize;
 
@@ -77,15 +79,15 @@ impl Row {
     }
 }
 
-fn main() {
-    let opts = RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
     let quick = opts.scale == Scale::Quick;
-    let fault_rates = match opts.scale {
-        Scale::Quick => vec![0.0, 0.05, 0.10],
-        Scale::Default => vec![0.0, 0.02, 0.05, 0.10, 0.20],
-        Scale::Full => vec![0.0, 0.02, 0.05, 0.10, 0.20, 0.30],
-    };
+    let fault_rates = opts.scale.pick(
+        vec![0.0, 0.05, 0.10],
+        vec![0.0, 0.02, 0.05, 0.10, 0.20],
+        vec![0.0, 0.02, 0.05, 0.10, 0.20, 0.30],
+    );
     let machines = if quick {
         vec![Machine::mesh(2, 8), Machine::butterfly(3)]
     } else {
@@ -99,16 +101,18 @@ fn main() {
         ..Default::default()
     };
 
-    banner("degraded β: delivery rate vs fault rate (deterministic fault plane)");
+    out.banner("degraded β: delivery rate vs fault rate (deterministic fault plane)")?;
     let mut rows: Vec<Row> = Vec::new();
     for machine in &machines {
-        println!(
+        writeln!(
+            out,
             "\n{} (n = {}), fault seed {:#x}:",
             machine.name(),
             machine.processors(),
             sweep.fault_seed
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:>6} {:>10} {:>10} {:>9} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>7}",
             "rate",
             "β̂",
@@ -121,9 +125,10 @@ fn main() {
             "unreach",
             "replans",
             "aborts"
-        );
+        )?;
         for p in sweep.sweep_symmetric(machine) {
-            println!(
+            writeln!(
+                out,
                 "{:>6.3} {:>10} {:>10} {:>8.1}% {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>7}",
                 p.fault_rate,
                 fmt(p.rate),
@@ -136,21 +141,21 @@ fn main() {
                 p.unreachable,
                 p.replans,
                 p.aborted_cells
-            );
+            )?;
             rows.push(Row::new(machine, &p));
         }
     }
 
-    let path = write_records("faults", &rows).expect("write faults records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "faults", &rows)?;
 
     // The committed curve (or its quick shadow), merged under the same
     // schema-validated discipline as `fcn-serve-load`.
     fcn_bench::commit_bench_rows(
+        out,
         "BENCH_faults",
         quick,
         &rows,
         |r| &r.bench,
         |body| fcn_bench::validate_rows(body, FAULTS_SCHEMA),
-    );
+    )
 }

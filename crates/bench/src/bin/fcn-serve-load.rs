@@ -30,11 +30,12 @@
 //! merging; `--quick` (CI smoke, ~800 requests) shadows to
 //! `target/BENCH_serve.quick.json`; `--full` scales to 2×10⁵ requests.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use fcn_bench::{banner, fmt, write_records, RunOpts, Scale, SERVE_SCHEMA};
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale, SERVE_SCHEMA};
 use fcn_cli::service::CliHandler;
 use fcn_serve::{ChaosRates, ChaosSpec, Client, ErrorKind, RetryPolicy, Server, ServerConfig};
 use rand::{RngExt, SeedableRng};
@@ -43,7 +44,7 @@ use serde::Serialize;
 /// One recorded point of the service trajectory (see EXPERIMENTS.md).
 /// Fields that do not apply to a row kind are written as zeros so every
 /// row carries the full schema.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Default, Serialize)]
 struct Row {
     /// Row-format version ([`SERVE_SCHEMA`]).
     schema: String,
@@ -94,23 +95,52 @@ impl Row {
             schema: SERVE_SCHEMA.to_string(),
             bench,
             kind: kind.to_string(),
-            clients: 0,
-            requests: 0,
-            errors: 0,
-            elapsed_us: 0,
-            throughput_rps: 0.0,
-            mean_us: 0.0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-            max_us: 0,
-            cold_us: 0,
-            warm_us: 0,
-            warm_speedup: 0.0,
-            chaos_rate: 0.0,
-            offered_load: 0.0,
-            shed_fraction: 0.0,
+            ..Row::default()
         }
+    }
+
+    /// Fill the latency histogram from `lat` (microseconds, any order).
+    fn latencies(&mut self, mut lat: Vec<u64>) {
+        lat.sort_unstable();
+        self.mean_us = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
+        self.p50_us = percentile(&lat, 50);
+        self.p90_us = percentile(&lat, 90);
+        self.p99_us = percentile(&lat, 99);
+        self.max_us = lat.last().copied().unwrap_or(0);
+    }
+}
+
+/// An in-process daemon wrapping the production handler, serving on the
+/// loopback port its config names.
+struct Daemon {
+    addr: String,
+    shutdown: Arc<AtomicBool>,
+    runner: std::thread::JoinHandle<std::io::Result<()>>,
+}
+
+impl Daemon {
+    fn start(config: ServerConfig) -> Daemon {
+        let server = Server::bind(config, CliHandler::new()).expect("bind daemon");
+        let addr = server.local_addr().expect("daemon address").to_string();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let runner = {
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || server.run(&shutdown))
+        };
+        Daemon {
+            addr,
+            shutdown,
+            runner,
+        }
+    }
+
+    /// Drain the daemon and join its accept loop.
+    fn stop(self) {
+        // ordering: Release pairs with the accept loop's Acquire-side poll of
+        // the shutdown flag; everything the clients did happens-before drain.
+        self.shutdown.store(true, Ordering::Release);
+        let drained = self.runner.join().expect("daemon runner thread");
+        drained.expect("daemon drained cleanly");
     }
 }
 
@@ -153,12 +183,6 @@ fn drive_mix(client: &mut Client, seed: u64, requests: usize) -> (Vec<u64>, usiz
     (lat, errors)
 }
 
-/// One closed-loop client: private connection, private seeded mix.
-fn client_loop(addr: &str, seed: u64, requests: usize) -> (Vec<u64>, usize) {
-    let mut client = Client::connect(addr).expect("connect load client");
-    drive_mix(&mut client, seed, requests)
-}
-
 /// Run one concurrency level; all clients start together and the window is
 /// timed around the whole scope.
 fn run_level(addr: &str, clients: usize, per_level: usize) -> Row {
@@ -168,9 +192,12 @@ fn run_level(addr: &str, clients: usize, per_level: usize) -> Row {
     std::thread::scope(|scope| {
         for c in 0..clients {
             let merged = &merged;
-            let seed = mix_seed(clients as u64, c as u64);
+            // Per-(level, client) seed: reproducible mix, distinct per thread.
+            let seed = 0x5eed_0ff0 ^ ((clients as u64) << 16) ^ c as u64;
             scope.spawn(move || {
-                let (lat, errors) = client_loop(addr, seed, per_client);
+                // One closed-loop client: private connection, private mix.
+                let mut client = Client::connect(addr).expect("connect load client");
+                let (lat, errors) = drive_mix(&mut client, seed, per_client);
                 let mut m = merged.lock().expect("latency merge lock");
                 m.0.extend_from_slice(&lat);
                 m.1 += errors;
@@ -178,8 +205,7 @@ fn run_level(addr: &str, clients: usize, per_level: usize) -> Row {
         }
     });
     let elapsed_us = t.elapsed().as_micros() as u64;
-    let (mut lat, errors) = merged.into_inner().expect("latency merge lock");
-    lat.sort_unstable();
+    let (lat, errors) = merged.into_inner().expect("latency merge lock");
     let requests = lat.len();
     let mut row = Row::blank(format!("closed-loop@c{clients}"), "mix");
     row.clients = clients;
@@ -187,17 +213,8 @@ fn run_level(addr: &str, clients: usize, per_level: usize) -> Row {
     row.errors = errors;
     row.elapsed_us = elapsed_us;
     row.throughput_rps = requests as f64 / (elapsed_us as f64 / 1e6);
-    row.mean_us = lat.iter().sum::<u64>() as f64 / requests.max(1) as f64;
-    row.p50_us = percentile(&lat, 50);
-    row.p90_us = percentile(&lat, 90);
-    row.p99_us = percentile(&lat, 99);
-    row.max_us = lat.last().copied().unwrap_or(0);
+    row.latencies(lat);
     row
-}
-
-/// Per-(level, client) seed: reproducible mix, distinct per thread.
-fn mix_seed(level: u64, client: u64) -> u64 {
-    0x5eed_0ff0 ^ (level << 16) ^ client
 }
 
 /// Goodput of one retrying client against a daemon injecting wire chaos at
@@ -218,33 +235,20 @@ fn chaos_level(rate: f64, per: usize) -> Row {
         poll_interval_ms: 5,
         ..ServerConfig::default()
     };
-    let server = Arc::new(Server::bind(config, CliHandler::new()).expect("bind chaos daemon"));
-    let addr = server
-        .local_addr()
-        .expect("chaos daemon address")
-        .to_string();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let runner = {
-        let server = Arc::clone(&server);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || server.run(&shutdown))
-    };
+    let daemon = Daemon::start(config);
 
     // The retrying client is the product under test here: reconnect + seeded
     // backoff on torn replies, idempotent replay for completed-but-lost ones.
     // A generous budget covers deterministic failure streaks at high rates.
     let policy = RetryPolicy::fast(50, 0xbacc_0ff5 ^ rate.to_bits());
-    let mut client = Client::connect_retrying(&addr, policy).expect("connect retrying client");
+    let mut client =
+        Client::connect_retrying(&daemon.addr, policy).expect("connect retrying client");
     let t = now();
-    let (mut lat, errors) = drive_mix(&mut client, 0x00c4_a05e ^ rate.to_bits(), per);
+    let (lat, errors) = drive_mix(&mut client, 0x00c4_a05e ^ rate.to_bits(), per);
     let elapsed_us = t.elapsed().as_micros() as u64;
     drop(client);
+    daemon.stop();
 
-    // ordering: Release pairs with the accept loop's Acquire-side poll.
-    shutdown.store(true, Ordering::Release);
-    runner.join().expect("chaos runner").expect("chaos drain");
-
-    lat.sort_unstable();
     let ok = lat.len() - errors;
     let mut row = Row::blank(format!("chaos@{rate}"), "mix");
     row.clients = 1;
@@ -253,11 +257,7 @@ fn chaos_level(rate: f64, per: usize) -> Row {
     row.elapsed_us = elapsed_us;
     // Goodput: only successfully recovered replies count.
     row.throughput_rps = ok as f64 / (elapsed_us as f64 / 1e6);
-    row.mean_us = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
-    row.p50_us = percentile(&lat, 50);
-    row.p90_us = percentile(&lat, 90);
-    row.p99_us = percentile(&lat, 99);
-    row.max_us = lat.last().copied().unwrap_or(0);
+    row.latencies(lat);
     row.chaos_rate = rate;
     row
 }
@@ -333,8 +333,7 @@ fn offered_level(addr: &str, max_inflight: usize, mult: usize, per_client: usize
     });
     let elapsed_us = t.elapsed().as_micros() as u64;
     let (ok, shed, errors) = merged.into_inner().expect("offered merge lock");
-    let mut lat = probe_lat.into_inner().expect("probe latency lock");
-    lat.sort_unstable();
+    let lat = probe_lat.into_inner().expect("probe latency lock");
     let attempts = ok + shed + errors;
     let mut row = Row::blank(format!("offered@{mult}x"), "beta");
     row.clients = clients;
@@ -342,27 +341,19 @@ fn offered_level(addr: &str, max_inflight: usize, mult: usize, per_client: usize
     row.errors = errors;
     row.elapsed_us = elapsed_us;
     row.throughput_rps = ok as f64 / (elapsed_us as f64 / 1e6);
-    row.mean_us = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
-    row.p50_us = percentile(&lat, 50);
-    row.p90_us = percentile(&lat, 90);
-    row.p99_us = percentile(&lat, 99);
-    row.max_us = lat.last().copied().unwrap_or(0);
+    row.latencies(lat);
     row.offered_load = mult as f64;
     row.shed_fraction = shed as f64 / attempts.max(1) as f64;
     row
 }
 
-fn main() {
-    let opts = RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
     let quick = opts.scale == Scale::Quick;
     // Requests per concurrency level; levels are fixed so the committed
     // trajectory always has the same row keys.
-    let per_level = match opts.scale {
-        Scale::Quick => 200,
-        Scale::Default => 5_000,
-        Scale::Full => 50_000,
-    };
+    let per_level = opts.scale.pick(200, 5_000, 50_000);
     let levels = [1usize, 2, 4, 8];
 
     // The production daemon serves with telemetry enabled (metrics requests
@@ -379,31 +370,25 @@ fn main() {
         poll_interval_ms: 5,
         ..ServerConfig::default()
     };
-    let server = Arc::new(Server::bind(config, CliHandler::new()).expect("bind in-process daemon"));
-    let addr = server
-        .local_addr()
-        .expect("resolve in-process daemon address")
-        .to_string();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let runner = {
-        let server = Arc::clone(&server);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || server.run(&shutdown))
-    };
+    let daemon = Daemon::start(config);
+    let addr = daemon.addr.clone();
 
-    banner("fcn-serve closed-loop trajectory (in-process daemon, real TCP)");
-    println!(
+    out.banner("fcn-serve closed-loop trajectory (in-process daemon, real TCP)")?;
+    writeln!(
+        out,
         "daemon at {addr}; {} requests/level over levels {levels:?}\n",
         per_level
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>8} {:>9} {:>7} {:>12} {:>10} {:>9} {:>9} {:>9} {:>9}",
         "clients", "requests", "errors", "thrpt r/s", "mean µs", "p50", "p90", "p99", "max"
-    );
+    )?;
     let mut rows: Vec<Row> = Vec::new();
     for &clients in &levels {
         let row = run_level(&addr, clients, per_level);
-        println!(
+        writeln!(
+            out,
             "{:>8} {:>9} {:>7} {:>12} {:>10} {:>9} {:>9} {:>9} {:>9}",
             row.clients,
             row.requests,
@@ -414,13 +399,13 @@ fn main() {
             row.p90_us,
             row.p99_us,
             row.max_us
-        );
+        )?;
         rows.push(row);
     }
 
     // Cold vs warm: a family no load level touches (mesh2 n=1024), so the
     // first request pays the registry compile and the repeat does not.
-    banner("cold vs warm registry (beta mesh2 1024)");
+    out.banner("cold vs warm registry (beta mesh2 1024)")?;
     let mut probe = Client::connect(&addr).expect("connect cold/warm probe");
     let cold_args = ["mesh2", "1024", "--trials", "1"];
     let t = now();
@@ -429,53 +414,44 @@ fn main() {
     let t = now();
     let warm_resp = probe.call("beta", &cold_args).expect("warm beta reply");
     let warm_us = t.elapsed().as_micros() as u64;
-    assert!(
-        cold_resp.ok && warm_resp.ok,
-        "cold/warm probes must succeed"
-    );
-    assert_eq!(
-        cold_resp.output, warm_resp.output,
-        "warm registry must not change the answer"
-    );
+    if !(cold_resp.ok && warm_resp.ok) {
+        return Err(Failure::Check("cold/warm probes must succeed".into()));
+    }
+    if cold_resp.output != warm_resp.output {
+        return Err(Failure::Check("warm registry changed the answer".into()));
+    }
     let mut cw = Row::blank("cold-vs-warm".to_string(), "beta");
     cw.clients = 1;
     cw.requests = 2;
     cw.cold_us = cold_us;
     cw.warm_us = warm_us;
     cw.warm_speedup = cold_us as f64 / warm_us.max(1) as f64;
-    println!(
+    writeln!(
+        out,
         "cold {} µs  warm {} µs  speedup {}×",
         cold_us,
         warm_us,
         fmt(cw.warm_speedup)
-    );
+    )?;
     rows.push(cw);
 
-    // ordering: Release pairs with the accept loop's Acquire-side poll of
-    // the shutdown flag; everything the clients did happens-before drain.
-    shutdown.store(true, Ordering::Release);
-    runner
-        .join()
-        .expect("daemon runner thread")
-        .expect("daemon drained cleanly");
+    daemon.stop();
 
     // Goodput vs chaos rate: what resilience costs. Each rate gets its own
     // chaos-wrapped daemon and one retrying client; errors here would mean
     // a retry budget exhausted, which the committed trajectory should never
     // show at these rates.
-    banner("goodput vs wire-chaos rate (retrying client)");
-    let per_chaos = match opts.scale {
-        Scale::Quick => 60,
-        Scale::Default => 600,
-        Scale::Full => 3_000,
-    };
-    println!(
+    out.banner("goodput vs wire-chaos rate (retrying client)")?;
+    let per_chaos = opts.scale.pick(60, 600, 3_000);
+    writeln!(
+        out,
         "{:>10} {:>9} {:>7} {:>12} {:>10} {:>9} {:>9}",
         "rate", "requests", "errors", "goodput r/s", "mean µs", "p99", "max"
-    );
+    )?;
     for rate in [0.0, 0.05, 0.15] {
         let row = chaos_level(rate, per_chaos);
-        println!(
+        writeln!(
+            out,
             "{:>10} {:>9} {:>7} {:>12} {:>10} {:>9} {:>9}",
             row.chaos_rate,
             row.requests,
@@ -484,14 +460,14 @@ fn main() {
             fmt(row.mean_us),
             row.p99_us,
             row.max_us
-        );
+        )?;
         rows.push(row);
     }
 
     // Goodput vs offered load: a tiny daemon (2 slots, 1-deep queue, 1 ms
     // wait budget) driven past saturation. The shed fraction should climb
     // with the multiplier while the interactive probe's p99 stays flat.
-    banner("goodput vs offered load (tiny daemon, interactive probe)");
+    out.banner("goodput vs offered load (tiny daemon, interactive probe)")?;
     let tiny = ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_inflight: 2,
@@ -501,17 +477,8 @@ fn main() {
         ..ServerConfig::default()
     };
     let tiny_inflight = tiny.max_inflight;
-    let tiny_server = Arc::new(Server::bind(tiny, CliHandler::new()).expect("bind tiny daemon"));
-    let tiny_addr = tiny_server
-        .local_addr()
-        .expect("tiny daemon address")
-        .to_string();
-    let tiny_shutdown = Arc::new(AtomicBool::new(false));
-    let tiny_runner = {
-        let server = Arc::clone(&tiny_server);
-        let shutdown = Arc::clone(&tiny_shutdown);
-        std::thread::spawn(move || server.run(&shutdown))
-    };
+    let tiny = Daemon::start(tiny);
+    let tiny_addr = tiny.addr.clone();
     // Pre-warm the heavy family so no offered level pays the compile.
     let mut warmup = Client::connect(&tiny_addr).expect("connect warmup");
     assert!(
@@ -521,18 +488,16 @@ fn main() {
             .ok
     );
     drop(warmup);
-    let per_offered = match opts.scale {
-        Scale::Quick => 20,
-        Scale::Default => 150,
-        Scale::Full => 600,
-    };
-    println!(
+    let per_offered = opts.scale.pick(20, 150, 600);
+    writeln!(
+        out,
         "{:>8} {:>9} {:>9} {:>12} {:>10} {:>9}",
         "offered", "attempts", "shed", "goodput r/s", "shed frac", "ping p99"
-    );
+    )?;
     for mult in [1usize, 2, 4] {
         let row = offered_level(&tiny_addr, tiny_inflight, mult, per_offered);
-        println!(
+        writeln!(
+            out,
             "{:>7}x {:>9} {:>9} {:>12} {:>10} {:>9}",
             mult,
             row.requests,
@@ -540,26 +505,21 @@ fn main() {
             fmt(row.throughput_rps),
             fmt(row.shed_fraction),
             row.p99_us
-        );
+        )?;
         rows.push(row);
     }
-    // ordering: Release pairs with the accept loop's Acquire-side poll.
-    tiny_shutdown.store(true, Ordering::Release);
-    tiny_runner
-        .join()
-        .expect("tiny daemon runner")
-        .expect("tiny daemon drained cleanly");
+    tiny.stop();
 
-    let path = write_records("serve", &rows).expect("write serve records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "serve", &rows)?;
 
     // The committed trajectory (or its quick shadow), merged under the same
     // schema-validated discipline as BENCH_faults.json.
     fcn_bench::commit_bench_rows(
+        out,
         "BENCH_serve",
         quick,
         &rows,
         |r| &r.bench,
         fcn_bench::validate_serve_rows,
-    );
+    )
 }

@@ -5,73 +5,75 @@
 //! slowdowns on small concrete hosts overlaid against the predicted lower
 //! bound.
 
-use fcn_bandwidth::BandwidthEstimator;
-use fcn_bench::{banner, fmt, write_records, RunOpts, Scale};
+use std::io::Write;
+
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale};
 use fcn_core::{empirical_host_size, fig1_data, fig1_measured, EmulationConfig};
 use fcn_topology::{Family, Machine};
 
-fn main() {
-    let opts = RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
+fcn_bench::repro_main!(report);
 
-    banner("Figure 1 analytic curves: de Bruijn guest on 2-d mesh hosts");
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    out.banner("Figure 1 analytic curves: de Bruijn guest on 2-d mesh hosts")?;
     let mut datasets = Vec::new();
     for lgn in [14u32, 17, 20] {
         let n = (1u64 << lgn) as f64;
         let d = fig1_data(&Family::DeBruijn, &Family::Mesh(2), n, 24);
-        println!(
+        writeln!(
+            out,
             "n = 2^{lgn}: crossover at m* = {:.1} (lg²n = {:.1}), min slowdown = {}",
             d.crossover_m,
             (lgn * lgn) as f64,
             fmt(d.crossover_slowdown)
-        );
-        println!("  {:>12} {:>14} {:>14}", "m", "load n/m", "comm β_G/β_H");
+        )?;
+        writeln!(
+            out,
+            "  {:>12} {:>14} {:>14}",
+            "m", "load n/m", "comm β_G/β_H"
+        )?;
         for p in d.points.iter().step_by(4) {
-            println!(
+            writeln!(
+                out,
                 "  {:>12.1} {:>14} {:>14}",
                 p.m,
                 fmt(p.load_bound),
                 fmt(p.comm_bound)
-            );
+            )?;
         }
         datasets.push(d);
     }
 
-    banner("measured direct-emulation slowdowns (small sizes)");
-    let guest = Machine::de_bruijn(if scale == Scale::Quick { 7 } else { 9 });
-    let host_sizes: Vec<usize> = if scale == Scale::Quick {
+    out.banner("measured direct-emulation slowdowns (small sizes)")?;
+    let guest = Machine::de_bruijn(if opts.scale == Scale::Quick { 7 } else { 9 });
+    let host_sizes: Vec<usize> = if opts.scale == Scale::Quick {
         vec![4, 9, 16]
     } else {
         vec![4, 9, 16, 36, 64]
     };
     let cfg = EmulationConfig::default();
     let rows = fig1_measured(&guest, &Family::Mesh(2), &host_sizes, 8, &cfg);
-    println!("guest {} (n = {}):", guest.name(), guest.processors());
-    println!(
+    writeln!(out, "guest {} (n = {}):", guest.name(), guest.processors())?;
+    writeln!(
+        out,
         "  {:>6} {:>18} {:>18} {:>8}",
         "m", "measured slowdown", "predicted bound", "ratio"
-    );
+    )?;
     for r in &rows {
-        println!(
+        writeln!(
+            out,
             "  {:>6} {:>18} {:>18} {:>8}",
             r.m,
             fmt(r.measured_slowdown),
             fmt(r.predicted_lower_bound),
             fmt(r.measured_slowdown / r.predicted_lower_bound)
-        );
+        )?;
     }
 
-    banner("empirical crossover (measured β̂ on both sides)");
+    out.banner("empirical crossover (measured β̂ on both sides)")?;
     // Measure mesh-host bandwidths at several sizes, then solve the
     // crossover from the data alone — closing the loop between the
     // measured Table 4 and the derived Figure 1.
-    let est = BandwidthEstimator {
-        multipliers: scale.multipliers(),
-        trials: scale.trials(),
-        jobs: opts.jobs,
-        ..Default::default()
-    };
+    let est = opts.estimator();
     let host_samples: Vec<(f64, f64)> = [4usize, 6, 8, 12, 16, 24]
         .iter()
         .map(|&side| {
@@ -83,7 +85,8 @@ fn main() {
     let n = guest.processors() as f64;
     let m_emp = empirical_host_size(guest_beta, n, &host_samples);
     let lg2 = n.log2().powi(2);
-    println!(
+    writeln!(
+        out,
         "guest {} (β̂ = {:.1}): empirical m* = {:.1}  (analytic lg²n = {:.1}, \
          ratio {:.2})",
         guest.name(),
@@ -91,9 +94,8 @@ fn main() {
         m_emp,
         lg2,
         m_emp / lg2
-    );
+    )?;
 
-    let path = write_records("fig1", &datasets).expect("write records");
-    let path2 = write_records("fig1_measured", &rows).expect("write records");
-    println!("\nrecords: {} and {}", path.display(), path2.display());
+    write_records(out, "fig1", &datasets)?;
+    write_records(out, "fig1_measured", &rows)
 }

@@ -6,15 +6,16 @@
 //! O(max(nt², t·C(G,K_n))), and bandwidth preservation
 //! β(circuit, γ) ≥ Ω(t·β(G)).
 
-use fcn_bench::{banner, fmt, write_records, Scale};
+use std::io::Write;
+
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale};
 use fcn_core::{fig2_series, Lemma9Config};
 use fcn_topology::Machine;
 
-fn main() {
-    let opts = fcn_bench::RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let guests: Vec<Machine> = match scale {
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let guests: Vec<Machine> = match opts.scale {
         Scale::Quick => vec![
             Machine::ring(16),
             Machine::mesh(2, 5),
@@ -31,8 +32,9 @@ fn main() {
     };
     let series = fig2_series(&guests, Lemma9Config::default());
 
-    banner("Figure 2: cone-construction witnesses (Lemma 9, measured)");
-    println!(
+    out.banner("Figure 2: cone-construction witnesses (Lemma 9, measured)")?;
+    writeln!(
+        out,
         "{:<22} {:>5} {:>4} {:>4} {:>8} {:>10} {:>12} {:>10} {:>10} {:>9} {:>9}",
         "guest",
         "n",
@@ -45,9 +47,10 @@ fn main() {
         "cap",
         "cong/cap",
         "preserve"
-    );
+    )?;
     for (name, w) in &series {
-        println!(
+        writeln!(
+            out,
             "{:<22} {:>5} {:>4} {:>4} {:>8} {:>10} {:>12} {:>10} {:>10} {:>9} {:>9}",
             name,
             w.n,
@@ -60,14 +63,14 @@ fn main() {
             w.congestion_cap,
             fmt(w.congestion_ratio()),
             fmt(w.preservation_ratio())
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\ninterpretation: cong/cap = O(1) and preserve = Ω(1) across sizes are \
          exactly Lemma 9's claims."
-    );
+    )?;
 
     let records: Vec<_> = series.iter().map(|(_, w)| w.clone()).collect();
-    let path = write_records("fig2", &records).expect("write records");
-    println!("records: {}", path.display());
+    write_records(out, "fig2", &records)
 }

@@ -3,7 +3,9 @@
 //! record the Lemma 8 execution floor, the measured routed execution, and
 //! the pattern-bandwidth sandwich.
 
-use fcn_bench::{banner, fmt, write_records, Scale};
+use std::io::Write;
+
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale};
 use fcn_core::{execute_pattern, pattern_bandwidth, CommPattern};
 use fcn_routing::RouterConfig;
 use fcn_topology::Machine;
@@ -21,11 +23,10 @@ struct Row {
     beta_upper: f64,
 }
 
-fn main() {
-    let opts = fcn_bench::RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let g = if scale == Scale::Quick { 5 } else { 6 };
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let g = if opts.scale == Scale::Quick { 5 } else { 6 };
     let n = 1usize << g;
     let patterns = vec![
         CommPattern::fft(g),
@@ -42,17 +43,18 @@ fn main() {
         Machine::weak_hypercube(g),
     ];
 
-    banner("Algorithm patterns: Lemma 8 floors vs measured executions");
+    out.banner("Algorithm patterns: Lemma 8 floors vs measured executions")?;
     let mut rows = Vec::new();
     for p in &patterns {
-        println!("\n{} ({} messages):", p.name, p.message_count());
+        writeln!(out, "\n{} ({} messages):", p.name, p.message_count())?;
         for h in &hosts {
             if h.processors() < p.n {
                 continue;
             }
             let ex = execute_pattern(p, h, RouterConfig::default(), 0xeb);
             let (lo, hi) = pattern_bandwidth(p, h, 0xeb);
-            println!(
+            writeln!(
+                out,
                 "  {:<24} floor {:>9} measured {:>8} slowdown {:>8} β∈[{}, {}]",
                 h.name(),
                 fmt(ex.ticks_lower),
@@ -60,11 +62,13 @@ fn main() {
                 fmt(ex.slowdown_vs_rounds(p.rounds)),
                 fmt(lo),
                 fmt(hi)
-            );
-            assert!(
-                ex.ticks_measured as f64 + 1.0 >= ex.ticks_lower,
-                "measured below certified floor!"
-            );
+            )?;
+            if (ex.ticks_measured as f64 + 1.0) < ex.ticks_lower {
+                let (pattern, host) = (&p.name, h.name());
+                return Err(Failure::Check(format!(
+                    "{pattern} on {host}: measured below the certified floor"
+                )));
+            }
             rows.push(Row {
                 pattern: p.name.clone(),
                 host: h.name().to_string(),
@@ -77,6 +81,5 @@ fn main() {
             });
         }
     }
-    let path = write_records("patterns", &rows).expect("write records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "patterns", &rows)
 }

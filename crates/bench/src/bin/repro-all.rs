@@ -15,19 +15,26 @@
 //!   `target/repro/manifest.json` from a previous run with identical
 //!   forwarded arguments.
 //!
-//! All other arguments are forwarded to every binary; `--jobs` only changes
-//! the wall clock, never the records. A forwarded `--metrics-out PATH` is
-//! rewritten to `PATH.<bin>` per child so each binary's telemetry snapshot
-//! lands in its own file instead of the last child clobbering the rest.
+//! The shared options (`--quick|--full --jobs N --metrics-out PATH`) are
+//! forwarded to every binary; `--jobs` (default 0, one worker per hardware
+//! thread) only changes the wall clock, never the records. A forwarded
+//! `--metrics-out PATH` is rewritten to `PATH.<bin>` per child so each
+//! binary's telemetry snapshot lands in its own file instead of the last
+//! child clobbering the rest; the driver writes its own to `PATH`. The
+//! arguments parse with the children's parser before any manifest is
+//! written or child started, so a typo exits 2 without running anything.
 //!
 //! The checkpoint manifest is rewritten after every completed child, so a
 //! mid-run kill (Ctrl-C, OOM, timeout of the driver itself) loses at most
 //! the child that was running. Exit codes: 0 all completed, 1 some child
 //! failed, 2 driver usage or I/O error.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, ExitCode};
 use std::time::{Duration, Instant};
 
+use fcn_bench::{Failure, RunOpts};
+use fcn_cli::Args;
 use serde::{Deserialize, Serialize};
 
 /// Manifest format version; a mismatch (or different forwarded arguments)
@@ -45,63 +52,6 @@ struct Manifest {
     completed: Vec<String>,
 }
 
-/// Driver options (consumed) + the argument list forwarded to children.
-#[derive(Debug, Default)]
-struct DriverOpts {
-    timeout: Option<Duration>,
-    keep_going: bool,
-    resume: bool,
-    forwarded: Vec<String>,
-}
-
-fn parse_driver_args<I: IntoIterator<Item = String>>(args: I) -> Result<DriverOpts, String> {
-    let mut opts = DriverOpts::default();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--keep-going" => opts.keep_going = true,
-            "--resume" => opts.resume = true,
-            "--timeout" => {
-                let v = it.next().ok_or("--timeout expects seconds")?;
-                let secs: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--timeout: {v:?} is not a number of seconds"))?;
-                opts.timeout = Some(Duration::from_secs(secs));
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--timeout=") {
-                    let secs: u64 = v
-                        .parse()
-                        .map_err(|_| format!("--timeout: {v:?} is not a number of seconds"))?;
-                    opts.timeout = Some(Duration::from_secs(secs));
-                } else {
-                    opts.forwarded.push(a);
-                }
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// Rewrite `--metrics-out X` / `--metrics-out=X` to point at `X.<bin>`.
-fn args_for(bin: &str, args: &[String]) -> Vec<String> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--metrics-out" {
-            out.push(a.clone());
-            if let Some(path) = it.next() {
-                out.push(format!("{path}.{bin}"));
-            }
-        } else if let Some(path) = a.strip_prefix("--metrics-out=") {
-            out.push(format!("--metrics-out={path}.{bin}"));
-        } else {
-            out.push(a.clone());
-        }
-    }
-    out
-}
-
 /// How one child run ended.
 enum ChildOutcome {
     Completed,
@@ -115,37 +65,34 @@ fn run_child(
     path: &std::path::Path,
     args: &[String],
     timeout: Option<Duration>,
-) -> Result<ChildOutcome, String> {
+) -> std::io::Result<ChildOutcome> {
+    let context = |what: &str, e: std::io::Error| {
+        std::io::Error::new(
+            e.kind(),
+            format!("failed to {what} {}: {e}", path.display()),
+        )
+    };
     let mut child = Command::new(path)
         .args(args)
         .spawn()
-        .map_err(|e| format!("failed to launch {}: {e}", path.display()))?;
-    let Some(budget) = timeout else {
-        let status = child
-            .wait()
-            .map_err(|e| format!("failed to wait for {}: {e}", path.display()))?;
-        return Ok(if status.success() {
+        .map_err(|e| context("launch", e))?;
+    let ended = |status: std::process::ExitStatus| {
+        if status.success() {
             ChildOutcome::Completed
         } else {
             ChildOutcome::Failed(status.code())
-        });
+        }
+    };
+    let Some(budget) = timeout else {
+        return Ok(ended(child.wait().map_err(|e| context("wait for", e))?));
     };
     // Wall clock allowed: child-process budget enforcement in the
     // orchestrator binary; no simulated quantity depends on it.
     #[allow(clippy::disallowed_methods)]
     let start = Instant::now();
     loop {
-        match child
-            .try_wait()
-            .map_err(|e| format!("failed to poll {}: {e}", path.display()))?
-        {
-            Some(status) => {
-                return Ok(if status.success() {
-                    ChildOutcome::Completed
-                } else {
-                    ChildOutcome::Failed(status.code())
-                });
-            }
+        match child.try_wait().map_err(|e| context("poll", e))? {
+            Some(status) => return Ok(ended(status)),
             None if start.elapsed() >= budget => {
                 // Budget exhausted: kill and reap, then report the timeout.
                 let _ = child.kill();
@@ -159,17 +106,24 @@ fn run_child(
     }
 }
 
-fn write_manifest(path: &std::path::Path, manifest: &Manifest) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    let body = serde_json::to_string(manifest).map_err(|e| format!("manifest serializes: {e}"))?;
-    std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
+fn write_manifest(path: &std::path::Path, manifest: &Manifest) -> std::io::Result<()> {
+    let body = serde_json::to_string(manifest).map_err(std::io::Error::other)?;
+    let write = || -> std::io::Result<()> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(path, body)
+    };
+    write()
+        .map_err(|e| std::io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))
 }
 
 /// Load the resumable checkpoint, if it matches this run's arguments.
-fn resumable_completed(path: &std::path::Path, forwarded: &[String]) -> Vec<String> {
+fn resumable_completed(
+    out: &mut dyn Write,
+    path: &std::path::Path,
+    forwarded: &[String],
+) -> std::io::Result<Vec<String>> {
     let body = match std::fs::read_to_string(path) {
         Ok(b) => b,
         Err(_) => {
@@ -177,48 +131,46 @@ fn resumable_completed(path: &std::path::Path, forwarded: &[String]) -> Vec<Stri
                 "--resume: no checkpoint at {}; starting fresh",
                 path.display()
             );
-            return Vec::new();
+            return Ok(Vec::new());
         }
     };
     match serde_json::from_str::<Manifest>(&body) {
         Ok(m) if m.schema == MANIFEST_SCHEMA && m.args == forwarded => {
-            println!(
+            writeln!(
+                out,
                 "resuming: {} binaries already completed ({})",
                 m.completed.len(),
                 m.completed.join(", ")
-            );
-            m.completed
+            )?;
+            return Ok(m.completed);
         }
-        Ok(m) if m.schema != MANIFEST_SCHEMA => {
-            eprintln!(
-                "--resume: checkpoint schema {:?} does not match {MANIFEST_SCHEMA:?}; \
-                 starting fresh",
-                m.schema
-            );
-            Vec::new()
-        }
+        Ok(m) if m.schema != MANIFEST_SCHEMA => eprintln!(
+            "--resume: checkpoint schema {:?} does not match {MANIFEST_SCHEMA:?}; \
+             starting fresh",
+            m.schema
+        ),
         Ok(_) => {
-            eprintln!("--resume: checkpoint was written with different arguments; starting fresh");
-            Vec::new()
+            eprintln!("--resume: checkpoint was written with different arguments; starting fresh")
         }
-        Err(e) => {
-            eprintln!(
-                "--resume: cannot parse checkpoint {}: {e}; starting fresh",
-                path.display()
-            );
-            Vec::new()
-        }
+        Err(e) => eprintln!(
+            "--resume: cannot parse checkpoint {}: {e}; starting fresh",
+            path.display()
+        ),
     }
+    Ok(Vec::new())
 }
 
-fn run() -> i32 {
-    let opts = match parse_driver_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+fn main() -> ExitCode {
+    fcn_bench::main(&["timeout", "keep-going", "resume"], drive)
+}
+
+fn drive(args: &Args, opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let timeout = match args.flags.get("timeout") {
+        Some(_) => Some(Duration::from_secs(args.flag("timeout", 0)?)),
+        None => None,
     };
+    let keep_going = args.flag("keep-going", false)?;
+    let forwarded = opts.to_argv();
     let bins = [
         "table4",
         "table1",
@@ -233,89 +185,76 @@ fn run() -> i32 {
         "patterns",
         "faults",
     ];
-    let me = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: cannot resolve current exe path: {e}");
-            return 2;
-        }
-    };
-    let Some(dir) = me.parent().map(std::path::Path::to_path_buf) else {
-        eprintln!(
-            "error: current exe {} has no parent directory",
+    let me = std::env::current_exe()?;
+    let dir = me.parent().ok_or_else(|| {
+        std::io::Error::other(format!(
+            "current exe {} has no parent directory",
             me.display()
-        );
-        return 2;
-    };
+        ))
+    })?;
 
     let manifest_path = fcn_bench::repro_dir().join("manifest.json");
-    let completed = if opts.resume {
-        resumable_completed(&manifest_path, &opts.forwarded)
+    let completed = if args.flag("resume", false)? {
+        resumable_completed(out, &manifest_path, &forwarded)?
     } else {
         Vec::new()
     };
     let mut manifest = Manifest {
         schema: MANIFEST_SCHEMA.to_string(),
-        args: opts.forwarded.clone(),
+        args: forwarded,
         completed,
     };
-    if let Err(e) = write_manifest(&manifest_path, &manifest) {
-        eprintln!("error: {e}");
-        return 2;
-    }
+    write_manifest(&manifest_path, &manifest)?;
 
     let mut failures: Vec<String> = Vec::new();
     for bin in bins {
         if manifest.completed.iter().any(|b| b == bin) {
-            println!("\n################ {bin} (checkpointed, skipping) ################");
+            writeln!(
+                out,
+                "\n################ {bin} (checkpointed, skipping) ################"
+            )?;
             continue;
         }
-        println!("\n################ {bin} ################");
-        let path = dir.join(bin);
-        match run_child(&path, &args_for(bin, &opts.forwarded), opts.timeout) {
-            Ok(ChildOutcome::Completed) => {
+        writeln!(out, "\n################ {bin} ################")?;
+        out.flush()?;
+        let child = RunOpts {
+            metrics_out: opts
+                .metrics_out
+                .as_ref()
+                .map(|path| format!("{path}.{bin}")),
+            ..opts.clone()
+        };
+        match run_child(&dir.join(bin), &child.to_argv(), timeout)? {
+            ChildOutcome::Completed => {
                 manifest.completed.push(bin.to_string());
-                if let Err(e) = write_manifest(&manifest_path, &manifest) {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
+                write_manifest(&manifest_path, &manifest)?;
+                continue;
             }
-            Ok(ChildOutcome::Failed(code)) => {
+            ChildOutcome::Failed(code) => {
                 eprintln!("{bin}: exited with status {code:?}");
                 failures.push(bin.to_string());
-                if !opts.keep_going {
-                    break;
-                }
             }
-            Ok(ChildOutcome::TimedOut) => {
-                eprintln!(
-                    "{bin}: killed after exceeding --timeout {}s",
-                    opts.timeout.map(|t| t.as_secs()).unwrap_or(0)
-                );
+            ChildOutcome::TimedOut => {
+                let secs = timeout.map(|t| t.as_secs()).unwrap_or(0);
+                eprintln!("{bin}: killed after exceeding --timeout {secs}s");
                 failures.push(format!("{bin} (timeout)"));
-                if !opts.keep_going {
-                    break;
-                }
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
+        }
+        if !keep_going {
+            break;
         }
     }
     if failures.is_empty() {
-        println!("\nall reproductions completed; records under target/repro/");
-        0
+        writeln!(
+            out,
+            "\nall reproductions completed; records under target/repro/"
+        )?;
+        Ok(())
     } else {
-        eprintln!(
-            "\nFAILED: {failures:?}\ncheckpoint: {} (rerun with --resume to continue \
+        Err(Failure::Check(format!(
+            "FAILED: {failures:?}\ncheckpoint: {} (rerun with --resume to continue \
              from the last completed binary)",
             manifest_path.display()
-        );
-        1
+        )))
     }
-}
-
-fn main() {
-    std::process::exit(run());
 }

@@ -1,31 +1,32 @@
 //! Regenerate Table 1: maximum host sizes for efficient emulation of
 //! j-dimensional Meshes, Tori, and X-Grids.
 
-use fcn_bench::{banner, write_records};
+use std::io::Write;
+
+use fcn_bench::{write_records, Failure, Report, RunOpts};
 use fcn_core::{generate_table, table1_spec};
 
-fn main() {
-    let opts = fcn_bench::RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let table = generate_table(table1_spec(&[1, 2, 3]), &scale.table_guest_sizes());
-    banner("Table 1 (symbolic cells re-derived from the Efficient Emulation Theorem)");
-    print!("{}", table.render());
-    banner("numeric crossovers (guest size -> max host size)");
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let table = generate_table(table1_spec(&[1, 2, 3]), &opts.scale.table_guest_sizes());
+    out.banner("Table 1 (symbolic cells re-derived from the Efficient Emulation Theorem)")?;
+    write!(out, "{}", table.render())?;
+    out.banner("numeric crossovers (guest size -> max host size)")?;
     for cell in &table.cells {
         let samples: Vec<String> = cell
             .samples
             .iter()
             .map(|(n, m)| format!("n=2^{} -> m*={:.1}", (*n as f64).log2() as u32, m))
             .collect();
-        println!(
+        writeln!(
+            out,
             "{:<12} on {:<16} {:<18} {}",
             cell.guest,
             cell.host,
             cell.bound,
             samples.join("  ")
-        );
+        )?;
     }
-    let path = write_records("table1", &table.cells).expect("write records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "table1", &table.cells)
 }

@@ -2,36 +2,38 @@
 //! Butterflies, de Bruijn graphs, CCCs, Shuffle-Exchanges,
 //! Multibutterflies, Expanders, and Weak Hypercubes.
 
-use fcn_bench::{banner, write_records};
+use std::io::Write;
+
+use fcn_bench::{write_records, Failure, Report, RunOpts};
 use fcn_core::{generate_table, table3_spec};
 
-fn main() {
-    let opts = fcn_bench::RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let table = generate_table(table3_spec(&[1, 2, 3]), &scale.table_guest_sizes());
-    banner("Table 3 (symbolic cells re-derived from the Efficient Emulation Theorem)");
-    print!("{}", table.render());
-    banner("spot check: the introduction's example");
+fcn_bench::repro_main!(report);
+
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let table = generate_table(table3_spec(&[1, 2, 3]), &opts.scale.table_guest_sizes());
+    out.banner("Table 3 (symbolic cells re-derived from the Efficient Emulation Theorem)")?;
+    write!(out, "{}", table.render())?;
+    out.banner("spot check: the introduction's example")?;
     for cell in &table.cells {
         if cell.guest == "de_bruijn" && cell.host == "mesh2" {
-            println!(
+            writeln!(
+                out,
                 "de Bruijn on 2-d mesh: {} (paper: only meshes of size O(lg² n) \
                  can efficiently emulate a de Bruijn graph)",
                 cell.bound
-            );
+            )?;
             for (n, m) in &cell.samples {
                 let lg = (*n as f64).log2();
-                println!(
+                writeln!(
+                    out,
                     "  n=2^{:<2} -> m*={:<8.1} lg²n={:<8.1} ratio={:.2}",
                     lg as u32,
                     m,
                     lg * lg,
                     m / (lg * lg)
-                );
+                )?;
             }
         }
     }
-    let path = write_records("table3", &table.cells).expect("write records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "table3", &table.cells)
 }

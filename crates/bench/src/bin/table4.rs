@@ -6,32 +6,30 @@
 //! best-fitting Table 4 growth class. Prints paper-vs-measured rows and
 //! writes `target/repro/table4.jsonl`.
 
-use fcn_bandwidth::{sweep_family, BandwidthEstimator, FamilySweep};
-use fcn_bench::{banner, fmt, write_records, RunOpts};
+use std::io::Write;
+
+use fcn_bandwidth::{sweep_family, FamilySweep};
+use fcn_bench::{fmt, write_records, Failure, Report, RunOpts};
 use fcn_topology::Family;
 
-fn main() {
-    let opts = RunOpts::from_args();
-    let _tele = fcn_bench::telemetry(&opts);
-    let scale = opts.scale;
-    let estimator = BandwidthEstimator {
-        multipliers: scale.multipliers(),
-        trials: scale.trials(),
-        jobs: opts.jobs,
-        ..Default::default()
-    };
-    let targets = scale.sweep_targets();
+fcn_bench::repro_main!(report);
 
-    banner("Table 4: β and λ per machine family (paper vs measured vs flux-certified)");
-    println!(
+fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
+    let estimator = opts.estimator();
+    let targets = opts.scale.sweep_targets();
+
+    out.banner("Table 4: β and λ per machine family (paper vs measured vs flux-certified)")?;
+    writeln!(
+        out,
         "{:<18} {:>16} {:>16} {:>8} {:>14} {:>12} {:>12} {:>8}",
         "family", "paper β", "measured β̂", "rms", "flux class", "paper λ", "measured λ̂", "rms"
-    );
+    )?;
 
     let mut sweeps: Vec<FamilySweep> = Vec::new();
     for family in Family::all_with_dims(&[1, 2, 3]) {
         let sweep = sweep_family(family, &targets, &estimator, 0x7ab1e4);
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>16} {:>16} {:>8} {:>14} {:>12} {:>12} {:>8}",
             family.id(),
             family.beta().theta_string(),
@@ -41,14 +39,15 @@ fn main() {
             family.lambda().theta_string(),
             sweep.lambda_class.theta_string(),
             fmt(sweep.lambda_class_residual),
-        );
+        )?;
         sweeps.push(sweep);
     }
 
-    banner("raw rows (measured rate | flux bound | analytic | diameter)");
+    out.banner("raw rows (measured rate | flux bound | analytic | diameter)")?;
     for sweep in &sweeps {
         for r in &sweep.rows {
-            println!(
+            writeln!(
+                out,
                 "{:<28} n={:<6} β̂={:<10} flux≤{:<10} Θ={:<10} diam={}",
                 r.machine,
                 r.n,
@@ -56,10 +55,9 @@ fn main() {
                 fmt(r.flux_bound),
                 fmt(r.analytic),
                 r.diameter
-            );
+            )?;
         }
     }
 
-    let path = write_records("table4", &sweeps).expect("write table4 records");
-    println!("\nrecords: {}", path.display());
+    write_records(out, "table4", &sweeps)
 }

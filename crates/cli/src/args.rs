@@ -77,6 +77,13 @@ impl Args {
             .ok_or_else(|| ParseError(format!("missing <{what}> argument")))
     }
 
+    /// Required positional parsed as a count.
+    pub fn count(&self, i: usize, what: &str) -> Result<usize, ParseError> {
+        self.pos(i, what)?
+            .parse()
+            .map_err(|_| ParseError(format!("{what} must be a positive integer")))
+    }
+
     /// Optional flag parsed into `T`.
     pub fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ParseError> {
         match self.flags.get(name) {
@@ -87,9 +94,33 @@ impl Args {
         }
     }
 
+    /// [`Args::flag`], refusing a value below `min`.
+    pub fn flag_min<T>(&self, name: &str, default: T, min: T) -> Result<T, ParseError>
+    where
+        T: std::str::FromStr + PartialOrd + fmt::Display,
+    {
+        let v = self.flag(name, default)?;
+        if v < min {
+            return Err(ParseError(format!(
+                "--{name} must be at least {min}, not {v}"
+            )));
+        }
+        Ok(v)
+    }
+
     /// Boolean flag (present without a value, or `--flag true`).
     pub fn has(&self, name: &str) -> bool {
         self.flags.get(name).is_some_and(|v| v != "false")
+    }
+
+    /// Reject the first flag that `allowed` does not name, so a misspelled
+    /// or retired flag fails loudly instead of silently running the
+    /// defaults. `context` names the program in the message.
+    pub fn only_flags(&self, allowed: &[&str], context: &str) -> Result<(), ParseError> {
+        match self.flags.keys().find(|k| !allowed.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(k) => Err(ParseError(format!("unknown flag --{k} for {context}"))),
+        }
     }
 }
 

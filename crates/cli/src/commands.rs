@@ -58,13 +58,20 @@ impl From<String> for CmdError {
     }
 }
 
+/// A bad argument is a domain error (exit 1), inline and served alike.
+impl From<ParseError> for CmdError {
+    fn from(e: ParseError) -> Self {
+        CmdError::Run(e.0)
+    }
+}
+
 impl From<&str> for CmdError {
     fn from(m: &str) -> Self {
         CmdError::Run(m.to_string())
     }
 }
 
-type CmdResult = Result<(), CmdError>;
+pub(crate) type CmdResult = Result<(), CmdError>;
 
 /// Usage text.
 pub fn usage() -> String {
@@ -78,7 +85,7 @@ USAGE:
   fcnemu bound   <guest-family> <host-family> [--n N] [--m M]
   fcnemu emulate <guest-family> <n> <host-family> <m> [--steps N]
   fcnemu audit   <family> <size> [--seed N] [--jobs N]
-  fcnemu witness <family> <size> [--alpha X]
+  fcnemu witness <family> <size> [--alpha X (0 < X <= 16)]
   fcnemu verify  <family> <size> [--hosts M] [--steps N]
   fcnemu table   <1|2|3> [--size N]
   fcnemu fig1    <guest-family> <host-family> [--n N]
@@ -134,52 +141,44 @@ fn usage_flags(command: &str) -> Option<Vec<String>> {
 }
 
 /// Reject any flag that `args.command`'s usage line does not name
-/// (`--metrics-out` is accepted everywhere), so a misspelled or retired
-/// flag fails loudly instead of silently running the defaults.
+/// (`--metrics-out` is accepted everywhere).
 pub(crate) fn check_flags(args: &Args) -> Result<(), ParseError> {
     let Some(allowed) = usage_flags(&args.command) else {
         return Ok(());
     };
-    match args
-        .flags
-        .keys()
-        .find(|k| *k != "metrics-out" && !allowed.contains(k))
-    {
-        None => Ok(()),
-        Some(k) => Err(ParseError(format!(
-            "unknown flag --{k} for `fcnemu {}` (see `fcnemu help`)",
-            args.command
-        ))),
-    }
+    let allowed: Vec<&str> = allowed
+        .iter()
+        .map(String::as_str)
+        .chain(["metrics-out"])
+        .collect();
+    let context = format!("`fcnemu {}` (see `fcnemu help`)", args.command);
+    args.only_flags(&allowed, &context)
 }
 
 /// Dispatch a parsed command.
 pub fn dispatch(args: &Args, out: Out) -> CmdResult {
-    let r: Result<CmdResult, ParseError> = (|| {
-        check_flags(args)?;
-        Ok(match args.command.as_str() {
-            "machines" => cmd_machines(out),
-            "build" => cmd_build(args, out)?,
-            "beta" => cmd_beta(args, out)?,
-            "faults" => cmd_faults(args, out)?,
-            "bound" => cmd_bound(args, out)?,
-            "emulate" => cmd_emulate(args, out)?,
-            "audit" => cmd_audit(args, out)?,
-            "witness" => cmd_witness(args, out)?,
-            "verify" => cmd_verify(args, out)?,
-            "table" => cmd_table(args, out)?,
-            "fig1" => cmd_fig1(args, out)?,
-            "metrics" => cmd_metrics(args, out)?,
-            "serve" => crate::service::cmd_serve(args, out)?,
-            "request" => crate::service::cmd_request(args, out)?,
-            "help" | "--help" | "-h" => {
-                let _ = writeln!(out, "{}", usage());
-                Ok(())
-            }
-            other => Err(format!("unknown command {other:?}\n\n{}", usage()).into()),
-        })
-    })();
-    r.map_err(|e| CmdError::Run(e.to_string()))?
+    check_flags(args)?;
+    match args.command.as_str() {
+        "machines" => cmd_machines(out),
+        "build" => cmd_build(args, out),
+        "beta" => beta_with(args, out, None, None),
+        "faults" => faults_with(args, out, false),
+        "bound" => cmd_bound(args, out),
+        "emulate" => cmd_emulate(args, out),
+        "audit" => cmd_audit(args, out),
+        "witness" => cmd_witness(args, out),
+        "verify" => cmd_verify(args, out),
+        "table" => cmd_table(args, out),
+        "fig1" => cmd_fig1(args, out),
+        "metrics" => cmd_metrics(args, out),
+        "serve" => crate::service::cmd_serve(args, out),
+        "request" => crate::service::cmd_request(args, out),
+        "help" | "--help" | "-h" => {
+            let _ = writeln!(out, "{}", usage());
+            Ok(())
+        }
+        other => Err(format!("unknown command {other:?}\n\n{}", usage()).into()),
+    }
 }
 
 fn cmd_machines(out: Out) -> CmdResult {
@@ -201,48 +200,39 @@ fn cmd_machines(out: Out) -> CmdResult {
     Ok(())
 }
 
-fn cmd_build(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_build(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size: usize = args
-        .pos(1, "size")?
-        .parse()
-        .map_err(|_| ParseError("size must be a positive integer".into()))?;
+    let size = args.count(1, "size")?;
     let seed = args.flag("seed", 0u64)?;
     let format = args
         .flags
         .get("format")
         .cloned()
         .unwrap_or_else(|| "summary".into());
-    Ok((|| -> CmdResult {
-        let m = build(&id, size, seed)?;
-        match format.as_str() {
-            "summary" => {
-                let _ = writeln!(out, "machine   : {}", m.name());
-                let _ = writeln!(out, "processors: {}", m.processors());
-                let _ = writeln!(out, "nodes     : {}", m.node_count());
-                let _ = writeln!(out, "edges E(G): {}", m.graph().simple_edge_count());
-                let _ = writeln!(out, "max degree: {}", m.graph().max_degree());
-                let _ = writeln!(out, "β (Θ)     : {}", m.beta_analytic().theta_string());
-                let _ = writeln!(out, "λ (Θ)     : {}", m.lambda_analytic().theta_string());
-                let _ = writeln!(out, "routing   : {:?}", m.route_policy());
-            }
-            "dot" => {
-                let _ = writeln!(out, "{}", fcn_topology::to_labeled_dot(&m));
-            }
-            "edges" => {
-                let _ = write!(out, "{}", fcn_multigraph::to_edge_list(m.graph()));
-            }
-            "json" => {
-                let _ = writeln!(out, "{}", fcn_multigraph::to_json(m.graph()));
-            }
-            other => return Err(format!("unknown format {other:?}").into()),
+    let m = build(&id, size, seed)?;
+    match format.as_str() {
+        "summary" => {
+            let _ = writeln!(out, "machine   : {}", m.name());
+            let _ = writeln!(out, "processors: {}", m.processors());
+            let _ = writeln!(out, "nodes     : {}", m.node_count());
+            let _ = writeln!(out, "edges E(G): {}", m.graph().simple_edge_count());
+            let _ = writeln!(out, "max degree: {}", m.graph().max_degree());
+            let _ = writeln!(out, "β (Θ)     : {}", m.beta_analytic().theta_string());
+            let _ = writeln!(out, "λ (Θ)     : {}", m.lambda_analytic().theta_string());
+            let _ = writeln!(out, "routing   : {:?}", m.route_policy());
         }
-        Ok(())
-    })())
-}
-
-fn cmd_beta(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
-    beta_with(args, out, None, None)
+        "dot" => {
+            let _ = writeln!(out, "{}", fcn_topology::to_labeled_dot(&m));
+        }
+        "edges" => {
+            let _ = write!(out, "{}", fcn_multigraph::to_edge_list(m.graph()));
+        }
+        "json" => {
+            let _ = writeln!(out, "{}", fcn_multigraph::to_json(m.graph()));
+        }
+        other => return Err(format!("unknown format {other:?}").into()),
+    }
+    Ok(())
 }
 
 /// The `beta` body, parameterized for service mode. Inline `fcnemu beta`
@@ -257,12 +247,9 @@ pub(crate) fn beta_with(
     out: Out,
     warm: Option<&fcn_serve::Registry>,
     cancel: Option<&std::sync::atomic::AtomicBool>,
-) -> Result<CmdResult, ParseError> {
+) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size: usize = args
-        .pos(1, "size")?
-        .parse()
-        .map_err(|_| ParseError("size must be a positive integer".into()))?;
+    let size = args.count(1, "size")?;
     let trials = args.flag("trials", 3usize)?;
     let seed = args.flag("seed", 0xbeadu64)?;
     // Worker threads for each trial's plan and route phases; 0 = one per
@@ -275,114 +262,105 @@ pub(crate) fn beta_with(
     let max_ticks = args.flag("max-ticks", 0u64)?;
     let steady = args.has("steady");
     let verbose = args.has("verbose");
-    Ok((|| -> CmdResult {
-        if trials == 0 {
-            return Err("--trials must be at least 1".into());
+    if trials == 0 {
+        return Err("--trials must be at least 1".into());
+    }
+    let m = build(&id, size, seed)?;
+    let t = m.symmetric_traffic();
+    let mut router = RouterConfig::default();
+    if max_ticks > 0 {
+        router.max_ticks = max_ticks;
+    }
+    let est = BandwidthEstimator {
+        trials,
+        seed,
+        jobs,
+        router,
+        ..Default::default()
+    };
+    // In service mode the net and plan cache come warm out of the
+    // daemon's registry; inline, the zero-capacity cache stores nothing
+    // and only counts the trees the estimate computes.
+    let (net, cache) = match warm {
+        Some(registry) => {
+            let (entry, _hit) = registry.get_or_compile(&m);
+            (entry.net, entry.cache)
         }
-        let m = build(&id, size, seed)?;
-        let t = m.symmetric_traffic();
-        let mut router = RouterConfig::default();
-        if max_ticks > 0 {
-            router.max_ticks = max_ticks;
-        }
-        let est = BandwidthEstimator {
-            trials,
-            seed,
-            jobs,
-            router,
-            ..Default::default()
-        };
-        // In service mode the net and plan cache come warm out of the
-        // daemon's registry; inline, the zero-capacity cache stores nothing
-        // and only counts the trees the estimate computes.
-        let (net, cache) = match warm {
-            Some(registry) => {
-                let (entry, _hit) = registry.get_or_compile(&m);
-                (entry.net, entry.cache)
+        None => (
+            fcn_routing::CompiledNet::shared(&m),
+            std::sync::Arc::new(fcn_routing::PlanCache::with_capacity(0)),
+        ),
+    };
+    // Misses are trees computed. On a warm daemon cache this also counts
+    // trees that concurrent requests for the same machine computed.
+    let misses_before = cache.misses();
+    let b = est
+        .try_estimate_compiled(&m, &net, &t, &cache, cancel)
+        .map_err(|aborted| {
+            if aborted.cancelled {
+                CmdError::Cancelled(aborted.to_string())
+            } else {
+                CmdError::Run(aborted.to_string())
             }
-            None => (
-                fcn_routing::CompiledNet::shared(&m),
-                std::sync::Arc::new(fcn_routing::PlanCache::with_capacity(0)),
-            ),
-        };
-        // Misses are trees computed. On a warm daemon cache this also counts
-        // trees that concurrent requests for the same machine computed.
-        let misses_before = cache.misses();
-        let b = est
-            .try_estimate_compiled(&m, &net, &t, &cache, cancel)
-            .map_err(|aborted| {
-                if aborted.cancelled {
-                    CmdError::Cancelled(aborted.to_string())
-                } else {
-                    CmdError::Run(aborted.to_string())
-                }
-            })?;
-        let flux = flux_upper_bound(&m, &t, seed, 4, 2);
-        let _ = writeln!(out, "machine       : {} (n = {})", m.name(), m.processors());
+        })?;
+    let flux = flux_upper_bound(&m, &t, seed, 4, 2);
+    let _ = writeln!(out, "machine       : {} (n = {})", m.name(), m.processors());
+    let _ = writeln!(
+        out,
+        "measured β̂    : {:.3} (mean {:.3})",
+        b.rate, b.mean_rate
+    );
+    let _ = writeln!(
+        out,
+        "flux bound    : {:.3} [{}]",
+        flux.rate_bound, flux.witness
+    );
+    let _ = writeln!(
+        out,
+        "analytic Θ    : {} -> {:.3} at this size",
+        m.beta_analytic().theta_string(),
+        m.beta_at_size()
+    );
+    if steady {
+        let (sat, _) = saturation_throughput(&m, &t, SteadyConfig::default());
+        let _ = writeln!(out, "steady-state  : {sat:.3}");
+    }
+    // Surface the cache counters to `--metrics-out` snapshots (no-op
+    // when telemetry is disabled).
+    cache.publish();
+    if verbose {
+        let _ = writeln!(out, "trees computed: {}", cache.misses() - misses_before);
         let _ = writeln!(
             out,
-            "measured β̂    : {:.3} (mean {:.3})",
-            b.rate, b.mean_rate
+            "trials        : {}/{} complete ({} samples)",
+            b.complete_trials,
+            trials,
+            b.samples.len()
         );
-        let _ = writeln!(
-            out,
-            "flux bound    : {:.3} [{}]",
-            flux.rate_bound, flux.witness
-        );
-        let _ = writeln!(
-            out,
-            "analytic Θ    : {} -> {:.3} at this size",
-            m.beta_analytic().theta_string(),
-            m.beta_at_size()
-        );
-        if steady {
-            let (sat, _) = saturation_throughput(&m, &t, SteadyConfig::default());
-            let _ = writeln!(out, "steady-state  : {sat:.3}");
-        }
-        // Surface the cache counters to `--metrics-out` snapshots (no-op
-        // when telemetry is disabled).
-        cache.publish();
-        if verbose {
-            let _ = writeln!(out, "trees computed: {}", cache.misses() - misses_before);
+        // Typed-abort accounting: cells that hit the tick budget are a
+        // measurement hazard (they depress the plateau), so surface them
+        // loudly. Printed only when non-zero, keeping the byte pin on
+        // fault-free runs.
+        let aborted = b.samples.iter().filter(|s| !s.completed).count();
+        if aborted > 0 {
             let _ = writeln!(
                 out,
-                "trials        : {}/{} complete ({} samples)",
-                b.complete_trials,
-                trials,
-                b.samples.len()
+                "WARNING       : {aborted}/{} cells hit the tick budget \
+                 (max-ticks {}); raise --max-ticks",
+                b.samples.len(),
+                router.max_ticks
             );
-            // Typed-abort accounting: cells that hit the tick budget are a
-            // measurement hazard (they depress the plateau), so surface them
-            // loudly. Printed only when non-zero, keeping the byte pin on
-            // fault-free runs.
-            let aborted = b.samples.iter().filter(|s| !s.completed).count();
-            if aborted > 0 {
-                let _ = writeln!(
-                    out,
-                    "WARNING       : {aborted}/{} cells hit the tick budget \
-                     (max-ticks {}); raise --max-ticks",
-                    b.samples.len(),
-                    router.max_ticks
-                );
-            }
         }
-        Ok(())
-    })())
-}
-
-fn cmd_faults(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
-    faults_with(args, out, false)
+    }
+    Ok(())
 }
 
 /// `fcnemu faults`: the β-vs-fault-rate curve for one machine — the intact
 /// estimator re-run against a deterministic fault plane at each rate. A
 /// `served` request defaults to one worker, as a served `beta` does.
-pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> Result<CmdResult, ParseError> {
+pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size: usize = args
-        .pos(1, "size")?
-        .parse()
-        .map_err(|_| ParseError("size must be a positive integer".into()))?;
+    let size = args.count(1, "size")?;
     let trials = args.flag("trials", 3usize)?;
     let seed = args.flag("seed", 0xbeadu64)?;
     let fault_seed = args.flag("fault-seed", 0xfa17u64)?;
@@ -390,334 +368,307 @@ pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> Result<CmdResu
     let quick = args.has("quick");
     let verbose = args.has("verbose");
     let rates_flag = args.flags.get("rates").cloned();
-    Ok((|| -> CmdResult {
-        if trials == 0 {
-            return Err("--trials must be at least 1".into());
-        }
-        let fault_rates: Vec<f64> = match rates_flag {
-            Some(s) => s
-                .split(',')
-                .map(|r| {
-                    r.trim()
-                        .parse::<f64>()
-                        .map_err(|_| CmdError::Run(format!("--rates: {r:?} is not a number")))
-                })
-                .collect::<Result<_, _>>()?,
-            None if quick => vec![0.0, 0.05, 0.10],
-            None => vec![0.0, 0.02, 0.05, 0.10, 0.20],
-        };
-        if fault_rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-            return Err(format!("--rates: rates must lie in [0, 1], got {fault_rates:?}").into());
-        }
-        let m = build(&id, size, seed)?;
-        let sweep = DegradedSweep {
-            fault_rates,
-            fault_seed,
-            multipliers: if quick { vec![2, 4] } else { vec![2, 4, 8] },
-            trials: if quick { trials.min(2) } else { trials },
-            seed,
-            jobs,
-            ..Default::default()
-        };
-        let points = sweep.sweep_symmetric(&m);
-        let _ = writeln!(out, "machine    : {} (n = {})", m.name(), m.processors());
+    if trials == 0 {
+        return Err("--trials must be at least 1".into());
+    }
+    let fault_rates: Vec<f64> = match rates_flag {
+        Some(s) => s
+            .split(',')
+            .map(|r| {
+                r.trim()
+                    .parse::<f64>()
+                    .map_err(|_| CmdError::Run(format!("--rates: {r:?} is not a number")))
+            })
+            .collect::<Result<_, _>>()?,
+        None if quick => vec![0.0, 0.05, 0.10],
+        None => vec![0.0, 0.02, 0.05, 0.10, 0.20],
+    };
+    if fault_rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
+        return Err(format!("--rates: rates must lie in [0, 1], got {fault_rates:?}").into());
+    }
+    let m = build(&id, size, seed)?;
+    let sweep = DegradedSweep {
+        fault_rates,
+        fault_seed,
+        multipliers: if quick { vec![2, 4] } else { vec![2, 4, 8] },
+        trials: if quick { trials.min(2) } else { trials },
+        seed,
+        jobs,
+        ..Default::default()
+    };
+    let points = sweep.sweep_symmetric(&m);
+    let _ = writeln!(out, "machine    : {} (n = {})", m.name(), m.processors());
+    let _ = writeln!(
+        out,
+        "fault seed : {:#x} ({} trials x {} batch sizes per rate)",
+        fault_seed,
+        sweep.trials,
+        sweep.multipliers.len()
+    );
+    let _ = writeln!(
+        out,
+        "{:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>8} {:>7} {:>7} {:>6}",
+        "rate",
+        "β̂",
+        "mean",
+        "deliver",
+        "dead-n",
+        "dead-l",
+        "outages",
+        "strand",
+        "unreach",
+        "replan",
+        "abort"
+    );
+    for p in &points {
         let _ = writeln!(
             out,
-            "fault seed : {:#x} ({} trials x {} batch sizes per rate)",
-            fault_seed,
-            sweep.trials,
-            sweep.multipliers.len()
+            "{:>6.3} {:>8.3} {:>8.3} {:>7.1}% {:>6} {:>6} {:>7} {:>8} {:>7} {:>7} {:>6}",
+            p.fault_rate,
+            p.rate,
+            p.mean_rate,
+            100.0 * p.delivery_fraction(),
+            p.dead_nodes,
+            p.dead_links,
+            p.outages,
+            p.stranded,
+            p.unreachable,
+            p.replans,
+            p.aborted_cells
         );
-        let _ = writeln!(
-            out,
-            "{:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>8} {:>7} {:>7} {:>6}",
-            "rate",
-            "β̂",
-            "mean",
-            "deliver",
-            "dead-n",
-            "dead-l",
-            "outages",
-            "strand",
-            "unreach",
-            "replan",
-            "abort"
-        );
+    }
+    if verbose {
         for p in &points {
-            let _ = writeln!(
-                out,
-                "{:>6.3} {:>8.3} {:>8.3} {:>7.1}% {:>6} {:>6} {:>7} {:>8} {:>7} {:>7} {:>6}",
-                p.fault_rate,
-                p.rate,
-                p.mean_rate,
-                100.0 * p.delivery_fraction(),
-                p.dead_nodes,
-                p.dead_links,
-                p.outages,
-                p.stranded,
-                p.unreachable,
-                p.replans,
-                p.aborted_cells
-            );
-        }
-        if verbose {
-            for p in &points {
-                for (i, s) in p.samples.iter().enumerate() {
-                    if !s.sample.completed {
-                        let _ = writeln!(
-                            out,
-                            "WARNING: rate {:.3} cell {i} aborted ({}) after {} ticks",
-                            p.fault_rate, s.abort, s.sample.ticks
-                        );
-                    }
+            for (i, s) in p.samples.iter().enumerate() {
+                if !s.sample.completed {
+                    let _ = writeln!(
+                        out,
+                        "WARNING: rate {:.3} cell {i} aborted ({}) after {} ticks",
+                        p.fault_rate, s.abort, s.sample.ticks
+                    );
                 }
             }
         }
-        Ok(())
-    })())
+    }
+    Ok(())
 }
 
-fn cmd_bound(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_bound(args: &Args, out: Out) -> CmdResult {
     let gid = args.pos(0, "guest-family")?.to_string();
     let hid = args.pos(1, "host-family")?.to_string();
-    let n = args.flag("n", 1u64 << 20)? as f64;
+    let n = args.flag_min("n", 1u64 << 20, 1)? as f64;
     let m = args.flag("m", 0u64)?;
-    Ok((|| -> CmdResult {
-        let guest = family(&gid)?;
-        let host = family(&hid)?;
-        let bound = slowdown_lower_bound(&guest, &host);
-        let _ = writeln!(out, "Efficient Emulation Theorem: S ≥ {bound}");
-        let cap = max_host_size(&guest, &host);
-        let _ = writeln!(out, "maximum efficient host size: |H| = {}", cap.to_cell());
-        let m_star = numeric_host_size(&guest, &host, n);
-        let _ = writeln!(out, "numeric crossover at n = {n}: m* ≈ {m_star:.1}");
-        if m > 0 {
-            let _ = writeln!(
-                out,
-                "at (n, m) = ({n}, {m}): load ≥ {:.2}, communication ≥ {:.2}, total ≥ {:.2}",
-                bound.load(n, m as f64),
-                bound.communication(n, m as f64),
-                bound.eval(n, m as f64)
-            );
-        }
-        Ok(())
-    })())
+    let guest = family(&gid)?;
+    let host = family(&hid)?;
+    let bound = slowdown_lower_bound(&guest, &host);
+    let _ = writeln!(out, "Efficient Emulation Theorem: S ≥ {bound}");
+    let cap = max_host_size(&guest, &host);
+    let _ = writeln!(out, "maximum efficient host size: |H| = {}", cap.to_cell());
+    let m_star = numeric_host_size(&guest, &host, n);
+    let _ = writeln!(out, "numeric crossover at n = {n}: m* ≈ {m_star:.1}");
+    if m > 0 {
+        let _ = writeln!(
+            out,
+            "at (n, m) = ({n}, {m}): load ≥ {:.2}, communication ≥ {:.2}, total ≥ {:.2}",
+            bound.load(n, m as f64),
+            bound.communication(n, m as f64),
+            bound.eval(n, m as f64)
+        );
+    }
+    Ok(())
 }
 
-fn cmd_emulate(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_emulate(args: &Args, out: Out) -> CmdResult {
     let gid = args.pos(0, "guest-family")?.to_string();
-    let n: usize = args
-        .pos(1, "n")?
-        .parse()
-        .map_err(|_| ParseError("n must be a positive integer".into()))?;
+    let n = args.count(1, "n")?;
     let hid = args.pos(2, "host-family")?.to_string();
-    let m: usize = args
-        .pos(3, "m")?
-        .parse()
-        .map_err(|_| ParseError("m must be a positive integer".into()))?;
+    let m = args.count(3, "m")?;
     let steps = args.flag("steps", 8u64)?;
-    Ok((|| -> CmdResult {
-        let guest = build(&gid, n, 0xa)?;
-        let host = build(&hid, m, 0xb)?;
-        if guest.processors() < host.processors() {
-            return Err("guest must be at least as large as host".into());
-        }
-        let report = direct_emulation(&guest, &host, steps, &EmulationConfig::default());
-        let bound = slowdown_lower_bound(&guest.family(), &host.family());
-        let predicted = bound.eval(guest.processors() as f64, host.processors() as f64);
-        let _ = writeln!(
-            out,
-            "emulating {} (n = {}) on {} (m = {}) for {} steps",
-            guest.name(),
-            guest.processors(),
-            host.name(),
-            host.processors(),
-            steps
-        );
-        let _ = writeln!(out, "max load          : {}", report.max_load);
-        let _ = writeln!(
-            out,
-            "compute / step    : {:.1}",
-            report.compute_ticks as f64 / steps as f64
-        );
-        let _ = writeln!(
-            out,
-            "communication/step: {:.1}",
-            report.communication_slowdown()
-        );
-        let _ = writeln!(out, "measured slowdown : {:.1}", report.slowdown());
-        let _ = writeln!(out, "theorem bound     : {predicted:.1}");
-        Ok(())
-    })())
+    let guest = build(&gid, n, 0xa)?;
+    let host = build(&hid, m, 0xb)?;
+    if guest.processors() < host.processors() {
+        return Err("guest must be at least as large as host".into());
+    }
+    let report = direct_emulation(&guest, &host, steps, &EmulationConfig::default());
+    let bound = slowdown_lower_bound(&guest.family(), &host.family());
+    let predicted = bound.eval(guest.processors() as f64, host.processors() as f64);
+    let _ = writeln!(
+        out,
+        "emulating {} (n = {}) on {} (m = {}) for {} steps",
+        guest.name(),
+        guest.processors(),
+        host.name(),
+        host.processors(),
+        steps
+    );
+    let _ = writeln!(out, "max load          : {}", report.max_load);
+    let _ = writeln!(
+        out,
+        "compute / step    : {:.1}",
+        report.compute_ticks as f64 / steps as f64
+    );
+    let _ = writeln!(
+        out,
+        "communication/step: {:.1}",
+        report.communication_slowdown()
+    );
+    let _ = writeln!(out, "measured slowdown : {:.1}", report.slowdown());
+    let _ = writeln!(out, "theorem bound     : {predicted:.1}");
+    Ok(())
 }
 
-fn cmd_audit(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_audit(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size: usize = args
-        .pos(1, "size")?
-        .parse()
-        .map_err(|_| ParseError("size must be a positive integer".into()))?;
+    let size = args.count(1, "size")?;
     let seed = args.flag("seed", 7u64)?;
     let jobs = args.flag("jobs", 1usize)?;
-    Ok((|| -> CmdResult {
-        let m = build(&id, size, seed)?;
-        // Same cheap estimator as `quick_audit`, with the worker count
-        // threaded through: the audit cells run in parallel, the output is
-        // bit-identical for every `--jobs` value.
-        let est = BandwidthEstimator {
-            multipliers: vec![2, 4],
-            trials: 2,
-            seed,
-            jobs,
-            ..Default::default()
-        };
-        let audit = audit_bottleneck_freeness(&m, &est, seed);
-        let _ = writeln!(out, "machine        : {}", m.name());
-        let _ = writeln!(out, "symmetric rate : {:.3}", audit.symmetric_rate);
-        for (label, rate) in &audit.quasi_rates {
-            let _ = writeln!(out, "  {label:<26}: {rate:.3}");
+    let m = build(&id, size, seed)?;
+    // Same cheap estimator as `quick_audit`, with the worker count
+    // threaded through: the audit cells run in parallel, the output is
+    // bit-identical for every `--jobs` value.
+    let est = BandwidthEstimator {
+        multipliers: vec![2, 4],
+        trials: 2,
+        seed,
+        jobs,
+        ..Default::default()
+    };
+    let audit = audit_bottleneck_freeness(&m, &est, seed);
+    let _ = writeln!(out, "machine        : {}", m.name());
+    let _ = writeln!(out, "symmetric rate : {:.3}", audit.symmetric_rate);
+    for (label, rate) in &audit.quasi_rates {
+        let _ = writeln!(out, "  {label:<26}: {rate:.3}");
+    }
+    let _ = writeln!(
+        out,
+        "worst ratio    : {:.3} -> {}",
+        audit.worst_ratio,
+        if audit.is_bottleneck_free(4.0) {
+            "bottleneck-free (c <= 4)"
+        } else {
+            "SUSPECT"
         }
-        let _ = writeln!(
-            out,
-            "worst ratio    : {:.3} -> {}",
-            audit.worst_ratio,
-            if audit.is_bottleneck_free(4.0) {
-                "bottleneck-free (c <= 4)"
-            } else {
-                "SUSPECT"
-            }
-        );
-        // Theorem 6 certificate as a bonus consistency check.
-        let cert = theorem6_sandwich(&m, 4, seed);
-        let _ = writeln!(
-            out,
-            "β sandwich     : embedding ≥ {:.2} | measured {:.2} | flux ≤ {:.2}",
-            cert.embedding_lower, cert.measured, cert.flux_upper
-        );
-        Ok(())
-    })())
+    );
+    // Theorem 6 certificate as a bonus consistency check.
+    let cert = theorem6_sandwich(&m, 4, seed);
+    let _ = writeln!(
+        out,
+        "β sandwich     : embedding ≥ {:.2} | measured {:.2} | flux ≤ {:.2}",
+        cert.embedding_lower, cert.measured, cert.flux_upper
+    );
+    Ok(())
 }
 
-fn cmd_witness(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_witness(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size: usize = args
-        .pos(1, "size")?
-        .parse()
-        .map_err(|_| ParseError("size must be a positive integer".into()))?;
+    let size = args.count(1, "size")?;
     let alpha = args.flag("alpha", 1.0f64)?;
-    Ok((|| -> CmdResult {
-        let m = build(&id, size, 3)?;
-        let w = build_witness(m.graph(), Lemma9Config { alpha, seed: 0x9e });
-        let _ = writeln!(out, "guest           : {} (n = {})", m.name(), w.n);
-        let _ = writeln!(
-            out,
-            "Λ / t / cutoff  : {} / {} / {}",
-            w.lambda, w.t, w.cutoff
-        );
-        let _ = writeln!(out, "S-nodes         : {}", w.s_nodes);
-        let _ = writeln!(out, "cone paths      : {}", w.cone_paths);
-        let _ = writeln!(
-            out,
-            "γ vertices/edges: {} / {}",
-            w.gamma_vertices, w.gamma_edges
-        );
-        let _ = writeln!(
-            out,
-            "congestion      : {} (cap {}, ratio {:.3})",
-            w.congestion,
-            w.congestion_cap,
-            w.congestion_ratio()
-        );
-        let _ = writeln!(
-            out,
-            "preservation    : {:.3} (β(circuit,γ) / t·β(G))",
-            w.preservation_ratio()
-        );
-        Ok(())
-    })())
+    // The witness circuit has ⌈(1+α)·Λ⌉ levels, so α bounds its size.
+    if !(alpha > 0.0 && alpha <= 16.0) {
+        return Err(format!("--alpha must be in (0, 16], not {alpha}").into());
+    }
+    let m = build(&id, size, 3)?;
+    let w = build_witness(m.graph(), Lemma9Config { alpha, seed: 0x9e });
+    let _ = writeln!(out, "guest           : {} (n = {})", m.name(), w.n);
+    let _ = writeln!(
+        out,
+        "Λ / t / cutoff  : {} / {} / {}",
+        w.lambda, w.t, w.cutoff
+    );
+    let _ = writeln!(out, "S-nodes         : {}", w.s_nodes);
+    let _ = writeln!(out, "cone paths      : {}", w.cone_paths);
+    let _ = writeln!(
+        out,
+        "γ vertices/edges: {} / {}",
+        w.gamma_vertices, w.gamma_edges
+    );
+    let _ = writeln!(
+        out,
+        "congestion      : {} (cap {}, ratio {:.3})",
+        w.congestion,
+        w.congestion_cap,
+        w.congestion_ratio()
+    );
+    let _ = writeln!(
+        out,
+        "preservation    : {:.3} (β(circuit,γ) / t·β(G))",
+        w.preservation_ratio()
+    );
+    Ok(())
 }
 
-fn cmd_verify(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_verify(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size: usize = args
-        .pos(1, "size")?
-        .parse()
-        .map_err(|_| ParseError("size must be a positive integer".into()))?;
-    let hosts = args.flag("hosts", 4usize)?;
+    let size = args.count(1, "size")?;
+    let hosts = args.flag_min("hosts", 4usize, 1)?;
     let steps = args.flag("steps", 5u32)?;
-    Ok((|| -> CmdResult {
-        let m = build(&id, size, 3)?;
-        let r = fcn_core::verify_direct_emulation(m.graph(), hosts.min(m.processors()), steps, 0xf);
-        let _ = writeln!(
-            out,
-            "direct emulation of {} on {} hosts for {} steps:",
-            m.name(),
-            r.hosts,
-            r.steps
-        );
-        let _ = writeln!(out, "  values communicated : {}", r.values_communicated);
-        let _ = writeln!(
-            out,
-            "  operations          : {} (work x{:.2})",
-            r.operations,
-            r.work_ratio()
-        );
-        let _ = writeln!(
-            out,
-            "  semantics           : {}",
-            if r.matches_reference {
-                "EXACT (matches reference run bit-for-bit)"
-            } else {
-                "DIVERGED"
-            }
-        );
-        if !r.matches_reference {
-            return Err("verification failed".into());
+    let m = build(&id, size, 3)?;
+    let r = fcn_core::verify_direct_emulation(m.graph(), hosts.min(m.processors()), steps, 0xf);
+    let _ = writeln!(
+        out,
+        "direct emulation of {} on {} hosts for {} steps:",
+        m.name(),
+        r.hosts,
+        r.steps
+    );
+    let _ = writeln!(out, "  values communicated : {}", r.values_communicated);
+    let _ = writeln!(
+        out,
+        "  operations          : {} (work x{:.2})",
+        r.operations,
+        r.work_ratio()
+    );
+    let _ = writeln!(
+        out,
+        "  semantics           : {}",
+        if r.matches_reference {
+            "EXACT (matches reference run bit-for-bit)"
+        } else {
+            "DIVERGED"
         }
-        Ok(())
-    })())
+    );
+    if !r.matches_reference {
+        return Err("verification failed".into());
+    }
+    Ok(())
 }
 
-fn cmd_table(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_table(args: &Args, out: Out) -> CmdResult {
     let which = args.pos(0, "table number")?.to_string();
-    let size = args.flag("size", 1u64 << 16)?;
-    Ok((|| -> CmdResult {
-        let spec = match which.as_str() {
-            "1" => table1_spec(&[1, 2, 3]),
-            "2" => table2_spec(&[1, 2, 3]),
-            "3" => table3_spec(&[1, 2, 3]),
-            other => return Err(format!("unknown table {other:?} (expected 1, 2 or 3)").into()),
-        };
-        let table = generate_table(spec, &[size]);
-        let _ = write!(out, "{}", table.render());
-        Ok(())
-    })())
+    let size = args.flag_min("size", 1u64 << 16, 1)?;
+    let spec = match which.as_str() {
+        "1" => table1_spec(&[1, 2, 3]),
+        "2" => table2_spec(&[1, 2, 3]),
+        "3" => table3_spec(&[1, 2, 3]),
+        other => return Err(format!("unknown table {other:?} (expected 1, 2 or 3)").into()),
+    };
+    let table = generate_table(spec, &[size]);
+    let _ = write!(out, "{}", table.render());
+    Ok(())
 }
 
-fn cmd_fig1(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_fig1(args: &Args, out: Out) -> CmdResult {
     let gid = args.pos(0, "guest-family")?.to_string();
     let hid = args.pos(1, "host-family")?.to_string();
-    let n = args.flag("n", 1u64 << 20)? as f64;
-    Ok((|| -> CmdResult {
-        let guest = family(&gid)?;
-        let host = family(&hid)?;
-        let d = fig1_data(&guest, &host, n, 20);
+    let n = args.flag_min("n", 1u64 << 20, 4)? as f64;
+    let guest = family(&gid)?;
+    let host = family(&hid)?;
+    let d = fig1_data(&guest, &host, n, 20);
+    let _ = writeln!(
+        out,
+        "guest {gid}, host family {hid}, n = {n}: crossover m* = {:.1}, \
+         min slowdown = {:.1}",
+        d.crossover_m, d.crossover_slowdown
+    );
+    let _ = writeln!(out, "{:>12} {:>14} {:>14}", "m", "load n/m", "comm bound");
+    for p in &d.points {
         let _ = writeln!(
             out,
-            "guest {gid}, host family {hid}, n = {n}: crossover m* = {:.1}, \
-             min slowdown = {:.1}",
-            d.crossover_m, d.crossover_slowdown
+            "{:>12.1} {:>14.2} {:>14.2}",
+            p.m, p.load_bound, p.comm_bound
         );
-        let _ = writeln!(out, "{:>12} {:>14} {:>14}", "m", "load n/m", "comm bound");
-        for p in &d.points {
-            let _ = writeln!(
-                out,
-                "{:>12.1} {:>14.2} {:>14.2}",
-                p.m, p.load_bound, p.comm_bound
-            );
-        }
-        Ok(())
-    })())
+    }
+    Ok(())
 }
 
 /// Render a previously written `--metrics-out` snapshot.
@@ -726,52 +677,50 @@ fn cmd_fig1(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
 /// `--format prom` emits the Prometheus text exposition, `--format jsonl`
 /// re-emits the canonical JSONL, and the default `table` is a human
 /// summary (histograms show count / sum / mean).
-fn cmd_metrics(args: &Args, out: Out) -> Result<CmdResult, ParseError> {
+fn cmd_metrics(args: &Args, out: Out) -> CmdResult {
     let path = args.pos(0, "snapshot.jsonl")?.to_string();
     let format = args
         .flags
         .get("format")
         .cloned()
         .unwrap_or_else(|| "table".into());
-    Ok((|| -> CmdResult {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CmdError::Io(format!("cannot read {path:?}: {e}")))?;
-        let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&text)
-            .map_err(|e| CmdError::Io(format!("invalid metrics snapshot {path:?}: {e}")))?;
-        match format.as_str() {
-            "prom" => {
-                let _ = write!(out, "{}", snap.to_prometheus());
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| CmdError::Io(format!("cannot read {path:?}: {e}")))?;
+    let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&text)
+        .map_err(|e| CmdError::Io(format!("invalid metrics snapshot {path:?}: {e}")))?;
+    match format.as_str() {
+        "prom" => {
+            let _ = write!(out, "{}", snap.to_prometheus());
+        }
+        "jsonl" => {
+            let _ = write!(out, "{}", snap.to_jsonl());
+        }
+        "table" => {
+            let _ = writeln!(out, "{:<40} {:>16}", "counter", "value");
+            for (k, v) in &snap.counters {
+                let _ = writeln!(out, "{k:<40} {v:>16}");
             }
-            "jsonl" => {
-                let _ = write!(out, "{}", snap.to_jsonl());
-            }
-            "table" => {
-                let _ = writeln!(out, "{:<40} {:>16}", "counter", "value");
-                for (k, v) in &snap.counters {
+            if !snap.gauges.is_empty() {
+                let _ = writeln!(out, "{:<40} {:>16}", "gauge", "value");
+                for (k, v) in &snap.gauges {
                     let _ = writeln!(out, "{k:<40} {v:>16}");
                 }
-                if !snap.gauges.is_empty() {
-                    let _ = writeln!(out, "{:<40} {:>16}", "gauge", "value");
-                    for (k, v) in &snap.gauges {
-                        let _ = writeln!(out, "{k:<40} {v:>16}");
-                    }
-                }
-                if !snap.histograms.is_empty() {
-                    let _ = writeln!(
-                        out,
-                        "{:<40} {:>12} {:>16} {:>10}",
-                        "histogram", "count", "sum", "mean"
-                    );
-                    for (k, h) in &snap.histograms {
-                        let mean = h.sum as f64 / h.count.max(1) as f64;
-                        let _ = writeln!(out, "{k:<40} {:>12} {:>16} {mean:>10.2}", h.count, h.sum);
-                    }
+            }
+            if !snap.histograms.is_empty() {
+                let _ = writeln!(
+                    out,
+                    "{:<40} {:>12} {:>16} {:>10}",
+                    "histogram", "count", "sum", "mean"
+                );
+                for (k, h) in &snap.histograms {
+                    let mean = h.sum as f64 / h.count.max(1) as f64;
+                    let _ = writeln!(out, "{k:<40} {:>12} {:>16} {mean:>10.2}", h.count, h.sum);
                 }
             }
-            other => return Err(format!("unknown format {other:?} (table, prom or jsonl)").into()),
         }
-        Ok(())
-    })())
+        other => return Err(format!("unknown format {other:?} (table, prom or jsonl)").into()),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -967,6 +916,26 @@ mod tests {
         let (code, out) = run_s("faults mesh2 16 --trials 0 --quick");
         assert_eq!(code, 1, "{out}");
         assert_eq!(out, "error: --trials must be at least 1\n");
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_not_panics() {
+        for (cmd, flag) in [
+            ("witness ring 8 --alpha 0", "--alpha"),
+            ("witness ring 8 --alpha NaN", "--alpha"),
+            ("witness ring 8 --alpha 1e3", "--alpha"),
+            ("fig1 de_bruijn mesh2 --n 3", "--n"),
+            ("bound de_bruijn mesh2 --n 0", "--n"),
+            ("verify ring 8 --hosts 0", "--hosts"),
+            ("table 1 --size 0", "--size"),
+        ] {
+            let (code, out) = run_s(cmd);
+            assert_eq!(code, 1, "{cmd}: {out}");
+            assert!(
+                out.contains(&format!("error: {flag} must be")),
+                "{cmd}: {out}"
+            );
+        }
     }
 
     #[test]

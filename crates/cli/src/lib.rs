@@ -5,7 +5,9 @@
 //! Library backing the `fcnemu` command-line tool: a tiny hand-rolled
 //! argument parser (no external dependency needed for a fixed flag
 //! grammar) and the subcommand implementations, kept in the library so
-//! they are unit-testable.
+//! they are unit-testable. The `fcn-bench` binaries parse their arguments
+//! with the same [`Args`] and write `--metrics-out` snapshots through the
+//! same [`with_metrics_out`].
 
 pub mod args;
 pub mod commands;
@@ -17,55 +19,69 @@ pub use commands::CmdError;
 /// Entry point shared by `main` and tests: parse and dispatch, returning
 /// the process exit code and writing the report to `out`.
 ///
-/// Every subcommand accepts `--metrics-out <path>`: the global
-/// [`fcn_telemetry`] registry is enabled for the duration of the run and a
-/// versioned JSONL *delta* snapshot (only what this run contributed) is
-/// written to `path` on success. The report written to `out` stays
-/// byte-identical with or without the flag — telemetry never changes a
-/// simulated bit; the only extra output is a notice on stderr.
+/// Every subcommand accepts `--metrics-out <path>` ([`with_metrics_out`]).
+/// The report written to `out` stays byte-identical with or without the
+/// flag — telemetry never changes a simulated bit; the only extra output
+/// is a notice on stderr.
 pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
     let args = match Args::parse(argv) {
         Ok(a) => a,
-        Err(e) => {
-            let _ = writeln!(out, "error: {e}\n");
-            let _ = writeln!(out, "{}", commands::usage());
-            return 2;
-        }
+        Err(e) => return usage_error(out, &e),
     };
-    // Baseline *before* enabling, so concurrent in-process runs (tests) and
-    // repeated runs against the long-lived global registry report only
-    // their own contribution.
-    let metrics_out = args.flags.get("metrics-out").cloned();
-    let baseline = metrics_out.as_ref().map(|_| {
-        let reg = fcn_telemetry::global();
-        let base = reg.snapshot();
-        reg.set_enabled(true);
-        base
-    });
     // Typed failures map to exit codes: domain errors (unknown family,
     // failed verification) exit 1, I/O and schema errors exit 2 — the same
     // convention the BENCH binaries use for snapshot validation.
-    let code = match commands::dispatch(&args, out) {
+    let metrics_out = args.flags.get("metrics-out").map(String::as_str);
+    let (code, written) = with_metrics_out(metrics_out, || match commands::dispatch(&args, out) {
         Ok(()) => 0,
         Err(e) => {
             let _ = writeln!(out, "error: {e}");
             e.exit_code()
         }
-    };
-    if let (Some(path), Some(base)) = (metrics_out, baseline) {
-        let reg = fcn_telemetry::global();
-        fcn_telemetry::flush_thread_shard(reg);
-        reg.set_enabled(false);
-        let delta = reg.snapshot().delta_since(&base);
-        match std::fs::write(&path, delta.to_jsonl()) {
-            Ok(()) => eprintln!("metrics snapshot written to {path}"),
-            Err(e) => {
-                // I/O failure writing the snapshot: exit 2, like every
-                // other metrics I/O error.
-                let _ = writeln!(out, "error: cannot write metrics to {path:?}: {e}");
-                return 2;
-            }
-        }
+    });
+    if let Err(e) = written {
+        let _ = writeln!(out, "error: {e}");
+        return 2;
     }
     code
+}
+
+/// Report an argv that does not parse (no command at all) with the usage
+/// text; exit code 2.
+pub(crate) fn usage_error(out: &mut dyn std::io::Write, e: &ParseError) -> i32 {
+    let _ = writeln!(out, "error: {e}\n");
+    let _ = writeln!(out, "{}", commands::usage());
+    2
+}
+
+/// Run `body`; when `path` is given, enable the global [`fcn_telemetry`]
+/// registry around it and write a versioned JSONL *delta* snapshot (only
+/// what this run contributed) to `path` afterwards. Returns the body's
+/// value and the snapshot write's outcome: an error message means the
+/// caller exits 2, like every other metrics I/O error.
+pub fn with_metrics_out<T>(
+    path: Option<&str>,
+    body: impl FnOnce() -> T,
+) -> (T, Result<(), String>) {
+    let Some(path) = path else {
+        return (body(), Ok(()));
+    };
+    // Baseline *before* enabling, so concurrent in-process runs (tests) and
+    // repeated runs against the long-lived global registry report only
+    // their own contribution.
+    let reg = fcn_telemetry::global();
+    let baseline = reg.snapshot();
+    reg.set_enabled(true);
+    let value = body();
+    fcn_telemetry::flush_thread_shard(reg);
+    reg.set_enabled(false);
+    let delta = reg.snapshot().delta_since(&baseline);
+    let written = match std::fs::write(path, delta.to_jsonl()) {
+        Ok(()) => {
+            eprintln!("metrics snapshot written to {path}");
+            Ok(())
+        }
+        Err(e) => Err(format!("cannot write metrics to {path:?}: {e}")),
+    };
+    (value, written)
 }

@@ -17,10 +17,8 @@ use fcn_serve::{
     ServerConfig,
 };
 
-use crate::args::{Args, ParseError};
-use crate::commands::{self, CmdError};
-
-type CmdResult = Result<(), CmdError>;
+use crate::args::Args;
+use crate::commands::{self, CmdError, CmdResult};
 
 /// Executes daemon request kinds by dispatching into the inline subcommand
 /// bodies, sharing one warm [`Registry`] across all requests. Public so
@@ -48,28 +46,21 @@ impl CliHandler {
     /// error-path bytes mirror it exactly.
     fn handle_body(
         argv: &[String],
-        body: impl FnOnce(&Args, &mut Vec<u8>) -> Result<CmdResult, ParseError>,
+        body: impl FnOnce(&Args, &mut Vec<u8>) -> CmdResult,
     ) -> HandlerOutcome {
         let mut buf = Vec::new();
         let args = match Args::parse(argv) {
             Ok(args) => args,
             Err(e) => {
-                // Byte-for-byte what crate::run writes on a parse failure.
-                let _ = writeln!(buf, "error: {e}\n");
-                let _ = writeln!(buf, "{}", commands::usage());
+                let exit_code = crate::usage_error(&mut buf, &e);
                 return HandlerOutcome::Done {
-                    exit_code: 2,
+                    exit_code,
                     output: buf,
                 };
             }
         };
-        let result = match commands::check_flags(&args).and_then(|()| body(&args, &mut buf)) {
-            Ok(r) => r,
-            // dispatch() wraps in-command parse errors as domain errors;
-            // mirror that so the framed bytes match the inline run.
-            Err(parse_err) => Err(CmdError::Run(parse_err.to_string())),
-        };
-        match result {
+        let checked = commands::check_flags(&args).map_err(CmdError::from);
+        match checked.and_then(|()| body(&args, &mut buf)) {
             Ok(()) => HandlerOutcome::Done {
                 exit_code: 0,
                 output: buf,
@@ -132,7 +123,7 @@ impl Handler for CliHandler {
 
 /// `fcnemu serve`: bind, announce the resolved address, then serve until
 /// SIGTERM/SIGINT triggers a graceful drain.
-pub(crate) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<CmdResult, ParseError> {
+pub(crate) fn cmd_serve(args: &Args, out: &mut dyn Write) -> CmdResult {
     let addr = args
         .flags
         .get("addr")
@@ -146,92 +137,88 @@ pub(crate) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<CmdResult, P
     let chaos_seed = args.flag("chaos-seed", 0u64)?;
     let chaos_stall_ms = args.flag("chaos-stall-ms", 5u64)?;
     let chaos_rates = args.flags.get("chaos-rates").cloned();
-    Ok((|| -> CmdResult {
-        // Wire chaos is opt-in: injection happens only when a rates flag
-        // names a nonzero rate, and then only through the seeded plan.
-        let chaos = match chaos_rates {
-            Some(spec) => {
-                let rates = ChaosRates::parse(&spec).map_err(CmdError::Run)?;
-                (!rates.is_zero()).then(|| {
-                    let mut spec = ChaosSpec::new(chaos_seed, rates);
-                    spec.max_stall_ms = chaos_stall_ms;
-                    spec
-                })
-            }
-            None => None,
-        };
-        // The routing/bandwidth instrumentation gates on the global
-        // registry; the daemon always serves with it enabled so `metrics`
-        // requests have per-request counters to render.
-        fcn_telemetry::global().set_enabled(true);
-        let config = ServerConfig {
-            addr: addr.clone(),
-            max_inflight,
-            max_queued,
-            queue_wait_ms,
-            default_deadline_ms,
-            poll_interval_ms,
-            chaos,
-        };
-        let server = Server::bind(config, CliHandler::new())
-            .map_err(|e| CmdError::Io(format!("cannot bind {addr:?}: {e}")))?;
-        let local = server
-            .local_addr()
-            .map_err(|e| CmdError::Io(format!("cannot resolve bound address: {e}")))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        for sig in [signal_hook::consts::SIGTERM, signal_hook::consts::SIGINT] {
-            signal_hook::flag::register(sig, Arc::clone(&shutdown))
-                .map_err(|e| CmdError::Io(format!("cannot register signal handler: {e}")))?;
+    // Wire chaos is opt-in: injection happens only when a rates flag
+    // names a nonzero rate, and then only through the seeded plan.
+    let chaos = match chaos_rates {
+        Some(spec) => {
+            let rates = ChaosRates::parse(&spec).map_err(CmdError::Run)?;
+            (!rates.is_zero()).then(|| {
+                let mut spec = ChaosSpec::new(chaos_seed, rates);
+                spec.max_stall_ms = chaos_stall_ms;
+                spec
+            })
         }
-        // Announced (and flushed) before serving so scripts can scrape the
-        // resolved ephemeral port.
-        let _ = writeln!(out, "listening on {local}");
-        let _ = out.flush();
-        server
-            .run(&shutdown)
-            .map_err(|e| CmdError::Io(format!("serve loop failed: {e}")))?;
-        let _ = writeln!(out, "drained cleanly; goodbye");
-        Ok(())
-    })())
+        None => None,
+    };
+    // The routing/bandwidth instrumentation gates on the global
+    // registry; the daemon always serves with it enabled so `metrics`
+    // requests have per-request counters to render.
+    fcn_telemetry::global().set_enabled(true);
+    let config = ServerConfig {
+        addr: addr.clone(),
+        max_inflight,
+        max_queued,
+        queue_wait_ms,
+        default_deadline_ms,
+        poll_interval_ms,
+        chaos,
+    };
+    let server = Server::bind(config, CliHandler::new())
+        .map_err(|e| CmdError::Io(format!("cannot bind {addr:?}: {e}")))?;
+    let local = server
+        .local_addr()
+        .map_err(|e| CmdError::Io(format!("cannot resolve bound address: {e}")))?;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    for sig in [signal_hook::consts::SIGTERM, signal_hook::consts::SIGINT] {
+        signal_hook::flag::register(sig, Arc::clone(&shutdown))
+            .map_err(|e| CmdError::Io(format!("cannot register signal handler: {e}")))?;
+    }
+    // Announced (and flushed) before serving so scripts can scrape the
+    // resolved ephemeral port.
+    let _ = writeln!(out, "listening on {local}");
+    let _ = out.flush();
+    server
+        .run(&shutdown)
+        .map_err(|e| CmdError::Io(format!("serve loop failed: {e}")))?;
+    let _ = writeln!(out, "drained cleanly; goodbye");
+    Ok(())
 }
 
 /// `fcnemu request`: one framed request to a running daemon, printing the
 /// response output verbatim. Arguments after `--` are forwarded unparsed.
-pub(crate) fn cmd_request(args: &Args, out: &mut dyn Write) -> Result<CmdResult, ParseError> {
+pub(crate) fn cmd_request(args: &Args, out: &mut dyn Write) -> CmdResult {
     let addr = args.pos(0, "addr")?.to_string();
     let kind = args.pos(1, "kind")?.to_string();
     let deadline_ms = args.flag("deadline-ms", 0u64)?;
     let retries = args.flag("retries", 1u32)?;
     let retry_seed = args.flag("retry-seed", 0u64)?;
-    Ok((|| -> CmdResult {
-        // --retries > 1 opts into the resilient client: reconnect + seeded
-        // backoff on transport failures and Overloaded sheds, with
-        // idempotency keys so completed-but-lost replies replay exactly.
-        let mut client = if retries > 1 {
-            Client::connect_retrying(&addr, RetryPolicy::fast(retries, retry_seed))
-        } else {
-            Client::connect(&addr)
-        }
-        .map_err(|e| CmdError::Io(format!("cannot connect to {addr:?}: {e}")))?;
-        let mut req = Request::new(0, &kind, &[]);
-        req.args = args.rest.clone();
-        req.deadline_ms = (deadline_ms > 0).then_some(deadline_ms);
-        let resp = client
-            .request(req)
-            .map_err(|e| CmdError::Io(e.to_string()))?;
-        let _ = write!(out, "{}", resp.output);
-        match resp.error {
-            None if resp.exit_code == 0 => Ok(()),
-            // The remote body already printed its own `error:` line (it is
-            // byte-identical to the inline run); surface only the code.
-            None => Err(CmdError::Run(format!(
-                "remote command exited {}",
-                resp.exit_code
-            ))),
-            Some(err) => match err.kind {
-                fcn_serve::ErrorKind::Cancelled => Err(CmdError::Cancelled(err.message)),
-                kind => Err(CmdError::Run(format!("{kind:?}: {}", err.message))),
-            },
-        }
-    })())
+    // --retries > 1 opts into the resilient client: reconnect + seeded
+    // backoff on transport failures and Overloaded sheds, with
+    // idempotency keys so completed-but-lost replies replay exactly.
+    let mut client = if retries > 1 {
+        Client::connect_retrying(&addr, RetryPolicy::fast(retries, retry_seed))
+    } else {
+        Client::connect(&addr)
+    }
+    .map_err(|e| CmdError::Io(format!("cannot connect to {addr:?}: {e}")))?;
+    let mut req = Request::new(0, &kind, &[]);
+    req.args = args.rest.clone();
+    req.deadline_ms = (deadline_ms > 0).then_some(deadline_ms);
+    let resp = client
+        .request(req)
+        .map_err(|e| CmdError::Io(e.to_string()))?;
+    let _ = write!(out, "{}", resp.output);
+    match resp.error {
+        None if resp.exit_code == 0 => Ok(()),
+        // The remote body already printed its own `error:` line (it is
+        // byte-identical to the inline run); surface only the code.
+        None => Err(CmdError::Run(format!(
+            "remote command exited {}",
+            resp.exit_code
+        ))),
+        Some(err) => match err.kind {
+            fcn_serve::ErrorKind::Cancelled => Err(CmdError::Cancelled(err.message)),
+            kind => Err(CmdError::Run(format!("{kind:?}: {}", err.message))),
+        },
+    }
 }

@@ -377,3 +377,33 @@ fn served_faults_verbose_counts_in_daemon_metrics() {
     assert_eq!(verbose, plain, "a verbose run must count like a plain one");
     daemon.shutdown();
 }
+
+/// The `trees computed: N` count a served `beta --verbose` prints.
+fn trees_computed(output: &str) -> u64 {
+    output
+        .lines()
+        .find_map(|l| l.strip_prefix("trees computed: "))
+        .unwrap_or_else(|| panic!("no tree count in {output:?}"))
+        .parse()
+        .expect("a count")
+}
+
+#[test]
+fn a_repeated_served_beta_is_planned_from_the_warm_cache() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let args = ["mesh2", "64", "--trials", "1", "--verbose"];
+    let first = client.call("beta", &args).expect("first beta");
+    let again = client.call("beta", &args).expect("repeated beta");
+    assert!(first.ok && again.ok, "{first:?} {again:?}");
+    assert!(trees_computed(&first.output) > 0, "{}", first.output);
+    assert_eq!(trees_computed(&again.output), 0, "{}", again.output);
+    // The warm hit changes no measured line, only the tree count.
+    let measured = |o: &str| -> String {
+        o.lines()
+            .filter(|l| !l.starts_with("trees computed"))
+            .collect()
+    };
+    assert_eq!(measured(&first.output), measured(&again.output));
+    daemon.shutdown();
+}
