@@ -10,7 +10,7 @@
 //!   independent trials;
 //! * [`flux`] — certified cut/node-capacity upper bounds ("at most one
 //!   message crosses an edge per tick");
-//! * [`sandwich`] — measured + certified + analytic rows per machine size,
+//! * [`sandwich`](mod@sandwich) — measured + certified + analytic rows per machine size,
 //!   with log-log exponent fitting across a family sweep (the Table 4
 //!   reproduction pipeline);
 //! * [`bottleneck`] — the bottleneck-freeness audit behind the Efficient

@@ -3,7 +3,7 @@
 //! (butterfly) decays under the deterministic fault plane.
 //!
 //! For each machine and fault rate, runs the full `trials × multipliers`
-//! estimator grid against a seeded [`fcn_faults::FaultPlan`], reports the
+//! estimator grid against a seeded `fcn_faults::FaultPlan`, reports the
 //! β-vs-fault-rate curve, and records rows:
 //!
 //! * default: writes `BENCH_faults.json` at the repo root — the committed

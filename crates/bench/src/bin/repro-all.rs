@@ -165,11 +165,11 @@ fn main() -> ExitCode {
 }
 
 fn drive(args: &Args, opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
-    let timeout = match args.flags.get("timeout") {
+    let timeout = match args.value("timeout")? {
         Some(_) => Some(Duration::from_secs(args.flag("timeout", 0)?)),
         None => None,
     };
-    let keep_going = args.flag("keep-going", false)?;
+    let keep_going = args.switch("keep-going")?;
     let forwarded = opts.to_argv();
     let bins = [
         "table4",
@@ -194,7 +194,7 @@ fn drive(args: &Args, opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure
     })?;
 
     let manifest_path = fcn_bench::repro_dir().join("manifest.json");
-    let completed = if args.flag("resume", false)? {
+    let completed = if args.switch("resume")? {
         resumable_completed(out, &manifest_path, &forwarded)?
     } else {
         Vec::new()

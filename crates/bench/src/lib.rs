@@ -81,7 +81,7 @@ impl RunOpts {
                 "unexpected argument {stray:?} for {context}"
             )));
         }
-        let scale = match (args.flag("quick", false)?, args.flag("full", false)?) {
+        let scale = match (args.switch("quick")?, args.switch("full")?) {
             (true, true) => return Err(ParseError("--full conflicts with --quick".into())),
             (true, false) => Scale::Quick,
             (false, true) => Scale::Full,
@@ -90,7 +90,7 @@ impl RunOpts {
         Ok(RunOpts {
             scale,
             jobs: args.flag("jobs", 0)?,
-            metrics_out: args.flags.get("metrics-out").cloned(),
+            metrics_out: args.value("metrics-out")?.map(String::from),
         })
     }
 

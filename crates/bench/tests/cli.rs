@@ -46,10 +46,12 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
+/// Run `name` with `target` as its target directory and working directory.
 fn run(name: &str, args: &[&str], target: &PathBuf) -> Output {
     Command::new(exe(name))
         .args(args)
         .env("CARGO_TARGET_DIR", target)
+        .current_dir(target)
         .output()
         .unwrap_or_else(|e| panic!("spawn {name}: {e}"))
 }
@@ -88,6 +90,25 @@ fn bad_arguments_exit_two_naming_the_argument() {
         &["--quick", "--timeout", "x"],
         "--timeout",
         &target,
+    );
+}
+
+#[test]
+fn a_value_flag_without_its_value_exits_two_naming_it() {
+    let target = scratch("bare-value-flag");
+    for (name, _) in BINS {
+        assert_refused(
+            name,
+            &["--quick", "--metrics-out"],
+            "--metrics-out",
+            &target,
+        );
+    }
+    assert_refused("table1", &["--jobs", "--quick"], "--jobs", &target);
+    assert_refused("repro-all", &["--timeout"], "--timeout", &target);
+    assert!(
+        !target.join("true").exists(),
+        "a bare --metrics-out wrote a file named `true`"
     );
 }
 

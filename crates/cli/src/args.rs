@@ -13,8 +13,8 @@ pub struct Args {
     pub command: String,
     /// Positional arguments after the subcommand.
     pub positionals: Vec<String>,
-    /// `--flag[=value]` pairs (bare flags store `"true"`).
-    pub flags: BTreeMap<String, String>,
+    /// `--flag[=value]` pairs; a flag given without a value maps to `None`.
+    pub flags: BTreeMap<String, Option<String>>,
     /// Everything after a literal `--` separator, verbatim and unparsed —
     /// `fcnemu request <addr> <kind> -- <forwarded args>` ships these to
     /// the daemon without this parser interpreting their `--flags`.
@@ -51,11 +51,10 @@ impl Args {
                 }
                 // `--flag=value` or `--flag value` or bare boolean flag.
                 if let Some((k, v)) = name.split_once('=') {
-                    flags.insert(k.to_string(), v.to_string());
-                } else if let Some(v) = it.next_if(|n| !n.starts_with("--")) {
-                    flags.insert(name.to_string(), v.clone());
+                    flags.insert(k.to_string(), Some(v.to_string()));
                 } else {
-                    flags.insert(name.to_string(), "true".to_string());
+                    let value = it.next_if(|n| !n.starts_with("--")).cloned();
+                    flags.insert(name.to_string(), value);
                 }
             } else {
                 positionals.push(tok.clone());
@@ -84,13 +83,21 @@ impl Args {
             .map_err(|_| ParseError(format!("{what} must be a positive integer")))
     }
 
-    /// Optional flag parsed into `T`.
-    pub fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ParseError> {
+    /// A value-taking flag's text: `None` when absent, and an error naming
+    /// the flag when it is given without a value.
+    pub fn value(&self, name: &str) -> Result<Option<&str>, ParseError> {
         match self.flags.get(name) {
+            None => Ok(None),
+            Some(None) => Err(ParseError(format!("--{name} needs a value"))),
+            Some(Some(v)) => Ok(Some(v)),
+        }
+    }
+
+    /// Optional value-taking flag parsed into `T` ([`Args::value`]).
+    pub fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ParseError> {
+        match self.value(name)? {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseError(format!("invalid value for --{name}: {v:?}"))),
+            Some(v) => parse_value(name, v),
         }
     }
 
@@ -108,9 +115,14 @@ impl Args {
         Ok(v)
     }
 
-    /// Boolean flag (present without a value, or `--flag true`).
-    pub fn has(&self, name: &str) -> bool {
-        self.flags.get(name).is_some_and(|v| v != "false")
+    /// Boolean flag: `false` when absent, `true` when bare, and otherwise
+    /// its value parsed as a `bool`.
+    pub fn switch(&self, name: &str) -> Result<bool, ParseError> {
+        match self.flags.get(name) {
+            None => Ok(false),
+            Some(None) => Ok(true),
+            Some(Some(v)) => parse_value(name, v),
+        }
     }
 
     /// Reject the first flag that `allowed` does not name, so a misspelled
@@ -122,6 +134,11 @@ impl Args {
             Some(k) => Err(ParseError(format!("unknown flag --{k} for {context}"))),
         }
     }
+}
+
+fn parse_value<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, ParseError> {
+    v.parse()
+        .map_err(|_| ParseError(format!("invalid value for --{name}: {v:?}")))
 }
 
 #[cfg(test)]
@@ -138,14 +155,29 @@ mod tests {
         assert_eq!(a.command, "beta");
         assert_eq!(a.positionals, vec!["mesh2", "256"]);
         assert_eq!(a.flag::<usize>("trials", 1).unwrap(), 4);
-        assert!(a.has("steady"));
-        assert!(!a.has("missing"));
+        assert_eq!(a.switch("steady"), Ok(true));
+        assert_eq!(a.switch("missing"), Ok(false));
     }
 
     #[test]
     fn parses_equals_form() {
         let a = Args::parse(&argv("build tree 63 --format=dot")).unwrap();
-        assert_eq!(a.flags.get("format").unwrap(), "dot");
+        assert_eq!(a.value("format").unwrap(), Some("dot"));
+    }
+
+    #[test]
+    fn a_bare_value_flag_is_an_error_naming_it() {
+        let a = Args::parse(&argv("machines --quick --metrics-out")).unwrap();
+        assert_eq!(a.switch("quick"), Ok(true));
+        let err = a.value("metrics-out").unwrap_err();
+        assert_eq!(err.0, "--metrics-out needs a value");
+        let a = Args::parse(&argv("beta mesh2 16 --jobs --verbose")).unwrap();
+        assert_eq!(a.switch("verbose"), Ok(true));
+        let err = a.flag::<usize>("jobs", 0).unwrap_err();
+        assert_eq!(err.0, "--jobs needs a value");
+        assert_eq!(a.switch("missing"), Ok(false));
+        let a = Args::parse(&argv("x --quick=no")).unwrap();
+        assert!(a.switch("quick").is_err());
     }
 
     #[test]
@@ -188,7 +220,7 @@ mod tests {
     fn boolean_then_positional_disambiguation() {
         // `--steady` followed by another flag stays boolean.
         let a = Args::parse(&argv("beta mesh2 --steady --trials 2")).unwrap();
-        assert!(a.has("steady"));
+        assert_eq!(a.switch("steady"), Ok(true));
         assert_eq!(a.flag::<usize>("trials", 0).unwrap(), 2);
     }
 }

@@ -204,13 +204,9 @@ fn cmd_build(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
     let size = args.count(1, "size")?;
     let seed = args.flag("seed", 0u64)?;
-    let format = args
-        .flags
-        .get("format")
-        .cloned()
-        .unwrap_or_else(|| "summary".into());
+    let format = args.value("format")?.unwrap_or("summary");
     let m = build(&id, size, seed)?;
-    match format.as_str() {
+    match format {
         "summary" => {
             let _ = writeln!(out, "machine   : {}", m.name());
             let _ = writeln!(out, "processors: {}", m.processors());
@@ -260,8 +256,8 @@ pub(crate) fn beta_with(
     // Router tick budget; 0 keeps the default. Cells that exhaust it are
     // reported (under --verbose) instead of silently depressing the plateau.
     let max_ticks = args.flag("max-ticks", 0u64)?;
-    let steady = args.has("steady");
-    let verbose = args.has("verbose");
+    let steady = args.switch("steady")?;
+    let verbose = args.switch("verbose")?;
     if trials == 0 {
         return Err("--trials must be at least 1".into());
     }
@@ -365,9 +361,9 @@ pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> CmdResult {
     let seed = args.flag("seed", 0xbeadu64)?;
     let fault_seed = args.flag("fault-seed", 0xfa17u64)?;
     let jobs = args.flag("jobs", if served { 1 } else { 0 })?;
-    let quick = args.has("quick");
-    let verbose = args.has("verbose");
-    let rates_flag = args.flags.get("rates").cloned();
+    let quick = args.switch("quick")?;
+    let verbose = args.switch("verbose")?;
+    let rates_flag = args.value("rates")?;
     if trials == 0 {
         return Err("--trials must be at least 1".into());
     }
@@ -679,16 +675,12 @@ fn cmd_fig1(args: &Args, out: Out) -> CmdResult {
 /// summary (histograms show count / sum / mean).
 fn cmd_metrics(args: &Args, out: Out) -> CmdResult {
     let path = args.pos(0, "snapshot.jsonl")?.to_string();
-    let format = args
-        .flags
-        .get("format")
-        .cloned()
-        .unwrap_or_else(|| "table".into());
+    let format = args.value("format")?.unwrap_or("table");
     let text = std::fs::read_to_string(&path)
         .map_err(|e| CmdError::Io(format!("cannot read {path:?}: {e}")))?;
     let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&text)
         .map_err(|e| CmdError::Io(format!("invalid metrics snapshot {path:?}: {e}")))?;
-    match format.as_str() {
+    match format {
         "prom" => {
             let _ = write!(out, "{}", snap.to_prometheus());
         }

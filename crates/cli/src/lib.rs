@@ -31,7 +31,13 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
     // Typed failures map to exit codes: domain errors (unknown family,
     // failed verification) exit 1, I/O and schema errors exit 2 — the same
     // convention the BENCH binaries use for snapshot validation.
-    let metrics_out = args.flags.get("metrics-out").map(String::as_str);
+    let metrics_out = match args.value("metrics-out") {
+        Ok(path) => path,
+        Err(e) => {
+            let _ = writeln!(out, "error: {e}");
+            return 1;
+        }
+    };
     let (code, written) = with_metrics_out(metrics_out, || match commands::dispatch(&args, out) {
         Ok(()) => 0,
         Err(e) => {

@@ -4,9 +4,9 @@
 //! [`fcn_serve::Server`] via [`CliHandler`], which is what makes a served
 //! response byte-identical to the inline invocation: `audit` requests
 //! literally run [`crate::run`] into a buffer, `beta` runs the same body
-//! through [`crate::commands::beta_with`] with the daemon's warm registry
-//! and the request's deadline flag threaded in, and `faults` runs
-//! [`crate::commands::faults_with`] with the served worker default.
+//! through `commands::beta_with` with the daemon's warm registry and the
+//! request's deadline flag threaded in, and `faults` runs
+//! `commands::faults_with` with the served worker default.
 
 use std::io::Write;
 use std::sync::atomic::AtomicBool;
@@ -124,11 +124,7 @@ impl Handler for CliHandler {
 /// `fcnemu serve`: bind, announce the resolved address, then serve until
 /// SIGTERM/SIGINT triggers a graceful drain.
 pub(crate) fn cmd_serve(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let addr = args
-        .flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:0".into());
+    let addr = args.value("addr")?.unwrap_or("127.0.0.1:0");
     let max_inflight = args.flag("max-inflight", 8usize)?;
     let max_queued = args.flag("max-queued", 16usize)?;
     let queue_wait_ms = args.flag("queue-wait-ms", 250u64)?;
@@ -136,12 +132,12 @@ pub(crate) fn cmd_serve(args: &Args, out: &mut dyn Write) -> CmdResult {
     let poll_interval_ms = args.flag("poll-ms", 20u64)?;
     let chaos_seed = args.flag("chaos-seed", 0u64)?;
     let chaos_stall_ms = args.flag("chaos-stall-ms", 5u64)?;
-    let chaos_rates = args.flags.get("chaos-rates").cloned();
+    let chaos_rates = args.value("chaos-rates")?;
     // Wire chaos is opt-in: injection happens only when a rates flag
     // names a nonzero rate, and then only through the seeded plan.
     let chaos = match chaos_rates {
         Some(spec) => {
-            let rates = ChaosRates::parse(&spec).map_err(CmdError::Run)?;
+            let rates = ChaosRates::parse(spec).map_err(CmdError::Run)?;
             (!rates.is_zero()).then(|| {
                 let mut spec = ChaosSpec::new(chaos_seed, rates);
                 spec.max_stall_ms = chaos_stall_ms;
@@ -155,7 +151,7 @@ pub(crate) fn cmd_serve(args: &Args, out: &mut dyn Write) -> CmdResult {
     // requests have per-request counters to render.
     fcn_telemetry::global().set_enabled(true);
     let config = ServerConfig {
-        addr: addr.clone(),
+        addr: addr.to_string(),
         max_inflight,
         max_queued,
         queue_wait_ms,

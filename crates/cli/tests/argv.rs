@@ -130,6 +130,48 @@ fn flag_name() -> impl Strategy<Value = String> {
     })
 }
 
+/// A value-taking flag given without its value is a usage error naming the
+/// flag, checked on the real binary in a directory of its own: a bare
+/// `--metrics-out` must not write a snapshot to a file named `true`.
+#[test]
+fn a_value_flag_without_its_value_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("fcn-cli-bare-flag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (argv, flag) in [
+        (&["machines", "--metrics-out"][..], "--metrics-out"),
+        (&["beta", "mesh2", "16", "--jobs"][..], "--jobs"),
+        (
+            &["build", "ring", "8", "--format", "--seed", "1"][..],
+            "--format",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fcnemu"))
+            .args(argv)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {text}");
+        assert!(
+            text.contains(&format!("error: {flag} needs a value")),
+            "{argv:?}: {text}"
+        );
+    }
+    // Bare boolean flags keep working.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fcnemu"))
+        .args(["beta", "mesh2", "16", "--trials", "1", "--verbose"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(
+        !dir.join("true").exists(),
+        "a bare --metrics-out wrote a file named `true`"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 

@@ -5,7 +5,7 @@
 //! the corresponding vertex in `G`, `t` is the guest time step, and `c` is
 //! the copy number." Copies introduce *redundancy*: a single guest
 //! operation may be performed at several places, which is what makes the
-//! emulation model general (Koch et al. [7]). A circuit is *efficient* if a
+//! emulation model general (Koch et al. \[7\]). A circuit is *efficient* if a
 //! `t`-step circuit has `O(|G|·t)` nodes.
 //!
 //! [`Circuit`] stores levels of `(vertex, copy)` nodes and the arcs between

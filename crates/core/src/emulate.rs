@@ -17,7 +17,7 @@
 //!   the reason it must assume the general redundant model.
 
 use fcn_multigraph::{contiguous_blocks, NodeId};
-use fcn_routing::{plan_routes, RouteCtx, RouterConfig, Strategy};
+use fcn_routing::{RouteCtx, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
 
@@ -136,8 +136,7 @@ pub fn direct_emulation(
         let ticks = if demands.is_empty() {
             0
         } else {
-            let routes = plan_routes(host, &demands, cfg.strategy, seed);
-            let out = ctx.route_paths(&routes, cfg.router);
+            let out = ctx.route_demands(&demands, cfg.strategy, seed, cfg.router);
             assert!(out.completed, "routing did not complete; raise max_ticks");
             out.ticks
         };
@@ -218,8 +217,7 @@ pub fn block_mesh_emulation(
         let ticks = if demands.is_empty() {
             0
         } else {
-            let routes = plan_routes(host, &demands, cfg.strategy, seed);
-            let out = ctx.route_paths(&routes, cfg.router);
+            let out = ctx.route_demands(&demands, cfg.strategy, seed, cfg.router);
             assert!(out.completed, "phase routing did not complete");
             out.ticks
         };

@@ -14,7 +14,7 @@
 //! stencils, all-to-all, tree broadcast, and random permutations.
 
 use fcn_multigraph::{Cut, Embedding, Multigraph, MultigraphBuilder, NodeId, Traffic};
-use fcn_routing::{plan_routes, route_batch, RouterConfig, Strategy};
+use fcn_routing::{RouteCtx, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -231,8 +231,7 @@ pub fn execute_pattern(
     let (ticks_measured, witness) = if demands.is_empty() {
         (0, None)
     } else {
-        let routes = plan_routes(host, &demands, Strategy::ShortestPath, seed);
-        let out = route_batch(host, routes, cfg);
+        let out = RouteCtx::new(host).route_demands(&demands, Strategy::ShortestPath, seed, cfg);
         assert!(out.completed, "pattern routing incomplete");
         // Embedding witness for the congestion side.
         let collapsed = fcn_multigraph::collapse(&pattern.graph, &assign, m);

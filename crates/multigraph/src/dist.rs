@@ -6,6 +6,7 @@
 //! also needs the mean pairwise distance. Everything here is unweighted BFS:
 //! multiplicities affect capacity, not hop counts.
 
+use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 
@@ -65,8 +66,47 @@ pub fn bfs_parents(g: &Multigraph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
     (dist, parent)
 }
 
+/// BFS parents with randomized tie-breaking, restricted to the subgraph
+/// induced by vertices `0..limit`: a FIFO queue, each dequeued vertex's
+/// neighbours shuffled by `rng`, and the first visit wins. Independent
+/// shuffles spread shortest paths across equal-length alternatives.
+/// `NodeId::MAX` marks a vertex not reached; the source is its own parent.
+///
+/// # Panics
+/// Panics if `src` is not below `limit`.
+pub fn bfs_parents_shuffled(
+    g: &Multigraph,
+    src: NodeId,
+    limit: usize,
+    rng: &mut impl Rng,
+) -> Vec<NodeId> {
+    assert!((src as usize) < limit, "source {src} outside node limit");
+    let n = g.node_count();
+    let mut parent = vec![NodeId::MAX; n];
+    // Every vertex enters the queue once, so a vector read from `head` is
+    // the FIFO.
+    let mut queue = Vec::with_capacity(n.min(limit));
+    parent[src as usize] = src;
+    queue.push(src);
+    let mut neighbours: Vec<NodeId> = Vec::new();
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        neighbours.clear();
+        neighbours.extend(g.neighbors(u).map(|(v, _)| v));
+        neighbours.shuffle(rng);
+        for &v in &neighbours {
+            if (v as usize) < limit && parent[v as usize] == NodeId::MAX {
+                parent[v as usize] = u;
+                queue.push(v);
+            }
+        }
+    }
+    parent
+}
+
 /// Extract the `src -> dst` shortest path from a parent array produced by
-/// [`bfs_parents`] rooted at `src`. Returns the vertex sequence including
+/// [`bfs_parents`] or [`bfs_parents_shuffled`] rooted at `src`. Returns the vertex sequence including
 /// both endpoints, or `None` if `dst` is unreachable.
 pub fn path_from_parents(parent: &[NodeId], src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
     if parent[dst as usize] == NodeId::MAX {

@@ -13,11 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 
-use crate::dist::path_from_parents;
+use crate::dist::{bfs_parents_shuffled, path_from_parents};
 use crate::graph::{EdgeRef, Multigraph, NodeId};
 
 /// An embedding of `guest` into `host`: a vertex map and one host routing
@@ -83,7 +82,7 @@ impl Embedding {
             // and inflate the congestion witness.
             let parent = trees
                 .entry(src)
-                .or_insert_with(|| bfs_parents_shuffled(host, src, rng));
+                .or_insert_with(|| bfs_parents_shuffled(host, src, host.node_count(), rng));
             let p = path_from_parents(parent, src, dst)
                 // fcn-allow: ERR-UNWRAP documented precondition: callers embed into connected hosts
                 .unwrap_or_else(|| panic!("host disconnects images {src} and {dst}"));
@@ -136,7 +135,7 @@ impl Embedding {
             }
             let w = mids[i];
             if current != Some(w) {
-                parent = bfs_parents_shuffled(host, w, rng);
+                parent = bfs_parents_shuffled(host, w, host.node_count(), rng);
                 current = Some(w);
             }
             // Leg 1: src -> w is the reverse of the tree path w -> src.
@@ -250,33 +249,6 @@ impl Embedding {
             guest.simple_edge_count() as f64 / stats.congestion as f64
         }
     }
-}
-
-/// BFS parents with per-vertex neighbor shuffling drawn freshly from `rng`:
-/// every tree gets independent tie-breaking, so witnesses built from many
-/// trees spread load across equal-length alternatives.
-fn bfs_parents_shuffled(g: &Multigraph, src: NodeId, rng: &mut impl Rng) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut dist = vec![u32::MAX; n];
-    let mut parent = vec![NodeId::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    let mut scratch: Vec<NodeId> = Vec::new();
-    dist[src as usize] = 0;
-    parent[src as usize] = src;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        scratch.clear();
-        scratch.extend(g.neighbors(u).map(|(v, _)| v));
-        scratch.shuffle(rng);
-        for &v in &scratch {
-            if dist[v as usize] == u32::MAX {
-                dist[v as usize] = dist[u as usize] + 1;
-                parent[v as usize] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    parent
 }
 
 #[cfg(test)]

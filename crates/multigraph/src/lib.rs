@@ -6,7 +6,7 @@
 //!
 //! The paper describes both *network machines* and *communication patterns*
 //! as multigraphs: "vertices represent processors, and edges represent
-//! communication links [or] messages sent between processors". This crate
+//! communication links \[or\] messages sent between processors". This crate
 //! provides that shared representation plus the graph machinery the proofs
 //! lean on:
 //!
@@ -21,7 +21,7 @@
 //!   paper's `λ`-side quantities);
 //! * [`embedding`] — explicit embeddings with congestion/dilation accounting
 //!   (`C(H,G)`, `Λ(H,G)`, `λ(H,G)` at finite size);
-//! * [`collapse`] — super-vertex collapse with load accounting (Lemma 11).
+//! * [`collapse`](mod@collapse) — super-vertex collapse with load accounting (Lemma 11).
 
 pub mod collapse;
 pub mod cut;
@@ -34,8 +34,8 @@ pub mod traffic;
 pub use collapse::{collapse, contiguous_blocks, random_balanced, round_robin, CollapseResult};
 pub use cut::{best_flux_bound, candidate_cuts, improve_cut, Cut, CutStats};
 pub use dist::{
-    avg_distance_exact, avg_distance_sampled, bfs_distances, bfs_parents, diameter, distance_stats,
-    pair_distance_sum, path_from_parents, DistanceStats, UNREACHABLE,
+    avg_distance_exact, avg_distance_sampled, bfs_distances, bfs_parents, bfs_parents_shuffled,
+    diameter, distance_stats, pair_distance_sum, path_from_parents, DistanceStats, UNREACHABLE,
 };
 pub use embedding::{Embedding, EmbeddingStats};
 pub use graph::{EdgeRef, Multigraph, MultigraphBuilder, NodeId};

@@ -1,24 +1,23 @@
 //! Compile-once / run-many router artifacts.
 //!
-//! The synchronous router used to rebuild its directed-wire arrays and
-//! re-derive every packet's next-hop wire (a per-hop binary search) on
-//! *every* [`crate::engine::route_batch`] call — hundreds of times per
-//! estimator grid point. This module splits that work into three reusable
-//! artifacts:
+//! The reference router ([`crate::engine::reference::route_batch`])
+//! rebuilds its directed-wire arrays and re-derives every packet's next-hop
+//! wire (a per-hop binary search) on every call. This module splits that
+//! work into three reusable artifacts:
 //!
 //! * [`CompiledNet`] — the machine's directed-wire CSR plus resolved
 //!   per-node send capacities, compiled **once per machine** and shared
 //!   (`Arc`) across every batch of a sweep;
-//! * [`PacketBatch`] — a structure-of-arrays arena holding all paths of a
-//!   batch flattened into one `path_nodes` vector, with each hop
-//!   **pre-compiled to its wire id** so the tick loop never searches the
-//!   adjacency again (the check degrades to a debug assertion);
+//! * [`PacketBatch`] — a batch's routes as flat runs of **wire ids**, each
+//!   hop resolved once, so the tick loop never searches the adjacency. The
+//!   wire ids are the batch's only copy of its routes:
+//!   [`PacketBatch::decode_path`] recovers any packet's vertices from them;
 //! * [`RouteError`] — the typed error produced when a path is not a walk of
-//!   the host graph (replacing the engine's old `panic!` lookup failure).
+//!   the host graph.
 //!
 //! Compilation is pure bookkeeping: it draws no randomness and therefore
 //! cannot perturb the engine's RNG stream. `route_compiled` is
-//! bit-identical to the legacy per-call rebuild (pinned by
+//! bit-identical to the reference engine (pinned by
 //! `tests/compiled_router.rs`).
 
 use std::fmt;
@@ -33,10 +32,10 @@ use crate::packet::PacketPath;
 /// A path that is not a walk of the compiled host graph.
 ///
 /// Paths produced by [`crate::oracle::PathOracle`] and
-/// [`crate::native::plan_routes`] are walks by construction, so this error
+/// [`crate::native::plan_trial`] are walks by construction, so this error
 /// only surfaces for hand-built [`PacketPath`]s (ablations, tests, external
-/// inputs) — which is why [`PacketBatch::compile`] returns it while the
-/// planner-facing entry points panic instead.
+/// inputs) — which is why [`PacketBatch::compile`] returns it while
+/// [`crate::RouteCtx::route_demands`] panics instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {
     /// A path mentions a vertex the host does not have.
@@ -58,9 +57,15 @@ pub enum RouteError {
         /// Index of the packet whose path is malformed.
         packet: usize,
     },
+    /// A path with no vertex at all (`PacketPath::path` is a public
+    /// field, so `PacketPath::new`'s check can be bypassed).
+    EmptyPath {
+        /// Index of the packet whose path is empty.
+        packet: usize,
+    },
     /// An arena grew past what its `u32` offsets can index: a net with
-    /// more directed wires or outage windows, or a batch with more path
-    /// vertices, than `u32::MAX`.
+    /// more directed wires or outage windows, or a batch with more packets
+    /// or hops, than `u32::MAX`.
     OffsetOverflow {
         /// Arena length that did not fit.
         len: usize,
@@ -75,8 +80,8 @@ pub(crate) fn offset(len: usize) -> Result<u32, RouteError> {
 
 /// Check that `packets` packets fit the router's `u32` packet ids: its
 /// queues store `pid as u32` (packed as `key << 32 | pid` under priority
-/// disciplines), so a compiled batch holds at most `u32::MAX` packets.
-fn packet_ids(packets: usize) -> Result<u32, RouteError> {
+/// disciplines), so a batch holds at most `u32::MAX` packets.
+pub(crate) fn packet_ids(packets: usize) -> Result<u32, RouteError> {
     offset(packets)
 }
 
@@ -94,6 +99,7 @@ impl fmt::Display for RouteError {
             RouteError::NoWire { from, to, packet } => {
                 write!(f, "packet {packet}: no wire {from} -> {to}")
             }
+            RouteError::EmptyPath { packet } => write!(f, "packet {packet}: empty path"),
             RouteError::OffsetOverflow { len } => {
                 write!(f, "arena of {len} entries overflows its u32 offsets")
             }
@@ -425,24 +431,22 @@ impl CompiledNet {
     }
 }
 
-/// A batch of packets in structure-of-arrays form, pre-compiled against a
-/// [`CompiledNet`].
+/// A batch of packets pre-compiled against a [`CompiledNet`]: every route
+/// is a run of wire ids.
 ///
-/// All vertex sequences are flattened into `path_nodes` (packet `i` owns
-/// `path_offsets[i]..path_offsets[i+1]`), and every hop is resolved to its
-/// wire id at build time (`wire_ids`; packet `i`'s hops start at
-/// `path_offsets[i] - i` because a `k`-vertex path has `k - 1` hops). The
-/// tick loop therefore reads two flat arrays instead of chasing one heap
-/// allocation per packet, and performs **zero** adjacency searches.
+/// Packet `i`'s hops are `wire_ids[hop_offsets[i]..hop_offsets[i+1]]`. The
+/// tick loop reads these two flat arrays and performs **zero** adjacency
+/// searches. A packet's vertices are the tail of its first wire followed by
+/// the head of every wire ([`PacketBatch::decode_path`]); only packets that
+/// are already at their destination keep their one vertex apart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketBatch {
-    /// `path_offsets[i]..path_offsets[i+1]` indexes `path_nodes`.
-    path_offsets: Vec<u32>,
-    /// Concatenated vertex sequences.
-    path_nodes: Vec<NodeId>,
-    /// Concatenated per-hop wire ids (`hops(i)` entries per packet, starting
-    /// at `path_offsets[i] - i`).
+    /// `hop_offsets[i]..hop_offsets[i+1]` indexes `wire_ids`.
+    hop_offsets: Vec<u32>,
+    /// Concatenated per-hop wire ids.
     wire_ids: Vec<u32>,
+    /// `(packet, vertex)` of every zero-hop packet, ascending by packet.
+    resting: Vec<(u32, NodeId)>,
 }
 
 impl PacketBatch {
@@ -451,64 +455,53 @@ impl PacketBatch {
     /// Fails with a [`RouteError`] when some path is not a walk of the host
     /// graph (planner-produced paths are walks by construction), and with
     /// [`RouteError::OffsetOverflow`] when the batch holds more than
-    /// `u32::MAX` packets.
+    /// `u32::MAX` packets or hops.
     pub fn compile(net: &CompiledNet, paths: &[PacketPath]) -> Result<PacketBatch, RouteError> {
         packet_ids(paths.len())?;
-        let total_nodes: usize = paths.iter().map(|p| p.path.len()).sum();
+        let total_hops: usize = paths.iter().map(|p| p.path.len().saturating_sub(1)).sum();
         let mut batch = PacketBatch {
-            path_offsets: Vec::with_capacity(paths.len() + 1),
-            path_nodes: Vec::with_capacity(total_nodes),
-            wire_ids: Vec::with_capacity(total_nodes.saturating_sub(paths.len())),
+            hop_offsets: Vec::with_capacity(paths.len() + 1),
+            wire_ids: Vec::with_capacity(total_hops),
+            resting: Vec::new(),
         };
-        batch.path_offsets.push(0);
+        batch.hop_offsets.push(0);
+        let n = net.node_count();
         for (packet, p) in paths.iter().enumerate() {
-            batch.push_path(net, &p.path, packet)?;
+            let out_of_range = |node: NodeId| RouteError::NodeOutOfRange {
+                node,
+                nodes: n,
+                packet,
+            };
+            if p.path.is_empty() {
+                return Err(RouteError::EmptyPath { packet });
+            }
+            if let [only] = p.path[..] {
+                if only as usize >= n {
+                    return Err(out_of_range(only));
+                }
+                batch.resting.push((packet as u32, only));
+            }
+            for win in p.path.windows(2) {
+                let (u, v) = (win[0], win[1]);
+                if u as usize >= n || v as usize >= n {
+                    return Err(out_of_range(if u as usize >= n { u } else { v }));
+                }
+                let w = net.wire_between(u, v).ok_or(RouteError::NoWire {
+                    from: u,
+                    to: v,
+                    packet,
+                })?;
+                batch.wire_ids.push(w);
+            }
+            batch.hop_offsets.push(offset(batch.wire_ids.len())?);
         }
         Ok(batch)
-    }
-
-    /// Append one vertex sequence, compiling its hops. Exposed so planners
-    /// can stream paths into an arena without an intermediate `Vec`.
-    pub(crate) fn push_path(
-        &mut self,
-        net: &CompiledNet,
-        path: &[NodeId],
-        packet: usize,
-    ) -> Result<(), RouteError> {
-        debug_assert!(!path.is_empty(), "packet path cannot be empty");
-        for win in path.windows(2) {
-            let (u, v) = (win[0], win[1]);
-            if u as usize >= net.node_count() || v as usize >= net.node_count() {
-                let node = if u as usize >= net.node_count() { u } else { v };
-                return Err(RouteError::NodeOutOfRange {
-                    node,
-                    nodes: net.node_count(),
-                    packet,
-                });
-            }
-            let w = net.wire_between(u, v).ok_or(RouteError::NoWire {
-                from: u,
-                to: v,
-                packet,
-            })?;
-            self.wire_ids.push(w);
-        }
-        if path.len() == 1 && path[0] as usize >= net.node_count() {
-            return Err(RouteError::NodeOutOfRange {
-                node: path[0],
-                nodes: net.node_count(),
-                packet,
-            });
-        }
-        self.path_nodes.extend_from_slice(path);
-        self.path_offsets.push(offset(self.path_nodes.len())?);
-        Ok(())
     }
 
     /// Number of packets.
     #[inline]
     pub fn len(&self) -> usize {
-        self.path_offsets.len() - 1
+        self.hop_offsets.len() - 1
     }
 
     /// True when the batch holds no packets.
@@ -520,31 +513,13 @@ impl PacketBatch {
     /// Wire traversals packet `i` needs.
     #[inline]
     pub fn hops(&self, i: usize) -> u32 {
-        self.path_offsets[i + 1] - self.path_offsets[i] - 1
-    }
-
-    /// Start of packet `i`'s vertex range in the flat node arena.
-    #[inline]
-    pub(crate) fn node_base(&self, i: usize) -> u32 {
-        self.path_offsets[i]
+        self.hop_offsets[i + 1] - self.hop_offsets[i]
     }
 
     /// Start of packet `i`'s hop range in the flat wire arena.
     #[inline]
     pub(crate) fn wire_base(&self, i: usize) -> u32 {
-        self.path_offsets[i] - i as u32
-    }
-
-    /// Vertex at position `pos` of packet `i`'s path.
-    #[inline]
-    pub(crate) fn node_at(&self, base: u32, pos: u32) -> NodeId {
-        self.path_nodes[(base + pos) as usize]
-    }
-
-    /// Wire of hop `pos` of a packet with hop base `base`.
-    #[inline]
-    pub(crate) fn wire_at(&self, base: u32, pos: u32) -> u32 {
-        self.wire_ids[(base + pos) as usize]
+        self.hop_offsets[i]
     }
 
     /// Wire id at flat arena index `idx` (the engine's per-packet cursor).
@@ -553,15 +528,9 @@ impl PacketBatch {
         self.wire_ids[idx]
     }
 
-    /// Packet `i`'s vertex sequence.
-    pub fn path(&self, i: usize) -> &[NodeId] {
-        &self.path_nodes[self.path_offsets[i] as usize..self.path_offsets[i + 1] as usize]
-    }
-
     /// Packet `i`'s compiled wire-id sequence.
     pub fn wires(&self, i: usize) -> &[u32] {
-        let base = self.wire_base(i) as usize;
-        &self.wire_ids[base..base + self.hops(i) as usize]
+        &self.wire_ids[self.hop_offsets[i] as usize..self.hop_offsets[i + 1] as usize]
     }
 
     /// Total wire traversals across the batch.
@@ -569,16 +538,18 @@ impl PacketBatch {
         self.wire_ids.len() as u64
     }
 
-    /// Reconstruct packet `i`'s vertex sequence from its *wire ids* alone
-    /// (source vertex + wire heads). Compilation is lossless, so this
-    /// round-trips the input path — pinned property-style by
-    /// `tests/compiled_router.rs`.
+    /// Packet `i`'s vertex sequence, decoded from its wire ids (source
+    /// vertex + wire heads). Compilation is lossless, so this round-trips
+    /// the input path — pinned property-style by `tests/compiled_router.rs`.
     pub fn decode_path(&self, net: &CompiledNet, i: usize) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.hops(i) as usize + 1);
-        out.push(self.path(i)[0]);
-        for &w in self.wires(i) {
-            out.push(net.wire_head(w));
-        }
+        let wires = self.wires(i);
+        let Some(&first) = wires.first() else {
+            let at = self.resting.partition_point(|&(p, _)| (p as usize) < i);
+            return vec![self.resting[at].1];
+        };
+        let mut out = Vec::with_capacity(wires.len() + 1);
+        out.push(net.wire_tail(first));
+        out.extend(wires.iter().map(|&w| net.wire_head(w)));
         out
     }
 }
@@ -678,7 +649,6 @@ mod tests {
         assert_eq!((batch.hops(0), batch.hops(1), batch.hops(2)), (3, 0, 1));
         assert_eq!(batch.total_hops(), 4);
         for (i, p) in paths.iter().enumerate() {
-            assert_eq!(batch.path(i), &p.path[..]);
             assert_eq!(batch.decode_path(&net, i), p.path);
             assert_eq!(batch.wires(i).len(), p.hops());
         }
@@ -716,5 +686,16 @@ mod tests {
         assert!(matches!(err, RouteError::NodeOutOfRange { node: 7, .. }));
         let err = PacketBatch::compile(&net, &[PacketPath::new(vec![9])]).unwrap_err();
         assert!(matches!(err, RouteError::NodeOutOfRange { node: 9, .. }));
+    }
+
+    #[test]
+    fn empty_path_is_a_typed_error() {
+        // A zero-hop packet's vertex is what `decode_path` returns, so a
+        // path with no vertex must not compile.
+        let net = CompiledNet::compile(&Machine::linear_array(3));
+        let paths = [PacketPath::new(vec![1]), PacketPath { path: vec![] }];
+        let err = PacketBatch::compile(&net, &paths).unwrap_err();
+        assert_eq!(err, RouteError::EmptyPath { packet: 1 });
+        assert_eq!(err.to_string(), "packet 1: empty path");
     }
 }

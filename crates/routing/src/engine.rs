@@ -15,14 +15,16 @@
 //!
 //! ## Compile / run split
 //!
-//! The hot entry point is [`route_compiled`]: it runs a pre-compiled
+//! The one run-a-batch kernel is [`route_compiled`]: it runs a pre-compiled
 //! [`PacketBatch`] over a shared [`CompiledNet`] using a caller-owned
 //! [`RouterScratch`], so a sweep performs O(1) allocations per batch and
 //! the tick loop touches only flat arrays (no per-hop adjacency search —
-//! hops were resolved to wire ids at batch-compile time). [`route_batch`]
-//! keeps the legacy compile-on-every-call signature as a thin wrapper, and
-//! [`reference`] retains the original single-function simulator as the
-//! executable specification the compiled path is pinned against
+//! hops were resolved to wire ids at batch-compile time).
+//! [`route_compiled_pooled`] runs it on the calling thread's scratch.
+//! Demands are planned and routed in one call by
+//! [`crate::RouteCtx::route_demands`]. [`reference`](mod@reference)
+//! retains the original single-function simulator as the executable
+//! specification the compiled path is pinned against
 //! (`tests/compiled_router.rs`).
 //!
 //! Determinism: for a given `(batch, RouterConfig)` the compiled and
@@ -43,7 +45,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::compiled::{CompiledNet, PacketBatch};
+use crate::compiled::{packet_ids, CompiledNet, PacketBatch, RouteError};
 use crate::packet::{PacketPath, QueueDiscipline};
 
 /// Router configuration.
@@ -517,9 +519,8 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
             continue;
         }
         let wb = batch.wire_base(pid);
-        let w = batch.wire_at(wb, 0) as usize;
+        let w = batch.wire_flat(wb as usize) as usize;
         let src = net.wire_tail(w as u32);
-        debug_assert_eq!(src, batch.node_at(batch.node_base(pid), 0));
         scr.remaining[pid] = hops;
         scr.cursor[pid] = wb + 1;
         let key = key_of::<DISC>(hops, scr.rank[pid]);
@@ -725,33 +726,6 @@ pub fn route_compiled_pooled(
     POOLED_SCRATCH.with(|s| route_compiled(net, batch, cfg, &mut s.borrow_mut(), None))
 }
 
-/// Route a batch of packets to completion on a machine.
-///
-/// All packets are injected at tick 0 (the paper's "deliver all m messages"
-/// batch semantics); the returned outcome's [`RoutingOutcome::rate`] is the
-/// delivery-rate sample `m / r(m)`.
-///
-/// This is the compile-on-every-call convenience wrapper: it compiles the
-/// machine's [`CompiledNet`] and the batch afresh. Sweeps that route many
-/// batches on one machine should compile once and call [`route_compiled`]
-/// (or go through [`crate::harness::RouteCtx`]).
-///
-/// # Panics
-/// Panics if some path is not a walk of the host graph; compile the batch
-/// with [`PacketBatch::compile`] to get the typed [`crate::RouteError`]
-/// instead.
-pub fn route_batch(
-    machine: &Machine,
-    packets: Vec<PacketPath>,
-    cfg: RouterConfig,
-) -> RoutingOutcome {
-    let net = CompiledNet::compile(machine);
-    let batch = PacketBatch::compile(&net, &packets)
-        // fcn-allow: ERR-UNWRAP documented panicking wrapper; `PacketBatch::compile` is the typed-error entry point
-        .unwrap_or_else(|e| panic!("{e}"));
-    route_compiled_pooled(&net, &batch, cfg)
-}
-
 /// The executable specification [`route_compiled`] is pinned against.
 ///
 /// [`reference::route_batch`] is the original single-function simulator,
@@ -815,11 +789,20 @@ pub mod reference {
 
     /// Route a batch by rebuilding all routing state from scratch — the
     /// pre-compilation behavior, bit-for-bit.
+    ///
+    /// Fails with [`RouteError::OffsetOverflow`] when the batch holds more
+    /// than `u32::MAX` packets, checked before any packet is read.
+    ///
+    /// # Panics
+    /// Panics if some path is not a walk of the host graph; compile the
+    /// batch with [`PacketBatch::compile`] to get the typed error.
     pub fn route_batch(
         machine: &Machine,
-        packets: Vec<PacketPath>,
+        packets: impl IntoIterator<Item = PacketPath, IntoIter: ExactSizeIterator>,
         cfg: RouterConfig,
-    ) -> RoutingOutcome {
+    ) -> Result<RoutingOutcome, RouteError> {
+        let packets = packets.into_iter();
+        packet_ids(packets.len())?;
         let g = machine.graph();
         let n = g.node_count();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -844,7 +827,7 @@ pub mod reference {
             let hi = wire_offsets[u as usize + 1];
             lo + wire_to[lo..hi]
                 .binary_search(&v)
-                // fcn-allow: ERR-UNWRAP compile() already verified every hop is a host wire, so the search always succeeds
+                // fcn-allow: ERR-UNWRAP documented panic: the spec takes walks of the host graph
                 .unwrap_or_else(|_| panic!("no wire {u} -> {v}"))
         };
         let mut queues: Vec<WireQueue> = (0..wire_to.len())
@@ -860,7 +843,6 @@ pub mod reference {
 
         let total = packets.len();
         let mut states: Vec<PacketState> = packets
-            .into_iter()
             .map(|p| PacketState {
                 path: p,
                 pos: 0,
@@ -891,6 +873,7 @@ pub mod reference {
             let src = st.path.path[0];
             let w = wire_of(src, st.path.path[1]);
             let key = key_of(st, cfg.discipline);
+            // `packet_ids` bounded the batch to `u32::MAX` packets above.
             queues[w].push(key, pid as u32);
             node_queued[src as usize] += 1;
             if !node_listed[src as usize] {
@@ -974,7 +957,7 @@ pub mod reference {
             }
         }
 
-        RoutingOutcome {
+        Ok(RoutingOutcome {
             ticks,
             delivered,
             total,
@@ -990,7 +973,7 @@ pub mod reference {
             } else {
                 AbortCause::MaxTicks
             },
-        }
+        })
     }
 }
 
@@ -1007,11 +990,18 @@ mod tests {
         }
     }
 
+    /// Compile `packets` on `m` and run them on this thread's scratch.
+    fn route(m: &Machine, packets: Vec<PacketPath>, cfg: RouterConfig) -> RoutingOutcome {
+        let net = CompiledNet::compile(m);
+        let batch = PacketBatch::compile(&net, &packets).expect("test paths are walks");
+        route_compiled_pooled(&net, &batch, cfg)
+    }
+
     #[test]
     fn single_packet_takes_path_length_ticks() {
         let m = Machine::linear_array(10);
         let p = PacketPath::new((0..10).collect());
-        let out = route_batch(&m, vec![p], cfg(QueueDiscipline::Fifo));
+        let out = route(&m, vec![p], cfg(QueueDiscipline::Fifo));
         assert!(out.completed);
         assert_eq!(out.ticks, 9);
         assert_eq!(out.total_hops, 9);
@@ -1021,7 +1011,7 @@ mod tests {
     #[test]
     fn trivial_packets_deliver_at_tick_zero() {
         let m = Machine::linear_array(4);
-        let out = route_batch(
+        let out = route(
             &m,
             vec![PacketPath::new(vec![2]), PacketPath::new(vec![0])],
             cfg(QueueDiscipline::Fifo),
@@ -1037,7 +1027,7 @@ mod tests {
         // final crossing: flux in action.
         let m = Machine::linear_array(2);
         let packets: Vec<_> = (0..8).map(|_| PacketPath::new(vec![0, 1])).collect();
-        let out = route_batch(&m, packets, cfg(QueueDiscipline::Fifo));
+        let out = route(&m, packets, cfg(QueueDiscipline::Fifo));
         assert!(out.completed);
         assert_eq!(out.ticks, 8);
         assert_eq!(out.max_queue, 8);
@@ -1048,7 +1038,7 @@ mod tests {
         let m = Machine::linear_array(2);
         let mut packets: Vec<_> = (0..4).map(|_| PacketPath::new(vec![0, 1])).collect();
         packets.extend((0..4).map(|_| PacketPath::new(vec![1, 0])));
-        let out = route_batch(&m, packets, cfg(QueueDiscipline::Fifo));
+        let out = route(&m, packets, cfg(QueueDiscipline::Fifo));
         assert_eq!(out.ticks, 4);
     }
 
@@ -1061,7 +1051,7 @@ mod tests {
         let packets: Vec<_> = (0..6u32)
             .map(|i| PacketPath::new(vec![i, hub, (i + 1) % 6]))
             .collect();
-        let out = route_batch(&m, packets, cfg(QueueDiscipline::RandomRank));
+        let out = route(&m, packets, cfg(QueueDiscipline::RandomRank));
         assert!(out.completed);
         assert!(out.ticks >= 7, "bus finished too fast: {}", out.ticks);
         assert!(out.ticks <= 8, "bus too slow: {}", out.ticks);
@@ -1078,7 +1068,7 @@ mod tests {
             PacketPath::new(vec![0, 1, 3]),
             PacketPath::new(vec![0, 2, 3]),
         ];
-        let out = route_batch(&m, packets, cfg(QueueDiscipline::Fifo));
+        let out = route(&m, packets, cfg(QueueDiscipline::Fifo));
         assert!(out.completed);
         assert!(out.ticks >= 4, "weak cap violated: {}", out.ticks);
     }
@@ -1098,7 +1088,7 @@ mod tests {
             vec![Cut::prefix(2, 1)],
         );
         let packets: Vec<_> = (0..8).map(|_| PacketPath::new(vec![0, 1])).collect();
-        let out = route_batch(&m, packets, cfg(QueueDiscipline::Fifo));
+        let out = route(&m, packets, cfg(QueueDiscipline::Fifo));
         assert_eq!(out.ticks, 4);
     }
 
@@ -1113,7 +1103,7 @@ mod tests {
             let mut oracle = crate::oracle::PathOracle::new(m.graph(), 5);
             let demands: Vec<_> = (0..16u32).map(|i| (i, 15 - i)).collect();
             let routes = oracle.routes(&demands, crate::packet::Strategy::ShortestPath);
-            let out = route_batch(&m, routes, cfg(d));
+            let out = route(&m, routes, cfg(d));
             assert!(out.completed, "{d:?} did not complete");
             assert_eq!(out.delivered, 16);
         }
@@ -1125,24 +1115,25 @@ mod tests {
         let packets: Vec<_> = (0..100).map(|_| PacketPath::new(vec![0, 1])).collect();
         let mut c = cfg(QueueDiscipline::Fifo);
         c.max_ticks = 10;
-        let out = route_batch(&m, packets, c);
+        let out = route(&m, packets, c);
         assert!(!out.completed);
         assert_eq!(out.delivered, 10);
     }
 
     #[test]
-    fn malformed_route_panics_with_typed_message() {
-        let m = Machine::linear_array(4);
-        let panic = std::panic::catch_unwind(|| {
-            route_batch(
-                &m,
-                vec![PacketPath::new(vec![0, 3])],
-                cfg(QueueDiscipline::Fifo),
-            )
-        })
-        .expect_err("a path off the host graph must panic");
-        let msg = panic.downcast_ref::<String>().expect("formatted message");
-        assert!(msg.contains("no wire 0 -> 3"), "{msg}");
+    fn reference_refuses_more_packets_than_u32_ids() {
+        // The count is checked before a packet is read, so the oversized
+        // batch is never materialized.
+        let m = Machine::linear_array(2);
+        let over = u32::MAX as usize + 1;
+        let packets = std::iter::repeat_n(PacketPath::new(vec![0, 1]), over);
+        assert_eq!(
+            reference::route_batch(&m, packets, cfg(QueueDiscipline::Fifo)),
+            Err(RouteError::OffsetOverflow { len: over })
+        );
+        let packets = std::iter::repeat_n(PacketPath::new(vec![0, 1]), 3);
+        let out = reference::route_batch(&m, packets, cfg(QueueDiscipline::Fifo));
+        assert_eq!(out.map(|o| o.ticks), Ok(3));
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! `π`. [`measure_rate`] produces one `m / r(m)` sample; [`plateau_rate`]
 //! takes the largest completed sample of a geometric `m` sweep, approximating
 //! the limit.
+//!
+//! Everything here routes through a compile-once [`RouteCtx`], which has one
+//! demand-level call: [`RouteCtx::route_demands`] plans a batch of demands
+//! (around the context's faults, through its plan cache) and routes it.
+//! [`measure_rates_ctx`] does the same for one estimator trial's cells,
+//! planning them all at once. Both hand the planned routes to one private
+//! compile-and-route step.
 
 use std::cmp::Reverse;
 use std::sync::atomic::AtomicBool;
@@ -34,14 +41,15 @@ use crate::packet::{PacketPath, Strategy};
 /// sweep.
 ///
 /// ```
-/// use fcn_routing::{measure_rate_ctx, RouteCtx, RouterConfig, Strategy};
+/// use fcn_routing::{RouteCtx, RouterConfig, Strategy};
 /// use fcn_topology::Machine;
 ///
 /// let m = Machine::mesh(2, 4);
 /// let ctx = RouteCtx::new(&m);
-/// let t = m.symmetric_traffic();
-/// let s = measure_rate_ctx(&ctx, &t, 32, Strategy::ShortestPath, RouterConfig::default(), 1, 2);
-/// assert!(s.completed);
+/// let demands = [(0, 15), (3, 12), (5, 5)];
+/// let out = ctx.route_demands(&demands, Strategy::ShortestPath, 1, RouterConfig::default());
+/// assert!(out.completed);
+/// assert_eq!(out.delivered, 3);
 /// ```
 pub struct RouteCtx<'a> {
     machine: &'a Machine,
@@ -113,17 +121,45 @@ impl<'a> RouteCtx<'a> {
         self.cancel
     }
 
-    /// Compile and route planner-produced paths on this context's machine,
-    /// reusing the calling thread's pooled scratch and observing the
-    /// context's cancellation flag.
+    /// Plan `demands` as one batch and route it: the planner runs
+    /// ([`plan_trial`]) around the context's faults and through its plan
+    /// cache, then the routes run on the calling thread's pooled scratch
+    /// under the context's cancellation flag. `plan_seed` drives planning,
+    /// `cfg.seed` the router's ranks.
+    ///
+    /// On a faulted context, demands with no surviving route are left out
+    /// of the batch (the planner's telemetry counts them);
+    /// [`measure_rates_ctx`] reports them per cell.
+    pub fn route_demands(
+        &self,
+        demands: &[(NodeId, NodeId)],
+        strategy: Strategy,
+        plan_seed: u64,
+        cfg: RouterConfig,
+    ) -> RoutingOutcome {
+        let plan = plan_trial(
+            self.machine,
+            &[demands],
+            strategy,
+            plan_seed,
+            self.faults.as_ref(),
+            self.cache,
+            Pool::sequential(),
+        )
+        .swap_remove(0);
+        self.route_planned(&plan.paths, cfg)
+    }
+
+    /// Compile planner output and route it on the calling thread's pooled
+    /// scratch, observing the context's cancellation flag.
     ///
     /// # Panics
-    /// Panics if some path is not a walk of the host graph — impossible for
-    /// planner output; compile untrusted paths with
+    /// Panics if some path is not a walk of the host graph — a planner bug,
+    /// since planners only emit walks; compile untrusted paths with
     /// [`PacketBatch::compile`] to get the typed error instead.
-    pub fn route_paths(&self, paths: &[PacketPath], cfg: RouterConfig) -> RoutingOutcome {
+    fn route_planned(&self, paths: &[PacketPath], cfg: RouterConfig) -> RoutingOutcome {
         let batch = PacketBatch::compile(&self.net, paths)
-            // fcn-allow: ERR-UNWRAP documented panicking wrapper over planner output; `PacketBatch::compile` covers untrusted paths
+            // fcn-allow: ERR-UNWRAP documented panic: planners emit walks; `PacketBatch::compile` covers untrusted paths
             .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"));
         POOLED_SCRATCH
             .with(|s| route_compiled(&self.net, &batch, cfg, &mut s.borrow_mut(), self.cancel))
@@ -183,59 +219,31 @@ pub fn measure_rate(
     cfg: RouterConfig,
     seed: u64,
 ) -> RateSample {
-    measure_rate_ctx(
+    measure_rates_ctx(
         &RouteCtx::new(machine),
         traffic,
-        messages,
+        &[(messages, seed ^ 0x7ea55a17)],
         strategy,
         cfg,
-        seed ^ 0x7ea55a17,
         seed,
-    )
-}
-
-/// [`measure_rate`] over a compile-once [`RouteCtx`], with split seeds:
-/// sample demands, plan routes (around the context's faults and through its
-/// cache, if any),
-/// compile the batch to wire ids, and run it on the shared net with pooled
-/// scratch — the one-batch case of [`measure_rates_ctx`].
-///
-/// `demand_seed` drives the traffic draw, `plan_seed` drives route
-/// planning. Splitting them lets saturation sweeps vary the batch
-/// (different demand seeds per cell) while *reusing* one plan seed per
-/// trial, so every cell of the trial shares the same BFS trees. Results
-/// are bit-identical with or without the cache.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_rate_ctx(
-    ctx: &RouteCtx<'_>,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    demand_seed: u64,
-    plan_seed: u64,
-) -> RateSample {
-    measure_rates_ctx(
-        ctx,
-        traffic,
-        &[(messages, demand_seed)],
-        strategy,
-        cfg,
-        plan_seed,
         Pool::sequential(),
     )[0]
     .sample
 }
 
-/// [`measure_rate_ctx`] for several batches that share `plan_seed` — one
-/// estimator trial's cells, each `(messages, demand_seed)`.
+/// Measure several batches that share `plan_seed` — one estimator trial's
+/// cells, each `(messages, demand_seed)` — on a compile-once [`RouteCtx`].
 ///
-/// Every batch draws its demands, then [`crate::plan_trial`] plans them all
-/// at once around the context's faults (one BFS tree per distinct source
-/// across the batches, sources fanned out over `pool`), then the batches
-/// route on `pool`, largest first, so the longest run starts at once.
-/// Samples come back in batch order, each bit-identical to
-/// [`measure_rate_ctx`] on that batch alone, for every worker count.
+/// `demand_seed` drives a batch's traffic draw and `plan_seed` its route
+/// planning. Splitting them lets saturation sweeps vary the batch while
+/// *reusing* one plan seed per trial, so every cell of the trial shares the
+/// same BFS trees. Every batch draws its demands, then [`plan_trial`] plans
+/// them all at once around the context's faults and through its cache (one
+/// BFS tree per distinct source across the batches, sources fanned out over
+/// `pool`), then the batches route on `pool`, largest first, so the longest
+/// run starts at once. Samples come back in batch order, each bit-identical
+/// to measuring that batch alone, for every worker count, with or without
+/// a cache.
 pub fn measure_rates_ctx(
     ctx: &RouteCtx<'_>,
     traffic: &Traffic,
@@ -273,7 +281,7 @@ pub fn measure_rates_ctx(
     let mut order: Vec<usize> = (0..batches.len()).collect();
     order.sort_by_key(|&b| Reverse(batches[b].0));
     let outcomes = pool.run(order.len(), |k| {
-        ctx.route_paths(&plans[order[k]].paths, cfg)
+        ctx.route_planned(&plans[order[k]].paths, cfg)
     });
     let mut samples: Vec<(usize, CellSample)> = order
         .into_iter()
@@ -398,7 +406,10 @@ mod tests {
             .enumerate()
             .map(|(i, &mult)| {
                 let s = 9 + i as u64;
-                measure_rate_ctx(&ctx, &t, mult * 64, Strategy::ShortestPath, cfg(), s ^ 1, s)
+                let batch = [(mult * 64, s ^ 1)];
+                let pool = Pool::sequential();
+                measure_rates_ctx(&ctx, &t, &batch, Strategy::ShortestPath, cfg(), s, pool)[0]
+                    .sample
             })
             .collect();
         assert!(samples.iter().all(|s| s.completed));
@@ -430,23 +441,39 @@ mod tests {
     }
 
     #[test]
-    fn route_paths_matches_the_skip_free_reference() {
+    fn route_demands_matches_the_reference() {
         let m = Machine::mesh(2, 8);
         let t = m.symmetric_traffic();
         let never = AtomicBool::new(false);
+        let cache = PlanCache::default();
         let plain = RouteCtx::new(&m);
-        let watched = RouteCtx::new(&m).with_cancel(&never);
+        let watched = RouteCtx::new(&m).with_cancel(&never).with_cache(&cache);
         for seed in 0..3u64 {
             let mut rng = {
                 use rand::SeedableRng;
                 rand::rngs::StdRng::seed_from_u64(seed ^ 1)
             };
             let demands: Vec<_> = (0..96).map(|_| t.sample(&mut rng)).collect();
-            let paths = crate::native::plan_routes(&m, &demands, Strategy::ShortestPath, seed);
-            let spec = crate::engine::reference::route_batch(&m, paths.clone(), cfg());
-            assert_eq!(plain.route_paths(&paths, cfg()), spec, "seed {seed}");
-            assert_eq!(watched.route_paths(&paths, cfg()), spec, "seed {seed}");
+            let strategy = Strategy::ShortestPath;
+            let paths = crate::native::plan_routes_cached(&m, &demands, strategy, seed, None);
+            let spec = crate::engine::reference::route_batch(&m, paths, cfg());
+            let spec = spec.expect("a small batch fits u32 packet ids");
+            for ctx in [&plain, &watched] {
+                let out = ctx.route_demands(&demands, strategy, seed, cfg());
+                assert_eq!(out, spec, "seed {seed}");
+            }
         }
+    }
+
+    #[test]
+    fn malformed_route_panics_with_typed_message() {
+        let m = Machine::linear_array(4);
+        let panic = std::panic::catch_unwind(|| {
+            RouteCtx::new(&m).route_planned(&[PacketPath::new(vec![0, 3])], cfg())
+        })
+        .expect_err("a path off the host graph must panic");
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("no wire 0 -> 3"), "{msg}");
     }
 
     #[test]

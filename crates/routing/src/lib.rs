@@ -14,15 +14,18 @@
 //!   `(graph, node limit, source, seed)`;
 //! * [`cache`] — memoized BFS trees ([`PlanCache`]) serving repeated
 //!   batches on the same machine and seed;
+//! * [`native`] — machine-aware planning: [`plan_trial`] dispatches on each
+//!   machine's native routing policy and plans around faults;
 //! * [`compiled`] — the compile-once artifacts: [`CompiledNet`] (the
 //!   machine's directed-wire CSR, shared across every batch of a sweep) and
-//!   [`PacketBatch`] (flat SoA paths with hops pre-resolved to wire ids);
+//!   [`PacketBatch`] (each route as a run of wire ids);
 //! * [`engine`] — the tick simulator: one packet per wire per tick, per-node
 //!   send budgets for the "weak" machines, pluggable queue disciplines,
 //!   pooled [`RouterScratch`] arenas, and one run-a-batch kernel,
 //!   [`route_compiled`];
 //! * [`harness`] — batch-rate measurement, built around the compile-once
-//!   [`RouteCtx`];
+//!   [`RouteCtx`], whose [`RouteCtx::route_demands`] plans and routes a
+//!   batch of demands in one call;
 //! * [`steady`] — open-loop (steady-state) throughput ramps.
 
 pub mod cache;
@@ -37,17 +40,12 @@ pub mod steady;
 pub use cache::PlanCache;
 pub use compiled::{CompiledNet, PacketBatch, RouteError};
 pub use engine::{
-    route_batch, route_compiled, route_compiled_pooled, AbortCause, RouterConfig, RouterScratch,
-    RoutingOutcome,
+    route_compiled, route_compiled_pooled, AbortCause, RouterConfig, RouterScratch, RoutingOutcome,
 };
 pub use harness::{
-    measure_rate, measure_rate_ctx, measure_rates_ctx, plateau_rate, CellSample, RateSample,
-    RouteCtx,
+    measure_rate, measure_rates_ctx, plateau_rate, CellSample, RateSample, RouteCtx,
 };
-pub use native::{
-    de_bruijn_path, plan_routes, plan_routes_cached, plan_routes_degraded, plan_trial,
-    shuffle_exchange_path, DegradedPlan, Faults,
-};
+pub use native::{plan_routes_cached, plan_trial, DegradedPlan, Faults};
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};
 pub use steady::{saturation_throughput, steady_state_rate_ctx, SteadyConfig, SteadyOutcome};

@@ -5,9 +5,14 @@
 //! Θ ([`RoutePolicy`]): randomized BFS is fine for meshes, trees and
 //! butterflies, but pyramids/multigrids must route across their base mesh
 //! (apex avoidance) and the shuffle-exchange / de Bruijn graphs use their
-//! classical bit-correction schemes. [`plan_routes`] dispatches on the
-//! policy; callers that want to *ablate* the scheme can still construct a
-//! [`PathOracle`] directly.
+//! classical bit-correction schemes.
+//!
+//! [`plan_trial`] is the one planner: it plans one or more batches that
+//! share a plan seed, dispatching on the policy, around a fault plan's dead
+//! wires and nodes when given one ([`Faults`]). [`plan_routes_cached`] is
+//! its one-batch, intact case. To route demands as well as plan them, use
+//! [`crate::RouteCtx::route_demands`]. Callers that want to *ablate* the
+//! scheme can still construct a [`PathOracle`] directly.
 
 use fcn_exec::Pool;
 use fcn_faults::FaultPlan;
@@ -18,21 +23,12 @@ use crate::cache::PlanCache;
 use crate::oracle::PathOracle;
 use crate::packet::{PacketPath, Strategy};
 
-/// Plan routes for `demands` on `machine` under `strategy`, honoring the
-/// machine's native routing policy. `Strategy::Valiant` always uses the
-/// two-phase random-intermediate scheme (restricted to the base prefix when
-/// the policy demands it).
-pub fn plan_routes(
-    machine: &Machine,
-    demands: &[(NodeId, NodeId)],
-    strategy: Strategy,
-    seed: u64,
-) -> Vec<PacketPath> {
-    plan_routes_cached(machine, demands, strategy, seed, None)
-}
-
-/// [`plan_routes`] with an optional [`PlanCache`] serving the BFS trees:
-/// the one-batch, intact case of [`plan_trial`].
+/// Plan routes for `demands` on the intact `machine` under `strategy`,
+/// honoring the machine's native routing policy, with an optional
+/// [`PlanCache`] serving the BFS trees: the one-batch, intact case of
+/// [`plan_trial`]. `Strategy::Valiant` always uses the two-phase
+/// random-intermediate scheme (restricted to the base prefix when the
+/// policy demands it).
 ///
 /// Cached planning is bit-identical to fresh planning — the oracle's BFS
 /// trees are pure functions of `(graph, node limit, source, seed)` — so the
@@ -95,30 +91,6 @@ pub struct DegradedPlan {
     pub replans: u64,
 }
 
-/// Fault-aware [`plan_routes_cached`]: plan `demands` around the dead wires
-/// and nodes of `fault_plan` — the one-batch case of [`plan_trial`]. An
-/// empty plan is the intact case: zero overhead, bit-identical output.
-pub fn plan_routes_degraded(
-    machine: &Machine,
-    demands: &[(NodeId, NodeId)],
-    strategy: Strategy,
-    seed: u64,
-    fault_plan: &FaultPlan,
-    cache: Option<&PlanCache>,
-) -> DegradedPlan {
-    let faults = Faults::new(machine, fault_plan);
-    plan_trial(
-        machine,
-        &[demands],
-        strategy,
-        seed,
-        faults.as_ref(),
-        cache,
-        Pool::sequential(),
-    )
-    .swap_remove(0)
-}
-
 /// Plan several batches that share one plan seed — the cells of one
 /// estimator trial — around `faults` (`None`: the intact machine),
 /// returning each batch's plan in input order.
@@ -142,8 +114,7 @@ pub fn plan_routes_degraded(
 ///
 /// Demands with a permanently dead endpoint are always unreachable, even
 /// the trivial `s == s` ones — a dead processor originates nothing. Each
-/// batch's plan equals [`plan_routes_degraded`] on that batch alone, for
-/// every worker count. Attaching a [`PlanCache`] is safe: the degraded
+/// batch's plan equals planning that batch alone, for every worker count. Attaching a [`PlanCache`] is safe: the degraded
 /// graph's fingerprint differs from the intact one's, so cached trees never
 /// cross over.
 ///
@@ -290,7 +261,7 @@ pub fn plan_trial(
 /// for graph-adjacent pairs, and whichever direction (shift-in `v` from `u`
 /// or the reverse of shift-in `u` from `v`) gives the shorter walk. The
 /// shortcuts matter for emulations, whose demands are guest-adjacent pairs.
-pub fn de_bruijn_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+pub(crate) fn de_bruijn_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
     if u == v {
         return vec![u];
     }
@@ -333,7 +304,7 @@ fn de_bruijn_shift_walk(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
 /// The classical shuffle-exchange route: `g` rounds of (optional exchange,
 /// shuffle). The bit corrected in round `j` lands at position `(g-j) mod g`,
 /// so round `j` targets that bit of `v`. At most `2g` hops.
-pub fn shuffle_exchange_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+pub(crate) fn shuffle_exchange_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
     let mask = (1u64 << g) - 1;
     let rot_left = |x: u64| ((x << 1) | (x >> (g - 1))) & mask;
     if u == v {
@@ -370,7 +341,7 @@ pub fn shuffle_exchange_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
 /// its LCA's level and `depth`, climbs from `u` to its level-`ℓ` ancestor,
 /// walks the level's sibling links, and descends to `v`. Adjacent pairs
 /// (tree or level edges) hop directly.
-pub fn xtree_level_path(
+pub(crate) fn xtree_level_path(
     u: NodeId,
     v: NodeId,
     _depth: u32,
@@ -492,7 +463,7 @@ mod tests {
     fn plan_routes_uses_native_schemes() {
         let m = Machine::de_bruijn(5);
         let demands = vec![(0u32, 21u32), (7, 7), (3, 30)];
-        let routes = plan_routes(&m, &demands, Strategy::ShortestPath, 1);
+        let routes = plan_routes_cached(&m, &demands, Strategy::ShortestPath, 1, None);
         assert_eq!(routes.len(), 3);
         for (r, &(s, d)) in routes.iter().zip(&demands) {
             assert_eq!(r.src(), s);
@@ -505,7 +476,7 @@ mod tests {
     fn restricted_routing_stays_in_base_mesh() {
         let m = Machine::pyramid(2, 8); // processors = 64 base cells
         let demands: Vec<(u32, u32)> = (0..32).map(|i| (i, 63 - i)).collect();
-        let routes = plan_routes(&m, &demands, Strategy::ShortestPath, 2);
+        let routes = plan_routes_cached(&m, &demands, Strategy::ShortestPath, 2, None);
         for r in &routes {
             for &node in &r.path {
                 assert!((node as usize) < 64, "route left the base mesh: {node}");
@@ -517,7 +488,7 @@ mod tests {
     fn valiant_respects_restriction() {
         let m = Machine::pyramid(2, 4);
         let demands: Vec<(u32, u32)> = (0..8).map(|i| (i, 15 - i)).collect();
-        let routes = plan_routes(&m, &demands, Strategy::Valiant, 3);
+        let routes = plan_routes_cached(&m, &demands, Strategy::Valiant, 3, None);
         for r in &routes {
             for &node in &r.path {
                 assert!((node as usize) < 16);
@@ -548,7 +519,9 @@ mod tests {
     fn xtree_level_routing_spreads_across_levels() {
         // The measured saturation rate with level routing must clearly beat
         // the root-bound BFS rate at a size where lg n >> constant.
-        use crate::engine::{route_batch, RouterConfig};
+        use crate::compiled::{CompiledNet, PacketBatch};
+        use crate::engine::{route_compiled_pooled, RouterConfig};
+        use crate::harness::RouteCtx;
         use fcn_multigraph::Traffic;
         let m = Machine::xtree(9); // n = 1023
         let t = Traffic::symmetric(m.processors());
@@ -556,13 +529,16 @@ mod tests {
         let mut srng = rand::rngs::StdRng::seed_from_u64(3);
         let demands: Vec<_> = (0..8 * t.n()).map(|_| t.sample(&mut srng)).collect();
         // Native (level-balanced).
-        let native = plan_routes(&m, &demands, Strategy::ShortestPath, 7);
-        let out_native = route_batch(&m, native, RouterConfig::default());
+        let ctx = RouteCtx::new(&m);
+        let out_native =
+            ctx.route_demands(&demands, Strategy::ShortestPath, 7, RouterConfig::default());
         assert!(out_native.completed);
         // BFS baseline.
         let bfs =
             crate::oracle::PathOracle::new(m.graph(), 7).routes(&demands, Strategy::ShortestPath);
-        let out_bfs = route_batch(&m, bfs, RouterConfig::default());
+        let net = CompiledNet::compile(&m);
+        let batch = PacketBatch::compile(&net, &bfs).expect("oracle routes are walks");
+        let out_bfs = route_compiled_pooled(&net, &batch, RouterConfig::default());
         assert!(out_bfs.completed);
         let (r_native, r_bfs) = (
             out_native.delivered as f64 / out_native.ticks as f64,
@@ -583,7 +559,7 @@ mod tests {
             let n = m.processors() as u32;
             let demands: Vec<_> = (0..n / 2).map(|i| (i, n - 1 - i)).collect();
             let net = CompiledNet::compile(&m);
-            let paths = plan_routes(&m, &demands, Strategy::ShortestPath, 9);
+            let paths = plan_routes_cached(&m, &demands, Strategy::ShortestPath, 9, None);
             let batch = PacketBatch::compile(&net, &paths).expect("native plans are graph walks");
             assert_eq!(batch.len(), demands.len());
             for (i, p) in paths.iter().enumerate() {
@@ -614,7 +590,12 @@ mod tests {
                 for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
                     let alone: Vec<_> = batches
                         .iter()
-                        .map(|b| plan_routes_degraded(&m, b, strategy, 9, &fault_plan, None))
+                        .map(|b| {
+                            let one = [b.as_slice()];
+                            let pool = Pool::sequential();
+                            plan_trial(&m, &one, strategy, 9, faults.as_ref(), None, pool)
+                                .swap_remove(0)
+                        })
                         .collect();
                     for (plan, batch) in alone.iter().zip(&batches) {
                         replans += plan.replans;

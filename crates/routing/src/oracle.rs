@@ -41,9 +41,8 @@
 use std::sync::Arc;
 
 use fcn_exec::{job_seed, Pool};
-use fcn_multigraph::{path_from_parents, Multigraph, NodeId};
+use fcn_multigraph::{bfs_parents_shuffled, path_from_parents, Multigraph, NodeId};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::cache::PlanCache;
@@ -209,51 +208,21 @@ impl<'g> PathOracle<'g> {
         out
     }
 
-    /// The (possibly memoized) BFS parent tree for `src`.
+    /// The (possibly memoized) BFS parent tree for `src`: a pure function
+    /// of `(graph, node_limit, src, plan seed)`, its tie-breaks drawn from a
+    /// fresh RNG seeded per source.
     fn parents_for(&self, src: NodeId) -> Arc<Vec<NodeId>> {
         let bfs_seed = job_seed(self.plan_seed ^ BFS_STREAM, src as u64);
+        let tree = || {
+            let mut rng = StdRng::seed_from_u64(bfs_seed);
+            bfs_parents_shuffled(self.graph, src, self.node_limit, &mut rng)
+        };
         match self.cache {
             Some(cache) => {
-                cache.get_or_compute(self.graph_fp, self.node_limit, self.plan_seed, src, || {
-                    self.bfs_parents_randomized(src, bfs_seed)
-                })
+                cache.get_or_compute(self.graph_fp, self.node_limit, self.plan_seed, src, tree)
             }
-            None => Arc::new(self.bfs_parents_randomized(src, bfs_seed)),
+            None => Arc::new(tree()),
         }
-    }
-
-    /// BFS parents with a random neighbor-preference permutation drawn from
-    /// a fresh RNG at `bfs_seed`, honoring the node limit. A pure function
-    /// of `(graph, node_limit, src, bfs_seed)`. `NodeId::MAX` marks an
-    /// unvisited node; the source is its own parent.
-    fn bfs_parents_randomized(&self, src: NodeId, bfs_seed: u64) -> Vec<NodeId> {
-        let g = self.graph;
-        let n = g.node_count();
-        let limit = self.node_limit;
-        assert!((src as usize) < limit, "source {src} outside node limit");
-        let mut rng = StdRng::seed_from_u64(bfs_seed);
-        let mut parent = vec![NodeId::MAX; n];
-        // Every node enters the queue once, so a vector read from `head`
-        // is the FIFO.
-        let mut queue = Vec::with_capacity(n.min(limit));
-        parent[src as usize] = src;
-        queue.push(src);
-        // A small reusable scratch buffer of neighbors, shuffled per vertex.
-        let mut scratch: Vec<NodeId> = Vec::new();
-        let mut head = 0;
-        while let Some(&u) = queue.get(head) {
-            head += 1;
-            scratch.clear();
-            scratch.extend(g.neighbors(u).map(|(v, _)| v));
-            scratch.shuffle(&mut rng);
-            for &v in &scratch {
-                if (v as usize) < limit && parent[v as usize] == NodeId::MAX {
-                    parent[v as usize] = u;
-                    queue.push(v);
-                }
-            }
-        }
-        parent
     }
 
     /// Access the oracle's RNG (for callers composing extra randomness with

@@ -8,9 +8,9 @@ use serde::{Deserialize, Serialize};
 /// before simulation starts; the engine only walks them.
 ///
 /// This is the *planner-facing* representation. Before the tick loop runs,
-/// paths are flattened into a [`crate::compiled::PacketBatch`] — a
-/// structure-of-arrays arena whose hops are pre-resolved to wire ids — so
-/// the engine never chases `Vec<Vec<_>>` pointers or re-derives wires.
+/// paths are compiled into a [`crate::compiled::PacketBatch`] — flat runs
+/// of wire ids, one per packet — so the engine never chases `Vec<Vec<_>>`
+/// pointers or re-derives wires.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketPath {
     /// Vertex sequence from source to destination. A single-vertex path is a

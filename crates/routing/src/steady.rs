@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::RouterConfig;
 use crate::harness::RouteCtx;
-use crate::native::plan_routes;
 use crate::packet::Strategy;
 
 /// Configuration of one steady-state run.
@@ -69,7 +68,9 @@ pub struct SteadyOutcome {
 /// sustained throughput without per-tick event bookkeeping and is accurate
 /// once epochs are much longer than the transit time.
 ///
-/// Takes an already-compiled [`RouteCtx`], so ramps
+/// Each epoch's demands are planned and routed by
+/// [`RouteCtx::route_demands`], so the context's faults and plan cache
+/// apply. Takes an already-compiled [`RouteCtx`], so ramps
 /// ([`saturation_throughput`]) compile the wire graph once instead of once
 /// per probed rate.
 pub fn steady_state_rate_ctx(
@@ -79,7 +80,6 @@ pub fn steady_state_rate_ctx(
     cfg: SteadyConfig,
 ) -> SteadyOutcome {
     assert!(rate > 0.0);
-    let machine = ctx.machine();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let epoch = cfg.measure_ticks.max(64);
     // Warmup epoch (discard), then measured epoch.
@@ -93,8 +93,8 @@ pub fn steady_state_rate_ctx(
         if demands.is_empty() {
             continue;
         }
-        let routes = plan_routes(machine, &demands, cfg.strategy, rng.random::<u64>());
-        let out = ctx.route_paths(&routes, cfg.router);
+        let plan_seed = rng.random::<u64>();
+        let out = ctx.route_demands(&demands, cfg.strategy, plan_seed, cfg.router);
         if phase == 1 {
             // If the batch needed longer than the epoch, the surplus is
             // backlog the system could not absorb.

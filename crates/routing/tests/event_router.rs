@@ -10,7 +10,7 @@
 
 use fcn_routing::engine::reference;
 use fcn_routing::{
-    plan_routes, route_compiled, CompiledNet, PacketBatch, PacketPath, QueueDiscipline,
+    plan_routes_cached, route_compiled, CompiledNet, PacketBatch, PacketPath, QueueDiscipline,
     RouterConfig, RouterScratch, Strategy,
 };
 use fcn_topology::Machine;
@@ -33,7 +33,7 @@ fn symmetric_batch(
     let demands: Vec<_> = (0..mult * traffic.n())
         .map(|_| traffic.sample(&mut rng))
         .collect();
-    plan_routes(machine, &demands, Strategy::ShortestPath, plan_seed)
+    plan_routes_cached(machine, &demands, Strategy::ShortestPath, plan_seed, None)
 }
 
 #[test]
@@ -48,7 +48,8 @@ fn event_pin_weak_machine_send_budgets() {
                 discipline,
                 ..RouterConfig::default()
             };
-            let expected = reference::route_batch(&machine, paths.clone(), cfg);
+            let expected =
+                reference::route_batch(&machine, paths.clone(), cfg).expect("batch fits u32 ids");
             assert!(expected.completed, "{} / {discipline:?}", machine.name());
             for run in 0..2 {
                 assert_eq!(

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use fcn_routing::{plan_routes, plan_routes_cached, PlanCache, Strategy};
+use fcn_routing::{plan_routes_cached, PlanCache, Strategy};
 use fcn_topology::{Family, Machine};
 use proptest::prelude::*;
 
@@ -51,7 +51,7 @@ proptest! {
         let machine = machine_for(pick, size);
         let demands = demands_on(&machine, &raw);
         for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
-            let fresh = plan_routes(&machine, &demands, strategy, seed);
+            let fresh = plan_routes_cached(&machine, &demands, strategy, seed, None);
             let cache = PlanCache::default();
             // Twice through the same cache: the first run populates it, the
             // second is served almost entirely from memory.
@@ -89,7 +89,7 @@ proptest! {
         let served = plan_routes_cached(
             &machine, &b, Strategy::ShortestPath, seed, Some(&cache),
         );
-        let fresh = plan_routes(&machine, &b, Strategy::ShortestPath, seed);
+        let fresh = plan_routes_cached(&machine, &b, Strategy::ShortestPath, seed, None);
         prop_assert_eq!(&served, &fresh);
     }
 
@@ -115,7 +115,7 @@ proptest! {
             let served = plan_routes_cached(
                 &machine, &demands, Strategy::ShortestPath, seed, Some(&cache),
             );
-            let fresh = plan_routes(&machine, &demands, Strategy::ShortestPath, seed);
+            let fresh = plan_routes_cached(&machine, &demands, Strategy::ShortestPath, seed, None);
             prop_assert_eq!(&served, &fresh);
             prop_assert!(cache.entries() <= capacity);
         }
@@ -151,7 +151,7 @@ fn finished_trials_make_room_for_the_next() {
                 seed,
                 Some(&cache),
             );
-            let fresh = plan_routes(&machine, &demands, Strategy::ShortestPath, seed);
+            let fresh = plan_routes_cached(&machine, &demands, Strategy::ShortestPath, seed, None);
             assert_eq!(served, fresh, "trial {trial}, batch {multiplier}n");
         }
         trees_needed += sources.len() as u64;

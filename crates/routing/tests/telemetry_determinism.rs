@@ -14,7 +14,7 @@
 use std::sync::Mutex;
 
 use fcn_routing::{
-    measure_rate, plan_routes, route_compiled, CompiledNet, PacketBatch, QueueDiscipline,
+    measure_rate, plan_routes_cached, route_compiled, CompiledNet, PacketBatch, QueueDiscipline,
     RouterConfig, RouterScratch, RoutingOutcome, Strategy,
 };
 use fcn_topology::Machine;
@@ -55,7 +55,7 @@ fn route_once(machine: &Machine, discipline: QueueDiscipline, max_ticks: u64) ->
     let demands: Vec<_> = (0..4 * traffic.n())
         .map(|_| traffic.sample(&mut rng))
         .collect();
-    let routes = plan_routes(machine, &demands, Strategy::ShortestPath, 42);
+    let routes = plan_routes_cached(machine, &demands, Strategy::ShortestPath, 42, None);
     let net = CompiledNet::compile(machine);
     let batch = PacketBatch::compile(&net, &routes).expect("planner paths are walks");
     let cfg = RouterConfig {

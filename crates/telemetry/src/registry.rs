@@ -1,7 +1,7 @@
 //! Instrument handles and the [`MetricsRegistry`].
 //!
 //! Instruments are `Arc`-backed atomics, so a handle can be cloned into any
-//! thread (or owned per-instance, like [`fcn-routing`]'s `PlanCache`
+//! thread (or owned per-instance, like `fcn-routing`'s `PlanCache`
 //! counters) while the registry keeps a named view for snapshots. All
 //! operations are `Relaxed` atomics: metrics observe the simulation, they
 //! never synchronize it.

@@ -1,6 +1,6 @@
 //! Thread-local metric shards.
 //!
-//! Workers never touch the shared [`MetricsRegistry`](crate::MetricsRegistry)
+//! Workers never touch the shared [`MetricsRegistry`]
 //! from the hot path. Instead, each thread accumulates into a plain
 //! [`LocalShard`] (no atomics, no locks) and the *coordinator* — normally
 //! `fcn-exec`'s pool — collects the shards and merges them **in job-index

@@ -64,7 +64,7 @@ pub enum Family {
 
 impl Family {
     /// All families at their default dimensions (meshes at k ∈ {1,2,3} are
-    /// produced by [`Family::with_dims`]).
+    /// produced by [`Family::all_with_dims`]).
     pub fn all() -> Vec<Family> {
         use Family::*;
         vec![

@@ -13,9 +13,10 @@
 //!   outcome exactly.
 
 use fcn_emu::bandwidth::DegradedSweep;
+use fcn_emu::exec::Pool;
 use fcn_emu::faults::{FaultPlan, FaultSpec};
 use fcn_emu::routing::{
-    plan_routes_degraded, route_compiled_pooled, AbortCause, CompiledNet, PacketBatch,
+    plan_trial, route_compiled_pooled, AbortCause, CompiledNet, DegradedPlan, Faults, PacketBatch,
     RouterConfig, Strategy,
 };
 use fcn_emu::topology::{Family, Machine};
@@ -32,6 +33,29 @@ const FAMILIES: [Family; 4] = [
 
 fn machine_for(pick: usize, size: usize) -> Machine {
     FAMILIES[pick % FAMILIES.len()].build_near(size, 0x11)
+}
+
+/// Plan `demands` as one batch around `plan` (an empty plan: the intact
+/// machine).
+fn plan_one(
+    machine: &Machine,
+    demands: &[(u32, u32)],
+    strategy: Strategy,
+    plan_seed: u64,
+    plan: &FaultPlan,
+) -> DegradedPlan {
+    let faults = Faults::new(machine, plan);
+    let batches = [demands];
+    plan_trial(
+        machine,
+        &batches,
+        strategy,
+        plan_seed,
+        faults.as_ref(),
+        None,
+        Pool::sequential(),
+    )
+    .swap_remove(0)
 }
 
 fn demands_on(machine: &Machine, raw: &[(u64, u64)]) -> Vec<(u32, u32)> {
@@ -63,7 +87,7 @@ proptest! {
         let demands = demands_on(&machine, &raw);
         let strategy = if valiant { Strategy::Valiant } else { Strategy::ShortestPath };
 
-        let dp = plan_routes_degraded(&machine, &demands, strategy, plan_seed, &plan, None);
+        let dp = plan_one(&machine, &demands, strategy, plan_seed, &plan);
         // Every demand is either planned or reported unreachable.
         prop_assert_eq!(dp.paths.len() + dp.unreachable.len(), demands.len());
         prop_assert!(dp.unreachable.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
@@ -110,9 +134,7 @@ proptest! {
         prop_assert!(!applied.is_faulted());
 
         let demands = demands_on(&machine, &raw);
-        let dp = plan_routes_degraded(
-            &machine, &demands, Strategy::ShortestPath, plan_seed, &FaultPlan::none(), None,
-        );
+        let dp = plan_one(&machine, &demands, Strategy::ShortestPath, plan_seed, &FaultPlan::none());
         prop_assert!(dp.unreachable.is_empty());
         prop_assert_eq!(dp.replans, 0);
         let cfg = RouterConfig::default();

@@ -9,7 +9,8 @@ use fcn_emu::multigraph::{
     Multigraph, MultigraphBuilder, NodeId, Traffic,
 };
 use fcn_emu::routing::{
-    route_batch, PacketPath, PathOracle, RouterConfig, Strategy as RouteStrategy,
+    route_compiled_pooled, CompiledNet, PacketBatch, PacketPath, PathOracle, RouterConfig,
+    Strategy as RouteStrategy,
 };
 use proptest::prelude::*;
 
@@ -273,7 +274,9 @@ proptest! {
         let routes = oracle.routes(&demands, RouteStrategy::ShortestPath);
         let expected_hops: u64 = routes.iter().map(|r| r.hops() as u64).sum();
         let max_hops = routes.iter().map(PacketPath::hops).max().unwrap_or(0) as u64;
-        let out = route_batch(&machine, routes, RouterConfig::default());
+        let net = CompiledNet::compile(&machine);
+        let batch = PacketBatch::compile(&net, &routes).expect("oracle routes are walks");
+        let out = route_compiled_pooled(&net, &batch, RouterConfig::default());
         prop_assert!(out.completed);
         prop_assert_eq!(out.delivered, 2 * n);
         prop_assert_eq!(out.total_hops, expected_hops);
