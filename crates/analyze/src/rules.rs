@@ -172,7 +172,6 @@ fn det_rng(sf: &SourceFile, out: &mut Vec<Finding>) {
         "from_os_rng",
         "OsRng",
         "rand::random",
-        "RandomState",
     ];
     flag_lines(
         sf,

@@ -369,9 +369,10 @@ fn workspace_self_run_has_zero_non_baseline_findings() {
     );
 }
 
-/// Wall-clock reads, sleeps and hash-ordered collections have no analyzer
-/// rule: `clippy.toml` is their only enforcement, so it must keep banning
-/// them (CI seeds a violation and requires `cargo clippy` to fail).
+/// Wall-clock reads, sleeps, hash-ordered collections and random hash
+/// state have no analyzer rule: `clippy.toml` is their only enforcement,
+/// so it must keep banning them (CI seeds a violation and requires
+/// `cargo clippy` to fail).
 #[test]
 fn clippy_toml_bans_wall_clock_and_hash_order() {
     let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -383,6 +384,7 @@ fn clippy_toml_bans_wall_clock_and_hash_order() {
         "std::thread::sleep",
         "std::collections::HashMap",
         "std::collections::HashSet",
+        "std::collections::hash_map::RandomState",
     ] {
         assert!(
             text.contains(&format!("path = \"{path}\"")),

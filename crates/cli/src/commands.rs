@@ -1015,6 +1015,18 @@ mod tests {
         assert!(snap
             .counters
             .contains_key("span_bandwidth_estimate_calls_total"));
+        // Each trial's plan and route phases are timed apart, once per
+        // trial.
+        for span in ["estimate_plan", "estimate_route"] {
+            assert_eq!(
+                snap.counters[&format!("span_{span}_calls_total")],
+                2,
+                "{text}"
+            );
+            assert!(snap
+                .counters
+                .contains_key(&format!("span_{span}_nanos_total")));
+        }
         assert!(snap.histograms.contains_key("router_queue_occupancy"));
         assert!(snap.gauges.contains_key("plan_cache_entries"));
         // Router accounting is self-consistent.

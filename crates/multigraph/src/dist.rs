@@ -72,6 +72,15 @@ pub fn bfs_parents(g: &Multigraph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
 /// shuffles spread shortest paths across equal-length alternatives.
 /// `NodeId::MAX` marks a vertex not reached; the source is its own parent.
 ///
+/// The enqueue is predicated rather than branched: every shuffled
+/// neighbour is stored at the queue's tail, its parent slot is rewritten
+/// with either the new parent or its old value, and the tail advances by
+/// whether the neighbour was fresh. The shuffle scatters first visits at
+/// random, so a `parent[v] == MAX` branch would mispredict on every
+/// family; the predicated walk visits the same vertices in the same order
+/// and takes the same `deg − 1` draws per dequeued vertex, so the tree
+/// and the state `rng` is left in are those of the branching loop.
+///
 /// # Panics
 /// Panics if `src` is not below `limit`.
 pub fn bfs_parents_shuffled(
@@ -83,23 +92,25 @@ pub fn bfs_parents_shuffled(
     assert!((src as usize) < limit, "source {src} outside node limit");
     let n = g.node_count();
     let mut parent = vec![NodeId::MAX; n];
-    // Every vertex enters the queue once, so a vector read from `head` is
-    // the FIFO.
-    let mut queue = Vec::with_capacity(n.min(limit));
+    // Every vertex enters once, so `queue[head..tail]` is the FIFO; the
+    // spare slot takes the store made after all `n` have entered.
+    let mut queue = vec![0 as NodeId; n + 1];
     parent[src as usize] = src;
-    queue.push(src);
+    queue[0] = src;
+    let (mut head, mut tail) = (0, 1);
     let mut neighbours: Vec<NodeId> = Vec::new();
-    let mut head = 0;
-    while let Some(&u) = queue.get(head) {
+    while head < tail {
+        let u = queue[head];
         head += 1;
         neighbours.clear();
-        neighbours.extend(g.neighbors(u).map(|(v, _)| v));
+        neighbours.extend_from_slice(g.neighbor_ids(u));
         neighbours.shuffle(rng);
         for &v in &neighbours {
-            if (v as usize) < limit && parent[v as usize] == NodeId::MAX {
-                parent[v as usize] = u;
-                queue.push(v);
-            }
+            let old = parent[v as usize];
+            let fresh = (old == NodeId::MAX) & ((v as usize) < limit);
+            parent[v as usize] = if fresh { u } else { old };
+            queue[tail] = v;
+            tail += fresh as usize;
         }
     }
     parent
@@ -404,7 +415,7 @@ pub fn distance_stats(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn path_graph(n: usize) -> Multigraph {
         Multigraph::from_edges(n, (0..n as NodeId - 1).map(|i| (i, i + 1)))
@@ -486,6 +497,80 @@ mod tests {
         assert!(!s2.exact);
         assert!(s2.diameter >= 8); // sampled eccentricity lower-bounds diameter
         assert!((s2.avg_distance - s1.avg_distance).abs() / s1.avg_distance < 0.1);
+    }
+
+    /// The branching loop `bfs_parents_shuffled` replaced, kept as its
+    /// specification.
+    fn bfs_parents_shuffled_reference(
+        g: &Multigraph,
+        src: NodeId,
+        limit: usize,
+        rng: &mut impl Rng,
+    ) -> Vec<NodeId> {
+        assert!((src as usize) < limit);
+        let mut parent = vec![NodeId::MAX; g.node_count()];
+        let mut queue = vec![src];
+        parent[src as usize] = src;
+        let mut neighbours: Vec<NodeId> = Vec::new();
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            neighbours.clear();
+            neighbours.extend(g.neighbors(u).map(|(v, _)| v));
+            neighbours.shuffle(rng);
+            for &v in &neighbours {
+                if (v as usize) < limit && parent[v as usize] == NodeId::MAX {
+                    parent[v as usize] = u;
+                    queue.push(v);
+                }
+            }
+        }
+        parent
+    }
+
+    /// A random multigraph with self-loops, multi-edges and possibly
+    /// several components.
+    fn random_multigraph(n: usize, edges: usize, seed: u64) -> Multigraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = crate::graph::MultigraphBuilder::new(n);
+        let a = rng.random_range(0..n as NodeId);
+        let c = (a + 1 + rng.random_range(0..n as NodeId - 1)) % n as NodeId;
+        b.add_edge(a, a).add_edge(a, c).add_edge(a, c);
+        for _ in 0..edges {
+            let u = rng.random_range(0..n as NodeId);
+            let v = match rng.random_range(0..8u32) {
+                0 => u,
+                _ => rng.random_range(0..n as NodeId),
+            };
+            b.add_edge_mult(u, v, 1 + rng.random_range(0..3u32));
+        }
+        b.build()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn shuffled_bfs_matches_branching_reference(
+            n in 2usize..160,
+            density in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+            limit_pick in proptest::prelude::any::<u64>(),
+        ) {
+            let g = random_multigraph(n, density * n, seed);
+            let mut pick = StdRng::seed_from_u64(limit_pick);
+            for _ in 0..4 {
+                let limit = match pick.random_range(0..3u32) {
+                    0 => n,
+                    _ => 1 + pick.random_range(0..n),
+                };
+                let src = pick.random_range(0..limit as NodeId);
+                let mut rng = StdRng::seed_from_u64(pick.random());
+                let mut rng_ref = rng.clone();
+                let got = bfs_parents_shuffled(&g, src, limit, &mut rng);
+                let want = bfs_parents_shuffled_reference(&g, src, limit, &mut rng_ref);
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(rng.next_u64(), rng_ref.next_u64());
+            }
+        }
     }
 
     #[test]

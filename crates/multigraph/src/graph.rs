@@ -215,6 +215,12 @@ impl Multigraph {
             .zip(self.mults[lo..hi].iter().copied())
     }
 
+    /// The distinct neighbours of `u`, in CSR order (the ids of
+    /// [`neighbors`](Self::neighbors) as one slice).
+    pub fn neighbor_ids(&self, u: NodeId) -> &[NodeId] {
+        &self.neighbors[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+    }
+
     /// Distinct-neighbor degree of `u` (multiplicities ignored; self-loop
     /// counts once).
     pub fn distinct_degree(&self, u: NodeId) -> usize {

@@ -243,7 +243,8 @@ pub fn measure_rate(
 /// `pool`), then the batches route on `pool`, largest first, so the longest
 /// run starts at once. Samples come back in batch order, each bit-identical
 /// to measuring that batch alone, for every worker count, with or without
-/// a cache.
+/// a cache. The two phases are timed as the `estimate_plan` and
+/// `estimate_route` telemetry spans.
 pub fn measure_rates_ctx(
     ctx: &RouteCtx<'_>,
     traffic: &Traffic,
@@ -269,6 +270,7 @@ pub fn measure_rates_ctx(
         })
         .collect();
     let slices: Vec<&[(NodeId, NodeId)]> = demands.iter().map(Vec::as_slice).collect();
+    let plan_span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_ESTIMATE_PLAN);
     let plans = plan_trial(
         ctx.machine,
         &slices,
@@ -278,11 +280,14 @@ pub fn measure_rates_ctx(
         ctx.cache,
         pool,
     );
+    drop(plan_span);
     let mut order: Vec<usize> = (0..batches.len()).collect();
     order.sort_by_key(|&b| Reverse(batches[b].0));
+    let route_span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_ESTIMATE_ROUTE);
     let outcomes = pool.run(order.len(), |k| {
         ctx.route_planned(&plans[order[k]].paths, cfg)
     });
+    drop(route_span);
     let mut samples: Vec<(usize, CellSample)> = order
         .into_iter()
         .zip(outcomes)

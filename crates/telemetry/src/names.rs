@@ -108,6 +108,10 @@ pub const BANDWIDTH_CELLS_TOTAL: &str = "bandwidth_cells_total";
 pub const BANDWIDTH_SATURATION_TICKS_TOTAL: &str = "bandwidth_saturation_ticks_total";
 /// Per-cell tick counts (histogram).
 pub const BANDWIDTH_CELL_TICKS: &str = "bandwidth_cell_ticks";
+/// Span around one trial's plan phase (every cell's routes planned).
+pub const SPAN_ESTIMATE_PLAN: &str = "estimate_plan";
+/// Span around one trial's route phase (every cell's batch routed).
+pub const SPAN_ESTIMATE_ROUTE: &str = "estimate_route";
 
 // --- degraded sweeps ----------------------------------------------------
 
@@ -214,6 +218,8 @@ pub const ALL: &[&str] = &[
     BANDWIDTH_CELLS_TOTAL,
     BANDWIDTH_SATURATION_TICKS_TOTAL,
     BANDWIDTH_CELL_TICKS,
+    SPAN_ESTIMATE_PLAN,
+    SPAN_ESTIMATE_ROUTE,
     SPAN_DEGRADED_BETA_SWEEP,
     DEGRADED_POINTS_TOTAL,
     DEGRADED_CELLS_TOTAL,
