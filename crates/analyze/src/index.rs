@@ -127,15 +127,12 @@ pub struct TelRef {
     pub name: String,
     /// 1-based reference line.
     pub line: usize,
-    /// Whether the reference sits in a test region (tests keep a name
-    /// alive but never justify an unknown one).
-    pub in_test: bool,
 }
 
 /// A versioned schema-tag literal occurrence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagSite {
-    /// The full tag, e.g. `fcn-analyze/1`.
+    /// The full tag, e.g. `fcn-telemetry/1`.
     pub tag: String,
     /// 1-based line of the literal.
     pub line: usize,
@@ -560,7 +557,6 @@ impl Indexer<'_> {
             self.out.tel_refs.push(TelRef {
                 name: w.to_string(),
                 line: ln,
-                in_test,
             });
         }
         // --- event extraction ---------------------------------------------

@@ -1,9 +1,7 @@
 //! `fcn-analyze` — run the workspace invariant checker.
 //!
 //! ```text
-//! fcn-analyze [--rule ID]... [--format text|json] [--baseline PATH]
-//!             [--no-baseline] [--write-baseline] [--root DIR] [--list]
-//!             [paths…]
+//! fcn-analyze [--rule ID]... [--root DIR] [--list] [paths…]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 I/O or usage error (matching the
@@ -12,26 +10,20 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fcn_analyze::{analyze_workspace, report, rules, walk};
+use fcn_analyze::{analyze_workspace, rules, walk};
 
 struct Opts {
     rules: Vec<String>,
-    format: String,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
     root: Option<PathBuf>,
     list: bool,
     paths: Vec<String>,
 }
 
 fn usage() -> &'static str {
-    "usage: fcn-analyze [--rule ID]... [--format text|json] [--baseline PATH]\n\
-     \x20                  [--no-baseline] [--write-baseline] [--root DIR]\n\
-     \x20                  [--list] [paths...]\n\
+    "usage: fcn-analyze [--rule ID]... [--root DIR] [--list] [paths...]\n\
      \n\
-     Checks the workspace against the determinism/error-typing/schema rules\n\
-     that the compiler and clippy cannot hold (see --list).\n\
+     Checks the workspace against the schema, telemetry, atomics, lock-order\n\
+     and service-I/O rules that the compiler and clippy cannot hold (see --list).\n\
      Suppress one finding with `// fcn-allow: RULE-ID reason` on or above the\n\
      offending line.\n\
      Exit codes: 0 clean, 1 findings, 2 I/O or usage error."
@@ -40,10 +32,6 @@ fn usage() -> &'static str {
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         rules: Vec::new(),
-        format: "text".to_string(),
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
         root: None,
         list: false,
         paths: Vec::new(),
@@ -60,18 +48,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 }
                 o.rules.push(id);
             }
-            "--format" => {
-                let f = it.next().ok_or("--format needs text|json")?.clone();
-                if f != "text" && f != "json" {
-                    return Err(format!("unknown format `{f}` (want text|json)"));
-                }
-                o.format = f;
-            }
-            "--baseline" => {
-                o.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
-            }
-            "--no-baseline" => o.no_baseline = true,
-            "--write-baseline" => o.write_baseline = true,
             "--root" => {
                 o.root = Some(PathBuf::from(it.next().ok_or("--root needs a dir")?));
             }
@@ -121,25 +97,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Baseline: explicit path, else `<root>/fcn-analyze.baseline` if present.
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("fcn-analyze.baseline"));
-    let baseline: Vec<String> = if opts.no_baseline {
-        Vec::new()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => report::parse_baseline(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => {
-                eprintln!("fcn-analyze: reading {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    let analysis = match analyze_workspace(&root, &opts.paths, &opts.rules, &baseline) {
+    let analysis = match analyze_workspace(&root, &opts.paths, &opts.rules) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("fcn-analyze: scanning {}: {e}", root.display());
@@ -147,44 +105,13 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.write_baseline {
-        let body = report::render_baseline(&analysis.findings);
-        if let Err(e) = std::fs::write(&baseline_path, body) {
-            eprintln!("fcn-analyze: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "fcn-analyze: wrote {} ({} entries)",
-            baseline_path.display(),
-            analysis.totals.findings
-        );
-        return ExitCode::SUCCESS;
+    for f in &analysis.findings {
+        println!("{}", f.render());
     }
-
-    match opts.format.as_str() {
-        "json" => {
-            let text = report::render_json(&analysis.findings, analysis.totals);
-            // The emitter validates its own output before printing — the
-            // same discipline the BENCH writers follow.
-            if let Err(e) = report::validate_report(&text) {
-                eprintln!("fcn-analyze: internal error: emitted invalid report: {e}");
-                return ExitCode::from(2);
-            }
-            print!("{text}");
-        }
-        _ => {
-            for f in &analysis.findings {
-                println!("{}", f.render());
-            }
-            eprintln!(
-                "fcn-analyze: {} finding(s), {} suppressed, {} baselined, {} files",
-                analysis.totals.findings,
-                analysis.totals.suppressed,
-                analysis.totals.baselined,
-                analysis.totals.files
-            );
-        }
-    }
+    eprintln!(
+        "fcn-analyze: {} finding(s), {} suppressed, {} files",
+        analysis.totals.findings, analysis.totals.suppressed, analysis.totals.files
+    );
 
     if analysis.totals.findings > 0 {
         ExitCode::from(1)

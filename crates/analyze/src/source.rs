@@ -499,18 +499,19 @@ mod tests {
 
     #[test]
     fn suppression_covers_same_and_next_line() {
-        let src = "// fcn-allow: ERR-UNWRAP caller checked Some\nlet t = 1;\nlet u = 2;\n";
+        let src =
+            "// fcn-allow: ATOMIC-DOC counter joined before any read\nlet t = 1;\nlet u = 2;\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.suppresses("ERR-UNWRAP", 1));
-        assert!(f.suppresses("ERR-UNWRAP", 2));
-        assert!(!f.suppresses("ERR-UNWRAP", 3));
-        assert!(!f.suppresses("DET-RNG", 2));
+        assert!(f.suppresses("ATOMIC-DOC", 1));
+        assert!(f.suppresses("ATOMIC-DOC", 2));
+        assert!(!f.suppresses("ATOMIC-DOC", 3));
+        assert!(!f.suppresses("TEL-NAME", 2));
         let bare = SourceFile::parse(
             "crates/x/src/lib.rs",
-            "// fcn-allow: ERR-UNWRAP\nlet t = 1;\n",
+            "// fcn-allow: ATOMIC-DOC\nlet t = 1;\n",
         );
         assert!(
-            !bare.suppresses("ERR-UNWRAP", 2),
+            !bare.suppresses("ATOMIC-DOC", 2),
             "an empty reason masks nothing"
         );
     }
@@ -531,10 +532,10 @@ mod tests {
     fn gate_files_surface_text_as_strings_only() {
         let f = SourceFile::parse(
             ".github/workflows/ci.yml",
-            "run: grep -q 'fcn-analyze/1' report.json\n",
+            "run: grep -q 'fcn-telemetry/1' metrics.jsonl\n",
         );
         assert_eq!(f.kind, FileKind::Gate);
-        assert!(f.lines[0].strings.contains("fcn-analyze/1"));
+        assert!(f.lines[0].strings.contains("fcn-telemetry/1"));
         assert!(f.lines[0].code.is_empty());
     }
 }

@@ -4,19 +4,19 @@
 //! through [`fcn_analyze::analyze_sources`], the same entry point the CLI
 //! walker funnels into, so what these tests prove is exactly what
 //! `fcn-analyze` enforces on the real tree. The self-hosting tests run the
-//! analyzer over the committed workspace and assert zero non-baseline
-//! findings (the tree must stay clean under its own checker), and check
-//! that `clippy.toml` still bans what the analyzer leaves to clippy.
+//! analyzer over the committed workspace and assert zero findings (the
+//! tree must stay clean under its own checker), and check that the lib
+//! roots and `clippy.toml` still hold what the analyzer leaves to clippy.
 
 use fcn_analyze::{analyze_sources, Analysis};
 
-/// Run the analyzer over in-memory fixtures with no filter and no baseline.
+/// Run the analyzer over in-memory fixtures with no rule filter.
 fn run(sources: &[(&str, &str)]) -> Analysis {
     let owned: Vec<(String, String)> = sources
         .iter()
         .map(|(p, s)| ((*p).to_string(), (*s).to_string()))
         .collect();
-    analyze_sources(&owned, &[], &[])
+    analyze_sources(&owned, &[])
 }
 
 /// Rule ids of all findings, in report order.
@@ -53,84 +53,6 @@ fn assert_suppressed(a: &Analysis) {
         a.findings
     );
     assert_eq!(a.totals.suppressed, 1, "totals: {:?}", a.totals);
-}
-
-// ----------------------------------------------------------------- DET-RNG
-
-#[test]
-fn det_rng_fires_everywhere_including_tests() {
-    let a = run(&[(
-        "crates/topology/src/fx.rs",
-        "pub fn f() { let _r = rand::thread_rng(); }\n",
-    )]);
-    assert_single(&a, "DET-RNG", 1);
-    // The reproducibility contract covers integration tests too.
-    let b = run(&[(
-        "crates/topology/tests/fx.rs",
-        "fn f() { let _r = rand::thread_rng(); }\n",
-    )]);
-    assert_single(&b, "DET-RNG", 1);
-}
-
-#[test]
-fn det_rng_clean_for_seeded_rng() {
-    let a = run(&[(
-        "crates/topology/src/fx.rs",
-        "pub fn f(seed: u64) -> u64 { splitmix(seed) }\n",
-    )]);
-    assert_clean(&a);
-}
-
-#[test]
-fn det_rng_suppressed_with_reason() {
-    let a = run(&[(
-        "crates/topology/src/fx.rs",
-        "pub fn f() { let _r = rand::thread_rng(); } // fcn-allow: DET-RNG fixture exercising the rng shim\n",
-    )]);
-    assert_suppressed(&a);
-}
-
-// -------------------------------------------------------------- ERR-UNWRAP
-
-#[test]
-fn err_unwrap_fires_in_library_code() {
-    let a = run(&[(
-        "crates/core/src/fx.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )]);
-    assert_single(&a, "ERR-UNWRAP", 1);
-}
-
-#[test]
-fn err_unwrap_clean_inside_cfg_test_modules_and_test_files() {
-    let a = run(&[(
-        "crates/core/src/fx.rs",
-        r#"pub fn f(x: Option<u32>) -> Option<u32> { x }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        assert_eq!(super::f(Some(1)).unwrap(), 1);
-    }
-}
-"#,
-    )]);
-    assert_clean(&a);
-    let b = run(&[(
-        "crates/core/tests/fx.rs",
-        "fn t(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )]);
-    assert_clean(&b);
-}
-
-#[test]
-fn err_unwrap_suppressed_with_reason() {
-    let a = run(&[(
-        "crates/core/src/fx.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() } // fcn-allow: ERR-UNWRAP caller guarantees Some by construction\n",
-    )]);
-    assert_suppressed(&a);
 }
 
 // -------------------------------------------------------------- SCHEMA-TAG
@@ -343,16 +265,11 @@ fn serve_deadline_suppressed_with_reason() {
 // ------------------------------------------------------------ self-hosting
 
 /// The committed workspace must be clean under its own analyzer: zero
-/// findings beyond the (committed, empty) baseline. This is the in-tree
-/// twin of the CI `analysis` job.
+/// findings. This is the in-tree twin of the CI `analysis` job.
 #[test]
 fn workspace_self_run_has_zero_non_baseline_findings() {
-    let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = fcn_analyze::walk::find_workspace_root(here).expect("inside the fcn workspace");
-    let baseline_text =
-        std::fs::read_to_string(root.join("fcn-analyze.baseline")).unwrap_or_default();
-    let baseline = fcn_analyze::report::parse_baseline(&baseline_text);
-    let a = fcn_analyze::analyze_workspace(&root, &[], &[], &baseline).expect("workspace readable");
+    let root = workspace_root();
+    let a = fcn_analyze::analyze_workspace(&root, &[], &[]).expect("workspace readable");
     assert!(
         a.findings.is_empty(),
         "fcn-analyze found new violations:\n{}",
@@ -375,8 +292,7 @@ fn workspace_self_run_has_zero_non_baseline_findings() {
 /// `cargo clippy` to fail).
 #[test]
 fn clippy_toml_bans_wall_clock_and_hash_order() {
-    let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = fcn_analyze::walk::find_workspace_root(here).expect("inside the fcn workspace");
+    let root = workspace_root();
     let text = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml readable");
     for path in [
         "std::time::Instant::now",
@@ -391,4 +307,49 @@ fn clippy_toml_bans_wall_clock_and_hash_order() {
             "clippy.toml no longer bans {path}"
         );
     }
+}
+
+/// Library code must not panic: every workspace lib root denies clippy's
+/// panic-family lints, and `clippy.toml` lets tests unwrap, expect and
+/// panic. A new crate whose `lib.rs` lacks the deny line would silently
+/// fall outside the check, so this test lists every lib root itself.
+#[test]
+fn every_lib_root_denies_the_panic_family_lints() {
+    let root = workspace_root();
+    let mut lib_roots = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let lib = entry.expect("crates/ entry").path().join("src/lib.rs");
+        if lib.is_file() {
+            lib_roots.push(lib);
+        }
+    }
+    assert!(lib_roots.len() > 10, "too few lib roots: {lib_roots:?}");
+    let want = "#![deny(clippy::unwrap_used,clippy::expect_used,clippy::panic,clippy::todo,clippy::unimplemented)]";
+    for lib in &lib_roots {
+        let text = std::fs::read_to_string(lib).expect("lib root readable");
+        let flat: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+        assert!(
+            flat.contains(want),
+            "{} does not deny the panic-family clippy lints",
+            lib.display()
+        );
+    }
+    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml readable");
+    for key in [
+        "allow-unwrap-in-tests",
+        "allow-expect-in-tests",
+        "allow-panic-in-tests",
+    ] {
+        assert!(
+            clippy
+                .lines()
+                .any(|l| l.replace(' ', "") == format!("{key}=true")),
+            "clippy.toml no longer sets {key} = true"
+        );
+    }
+}
+
+fn workspace_root() -> std::path::PathBuf {
+    let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    fcn_analyze::walk::find_workspace_root(here).expect("inside the fcn workspace")
 }

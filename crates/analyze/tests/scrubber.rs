@@ -1,8 +1,8 @@
 //! Property tests for the lexical scrubber.
 //!
 //! The scrubber is the foundation every rule stands on: if a string
-//! payload leaks into the code plane, `ERR-UNWRAP` starts firing on
-//! `"unwrap()"` inside test fixtures; if code leaks into the comment
+//! payload leaks into the code plane, `ATOMIC-DOC` starts firing on
+//! `"Ordering::Relaxed"` inside test fixtures; if code leaks into the comment
 //! plane, suppressions stop matching. These tests generate random
 //! sequences of adversarial lexical pieces — raw strings with hash
 //! delimiters, byte strings, nested block comments, multiline literals —
@@ -147,10 +147,10 @@ proptest! {
 fn raw_string_payload_stays_out_of_code() {
     let f = SourceFile::parse(
         "crates/routing/src/fx.rs",
-        "let t = r##\"unwrap() \"# still S\"##; let K = 1;\n",
+        "let t = r##\"Ordering::Relaxed \"# still S\"##; let K = 1;\n",
     );
-    assert!(!f.lines[0].code.contains("unwrap"));
-    assert!(f.lines[0].strings.contains("unwrap()"));
+    assert!(!f.lines[0].code.contains("Relaxed"));
+    assert!(f.lines[0].strings.contains("Ordering::Relaxed"));
     assert!(
         f.lines[0].strings.contains("\"# still S"),
         "a quote with too few hashes must not close the raw string"
@@ -162,10 +162,10 @@ fn raw_string_payload_stays_out_of_code() {
 fn byte_strings_scrub_like_strings() {
     let f = SourceFile::parse(
         "crates/routing/src/fx.rs",
-        "let a = b\"panic!\"; let b2 = br#\"panic!\"#; let K = 0;\n",
+        "let a = b\"Ordering::AcqRel\"; let b2 = br#\"Ordering::AcqRel\"#; let K = 0;\n",
     );
-    assert!(!f.lines[0].code.contains("panic"));
-    assert_eq!(f.lines[0].strings.matches("panic!").count(), 2);
+    assert!(!f.lines[0].code.contains("AcqRel"));
+    assert_eq!(f.lines[0].strings.matches("Ordering::AcqRel").count(), 2);
     assert!(f.lines[0].code.contains("let K = 0;"));
 }
 
@@ -184,12 +184,12 @@ fn nested_block_comments_track_depth_across_lines() {
 
 #[test]
 fn multiline_string_state_survives_newlines() {
-    let src = "let t = \"S\nunwrap() S\n S\"; x.unwrap();\n";
+    let src = "let t = \"S\nOrdering::Relaxed S\n S\"; a.load(Ordering::Relaxed);\n";
     let f = SourceFile::parse("crates/routing/src/fx.rs", src);
-    assert!(f.lines[1].strings.contains("unwrap()"));
+    assert!(f.lines[1].strings.contains("Ordering::Relaxed"));
     assert!(f.lines[1].code.trim().is_empty());
     assert!(
-        f.lines[2].code.contains(".unwrap()"),
+        f.lines[2].code.contains("Ordering::Relaxed"),
         "code resumes after close"
     );
 }

@@ -121,7 +121,10 @@ pub fn fit_power_log(samples: &[(f64, f64)]) -> PowerLogFit {
         None => {
             // Drop the lg lg column (collinear) and fit a pure power law.
             let rows2: Vec<[f64; 3]> = rows.iter().map(|r| [r[0], r[2], 0.0]).collect();
-            // fcn-allow: ERR-UNWRAP two-column system with distinct sample sizes is nonsingular by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "two-column system with distinct sample sizes is nonsingular by construction"
+            )]
             let x = normal_equations(&rows2, &ys, 2).expect("power-law fit is nonsingular");
             (x[0], 0.0, x[1])
         }
@@ -167,7 +170,10 @@ pub fn classify_growth(samples: &[(f64, f64)], candidates: &[Asym]) -> (Asym, f6
             best = Some((cand.with_coeff(mean.exp2().max(f64::MIN_POSITIVE)), rms));
         }
     }
-    // fcn-allow: ERR-UNWRAP the assert at function entry guarantees at least one candidate was scored
+    #[expect(
+        clippy::expect_used,
+        reason = "the assert at function entry guarantees at least one candidate was scored"
+    )]
     best.expect("nonempty candidates")
 }
 

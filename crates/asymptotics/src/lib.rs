@@ -1,5 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! # fcn-asymptotics
 //!
 //! Exact symbolic algebra over growth expressions `c · n^a · (lg n)^b ·

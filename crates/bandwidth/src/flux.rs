@@ -146,7 +146,10 @@ pub fn flux_upper_bound(
         }
     }
 
-    // fcn-allow: ERR-UNWRAP the distance-bound candidate is considered unconditionally above, so `best` is always Some
+    #[expect(
+        clippy::expect_used,
+        reason = "the distance-bound candidate is considered unconditionally above, so `best` is always Some"
+    )]
     best.expect("at least one flux bound always exists")
 }
 

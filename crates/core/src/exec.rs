@@ -265,7 +265,10 @@ pub fn verify_block_emulation(
                         .all(|(&x, &l)| x >= l - (valid - 1) && x < l + b as isize + (valid - 1));
                     if in_bounds && within_margin {
                         // Gather neighbors from the local copy.
-                        // fcn-allow: ERR-UNWRAP the margin arithmetic guarantees validity: cells within `valid-1` of the owned block are fresh
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the margin arithmetic guarantees validity: cells within `valid-1` of the owned block are fresh"
+                        )]
                         let own = local[local_index(&coords)].expect("cell valid at this step");
                         let mut nb: Vec<(u64, u32)> = Vec::with_capacity(2 * kk);
                         for d in 0..kk {
@@ -275,8 +278,11 @@ pub fn verify_block_emulation(
                                 if c2[d] < 0 || c2[d] >= side as isize {
                                     continue; // guest boundary: no neighbor
                                 }
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "neighbors of a cell inside the margin are themselves within the margin at the previous step"
+                                )]
                                 let val =
-                                    // fcn-allow: ERR-UNWRAP neighbors of a cell inside the margin are themselves within the margin at the previous step
                                     local[local_index(&c2)].expect("neighbor valid at this step");
                                 nb.push((val, 1));
                             }
@@ -294,11 +300,14 @@ pub fn verify_block_emulation(
             }
             // Write owned cells back.
             let mut idx = vec![0usize; kk];
+            #[expect(
+                clippy::expect_used,
+                reason = "owned cells sit w steps inside the halo, so they are exact after w local steps"
+            )]
             loop {
                 let abs: Vec<isize> = idx.iter().zip(&lo).map(|(&i, &l)| l + i as isize).collect();
                 let gid = id_of(&abs.iter().map(|&x| x as usize).collect::<Vec<_>>(), side);
                 next_global[gid] =
-                    // fcn-allow: ERR-UNWRAP owned cells sit w steps inside the halo, so they are exact after w local steps
                     local[local_index(&abs)].expect("owned cell exact after w steps");
                 if !inc_index(&mut idx, b) {
                     break;

@@ -162,6 +162,10 @@ pub fn build_witness_in_circuit(
     };
     for i in (0..t).rev() {
         let mut below = vec![u32::MAX; n];
+        #[expect(
+            clippy::expect_used,
+            reason = "shallow-circuit construction wires an identity input at every level"
+        )]
         for v in 0..n {
             let above = rep[i as usize + 1][v];
             if above == u32::MAX {
@@ -169,7 +173,6 @@ pub fn build_witness_in_circuit(
             }
             below[v] = *pred[i as usize][above as usize]
                 .get(&(v as NodeId))
-                // fcn-allow: ERR-UNWRAP shallow-circuit construction wires an identity input at every level
                 .expect("valid circuit: identity input exists");
         }
         rep[i as usize] = below;
@@ -197,7 +200,10 @@ pub fn build_witness_in_circuit(
             if d > cutoff {
                 continue;
             }
-            // fcn-allow: ERR-UNWRAP BFS reached v (dist is finite), so the parent chain is complete
+            #[expect(
+                clippy::expect_used,
+                reason = "BFS reached v (dist is finite), so the parent chain is complete"
+            )]
             let path = path_from_parents(&parent, u, v).expect("connected");
             for level in l_min..=t {
                 let terminal_level = level - d;
@@ -212,9 +218,12 @@ pub fn build_witness_in_circuit(
                     let gap = level - s as u32 - 1;
                     // cur lives at level gap+1; its predecessor representing
                     // w[1] sits at level gap.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cone construction added a routing input for every shortest-path arc"
+                    )]
                     let nxt = *pred[gap as usize][cur as usize]
                         .get(&w[1])
-                        // fcn-allow: ERR-UNWRAP cone construction added a routing input for every shortest-path arc
                         .expect("valid circuit: routing input exists");
                     *congestion.entry((gap, nxt, cur)).or_insert(0) += bundle;
                     cur = nxt;
@@ -223,9 +232,12 @@ pub fn build_witness_in_circuit(
                 let mut q = cur; // v's representative at terminal_level
                 used_nodes.insert((terminal_level, q));
                 for i in (0..terminal_level).rev() {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "identity chains run unbroken from the terminal level to level 0"
+                    )]
                     let nxt = *pred[i as usize][q as usize]
                         .get(&v)
-                        // fcn-allow: ERR-UNWRAP identity chains run unbroken from the terminal level to level 0
                         .expect("valid circuit: identity input exists");
                     *congestion.entry((i, nxt, q)).or_insert(0) += i as u64 + 1;
                     q = nxt;
@@ -298,7 +310,10 @@ pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
                 continue; // long embedding path: not a cone path
             }
             // Extract the path once; reuse for every S-level.
-            // fcn-allow: ERR-UNWRAP BFS reached v (dist is finite), so the parent chain is complete
+            #[expect(
+                clippy::expect_used,
+                reason = "BFS reached v (dist is finite), so the parent chain is complete"
+            )]
             let path = path_from_parents(&parent, u, v).expect("connected");
             for level in l_min..=t {
                 let terminal_level = level - d;

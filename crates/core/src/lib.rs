@@ -1,5 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! # fcn-core
 //!
 //! The primary contribution of Kruskal & Rappoport (SPAA'94), made

@@ -1,5 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! Deterministic fork-join execution for sweep workloads.
 //!
 //! The workspace's hot paths — saturation sweeps over `trials ×
@@ -292,7 +299,10 @@ impl Pool {
                 // A missing slot means job `i`'s closure unwound before
                 // writing its result; name the culprit instead of the old
                 // anonymous double-panic.
-                // fcn-allow: ERR-UNWRAP deliberate panic propagation: re-raises a swallowed job panic with the job named
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate panic propagation: re-raises a swallowed job panic with the job named"
+                )]
                 slot.unwrap_or_else(|| panic!("job {i} panicked and produced no result"))
             })
             .collect()

@@ -1,5 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! # fcn-faults — the deterministic fault plane
 //!
 //! The paper's bandwidth `β` is defined operationally as the delivery rate

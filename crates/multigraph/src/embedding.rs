@@ -83,8 +83,11 @@ impl Embedding {
             let parent = trees
                 .entry(src)
                 .or_insert_with(|| bfs_parents_shuffled(host, src, host.node_count(), rng));
+            #[expect(
+                clippy::panic,
+                reason = "documented precondition: callers embed into connected hosts"
+            )]
             let p = path_from_parents(parent, src, dst)
-                // fcn-allow: ERR-UNWRAP documented precondition: callers embed into connected hosts
                 .unwrap_or_else(|| panic!("host disconnects images {src} and {dst}"));
             paths.push(p);
         }
@@ -139,12 +142,18 @@ impl Embedding {
                 current = Some(w);
             }
             // Leg 1: src -> w is the reverse of the tree path w -> src.
+            #[expect(
+                clippy::panic,
+                reason = "documented precondition: callers embed into connected hosts"
+            )]
             let mut leg1 = path_from_parents(&parent, w, src)
-                // fcn-allow: ERR-UNWRAP documented precondition: callers embed into connected hosts
                 .unwrap_or_else(|| panic!("host disconnects {w} and {src}"));
             leg1.reverse();
+            #[expect(
+                clippy::panic,
+                reason = "documented precondition: callers embed into connected hosts"
+            )]
             let leg2 = path_from_parents(&parent, w, dst)
-                // fcn-allow: ERR-UNWRAP documented precondition: callers embed into connected hosts
                 .unwrap_or_else(|| panic!("host disconnects {w} and {dst}"));
             leg1.extend_from_slice(&leg2[1..]);
             paths[i] = leg1;

@@ -77,7 +77,10 @@ pub fn to_json(g: &Multigraph) -> String {
         schema: JSON_SCHEMA.to_string(),
         graph: g.clone(),
     };
-    // fcn-allow: ERR-UNWRAP serializing a derived struct of integers and strings cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing a derived struct of integers and strings cannot fail"
+    )]
     serde_json::to_string(&env).expect("multigraph envelope serializes")
 }
 

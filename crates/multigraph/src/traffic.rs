@@ -188,7 +188,10 @@ impl Traffic {
                 let (u, r) = (k / (*m as u64 - 1), k % (*m as u64 - 1));
                 (u as NodeId, (r + u64::from(r >= u)) as NodeId)
             }
-            // fcn-allow: ERR-UNWRAP the Pairs constructor asserts a nonempty list
+            #[expect(
+                clippy::expect_used,
+                reason = "the Pairs constructor asserts a nonempty list"
+            )]
             TrafficKind::Pairs(p) => *p.choose(rng).expect("nonempty pair list"),
         }
     }

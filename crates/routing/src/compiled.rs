@@ -191,6 +191,7 @@ impl CompiledNet {
         let mut wire_cap: Vec<u32> = Vec::new();
         let mut send_cap = Vec::with_capacity(n);
         wire_offsets.push(0u32);
+        #[expect(clippy::panic, reason = "documented panic: wire ids are u32 by design")]
         for u in 0..n as NodeId {
             for (v, m) in g.neighbors(u) {
                 if v != u {
@@ -199,10 +200,8 @@ impl CompiledNet {
                     wire_cap.push(m);
                 }
             }
-            wire_offsets.push(offset(wire_to.len()).unwrap_or_else(|e| {
-                // fcn-allow: ERR-UNWRAP documented panic: wire ids are u32 by design
-                panic!("{}: {e}", machine.name())
-            }));
+            wire_offsets
+                .push(offset(wire_to.len()).unwrap_or_else(|e| panic!("{}: {e}", machine.name())));
             send_cap.push(machine.send_capacity(u));
         }
         let unit = wire_cap.iter().all(|&c| c == 1) && send_cap.iter().all(|&b| b == u32::MAX);
@@ -259,6 +258,10 @@ impl CompiledNet {
         let mut win_cap = Vec::with_capacity(events.len());
         win_offsets.push(0u32);
         let mut cursor = 0usize;
+        #[expect(
+            clippy::panic,
+            reason = "documented panic: window offsets are u32 by design"
+        )]
         for w in 0..wires as u32 {
             while cursor < events.len() && events[cursor].0 == w {
                 let (_, s, e, c) = events[cursor];
@@ -267,10 +270,8 @@ impl CompiledNet {
                 win_cap.push(c);
                 cursor += 1;
             }
-            win_offsets.push(offset(win_start.len()).unwrap_or_else(|e| {
-                // fcn-allow: ERR-UNWRAP documented panic: window offsets are u32 by design
-                panic!("fault overlay: {e}")
-            }));
+            win_offsets
+                .push(offset(win_start.len()).unwrap_or_else(|e| panic!("fault overlay: {e}")));
         }
         let mut send_cap = self.send_cap.clone();
         let mut dead_nodes = 0u32;

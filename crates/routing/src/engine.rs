@@ -822,12 +822,15 @@ pub mod reference {
             }
             wire_offsets.push(wire_to.len());
         }
+        #[expect(
+            clippy::panic,
+            reason = "documented panic: the spec takes walks of the host graph"
+        )]
         let wire_of = |u: NodeId, v: NodeId| -> usize {
             let lo = wire_offsets[u as usize];
             let hi = wire_offsets[u as usize + 1];
             lo + wire_to[lo..hi]
                 .binary_search(&v)
-                // fcn-allow: ERR-UNWRAP documented panic: the spec takes walks of the host graph
                 .unwrap_or_else(|_| panic!("no wire {u} -> {v}"))
         };
         let mut queues: Vec<WireQueue> = (0..wire_to.len())

@@ -158,8 +158,11 @@ impl<'a> RouteCtx<'a> {
     /// since planners only emit walks; compile untrusted paths with
     /// [`PacketBatch::compile`] to get the typed error instead.
     fn route_planned(&self, paths: &[PacketPath], cfg: RouterConfig) -> RoutingOutcome {
+        #[expect(
+            clippy::panic,
+            reason = "documented panic: planners emit walks; `PacketBatch::compile` covers untrusted paths"
+        )]
         let batch = PacketBatch::compile(&self.net, paths)
-            // fcn-allow: ERR-UNWRAP documented panic: planners emit walks; `PacketBatch::compile` covers untrusted paths
             .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"));
         POOLED_SCRATCH
             .with(|s| route_compiled(&self.net, &batch, cfg, &mut s.borrow_mut(), self.cancel))

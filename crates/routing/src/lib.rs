@@ -1,5 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! # fcn-routing
 //!
 //! A synchronous, unit-capacity, store-and-forward packet-routing simulator

@@ -120,9 +120,12 @@ impl<'g> PathOracle<'g> {
             .into_iter()
             .enumerate()
             .map(|(i, p)| {
+                #[expect(
+                    clippy::panic,
+                    reason = "documented panicking wrapper; `try_routes` is the Option-returning entry point"
+                )]
                 p.unwrap_or_else(|| {
                     let (s, d) = demands[i];
-                    // fcn-allow: ERR-UNWRAP documented panicking wrapper; `try_routes` is the Option-returning entry point
                     panic!("no path {s} -> {d} in host")
                 })
             })

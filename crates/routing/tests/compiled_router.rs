@@ -170,8 +170,11 @@ fn equivalence_pin_families_times_disciplines() {
 
 #[test]
 fn weak_machines_pin_send_budgets() {
-    // Per-node send caps (bus hub, weak hypercube) are the subtle half of
-    // the wire model; pin them separately.
+    // Per-node send caps (bus hub, weak hypercube) gate each tick's sends
+    // by a budget rather than by wire capacity alone: the subtle half of
+    // the wire model, pinned separately under every discipline with one
+    // scratch reused across machines, disciplines and runs.
+    let mut scratch = RouterScratch::new();
     for machine in [Machine::global_bus(16), Machine::weak_hypercube(4)] {
         let traffic = machine.symmetric_traffic();
         use rand::SeedableRng;
@@ -182,11 +185,23 @@ fn weak_machines_pin_send_budgets() {
         let paths = plan_routes_cached(&machine, &demands, Strategy::ShortestPath, 23, None);
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
-        let mut scratch = RouterScratch::new();
-        let cfg = RouterConfig::default();
-        let old = reference::route_batch(&machine, paths.clone(), cfg).expect("batch fits u32 ids");
-        let new = route_compiled(&net, &batch, cfg, &mut scratch, None);
-        assert_eq!(old, new, "{}", machine.name());
+        for discipline in DISCIPLINES {
+            let cfg = RouterConfig {
+                discipline,
+                ..RouterConfig::default()
+            };
+            let expected =
+                reference::route_batch(&machine, paths.clone(), cfg).expect("batch fits u32 ids");
+            assert!(expected.completed, "{} / {discipline:?}", machine.name());
+            for run in 0..2 {
+                assert_eq!(
+                    route_compiled(&net, &batch, cfg, &mut scratch, None),
+                    expected,
+                    "{} / {discipline:?} / run {run}",
+                    machine.name()
+                );
+            }
+        }
     }
 }
 

@@ -1,5 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! # fcn-telemetry — deterministic observability for the fcn-emu workspace
 //!
 //! A zero-overhead-when-disabled metrics subsystem: atomic counters, gauges,

@@ -35,8 +35,11 @@ pub struct MetricsSnapshot {
 }
 
 /// Render one JSONL line from a hand-built [`Value`] tree.
+#[expect(
+    clippy::expect_used,
+    reason = "hand-built `serde_json::Value` trees (string keys, integer leaves) always serialize"
+)]
 fn render_line(v: &Value) -> String {
-    // fcn-allow: ERR-UNWRAP hand-built `serde_json::Value` trees (string keys, integer leaves) always serialize
     serde_json::to_string(v).expect("value renders")
 }
 

@@ -171,6 +171,10 @@ fn hierarchy_base_side(n: usize, k: usize) -> usize {
     }
 }
 
+#[expect(
+    clippy::panic,
+    reason = "documented precondition: label decoding is only called on sizes produced by the builders"
+)]
 fn butterfly_dims(n: usize) -> (u32, usize) {
     for g in 1..=30u32 {
         let rows = 1usize << g;
@@ -178,10 +182,13 @@ fn butterfly_dims(n: usize) -> (u32, usize) {
             return (g, rows);
         }
     }
-    // fcn-allow: ERR-UNWRAP documented precondition: label decoding is only called on sizes produced by the builders
     panic!("not a butterfly node count: {n}");
 }
 
+#[expect(
+    clippy::panic,
+    reason = "documented precondition: label decoding is only called on sizes produced by the builders"
+)]
 fn ccc_dims(n: usize) -> (u32, usize) {
     for g in 2..=30u32 {
         let rows = 1usize << g;
@@ -189,7 +196,6 @@ fn ccc_dims(n: usize) -> (u32, usize) {
             return (g, rows);
         }
     }
-    // fcn-allow: ERR-UNWRAP documented precondition: label decoding is only called on sizes produced by the builders
     panic!("not a CCC node count: {n}");
 }
 

@@ -1,5 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! # fcn-emu — Bandwidth-Based Lower Bounds on Slowdown for Efficient
 //! # Emulations of Fixed-Connection Networks
 //!
