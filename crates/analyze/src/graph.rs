@@ -1,12 +1,5 @@
 //! Cross-file rules over the merged [`FileIndex`] set.
 //!
-//! * **LOCK-ORDER** — replays each function's event stream against the
-//!   declared `lockdep::ranks` table: every `lock_ranked` acquisition made
-//!   while other ranked locks are held must strictly increase the rank.
-//!   Guard-returning wrappers (`fn lock(&self) -> RankedGuard<…>`) act as
-//!   acquisitions at their call sites, calls are inlined one level, and the
-//!   resulting acquisition graph is checked for cycles. A condvar wait
-//!   while holding more than the waited lock is flagged too.
 //! * **TEL-DEAD** — telemetry name constants never recorded anywhere (a
 //!   `names::X` reference missing from the table does not compile, so it
 //!   needs no rule).
@@ -34,7 +27,7 @@ struct FnRef<'a> {
     item: &'a FnItem,
 }
 
-/// Resolution tables shared by the lock-order and reachability passes.
+/// Call-resolution tables for the reachability pass.
 struct Resolver<'a> {
     /// `(crate, impl_type, name)` → unique fn (None when ambiguous).
     typed: BTreeMap<(&'a str, &'a str, &'a str), Option<FnRef<'a>>>,
@@ -81,260 +74,6 @@ impl<'a> Resolver<'a> {
                 .flatten(),
             Receiver::Free => self.typed.get(&(krate, "", callee)).copied().flatten(),
             Receiver::Method => self.by_name.get(&(krate, callee)).copied().flatten(),
-        }
-    }
-}
-
-/// The rank a guard-returning wrapper acquires, if statically unambiguous:
-/// the wrapper must contain exactly one ranked acquisition.
-fn guard_rank(f: FnRef<'_>) -> Option<&str> {
-    if !f.item.returns_guard {
-        return None;
-    }
-    let mut rank = None;
-    for ev in &f.item.events {
-        if let EventKind::Acquire { rank: r, .. } = &ev.kind {
-            if r.is_empty() || rank.is_some() {
-                return None;
-            }
-            rank = Some(r.as_str());
-        }
-    }
-    rank
-}
-
-/// Ranks a callee acquires, one level deep: its direct acquisitions plus
-/// the guard wrappers it calls. Also reports whether the callee waits on a
-/// condvar.
-fn callee_acquires<'a>(r: &Resolver<'a>, g: FnRef<'a>) -> (Vec<&'a str>, bool) {
-    let mut ranks = Vec::new();
-    let mut waits = false;
-    for ev in &g.item.events {
-        match &ev.kind {
-            EventKind::Acquire { rank, .. } if !rank.is_empty() => ranks.push(rank.as_str()),
-            EventKind::Wait => waits = true,
-            EventKind::Call {
-                callee, receiver, ..
-            } => {
-                if let Some(h) = r.resolve(g, callee, receiver) {
-                    if let Some(rank) = guard_rank(h) {
-                        ranks.push(rank);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    (ranks, waits)
-}
-
-struct Held {
-    rank: String,
-    depth: i32,
-    var: Option<String>,
-}
-
-/// One directed acquisition: `to` taken while `from` was held.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Edge {
-    from: String,
-    to: String,
-    path: String,
-    line: usize,
-}
-
-/// LOCK-ORDER: the static lock-acquisition graph vs the declared ranks.
-fn lock_order(indexes: &[FileIndex], out: &mut Vec<Finding>) {
-    // The declared order: const name -> (rank, site).
-    let mut ranks: BTreeMap<&str, (u32, &str, usize)> = BTreeMap::new();
-    let mut by_value: BTreeMap<u32, &str> = BTreeMap::new();
-    for file in indexes {
-        for d in &file.rank_defs {
-            ranks.insert(d.name.as_str(), (d.rank, file.path.as_str(), d.line));
-            if let Some(first) = by_value.get(&d.rank) {
-                if *first != d.name.as_str() {
-                    out.push(Finding {
-                        path: file.path.clone(),
-                        line: d.line,
-                        rule: "LOCK-ORDER",
-                        message: format!(
-                            "duplicate lock rank {}: `{}` collides with `{first}`; every \
-                             lock level needs a distinct rank for the order to be total",
-                            d.rank, d.name
-                        ),
-                    });
-                }
-            } else {
-                by_value.insert(d.rank, d.name.as_str());
-            }
-        }
-    }
-    if ranks.is_empty() {
-        return; // no lockdep table in scope (path-restricted run)
-    }
-
-    let resolver = Resolver::build(indexes);
-    let mut edges: BTreeSet<Edge> = BTreeSet::new();
-
-    for file in indexes {
-        for item in &file.fns {
-            let fr = FnRef { file, item };
-            let mut held: Vec<Held> = Vec::new();
-            let mut depth = 0i32;
-            let acquire =
-                |held: &Vec<Held>, edges: &mut BTreeSet<Edge>, rank: &str, line: usize| {
-                    for h in held {
-                        edges.insert(Edge {
-                            from: h.rank.clone(),
-                            to: rank.to_string(),
-                            path: file.path.clone(),
-                            line,
-                        });
-                    }
-                };
-            for ev in &item.events {
-                match &ev.kind {
-                    EventKind::Open => depth += 1,
-                    EventKind::Close => {
-                        depth -= 1;
-                        held.retain(|h| h.depth <= depth);
-                    }
-                    EventKind::Acquire { rank, bound } if !rank.is_empty() => {
-                        acquire(&held, &mut edges, rank, ev.line);
-                        if bound.is_some() {
-                            held.push(Held {
-                                rank: rank.clone(),
-                                depth,
-                                var: bound.clone(),
-                            });
-                        }
-                    }
-                    EventKind::Wait if held.len() >= 2 => {
-                        let names: Vec<&str> = held.iter().map(|h| h.rank.as_str()).collect();
-                        out.push(Finding {
-                            path: file.path.clone(),
-                            line: ev.line,
-                            rule: "LOCK-ORDER",
-                            message: format!(
-                                "condvar wait in `{}` while holding {} ranked locks \
-                                 ({}): a wait releases only the waited lock, so every \
-                                 other held lock deadlocks its next contender",
-                                item.name,
-                                held.len(),
-                                names.join(", ")
-                            ),
-                        });
-                    }
-                    EventKind::DropVar { var } => {
-                        held.retain(|h| h.var.as_deref() != Some(var.as_str()));
-                    }
-                    EventKind::Call {
-                        callee,
-                        receiver,
-                        bound,
-                    } => {
-                        let Some(g) = resolver.resolve(fr, callee, receiver) else {
-                            continue;
-                        };
-                        if let Some(r) = guard_rank(g) {
-                            acquire(&held, &mut edges, r, ev.line);
-                            if bound.is_some() {
-                                held.push(Held {
-                                    rank: r.to_string(),
-                                    depth,
-                                    var: bound.clone(),
-                                });
-                            }
-                            continue;
-                        }
-                        let (acquired, waits) = callee_acquires(&resolver, g);
-                        for r in acquired {
-                            acquire(&held, &mut edges, r, ev.line);
-                        }
-                        if waits && !held.is_empty() {
-                            let names: Vec<&str> = held.iter().map(|h| h.rank.as_str()).collect();
-                            out.push(Finding {
-                                path: file.path.clone(),
-                                line: ev.line,
-                                rule: "LOCK-ORDER",
-                                message: format!(
-                                    "`{}` calls `{}`, which waits on a condvar, while \
-                                     holding {}: the held lock blocks every thread that \
-                                     could satisfy the wait",
-                                    item.name,
-                                    g.item.name,
-                                    names.join(", ")
-                                ),
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    // Rank violations: any edge that does not strictly increase.
-    for e in &edges {
-        let (Some((rf, _, _)), Some((rt, _, _))) =
-            (ranks.get(e.from.as_str()), ranks.get(e.to.as_str()))
-        else {
-            continue;
-        };
-        if rf >= rt {
-            out.push(Finding {
-                path: e.path.clone(),
-                line: e.line,
-                rule: "LOCK-ORDER",
-                message: format!(
-                    "lock-order violation: `{}` (rank {rt}) acquired while holding `{}` \
-                     (rank {rf}); the declared order in lockdep::ranks requires strictly \
-                     increasing ranks",
-                    e.to, e.from
-                ),
-            });
-        }
-    }
-
-    // Cycles in the acquisition graph (even rank-consistent tables can't
-    // have them, but a table-less edge set can).
-    let mut adj: BTreeMap<&str, Vec<&Edge>> = BTreeMap::new();
-    for e in &edges {
-        adj.entry(e.from.as_str()).or_default().push(e);
-    }
-    let nodes: Vec<&str> = adj.keys().copied().collect();
-    for start in nodes {
-        // DFS bounded by the edge count; report a cycle through `start` once.
-        let mut stack: Vec<(&str, Vec<&Edge>)> = vec![(start, Vec::new())];
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        while let Some((node, trail)) = stack.pop() {
-            for &e in adj.get(node).into_iter().flatten() {
-                if e.to == start {
-                    let mut names: Vec<&str> = trail.iter().map(|t| t.from.as_str()).collect();
-                    names.push(e.from.as_str());
-                    names.push(start);
-                    // canonical orientation: only report from the smallest
-                    // node so each cycle appears once
-                    if names.iter().min() == Some(&start) {
-                        let first = trail.first().copied().unwrap_or(e);
-                        out.push(Finding {
-                            path: first.path.clone(),
-                            line: first.line,
-                            rule: "LOCK-ORDER",
-                            message: format!(
-                                "lock-acquisition cycle: {} -> {}; some interleaving of \
-                                 these acquisitions deadlocks",
-                                start,
-                                names[1..].join(" -> ")
-                            ),
-                        });
-                    }
-                } else if seen.insert(e.to.as_str()) {
-                    let mut t = trail.clone();
-                    t.push(e);
-                    stack.push((e.to.as_str(), t));
-                }
-            }
         }
     }
 }
@@ -465,9 +204,7 @@ fn blocking_in_handler(indexes: &[FileIndex], out: &mut Vec<Finding>) {
                         ),
                     });
                 }
-                EventKind::Call {
-                    callee, receiver, ..
-                } => {
+                EventKind::Call { callee, receiver } => {
                     if let Some(g) = resolver.resolve(f, callee, receiver) {
                         if g.file.crate_name == "serve" {
                             let gi = g
@@ -482,7 +219,6 @@ fn blocking_in_handler(indexes: &[FileIndex], out: &mut Vec<Finding>) {
                         }
                     }
                 }
-                _ => {}
             }
         }
     }
@@ -567,7 +303,6 @@ pub fn check_workspace(indexes: &[FileIndex]) -> Vec<Finding> {
     let mut out = Vec::new();
     schema_tag_workspace(indexes, &mut out);
     tel_name_workspace(indexes, &mut out);
-    lock_order(indexes, &mut out);
     tel_dead(indexes, &mut out);
     schema_drift(indexes, &mut out);
     blocking_in_handler(indexes, &mut out);
@@ -585,120 +320,6 @@ mod tests {
             .iter()
             .map(|(p, s)| build_index(&SourceFile::parse(p, s)))
             .collect()
-    }
-
-    const RANKS: &str = "\
-pub const A_LOW: LockRank = LockRank::new(10, \"a\");
-pub const B_HIGH: LockRank = LockRank::new(20, \"b\");
-";
-
-    #[test]
-    fn inverted_nesting_is_a_violation() {
-        let bad = "\
-fn f(a: &M, b: &M) {
-    let g = lock_ranked(b, ranks::B_HIGH);
-    let h = lock_ranked(a, ranks::A_LOW);
-    drop(h);
-    drop(g);
-}
-";
-        let ix = indexes(&[
-            ("crates/telemetry/src/lockdep.rs", RANKS),
-            ("crates/core/src/bad.rs", bad),
-        ]);
-        let out = check_workspace(&ix);
-        let hits: Vec<&Finding> = out.iter().filter(|f| f.rule == "LOCK-ORDER").collect();
-        assert_eq!(hits.len(), 1, "{out:?}");
-        assert!(hits[0].message.contains("lock-order violation"));
-        assert_eq!(hits[0].line, 3);
-    }
-
-    #[test]
-    fn ordered_nesting_and_sequential_locks_are_clean() {
-        let good = "\
-fn nested(a: &M, b: &M) {
-    let g = lock_ranked(a, ranks::A_LOW);
-    let h = lock_ranked(b, ranks::B_HIGH);
-    drop(h);
-    drop(g);
-}
-fn sequential(a: &M, b: &M) {
-    lock_ranked(b, ranks::B_HIGH).touch();
-    lock_ranked(a, ranks::A_LOW).touch();
-}
-";
-        let ix = indexes(&[
-            ("crates/telemetry/src/lockdep.rs", RANKS),
-            ("crates/core/src/good.rs", good),
-        ]);
-        let out = check_workspace(&ix);
-        assert!(
-            out.iter().all(|f| f.rule != "LOCK-ORDER"),
-            "clean nesting flagged: {out:?}"
-        );
-    }
-
-    #[test]
-    fn guard_wrapper_counts_as_acquisition_across_files() {
-        let wrapper = "\
-impl Adm {
-    fn lock(&self) -> RankedGuard<'_, u32> {
-        lock_ranked(&self.m, ranks::B_HIGH)
-    }
-    fn nest(&self, a: &M) {
-        let st = self.lock();
-        let g = lock_ranked(a, ranks::A_LOW);
-    }
-}
-";
-        let ix = indexes(&[
-            ("crates/telemetry/src/lockdep.rs", RANKS),
-            ("crates/serve/src/adm.rs", wrapper),
-        ]);
-        let out = check_workspace(&ix);
-        assert!(
-            out.iter()
-                .any(|f| f.rule == "LOCK-ORDER" && f.message.contains("lock-order violation")),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn condvar_wait_with_two_held_locks_is_flagged() {
-        let bad = "\
-fn f(a: &M, b: &M, cv: &C) {
-    let g = lock_ranked(a, ranks::A_LOW);
-    let h = lock_ranked(b, ranks::B_HIGH);
-    let (h2, _) = wait_timeout_ranked(cv, h, d);
-}
-";
-        let ix = indexes(&[
-            ("crates/telemetry/src/lockdep.rs", RANKS),
-            ("crates/core/src/bad.rs", bad),
-        ]);
-        let out = check_workspace(&ix);
-        assert!(
-            out.iter()
-                .any(|f| f.rule == "LOCK-ORDER" && f.message.contains("condvar wait")),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn drop_releases_before_the_next_acquire() {
-        let good = "\
-fn f(a: &M, b: &M) {
-    let g = lock_ranked(b, ranks::B_HIGH);
-    drop(g);
-    let h = lock_ranked(a, ranks::A_LOW);
-}
-";
-        let ix = indexes(&[
-            ("crates/telemetry/src/lockdep.rs", RANKS),
-            ("crates/core/src/good.rs", good),
-        ]);
-        let out = check_workspace(&ix);
-        assert!(out.iter().all(|f| f.rule != "LOCK-ORDER"), "{out:?}");
     }
 
     #[test]

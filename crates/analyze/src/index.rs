@@ -5,10 +5,8 @@
 //! without ever materializing an AST (the analyzer stays `syn`-free):
 //!
 //! * function items with their enclosing `impl` type and a compact *event
-//!   stream* — brace opens/closes, ranked lock acquisitions, calls, condvar
-//!   waits, explicit `drop(var)` releases, and blocking-I/O sites — that
-//!   [`crate::graph`] replays to simulate lock nesting;
-//! * `LockRank::new(N, …)` constant definitions (the declared lock order);
+//!   stream* — calls and blocking-I/O sites — that [`crate::graph`] walks
+//!   to find blocking calls reachable from request handlers;
 //! * the telemetry name table (`pub const` entries of `names.rs`) and every
 //!   `names::X` reference elsewhere;
 //! * versioned `fcn-*/N` schema-tag literals (including CI gate files);
@@ -36,34 +34,12 @@ pub enum Receiver {
 /// One entry in a function's replayable event stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// A `{` inside the function body (scope push).
-    Open,
-    /// A `}` inside the function body (scope pop: releases block-scoped guards).
-    Close,
-    /// A `lock_ranked(…, ranks::RANK)` acquisition. `bound` is the `let`
-    /// variable holding the guard, if any; an unbound acquire is a
-    /// statement temporary and holds nothing afterwards.
-    Acquire {
-        /// The `ranks::` constant named at the site (empty if unresolved).
-        rank: String,
-        /// `let` binding receiving the guard, when present.
-        bound: Option<String>,
-    },
-    /// A call that the cross-file pass may resolve and inline one level.
+    /// A call that the cross-file pass may resolve and follow.
     Call {
         /// Callee identifier as written.
         callee: String,
         /// Call shape (see [`Receiver`]).
         receiver: Receiver,
-        /// `let` binding receiving the result, when present.
-        bound: Option<String>,
-    },
-    /// A condvar wait (`wait_timeout_ranked` or a raw `.wait*()`).
-    Wait,
-    /// An explicit `drop(var)` releasing a bound guard early.
-    DropVar {
-        /// The dropped variable.
-        var: String,
     },
     /// A blocking socket/fs/process call (for BLOCKING-IN-HANDLER).
     Blocking {
@@ -90,22 +66,8 @@ pub struct FnItem {
     pub impl_type: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Whether the signature mentions a `*Guard` type (guard-returning
-    /// wrappers act as lock acquisitions at their call sites).
-    pub returns_guard: bool,
     /// The body's event stream, in source order.
     pub events: Vec<Event>,
-}
-
-/// A `LockRank::new(N, …)` constant definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankDef {
-    /// Constant identifier, e.g. `SERVE_ADMISSION`.
-    pub name: String,
-    /// Declared numeric rank.
-    pub rank: u32,
-    /// 1-based definition line.
-    pub line: usize,
 }
 
 /// A `pub const`/`pub static` declaration in the telemetry names table.
@@ -149,8 +111,6 @@ pub struct FileIndex {
     pub crate_name: String,
     /// Indexed functions (non-test regions only).
     pub fns: Vec<FnItem>,
-    /// Declared lock ranks.
-    pub rank_defs: Vec<RankDef>,
     /// Telemetry name-table entries (only populated for [`NAMES_PATH`]).
     pub tel_consts: Vec<TelConst>,
     /// `names::X` references.
@@ -304,7 +264,6 @@ struct PendingFn {
     name: String,
     line: usize,
     in_test: bool,
-    has_guard: bool,
 }
 
 struct Indexer<'a> {
@@ -317,10 +276,6 @@ struct Indexer<'a> {
     pending_impl: Option<Vec<String>>,
     angle: i32,
     expect_fn_name: bool,
-    expect_binding: bool,
-    binding_var: Option<String>,
-    pending_rank: Option<(usize, usize)>,
-    pending_drop: Option<(usize, usize)>,
     prev_word: String,
     link: Link,
 }
@@ -334,7 +289,6 @@ pub fn build_index(sf: &SourceFile) -> FileIndex {
             kind: sf.kind,
             crate_name: sf.crate_name.clone(),
             fns: Vec::new(),
-            rank_defs: Vec::new(),
             tel_consts: Vec::new(),
             tel_refs: Vec::new(),
             schema_tags: Vec::new(),
@@ -347,10 +301,6 @@ pub fn build_index(sf: &SourceFile) -> FileIndex {
         pending_impl: None,
         angle: 0,
         expect_fn_name: false,
-        expect_binding: false,
-        binding_var: None,
-        pending_rank: None,
-        pending_drop: None,
         prev_word: String::new(),
         link: Link::None,
     };
@@ -368,39 +318,22 @@ pub fn build_index(sf: &SourceFile) -> FileIndex {
 }
 
 impl Indexer<'_> {
-    /// Line-level extraction that does not need the token walk: rank
-    /// definitions, the telemetry table, and schema tags.
+    /// Line-level extraction that does not need the token walk: the
+    /// telemetry table and schema tags.
     fn scan_line_extras(&mut self, ln: usize, line: &crate::source::ScrubbedLine) {
         let in_test = self.sf.is_test_line(ln);
-        if !in_test {
-            if let Some(at) = line.code.find("LockRank::new(") {
-                if let Some(name) = ident_after(&line.code, "const ") {
-                    let digits: String = line.code[at + "LockRank::new(".len()..]
-                        .chars()
-                        .skip_while(|c| *c == ' ')
-                        .take_while(char::is_ascii_digit)
-                        .collect();
-                    if let Ok(rank) = digits.parse::<u32>() {
-                        self.out.rank_defs.push(RankDef {
-                            name,
-                            rank,
-                            line: ln,
-                        });
-                    }
-                }
-            }
-            if self.out.path == NAMES_PATH
-                && (line.code.contains("pub const ") || line.code.contains("pub static "))
-            {
-                let name = ident_after(&line.code, "const ")
-                    .or_else(|| ident_after(&line.code, "static "));
-                if let Some(name) = name {
-                    self.out.tel_consts.push(TelConst {
-                        name,
-                        value: line.strings.trim().to_string(),
-                        line: ln,
-                    });
-                }
+        if !in_test
+            && self.out.path == NAMES_PATH
+            && (line.code.contains("pub const ") || line.code.contains("pub static "))
+        {
+            let name =
+                ident_after(&line.code, "const ").or_else(|| ident_after(&line.code, "static "));
+            if let Some(name) = name {
+                self.out.tel_consts.push(TelConst {
+                    name,
+                    value: line.strings.trim().to_string(),
+                    line: ln,
+                });
             }
         }
         match self.out.kind {
@@ -422,24 +355,10 @@ impl Indexer<'_> {
         !self.fn_stack.is_empty()
     }
 
-    fn push_event(&mut self, ln: usize, kind: EventKind) -> Option<(usize, usize)> {
-        let (fn_idx, _) = *self.fn_stack.last()?;
-        let events = &mut self.out.fns[fn_idx].events;
-        events.push(Event { line: ln, kind });
-        Some((fn_idx, events.len() - 1))
-    }
-
-    /// Consume the armed `let` binding, if any (first event on the
-    /// statement claims it).
-    fn take_binding(&mut self) -> Option<String> {
-        self.binding_var.take()
-    }
-
-    fn end_statement(&mut self) {
-        self.expect_binding = false;
-        self.binding_var = None;
-        self.pending_rank = None;
-        self.pending_drop = None;
+    fn push_event(&mut self, ln: usize, kind: EventKind) {
+        if let Some(&(fn_idx, _)) = self.fn_stack.last() {
+            self.out.fns[fn_idx].events.push(Event { line: ln, kind });
+        }
     }
 
     /// The token walk over one line's code plane. Structural tracking
@@ -477,17 +396,9 @@ impl Indexer<'_> {
                 }
                 '<' if self.pending_impl.is_some() => self.angle += 1,
                 '>' if self.pending_impl.is_some() => self.angle -= 1,
-                '{' => self.on_open(ln, in_test),
-                '}' => self.on_close(ln, in_test),
+                '{' => self.on_open(),
+                '}' => self.on_close(),
                 ';' => self.on_semi(),
-                '(' => {
-                    if self.expect_binding {
-                        // `let (a, b) = …`: pattern bindings are untracked.
-                        self.expect_binding = false;
-                    }
-                    self.link = Link::None;
-                    self.prev_word.clear();
-                }
                 ' ' => {}
                 _ => {
                     self.link = Link::None;
@@ -506,17 +417,12 @@ impl Indexer<'_> {
                 name: w.to_string(),
                 line: ln,
                 in_test,
-                has_guard: false,
             });
             return;
         }
-        if let Some(pf) = self.pending_fn.as_mut() {
+        if self.pending_fn.is_some() {
             // Between `fn name` and `{`: every word is part of the
-            // signature (params, return type, where clause) — record guard
-            // types, emit nothing.
-            if w.contains("Guard") {
-                pf.has_guard = true;
-            }
+            // signature (params, return type, where clause); emit nothing.
             return;
         }
         if w == "fn" {
@@ -534,23 +440,6 @@ impl Indexer<'_> {
             }
             return;
         }
-        // --- `let` binding capture ----------------------------------------
-        if w == "let" {
-            self.expect_binding = true;
-            return;
-        }
-        if self.expect_binding {
-            if w == "mut" {
-                return;
-            }
-            self.expect_binding = false;
-            // Uppercase-initial = enum/struct pattern (`let Some(x) = …`):
-            // the guard is then block-scoped but unnamed; treat as unbound.
-            if !w.starts_with(char::is_uppercase) {
-                self.binding_var = Some(w.to_string());
-            }
-            // fall through: the word may itself matter (rare)
-        }
         // `names::X` references count from anywhere, tests included — a
         // test exercising a metric keeps its name alive.
         if self.link == Link::Colons && self.prev_word == "names" {
@@ -563,41 +452,7 @@ impl Indexer<'_> {
         if !self.in_fn() || in_test {
             return;
         }
-        // Fill a pending `ranks::X` / `drop(x)` operand.
-        if self.link == Link::Colons && self.prev_word == "ranks" {
-            if let Some((f, e)) = self.pending_rank.take() {
-                if let EventKind::Acquire { rank, .. } = &mut self.out.fns[f].events[e].kind {
-                    *rank = w.to_string();
-                }
-            }
-        }
-        if let Some((f, e)) = self.pending_drop.take() {
-            if let EventKind::DropVar { var } = &mut self.out.fns[f].events[e].kind {
-                *var = w.to_string();
-            }
-        }
         if !is_call || is_macro {
-            return;
-        }
-        if w == "lock_ranked" {
-            let bound = self.take_binding();
-            self.pending_rank = self.push_event(
-                ln,
-                EventKind::Acquire {
-                    rank: String::new(),
-                    bound,
-                },
-            );
-            return;
-        }
-        if w == "wait_timeout_ranked"
-            || (self.link == Link::Dot && matches!(w, "wait" | "wait_timeout" | "wait_while"))
-        {
-            self.push_event(ln, EventKind::Wait);
-            return;
-        }
-        if w == "drop" && self.link == Link::None {
-            self.pending_drop = self.push_event(ln, EventKind::DropVar { var: String::new() });
             return;
         }
         if self.link == Link::Colons {
@@ -644,18 +499,16 @@ impl Indexer<'_> {
             }
             Link::None => Receiver::Free,
         };
-        let bound = self.take_binding();
         self.push_event(
             ln,
             EventKind::Call {
                 callee: w.to_string(),
                 receiver,
-                bound,
             },
         );
     }
 
-    fn on_open(&mut self, _ln: usize, _in_test: bool) {
+    fn on_open(&mut self) {
         if let Some(pf) = self.pending_fn.take() {
             if !pf.in_test {
                 self.out.fns.push(FnItem {
@@ -666,7 +519,6 @@ impl Indexer<'_> {
                         .map(|(t, _)| t.clone())
                         .unwrap_or_default(),
                     line: pf.line,
-                    returns_guard: pf.has_guard,
                     events: Vec::new(),
                 });
                 self.fn_stack.push((self.out.fns.len() - 1, self.depth));
@@ -682,31 +534,23 @@ impl Indexer<'_> {
                 .cloned()
                 .unwrap_or_default();
             self.impl_stack.push((ty, self.depth));
-        } else if self.in_fn() && !_in_test {
-            self.push_event(_ln, EventKind::Open);
         }
         self.depth += 1;
-        self.binding_var = None;
-        self.expect_binding = false;
         self.prev_word.clear();
         self.link = Link::None;
     }
 
-    fn on_close(&mut self, _ln: usize, _in_test: bool) {
+    fn on_close(&mut self) {
         self.depth -= 1;
-        if let Some((ty, d)) = self.impl_stack.last() {
-            let _ = ty;
-            if *d == self.depth {
-                self.impl_stack.pop();
-            }
+        if self
+            .impl_stack
+            .last()
+            .is_some_and(|(_, d)| *d == self.depth)
+        {
+            self.impl_stack.pop();
         }
-        if let Some((_, d)) = self.fn_stack.last() {
-            if *d == self.depth {
-                self.fn_stack.pop();
-                self.end_statement();
-            } else if !_in_test {
-                self.push_event(_ln, EventKind::Close);
-            }
+        if self.fn_stack.last().is_some_and(|(_, d)| *d == self.depth) {
+            self.fn_stack.pop();
         }
         self.prev_word.clear();
         self.link = Link::None;
@@ -717,7 +561,6 @@ impl Indexer<'_> {
             // trait method declaration without a body
             self.pending_fn = None;
         }
-        self.end_statement();
         self.prev_word.clear();
         self.link = Link::None;
     }
@@ -747,12 +590,12 @@ mod tests {
     }
 
     #[test]
-    fn indexes_fns_with_impl_types_and_guards() {
+    fn indexes_fns_with_impl_types() {
         let src = "\
 struct A;
 impl A {
-    fn lock(&self) -> RankedGuard<'_, u32> {
-        lock_ranked(&self.m, ranks::SERVE_ADMISSION)
+    fn run(&self) {
+        helper(self.n);
     }
     fn plain(&self) {}
 }
@@ -760,16 +603,15 @@ fn free() {}
 ";
         let ix = index("crates/serve/src/x.rs", src);
         assert_eq!(ix.fns.len(), 3);
-        assert_eq!(ix.fns[0].name, "lock");
+        assert_eq!(ix.fns[0].name, "run");
         assert_eq!(ix.fns[0].impl_type, "A");
-        assert!(ix.fns[0].returns_guard);
         assert_eq!(
             ix.fns[0].events,
             vec![Event {
                 line: 4,
-                kind: EventKind::Acquire {
-                    rank: "SERVE_ADMISSION".into(),
-                    bound: None
+                kind: EventKind::Call {
+                    callee: "helper".into(),
+                    receiver: Receiver::Free,
                 }
             }]
         );
@@ -795,53 +637,8 @@ impl<'a, T> Drop for Token<T> {
                 kind: EventKind::Call {
                     callee: "release".into(),
                     receiver: Receiver::SelfDot,
-                    bound: None
                 }
             }]
-        );
-    }
-
-    #[test]
-    fn bindings_waits_and_drops_are_tracked() {
-        let src = "\
-fn f(a: &M, cv: &C) {
-    let mut g = lock_ranked(a, ranks::EXEC_WATCHDOG);
-    let (g2, _) = wait_timeout_ranked(cv, g, d);
-    drop(g2);
-}
-";
-        let ix = index("crates/x/src/lib.rs", src);
-        let kinds: Vec<&EventKind> = ix.fns[0].events.iter().map(|e| &e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                &EventKind::Acquire {
-                    rank: "EXEC_WATCHDOG".into(),
-                    bound: Some("g".into())
-                },
-                &EventKind::Wait,
-                &EventKind::DropVar { var: "g2".into() },
-            ]
-        );
-    }
-
-    #[test]
-    fn multiline_acquire_still_resolves_its_rank() {
-        let src = "\
-fn f(a: &M) {
-    let g = lock_ranked(
-        a,
-        ranks::TEL_COUNTERS,
-    );
-}
-";
-        let ix = index("crates/x/src/lib.rs", src);
-        assert_eq!(
-            ix.fns[0].events[0].kind,
-            EventKind::Acquire {
-                rank: "TEL_COUNTERS".into(),
-                bound: Some("g".into())
-            }
         );
     }
 
@@ -865,23 +662,13 @@ fn f(p: &str) {
                 &EventKind::Call {
                     callee: "helper".into(),
                     receiver: Receiver::Free,
-                    bound: None
                 },
             ]
         );
     }
 
     #[test]
-    fn rank_defs_tel_consts_and_tags() {
-        let lockdep = "\
-pub const SERVE_ADMISSION: LockRank = LockRank::new(10, \"serve.admission\");
-pub const SERVE_REGISTRY: LockRank = LockRank::new(20, \"serve.registry\");
-";
-        let ix = index("crates/telemetry/src/lockdep.rs", lockdep);
-        assert_eq!(ix.rank_defs.len(), 2);
-        assert_eq!(ix.rank_defs[0].name, "SERVE_ADMISSION");
-        assert_eq!(ix.rank_defs[0].rank, 10);
-
+    fn tel_consts_and_tags() {
         let names = "\
 pub const ROUTER_TICKS: &str = \"router_ticks\";
 pub static ALL: &[&str] = &[ROUTER_TICKS];
@@ -907,10 +694,10 @@ pub static ALL: &[&str] = &[ROUTER_TICKS];
     #[test]
     fn test_regions_are_not_indexed() {
         let src = "\
-fn live() { lock_ranked(a, ranks::EXEC_SLOTS); }
+fn live() { helper(a); }
 #[cfg(test)]
 mod tests {
-    fn fixture() { lock_ranked(b, ranks::SERVE_ADMISSION); }
+    fn fixture() { helper(b); }
 }
 ";
         let ix = index("crates/x/src/lib.rs", src);

@@ -12,22 +12,24 @@
 //! Every number in the reproduced Tables 1–4 is bit-for-bit reproducible at
 //! any `--jobs N`; the invariants that guarantee this (seeded RNG only,
 //! typed errors, versioned JSON schemas, one telemetry name table,
-//! justified atomics, a total lock order, deadline-bounded service I/O)
+//! justified atomics, a flat lock order, deadline-bounded service I/O)
 //! used to live only in prose. This crate machine-checks the ones the
 //! compiler and clippy cannot hold: a rustc-`tidy`-style, dependency-free
 //! pass over the whole workspace. The toolchain holds the rest: the
 //! vendored `rand` has no entropy-seeded constructor, so rustc rejects one;
 //! every lib root denies clippy's panic-family lints; `clippy.toml` bans
-//! wall-clock reads and hash-ordered collections; and the chaos decision
-//! types are confined to `fcn-serve`'s I/O layer by visibility.
+//! wall-clock reads, hash-ordered collections and `std::sync::Mutex` (the
+//! flat lock order is checked by `fcn_exec::sync::Lock` in debug builds);
+//! and the chaos decision types are confined to `fcn-serve`'s I/O layer by
+//! visibility.
 //!
 //! Analysis is one pass:
 //!
 //! 1. each file is scrubbed ([`source`]) and run through the four per-file
 //!    rules ([`rules`]);
 //! 2. each file is condensed into a symbol/event index ([`index`]), and the
-//!    merged index set drives the four cross-file rules ([`graph`]) —
-//!    `LOCK-ORDER`, `TEL-DEAD`, `SCHEMA-DRIFT`, `BLOCKING-IN-HANDLER` —
+//!    merged index set drives the three cross-file rules ([`graph`]) —
+//!    `TEL-DEAD`, `SCHEMA-DRIFT`, `BLOCKING-IN-HANDLER` —
 //!    plus the workspace halves of `SCHEMA-TAG` and `TEL-NAME`;
 //! 3. findings are masked by inline suppressions.
 //!

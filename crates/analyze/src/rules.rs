@@ -1,4 +1,4 @@
-//! The rule set: eight invariant checks (four per-file, four cross-file).
+//! The rule set: seven invariant checks (four per-file, three cross-file).
 //!
 //! | id | invariant it pins |
 //! |----|-------------------|
@@ -6,7 +6,6 @@
 //! | `TEL-NAME`   | telemetry metric names come from one const table |
 //! | `ATOMIC-DOC` | every atomic `Ordering::` carries a justification |
 //! | `SERVE-DEADLINE` | service-crate sockets speak only through the framed I/O layer |
-//! | `LOCK-ORDER` | `lock_ranked` nesting follows the declared lockdep rank order |
 //! | `TEL-DEAD`   | every telemetry name is recorded somewhere |
 //! | `SCHEMA-DRIFT` | emitter, validator, and CI gate agree on every tag's version |
 //! | `BLOCKING-IN-HANDLER` | no blocking I/O reachable from fcn-serve handlers |
@@ -15,11 +14,13 @@
 //! randomness does not compile: the vendored `rand`'s only constructor is
 //! `SeedableRng::seed_from_u64`. Every workspace lib root denies clippy's
 //! `unwrap_used`, `expect_used`, `panic`, `todo` and `unimplemented`, and
-//! `clippy.toml` bans wall-clock reads and hash-ordered collections.
+//! `clippy.toml` bans wall-clock reads, hash-ordered collections and
+//! `std::sync::Mutex` (every lock is an `fcn_exec::sync::Lock`, whose debug
+//! builds check the flat lock order at run time).
 //!
 //! Per-file rules run over the scrubbed planes of [`SourceFile`]; matches
 //! inside strings, comments, and `#[cfg(test)]` regions never fire (except
-//! where a rule explicitly reads the string or comment plane). The four
+//! where a rule explicitly reads the string or comment plane). The three
 //! cross-file rules live in [`crate::graph`] and run over the
 //! [`crate::index::FileIndex`] set.
 
@@ -45,13 +46,6 @@ pub const RULES: &[(&str, &str)] = &[
         "raw socket reads/writes in fcn-serve only inside the framed I/O layer (io.rs): \
          every other path must go through FramedConn so no request can outlive its \
          deadline or wedge a drain on a stalled peer",
-    ),
-    (
-        "LOCK-ORDER",
-        "lock_ranked nesting must follow the declared lockdep::ranks order: every \
-         acquisition made while other ranked locks are held strictly increases the \
-         rank, the acquisition graph is acyclic, and a condvar wait holds only the \
-         waited lock",
     ),
     (
         "TEL-DEAD",

@@ -58,12 +58,6 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
 }
 
-/// The declared lock order, in the shape the indexer scans for.
-const RANKS_FIXTURE: &str = "\
-pub const SERVE_ADMISSION: LockRank = LockRank::new(10, \"serve.admission\");
-pub const SERVE_REGISTRY: LockRank = LockRank::new(20, \"serve.registry\");
-";
-
 // ----------------------------------------------------------- exit contract
 
 #[test]
@@ -151,7 +145,6 @@ fn list_is_sorted_and_pins_the_rule_table() {
     let expected = vec![
         "ATOMIC-DOC",
         "BLOCKING-IN-HANDLER",
-        "LOCK-ORDER",
         "SCHEMA-DRIFT",
         "SCHEMA-TAG",
         "SERVE-DEADLINE",
@@ -185,16 +178,6 @@ const SEEDED: &[(&str, &[(&str, &str)])] = &[
             "crates/serve/src/server.rs",
             "fn handle_frame(p: &str) { let t = fs::read_to_string(p); }\n",
         )],
-    ),
-    (
-        "LOCK-ORDER",
-        &[
-            ("crates/telemetry/src/lockdep.rs", RANKS_FIXTURE),
-            (
-                "crates/serve/src/bad.rs",
-                "pub fn inverted(r: &M, a: &M) {\n    let g = lock_ranked(r, ranks::SERVE_REGISTRY);\n    let h = lock_ranked(a, ranks::SERVE_ADMISSION);\n}\n",
-            ),
-        ],
     ),
     (
         "SCHEMA-DRIFT",
@@ -262,35 +245,4 @@ fn every_rule_fails_on_its_seeded_fixture() {
         assert_eq!(code(&out), 1, "{id}: stdout {}", stdout(&out));
         assert!(stdout(&out).contains(&format!("[{id}]")), "{id}");
     }
-}
-
-// ------------------------------------------------------------- LOCK-ORDER
-
-#[test]
-fn seeded_lock_order_violation_exits_one() {
-    // The same scenario the CI `analysis` job seeds: a scratch tree whose
-    // declared order says ADMISSION(10) < REGISTRY(20), with a function
-    // that nests them inverted.
-    let s = Scratch::new("lockorder");
-    s.write("crates/telemetry/src/lockdep.rs", RANKS_FIXTURE);
-    s.write(
-        "crates/serve/src/bad.rs",
-        "pub fn inverted(&self) {\n    let r = lock_ranked(&self.registry, ranks::SERVE_REGISTRY);\n    let a = lock_ranked(&self.admission, ranks::SERVE_ADMISSION);\n    drop(a);\n    drop(r);\n}\n",
-    );
-    let out = s.run(&["--rule", "LOCK-ORDER"]);
-    assert_eq!(code(&out), 1);
-    let text = stdout(&out);
-    assert!(text.contains("[LOCK-ORDER]"), "got: {text}");
-    assert!(
-        text.contains("SERVE_ADMISSION"),
-        "names the bad acquisition"
-    );
-    assert!(text.contains("crates/serve/src/bad.rs:3"), "points at it");
-
-    // Same tree, correctly ordered nesting: clean.
-    s.write(
-        "crates/serve/src/bad.rs",
-        "pub fn ordered(&self) {\n    let a = lock_ranked(&self.admission, ranks::SERVE_ADMISSION);\n    let r = lock_ranked(&self.registry, ranks::SERVE_REGISTRY);\n    drop(r);\n    drop(a);\n}\n",
-    );
-    assert_eq!(code(&s.run(&["--rule", "LOCK-ORDER"])), 0);
 }

@@ -286,10 +286,10 @@ fn workspace_self_run_has_zero_non_baseline_findings() {
     );
 }
 
-/// Wall-clock reads, sleeps, hash-ordered collections and random hash
-/// state have no analyzer rule: `clippy.toml` is their only enforcement,
-/// so it must keep banning them (CI seeds a violation and requires
-/// `cargo clippy` to fail).
+/// Wall-clock reads, sleeps, hash-ordered collections, random hash state
+/// and unchecked mutexes have no analyzer rule: `clippy.toml` is their only
+/// enforcement, so it must keep banning them (CI seeds a violation and
+/// requires `cargo clippy` to fail).
 #[test]
 fn clippy_toml_bans_wall_clock_and_hash_order() {
     let root = workspace_root();
@@ -301,6 +301,7 @@ fn clippy_toml_bans_wall_clock_and_hash_order() {
         "std::collections::HashMap",
         "std::collections::HashSet",
         "std::collections::hash_map::RandomState",
+        "std::sync::Mutex",
     ] {
         assert!(
             text.contains(&format!("path = \"{path}\"")),

@@ -32,11 +32,12 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale, SERVE_SCHEMA};
 use fcn_cli::service::CliHandler;
+use fcn_exec::sync::Lock;
 use fcn_serve::{ChaosRates, ChaosSpec, Client, ErrorKind, RetryPolicy, Server, ServerConfig};
 use rand::{RngExt, SeedableRng};
 use serde::Serialize;
@@ -187,7 +188,7 @@ fn drive_mix(client: &mut Client, seed: u64, requests: usize) -> (Vec<u64>, usiz
 /// timed around the whole scope.
 fn run_level(addr: &str, clients: usize, per_level: usize) -> Row {
     let per_client = per_level / clients;
-    let merged: Mutex<(Vec<u64>, usize)> = Mutex::new((Vec::new(), 0));
+    let merged: Lock<(Vec<u64>, usize)> = Lock::new((Vec::new(), 0));
     let t = now();
     std::thread::scope(|scope| {
         for c in 0..clients {
@@ -198,14 +199,14 @@ fn run_level(addr: &str, clients: usize, per_level: usize) -> Row {
                 // One closed-loop client: private connection, private mix.
                 let mut client = Client::connect(addr).expect("connect load client");
                 let (lat, errors) = drive_mix(&mut client, seed, per_client);
-                let mut m = merged.lock().expect("latency merge lock");
+                let mut m = merged.lock();
                 m.0.extend_from_slice(&lat);
                 m.1 += errors;
             });
         }
     });
     let elapsed_us = t.elapsed().as_micros() as u64;
-    let (lat, errors) = merged.into_inner().expect("latency merge lock");
+    let (lat, errors) = merged.into_inner();
     let requests = lat.len();
     let mut row = Row::blank(format!("closed-loop@c{clients}"), "mix");
     row.clients = clients;
@@ -269,8 +270,8 @@ fn chaos_level(rate: f64, per: usize) -> Row {
 /// stay responsive at 4× saturation" number.
 fn offered_level(addr: &str, max_inflight: usize, mult: usize, per_client: usize) -> Row {
     let clients = max_inflight * mult;
-    let merged: Mutex<(usize, usize, usize)> = Mutex::new((0, 0, 0)); // (ok, shed, errors)
-    let probe_lat: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let merged: Lock<(usize, usize, usize)> = Lock::new((0, 0, 0)); // (ok, shed, errors)
+    let probe_lat: Lock<Vec<u64>> = Lock::new(Vec::new());
     let stop_probe = AtomicBool::new(false);
     let t = now();
     std::thread::scope(|scope| {
@@ -290,7 +291,7 @@ fn offered_level(addr: &str, max_inflight: usize, mult: usize, per_client: usize
                         _ => errors += 1,
                     }
                 }
-                let mut m = merged.lock().expect("offered merge lock");
+                let mut m = merged.lock();
                 m.0 += ok;
                 m.1 += shed;
                 m.2 += errors;
@@ -310,7 +311,7 @@ fn offered_level(addr: &str, max_inflight: usize, mult: usize, per_client: usize
                 assert!(resp.ok, "interactive ping failed under load: {resp:?}");
                 lat.push(t.elapsed().as_micros() as u64);
             }
-            *probe_lat.lock().expect("probe latency lock") = lat;
+            *probe_lat.lock() = lat;
         });
         // Scoped spawn order makes the probe last; stop it once every heavy
         // client has finished. The heavy threads are joined by scope exit,
@@ -320,7 +321,7 @@ fn offered_level(addr: &str, max_inflight: usize, mult: usize, per_client: usize
         scope.spawn(move || {
             let total = clients * per_client;
             loop {
-                let m = watcher_merged.lock().expect("offered merge lock");
+                let m = watcher_merged.lock();
                 if m.0 + m.1 + m.2 >= total {
                     break;
                 }
@@ -332,8 +333,8 @@ fn offered_level(addr: &str, max_inflight: usize, mult: usize, per_client: usize
         });
     });
     let elapsed_us = t.elapsed().as_micros() as u64;
-    let (ok, shed, errors) = merged.into_inner().expect("offered merge lock");
-    let lat = probe_lat.into_inner().expect("probe latency lock");
+    let (ok, shed, errors) = merged.into_inner();
+    let lat = probe_lat.into_inner();
     let attempts = ok + shed + errors;
     let mut row = Row::blank(format!("offered@{mult}x"), "beta");
     row.clients = clients;

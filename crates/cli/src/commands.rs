@@ -288,8 +288,10 @@ pub(crate) fn beta_with(
         ),
     };
     // Misses are trees computed. On a warm daemon cache this also counts
-    // trees that concurrent requests for the same machine computed.
-    let misses_before = cache.misses();
+    // trees that concurrent requests for the same machine computed. The
+    // daemon's cache outlives this request, so only the change since here
+    // is this request's to publish.
+    let before = cache.counts();
     let b = est
         .try_estimate_compiled(&m, &net, &t, &cache, cancel)
         .map_err(|aborted| {
@@ -323,9 +325,9 @@ pub(crate) fn beta_with(
     }
     // Surface the cache counters to `--metrics-out` snapshots (no-op
     // when telemetry is disabled).
-    cache.publish();
+    cache.publish(before);
     if verbose {
-        let _ = writeln!(out, "trees computed: {}", cache.misses() - misses_before);
+        let _ = writeln!(out, "trees computed: {}", cache.misses() - before.misses);
         let _ = writeln!(
             out,
             "trials        : {}/{} complete ({} samples)",
@@ -980,7 +982,13 @@ mod tests {
     }
 
     /// Serializes the tests that enable the global telemetry registry, so
-    /// their delta snapshots don't absorb each other's metrics.
+    /// their delta snapshots don't absorb each other's metrics. It is held
+    /// across whole commands, which take the library's own locks, so it is
+    /// a plain mutex outside the flat lock order.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "a test gate held across commands that take fcn_exec::sync::Lock"
+    )]
     static METRICS_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]

@@ -407,3 +407,30 @@ fn a_repeated_served_beta_is_planned_from_the_warm_cache() {
     assert_eq!(measured(&first.output), measured(&again.output));
     daemon.shutdown();
 }
+
+/// A served request publishes only its own plan-cache traffic: the warm
+/// cache outlives every request, so its lifetime totals belong to none of
+/// them.
+#[test]
+fn served_plan_cache_counters_are_per_request_deltas() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let args = ["mesh2", "64", "--verbose"];
+    let mut computed = 0;
+    for _ in 0..3 {
+        let resp = client.call("beta", &args).expect("beta");
+        assert!(resp.ok, "{resp:?}");
+        computed += trees_computed(&resp.output);
+    }
+    let metrics = client.call("metrics", &[]).expect("metrics response");
+    let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&metrics.output).expect("snapshot");
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    // Three trials of 64 trees, planned once and then served warm twice.
+    assert_eq!(computed, 192);
+    assert_eq!(
+        counter(fcn_telemetry::names::PLAN_CACHE_MISSES_TOTAL),
+        computed
+    );
+    assert_eq!(counter(fcn_telemetry::names::PLAN_CACHE_HITS_TOTAL), 384);
+    daemon.shutdown();
+}

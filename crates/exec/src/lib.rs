@@ -41,27 +41,25 @@
 //! busy/idle nanos; the nano counters are wall-clock and excluded from
 //! determinism comparisons). When the registry is disabled all of this
 //! costs one relaxed load per `run` call.
+//!
+//! ## Locks
+//!
+//! [`sync::Lock`] is the workspace's one mutex type, used by this pool, the
+//! [`Watchdog`], the routing plan cache and every `fcn-serve` service lock.
+//! The lock order is flat: no `Lock` is taken while another is held, which
+//! debug builds check at every acquisition. The telemetry registry's
+//! private mutex is the one leaf below them all.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use fcn_telemetry::LocalShard;
 
-/// The workspace lockdep: ordered lock-rank assertions in debug builds.
-///
-/// This is the canonical import path for service/runtime code (`use
-/// fcn_exec::lockdep::{lock_ranked, ranks}`); the implementation lives in
-/// [`fcn_telemetry::lockdep`] because the telemetry registry sits below
-/// this crate in the dependency stack and ranks its own maps too.
-pub mod lockdep {
-    pub use fcn_telemetry::lockdep::{
-        lock_ranked, ranks, wait_timeout_ranked, LockRank, LockToken, RankedGuard,
-    };
-}
+pub mod sync;
 
-use lockdep::{lock_ranked, ranks, wait_timeout_ranked};
+use sync::Lock;
 
 /// Domain separator for deterministic retry seeds: retry attempt `k` of job
 /// `i` re-runs with `job_seed(base ⊕ job_seed(RETRY_STREAM, k), i)`, so the
@@ -214,10 +212,10 @@ impl Pool {
             return out;
         }
         let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
+        let slots: Lock<Vec<Option<T>>> = Lock::new((0..count).map(|_| None).collect());
         // Per-job metric deltas, captured on the worker and merged below in
         // job index order (never in completion order).
-        let job_shards: Mutex<Vec<Option<LocalShard>>> = Mutex::new(if tele_on {
+        let job_shards: Lock<Vec<Option<LocalShard>>> = Lock::new(if tele_on {
             (0..count).map(|_| None).collect()
         } else {
             Vec::new()
@@ -250,10 +248,10 @@ impl Pool {
                             // job i's delta.
                             let shard = fcn_telemetry::take_shard();
                             if !shard.is_empty() {
-                                lock_ranked(&job_shards, ranks::EXEC_SHARDS)[i] = Some(shard);
+                                job_shards.lock()[i] = Some(shard);
                             }
                         }
-                        lock_ranked(&slots, ranks::EXEC_SLOTS)[i] = Some(value);
+                        slots.lock()[i] = Some(value);
                     }
                     if tele_on {
                         // ordering: commutative additions summed across
@@ -267,9 +265,7 @@ impl Pool {
             }
         });
         if tele_on {
-            let shards = job_shards
-                .into_inner()
-                .unwrap_or_else(|poison| poison.into_inner());
+            let shards = job_shards.into_inner();
             fcn_telemetry::with_shard(|s| {
                 for shard in shards.into_iter().flatten() {
                     s.merge(&shard);
@@ -292,7 +288,6 @@ impl Pool {
         }
         slots
             .into_inner()
-            .unwrap_or_else(|poison| poison.into_inner())
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
@@ -364,7 +359,7 @@ impl CancelToken {
 /// `exec_watchdog_fired_total` records it as an exceptional event.
 #[derive(Debug)]
 pub struct Watchdog {
-    disarm: Arc<(Mutex<bool>, Condvar)>,
+    disarm: Arc<(Lock<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
     token: CancelToken,
 }
@@ -373,7 +368,7 @@ impl Watchdog {
     /// Arm a watchdog with a fresh token.
     pub fn arm(timeout: Duration) -> Watchdog {
         let token = CancelToken::new();
-        let disarm = Arc::new((Mutex::new(false), Condvar::new()));
+        let disarm = Arc::new((Lock::new(false), Condvar::new()));
         let pair = Arc::clone(&disarm);
         let fire = token.clone();
         let handle = std::thread::spawn(move || {
@@ -382,7 +377,7 @@ impl Watchdog {
             // it cancels runaway runs and never feeds simulated state.
             #[allow(clippy::disallowed_methods)]
             let deadline = Instant::now() + timeout;
-            let mut disarmed = lock_ranked(lock, ranks::EXEC_WATCHDOG);
+            let mut disarmed = lock.lock();
             loop {
                 if *disarmed {
                     return;
@@ -392,7 +387,7 @@ impl Watchdog {
                 if now >= deadline {
                     break;
                 }
-                let (g, _) = wait_timeout_ranked(cv, disarmed, deadline - now);
+                let (g, _) = disarmed.wait_timeout(cv, deadline - now);
                 disarmed = g;
             }
             drop(disarmed);
@@ -426,7 +421,7 @@ impl Drop for Watchdog {
     fn drop(&mut self) {
         {
             let (lock, cv) = &*self.disarm;
-            *lock_ranked(lock, ranks::EXEC_WATCHDOG) = true;
+            *lock.lock() = true;
             cv.notify_all();
         }
         if let Some(h) = self.handle.take() {

@@ -27,14 +27,17 @@
 //!
 //! Counters are [`fcn_telemetry`] instruments owned per cache instance —
 //! observability only, attaching or detaching a cache never changes a
-//! routed bit. [`PlanCache::publish`] pushes them into the thread's metric
-//! shard under the `plan_cache_*` names (surfaced by `--metrics-out`;
-//! `fcnemu beta --verbose` prints the misses as trees computed).
+//! routed bit. [`PlanCache::publish`] pushes their change since a
+//! [`PlanCache::counts`] snapshot into the thread's metric shard under the
+//! `plan_cache_*` names (surfaced by `--metrics-out`; `fcnemu beta
+//! --verbose` prints the misses as trees computed). Publishing a delta
+//! keeps a long-lived cache, such as the daemon's warm one, from adding its
+//! lifetime totals to every request.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use fcn_exec::lockdep::{lock_ranked, ranks, RankedGuard};
+use fcn_exec::sync::Lock;
 use fcn_multigraph::NodeId;
 use fcn_telemetry::Counter;
 
@@ -88,10 +91,26 @@ impl Store {
     }
 }
 
+/// A snapshot of a [`PlanCache`]'s counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheCounts {
+    /// Lookups served from memory.
+    pub hits: u64,
+    /// Lookups that computed a fresh tree.
+    pub misses: u64,
+    /// Stored trees dropped to make room.
+    pub evictions: u64,
+    /// Computed trees not stored because their generation filled the cache.
+    pub refusals: u64,
+}
+
 /// A memoizing store for BFS parent trees, shared across planning calls.
 #[derive(Debug)]
 pub struct PlanCache {
-    store: Mutex<Store>,
+    /// The stored trees. `Lock` recovers from poison, which is sound here:
+    /// every edit is finished before another starts, so a panic elsewhere
+    /// cannot leave a generation half-evicted.
+    store: Lock<Store>,
     capacity: usize,
     hits: Counter,
     misses: Counter,
@@ -113,7 +132,7 @@ impl PlanCache {
     /// A cache holding at most `capacity` trees.
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            store: Mutex::new(Store::default()),
+            store: Lock::new(Store::default()),
             capacity,
             hits: Counter::new(),
             misses: Counter::new(),
@@ -144,38 +163,45 @@ impl PlanCache {
         self.refusals.get()
     }
 
+    /// All four counters at once, the baseline for [`PlanCache::publish`].
+    pub fn counts(&self) -> PlanCacheCounts {
+        PlanCacheCounts {
+            hits: self.hits(),
+            misses: self.misses(),
+            evictions: self.evictions(),
+            refusals: self.refusals(),
+        }
+    }
+
     /// Trees currently stored.
     pub fn entries(&self) -> usize {
-        self.lock_store().trees.len()
+        self.store.lock().trees.len()
     }
 
-    /// Lock the store, recovering from a poisoned mutex: every edit is
-    /// finished before another starts (a panic elsewhere cannot leave a
-    /// generation half-evicted), so the guarded state stays consistent.
-    fn lock_store(&self) -> RankedGuard<'_, Store> {
-        lock_ranked(&self.store, ranks::ROUTING_PLAN_CACHE)
-    }
-
-    /// Push this cache's counters into the thread's telemetry shard (no-op
-    /// when the global registry is disabled). Call once per run, after the
-    /// work that used the cache.
-    pub fn publish(&self) {
+    /// Push the counters' change since `before` (taken with
+    /// [`PlanCache::counts`] when the run started) and the resident entry
+    /// count into the thread's telemetry shard; a no-op when the global
+    /// registry is disabled. Call once per run, after the work that used
+    /// the cache.
+    pub fn publish(&self, before: PlanCacheCounts) {
         if !fcn_telemetry::global().enabled() {
             return;
         }
+        let now = self.counts();
         let entries = self.entries() as u64;
         fcn_telemetry::with_shard(|s| {
-            s.add(fcn_telemetry::names::PLAN_CACHE_HITS_TOTAL, self.hits());
-            s.add(fcn_telemetry::names::PLAN_CACHE_MISSES_TOTAL, self.misses());
+            use fcn_telemetry::names;
+            s.add(names::PLAN_CACHE_HITS_TOTAL, now.hits - before.hits);
+            s.add(names::PLAN_CACHE_MISSES_TOTAL, now.misses - before.misses);
             s.add(
-                fcn_telemetry::names::PLAN_CACHE_EVICTIONS_TOTAL,
-                self.evictions(),
+                names::PLAN_CACHE_EVICTIONS_TOTAL,
+                now.evictions - before.evictions,
             );
             s.add(
-                fcn_telemetry::names::PLAN_CACHE_REFUSALS_TOTAL,
-                self.refusals(),
+                names::PLAN_CACHE_REFUSALS_TOTAL,
+                now.refusals - before.refusals,
             );
-            s.set_gauge(fcn_telemetry::names::PLAN_CACHE_ENTRIES, entries);
+            s.set_gauge(names::PLAN_CACHE_ENTRIES, entries);
         });
     }
 
@@ -202,13 +228,13 @@ impl PlanCache {
             },
             source,
         };
-        if let Some(hit) = self.lock_store().trees.get(&key).cloned() {
+        if let Some(hit) = self.store.lock().trees.get(&key).cloned() {
             self.hits.inc();
             return hit;
         }
         self.misses.inc();
         let fresh = Arc::new(compute());
-        let mut store = self.lock_store();
+        let mut store = self.store.lock();
         if let Some(raced) = store.trees.get(&key) {
             return raced.clone();
         }

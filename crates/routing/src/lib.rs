@@ -44,7 +44,7 @@ pub mod oracle;
 pub mod packet;
 pub mod steady;
 
-pub use cache::PlanCache;
+pub use cache::{PlanCache, PlanCacheCounts};
 pub use compiled::{CompiledNet, PacketBatch, RouteError};
 pub use engine::{
     route_compiled, route_compiled_pooled, AbortCause, RouterConfig, RouterScratch, RoutingOutcome,

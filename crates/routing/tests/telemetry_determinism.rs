@@ -11,16 +11,20 @@
 //! behind a mutex; each drains the thread shard afterwards to keep the
 //! global state as it found it.
 
-use std::sync::Mutex;
-
 use fcn_routing::{
     measure_rate, plan_routes_cached, route_compiled, CompiledNet, PacketBatch, QueueDiscipline,
     RouterConfig, RouterScratch, RoutingOutcome, Strategy,
 };
 use fcn_topology::Machine;
 
-/// Serializes registry toggling across the tests in this file.
-static TELEMETRY_GATE: Mutex<()> = Mutex::new(());
+/// Serializes registry toggling across the tests in this file. It is held
+/// across whole test bodies, which take the routing crate's own locks, so
+/// it is a plain mutex outside the flat lock order.
+#[allow(
+    clippy::disallowed_types,
+    reason = "a test gate held across test bodies that take fcn_exec::sync::Lock"
+)]
+static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Run `f` twice — collection disabled, then enabled — and return both
 /// results. Restores the disabled state and drains this thread's shard.

@@ -22,10 +22,10 @@
 //! in microseconds even while heavy beta grids saturate every slot.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-use fcn_exec::lockdep::{lock_ranked, ranks, wait_timeout_ranked, RankedGuard};
+use fcn_exec::sync::Lock;
 use fcn_telemetry::names;
 
 /// Bump a process-global counter when global telemetry is enabled (the
@@ -125,7 +125,7 @@ pub struct Admission {
     /// queue wait: by then at least one full wait-budget of queued work has
     /// drained or been shed).
     retry_hint_ms: u64,
-    state: Mutex<AdmState>,
+    state: Lock<AdmState>,
     cv: Condvar,
 }
 
@@ -138,7 +138,7 @@ impl Admission {
             limit: limit.max(1),
             max_queued,
             retry_hint_ms: retry_hint_ms.max(1),
-            state: Mutex::new(AdmState::default()),
+            state: Lock::new(AdmState::default()),
             cv: Condvar::new(),
         })
     }
@@ -155,12 +155,12 @@ impl Admission {
 
     /// Requests currently holding a slot.
     pub fn inflight(&self) -> usize {
-        self.lock().inflight
+        self.state.lock().inflight
     }
 
     /// Occupancy and shed counters for the `health` kind.
     pub fn snapshot(&self) -> AdmissionSnapshot {
-        let st = self.lock();
+        let st = self.state.lock();
         AdmissionSnapshot {
             inflight: st.inflight,
             queued: st.queue.len(),
@@ -175,7 +175,7 @@ impl Admission {
     /// `min(queue_wait_ms, request deadline)` — a request that cannot start
     /// before its deadline is shed at the deadline, not executed doomed.
     pub fn admit(self: &Arc<Admission>, wait_ms: u64) -> Admit {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if st.inflight < self.limit && st.queue.is_empty() {
             st.inflight += 1;
             return Admit::Granted(Permit {
@@ -225,7 +225,7 @@ impl Admission {
                 self.cv.notify_all();
                 return decision;
             }
-            let (g, _) = wait_timeout_ranked(&self.cv, st, deadline - now);
+            let (g, _) = st.wait_timeout(&self.cv, deadline - now);
             st = g;
         }
     }
@@ -238,10 +238,6 @@ impl Admission {
             retry_after_ms: self.retry_hint_ms,
         })
     }
-
-    fn lock(&self) -> RankedGuard<'_, AdmState> {
-        lock_ranked(&self.state, ranks::SERVE_ADMISSION)
-    }
 }
 
 /// An admitted request's slot; dropping it releases the slot and wakes the
@@ -253,7 +249,7 @@ pub struct Permit {
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut st = self.admission.lock();
+        let mut st = self.admission.state.lock();
         st.inflight = st.inflight.saturating_sub(1);
         drop(st);
         self.admission.cv.notify_all();
@@ -356,7 +352,7 @@ mod tests {
     fn fifo_order_is_strict_under_contention() {
         let adm = Admission::new(1, 8, 25);
         let hold = granted(adm.admit(0));
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Arc::new(Lock::new(Vec::new()));
         std::thread::scope(|scope| {
             for i in 0..4u64 {
                 let adm = Arc::clone(&adm);
@@ -368,7 +364,7 @@ mod tests {
                 }
                 scope.spawn(move || {
                     let p = granted(adm.admit(60_000));
-                    order.lock().unwrap().push(i);
+                    order.lock().push(i);
                     drop(p);
                 });
             }
@@ -377,7 +373,7 @@ mod tests {
             }
             drop(hold);
         });
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! different connections.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use fcn_exec::lockdep::{lock_ranked, ranks, RankedGuard};
+use fcn_exec::sync::Lock;
 use fcn_routing::{CompiledNet, PlanCache};
 use fcn_topology::Machine;
 
@@ -26,7 +26,11 @@ pub struct RegistryEntry {
 /// A fingerprint-keyed registry of warm [`RegistryEntry`]s.
 #[derive(Debug, Default)]
 pub struct Registry {
-    entries: Mutex<BTreeMap<u64, RegistryEntry>>,
+    /// Warm entries by graph fingerprint. `Lock` recovers from poison,
+    /// which is sound here: a poisoned map only means another request
+    /// thread panicked while holding the lock, and each edit is a single
+    /// insert that leaves the map structurally valid.
+    entries: Lock<BTreeMap<u64, RegistryEntry>>,
 }
 
 impl Registry {
@@ -37,7 +41,7 @@ impl Registry {
 
     /// Number of distinct graphs currently held warm.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.entries.lock().len()
     }
 
     /// Whether the registry is still cold.
@@ -52,7 +56,7 @@ impl Registry {
     /// counters.
     pub fn get_or_compile(&self, machine: &Machine) -> (RegistryEntry, bool) {
         let key = machine.graph().fingerprint();
-        if let Some(entry) = self.lock().get(&key).cloned() {
+        if let Some(entry) = self.entries.lock().get(&key).cloned() {
             self.record(true);
             return (entry, true);
         }
@@ -65,7 +69,7 @@ impl Registry {
             net: CompiledNet::shared(machine),
             cache: Arc::new(PlanCache::default()),
         };
-        let mut map = self.lock();
+        let mut map = self.entries.lock();
         let entry = map.entry(key).or_insert(fresh).clone();
         let nets = map.len() as u64;
         drop(map);
@@ -89,13 +93,6 @@ impl Registry {
                 s.inc(fcn_telemetry::names::SERVE_REGISTRY_MISSES_TOTAL);
             }
         });
-    }
-
-    fn lock(&self) -> RankedGuard<'_, BTreeMap<u64, RegistryEntry>> {
-        // Poison recovery is inside lock_ranked: a poisoned map only means
-        // another request thread panicked while holding the lock; the map
-        // itself is always structurally valid.
-        lock_ranked(&self.entries, ranks::SERVE_REGISTRY)
     }
 }
 

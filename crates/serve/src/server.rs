@@ -23,10 +23,10 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use fcn_exec::lockdep::{lock_ranked, ranks, RankedGuard};
+use fcn_exec::sync::Lock;
 use fcn_exec::Watchdog;
 use fcn_telemetry::names;
 use fcn_telemetry::{take_shard, with_shard, LocalShard, MetricsRegistry};
@@ -116,7 +116,7 @@ pub trait Handler: Sync {
 /// the request arrival order, not the thread schedule.
 #[derive(Debug, Default)]
 struct MergeQueue {
-    state: Mutex<MergeState>,
+    state: Lock<MergeState>,
 }
 
 #[derive(Debug, Default)]
@@ -128,14 +128,14 @@ struct MergeState {
 
 impl MergeQueue {
     fn admit(&self) -> u64 {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         let seq = st.next_seq;
         st.next_seq += 1;
         seq
     }
 
     fn complete(&self, seq: u64, shard: LocalShard, reg: &MetricsRegistry) {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         st.done.insert(seq, shard);
         loop {
             let key = st.next_flush;
@@ -147,10 +147,6 @@ impl MergeQueue {
                 None => break,
             }
         }
-    }
-
-    fn lock(&self) -> RankedGuard<'_, MergeState> {
-        lock_ranked(&self.state, ranks::SERVE_MERGE)
     }
 }
 
@@ -208,7 +204,7 @@ impl Drop for MergeTicket<'_> {
 /// executes for real (overwriting the entry: latest wins).
 #[derive(Debug, Default)]
 struct ReplyCache {
-    state: Mutex<ReplyCacheState>,
+    state: Lock<ReplyCacheState>,
 }
 
 #[derive(Debug, Default)]
@@ -243,13 +239,13 @@ fn fingerprint(req: &Request) -> String {
 
 impl ReplyCache {
     fn get(&self, key: u64, fp: &str) -> Option<Response> {
-        let st = self.lock();
+        let st = self.state.lock();
         let (cached_fp, resp) = st.replies.get(&key)?;
         (cached_fp == fp).then(|| resp.clone())
     }
 
     fn insert(&self, key: u64, fp: &str, resp: &Response) {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if st
             .replies
             .insert(key, (fp.to_string(), resp.clone()))
@@ -262,10 +258,6 @@ impl ReplyCache {
                 }
             }
         }
-    }
-
-    fn lock(&self) -> RankedGuard<'_, ReplyCacheState> {
-        lock_ranked(&self.state, ranks::SERVE_REPLIES)
     }
 }
 

@@ -105,3 +105,40 @@ fn a_long_argument_decodes_in_linear_time() {
     assert_eq!(back, Ok(req));
     assert!(took.as_secs_f64() < 1.0, "decoding 256 KiB took {took:?}");
 }
+
+/// A frame spelling its argument with `\u` escapes decodes like the raw
+/// characters: a UTF-16 surrogate pair is one non-BMP scalar, as JSON
+/// requires.
+#[test]
+fn an_escaped_non_bmp_argument_decodes_as_one_scalar() {
+    let raw = Request::new(1, "beta", &["mesh2 😀"]);
+    let escaped = raw.encode().replace('😀', r"\ud83d\ude00");
+    assert_ne!(escaped, raw.encode());
+    assert_eq!(Request::decode(&escaped), Ok(raw));
+    // Half a pair is not a character.
+    let lone = Request::new(1, "beta", &["mesh2 😀"])
+        .encode()
+        .replace('😀', r"\ud83d");
+    assert!(Request::decode(&lone).is_err(), "{lone}");
+}
+
+/// A `\u` escape is exactly four hex digits; a signed number is not one.
+#[test]
+fn a_signed_unicode_escape_is_refused() {
+    let frame = Request::new(1, "beta", &["A"])
+        .encode()
+        .replace(r#"["A"]"#, r#"["\u+041"]"#);
+    assert!(frame.contains(r"\u+041"), "{frame}");
+    assert!(Request::decode(&frame).is_err(), "{frame}");
+}
+
+/// An object naming a field twice is refused instead of one copy silently
+/// winning.
+#[test]
+fn a_repeated_field_is_refused() {
+    let frame = Request::new(7, "ping", &[]).encode();
+    let twice = frame.replacen("{", r#"{"id":8,"#, 1);
+    assert_eq!(twice.matches(r#""id":"#).count(), 2, "{twice}");
+    let err = Request::decode(&twice).expect_err("a repeated id must be refused");
+    assert!(err.contains("duplicate field `id`"), "{err}");
+}

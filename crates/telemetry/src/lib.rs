@@ -33,9 +33,13 @@
 //!    ([`MetricsSnapshot::from_jsonl`]); a Prometheus text exposition is
 //!    available via [`MetricsSnapshot::to_prometheus`] (`fcnemu metrics
 //!    --format prom`).
+//! 5. **The registry is a leaf lock.** A [`MetricsRegistry`] keeps its
+//!    named instruments behind one private mutex whose critical sections
+//!    call nothing outside `registry.rs`, so any layer may record a metric
+//!    while it holds its own lock. The workspace's lock type and its flat
+//!    lock order live one crate up, in `fcn_exec::sync`.
 
 pub mod hist;
-pub mod lockdep;
 pub mod names;
 pub mod registry;
 pub mod shard;

@@ -8,10 +8,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, MutexGuard, OnceLock, PoisonError};
 
 use crate::hist::{bucket_index, LocalHistogram, HIST_BUCKETS};
-use crate::lockdep::{lock_ranked, ranks};
 use crate::snapshot::MetricsSnapshot;
 
 /// A monotonically increasing `u64` counter.
@@ -166,11 +165,23 @@ impl Histogram {
 /// assert_eq!(snap.histograms["demo_hist"].count, 1);
 /// ```
 #[derive(Debug, Default)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "a leaf lock below every fcn_exec::sync::Lock: its critical sections call nothing outside registry.rs"
+)]
 pub struct MetricsRegistry {
     enabled: AtomicBool,
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    /// The named instruments. Any layer may record a metric while it holds
+    /// its own lock, because every critical section on this mutex is a map
+    /// lookup or a copy that calls nothing outside this file.
+    maps: std::sync::Mutex<Maps>,
+}
+
+#[derive(Debug, Default)]
+struct Maps {
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 /// Metric names are Prometheus-compatible identifiers.
@@ -208,10 +219,18 @@ impl MetricsRegistry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
+    /// The instrument maps, recovering them from poison: each edit is a
+    /// single map insert, so a panicking holder cannot leave them
+    /// half-written.
+    fn maps(&self) -> MutexGuard<'_, Maps> {
+        self.maps.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         assert_name(name);
-        lock_ranked(&self.counters, ranks::TEL_COUNTERS)
+        self.maps()
+            .counters
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -220,7 +239,8 @@ impl MetricsRegistry {
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         assert_name(name);
-        lock_ranked(&self.gauges, ranks::TEL_GAUGES)
+        self.maps()
+            .gauges
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -229,7 +249,8 @@ impl MetricsRegistry {
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         assert_name(name);
-        lock_ranked(&self.histograms, ranks::TEL_HISTOGRAMS)
+        self.maps()
+            .histograms
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -237,18 +258,23 @@ impl MetricsRegistry {
 
     /// A point-in-time copy of every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = lock_ranked(&self.counters, ranks::TEL_COUNTERS)
+        let maps = self.maps();
+        let counters = maps
+            .counters
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
             .collect();
-        let gauges = lock_ranked(&self.gauges, ranks::TEL_GAUGES)
+        let gauges = maps
+            .gauges
             .iter()
             .map(|(k, g)| (k.clone(), g.get()))
             .collect();
-        let histograms = lock_ranked(&self.histograms, ranks::TEL_HISTOGRAMS)
+        let histograms = maps
+            .histograms
             .iter()
             .map(|(k, h)| (k.clone(), h.load()))
             .collect();
+        drop(maps);
         MetricsSnapshot {
             counters,
             gauges,
