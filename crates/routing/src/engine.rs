@@ -27,9 +27,28 @@
 //! specification the compiled path is pinned against
 //! (`tests/compiled_router.rs`).
 //!
+//! ## Two tick loops
+//!
+//! [`route_compiled`] runs one of two loops, chosen by the net's capacity
+//! regime and the discipline (no option selects them):
+//!
+//! * the **wire loop** serves `FarthestFirst` and `RandomRank` on an
+//!   intact unit-capacity net (every wire capacity 1, no send budget). It
+//!   keeps a list of non-empty wires and each tick pops one packet from
+//!   each, so a tick costs the wires that send, not the nodes that hold
+//!   packets and all of their wires;
+//! * the **node loop** serves everything else — FIFO on any net, nets
+//!   with a send budget or a wire of capacity above 1, and faulted nets —
+//!   and mirrors the reference phase for phase.
+//!
+//! Both make the same moves where both apply: on a unit net every
+//! non-empty wire forwards exactly its minimum `(key << 32) | pid` word,
+//! and those words are distinct, so the order in which wires are visited
+//! changes no move (the full argument is on [`route_compiled`]).
+//!
 //! Determinism: for a given `(batch, RouterConfig)` the compiled and
 //! reference engines draw the same `StdRng` stream (one `u32` rank per
-//! packet, in packet order) and pop queues in the same order, so every
+//! packet, in packet order) and move the same packets every tick, so every
 //! outcome field — ticks, delivered, max queue, hop count — is
 //! bit-identical.
 
@@ -129,47 +148,64 @@ impl RoutingOutcome {
 /// Reusable per-worker simulation arenas.
 ///
 /// Holds the per-wire queues (both the FIFO and the priority pools, so one
-/// scratch serves every [`QueueDiscipline`]), the per-node activity arrays,
-/// and the per-packet position/rank columns. Everything is length-adjusted
-/// and cleared at the start of a run, so a scratch can be reused across
-/// batches, machines, and disciplines; after warm-up a sweep allocates
-/// nothing per batch. [`route_compiled_pooled`] keeps one scratch per
-/// thread, which is how [`fcn_exec::Pool`] workers reuse arenas across the
-/// cells they execute.
+/// scratch serves every [`QueueDiscipline`]), the busy-wire list of the wire
+/// loop, the per-node activity arrays of the node loop, and one 16-byte
+/// record per packet (queue word, cursor, hops left). Everything is
+/// length-adjusted and cleared at the start of a run, so a scratch can be
+/// reused across batches, machines, disciplines and both tick loops (which
+/// loop a run takes is set out in [`route_compiled`]); after warm-up a
+/// sweep allocates nothing per batch. [`route_compiled_pooled`] keeps one
+/// scratch per thread, which is how [`fcn_exec::Pool`] workers reuse arenas
+/// across the cells they execute.
 #[derive(Debug, Default)]
 pub struct RouterScratch {
     /// FIFO wire queues (one per wire; used by `QueueDiscipline::Fifo`).
     fifo: Vec<VecDeque<u32>>,
-    /// Priority wire queues. Entries pack `(key, pid)` into one `u64`
-    /// (`key << 32 | pid`), whose ordering coincides with the lexicographic
-    /// `(key, pid)` order of the reference engine's tuple heap. Stored
-    /// *unsorted*; pop scans for the minimum — wire queues average a couple
-    /// of entries, where one vectorizable scan beats heap sifting and the
-    /// pop order is the same min-of-set either way.
+    /// Priority wire queues of [`Packet::word`]s, whose ordering coincides
+    /// with the lexicographic `(key, pid)` order of the reference engine's
+    /// tuple heap. Stored *unsorted*; pop scans for the minimum — wire
+    /// queues average a couple of entries, where one vectorizable scan
+    /// beats heap sifting and the pop order is the same min-of-set either
+    /// way.
     prio: Vec<Vec<u64>>,
-    /// Nodes with at least one queued packet, in first-activation order.
+    /// Wire loop: wires with a non-empty queue.
+    busy: Vec<u32>,
+    /// Node loop: nodes with at least one queued packet, in
+    /// first-activation order.
     active_nodes: Vec<NodeId>,
-    /// Queued packets per node (across all of its out-wires).
+    /// Node loop: queued packets per node (across all of its out-wires).
     node_queued: Vec<u32>,
-    /// Membership flags for `active_nodes`.
+    /// Node loop: membership flags for `active_nodes`.
     node_listed: Vec<bool>,
-    /// Rotating start wire per node (fairness under tight budgets), kept
-    /// reduced modulo the node's degree.
+    /// Node loop: rotating start wire per node (fairness under tight
+    /// budgets), kept reduced modulo the node's degree.
     rotate: Vec<u32>,
     /// Packets that crossed a wire this tick.
     arrivals: Vec<u32>,
-    /// Per-packet hops left to the destination (replaces the reference
-    /// engine's `pos`: `remaining = hops - pos`).
-    remaining: Vec<u32>,
-    /// Per-packet flat index of the *next* wire id in the batch arena, so
-    /// an arrival reads exactly one `wire_ids` slot and one wire-tail slot
-    /// — no path-offset or vertex-array lookups in the tick loop.
-    cursor: Vec<u32>,
-    /// Per-packet random rank (`RandomRank` key).
-    rank: Vec<u32>,
+    /// Per-packet routing state.
+    packets: Vec<Packet>,
     /// Runs served by this scratch (telemetry: pool-reuse accounting; the
     /// first run of a scratch counts as a creation, later runs as reuse).
     runs: u64,
+}
+
+/// One packet's routing state, kept in one 16-byte record so an arrival
+/// reads and writes a single cache line.
+#[derive(Debug, Clone, Copy)]
+struct Packet {
+    /// Queue word `(key << 32) | pid`. Smaller words pop first, and the pid
+    /// half makes every word distinct. The key is 0 under FIFO, the random
+    /// rank under `RandomRank`, and `u32::MAX - remaining` under
+    /// `FarthestFirst` (so farther packets win), which is why each hop adds
+    /// `1 << 32` there.
+    word: u64,
+    /// Flat index of the *next* wire id in the batch arena, so an arrival
+    /// reads exactly one `wire_ids` slot — no path-offset or vertex-array
+    /// lookups in the tick loop.
+    cursor: u32,
+    /// Hops left to the destination (the reference engine's `hops - pos`),
+    /// counting the wire the packet is queued on.
+    remaining: u32,
 }
 
 impl RouterScratch {
@@ -178,23 +214,41 @@ impl RouterScratch {
         RouterScratch::default()
     }
 
-    /// Size the node/packet arenas for a run and reset their contents.
-    fn prepare(&mut self, nodes: usize, packets: usize) {
+    /// Reset the per-run lists and fill the packet records for `batch`,
+    /// drawing one rank per packet in packet order (the reference engine's
+    /// `StdRng` stream, consumed whether or not the discipline reads it).
+    fn prepare(&mut self, batch: &PacketBatch, cfg: RouterConfig) {
+        self.busy.clear();
         self.active_nodes.clear();
         self.arrivals.clear();
+        self.packets.clear();
+        self.packets.reserve(batch.len());
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        for pid in 0..batch.len() {
+            let rank = rng.random::<u32>();
+            let hops = batch.hops(pid);
+            let key = match cfg.discipline {
+                QueueDiscipline::Fifo => 0,
+                QueueDiscipline::FarthestFirst => u32::MAX - hops,
+                QueueDiscipline::RandomRank => rank,
+            };
+            self.packets.push(Packet {
+                word: ((key as u64) << 32) | pid as u64,
+                cursor: batch.wire_base(pid),
+                remaining: hops,
+            });
+        }
+        self.runs += 1;
+    }
+
+    /// Size and zero the node loop's per-node arrays.
+    fn prepare_nodes(&mut self, nodes: usize) {
         self.node_queued.clear();
         self.node_queued.resize(nodes, 0);
         self.node_listed.clear();
         self.node_listed.resize(nodes, false);
         self.rotate.clear();
         self.rotate.resize(nodes, 0);
-        self.remaining.clear();
-        self.remaining.resize(packets, 0);
-        self.cursor.clear();
-        self.cursor.resize(packets, 0);
-        self.rank.clear();
-        self.rank.reserve(packets);
-        self.runs += 1;
     }
 }
 
@@ -214,13 +268,26 @@ struct RunTele {
     faults_gated: u64,
 }
 
-/// Uniform view over the per-wire queue pool of one discipline, so the tick
+impl RunTele {
+    /// Record one tick: every packet neither delivered nor stranded sat in
+    /// exactly one wire queue at tick start, so occupancy is
+    /// `total - delivered - stranded` in O(1); the ones that did not cross
+    /// stalled.
+    fn tick(&mut self, queued_start: usize, crossed: usize) {
+        self.occupancy.record(queued_start as u64);
+        self.stalled += (queued_start - crossed) as u64;
+    }
+}
+
+/// Uniform view over the per-wire queue pool of one discipline, so the node
 /// loop monomorphizes per discipline instead of branching on an enum at
 /// every queue operation.
 trait WireQueues {
-    /// Enqueue `pid` with `key` on wire `w` and return the queue's new
-    /// length (so max-queue tracking costs no second indexed access).
-    fn push(&mut self, w: usize, key: u32, pid: u32) -> usize;
+    /// Enqueue a packet's [`Packet::word`] on wire `w` and return the
+    /// queue's new length (so max-queue tracking costs no second indexed
+    /// access).
+    fn push(&mut self, w: usize, word: u64) -> usize;
+    /// Dequeue the next packet id from wire `w`.
     fn pop(&mut self, w: usize) -> Option<u32>;
     fn is_empty(&self, w: usize) -> bool;
 }
@@ -229,9 +296,9 @@ struct FifoQueues<'a>(&'a mut [VecDeque<u32>]);
 
 impl WireQueues for FifoQueues<'_> {
     #[inline]
-    fn push(&mut self, w: usize, _key: u32, pid: u32) -> usize {
+    fn push(&mut self, w: usize, word: u64) -> usize {
         let q = &mut self.0[w];
-        q.push_back(pid);
+        q.push_back(word as u32);
         q.len()
     }
     #[inline]
@@ -252,32 +319,36 @@ struct PrioQueues<'a>(&'a mut [Vec<u64>]);
 
 impl WireQueues for PrioQueues<'_> {
     #[inline]
-    fn push(&mut self, w: usize, key: u32, pid: u32) -> usize {
+    fn push(&mut self, w: usize, word: u64) -> usize {
         let q = &mut self.0[w];
-        q.push(((key as u64) << 32) | pid as u64);
+        q.push(word);
         q.len()
     }
     #[inline]
     fn pop(&mut self, w: usize) -> Option<u32> {
         let q = &mut self.0[w];
-        if q.is_empty() {
-            return None;
-        }
-        let mut best = 0usize;
-        let mut min = q[0];
-        for (i, &v) in q.iter().enumerate().skip(1) {
-            if v < min {
-                min = v;
-                best = i;
-            }
-        }
-        q.swap_remove(best);
-        Some(min as u32)
+        (!q.is_empty()).then(|| pop_min(q))
     }
     #[inline]
     fn is_empty(&self, w: usize) -> bool {
         self.0[w].is_empty()
     }
+}
+
+/// Remove and return the packet id of the smallest word in the non-empty
+/// queue `q`.
+#[inline]
+fn pop_min(q: &mut Vec<u64>) -> u32 {
+    let mut best = 0usize;
+    let mut min = q[0];
+    for (i, &v) in q.iter().enumerate().skip(1) {
+        if v < min {
+            min = v;
+            best = i;
+        }
+    }
+    q.swap_remove(best);
+    min as u32
 }
 
 /// Route a pre-compiled batch over a compiled net, reusing `scratch`.
@@ -288,6 +359,26 @@ impl WireQueues for PrioQueues<'_> {
 /// injected at tick 0 — the paper's batch semantics — and every tick is
 /// simulated. Outcomes are bit-identical to [`reference::route_batch`] for
 /// every `(batch, config)` on intact machines.
+///
+/// Two tick loops serve the runs, chosen by capacity regime and discipline:
+///
+/// | net | `Fifo` | `FarthestFirst`, `RandomRank` |
+/// |---|---|---|
+/// | unit capacity, intact | node loop | wire loop |
+/// | a send budget or a wire of capacity > 1 | node loop | node loop |
+/// | faulted | node loop | node loop |
+///
+/// The node loop mirrors the reference: it visits every active node and
+/// its wires in rotation under wire capacities and send budgets. The wire
+/// loop visits only non-empty wires and pops one packet from each. On a
+/// unit net under a priority discipline that is the same set of moves:
+/// every non-empty wire forwards exactly its minimum queue word, the words
+/// are distinct, so the visiting order changes no move and no queue's
+/// contents. The peak queue is read only at pushes, and within one arrival
+/// phase lengths only grow, so the largest length seen equals the largest
+/// final length whatever the push order. FIFO queues depend on arrival
+/// order, and budgets or wider wires let the rotation decide who sends, so
+/// those runs keep the node loop.
 ///
 /// `cancel` is polled once per tick (one relaxed load). A raised flag stops
 /// the run at the last simulated tick with [`AbortCause::Cancelled`] — the
@@ -300,11 +391,7 @@ pub fn route_compiled(
     scratch: &mut RouterScratch,
     cancel: Option<&AtomicBool>,
 ) -> RoutingOutcome {
-    scratch.prepare(net.node_count(), batch.len());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for _ in 0..batch.len() {
-        scratch.rank.push(rng.random::<u32>());
-    }
+    scratch.prepare(batch, cfg);
     // One enabled-check per *run* decides whether per-tick accumulators
     // exist at all; the disabled path costs a `None` branch per tick.
     let mut tele = if fcn_telemetry::global().enabled() {
@@ -312,38 +399,14 @@ pub fn route_compiled(
     } else {
         None
     };
-    // Monomorphize the tick loop on the capacity regime and discipline.
-    let unit = net.unit_capacity();
-    macro_rules! run {
-        ($queues:expr, $disc:ident) => {
-            if unit {
-                run_ticks::<_, true, $disc>(
-                    net,
-                    batch,
-                    cfg,
-                    $queues,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                )
-            } else {
-                run_ticks::<_, false, $disc>(
-                    net,
-                    batch,
-                    cfg,
-                    $queues,
-                    scratch,
-                    tele.as_mut(),
-                    cancel,
-                )
-            }
-        };
-    }
+    let t = tele.as_mut();
+    // Monomorphize the tick loop on the loop kind and discipline.
     let out = match cfg.discipline {
         QueueDiscipline::Fifo => {
             let mut pool = std::mem::take(&mut scratch.fifo);
             grow_and_clear(&mut pool, net.wire_count(), VecDeque::new);
-            let out = run!(&mut FifoQueues(&mut pool), DISC_FIFO);
+            let queues = &mut FifoQueues(&mut pool);
+            let out = run_nodes::<_, false>(net, batch, cfg, queues, scratch, t, cancel);
             scratch.fifo = pool;
             out
         }
@@ -351,10 +414,14 @@ pub fn route_compiled(
             let mut pool = std::mem::take(&mut scratch.prio);
             grow_and_clear(&mut pool, net.wire_count(), Vec::new);
             let queues = &mut PrioQueues(&mut pool);
-            let out = if discipline == QueueDiscipline::FarthestFirst {
-                run!(queues, DISC_FARTHEST)
-            } else {
-                run!(queues, DISC_RANDOM)
+            let farthest = discipline == QueueDiscipline::FarthestFirst;
+            let out = match (net.unit_capacity(), farthest) {
+                (true, true) => run_wires::<true>(net, batch, cfg, queues, scratch, t, cancel),
+                (true, false) => run_wires::<false>(net, batch, cfg, queues, scratch, t, cancel),
+                (false, true) => run_nodes::<_, true>(net, batch, cfg, queues, scratch, t, cancel),
+                (false, false) => {
+                    run_nodes::<_, false>(net, batch, cfg, queues, scratch, t, cancel)
+                }
             };
             scratch.prio = pool;
             out
@@ -424,12 +491,6 @@ fn publish_run(out: &RoutingOutcome, tele: &RunTele, scratch_runs: u64) {
     });
 }
 
-/// `const`-generic encodings of [`QueueDiscipline`] so the tick loop's
-/// priority-key computation compiles to straight-line code per discipline.
-const DISC_FIFO: u8 = 0;
-const DISC_FARTHEST: u8 = 1;
-const DISC_RANDOM: u8 = 2;
-
 /// Resize a queue pool to `wires` entries and empty every queue (capacity is
 /// retained, so steady-state batches allocate nothing). Queues are already
 /// empty unless the previous run aborted on `max_ticks`.
@@ -458,31 +519,81 @@ impl Clearable for Vec<u64> {
     }
 }
 
-/// Queue key of a packet with `remaining` hops to travel. Smaller keys pop
-/// first; FarthestFirst inverts remaining hops so farther packets win.
-/// `remaining` counts the push's own wire — identical to the reference's
-/// `hops - pos` at both injection (`pos = 0`) and arrival time.
-#[inline]
-fn key_of<const DISC: u8>(remaining: u32, rank: u32) -> u32 {
-    match DISC {
-        DISC_FIFO => 0,
-        DISC_FARTHEST => u32::MAX - remaining,
-        _ => rank,
+/// Counters a tick loop carries from injection to its outcome.
+#[derive(Debug, Default)]
+struct Tally {
+    ticks: u64,
+    delivered: usize,
+    max_queue: usize,
+    total_hops: u64,
+    stranded: usize,
+    cancelled: bool,
+}
+
+impl Tally {
+    fn outcome(self, total: usize) -> RoutingOutcome {
+        let abort = if self.cancelled {
+            AbortCause::Cancelled
+        } else if self.delivered + self.stranded < total {
+            AbortCause::MaxTicks
+        } else if self.stranded > 0 {
+            AbortCause::Stranded
+        } else {
+            AbortCause::Completed
+        };
+        RoutingOutcome {
+            ticks: self.ticks,
+            delivered: self.delivered,
+            total,
+            completed: abort == AbortCause::Completed,
+            max_queue: self.max_queue,
+            total_hops: self.total_hops,
+            stranded: self.stranded,
+            abort,
+        }
     }
 }
 
-/// The tick loop, monomorphized per queue pool (`Q`), capacity regime
-/// (`UNIT`: every wire capacity 1 and every send budget unlimited — the
-/// budget bookkeeping compiles away entirely), and discipline (`DISC`: the
-/// priority-key computation is a compile-time choice, not a per-push match).
+/// The graceful-stop hook: one relaxed load per tick when a watchdog or
+/// signal handler armed a flag; `None` compiles to nothing observable.
+#[inline]
+fn raised(cancel: Option<&AtomicBool>) -> bool {
+    // ordering: the flag is a monotone stop hint carrying no data; a stale
+    // read merely runs one more tick before stopping.
+    cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+}
+
+/// Take packet `p`'s next wire: its id, with the cursor moved past it.
+#[inline]
+fn next_wire(p: &mut Packet, batch: &PacketBatch) -> usize {
+    let w = batch.wire_flat(p.cursor as usize);
+    p.cursor += 1;
+    w as usize
+}
+
+/// Move packet `p` across the wire it was queued on. Returns the wire it
+/// queues on next, or `None` once it is delivered.
+#[inline]
+fn cross<const FARTHEST: bool>(p: &mut Packet, batch: &PacketBatch) -> Option<usize> {
+    p.remaining -= 1;
+    if p.remaining == 0 {
+        return None;
+    }
+    if FARTHEST {
+        // The key `u32::MAX - remaining` grows by one per hop.
+        p.word += 1 << 32;
+    }
+    Some(next_wire(p, batch))
+}
+
+/// The node loop, monomorphized per queue pool (`Q`) and per discipline
+/// (`FARTHEST`: whether a hop raises the packet's key). It serves FIFO,
+/// budgeted, wide-wire and faulted runs (see [`route_compiled`]).
 ///
 /// Mirrors [`reference::route_batch`] phase for phase: injection, then
 /// (send, compaction, arrival) per tick, with identical iteration orders —
-/// which is what makes the outcomes bit-identical. Packet progress is
-/// tracked as `(remaining, cursor)` columns instead of the reference's
-/// vertex position: an arrival touches one `wire_ids` slot and one
-/// wire-tail slot instead of re-deriving its location from the path arrays.
-fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
+/// which is what makes the outcomes bit-identical.
+fn run_nodes<Q: WireQueues, const FARTHEST: bool>(
     net: &CompiledNet,
     batch: &PacketBatch,
     cfg: RouterConfig,
@@ -491,11 +602,9 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
     mut tele: Option<&mut RunTele>,
     cancel: Option<&AtomicBool>,
 ) -> RoutingOutcome {
+    scr.prepare_nodes(net.node_count());
     let total = batch.len();
-
-    let mut delivered = 0usize;
-    let mut total_hops = 0u64;
-    let mut max_queue = 0usize;
+    let mut tally = Tally::default();
 
     // Injection: every packet enqueues on its first wire at tick 0. Queue
     // lengths only grow here, so tracking the max per push matches the
@@ -506,26 +615,20 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
     // outcome) rather than left to spin the loop to `max_ticks`. The scan
     // only runs when the net actually has dead wires, so intact machines
     // take the exact pre-fault-plane injection path.
-    let mut stranded = 0usize;
     let strand_scan = net.has_dead_wires();
     for pid in 0..total {
-        let hops = batch.hops(pid);
-        if hops == 0 {
-            delivered += 1;
+        let p = &mut scr.packets[pid];
+        if p.remaining == 0 {
+            tally.delivered += 1;
             continue;
         }
         if strand_scan && batch.wires(pid).iter().any(|&w| net.wire_dead(w)) {
-            stranded += 1;
+            tally.stranded += 1;
             continue;
         }
-        let wb = batch.wire_base(pid);
-        let w = batch.wire_flat(wb as usize) as usize;
+        let w = next_wire(p, batch);
+        tally.max_queue = tally.max_queue.max(queues.push(w, p.word));
         let src = net.wire_tail(w as u32);
-        scr.remaining[pid] = hops;
-        scr.cursor[pid] = wb + 1;
-        let key = key_of::<DISC>(hops, scr.rank[pid]);
-        // `PacketBatch::compile` refuses batches past `u32::MAX` packets.
-        max_queue = max_queue.max(queues.push(w, key, pid as u32));
         scr.node_queued[src as usize] += 1;
         if !scr.node_listed[src as usize] {
             scr.node_listed[src as usize] = true;
@@ -533,22 +636,14 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
         }
     }
 
-    let routable = total - stranded;
-    let mut ticks = 0u64;
-    let mut cancelled = false;
+    let routable = total - tally.stranded;
     let mut gated = 0u64;
-    while delivered < routable && ticks < cfg.max_ticks {
-        // Graceful-stop hook: one relaxed load per tick when a watchdog or
-        // signal handler armed a flag; `None` compiles to nothing observable.
-        // ordering: the flag is a monotone stop hint carrying no data; a
-        // stale read merely runs one more tick before stopping.
-        if let Some(c) = cancel {
-            if c.load(Ordering::Relaxed) {
-                cancelled = true;
-                break;
-            }
+    while tally.delivered < routable && tally.ticks < cfg.max_ticks {
+        if raised(cancel) {
+            tally.cancelled = true;
+            break;
         }
-        ticks += 1;
+        tally.ticks += 1;
         scr.arrivals.clear();
         // Send phase: each active node pushes packets subject to per-wire
         // and per-node budgets, starting at a rotating wire offset for
@@ -575,64 +670,45 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
             // needs no modulo arithmetic in the inner loop.
             let mut wi = scr.rotate[u as usize] as usize;
             debug_assert!(wi < deg);
-            if UNIT {
-                // Unit capacities, unlimited budget: every nonempty wire
-                // forwards exactly one packet.
-                for _ in 0..deg {
-                    let w = lo + wi;
-                    wi += 1;
-                    if wi == deg {
-                        wi = 0;
-                    }
-                    if let Some(pid) = queues.pop(w) {
-                        scr.arrivals.push(pid);
-                        queued -= 1;
-                        if queued == 0 {
-                            break;
+            let mut budget = net.send_budget(u) as u64;
+            for _ in 0..deg {
+                if budget == 0 {
+                    break;
+                }
+                let w = lo + wi;
+                wi += 1;
+                if wi == deg {
+                    wi = 0;
+                }
+                if queues.is_empty(w) {
+                    continue;
+                }
+                // Transient-fault gating: inside an outage window the
+                // wire's capacity is reduced (usually to zero — queued
+                // packets wait the window out). For intact nets this is
+                // the static multiplicity, bit-for-bit.
+                let cap_now = net.effective_wire_capacity(w as u32, tally.ticks - 1);
+                if cap_now < net.wire_capacity(w as u32) {
+                    gated += 1;
+                }
+                if cap_now == 0 {
+                    continue;
+                }
+                let cap = (cap_now as u64).min(budget);
+                let mut sent = 0u64;
+                while sent < cap {
+                    match queues.pop(w) {
+                        Some(pid) => {
+                            scr.arrivals.push(pid);
+                            sent += 1;
                         }
+                        None => break,
                     }
                 }
-            } else {
-                let mut budget = net.send_budget(u) as u64;
-                for _ in 0..deg {
-                    if budget == 0 {
-                        break;
-                    }
-                    let w = lo + wi;
-                    wi += 1;
-                    if wi == deg {
-                        wi = 0;
-                    }
-                    if queues.is_empty(w) {
-                        continue;
-                    }
-                    // Transient-fault gating: inside an outage window the
-                    // wire's capacity is reduced (usually to zero — queued
-                    // packets wait the window out). For intact nets this is
-                    // the static multiplicity, bit-for-bit.
-                    let cap_now = net.effective_wire_capacity(w as u32, ticks - 1);
-                    if cap_now < net.wire_capacity(w as u32) {
-                        gated += 1;
-                    }
-                    if cap_now == 0 {
-                        continue;
-                    }
-                    let cap = (cap_now as u64).min(budget);
-                    let mut sent = 0u64;
-                    while sent < cap {
-                        match queues.pop(w) {
-                            Some(pid) => {
-                                scr.arrivals.push(pid);
-                                sent += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    budget -= sent;
-                    queued -= sent as u32;
-                    if queued == 0 {
-                        break;
-                    }
+                budget -= sent;
+                queued -= sent as u32;
+                if queued == 0 {
+                    break;
                 }
             }
             scr.node_queued[u as usize] = queued;
@@ -648,35 +724,23 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
         }
         active.truncate(kept);
         scr.active_nodes = active;
-        // Telemetry observation point (enabled runs only): every
-        // undelivered, non-trivial packet sat in exactly one wire queue at
-        // tick start, so occupancy is `total - delivered` in O(1); the ones
-        // that did not make it into `arrivals` stalled for this tick.
         if let Some(t) = tele.as_deref_mut() {
-            let queued_start = (total - delivered) as u64;
-            t.occupancy.record(queued_start);
-            t.stalled += queued_start - scr.arrivals.len() as u64;
+            t.tick(routable - tally.delivered, scr.arrivals.len());
         }
         // Arrival phase: advance packets, deliver or re-enqueue. `arrivals`
         // is moved out of the scratch for the duration so the loop iterates
         // it directly (no per-element index check against the scratch
         // borrow) and moved back for the next tick.
         let arrivals = std::mem::take(&mut scr.arrivals);
-        total_hops += arrivals.len() as u64;
+        tally.total_hops += arrivals.len() as u64;
         for &pid in &arrivals {
-            let pid = pid as usize;
-            let rem = scr.remaining[pid] - 1;
-            scr.remaining[pid] = rem;
-            if rem == 0 {
-                delivered += 1;
+            let p = &mut scr.packets[pid as usize];
+            let Some(w) = cross::<FARTHEST>(p, batch) else {
+                tally.delivered += 1;
                 continue;
-            }
-            let cur = scr.cursor[pid] as usize;
-            let w = batch.wire_flat(cur) as usize;
-            scr.cursor[pid] = (cur + 1) as u32;
+            };
+            tally.max_queue = tally.max_queue.max(queues.push(w, p.word));
             let from = net.wire_tail(w as u32);
-            let key = key_of::<DISC>(rem, scr.rank[pid]);
-            max_queue = max_queue.max(queues.push(w, key, pid as u32));
             scr.node_queued[from as usize] += 1;
             if !scr.node_listed[from as usize] {
                 scr.node_listed[from as usize] = true;
@@ -689,25 +753,78 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
     if let Some(t) = tele {
         t.faults_gated += gated;
     }
-    let abort = if cancelled {
-        AbortCause::Cancelled
-    } else if delivered < routable {
-        AbortCause::MaxTicks
-    } else if stranded > 0 {
-        AbortCause::Stranded
-    } else {
-        AbortCause::Completed
-    };
-    RoutingOutcome {
-        ticks,
-        delivered,
-        total,
-        completed: abort == AbortCause::Completed,
-        max_queue,
-        total_hops,
-        stranded,
-        abort,
+    tally.outcome(total)
+}
+
+/// The wire loop: priority disciplines on an intact unit-capacity net (see
+/// [`route_compiled`] for why its moves equal the node loop's). `busy`
+/// lists exactly the wires with a non-empty queue: a wire joins when a push
+/// makes its length 1 and leaves when a pop empties it, so each tick
+/// touches only wires that send.
+fn run_wires<const FARTHEST: bool>(
+    net: &CompiledNet,
+    batch: &PacketBatch,
+    cfg: RouterConfig,
+    queues: &mut PrioQueues<'_>,
+    scr: &mut RouterScratch,
+    mut tele: Option<&mut RunTele>,
+    cancel: Option<&AtomicBool>,
+) -> RoutingOutcome {
+    debug_assert!(net.unit_capacity() && !net.is_faulted());
+    let total = batch.len();
+    let mut tally = Tally::default();
+
+    for pid in 0..total {
+        let p = &mut scr.packets[pid];
+        if p.remaining == 0 {
+            tally.delivered += 1;
+            continue;
+        }
+        let w = next_wire(p, batch);
+        let len = queues.push(w, p.word);
+        tally.max_queue = tally.max_queue.max(len);
+        if len == 1 {
+            scr.busy.push(w as u32);
+        }
     }
+
+    while tally.delivered < total && tally.ticks < cfg.max_ticks {
+        if raised(cancel) {
+            tally.cancelled = true;
+            break;
+        }
+        tally.ticks += 1;
+        scr.arrivals.clear();
+        // Send phase: every busy wire forwards its minimum word; the wires
+        // it leaves non-empty stay busy.
+        let mut busy = std::mem::take(&mut scr.busy);
+        busy.retain(|&w| {
+            let q = &mut queues.0[w as usize];
+            scr.arrivals.push(pop_min(q));
+            !q.is_empty()
+        });
+        if let Some(t) = tele.as_deref_mut() {
+            t.tick(total - tally.delivered, scr.arrivals.len());
+        }
+        // Arrival phase: advance packets, deliver or re-enqueue.
+        let arrivals = std::mem::take(&mut scr.arrivals);
+        tally.total_hops += arrivals.len() as u64;
+        for &pid in &arrivals {
+            let p = &mut scr.packets[pid as usize];
+            let Some(w) = cross::<FARTHEST>(p, batch) else {
+                tally.delivered += 1;
+                continue;
+            };
+            let len = queues.push(w, p.word);
+            tally.max_queue = tally.max_queue.max(len);
+            if len == 1 {
+                busy.push(w as u32);
+            }
+        }
+        scr.arrivals = arrivals;
+        scr.busy = busy;
+    }
+    tally.outcome(total)
 }
 
 thread_local! {

@@ -289,7 +289,9 @@ pub(crate) fn de_bruijn_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
 fn de_bruijn_shift_walk(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
     let mask = (1u64 << g) - 1;
     let mut cur = u as u64;
-    let mut path = vec![u];
+    // At most `g` hops: one allocation per walk.
+    let mut path = Vec::with_capacity(g as usize + 1);
+    path.push(u);
     for i in (0..g).rev() {
         if cur == v as u64 {
             break;
@@ -319,7 +321,9 @@ pub(crate) fn shuffle_exchange_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId>
         return vec![u, v];
     }
     let mut cur = u as u64;
-    let mut path = vec![u];
+    // At most `2g` hops: one allocation per walk.
+    let mut path = Vec::with_capacity(2 * g as usize + 1);
+    path.push(u);
     for j in 0..g {
         let pos = if j == 0 { 0 } else { g - j };
         let target = (v as u64 >> pos) & 1;

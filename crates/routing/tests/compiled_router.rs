@@ -1,6 +1,6 @@
 //! The compiled router's contract: same bits as the reference simulator.
 //!
-//! Two layers of evidence:
+//! Four layers of evidence:
 //!
 //! * **Round-trip properties** — flattening planner paths into a
 //!   [`PacketBatch`] and decoding them back through the [`CompiledNet`]
@@ -12,6 +12,12 @@
 //!   the retained pre-compilation simulator
 //!   `fcn_routing::engine::reference::route_batch` across the determinism
 //!   families × all three queue disciplines, including tick-budget aborts.
+//! * **Heavy-contention pin** — 2n and 8n symmetric packets on every
+//!   family at n ≈ 128 drive both tick loops (the wire loop for priority
+//!   disciplines on unit-capacity nets, the node loop for the rest)
+//!   through completed runs, mid-run aborts and a preset cancel flag, with
+//!   one scratch shared across loops; every run also respects its batch's
+//!   congestion/dilation floor `max(C, D)`.
 //! * **Hand-computed pins** — the reference simulator predates the fault
 //!   plane and cancellation, so outage windows, dead wires, the frozen-net
 //!   `MaxTicks` abort and a pre-set cancel flag are pinned to outcomes
@@ -166,6 +172,157 @@ fn equivalence_pin_families_times_disciplines() {
             }
         }
     }
+}
+
+/// True when `machine` compiles to a unit-capacity net: every wire of
+/// capacity 1 and no send budget. Priority runs on such a net take the
+/// wire loop; every other run takes the node loop.
+fn is_unit(machine: &Machine) -> bool {
+    !machine.has_node_capacities()
+        && machine
+            .graph()
+            .edges()
+            .all(|e| e.u == e.v || e.multiplicity == 1)
+}
+
+/// `max(C, D)` for `batch`: C is the largest ⌈load / capacity⌉ over wires
+/// and over send-budgeted nodes, D the longest route. No schedule
+/// delivers the batch in fewer ticks.
+fn congestion_dilation_floor(machine: &Machine, net: &CompiledNet, batch: &PacketBatch) -> u64 {
+    let mut wire_load = vec![0u64; net.wire_count()];
+    let mut node_sends = vec![0u64; net.node_count()];
+    let mut dilation = 0u64;
+    for i in 0..batch.len() {
+        dilation = dilation.max(batch.hops(i) as u64);
+        for &w in batch.wires(i) {
+            wire_load[w as usize] += 1;
+            node_sends[net.wire_tail(w) as usize] += 1;
+        }
+    }
+    let wires = (0..net.wire_count() as u32).map(|w| {
+        let cap = machine
+            .graph()
+            .multiplicity(net.wire_tail(w), net.wire_head(w));
+        wire_load[w as usize].div_ceil(cap as u64)
+    });
+    let nodes = (0..net.node_count() as u32)
+        .map(|u| node_sends[u as usize].div_ceil(machine.send_capacity(u) as u64));
+    wires.chain(nodes).max().unwrap_or(0).max(dilation)
+}
+
+/// The abort-and-reuse schedule one scratch runs per batch: `(discipline,
+/// abort mid-run)`. Each abort is followed at once by a run on the other
+/// loop (on unit nets), so arena residue from an aborted node-loop run
+/// must not leak into the wire loop, nor the other way round.
+const SCHEDULE: [(QueueDiscipline, bool); 6] = [
+    (QueueDiscipline::Fifo, true),
+    (QueueDiscipline::FarthestFirst, false),
+    (QueueDiscipline::FarthestFirst, true),
+    (QueueDiscipline::Fifo, false),
+    (QueueDiscipline::RandomRank, true),
+    (QueueDiscipline::RandomRank, false),
+];
+
+/// Heavy-contention pin: 2n and 8n symmetric packets on every family at
+/// n ≈ 64–256, under every discipline, each run to completion and aborted
+/// on `max_ticks` halfway, through one scratch shared by every run. Both
+/// loops must meet the reference field for field, no run may beat the
+/// batch's congestion/dilation floor, and a preset cancel flag must stop
+/// either loop right after injection.
+#[test]
+fn heavy_contention_pin_every_family_both_loops() {
+    use rand::SeedableRng;
+    let mut scratch = RouterScratch::new();
+    let mut unit_machines = 0;
+    let mut other_machines = 0;
+    let raised = AtomicBool::new(true);
+    for (fi, family) in Family::all_with_dims(&[1, 2, 3]).iter().enumerate() {
+        let machine = family.build_near(128, 0x11);
+        if is_unit(&machine) {
+            unit_machines += 1;
+        } else {
+            other_machines += 1;
+        }
+        let net = CompiledNet::compile(&machine);
+        let traffic = machine.symmetric_traffic();
+        for load in [2, 8] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x4ea7 + fi as u64);
+            let demands: Vec<_> = (0..load * traffic.n())
+                .map(|_| traffic.sample(&mut rng))
+                .collect();
+            let paths = plan_routes_cached(
+                &machine,
+                &demands,
+                Strategy::ShortestPath,
+                5 + load as u64,
+                None,
+            );
+            let batch = PacketBatch::compile(&net, &paths).unwrap();
+            let floor = congestion_dilation_floor(&machine, &net, &batch);
+            let label = |d: QueueDiscipline| format!("{} / {load}n / {d:?}", machine.name());
+            for (discipline, abort) in SCHEDULE {
+                let full = RouterConfig {
+                    discipline,
+                    seed: 0xc0de + fi as u64,
+                    max_ticks: u64::MAX,
+                };
+                let expected = reference::route_batch(&machine, paths.clone(), full).unwrap();
+                assert!(expected.completed, "{}", label(discipline));
+                assert!(
+                    expected.ticks >= floor,
+                    "{}: {} ticks beat max(C, D) = {floor}",
+                    label(discipline),
+                    expected.ticks
+                );
+                let cfg = if abort {
+                    RouterConfig {
+                        max_ticks: expected.ticks / 2,
+                        ..full
+                    }
+                } else {
+                    full
+                };
+                let expected = if abort {
+                    let cut = reference::route_batch(&machine, paths.clone(), cfg).unwrap();
+                    assert_eq!(cut.abort, AbortCause::MaxTicks, "{}", label(discipline));
+                    cut
+                } else {
+                    expected
+                };
+                let got = route_compiled(&net, &batch, cfg, &mut scratch, None);
+                assert_eq!(got, expected, "{} / abort {abort}", label(discipline));
+            }
+            // A preset flag stops before tick 1: the outcome is the
+            // reference's zero-tick budget, with the cause renamed.
+            for discipline in DISCIPLINES {
+                let cfg = RouterConfig {
+                    discipline,
+                    seed: 3,
+                    max_ticks: 0,
+                };
+                let zero = reference::route_batch(&machine, paths.clone(), cfg).unwrap();
+                let cfg = RouterConfig {
+                    max_ticks: u64::MAX,
+                    ..cfg
+                };
+                let got = route_compiled(&net, &batch, cfg, &mut scratch, Some(&raised));
+                assert_eq!(
+                    got,
+                    RoutingOutcome {
+                        abort: AbortCause::Cancelled,
+                        ..zero
+                    },
+                    "{} / cancelled",
+                    label(discipline)
+                );
+            }
+        }
+    }
+    assert!(unit_machines >= 8, "{unit_machines} unit-capacity machines");
+    assert!(
+        other_machines >= 3,
+        "{other_machines} budgeted or wide machines"
+    );
 }
 
 #[test]

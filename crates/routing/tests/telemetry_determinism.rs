@@ -12,10 +12,11 @@
 //! global state as it found it.
 
 use fcn_routing::{
-    measure_rate, plan_routes_cached, route_compiled, CompiledNet, PacketBatch, QueueDiscipline,
-    RouterConfig, RouterScratch, RoutingOutcome, Strategy,
+    measure_rate, plan_routes_cached, route_compiled, CompiledNet, PacketBatch, PacketPath,
+    QueueDiscipline, RouterConfig, RouterScratch, RoutingOutcome, Strategy,
 };
-use fcn_topology::Machine;
+use fcn_telemetry::LocalShard;
+use fcn_topology::{Family, Machine, SendCapacity};
 
 /// Serializes registry toggling across the tests in this file. It is held
 /// across whole test bodies, which take the routing crate's own locks, so
@@ -163,4 +164,114 @@ fn enabled_run_actually_collects() {
     assert_eq!(shard.counter("router_scratch_reused_total"), 1);
     let occ = shard.histogram("router_queue_occupancy");
     assert_eq!(occ.count, 2 * out.ticks, "one occupancy sample per tick");
+}
+
+/// Route `machine`'s 8n-packet `RandomRank` batch twice through one fresh
+/// scratch with collection on, and return the outcome with everything the
+/// two runs recorded.
+fn collect_runs(machine: &Machine, paths: &[PacketPath]) -> (String, LocalShard) {
+    let net = CompiledNet::compile(machine);
+    let batch = PacketBatch::compile(&net, paths).expect("planner paths are walks");
+    let cfg = RouterConfig::default();
+    let mut scratch = RouterScratch::new();
+    let _ = fcn_telemetry::take_shard();
+    fcn_telemetry::global().set_enabled(true);
+    let first = route_compiled(&net, &batch, cfg, &mut scratch, None);
+    let second = route_compiled(&net, &batch, cfg, &mut scratch, None);
+    fcn_telemetry::global().set_enabled(false);
+    assert_eq!(first, second, "scratch reuse changed bits");
+    (record(&first), fcn_telemetry::take_shard())
+}
+
+#[test]
+fn wire_loop_records_what_the_node_loop_records() {
+    // `RandomRank` on the unit-capacity mesh takes the wire loop. Its twin
+    // has a send budget of `u32::MAX - 1` per node: never binding, so the
+    // same packets move every tick, but a budget sends the run through the
+    // node loop. Outcomes and every recorded metric must agree.
+    use rand::SeedableRng as _;
+    let machine = Machine::mesh(2, 8);
+    let n = machine.processors();
+    let twin = Machine::custom(
+        Family::Mesh(2),
+        "budgeted_mesh".into(),
+        machine.graph().clone(),
+        n,
+        SendCapacity::PerNode(vec![u32::MAX - 1; n]),
+        vec![],
+    );
+    let traffic = machine.symmetric_traffic();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x9ea7);
+    let demands: Vec<_> = (0..8 * n).map(|_| traffic.sample(&mut rng)).collect();
+    let paths = plan_routes_cached(&machine, &demands, Strategy::ShortestPath, 42, None);
+
+    let (off, on) = with_and_without_telemetry(|| {
+        let net = CompiledNet::compile(&machine);
+        let batch = PacketBatch::compile(&net, &paths).expect("planner paths are walks");
+        route_compiled(
+            &net,
+            &batch,
+            RouterConfig::default(),
+            &mut RouterScratch::new(),
+            None,
+        )
+    });
+    assert!(
+        off.completed && off.max_queue > 4,
+        "batch must queue: {off:?}"
+    );
+    assert_eq!(record(&off), record(&on), "outcome differs under telemetry");
+
+    let _gate = TELEMETRY_GATE.lock().unwrap();
+    let (wire_out, wire) = collect_runs(&machine, &paths);
+    let (node_out, node) = collect_runs(&twin, &paths);
+    assert_eq!(wire_out, record(&off));
+    assert_eq!(wire_out, node_out, "the loops route different outcomes");
+    for name in [
+        "router_stalled_packet_ticks_total",
+        "router_scratch_created_total",
+        "router_scratch_reused_total",
+    ] {
+        assert_eq!(wire.counter(name), node.counter(name), "{name}");
+    }
+    assert!(wire.counter("router_stalled_packet_ticks_total") > 0);
+    assert_eq!(
+        wire.histogram("router_queue_occupancy"),
+        node.histogram("router_queue_occupancy")
+    );
+    assert_eq!(wire, node, "some other router metric differs");
+}
+
+#[test]
+fn stranded_packets_are_not_counted_as_queued() {
+    // With link 1 — 2 dead, two of the five packets are stranded at
+    // injection and one has zero hops. The other two sit in a queue at the
+    // start of tick 1 and both cross in it: occupancy 2, no stall.
+    let _gate = TELEMETRY_GATE.lock().unwrap();
+    let machine = Machine::linear_array(4);
+    let plan = fcn_faults::FaultPlan::assemble(vec![], vec![(1, 2)], vec![]);
+    let net = CompiledNet::compile(&machine).apply_faults(&plan);
+    let paths = [
+        PacketPath::new(vec![0, 1, 2, 3]),
+        PacketPath::new(vec![0, 1]),
+        PacketPath::new(vec![3, 2]),
+        PacketPath::new(vec![2, 1]),
+        PacketPath::new(vec![2]),
+    ];
+    let batch = PacketBatch::compile(&net, &paths).expect("paths are walks");
+    let _ = fcn_telemetry::take_shard();
+    fcn_telemetry::global().set_enabled(true);
+    let out = route_compiled(
+        &net,
+        &batch,
+        RouterConfig::default(),
+        &mut RouterScratch::new(),
+        None,
+    );
+    fcn_telemetry::global().set_enabled(false);
+    let shard = fcn_telemetry::take_shard();
+    assert_eq!((out.ticks, out.stranded, out.delivered), (1, 2, 3));
+    let occupancy = shard.histogram("router_queue_occupancy");
+    assert_eq!((occupancy.count, occupancy.sum), (1, 2));
+    assert_eq!(shard.counter("router_stalled_packet_ticks_total"), 0);
 }

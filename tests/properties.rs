@@ -9,8 +9,8 @@ use fcn_emu::multigraph::{
     Multigraph, MultigraphBuilder, NodeId, Traffic,
 };
 use fcn_emu::routing::{
-    route_compiled_pooled, CompiledNet, PacketBatch, PacketPath, PathOracle, RouterConfig,
-    Strategy as RouteStrategy,
+    route_compiled_pooled, CompiledNet, PacketBatch, PacketPath, PathOracle, QueueDiscipline,
+    RouterConfig, Strategy as RouteStrategy,
 };
 use proptest::prelude::*;
 
@@ -253,16 +253,37 @@ proptest! {
         }
     }
 
+    /// Conservation, plus the congestion/dilation floor: no schedule beats
+    /// `max(C, D)`, where C is the most ticks any wire or send budget needs
+    /// for its load alone and D the longest route. Scaled multigraphs and
+    /// per-node send budgets send runs through the budgeted node loop;
+    /// unscaled, unbudgeted priority runs take the wire loop.
     #[test]
-    fn router_conserves_packets_and_hops(g in connected_graph(), seed in any::<u64>()) {
+    fn router_conserves_packets_and_hops(
+        g in connected_graph(),
+        seed in any::<u64>(),
+        scale in 1u32..4,
+        budget in 0u32..4,
+        pick in 0usize..3,
+    ) {
         use fcn_emu::topology::{Family, Machine, SendCapacity};
         let n = g.node_count();
+        // Budget 0 stands for no send budget at all.
+        let send = match budget {
+            0 => SendCapacity::Unlimited,
+            b => SendCapacity::PerNode(vec![b; n]),
+        };
+        let discipline = [
+            QueueDiscipline::Fifo,
+            QueueDiscipline::FarthestFirst,
+            QueueDiscipline::RandomRank,
+        ][pick];
         let machine = Machine::custom(
             Family::Expander,
             "prop".into(),
-            g.clone(),
+            g.scaled(scale),
             n,
-            SendCapacity::Unlimited,
+            send,
             vec![],
         );
         let mut oracle = PathOracle::new(machine.graph(), seed);
@@ -276,12 +297,36 @@ proptest! {
         let max_hops = routes.iter().map(PacketPath::hops).max().unwrap_or(0) as u64;
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &routes).expect("oracle routes are walks");
-        let out = route_compiled_pooled(&net, &batch, RouterConfig::default());
+        let cfg = RouterConfig { discipline, ..RouterConfig::default() };
+        let out = route_compiled_pooled(&net, &batch, cfg);
         prop_assert!(out.completed);
         prop_assert_eq!(out.delivered, 2 * n);
         prop_assert_eq!(out.total_hops, expected_hops);
         // Time at least the longest path, at most total hops (full serialization).
         prop_assert!(out.ticks >= max_hops);
         prop_assert!(out.ticks <= expected_hops.max(1));
+        // Congestion: a wire of multiplicity m moves at most m packets a
+        // tick, and a node at most its send budget.
+        let mut wire_load = vec![0u64; net.wire_count()];
+        let mut node_sends = vec![0u64; n];
+        for i in 0..batch.len() {
+            for &w in batch.wires(i) {
+                wire_load[w as usize] += 1;
+                node_sends[net.wire_tail(w) as usize] += 1;
+            }
+        }
+        let wire_c = (0..net.wire_count() as u32).map(|w| {
+            let cap = machine.graph().multiplicity(net.wire_tail(w), net.wire_head(w));
+            wire_load[w as usize].div_ceil(cap as u64)
+        });
+        let node_c = (0..n as u32).map(|u| {
+            node_sends[u as usize].div_ceil(machine.send_capacity(u) as u64)
+        });
+        let congestion = wire_c.chain(node_c).max().unwrap_or(0);
+        prop_assert!(
+            out.ticks >= congestion.max(max_hops),
+            "ticks {} below max(C = {congestion}, D = {max_hops})",
+            out.ticks
+        );
     }
 }
