@@ -33,7 +33,7 @@ pub struct FluxBound {
 /// Considers: (1) the machine's canonical cuts, (2) generated/improved cuts
 /// (`random_seeds`, `improve_sweeps` as in
 /// [`fcn_multigraph::best_flux_bound`]), and (3) the node-capacity bound for
-/// weak machines.
+/// weak machines. Timed as the `flux` telemetry span.
 pub fn flux_upper_bound(
     machine: &Machine,
     traffic: &Traffic,
@@ -41,6 +41,7 @@ pub fn flux_upper_bound(
     random_seeds: usize,
     improve_sweeps: usize,
 ) -> FluxBound {
+    let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_FLUX);
     let g = machine.graph();
     let mut best: Option<FluxBound> = None;
     let mut consider = |cand: FluxBound| {

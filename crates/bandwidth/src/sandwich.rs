@@ -127,6 +127,7 @@ impl<'m> Subject<'m> {
                 2,
             )),
             Piece::Distance => {
+                let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_DISTANCE);
                 let mut srng = {
                     use rand::SeedableRng;
                     rand::rngs::StdRng::seed_from_u64(self.seed)

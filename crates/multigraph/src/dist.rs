@@ -71,6 +71,7 @@ pub fn bfs_parents(g: &Multigraph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
 /// neighbours shuffled by `rng`, and the first visit wins. Independent
 /// shuffles spread shortest paths across equal-length alternatives.
 /// `NodeId::MAX` marks a vertex not reached; the source is its own parent.
+/// Returns the parents and the number of vertices dequeued.
 ///
 /// The enqueue is predicated rather than branched: every shuffled
 /// neighbour is stored at the queue's tail, its parent slot is rewritten
@@ -81,14 +82,23 @@ pub fn bfs_parents(g: &Multigraph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
 /// and takes the same `deg − 1` draws per dequeued vertex, so the tree
 /// and the state `rng` is left in are those of the branching loop.
 ///
+/// With `targets`, the search stops before its next dequeue once every
+/// target has a parent. A vertex's parent is fixed when it is discovered,
+/// and so are its ancestors', so every target's tree path is the one the
+/// full tree gives; other vertices may be left unreached, and `rng` is
+/// left short of the full tree's draws. So only a caller that owns `rng`
+/// and keeps the tree for nothing but `targets` may stop early. A target
+/// outside `0..limit` or unreachable makes the search run to the end.
+///
 /// # Panics
-/// Panics if `src` is not below `limit`.
+/// Panics if `src` is not below `limit`, or a target is not a vertex.
 pub fn bfs_parents_shuffled(
     g: &Multigraph,
     src: NodeId,
     limit: usize,
+    targets: Option<&[NodeId]>,
     rng: &mut impl Rng,
-) -> Vec<NodeId> {
+) -> (Vec<NodeId>, usize) {
     assert!((src as usize) < limit, "source {src} outside node limit");
     let n = g.node_count();
     let mut parent = vec![NodeId::MAX; n];
@@ -98,8 +108,19 @@ pub fn bfs_parents_shuffled(
     parent[src as usize] = src;
     queue[0] = src;
     let (mut head, mut tail) = (0, 1);
+    // `targets[..pending]` all have parents; parents are never unset, so
+    // the scan resumes where it stopped and costs O(targets) in all.
+    let mut pending = 0;
     let mut neighbours: Vec<NodeId> = Vec::new();
     while head < tail {
+        if let Some(targets) = targets {
+            while pending < targets.len() && parent[targets[pending] as usize] != NodeId::MAX {
+                pending += 1;
+            }
+            if pending == targets.len() {
+                break;
+            }
+        }
         let u = queue[head];
         head += 1;
         neighbours.clear();
@@ -113,7 +134,7 @@ pub fn bfs_parents_shuffled(
             tail += fresh as usize;
         }
     }
-    parent
+    (parent, head)
 }
 
 /// Extract the `src -> dst` shortest path from a parent array produced by
@@ -150,12 +171,53 @@ pub fn avg_distance_exact(g: &Multigraph) -> f64 {
     all_pairs(g).1 as f64 / (n as f64 * (n as f64 - 1.0))
 }
 
-/// Diameter and the sum of `d(u, v)` over all ordered pairs, from one BFS
-/// per source.
+/// Largest eccentricity of vertex 0 at which [`all_pairs`] takes the
+/// bit-parallel kernel. A pass of that kernel sweeps every adjacency list
+/// once per BFS level and serves 64 sources; a scalar BFS sweeps them once
+/// per source whatever the depth. Measured on every Table 4 family up to
+/// n = 2048 (EXPERIMENTS.md, "Table 4's BFS layers do only the work that
+/// is read"), the bit-parallel kernel breaks even at about 110–130 levels.
+/// With `ecc(0) ≤ 64` no block runs more than `2·64` levels, so the choice
+/// costs at most about a fifth on a graph whose vertex 0 is central, and
+/// it picks the bit-parallel kernel on every Table 4 machine where that
+/// kernel is faster, save mesh2(45) and the 1-d paths at n = 128.
+const BITPARALLEL_MAX_ECC: u32 = 64;
+
+/// Diameter and the sum of `d(u, v)` over all ordered pairs, from
+/// [`all_pairs_bitparallel`] on shallow graphs and [`all_pairs_scalar`] on
+/// deep ones (the 1-d families, whose depth grows like `n`). Both return
+/// the same integers.
 ///
 /// # Panics
 /// Panics if the graph is disconnected.
 fn all_pairs(g: &Multigraph) -> (u32, u64) {
+    if is_shallow(g) {
+        all_pairs_bitparallel(g)
+    } else {
+        all_pairs_scalar(g)
+    }
+}
+
+/// Whether vertex 0's eccentricity `e` is at most [`BITPARALLEL_MAX_ECC`]:
+/// one scalar BFS, and the diameter is at most `2e`.
+///
+/// # Panics
+/// Panics if the graph is disconnected.
+fn is_shallow(g: &Multigraph) -> bool {
+    let n = g.node_count();
+    let mut dist = vec![UNREACHABLE; n];
+    let mut queue = Vec::with_capacity(n);
+    bfs_fill(g, 0, &mut dist, &mut queue);
+    assert!(queue.len() == n, "distances on a disconnected graph");
+    dist[queue[n - 1] as usize] <= BITPARALLEL_MAX_ECC
+}
+
+/// [`all_pairs`] by one scalar BFS per source: the deep-graph kernel, and
+/// the reference the bit-parallel kernel is tested against.
+///
+/// # Panics
+/// Panics if the graph is disconnected.
+fn all_pairs_scalar(g: &Multigraph) -> (u32, u64) {
     let n = g.node_count();
     let mut dist = vec![UNREACHABLE; n];
     let mut queue = Vec::with_capacity(n);
@@ -166,6 +228,63 @@ fn all_pairs(g: &Multigraph) -> (u32, u64) {
         assert!(queue.len() == n, "distances on a disconnected graph");
         diameter = diameter.max(dist[queue[n - 1] as usize]);
         total += dist.iter().map(|&d| d as u64).sum::<u64>();
+    }
+    (diameter, total)
+}
+
+/// [`all_pairs`] by bit-parallel BFS, 64 sources per pass (Then et al.,
+/// "The More the Merrier", VLDB 2014). Bit `i` of a vertex's `seen` word
+/// says source `base + i` has reached it, and of its `frontier` word that
+/// it did so at the current level. Each level ORs every vertex's
+/// neighbours' frontier words, keeps the bits not yet seen, and adds their
+/// count times the level to the sum. The level that finds the block's last
+/// pair is its largest eccentricity. Vertices every source has reached
+/// skip the sweep.
+///
+/// # Panics
+/// Panics if the graph is disconnected.
+fn all_pairs_bitparallel(g: &Multigraph) -> (u32, u64) {
+    let n = g.node_count();
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let (mut diameter, mut total) = (0, 0u64);
+    for base in (0..n).step_by(64) {
+        let width = (n - base).min(64);
+        let all = u64::MAX >> (64 - width);
+        seen.fill(0);
+        frontier.fill(0);
+        for i in 0..width {
+            seen[base + i] = 1 << i;
+            frontier[base + i] = 1 << i;
+        }
+        // Pairs `(source, v)` labelled so far, `d(s, s) = 0` included.
+        let (mut found, want) = (width as u64, (n * width) as u64);
+        let mut level = 0;
+        while found < want {
+            let mut fresh_pairs = 0u64;
+            for v in 0..n {
+                let old = seen[v];
+                if old == all {
+                    next[v] = 0;
+                    continue;
+                }
+                let reach = g
+                    .neighbor_ids(v as NodeId)
+                    .iter()
+                    .fold(0u64, |acc, &u| acc | frontier[u as usize]);
+                let fresh = reach & !old;
+                next[v] = fresh;
+                seen[v] = old | fresh;
+                fresh_pairs += u64::from(fresh.count_ones());
+            }
+            assert!(fresh_pairs > 0, "distances on a disconnected graph");
+            level += 1;
+            found += fresh_pairs;
+            total += fresh_pairs * u64::from(level);
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        diameter = diameter.max(level);
     }
     (diameter, total)
 }
@@ -565,12 +684,133 @@ mod tests {
                 let src = pick.random_range(0..limit as NodeId);
                 let mut rng = StdRng::seed_from_u64(pick.random());
                 let mut rng_ref = rng.clone();
-                let got = bfs_parents_shuffled(&g, src, limit, &mut rng);
+                let (got, _) = bfs_parents_shuffled(&g, src, limit, None, &mut rng);
                 let want = bfs_parents_shuffled_reference(&g, src, limit, &mut rng_ref);
                 proptest::prop_assert_eq!(got, want);
                 proptest::prop_assert_eq!(rng.next_u64(), rng_ref.next_u64());
             }
         }
+    }
+
+    /// A connected multigraph with self-loops and multi-edges on a path
+    /// backbone `0 – 1 – … – n−1`. Path-like: a few chords of span ≤ 2, so
+    /// vertex 0's eccentricity stays at least `(n − 1) / 2`. Expander-like:
+    /// `3n` random chords, so it is logarithmic.
+    fn backbone_multigraph(n: usize, expander: bool, seed: u64) -> Multigraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = crate::graph::MultigraphBuilder::new(n);
+        for v in 1..n as NodeId {
+            b.add_edge_mult(v - 1, v, 1 + rng.random_range(0..3u32));
+        }
+        let chords = if expander { 3 * n } else { n / 8 };
+        for _ in 0..chords {
+            let u = rng.random_range(0..n as NodeId);
+            let v = match (expander, rng.random_range(0..6u32)) {
+                (_, 0) => u,
+                (true, _) => rng.random_range(0..n as NodeId),
+                (false, _) => (u + rng.random_range(0..3u32)).min(n as NodeId - 1),
+            };
+            b.add_edge_mult(u, v, 1 + rng.random_range(0..2u32));
+        }
+        b.build()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bitparallel_all_pairs_matches_scalar(
+            n in 2usize..300,
+            expander in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = backbone_multigraph(n, expander, seed);
+            let want = all_pairs_scalar(&g);
+            proptest::prop_assert_eq!(all_pairs_bitparallel(&g), want);
+            proptest::prop_assert_eq!(all_pairs(&g), want);
+            // Both sides of the kernel choice are reached.
+            if !expander && n > 2 * BITPARALLEL_MAX_ECC as usize + 2 {
+                proptest::prop_assert!(!is_shallow(&g));
+            }
+            if expander && n >= 8 {
+                proptest::prop_assert!(is_shallow(&g));
+            }
+        }
+
+        #[test]
+        fn all_pairs_kernels_reject_disconnected_graphs(
+            n in 2usize..200,
+            split_pick in proptest::prelude::any::<u64>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Two backbones side by side, no edge between them.
+            let split = 1 + (split_pick % (n as u64 - 1)) as usize;
+            let left = backbone_multigraph(split, seed.is_multiple_of(2), seed);
+            let right = backbone_multigraph(n - split, true, !seed);
+            let mut b = crate::graph::MultigraphBuilder::new(n);
+            for e in left.edges() {
+                b.add_edge_mult(e.u, e.v, e.multiplicity);
+            }
+            for e in right.edges() {
+                b.add_edge_mult(e.u + split as NodeId, e.v + split as NodeId, e.multiplicity);
+            }
+            let g = b.build();
+            for kernel in [all_pairs_scalar, all_pairs_bitparallel, all_pairs] {
+                let err = std::panic::catch_unwind(|| kernel(&g))
+                    .expect_err("a disconnected graph has no distance sum");
+                let msg = match err.downcast_ref::<String>() {
+                    Some(s) => s.clone(),
+                    None => err.downcast_ref::<&str>().copied().unwrap_or_default().to_string(),
+                };
+                proptest::prop_assert!(msg.contains("disconnected"), "{}", msg);
+            }
+        }
+
+        #[test]
+        fn targeted_bfs_matches_full_tree(
+            n in 2usize..160,
+            density in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+            pick_seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = random_multigraph(n, density * n, seed);
+            let mut pick = StdRng::seed_from_u64(pick_seed);
+            for _ in 0..4 {
+                let limit = match pick.random_range(0..3u32) {
+                    0 => n,
+                    _ => 1 + pick.random_range(0..n),
+                };
+                let src = pick.random_range(0..limit as NodeId);
+                let targets: Vec<NodeId> = (0..pick.random_range(0..12usize))
+                    .map(|_| pick.random_range(0..n as NodeId))
+                    .collect();
+                let tree_seed = pick.random();
+                let (full, full_dequeued) = bfs_parents_shuffled(
+                    &g, src, limit, None, &mut StdRng::seed_from_u64(tree_seed),
+                );
+                let (part, part_dequeued) = bfs_parents_shuffled(
+                    &g, src, limit, Some(&targets), &mut StdRng::seed_from_u64(tree_seed),
+                );
+                proptest::prop_assert!(part_dequeued <= full_dequeued);
+                for &t in &targets {
+                    let (got, want) =
+                        (path_from_parents(&part, src, t), path_from_parents(&full, src, t));
+                    proptest::prop_assert!(got == want, "target {}: {:?} != {:?}", t, got, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_targeted_bfs_stops_at_its_last_target() {
+        let g = path_graph(10);
+        let mut rng = StdRng::seed_from_u64(1);
+        let (parent, dequeued) = bfs_parents_shuffled(&g, 0, 10, Some(&[3, 2]), &mut rng);
+        assert_eq!(path_from_parents(&parent, 0, 3), Some(vec![0, 1, 2, 3]));
+        assert_eq!(dequeued, 3, "vertex 3 is found by dequeuing 0, 1 and 2");
+        assert_eq!(parent[5], NodeId::MAX, "the search stopped short of 5");
+        let (_, dequeued) = bfs_parents_shuffled(&g, 0, 10, Some(&[]), &mut rng);
+        assert_eq!(dequeued, 0);
+        let (_, dequeued) = bfs_parents_shuffled(&g, 0, 10, None, &mut rng);
+        assert_eq!(dequeued, 10);
     }
 
     #[test]

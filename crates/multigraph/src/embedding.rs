@@ -79,10 +79,12 @@ impl Embedding {
             }
             // Tie-breaking is randomized independently per tree: a shared
             // neighbor order would make all trees prefer the same corridors
-            // and inflate the congestion witness.
+            // and inflate the congestion witness. Trees are grown whole:
+            // they share `rng`, so one stopped early would shift every
+            // later tree's draws.
             let parent = trees
                 .entry(src)
-                .or_insert_with(|| bfs_parents_shuffled(host, src, host.node_count(), rng));
+                .or_insert_with(|| bfs_parents_shuffled(host, src, host.node_count(), None, rng).0);
             #[expect(
                 clippy::panic,
                 reason = "documented precondition: callers embed into connected hosts"
@@ -138,7 +140,7 @@ impl Embedding {
             }
             let w = mids[i];
             if current != Some(w) {
-                parent = bfs_parents_shuffled(host, w, host.node_count(), rng);
+                parent = bfs_parents_shuffled(host, w, host.node_count(), None, rng).0;
                 current = Some(w);
             }
             // Leg 1: src -> w is the reverse of the tree path w -> src.

@@ -7,7 +7,9 @@
 //! with the *same* seed — a daemon's warm requests — would recompute those
 //! trees verbatim; [`PlanCache`] memoizes them, and the daemon's registry
 //! is what holds one warm. A zero-capacity cache stores nothing and only
-//! counts the trees computed (its misses).
+//! counts the trees computed (its misses); the oracle grows those trees
+//! only as far as their destinations, and whole trees for a cache that
+//! stores.
 //!
 //! Correctness rests on the oracle's seeding discipline (see
 //! [`crate::oracle::PathOracle`]): a BFS tree is a pure function of the key
@@ -171,6 +173,12 @@ impl PlanCache {
             evictions: self.evictions(),
             refusals: self.refusals(),
         }
+    }
+
+    /// Whether the cache can keep a tree at all: a zero-capacity cache
+    /// only counts, so the trees it is handed may be partial.
+    pub(crate) fn stores_trees(&self) -> bool {
+        self.capacity > 0
     }
 
     /// Trees currently stored.

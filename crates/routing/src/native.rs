@@ -275,35 +275,44 @@ pub(crate) fn de_bruijn_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
     if shift_of(uu, vv) || shift_of(vv, uu) {
         return vec![u, v];
     }
-    let fwd = de_bruijn_shift_walk(u, v, g);
-    let mut rev = de_bruijn_shift_walk(v, u, g);
-    if rev.len() < fwd.len() {
-        rev.reverse();
-        rev
+    // Count both walks' hops, then build only the shorter; the reversed
+    // walk wins only when strictly shorter.
+    let hops = |a, b| {
+        let mut k = 0;
+        de_bruijn_shift_walk(a, b, g, |_| k += 1);
+        k
+    };
+    let (a, b) = if hops(v, u) < hops(u, v) {
+        (v, u)
     } else {
-        fwd
+        (u, v)
+    };
+    // At most `g` hops: one allocation per route.
+    let mut path = Vec::with_capacity(g as usize + 1);
+    path.push(a);
+    de_bruijn_shift_walk(a, b, g, |w| path.push(w));
+    if a != u {
+        path.reverse();
     }
+    path
 }
 
-/// Shift-in walk `u -> v` (forward direction only).
-fn de_bruijn_shift_walk(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+/// Shift-in walk `u -> v` (forward direction only): `step` is called on
+/// each vertex after `u`, in order.
+fn de_bruijn_shift_walk(u: NodeId, v: NodeId, g: u32, mut step: impl FnMut(NodeId)) {
     let mask = (1u64 << g) - 1;
     let mut cur = u as u64;
-    // At most `g` hops: one allocation per walk.
-    let mut path = Vec::with_capacity(g as usize + 1);
-    path.push(u);
     for i in (0..g).rev() {
         if cur == v as u64 {
             break;
         }
         let next = ((cur << 1) | ((v as u64 >> i) & 1)) & mask;
         if next != cur {
-            path.push(next as NodeId);
+            step(next as NodeId);
             cur = next;
         }
     }
     debug_assert_eq!(cur, v as u64, "de Bruijn route failed {u} -> {v}");
-    path
 }
 
 /// The classical shuffle-exchange route: `g` rounds of (optional exchange,
@@ -444,6 +453,46 @@ mod tests {
                 assert!(p.len() <= g as usize + 1, "{u}->{v}: {p:?}");
                 for w in p.windows(2) {
                     assert!(m.graph().has_edge(w[0], w[1]), "{u}->{v}: hop {w:?}");
+                }
+            }
+        }
+    }
+
+    /// The two-walk rule `de_bruijn_path` replaced: after the same
+    /// shortcuts, build both shift walks and keep the reversed one only
+    /// when it is strictly shorter.
+    fn de_bruijn_path_two_walks(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+        let mask = (1u64 << g) - 1;
+        let shift_of = |a: u32, b: u32| {
+            let (a, b) = (a as u64, b as u64);
+            (a << 1) & mask == b || ((a << 1) | 1) & mask == b
+        };
+        if u == v {
+            return vec![u];
+        }
+        if shift_of(u, v) || shift_of(v, u) {
+            return vec![u, v];
+        }
+        let walk = |a, b| {
+            let mut path = vec![a];
+            de_bruijn_shift_walk(a, b, g, |w| path.push(w));
+            path
+        };
+        let (fwd, mut rev) = (walk(u, v), walk(v, u));
+        if rev.len() < fwd.len() {
+            rev.reverse();
+            rev
+        } else {
+            fwd
+        }
+    }
+
+    #[test]
+    fn de_bruijn_path_builds_the_two_walk_rules_choice() {
+        for g in 3..=8u32 {
+            for u in 0..1u32 << g {
+                for v in 0..1u32 << g {
+                    assert_eq!(de_bruijn_path(u, v, g), de_bruijn_path_two_walks(u, v, g));
                 }
             }
         }

@@ -3,7 +3,9 @@
 //!
 //! One BFS tree is computed per distinct *group key* (source for direct
 //! routing, intermediate for the second Valiant leg) and dropped as soon as
-//! its group is done, so peak memory is one tree plus the output paths. Per
+//! its group is done, so peak memory is one tree plus the output paths.
+//! Unless a storing [`PlanCache`] will keep it, a tree's BFS stops once
+//! its group's destinations are all reached. Per
 //! group, BFS tie-breaking uses a random neighbor-preference permutation so
 //! that shortest-path load spreads across equal-cost alternatives (on
 //! meshes this approximates the usual randomized dimension-interleaving).
@@ -183,8 +185,10 @@ impl<'g> PathOracle<'g> {
 
     /// Shortest-path legs for all demands, one BFS per distinct source,
     /// sources fanned out over the oracle's pool, trees dropped eagerly
-    /// (unless cached). Returns raw vertex sequences in input order; `None`
-    /// marks demands with no path (disconnected or degraded hosts).
+    /// (unless cached) and grown only as far as their group's destinations
+    /// (see [`PathOracle::parents_for`]). Returns raw vertex sequences in
+    /// input order; `None` marks demands with no path (disconnected or
+    /// degraded hosts).
     fn legs_grouped(&self, demands: &[(NodeId, NodeId)]) -> Vec<Option<Vec<NodeId>>> {
         let mut order: Vec<usize> = (0..demands.len()).collect();
         order.sort_by_key(|&i| demands[i].0);
@@ -193,7 +197,8 @@ impl<'g> PathOracle<'g> {
             .collect();
         let legs = self.pool.run(groups.len(), |g| {
             let src = demands[groups[g][0]].0;
-            let parent = self.parents_for(src);
+            let targets: Vec<NodeId> = groups[g].iter().map(|&i| demands[i].1).collect();
+            let parent = self.parents_for(src, &targets);
             groups[g]
                 .iter()
                 .map(|&i| match demands[i].1 {
@@ -214,11 +219,32 @@ impl<'g> PathOracle<'g> {
     /// The (possibly memoized) BFS parent tree for `src`: a pure function
     /// of `(graph, node_limit, src, plan seed)`, its tie-breaks drawn from a
     /// fresh RNG seeded per source.
-    fn parents_for(&self, src: NodeId) -> Arc<Vec<NodeId>> {
+    ///
+    /// A tree that no cache will keep is read only for `targets`, so its
+    /// BFS stops once they all have parents; their paths are the full
+    /// tree's, because the RNG is the tree's own. A storing cache gets the
+    /// full tree, which a later batch may unwind for other destinations.
+    /// The vertices each computed tree dequeues are counted under
+    /// `plan_tree_vertices_total`.
+    fn parents_for(&self, src: NodeId, targets: &[NodeId]) -> Arc<Vec<NodeId>> {
         let bfs_seed = job_seed(self.plan_seed ^ BFS_STREAM, src as u64);
+        let stop_at = match self.cache {
+            Some(cache) if cache.stores_trees() => None,
+            _ => Some(targets),
+        };
         let tree = || {
             let mut rng = StdRng::seed_from_u64(bfs_seed);
-            bfs_parents_shuffled(self.graph, src, self.node_limit, &mut rng)
+            let (parent, dequeued) =
+                bfs_parents_shuffled(self.graph, src, self.node_limit, stop_at, &mut rng);
+            if fcn_telemetry::global().enabled() {
+                fcn_telemetry::with_shard(|s| {
+                    s.add(
+                        fcn_telemetry::names::PLAN_TREE_VERTICES_TOTAL,
+                        dequeued as u64,
+                    );
+                });
+            }
+            parent
         };
         match self.cache {
             Some(cache) => {

@@ -178,3 +178,49 @@ fn cache_reports_hits_after_warmup() {
     );
     assert!(cache.entries() > 0);
 }
+
+/// Without a storing cache a tree's BFS stops at the batch's last
+/// destination from its source; a storing cache must still get whole
+/// trees, because a later batch may ask the same tree for other
+/// destinations. Batch A asks each source for one near destination, batch B
+/// for every other one, both with the same plan seed through one cache.
+#[test]
+fn storing_cache_serves_later_batches_full_trees() {
+    for machine in [
+        Machine::mesh(2, 8),
+        Family::Tree.build_near(63, 1),
+        Family::Butterfly.build_near(80, 1),
+        Family::Expander.build_near(64, 1),
+    ] {
+        let n = machine.processors() as u32;
+        let near = |s: u32| (s + 1) % n;
+        let a: Vec<(u32, u32)> = (0..n).map(|s| (s, near(s))).collect();
+        let b: Vec<(u32, u32)> = (0..n)
+            .flat_map(|s| (0..n).filter(move |&d| d != near(s)).map(move |d| (s, d)))
+            .collect();
+        for seed in [3, 4] {
+            let cache = PlanCache::default();
+            let counting = PlanCache::with_capacity(0);
+            for batch in [&a, &b] {
+                let fresh = plan_routes_cached(&machine, batch, Strategy::ShortestPath, seed, None);
+                let cached =
+                    plan_routes_cached(&machine, batch, Strategy::ShortestPath, seed, Some(&cache));
+                let counted = plan_routes_cached(
+                    &machine,
+                    batch,
+                    Strategy::ShortestPath,
+                    seed,
+                    Some(&counting),
+                );
+                assert_eq!(fresh, cached, "{} seed {seed}", machine.name());
+                assert_eq!(fresh, counted, "{} seed {seed}", machine.name());
+            }
+            assert_eq!(
+                cache.hits(),
+                n as u64,
+                "batch B is served from batch A's trees"
+            );
+            assert_eq!(counting.entries(), 0);
+        }
+    }
+}

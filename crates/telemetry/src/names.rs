@@ -91,6 +91,8 @@ pub const FAULT_OUTAGE_WINDOWS_TOTAL: &str = "fault_outage_windows_total";
 pub const PLANNER_REPLANS_TOTAL: &str = "planner_replans_total";
 /// Demands with no surviving route.
 pub const PLANNER_UNREACHABLE_TOTAL: &str = "planner_unreachable_total";
+/// Vertices dequeued by the route-tree BFS of every tree computed.
+pub const PLAN_TREE_VERTICES_TOTAL: &str = "plan_tree_vertices_total";
 
 // --- bandwidth estimator ------------------------------------------------
 
@@ -112,6 +114,10 @@ pub const BANDWIDTH_CELL_TICKS: &str = "bandwidth_cell_ticks";
 pub const SPAN_ESTIMATE_PLAN: &str = "estimate_plan";
 /// Span around one trial's route phase (every cell's batch routed).
 pub const SPAN_ESTIMATE_ROUTE: &str = "estimate_route";
+/// Span around one machine's distance statistics (`distance_stats`).
+pub const SPAN_DISTANCE: &str = "distance";
+/// Span around one flux upper bound (`flux_upper_bound`).
+pub const SPAN_FLUX: &str = "flux";
 
 // --- degraded sweeps ----------------------------------------------------
 
@@ -211,6 +217,7 @@ pub const ALL: &[&str] = &[
     FAULT_OUTAGE_WINDOWS_TOTAL,
     PLANNER_REPLANS_TOTAL,
     PLANNER_UNREACHABLE_TOTAL,
+    PLAN_TREE_VERTICES_TOTAL,
     SPAN_BANDWIDTH_ESTIMATE,
     BANDWIDTH_ESTIMATES_TOTAL,
     BANDWIDTH_TRIALS_TOTAL,
@@ -220,6 +227,8 @@ pub const ALL: &[&str] = &[
     BANDWIDTH_CELL_TICKS,
     SPAN_ESTIMATE_PLAN,
     SPAN_ESTIMATE_ROUTE,
+    SPAN_DISTANCE,
+    SPAN_FLUX,
     SPAN_DEGRADED_BETA_SWEEP,
     DEGRADED_POINTS_TOTAL,
     DEGRADED_CELLS_TOTAL,
