@@ -408,6 +408,45 @@ fn a_repeated_served_beta_is_planned_from_the_warm_cache() {
     daemon.shutdown();
 }
 
+/// Nine trials at n = 484 need 4356 trees, more than the 4096 the warm
+/// cache holds. The first request stores the first 4096 and the repeat is
+/// served all of them: nothing stored is evicted to make room.
+#[test]
+fn a_served_repeat_past_capacity_is_served_every_stored_tree() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let args = ["mesh2", "484", "--trials", "9", "--verbose"];
+    let first = client.call("beta", &args).expect("first beta");
+    let again = client.call("beta", &args).expect("repeated beta");
+    assert!(first.ok && again.ok, "{first:?} {again:?}");
+    assert!(first
+        .output
+        .starts_with("machine       : mesh2(side=22) (n = 484)\n"));
+    assert_eq!(trees_computed(&first.output), 9 * 484, "{}", first.output);
+    assert_eq!(
+        trees_computed(&again.output),
+        trees_computed(&first.output) - 4096,
+        "{}",
+        again.output
+    );
+    let measured = |o: &str| -> String {
+        o.lines()
+            .filter(|l| !l.starts_with("trees computed"))
+            .collect()
+    };
+    assert_eq!(measured(&first.output), measured(&again.output));
+    assert_differential(&mut client, "beta", &args[..4]);
+    let metrics = client.call("metrics", &[]).expect("metrics response");
+    let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&metrics.output).expect("snapshot");
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        counter(fcn_telemetry::names::PLAN_CACHE_HITS_TOTAL),
+        2 * 4096
+    );
+    assert!(!metrics.output.contains("evictions"), "{}", metrics.output);
+    daemon.shutdown();
+}
+
 /// A served request publishes only its own plan-cache traffic: the warm
 /// cache outlives every request, so its lifetime totals belong to none of
 /// them.

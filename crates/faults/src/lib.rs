@@ -306,13 +306,6 @@ impl FaultPlan {
         self.dead_links.binary_search(&pair).is_ok()
     }
 
-    /// The first tick by which every transient outage has ended — after
-    /// this tick the degraded machine behaves like the permanently-faulted
-    /// machine, which is what guarantees router termination.
-    pub fn last_outage_end(&self) -> u64 {
-        self.outages.iter().map(|o| o.end).max().unwrap_or(0)
-    }
-
     /// The surviving graph: `graph` minus dead links and minus every link
     /// incident to a dead node (dead nodes stay as isolated vertices so
     /// node ids are stable). Planners BFS on this to route around faults.
@@ -379,7 +372,6 @@ mod tests {
         assert!(!plan.path_blocked(&[0, 1, 2]));
         assert!(!plan.link_dead(0, 1));
         assert!(!plan.node_dead(7));
-        assert_eq!(plan.last_outage_end(), 0);
         assert_eq!(plan.summary(), (0, 0, 0));
         let g = mesh(4);
         assert_eq!(plan.degrade_graph(&g), g);
@@ -472,10 +464,6 @@ mod tests {
             assert!(!plan.link_dead(o.u, o.v), "outage on dead link {o:?}");
             assert_eq!(o.capacity, 0, "unit links degrade to zero capacity");
         }
-        assert_eq!(
-            plan.last_outage_end(),
-            plan.outages().iter().map(|o| o.end).max().unwrap()
-        );
     }
 
     #[test]

@@ -164,13 +164,6 @@ pub fn diameter(g: &Multigraph) -> u32 {
     all_pairs(g).0
 }
 
-/// Exact average pairwise distance over ordered pairs.
-pub fn avg_distance_exact(g: &Multigraph) -> f64 {
-    let n = g.node_count();
-    assert!(n >= 2);
-    all_pairs(g).1 as f64 / (n as f64 * (n as f64 - 1.0))
-}
-
 /// Largest eccentricity of vertex 0 at which [`all_pairs`] takes the
 /// bit-parallel kernel. A pass of that kernel sweeps every adjacency list
 /// once per BFS level and serves 64 sources; a scalar BFS sweeps them once
@@ -459,26 +452,6 @@ fn bidirectional_distance(
     }
 }
 
-/// Average distance estimated from `samples` random BFS sources.
-pub fn avg_distance_sampled(g: &Multigraph, samples: usize, rng: &mut impl Rng) -> f64 {
-    let n = g.node_count();
-    assert!(n >= 2 && samples >= 1);
-    let mut total = 0u64;
-    let mut count = 0u64;
-    for _ in 0..samples {
-        let u = rng.random_range(0..n as NodeId);
-        let d = bfs_distances(g, u);
-        for (v, &dv) in d.iter().enumerate() {
-            assert!(dv != UNREACHABLE, "sampled distance on disconnected graph");
-            if v as NodeId != u {
-                total += dv as u64;
-                count += 1;
-            }
-        }
-    }
-    total as f64 / count as f64
-}
-
 /// Distance summary for a machine: the paper's `λ`-side quantities.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DistanceStats {
@@ -593,16 +566,10 @@ mod tests {
     fn avg_distance_of_path3() {
         // distances: (0,1)=1 (0,2)=2 (1,2)=1 → ordered mean = 8/6
         let g = path_graph(3);
-        assert!((avg_distance_exact(&g) - 8.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_close_to_exact() {
-        let g = cycle_graph(64);
-        let exact = avg_distance_exact(&g);
-        let mut rng = StdRng::seed_from_u64(5);
-        let approx = avg_distance_sampled(&g, 16, &mut rng);
-        assert!((approx - exact).abs() / exact < 0.05);
+        let mut rng = StdRng::seed_from_u64(1);
+        let stats = distance_stats(&g, 3, 1, &mut rng);
+        assert!(stats.exact);
+        assert!((stats.avg_distance - 8.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -221,12 +221,6 @@ impl Multigraph {
         &self.neighbors[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
-    /// Distinct-neighbor degree of `u` (multiplicities ignored; self-loop
-    /// counts once).
-    pub fn distinct_degree(&self, u: NodeId) -> usize {
-        self.offsets[u as usize + 1] - self.offsets[u as usize]
-    }
-
     /// Weighted degree of `u` (sum of incident multiplicities; self-loops
     /// count twice, as in the standard degree-sum convention).
     pub fn degree(&self, u: NodeId) -> u64 {
@@ -327,21 +321,6 @@ impl Multigraph {
             .map(|u| self.multiplicity(u, u) as u64)
             .sum()
     }
-
-    /// Graphviz `dot` rendering (small graphs; for docs and debugging).
-    pub fn to_dot(&self, name: &str) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!("graph {name} {{\n");
-        for e in self.edges() {
-            if e.multiplicity == 1 {
-                let _ = writeln!(s, "  {} -- {};", e.u, e.v);
-            } else {
-                let _ = writeln!(s, "  {} -- {} [label=\"x{}\"];", e.u, e.v, e.multiplicity);
-            }
-        }
-        s.push('}');
-        s
-    }
 }
 
 impl fmt::Debug for Multigraph {
@@ -400,7 +379,7 @@ mod tests {
         let mut b = MultigraphBuilder::new(1);
         b.add_edge_mult(0, 0, 2);
         let g = b.build();
-        assert_eq!(g.distinct_degree(0), 1);
+        assert_eq!(g.neighbor_ids(0), [0]);
         assert_eq!(g.degree(0), 4);
         assert_eq!(g.self_loop_count(), 2);
         assert_eq!(g.simple_edge_count(), 2);
@@ -446,13 +425,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         MultigraphBuilder::new(2).add_edge(0, 2);
-    }
-
-    #[test]
-    fn dot_rendering_mentions_edges() {
-        let dot = triangle().to_dot("t");
-        assert!(dot.contains("0 -- 1"));
-        assert!(dot.starts_with("graph t {"));
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub mod traffic;
 pub use collapse::{collapse, contiguous_blocks, random_balanced, round_robin, CollapseResult};
 pub use cut::{best_flux_bound, candidate_cuts, improve_cut, Cut, CutStats};
 pub use dist::{
-    avg_distance_exact, avg_distance_sampled, bfs_distances, bfs_parents, bfs_parents_shuffled,
-    diameter, distance_stats, pair_distance_sum, path_from_parents, DistanceStats, UNREACHABLE,
+    bfs_distances, bfs_parents, bfs_parents_shuffled, diameter, distance_stats, pair_distance_sum,
+    path_from_parents, DistanceStats, UNREACHABLE,
 };
 pub use embedding::{Embedding, EmbeddingStats};
 pub use graph::{EdgeRef, Multigraph, MultigraphBuilder, NodeId};

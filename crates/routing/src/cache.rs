@@ -6,10 +6,7 @@
 //! a tree twice and stores none. Repeated estimates on the *same* machine
 //! with the *same* seed — a daemon's warm requests — would recompute those
 //! trees verbatim; [`PlanCache`] memoizes them, and the daemon's registry
-//! is what holds one warm. A zero-capacity cache stores nothing and only
-//! counts the trees computed (its misses); the oracle grows those trees
-//! only as far as their destinations, and whole trees for a cache that
-//! stores.
+//! is what holds one warm.
 //!
 //! Correctness rests on the oracle's seeding discipline (see
 //! [`crate::oracle::PathOracle`]): a BFS tree is a pure function of the key
@@ -19,13 +16,13 @@
 //! computation, which `tests/plan_cache.rs` proves property-style.
 //!
 //! The cache is `Sync` (internally a mutexed map) so one cache can serve all
-//! workers of an [`fcn_exec::Pool`] sweep. It holds at most `capacity`
-//! trees. The trees of one `(graph, node limit, plan seed)` triple form a
-//! *generation* — one estimator trial — and a full cache makes room by
-//! dropping its oldest generation whole: a finished trial's trees are never
-//! asked for again, while the running trial's are. Only when the inserting
-//! generation alone fills the cache is a fresh tree refused; lookups keep
-//! working either way.
+//! workers of an [`fcn_exec::Pool`] sweep. Its one rule: a tree is stored
+//! while there is room, and nothing is ever evicted. A tree that will be
+//! stored is grown whole, since a later batch may unwind it for other
+//! destinations; a tree that will not be stored is grown only as far as
+//! the destinations it was asked for, exactly as when no cache is
+//! attached. The zero-capacity cache of a one-shot estimate is simply a
+//! cache that is always full.
 //!
 //! Counters are [`fcn_telemetry`] instruments owned per cache instance —
 //! observability only, attaching or detaching a cache never changes a
@@ -43,54 +40,17 @@ use fcn_exec::sync::Lock;
 use fcn_multigraph::NodeId;
 use fcn_telemetry::Counter;
 
-/// The trees planned on one host graph, under one node limit, with one plan
-/// seed — one estimator trial. The unit of eviction.
+/// Key of one memoized BFS parent tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Generation {
+struct PlanKey {
     /// [`fcn_multigraph::Multigraph::fingerprint`] of the host graph.
     graph: u64,
     /// Effective node limit (`usize::MAX` when unrestricted).
     node_limit: usize,
     /// The oracle's plan seed; per-source BFS seeds are pure functions of it.
     plan_seed: u64,
-}
-
-/// Key of one memoized BFS parent tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PlanKey {
-    generation: Generation,
     /// BFS source.
     source: NodeId,
-}
-
-/// The trees and the order their generations arrived in, behind one lock.
-#[derive(Debug, Default)]
-struct Store {
-    trees: BTreeMap<PlanKey, Arc<Vec<NodeId>>>,
-    /// Generations with at least one stored tree, in first-insert order.
-    generations: Vec<Generation>,
-}
-
-impl Store {
-    /// The oldest stored generation other than `keep`.
-    fn oldest_except(&self, keep: Generation) -> Option<Generation> {
-        self.generations.iter().copied().find(|&g| g != keep)
-    }
-
-    /// Drop every tree of `generation`; returns how many were dropped.
-    fn evict(&mut self, generation: Generation) -> u64 {
-        self.generations.retain(|&g| g != generation);
-        let before = self.trees.len();
-        self.trees.retain(|k, _| k.generation != generation);
-        (before - self.trees.len()) as u64
-    }
-
-    fn insert(&mut self, key: PlanKey, tree: Arc<Vec<NodeId>>) {
-        if !self.generations.contains(&key.generation) {
-            self.generations.push(key.generation);
-        }
-        self.trees.insert(key, tree);
-    }
 }
 
 /// A snapshot of a [`PlanCache`]'s counters.
@@ -100,9 +60,7 @@ pub struct PlanCacheCounts {
     pub hits: u64,
     /// Lookups that computed a fresh tree.
     pub misses: u64,
-    /// Stored trees dropped to make room.
-    pub evictions: u64,
-    /// Computed trees not stored because their generation filled the cache.
+    /// Computed trees not stored because the cache was full.
     pub refusals: u64,
 }
 
@@ -110,13 +68,11 @@ pub struct PlanCacheCounts {
 #[derive(Debug)]
 pub struct PlanCache {
     /// The stored trees. `Lock` recovers from poison, which is sound here:
-    /// every edit is finished before another starts, so a panic elsewhere
-    /// cannot leave a generation half-evicted.
-    store: Lock<Store>,
+    /// the only edit is a single insert.
+    trees: Lock<BTreeMap<PlanKey, Arc<Vec<NodeId>>>>,
     capacity: usize,
     hits: Counter,
     misses: Counter,
-    evictions: Counter,
     refusals: Counter,
 }
 
@@ -134,11 +90,10 @@ impl PlanCache {
     /// A cache holding at most `capacity` trees.
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            store: Lock::new(Store::default()),
+            trees: Lock::new(BTreeMap::new()),
             capacity,
             hits: Counter::new(),
             misses: Counter::new(),
-            evictions: Counter::new(),
             refusals: Counter::new(),
         }
     }
@@ -153,37 +108,29 @@ impl PlanCache {
         self.misses.get()
     }
 
-    /// Stored trees dropped to make room, a whole older generation at a
-    /// time.
+    /// Always 0: the cache never evicts. Kept because the frozen benchmark
+    /// replica (`fcn-benchmark`'s `layers.rs`) reads it.
     pub fn evictions(&self) -> u64 {
-        self.evictions.get()
+        0
     }
 
-    /// Trees computed but *not* stored because their own generation
-    /// already filled the cache.
+    /// Trees computed but *not* stored because the cache was full.
     pub fn refusals(&self) -> u64 {
         self.refusals.get()
     }
 
-    /// All four counters at once, the baseline for [`PlanCache::publish`].
+    /// All three counters at once, the baseline for [`PlanCache::publish`].
     pub fn counts(&self) -> PlanCacheCounts {
         PlanCacheCounts {
             hits: self.hits(),
             misses: self.misses(),
-            evictions: self.evictions(),
             refusals: self.refusals(),
         }
     }
 
-    /// Whether the cache can keep a tree at all: a zero-capacity cache
-    /// only counts, so the trees it is handed may be partial.
-    pub(crate) fn stores_trees(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Trees currently stored.
     pub fn entries(&self) -> usize {
-        self.store.lock().trees.len()
+        self.trees.lock().len()
     }
 
     /// Push the counters' change since `before` (taken with
@@ -202,10 +149,6 @@ impl PlanCache {
             s.add(names::PLAN_CACHE_HITS_TOTAL, now.hits - before.hits);
             s.add(names::PLAN_CACHE_MISSES_TOTAL, now.misses - before.misses);
             s.add(
-                names::PLAN_CACHE_EVICTIONS_TOTAL,
-                now.evictions - before.evictions,
-            );
-            s.add(
                 names::PLAN_CACHE_REFUSALS_TOTAL,
                 now.refusals - before.refusals,
             );
@@ -213,47 +156,56 @@ impl PlanCache {
         });
     }
 
-    /// Serve the parent tree of `source` in generation `(graph, node_limit,
-    /// plan_seed)`, computing it on a miss.
+    /// Serve the parent tree of `source` on `(graph, node_limit,
+    /// plan_seed)`, computing it on a miss with `compute(stop_at)`: `None`
+    /// grows the whole tree, `Some(targets)` lets the BFS stop once
+    /// `targets` all have parents.
     ///
-    /// The computation runs outside the lock, so a slow BFS never blocks
-    /// other workers; the worst case is two workers computing the same tree
-    /// concurrently, in which case the first insert wins (both results are
-    /// identical by construction).
+    /// The lookup also decides whether a fresh tree will be stored, and so
+    /// how far it grows: whole while the cache has room, only to `targets`
+    /// once it is full. The computation runs outside the lock, so a slow
+    /// BFS never blocks other workers. Two workers may compute the same
+    /// tree concurrently, in which case the first insert wins (both results
+    /// are identical by construction); a whole tree that finds the last
+    /// slot taken is returned unstored and counted as a refusal.
     pub(crate) fn get_or_compute(
         &self,
         graph: u64,
         node_limit: usize,
         plan_seed: u64,
         source: NodeId,
-        compute: impl FnOnce() -> Vec<NodeId>,
+        targets: &[NodeId],
+        compute: impl FnOnce(Option<&[NodeId]>) -> Vec<NodeId>,
     ) -> Arc<Vec<NodeId>> {
         let key = PlanKey {
-            generation: Generation {
-                graph,
-                node_limit,
-                plan_seed,
-            },
+            graph,
+            node_limit,
+            plan_seed,
             source,
         };
-        if let Some(hit) = self.store.lock().trees.get(&key).cloned() {
-            self.hits.inc();
-            return hit;
-        }
+        let has_room = {
+            let trees = self.trees.lock();
+            if let Some(hit) = trees.get(&key).cloned() {
+                self.hits.inc();
+                return hit;
+            }
+            trees.len() < self.capacity
+        };
         self.misses.inc();
-        let fresh = Arc::new(compute());
-        let mut store = self.store.lock();
-        if let Some(raced) = store.trees.get(&key) {
+        if !has_room {
+            self.refusals.inc();
+            return Arc::new(compute(Some(targets)));
+        }
+        let fresh = Arc::new(compute(None));
+        let mut trees = self.trees.lock();
+        if let Some(raced) = trees.get(&key) {
             return raced.clone();
         }
-        while store.trees.len() >= self.capacity {
-            let Some(oldest) = store.oldest_except(key.generation) else {
-                self.refusals.inc();
-                return fresh;
-            };
-            self.evictions.add(store.evict(oldest));
+        if trees.len() >= self.capacity {
+            self.refusals.inc();
+            return fresh;
         }
-        store.insert(key, fresh.clone());
+        trees.insert(key, fresh.clone());
         fresh
     }
 }
@@ -267,7 +219,7 @@ mod tests {
         let cache = PlanCache::with_capacity(8);
         let mut computes = 0;
         for _ in 0..3 {
-            let tree = cache.get_or_compute(1, usize::MAX, 42, 0, || {
+            let tree = cache.get_or_compute(1, usize::MAX, 42, 0, &[2], |_| {
                 computes += 1;
                 vec![0, 0, 1]
             });
@@ -280,56 +232,60 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = PlanCache::with_capacity(8);
-        let a = cache.get_or_compute(1, usize::MAX, 1, 0, || vec![0]);
-        let b = cache.get_or_compute(1, usize::MAX, 2, 0, || vec![1]);
-        let c = cache.get_or_compute(2, usize::MAX, 1, 0, || vec![2]);
-        let d = cache.get_or_compute(1, 16, 1, 0, || vec![3]);
+        let a = cache.get_or_compute(1, usize::MAX, 1, 0, &[], |_| vec![0]);
+        let b = cache.get_or_compute(1, usize::MAX, 2, 0, &[], |_| vec![1]);
+        let c = cache.get_or_compute(2, usize::MAX, 1, 0, &[], |_| vec![2]);
+        let d = cache.get_or_compute(1, 16, 1, 0, &[], |_| vec![3]);
         assert_eq!((a[0], b[0], c[0], d[0]), (0, 1, 2, 3));
         assert_eq!(cache.entries(), 4);
     }
 
     #[test]
-    fn one_generation_past_capacity_is_refused_at_the_door() {
+    fn a_full_cache_grows_targeted_trees_and_keeps_what_it_stored() {
         let cache = PlanCache::with_capacity(2);
-        for src in 0..10u32 {
-            let tree = cache.get_or_compute(1, usize::MAX, 7, src, || vec![src]);
-            assert_eq!(tree[0], src);
+        // `compute` reports whether it was asked for the whole tree.
+        let whole = |stop_at: Option<&[NodeId]>| vec![u32::from(stop_at.is_none())];
+        for seed in [7, 8] {
+            for src in 0..5u32 {
+                let tree = cache.get_or_compute(1, usize::MAX, seed, src, &[src], whole);
+                let stored = seed == 7 && src < 2;
+                assert_eq!(tree[0], u32::from(stored), "seed {seed} source {src}");
+            }
         }
         assert_eq!(cache.entries(), 2);
-        assert_eq!((cache.refusals(), cache.evictions()), (8, 0));
-        // Entries already stored keep hitting.
-        let again = cache.get_or_compute(1, usize::MAX, 7, 0, || unreachable!());
-        assert_eq!(again[0], 0);
+        assert_eq!((cache.misses(), cache.refusals()), (10, 8));
+        // A new seed evicts nothing: the first trees stored keep hitting.
+        for src in 0..2u32 {
+            let again = cache.get_or_compute(1, usize::MAX, 7, src, &[], |_| unreachable!());
+            assert_eq!(again[0], 1);
+        }
+        assert_eq!((cache.hits(), cache.evictions()), (2, 0));
     }
 
     #[test]
-    fn a_full_cache_evicts_its_oldest_generation_whole() {
-        let cache = PlanCache::with_capacity(4);
-        for src in 0..3u32 {
-            cache.get_or_compute(1, usize::MAX, 10, src, || vec![src]);
-        }
-        cache.get_or_compute(1, usize::MAX, 20, 0, || vec![100]);
-        // Full: the next tree of seed 20 drops all three trees of seed 10.
-        cache.get_or_compute(1, usize::MAX, 20, 1, || vec![101]);
-        assert_eq!((cache.entries(), cache.evictions()), (2, 3));
-        // A third generation evicts seed 20 only once the cache is full again.
-        cache.get_or_compute(1, usize::MAX, 30, 0, || vec![200]);
-        cache.get_or_compute(1, usize::MAX, 30, 1, || vec![201]);
-        assert_eq!((cache.entries(), cache.evictions()), (4, 3));
-        cache.get_or_compute(1, usize::MAX, 30, 2, || vec![202]);
-        assert_eq!((cache.entries(), cache.evictions()), (3, 5));
-        let kept = cache.get_or_compute(1, usize::MAX, 30, 0, || unreachable!());
-        assert_eq!(kept[0], 200);
-        let gone = cache.get_or_compute(1, usize::MAX, 10, 0, || vec![1000]);
-        assert_eq!(gone[0], 1000, "an evicted tree is recomputed");
-        assert_eq!(cache.refusals(), 0);
+    fn a_whole_tree_that_loses_the_last_slot_is_returned_unstored() {
+        let cache = PlanCache::with_capacity(1);
+        // While source 0's whole tree is computed outside the lock, source
+        // 1's lookup takes the only slot.
+        let tree = cache.get_or_compute(1, usize::MAX, 7, 0, &[], |stop_at| {
+            assert_eq!(stop_at, None, "the lookup found room");
+            cache.get_or_compute(1, usize::MAX, 7, 1, &[], |_| vec![1]);
+            vec![0]
+        });
+        assert_eq!(tree[0], 0);
+        assert_eq!((cache.entries(), cache.refusals()), (1, 1));
+        let kept = cache.get_or_compute(1, usize::MAX, 7, 1, &[], |_| unreachable!());
+        assert_eq!(kept[0], 1);
     }
 
     #[test]
     fn a_zero_capacity_cache_stores_nothing() {
         let cache = PlanCache::with_capacity(0);
         for seed in 0..3u64 {
-            let tree = cache.get_or_compute(1, usize::MAX, seed, 0, || vec![5]);
+            let tree = cache.get_or_compute(1, usize::MAX, seed, 0, &[1], |stop_at| {
+                assert_eq!(stop_at, Some(&[1][..]), "a tree no cache keeps is targeted");
+                vec![5]
+            });
             assert_eq!(tree[0], 5);
         }
         assert_eq!(

@@ -4,7 +4,7 @@
 //! One BFS tree is computed per distinct *group key* (source for direct
 //! routing, intermediate for the second Valiant leg) and dropped as soon as
 //! its group is done, so peak memory is one tree plus the output paths.
-//! Unless a storing [`PlanCache`] will keep it, a tree's BFS stops once
+//! Unless an attached [`PlanCache`] will store it, a tree's BFS stops once
 //! its group's destinations are all reached. Per
 //! group, BFS tie-breaking uses a random neighbor-preference permutation so
 //! that shortest-path load spreads across equal-cost alternatives (on
@@ -222,17 +222,13 @@ impl<'g> PathOracle<'g> {
     ///
     /// A tree that no cache will keep is read only for `targets`, so its
     /// BFS stops once they all have parents; their paths are the full
-    /// tree's, because the RNG is the tree's own. A storing cache gets the
-    /// full tree, which a later batch may unwind for other destinations.
-    /// The vertices each computed tree dequeues are counted under
+    /// tree's, because the RNG is the tree's own. An attached cache decides
+    /// how far each tree it computes grows ([`PlanCache`]). The vertices
+    /// each computed tree dequeues are counted under
     /// `plan_tree_vertices_total`.
     fn parents_for(&self, src: NodeId, targets: &[NodeId]) -> Arc<Vec<NodeId>> {
         let bfs_seed = job_seed(self.plan_seed ^ BFS_STREAM, src as u64);
-        let stop_at = match self.cache {
-            Some(cache) if cache.stores_trees() => None,
-            _ => Some(targets),
-        };
-        let tree = || {
+        let tree = |stop_at: Option<&[NodeId]>| {
             let mut rng = StdRng::seed_from_u64(bfs_seed);
             let (parent, dequeued) =
                 bfs_parents_shuffled(self.graph, src, self.node_limit, stop_at, &mut rng);
@@ -247,10 +243,15 @@ impl<'g> PathOracle<'g> {
             parent
         };
         match self.cache {
-            Some(cache) => {
-                cache.get_or_compute(self.graph_fp, self.node_limit, self.plan_seed, src, tree)
-            }
-            None => Arc::new(tree()),
+            Some(cache) => cache.get_or_compute(
+                self.graph_fp,
+                self.node_limit,
+                self.plan_seed,
+                src,
+                targets,
+                tree,
+            ),
+            None => Arc::new(tree(Some(targets))),
         }
     }
 

@@ -6,12 +6,13 @@
 //! key, a cache hit must reproduce exactly the path a fresh computation
 //! would have produced — across machines, strategies, seeds, and demand
 //! batches, including cache reuse across *different* batches with the same
-//! plan seed (the saturation-sweep pattern) and eviction of older plan
-//! seeds when the cache is full.
+//! plan seed (the saturation-sweep pattern) and a full cache, which stores
+//! nothing more and grows its fresh trees only to their destinations.
 
 use std::collections::BTreeSet;
 
-use fcn_routing::{plan_routes_cached, PlanCache, Strategy};
+use fcn_exec::Pool;
+use fcn_routing::{plan_routes_cached, PathOracle, PlanCache, Strategy};
 use fcn_topology::{Family, Machine};
 use proptest::prelude::*;
 
@@ -105,7 +106,7 @@ proptest! {
         ),
     ) {
         // A capacity smaller than the working set, with plan seeds
-        // interleaved, forces both generation evictions and refusals;
+        // interleaved, fills the cache early and refuses every later tree;
         // correctness must not depend on what the cache managed to keep.
         let machine = Machine::mesh(2, (size as f64).sqrt() as usize + 2);
         let demands = demands_on(&machine, &raw);
@@ -122,44 +123,74 @@ proptest! {
     }
 }
 
-/// The estimator's pattern — three trials, each with its own plan seed,
-/// each planning batches of 2n, 4n and 8n messages — against a cache that
-/// holds one trial's trees but not three (n ≤ capacity < 3n). Once a trial
-/// is done its trees are dead, so the cache must make room for the next
-/// trial by evicting them rather than refusing the live trial's trees:
-/// every tree is computed exactly once per trial.
+/// A daemon's repeated request whose trials need more trees than the cache
+/// holds (n ≤ capacity < 3n): three trials, each with its own plan seed and
+/// planned in one call, run twice through one cache. The first pass stores
+/// the first `capacity` trees and grows the rest only to their
+/// destinations; the repeat is served those `capacity` trees and computes
+/// the rest again. Nothing is evicted, and every route equals fresh
+/// planning.
 #[test]
-fn finished_trials_make_room_for_the_next() {
+fn trials_past_capacity_repeat_from_the_trees_stored_first() {
     let machine = Machine::mesh(2, 8);
     let n = machine.processors();
     let capacity = 100;
     assert!(n <= capacity && capacity < 3 * n);
     let cache = PlanCache::with_capacity(capacity);
-    let mut trees_needed = 0;
-    for trial in 0..3u64 {
-        let seed = 0x5eed ^ trial;
-        let mut sources = BTreeSet::new();
-        for multiplier in [2, 4, 8] {
-            let demands: Vec<(u32, u32)> = (0..multiplier * n)
-                .map(|i| ((i * 7 % n) as u32, ((i * 37 + 11) % n) as u32))
+    let trials: Vec<(u64, Vec<(u32, u32)>)> = (0..3u64)
+        .map(|trial| {
+            let shift = trial as usize;
+            let demands = (0..8 * n)
+                .map(|i| (((i * 7 + shift) % n) as u32, ((i * 37 + 11) % n) as u32))
                 .collect();
-            sources.extend(demands.iter().map(|&(s, _)| s));
+            (0x5eed ^ trial, demands)
+        })
+        .collect();
+    let trees_needed: u64 = trials
+        .iter()
+        .map(|(_, d)| d.iter().map(|&(s, _)| s).collect::<BTreeSet<_>>().len() as u64)
+        .sum();
+    assert!(trees_needed > capacity as u64);
+    for pass in 0..2u64 {
+        for (seed, demands) in &trials {
             let served = plan_routes_cached(
                 &machine,
-                &demands,
+                demands,
                 Strategy::ShortestPath,
-                seed,
+                *seed,
                 Some(&cache),
             );
-            let fresh = plan_routes_cached(&machine, &demands, Strategy::ShortestPath, seed, None);
-            assert_eq!(served, fresh, "trial {trial}, batch {multiplier}n");
+            let fresh = plan_routes_cached(&machine, demands, Strategy::ShortestPath, *seed, None);
+            assert_eq!(served, fresh, "pass {pass}, seed {seed:#x}");
         }
-        trees_needed += sources.len() as u64;
+        assert_eq!(cache.hits(), pass * capacity as u64, "pass {pass}");
+        assert_eq!(cache.entries(), capacity, "pass {pass}");
     }
-    assert_eq!(cache.misses(), trees_needed, "one tree per (trial, source)");
-    assert_eq!(cache.refusals(), 0);
-    assert_eq!(cache.evictions(), 2 * n as u64, "trials 1 and 2 evicted");
-    assert!(cache.entries() <= capacity);
+    assert_eq!(cache.misses(), 2 * trees_needed - capacity as u64);
+    assert_eq!(cache.refusals(), cache.misses() - capacity as u64);
+}
+
+/// Two workers plan one batch through a cache that fills midway. Trees that
+/// lose the race for the last slots are refused, whatever the interleaving,
+/// and the routes still equal a fresh sequential plan.
+#[test]
+fn a_pooled_batch_that_fills_the_cache_plans_like_a_fresh_one() {
+    let machine = Machine::mesh(2, 8);
+    let g = machine.graph();
+    let n = machine.processors() as u32;
+    let demands: Vec<(u32, u32)> = (0..4 * n).map(|i| (i % n, (i * 29 + 3) % n)).collect();
+    let fresh = PathOracle::new(g, 9).routes(&demands, Strategy::ShortestPath);
+    for capacity in [1, 20, 63] {
+        let cache = PlanCache::with_capacity(capacity);
+        let pooled = PathOracle::new(g, 9)
+            .with_cache(&cache)
+            .with_pool(Pool::new(2))
+            .routes(&demands, Strategy::ShortestPath);
+        assert_eq!(pooled, fresh, "capacity {capacity}");
+        assert_eq!(cache.entries(), capacity);
+        assert_eq!((cache.hits(), cache.misses()), (0, u64::from(n)));
+        assert_eq!(cache.refusals(), u64::from(n) - capacity as u64);
+    }
 }
 
 #[test]
