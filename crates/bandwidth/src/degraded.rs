@@ -8,17 +8,18 @@
 //! β-vs-fault-rate curve: for each fault rate it generates one
 //! [`FaultPlan`], builds one routing context over the faulted net (which
 //! also builds the surviving graph planners route on), runs the
-//! estimator's trials on it one after another, and aggregates the cells
-//! (rate, strandings, unreachable demands, replans) into one
-//! [`DegradedPoint`].
+//! estimator's trials on it, and aggregates the cells (rate, strandings,
+//! unreachable demands, replans) into one [`DegradedPoint`].
 //!
-//! ## One trial unit
+//! ## The estimator's trial schedule
 //!
 //! A degraded sweep is the intact estimator on a faulted context: the same
-//! `BandwidthEstimator::run_trial` plans each trial as one (one BFS tree
-//! per distinct source, sources fanned out over the pool) and routes its
-//! cells largest first, and the same `reduce_grid` turns the cells into a
-//! plateau. A cell counts as complete when the router *terminates* —
+//! `BandwidthEstimator::run_trials` plans each trial as one (one BFS tree
+//! per distinct source, sources fanned out over the pool), compiles its
+//! cells at once, and routes the cells of consecutive trials together on a
+//! parallel pool, largest first, with no barrier between trials (see
+//! [`fcn_routing::measure_trials`]); the same `reduce_grid` turns the cells
+//! into a plateau. A cell counts as complete when the router *terminates* —
 //! everything routable was delivered, even if dead wires stranded some
 //! packets — which on an intact host is exactly
 //! [`fcn_routing::RoutingOutcome::completed`]. A fault rate of `0.0`
@@ -144,10 +145,8 @@ impl DegradedSweep {
                 let spec = FaultSpec::uniform(self.fault_seed, fault_rate);
                 let plan = FaultPlan::generate(machine.graph(), &spec);
                 let ctx = RouteCtx::from_net(machine, base.clone()).with_faults(&plan);
-                let samples: Vec<CellSample> = (0..self.trials)
-                    .flat_map(|trial| estimator.run_trial(&ctx, traffic, trial, pool))
-                    .collect();
-                self.aggregate(fault_rate, &plan, samples)
+                let measured = estimator.run_trials(&ctx, traffic, 0..self.trials, pool, || ());
+                self.aggregate(fault_rate, &plan, measured.cells)
             })
             .collect()
     }
@@ -286,6 +285,49 @@ mod tests {
         for jobs in [2, 4] {
             let par = quick_sweep(&[0.0, 0.2]).with_jobs(jobs).sweep(&m, &t);
             assert_eq!(par, seq, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn every_trial_count_and_worker_count_matches_trials_run_alone() {
+        let m = Machine::mesh(2, 8);
+        let t = m.symmetric_traffic();
+        let net = CompiledNet::shared(&m);
+        for trials in [1, 2, 3, 5] {
+            let sweep = DegradedSweep {
+                fault_rates: vec![0.0, 0.2],
+                trials,
+                ..Default::default()
+            };
+            let estimator = BandwidthEstimator {
+                multipliers: sweep.multipliers.clone(),
+                trials,
+                ..Default::default()
+            };
+            let alone: Vec<Vec<CellSample>> = sweep
+                .fault_rates
+                .iter()
+                .map(|&rate| {
+                    let spec = FaultSpec::uniform(sweep.fault_seed, rate);
+                    let plan = FaultPlan::generate(m.graph(), &spec);
+                    let ctx = RouteCtx::from_net(&m, net.clone()).with_faults(&plan);
+                    (0..trials)
+                        .flat_map(|trial| {
+                            let pool = Pool::sequential();
+                            estimator
+                                .run_trials(&ctx, &t, trial..trial + 1, pool, || ())
+                                .cells
+                        })
+                        .collect()
+                })
+                .collect();
+            for jobs in [1, 2, 3] {
+                let points = sweep.clone().with_jobs(jobs).sweep(&m, &t);
+                for (point, alone) in points.iter().zip(&alone) {
+                    let what = format!("rate={} trials={trials} jobs={jobs}", point.fault_rate);
+                    assert_eq!(&point.samples, alone, "{what}");
+                }
+            }
         }
     }
 

@@ -1,10 +1,10 @@
 //! Operational bandwidth estimation: the measured side of `β`.
 //!
-//! Runs the `trials × multipliers` grid one trial at a time on a
-//! deterministic [`fcn_exec::Pool`] and combines the cells into a
-//! [`BandwidthEstimate`]. The paper's `β` is the `m → ∞` expected rate; at
-//! finite size we report the best plateau across trials together with the
-//! per-cell samples so downstream fitting can see the spread.
+//! Runs the `trials × multipliers` grid on a deterministic
+//! [`fcn_exec::Pool`] and combines the cells into a [`BandwidthEstimate`].
+//! The paper's `β` is the `m → ∞` expected rate; at finite size we report
+//! the best plateau across trials together with the per-cell samples so
+//! downstream fitting can see the spread.
 //!
 //! ## Determinism
 //!
@@ -13,25 +13,31 @@
 //! `job_seed(seed, trial · M + i)` and plans routes with
 //! `job_seed(seed ⊕ PLAN_STREAM, trial)`. No cell reads another cell's RNG,
 //! so the estimate is bit-identical for any worker count (`jobs = 1` and
-//! `jobs = 16` agree exactly — see `tests/determinism.rs`). A family sweep
-//! (`crate::sandwich`) schedules whole trials on one worker each, and a
-//! degraded sweep (`crate::degraded`) runs the estimator's trials on a
-//! faulted context; all three derive every cell's seeds from the one
-//! `GridCell`, run a trial with the one `run_trial` and reduce with the one
-//! `reduce_grid`.
+//! `jobs = 16` agree exactly — see `tests/determinism.rs`) and for any
+//! schedule. A family sweep (`crate::sandwich`) schedules whole trials on
+//! one worker each, and a degraded sweep (`crate::degraded`) runs the
+//! estimator's trials on a faulted context; all three derive every cell's
+//! seeds from the one `GridCell`, run their trials through the one
+//! `run_trials` and reduce with the one `reduce_grid`.
 //!
-//! ## A trial is one unit
+//! ## The trial schedule
 //!
 //! Sharing one *plan* seed across a trial's multipliers means the trial's
-//! growing batches route over the same BFS trees. A trial therefore runs
-//! in two phases ([`fcn_routing::measure_rates_ctx`]): a *plan* phase that
-//! groups the demands of all its cells by source and fans the sources out
-//! over the pool, computing each tree once and unwinding it into every
-//! path from that source; then a *route* phase that runs the trial's cells
-//! on the pool, largest batch first. Trials run one after another and an
-//! estimate never asks for a tree twice, so one-shot callers attach a
-//! zero-capacity [`PlanCache`]; a warm cache only earns hits across
-//! estimates (a daemon's repeated requests).
+//! growing batches route over the same BFS trees, so each trial is planned
+//! as one: its cells' demands are grouped by source and the sources fan out
+//! over the pool, each tree computed once and unwound into every path from
+//! that source. Each cell is compiled to its batch as soon as its trial is
+//! planned. Routing has no per-trial barrier: on a parallel pool
+//! [`fcn_routing::measure_trials`] routes the cells of consecutive trials
+//! in one pool run while their batches stay under
+//! [`fcn_routing::IN_FLIGHT_HOPS`] wire ids, largest batch first, so one
+//! trial's largest cell overlaps the next trial's and the smaller cells
+//! fill in behind them, and the caller's side task (`fcnemu beta`'s flux
+//! bound, [`BandwidthEstimator::try_estimate_with`]) takes a worker in the
+//! last run. A sequential pool routes trial by trial. An estimate never asks for
+//! a tree twice, so one-shot callers attach a zero-capacity [`PlanCache`];
+//! a warm cache only earns hits across estimates (a daemon's repeated
+//! requests).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,8 +45,8 @@ use std::sync::Arc;
 use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
-    measure_rates_ctx, CellSample, CompiledNet, PlanCache, RateSample, RouteCtx, RouterConfig,
-    Strategy,
+    measure_trials, CompiledNet, Measured, PlanCache, RateSample, RouteCtx, RouterConfig, Strategy,
+    Trial,
 };
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
@@ -51,7 +57,7 @@ const PLAN_STREAM: u64 = 0x9_1a7e_5eed;
 /// What one cell `(trial, multiplier i)` of a `trials × multipliers` grid
 /// routes: the only place the grid's seed streams are derived. The
 /// estimator, family sweeps and degraded sweeps all reach it through
-/// [`BandwidthEstimator::run_trial`], so a zero-fault degraded sweep
+/// [`BandwidthEstimator::run_trials`], so a zero-fault degraded sweep
 /// reproduces the estimator's cells bit-for-bit.
 struct GridCell {
     /// Batch size, `multipliers[i] · n` (at least one).
@@ -188,6 +194,9 @@ pub struct BandwidthEstimate {
     pub samples: Vec<RateSample>,
     /// Number of trials whose sweeps all completed.
     pub complete_trials: usize,
+    /// BFS trees this estimate computed: every tree it planned, less those
+    /// its plan cache served. Estimates sharing one cache split its misses.
+    pub trees_computed: u64,
 }
 
 impl BandwidthEstimator {
@@ -219,12 +228,13 @@ impl BandwidthEstimator {
         ))
     }
 
-    /// The estimator's core: run the `trials × multipliers` grid, one trial
-    /// at a time, over an already-compiled net (shared across all cells
-    /// and, via `Arc`, with any sibling estimates the caller runs on the
-    /// same machine) and a caller-owned [`PlanCache`] (bit-transparent;
-    /// `fcnemu beta --verbose` reports its counters), gated on an optional
-    /// cancellation flag.
+    /// The estimator's core: run the `trials × multipliers` grid over an
+    /// already-compiled net (shared across all cells and, via `Arc`, with
+    /// any sibling estimates the caller runs on the same machine) and a
+    /// caller-owned [`PlanCache`] (bit-transparent; `fcnemu beta --verbose`
+    /// reports the trees the estimate computed), gated on an optional
+    /// cancellation flag. [`BandwidthEstimator::try_estimate_with`] with no
+    /// side task.
     ///
     /// A set flag aborts every in-flight cell with
     /// [`fcn_routing::AbortCause::Cancelled`] and the call returns
@@ -241,21 +251,39 @@ impl BandwidthEstimator {
         cache: &PlanCache,
         cancel: Option<&AtomicBool>,
     ) -> Result<BandwidthEstimate, EstimateAborted> {
+        self.try_estimate_with(machine, net, traffic, cache, cancel, || ())
+            .0
+    }
+
+    /// [`BandwidthEstimator::try_estimate_compiled`], running `side` once on
+    /// the estimate's own pool, in the grid's last route run, where it takes
+    /// a worker that would otherwise wait for the largest cell (see
+    /// [`fcn_routing::measure_trials`]). `fcnemu beta` computes its flux
+    /// bound this way. `side` runs even when the grid aborts.
+    pub fn try_estimate_with<X: Send>(
+        &self,
+        machine: &Machine,
+        net: &Arc<CompiledNet>,
+        traffic: &Traffic,
+        cache: &PlanCache,
+        cancel: Option<&AtomicBool>,
+        side: impl Fn() -> X + Sync,
+    ) -> (Result<BandwidthEstimate, EstimateAborted>, X) {
         self.cells(); // rejects an empty grid
         let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_BANDWIDTH_ESTIMATE);
         let mut ctx = RouteCtx::from_net(machine, net.clone()).with_cache(cache);
         if let Some(c) = cancel {
             ctx = ctx.with_cancel(c);
         }
-        let pool = Pool::new(self.jobs);
-        let samples: Vec<RateSample> = (0..self.trials)
-            .flat_map(|trial| self.run_trial(&ctx, traffic, trial, pool))
-            .map(|cell| cell.sample)
-            .collect();
+        let measured = self.run_trials(&ctx, traffic, 0..self.trials, Pool::new(self.jobs), side);
+        let samples = measured.cells.into_iter().map(|cell| cell.sample).collect();
         // ordering: the flag is a monotone stop hint set by another thread;
         // Relaxed suffices for the final observation too.
         let cancelled = cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-        self.reduce(samples, cancelled)
+        (
+            self.reduce(samples, measured.trees, cancelled),
+            measured.side,
+        )
     }
 
     /// Grid size, `trials × multipliers`.
@@ -267,32 +295,40 @@ impl BandwidthEstimator {
         self.trials * self.multipliers.len()
     }
 
-    /// Trial `trial`'s cells in multiplier order, planned as one around the
-    /// context's faults (one tree per distinct source, sources fanned out
-    /// over `pool`) and routed on `pool` largest batch first. The estimator
-    /// and a degraded sweep run their trials in turn on their own pool; a
-    /// family sweep runs each trial as one task on a sequential pool.
-    pub(crate) fn run_trial(
+    /// The grid's trials `trials`, each planned as one around the context's
+    /// faults (one tree per distinct source, sources fanned out over `pool`)
+    /// and routed on `pool` by [`fcn_routing::measure_trials`], with `side`
+    /// run once in the last route run. The one trial loop: the estimator
+    /// and a degraded sweep run all their trials here on their own pool,
+    /// and a family sweep runs each trial alone on a sequential pool.
+    pub(crate) fn run_trials<X: Send>(
         &self,
         ctx: &RouteCtx<'_>,
         traffic: &Traffic,
-        trial: usize,
+        trials: std::ops::Range<usize>,
         pool: Pool,
-    ) -> Vec<CellSample> {
+        side: impl Fn() -> X + Sync,
+    ) -> Measured<X> {
         let m_len = self.multipliers.len();
-        let cells: Vec<GridCell> = (trial * m_len..(trial + 1) * m_len)
-            .map(|cell| GridCell::new(self.seed, &self.multipliers, traffic.n(), cell))
+        let trials: Vec<Trial> = trials
+            .map(|trial| {
+                let cells: Vec<GridCell> = (trial * m_len..(trial + 1) * m_len)
+                    .map(|cell| GridCell::new(self.seed, &self.multipliers, traffic.n(), cell))
+                    .collect();
+                Trial {
+                    batches: cells.iter().map(|c| (c.messages, c.demand_seed)).collect(),
+                    plan_seed: cells[0].plan_seed,
+                }
+            })
             .collect();
-        let batches: Vec<(usize, u64)> =
-            cells.iter().map(|c| (c.messages, c.demand_seed)).collect();
-        measure_rates_ctx(
+        measure_trials(
             ctx,
             traffic,
-            &batches,
+            &trials,
             self.strategy,
             self.router,
-            cells[0].plan_seed,
             pool,
+            side,
         )
     }
 
@@ -303,6 +339,7 @@ impl BandwidthEstimator {
     pub(crate) fn reduce(
         &self,
         samples: Vec<RateSample>,
+        trees_computed: u64,
         cancelled: bool,
     ) -> Result<BandwidthEstimate, EstimateAborted> {
         let (plateau, complete_trials) = reduce_grid(&samples, self.multipliers.len());
@@ -315,6 +352,7 @@ impl BandwidthEstimator {
                 mean_rate,
                 samples,
                 complete_trials,
+                trees_computed,
             }),
             _ => Err(EstimateAborted {
                 cells_completed: samples.iter().filter(|s| s.completed).count(),
@@ -419,6 +457,103 @@ mod tests {
             assert_eq!(par.samples, seq.samples, "jobs={jobs}");
             assert_eq!(par.complete_trials, seq.complete_trials);
         }
+    }
+
+    /// Each trial's cells measured alone on one worker: the reference every
+    /// schedule must reproduce.
+    fn trials_alone(est: &BandwidthEstimator, ctx: &RouteCtx<'_>, t: &Traffic) -> Vec<RateSample> {
+        (0..est.trials)
+            .flat_map(|trial| {
+                est.run_trials(ctx, t, trial..trial + 1, Pool::sequential(), || ())
+                    .cells
+            })
+            .map(|cell| cell.sample)
+            .collect()
+    }
+
+    #[test]
+    fn every_trial_count_and_worker_count_matches_trials_run_alone() {
+        for m in [Machine::mesh(2, 8), Machine::de_bruijn(6)] {
+            let t = m.symmetric_traffic();
+            let net = CompiledNet::shared(&m);
+            for trials in [1, 2, 3, 5] {
+                let est = BandwidthEstimator {
+                    trials,
+                    ..Default::default()
+                };
+                let alone = trials_alone(&est, &RouteCtx::from_net(&m, net.clone()), &t);
+                for jobs in [1, 2, 3] {
+                    let got = est
+                        .clone()
+                        .with_jobs(jobs)
+                        .try_estimate_compiled(&m, &net, &t, &PlanCache::with_capacity(0), None)
+                        .expect("an intact grid completes");
+                    let what = format!("{} trials={trials} jobs={jobs}", m.name());
+                    assert_eq!(got.samples, alone, "{what}");
+                    let (plateau, complete) = reduce_grid(&alone, est.multipliers.len());
+                    let (rate, mean) = plateau.expect("a plateau");
+                    assert_eq!(got.rate.to_bits(), rate.to_bits(), "{what}");
+                    assert_eq!(got.mean_rate.to_bits(), mean.to_bits(), "{what}");
+                    assert_eq!(got.complete_trials, complete, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_side_task_equals_its_value_computed_afterwards() {
+        let m = Machine::mesh(2, 8);
+        let t = m.symmetric_traffic();
+        let net = CompiledNet::shared(&m);
+        let cache = PlanCache::with_capacity(0);
+        let flux = || crate::flux_upper_bound(&m, &t, 7, 4, 2);
+        let after = flux();
+        for jobs in [1, 2, 3] {
+            let est = quick().with_jobs(jobs);
+            let plain = est
+                .try_estimate_compiled(&m, &net, &t, &cache, None)
+                .expect("completes");
+            let (with_side, side) = est.try_estimate_with(&m, &net, &t, &cache, None, flux);
+            let with_side = with_side.expect("completes");
+            assert_eq!(side.rate_bound.to_bits(), after.rate_bound.to_bits());
+            assert_eq!(side.witness, after.witness, "jobs={jobs}");
+            assert_eq!(with_side.samples, plain.samples, "jobs={jobs}");
+            assert_eq!(with_side.rate.to_bits(), plain.rate.to_bits());
+        }
+    }
+
+    #[test]
+    fn estimates_sharing_a_cache_split_its_misses() {
+        // Two estimates of one machine and seed race for the same trees in
+        // one storing cache: each counts the trees it computed itself, so
+        // their counts sum to the cache's misses, and each count is all its
+        // grid would have computed minus the trees the other stored first.
+        let m = Machine::mesh(2, 8);
+        let t = m.symmetric_traffic();
+        let net = CompiledNet::shared(&m);
+        let cache = PlanCache::default();
+        let est = quick().with_jobs(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let run = || {
+                est.try_estimate_compiled(&m, &net, &t, &cache, None)
+                    .expect("completes")
+            };
+            let a = scope.spawn(run);
+            let b = scope.spawn(run);
+            (a.join().expect("joins"), b.join().expect("joins"))
+        });
+        assert_eq!(a.trees_computed + b.trees_computed, cache.misses());
+        let alone = est
+            .try_estimate_compiled(&m, &net, &t, &PlanCache::with_capacity(0), None)
+            .expect("completes");
+        assert_eq!(
+            alone.trees_computed,
+            2 * 64,
+            "one tree per source per trial"
+        );
+        assert!(a.trees_computed <= alone.trees_computed);
+        assert!(b.trees_computed <= alone.trees_computed);
+        assert_eq!(a.samples, alone.samples);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use fcn_asymptotics::fit::{classify_growth, classify_growth_offset, table4_candi
 use fcn_asymptotics::{fit_power_log, Asym, PowerLogFit};
 use fcn_exec::{job_seed, Pool};
 use fcn_multigraph::{DistanceStats, Traffic};
-use fcn_routing::{CellSample, CompiledNet, RouteCtx};
+use fcn_routing::{CompiledNet, Measured, RouteCtx};
 use fcn_topology::{Family, Machine};
 use serde::{Deserialize, Serialize};
 
@@ -82,7 +82,7 @@ impl Piece {
 
 /// What a [`Piece`] produced.
 enum PieceOut {
-    Trial(Vec<CellSample>),
+    Trial(Measured<()>),
     Flux(FluxBound),
     Distance(DistanceStats),
 }
@@ -117,7 +117,14 @@ impl<'m> Subject<'m> {
                     .get_or_init(|| CompiledNet::shared(self.machine))
                     .clone();
                 let ctx = RouteCtx::from_net(self.machine, net);
-                PieceOut::Trial(estimator.run_trial(&ctx, &self.traffic, trial, Pool::sequential()))
+                let pool = Pool::sequential();
+                PieceOut::Trial(estimator.run_trials(
+                    &ctx,
+                    &self.traffic,
+                    trial..trial + 1,
+                    pool,
+                    || (),
+                ))
             }
             Piece::Flux => PieceOut::Flux(flux_upper_bound(
                 self.machine,
@@ -145,15 +152,18 @@ impl<'m> Subject<'m> {
     /// The row from its pieces' outputs, in [`Piece::all`] order.
     fn assemble(&self, estimator: &BandwidthEstimator, outs: Vec<PieceOut>) -> BandwidthSandwich {
         let mut samples = Vec::with_capacity(estimator.cells());
-        let (mut flux, mut dstats) = (None, None);
+        let (mut trees, mut flux, mut dstats) = (0, None, None);
         for out in outs {
             match out {
-                PieceOut::Trial(trial) => samples.extend(trial.iter().map(|cell| cell.sample)),
+                PieceOut::Trial(trial) => {
+                    samples.extend(trial.cells.iter().map(|cell| cell.sample));
+                    trees += trial.trees;
+                }
                 PieceOut::Flux(f) => flux = Some(f),
                 PieceOut::Distance(d) => dstats = Some(d),
             }
         }
-        let est = budget_exhausted(estimator.reduce(samples, false));
+        let est = budget_exhausted(estimator.reduce(samples, trees, false));
         let (Some(flux), Some(dstats)) = (flux, dstats) else {
             unreachable!("every row has one flux and one distance piece")
         };

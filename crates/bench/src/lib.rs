@@ -58,7 +58,8 @@ const RUN_FLAGS: [&str; 4] = ["quick", "full", "jobs", "metrics-out"];
 /// `[--quick|--full] [--jobs N] [--metrics-out PATH]`.
 ///
 /// `jobs` is the worker-thread count for the measurement grids; `0` (the
-/// default) means one worker per hardware thread, `1` is sequential. Every
+/// default) means one worker per hardware thread, `1` is sequential, and a
+/// count above [`fcn_exec::MAX_JOBS`] is refused. Every
 /// grid cell derives its seeds from its index ([`fcn_exec::job_seed`]), so
 /// the output is bit-identical for every `jobs` value — the flag only
 /// changes the wall clock. `metrics_out` enables the global
@@ -96,7 +97,7 @@ impl RunOpts {
         };
         Ok(RunOpts {
             scale,
-            jobs: args.flag("jobs", 0)?,
+            jobs: fcn_cli::args::check_jobs(args.flag("jobs", 0)?)?,
             metrics_out: args.value("metrics-out")?.map(String::from),
         })
     }
@@ -435,6 +436,7 @@ mod tests {
         for (line, named) in [
             ("--quikc", "--quikc"),
             ("--jobs x", "--jobs"),
+            ("--jobs 65", "--jobs must be at most 64, not 65"),
             ("stray", "stray"),
             ("--quick --full", "--full"),
             ("--quick yes", "--quick"),

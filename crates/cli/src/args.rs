@@ -136,6 +136,19 @@ impl Args {
     }
 }
 
+/// Refuse a `--jobs` count above [`fcn_exec::MAX_JOBS`]: each worker is an
+/// OS thread, so the bound is checked where the flag is parsed, before any
+/// work starts.
+pub fn check_jobs(jobs: usize) -> Result<usize, ParseError> {
+    if jobs > fcn_exec::MAX_JOBS {
+        return Err(ParseError(format!(
+            "--jobs must be at most {}, not {jobs}",
+            fcn_exec::MAX_JOBS
+        )));
+    }
+    Ok(jobs)
+}
+
 fn parse_value<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, ParseError> {
     v.parse()
         .map_err(|_| ParseError(format!("invalid value for --{name}: {v:?}")))
@@ -157,6 +170,15 @@ mod tests {
         assert_eq!(a.flag::<usize>("trials", 1).unwrap(), 4);
         assert_eq!(a.switch("steady"), Ok(true));
         assert_eq!(a.switch("missing"), Ok(false));
+    }
+
+    #[test]
+    fn jobs_above_the_bound_are_refused() {
+        assert_eq!(check_jobs(0), Ok(0));
+        assert_eq!(check_jobs(fcn_exec::MAX_JOBS), Ok(fcn_exec::MAX_JOBS));
+        let err = check_jobs(fcn_exec::MAX_JOBS + 1).unwrap_err();
+        assert_eq!(err.0, "--jobs must be at most 64, not 65");
+        assert!(check_jobs(usize::MAX).is_err());
     }
 
     #[test]

@@ -25,6 +25,10 @@ type Out<'a> = &'a mut dyn Write;
 pub enum CmdError {
     /// Domain failure; exit code 1.
     Run(String),
+    /// A request the program refuses before any work, such as a `--jobs`
+    /// count above [`fcn_exec::MAX_JOBS`]; exit code 2, and a `BadRequest`
+    /// when served.
+    Usage(String),
     /// I/O or schema failure; exit code 2.
     Io(String),
     /// A deadline cancelled the run mid-flight; the message carries partial
@@ -39,7 +43,7 @@ impl CmdError {
     pub fn exit_code(&self) -> i32 {
         match self {
             CmdError::Run(_) | CmdError::Cancelled(_) => 1,
-            CmdError::Io(_) => 2,
+            CmdError::Io(_) | CmdError::Usage(_) => 2,
         }
     }
 }
@@ -47,7 +51,9 @@ impl CmdError {
 impl std::fmt::Display for CmdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CmdError::Run(m) | CmdError::Io(m) | CmdError::Cancelled(m) => write!(f, "{m}"),
+            CmdError::Run(m) | CmdError::Io(m) | CmdError::Usage(m) | CmdError::Cancelled(m) => {
+                write!(f, "{m}")
+            }
         }
     }
 }
@@ -73,6 +79,13 @@ impl From<&str> for CmdError {
 
 pub(crate) type CmdResult = Result<(), CmdError>;
 
+/// `--jobs`, `default` when absent: a malformed value is a domain error
+/// like any other flag's, and a count above [`fcn_exec::MAX_JOBS`] a
+/// [`CmdError::Usage`] refused before any work starts.
+fn jobs(args: &Args, default: usize) -> Result<usize, CmdError> {
+    crate::args::check_jobs(args.flag("jobs", default)?).map_err(|e| CmdError::Usage(e.0))
+}
+
 /// Usage text.
 pub fn usage() -> String {
     "fcnemu — fixed-connection network emulation-bounds toolkit
@@ -96,7 +109,8 @@ USAGE:
 
 `beta --jobs` and `faults --jobs` default to 0 (one worker per hardware
 thread; a served request defaults to 1); `audit --jobs` defaults to 1.
-Output is byte-identical for every --jobs value.
+--jobs accepts at most 64 workers. Output is byte-identical for every
+--jobs value.
 
 Every subcommand also accepts --metrics-out <path>: run with telemetry
 enabled and write a versioned JSONL metrics snapshot to <path> (the
@@ -252,7 +266,7 @@ pub(crate) fn beta_with(
     // hardware thread (the inline default). A served request defaults to
     // one worker: the daemon's concurrency comes from its connections. The
     // estimate is bit-identical for every value.
-    let jobs = args.flag("jobs", if warm.is_some() { 1 } else { 0 })?;
+    let jobs = jobs(args, if warm.is_some() { 1 } else { 0 })?;
     // Router tick budget; 0 keeps the default. Cells that exhaust it are
     // reported (under --verbose) instead of silently depressing the plateau.
     let max_ticks = args.flag("max-ticks", 0u64)?;
@@ -287,21 +301,21 @@ pub(crate) fn beta_with(
             std::sync::Arc::new(fcn_routing::PlanCache::with_capacity(0)),
         ),
     };
-    // Misses are trees computed. On a warm daemon cache this also counts
-    // trees that concurrent requests for the same machine computed. The
-    // daemon's cache outlives this request, so only the change since here
-    // is this request's to publish.
+    // The daemon's cache outlives this request, so only the change since
+    // here is this request's to publish.
     let before = cache.counts();
-    let b = est
-        .try_estimate_compiled(&m, &net, &t, &cache, cancel)
-        .map_err(|aborted| {
-            if aborted.cancelled {
-                CmdError::Cancelled(aborted.to_string())
-            } else {
-                CmdError::Run(aborted.to_string())
-            }
-        })?;
-    let flux = flux_upper_bound(&m, &t, seed, 4, 2);
+    // The flux bound runs on the estimate's own pool, as one more job of its
+    // last route run.
+    let (estimate, flux) = est.try_estimate_with(&m, &net, &t, &cache, cancel, || {
+        flux_upper_bound(&m, &t, seed, 4, 2)
+    });
+    let b = estimate.map_err(|aborted| {
+        if aborted.cancelled {
+            CmdError::Cancelled(aborted.to_string())
+        } else {
+            CmdError::Run(aborted.to_string())
+        }
+    })?;
     let _ = writeln!(out, "machine       : {} (n = {})", m.name(), m.processors());
     let _ = writeln!(
         out,
@@ -327,7 +341,7 @@ pub(crate) fn beta_with(
     // when telemetry is disabled).
     cache.publish(before);
     if verbose {
-        let _ = writeln!(out, "trees computed: {}", cache.misses() - before.misses);
+        let _ = writeln!(out, "trees computed: {}", b.trees_computed);
         let _ = writeln!(
             out,
             "trials        : {}/{} complete ({} samples)",
@@ -362,7 +376,7 @@ pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> CmdResult {
     let trials = args.flag("trials", 3usize)?;
     let seed = args.flag("seed", 0xbeadu64)?;
     let fault_seed = args.flag("fault-seed", 0xfa17u64)?;
-    let jobs = args.flag("jobs", if served { 1 } else { 0 })?;
+    let jobs = jobs(args, if served { 1 } else { 0 })?;
     let quick = args.switch("quick")?;
     let verbose = args.switch("verbose")?;
     let rates_flag = args.value("rates")?;
@@ -519,7 +533,7 @@ fn cmd_audit(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
     let size = args.count(1, "size")?;
     let seed = args.flag("seed", 7u64)?;
-    let jobs = args.flag("jobs", 1usize)?;
+    let jobs = jobs(args, 1)?;
     let m = build(&id, size, seed)?;
     // Same cheap estimator as `quick_audit`, with the worker count
     // threaded through: the audit cells run in parallel, the output is
@@ -821,6 +835,42 @@ mod tests {
     }
 
     #[test]
+    fn jobs_above_the_bound_are_a_usage_error() {
+        for cmd in ["beta mesh2 16", "faults mesh2 16 --quick", "audit tree 15"] {
+            let (code, out) = run_s(&format!("{cmd} --jobs 65"));
+            assert_eq!(code, 2, "{cmd}: {out}");
+            assert!(
+                out.contains("--jobs must be at most 64, not 65"),
+                "{cmd}: {out}"
+            );
+        }
+        // A malformed value stays a domain error, like any flag's.
+        let (code, out) = run_s("beta mesh2 16 --jobs x");
+        assert_eq!(code, 1, "{out}");
+    }
+
+    #[test]
+    fn beta_prints_the_flux_bound_computed_on_its_own() {
+        // The flux bound runs as a job of the estimate's last route run;
+        // it must print what computing it after the estimate prints.
+        let m = super::build("mesh2", 64, 5).unwrap();
+        let flux = super::flux_upper_bound(&m, &m.symmetric_traffic(), 5, 4, 2);
+        let line = format!(
+            "flux bound    : {:.3} [{}]\n",
+            flux.rate_bound, flux.witness
+        );
+        for jobs in [1, 2, 3] {
+            for trials in [1, 2] {
+                let (code, out) = run_s(&format!(
+                    "beta mesh2 64 --seed 5 --trials {trials} --jobs {jobs}"
+                ));
+                assert_eq!(code, 0, "{out}");
+                assert!(out.contains(&line), "jobs={jobs} trials={trials}: {out}");
+            }
+        }
+    }
+
+    #[test]
     fn audit_output_is_jobs_invariant() {
         let (code, seq) = run_s("audit tree 31 --jobs 1");
         assert_eq!(code, 0, "{seq}");
@@ -999,10 +1049,11 @@ mod tests {
         let path = dir.join("beta.jsonl");
         let path_s = path.to_str().unwrap();
 
-        let (code, plain) = run_s("beta mesh2 64 --trials 2");
+        let (code, plain) = run_s("beta mesh2 64 --trials 2 --jobs 2");
         assert_eq!(code, 0, "{plain}");
-        let (code, with_metrics) =
-            run_s(&format!("beta mesh2 64 --trials 2 --metrics-out {path_s}"));
+        let (code, with_metrics) = run_s(&format!(
+            "beta mesh2 64 --trials 2 --jobs 2 --metrics-out {path_s}"
+        ));
         assert_eq!(code, 0, "{with_metrics}");
         // Telemetry must not change a byte of the report.
         assert_eq!(plain, with_metrics, "--metrics-out changed stdout");
@@ -1023,12 +1074,12 @@ mod tests {
         assert!(snap
             .counters
             .contains_key("span_bandwidth_estimate_calls_total"));
-        // Each trial's plan and route phases are timed apart, once per
-        // trial.
-        for span in ["estimate_plan", "estimate_route"] {
+        // Each trial's plan phase is timed apart; on two workers the two
+        // small trials route in one run.
+        for (span, calls) in [("estimate_plan", 2), ("estimate_route", 1)] {
             assert_eq!(
                 snap.counters[&format!("span_{span}_calls_total")],
-                2,
+                calls,
                 "{text}"
             );
             assert!(snap

@@ -66,6 +66,10 @@ impl CliHandler {
                 output: buf,
             },
             Err(CmdError::Cancelled(partial)) => HandlerOutcome::Cancelled { partial },
+            Err(CmdError::Usage(message)) => HandlerOutcome::Failed {
+                kind: fcn_serve::ErrorKind::BadRequest,
+                message,
+            },
             Err(e) => {
                 let _ = writeln!(buf, "error: {e}");
                 HandlerOutcome::Done {

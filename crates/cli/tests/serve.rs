@@ -362,6 +362,39 @@ fn served_metrics_out_is_refused_and_writes_nothing() {
     daemon.shutdown();
 }
 
+/// A client may pass `--jobs`, and each worker is a thread of the daemon:
+/// a count above the bound is refused before any work.
+#[test]
+fn served_jobs_above_the_bound_are_refused() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let before = router_runs(&mut client);
+    for (kind, args) in [
+        ("beta", &["mesh2", "16", "--jobs", "65"][..]),
+        ("faults", &["mesh2", "16", "--quick", "--jobs", "65"][..]),
+    ] {
+        let resp = client.call(kind, args).expect("framed response");
+        let err = resp.error.expect("a typed refusal");
+        assert_eq!(err.kind, ErrorKind::BadRequest, "{kind}");
+        assert!(
+            err.message.contains("--jobs must be at most 64"),
+            "{}",
+            err.message
+        );
+    }
+    let audit = client
+        .call("audit", &["mesh2", "16", "--jobs", "65"])
+        .expect("framed response");
+    assert_eq!(audit.exit_code, 2, "{}", audit.output);
+    assert!(
+        audit.output.contains("--jobs must be at most 64"),
+        "{}",
+        audit.output
+    );
+    assert_eq!(router_runs(&mut client), before, "a refused request routed");
+    daemon.shutdown();
+}
+
 #[test]
 fn served_faults_verbose_counts_in_daemon_metrics() {
     let daemon = Daemon::start(&[]);

@@ -138,6 +138,11 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
+/// The most workers a [`Pool`] runs: every `--jobs` parser refuses a larger
+/// value, and [`Pool::new`] caps a library caller's request here, so no
+/// request can ask one `Pool::run` for more OS threads than this.
+pub const MAX_JOBS: usize = 64;
+
 /// A deterministic fork-join pool.
 ///
 /// The pool is a *policy* object (how many workers to use); it spawns
@@ -157,13 +162,16 @@ impl Default for Pool {
 
 impl Pool {
     /// A pool with `jobs` workers; `0` means "one per hardware thread".
+    /// Either is capped at [`MAX_JOBS`].
     pub fn new(jobs: usize) -> Self {
         let jobs = if jobs == 0 {
             available_parallelism()
         } else {
             jobs
         };
-        Pool { jobs }
+        Pool {
+            jobs: jobs.min(MAX_JOBS),
+        }
     }
 
     /// A single-worker pool: jobs run on the calling thread, in order.
@@ -221,13 +229,12 @@ impl Pool {
             Vec::new()
         });
         let busy_nanos = AtomicU64::new(0);
-        let idle_nanos = AtomicU64::new(0);
+        // Wall clock allowed: busy/idle-nanos telemetry only.
+        #[allow(clippy::disallowed_methods)]
+        let run_start = tele_on.then(Instant::now);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    // Wall clock allowed: busy/idle-nanos telemetry only.
-                    #[allow(clippy::disallowed_methods)]
-                    let spawned = Instant::now();
                     let mut busy = 0u64;
                     loop {
                         // ordering: the only requirement is that each worker
@@ -253,14 +260,10 @@ impl Pool {
                         }
                         slots.lock()[i] = Some(value);
                     }
-                    if tele_on {
-                        // ordering: commutative additions summed across
-                        // workers; the reads below happen after the scope
-                        // join, which already synchronizes.
-                        let lifetime = saturating_nanos(spawned);
-                        busy_nanos.fetch_add(busy, Ordering::Relaxed);
-                        idle_nanos.fetch_add(lifetime.saturating_sub(busy), Ordering::Relaxed);
-                    }
+                    // ordering: commutative additions summed across workers;
+                    // the read below happens after the scope join, which
+                    // already synchronizes.
+                    busy_nanos.fetch_add(busy, Ordering::Relaxed);
                 });
             }
         });
@@ -274,16 +277,16 @@ impl Pool {
                 s.add(fcn_telemetry::names::EXEC_JOBS_TOTAL, count as u64);
                 s.set_gauge(fcn_telemetry::names::EXEC_WORKERS_LAST, workers as u64);
                 // ordering: the thread scope above already joined every
-                // worker, so these reads observe the final totals; the
-                // atomics only resolved cross-worker additions.
-                s.add(
-                    fcn_telemetry::names::EXEC_WORKER_BUSY_NANOS_TOTAL,
-                    busy_nanos.load(Ordering::Relaxed),
-                );
-                s.add(
-                    fcn_telemetry::names::EXEC_WORKER_IDLE_NANOS_TOTAL,
-                    idle_nanos.load(Ordering::Relaxed),
-                );
+                // worker, so this read observes the final total; the atomic
+                // only resolved cross-worker additions.
+                let busy = busy_nanos.load(Ordering::Relaxed);
+                // Idle is measured against the run's wall span, not each
+                // worker's own lifetime: a worker that runs out of jobs
+                // exits early, and its wait for the join is idle too.
+                let span = run_start.map_or(0, saturating_nanos);
+                let idle = (workers as u64).saturating_mul(span).saturating_sub(busy);
+                s.add(fcn_telemetry::names::EXEC_WORKER_BUSY_NANOS_TOTAL, busy);
+                s.add(fcn_telemetry::names::EXEC_WORKER_IDLE_NANOS_TOTAL, idle);
             });
         }
         slots
@@ -480,9 +483,14 @@ mod tests {
         assert_eq!(pool.run(1, |i| i + 7), vec![7]);
     }
 
+    /// Serializes the tests that switch the global telemetry registry on
+    /// and off, so one cannot switch it off under another.
+    static TELEMETRY: Lock<()> = Lock::new(());
+
     #[test]
     fn merged_job_shards_match_sequential() {
         use fcn_telemetry as tele;
+        let _serial = TELEMETRY.lock();
         // Unique metric names so concurrent tests in this binary can't
         // collide; all comparisons are against this thread's own shard.
         let work = |i: usize| {
@@ -522,6 +530,46 @@ mod tests {
             );
         }
         tele::global().set_enabled(false);
+    }
+
+    #[test]
+    // Spins on the wall clock on purpose: the metric under test is wall time.
+    #[allow(clippy::disallowed_methods)]
+    fn idle_time_counts_the_wait_at_the_join() {
+        use fcn_telemetry as tele;
+        let _serial = TELEMETRY.lock();
+        let spin = |ms: u64| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_millis(ms) {
+                std::hint::spin_loop();
+            }
+            t0.elapsed()
+        };
+        // One long job and several short ones on two workers: whichever
+        // worker does not run the long job finishes early and waits at the
+        // join. Every worker's busy time lies inside the run's wall span, so
+        // the idle total is at least the largest busy time minus the
+        // smallest: the long job minus the short ones, less the pool's few
+        // microseconds of bookkeeping per job (allowed for by 1 ms).
+        tele::global().set_enabled(true);
+        let _ = tele::take_shard();
+        let took = Pool::new(2).run(6, |i| spin(if i == 0 { 60 } else { 2 }));
+        let shard = tele::take_shard();
+        tele::global().set_enabled(false);
+        let idle = shard.counter(fcn_telemetry::names::EXEC_WORKER_IDLE_NANOS_TOTAL);
+        let shorts: Duration = took[1..].iter().sum();
+        let floor = took[0].saturating_sub(shorts + Duration::from_millis(1));
+        assert!(
+            idle >= floor.as_nanos() as u64,
+            "idle {idle} ns below the {floor:?} tail ({took:?})"
+        );
+    }
+
+    #[test]
+    fn pool_caps_its_workers() {
+        assert_eq!(Pool::new(MAX_JOBS + 1).jobs(), MAX_JOBS);
+        assert_eq!(Pool::new(usize::MAX).jobs(), MAX_JOBS);
+        assert_eq!(Pool::new(3).jobs(), 3);
     }
 
     #[test]

@@ -9,14 +9,32 @@
 //! Everything here routes through a compile-once [`RouteCtx`], which has one
 //! demand-level call: [`RouteCtx::route_demands`] plans a batch of demands
 //! (around the context's faults, through its plan cache) and routes it.
-//! [`measure_rates_ctx`] does the same for one estimator trial's cells,
-//! planning them all at once. Both hand the planned routes to one private
-//! compile-and-route step.
+//! [`measure_trials`] does the same for an estimator's trials, planning each
+//! trial's cells at once and routing consecutive trials' cells together;
+//! [`measure_rates_ctx`] is its one-trial case.
+//!
+//! ## The trial schedule
+//!
+//! [`measure_trials`] plans trials in order, each plan fanning its sources
+//! out over the pool, and compiles every planned cell to its
+//! [`PacketBatch`] as soon as its trial is planned, freeing the cell's
+//! vertex paths. On a parallel pool, consecutive trials join one route run
+//! while its batches hold fewer than [`IN_FLIGHT_HOPS`] wire ids, and the
+//! run routes all their cells in one [`Pool::run`], largest batch first:
+//! one trial's largest cell overlaps the next trial's, and the smaller
+//! cells fill in behind them, where a per-trial barrier would leave a
+//! worker idle beside each trial's largest cell. The caller's side task
+//! (the CLI's flux bound) joins the last run as one more job. The budget
+//! bounds the batches alive at once; a trial above it routes alone. A
+//! sequential pool routes each trial alone, in trial order, holding one
+//! trial's batches. Every cell's seeds are pure functions of its indices,
+//! so the schedule never moves a bit.
 
 use std::cmp::Reverse;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+use fcn_exec::sync::Lock;
 use fcn_exec::Pool;
 use fcn_faults::FaultPlan;
 use fcn_multigraph::{NodeId, Traffic};
@@ -26,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::PlanCache;
 use crate::compiled::{CompiledNet, PacketBatch};
 use crate::engine::{route_compiled, AbortCause, RouterConfig, RoutingOutcome, POOLED_SCRATCH};
-use crate::native::{plan_trial, Faults};
+use crate::native::{plan_trial, DegradedPlan, Faults};
 use crate::packet::{PacketPath, Strategy};
 
 /// A compile-once routing context: one machine, its [`CompiledNet`], the
@@ -146,27 +164,121 @@ impl<'a> RouteCtx<'a> {
             self.cache,
             Pool::sequential(),
         )
+        .batches
         .swap_remove(0);
-        self.route_planned(&plan.paths, cfg)
+        self.route_batch(&self.compile(&plan.paths), cfg)
     }
 
-    /// Compile planner output and route it on the calling thread's pooled
-    /// scratch, observing the context's cancellation flag.
+    /// Compile planner output against the context's net.
     ///
     /// # Panics
     /// Panics if some path is not a walk of the host graph — a planner bug,
     /// since planners only emit walks; compile untrusted paths with
     /// [`PacketBatch::compile`] to get the typed error instead.
-    fn route_planned(&self, paths: &[PacketPath], cfg: RouterConfig) -> RoutingOutcome {
+    fn compile(&self, paths: &[PacketPath]) -> PacketBatch {
         #[expect(
             clippy::panic,
             reason = "documented panic: planners emit walks; `PacketBatch::compile` covers untrusted paths"
         )]
-        let batch = PacketBatch::compile(&self.net, paths)
-            .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"));
-        POOLED_SCRATCH
-            .with(|s| route_compiled(&self.net, &batch, cfg, &mut s.borrow_mut(), self.cancel))
+        PacketBatch::compile(&self.net, paths)
+            .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"))
     }
+
+    /// Route a compiled batch on the calling thread's pooled scratch,
+    /// observing the context's cancellation flag.
+    fn route_batch(&self, batch: &PacketBatch, cfg: RouterConfig) -> RoutingOutcome {
+        POOLED_SCRATCH
+            .with(|s| route_compiled(&self.net, batch, cfg, &mut s.borrow_mut(), self.cancel))
+    }
+
+    /// Draw, plan and compile one trial's cells: the plan phase of
+    /// [`measure_trials`], timed as the `estimate_plan` span. Each cell's
+    /// vertex paths are freed as soon as its batch is compiled.
+    fn plan_cells(
+        &self,
+        traffic: &Traffic,
+        trial: &Trial,
+        strategy: Strategy,
+        pool: Pool,
+    ) -> (Vec<PlannedCell>, u64) {
+        let demands: Vec<Vec<(NodeId, NodeId)>> = trial
+            .batches
+            .iter()
+            .map(|&(messages, demand_seed)| {
+                assert!(messages >= 1);
+                let mut rng = {
+                    use rand::SeedableRng;
+                    rand::rngs::StdRng::seed_from_u64(demand_seed)
+                };
+                (0..messages).map(|_| traffic.sample(&mut rng)).collect()
+            })
+            .collect();
+        let slices: Vec<&[(NodeId, NodeId)]> = demands.iter().map(Vec::as_slice).collect();
+        let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_ESTIMATE_PLAN);
+        let plan = plan_trial(
+            self.machine,
+            &slices,
+            strategy,
+            trial.plan_seed,
+            self.faults.as_ref(),
+            self.cache,
+            pool,
+        );
+        let plans: Lock<Vec<Option<DegradedPlan>>> =
+            Lock::new(plan.batches.into_iter().map(Some).collect());
+        let cells = pool.run(trial.batches.len(), |b| {
+            // Each job takes its own cell's plan, so its paths drop here.
+            let taken = plans.lock()[b].take();
+            let DegradedPlan {
+                paths,
+                unreachable,
+                replans,
+            } = taken.unwrap_or_default();
+            PlannedCell {
+                messages: trial.batches[b].0,
+                batch: self.compile(&paths),
+                unreachable: unreachable.len(),
+                replans,
+            }
+        });
+        (cells, plan.trees)
+    }
+}
+
+/// One estimator trial: its cells, each `(messages, demand_seed)`, and the
+/// plan seed they share.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Trial {
+    /// The trial's cells in order: batch size and demand seed.
+    pub batches: Vec<(usize, u64)>,
+    /// Drives the route planning of every cell of the trial.
+    pub plan_seed: u64,
+}
+
+/// What [`measure_trials`] measured.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Measured<X> {
+    /// Every trial's cells, trial-major, in batch order within a trial.
+    pub cells: Vec<CellSample>,
+    /// BFS trees the planning computed ([`crate::TrialPlan::trees`]).
+    pub trees: u64,
+    /// What the side task returned.
+    pub side: X,
+}
+
+/// A planned, compiled cell awaiting its route run.
+struct PlannedCell {
+    messages: usize,
+    batch: PacketBatch,
+    unreachable: usize,
+    replans: u64,
+}
+
+/// A job of a route run: a cell's index and outcome, or the side task's
+/// value.
+enum Routed<X> {
+    Cell(usize, RoutingOutcome),
+    Side(X),
 }
 
 /// One rate sample at a specific batch size.
@@ -235,19 +347,15 @@ pub fn measure_rate(
 }
 
 /// Measure several batches that share `plan_seed` — one estimator trial's
-/// cells, each `(messages, demand_seed)` — on a compile-once [`RouteCtx`].
+/// cells, each `(messages, demand_seed)` — on a compile-once [`RouteCtx`]:
+/// [`measure_trials`] with one trial and no side task.
 ///
 /// `demand_seed` drives a batch's traffic draw and `plan_seed` its route
 /// planning. Splitting them lets saturation sweeps vary the batch while
 /// *reusing* one plan seed per trial, so every cell of the trial shares the
-/// same BFS trees. Every batch draws its demands, then [`plan_trial`] plans
-/// them all at once around the context's faults and through its cache (one
-/// BFS tree per distinct source across the batches, sources fanned out over
-/// `pool`), then the batches route on `pool`, largest first, so the longest
-/// run starts at once. Samples come back in batch order, each bit-identical
-/// to measuring that batch alone, for every worker count, with or without
-/// a cache. The two phases are timed as the `estimate_plan` and
-/// `estimate_route` telemetry spans.
+/// same BFS trees. Samples come back in batch order, each bit-identical to
+/// measuring that batch alone, for every worker count, with or without a
+/// cache.
 pub fn measure_rates_ctx(
     ctx: &RouteCtx<'_>,
     traffic: &Traffic,
@@ -257,47 +365,113 @@ pub fn measure_rates_ctx(
     plan_seed: u64,
     pool: Pool,
 ) -> Vec<CellSample> {
+    let trial = Trial {
+        batches: batches.to_vec(),
+        plan_seed,
+    };
+    measure_trials(ctx, traffic, &[trial], strategy, cfg, pool, || ()).cells
+}
+
+/// The wire ids (4 bytes each, so 16 MiB) below which a parallel
+/// [`measure_trials`] plans one more trial into a route run. A trial that
+/// reaches it alone routes alone: the vertex paths its batches were
+/// compiled from stay resident in the allocator's heap, so a second such
+/// trial's batches on top raise peak memory by a third (`fcnemu beta mesh2
+/// 16384`, 19.6 M wire ids a trial: 216 MB one trial at a time, 289 MB two).
+pub const IN_FLIGHT_HOPS: u64 = 1 << 22;
+
+/// Measure an estimator's trials on a compile-once [`RouteCtx`], and run
+/// `side` once on the same pool (see the module's *trial schedule*).
+///
+/// Each trial draws its cells' demands, then [`plan_trial`] plans them all
+/// at once around the context's faults and through its cache (one BFS tree
+/// per distinct source across the cells, sources fanned out over `pool`),
+/// and each cell is compiled as soon as its trial is planned. A route run
+/// takes consecutive trials while their batches hold fewer than
+/// [`IN_FLIGHT_HOPS`] wire ids (one trial on a sequential pool) and routes
+/// their cells largest batch first. `side` joins the last route run as one
+/// more job: second in line on a parallel pool, where it starts beside the
+/// largest cell, and last on a sequential one, so a sequential run still
+/// routes every cell before it. Samples come back trial-major in batch
+/// order, each bit-identical to measuring its trial alone, for every
+/// worker count and trial count, with or without a cache. Each trial's
+/// plan phase is timed as an `estimate_plan` telemetry span and each route
+/// run as an `estimate_route` span.
+pub fn measure_trials<X: Send>(
+    ctx: &RouteCtx<'_>,
+    traffic: &Traffic,
+    trials: &[Trial],
+    strategy: Strategy,
+    cfg: RouterConfig,
+    pool: Pool,
+    side: impl Fn() -> X + Sync,
+) -> Measured<X> {
+    let budget = if pool.jobs() > 1 { IN_FLIGHT_HOPS } else { 0 };
+    measure_trials_within(ctx, traffic, trials, strategy, cfg, pool, side, budget)
+}
+
+/// [`measure_trials`] with its in-flight budget, in wire ids, spelled out.
+#[allow(clippy::too_many_arguments)]
+fn measure_trials_within<X: Send>(
+    ctx: &RouteCtx<'_>,
+    traffic: &Traffic,
+    trials: &[Trial],
+    strategy: Strategy,
+    cfg: RouterConfig,
+    pool: Pool,
+    side: impl Fn() -> X + Sync,
+    in_flight_hops: u64,
+) -> Measured<X> {
     assert!(
         traffic.n() <= ctx.machine.processors(),
         "traffic addresses more processors than the machine has"
     );
-    let demands: Vec<Vec<(NodeId, NodeId)>> = batches
-        .iter()
-        .map(|&(messages, demand_seed)| {
-            assert!(messages >= 1);
-            let mut rng = {
-                use rand::SeedableRng;
-                rand::rngs::StdRng::seed_from_u64(demand_seed)
-            };
-            (0..messages).map(|_| traffic.sample(&mut rng)).collect()
-        })
-        .collect();
-    let slices: Vec<&[(NodeId, NodeId)]> = demands.iter().map(Vec::as_slice).collect();
-    let plan_span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_ESTIMATE_PLAN);
-    let plans = plan_trial(
-        ctx.machine,
-        &slices,
-        strategy,
-        plan_seed,
-        ctx.faults.as_ref(),
-        ctx.cache,
-        pool,
-    );
-    drop(plan_span);
-    let mut order: Vec<usize> = (0..batches.len()).collect();
-    order.sort_by_key(|&b| Reverse(batches[b].0));
-    let route_span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_ESTIMATE_ROUTE);
-    let outcomes = pool.run(order.len(), |k| {
-        ctx.route_planned(&plans[order[k]].paths, cfg)
-    });
-    drop(route_span);
-    let mut samples: Vec<(usize, CellSample)> = order
-        .into_iter()
-        .zip(outcomes)
-        .map(|(b, outcome)| {
-            let sample = CellSample {
+    assert!(!trials.is_empty(), "at least one trial");
+    let mut cells = Vec::with_capacity(trials.iter().map(|t| t.batches.len()).sum());
+    let mut trees = 0;
+    let mut side_value = None;
+    let mut next = 0;
+    while next < trials.len() {
+        // Plan this route run's trials: the next one, then more while the
+        // planned batches stay under budget.
+        let mut planned: Vec<PlannedCell> = Vec::new();
+        let mut hops = 0;
+        while next < trials.len() && (planned.is_empty() || hops < in_flight_hops) {
+            let (trial_cells, computed) = ctx.plan_cells(traffic, &trials[next], strategy, pool);
+            hops += trial_cells
+                .iter()
+                .map(|c| c.batch.total_hops())
+                .sum::<u64>();
+            planned.extend(trial_cells);
+            trees += computed;
+            next += 1;
+        }
+        // Jobs: cell indices largest batch first (ties in trial order), and
+        // `None` for the side task in the last run.
+        let mut jobs: Vec<Option<usize>> = (0..planned.len()).map(Some).collect();
+        jobs.sort_by_key(|&c| c.map(|c| Reverse(planned[c].messages)));
+        if next == trials.len() {
+            let at = if pool.jobs() > 1 { 1 } else { jobs.len() };
+            jobs.insert(at.min(jobs.len()), None);
+        }
+        let route_span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_ESTIMATE_ROUTE);
+        let done = pool.run(jobs.len(), |k| match jobs[k] {
+            Some(c) => Routed::Cell(c, ctx.route_batch(&planned[c].batch, cfg)),
+            None => Routed::Side(side()),
+        });
+        drop(route_span);
+        let mut outcomes = Vec::with_capacity(planned.len());
+        for routed in done {
+            match routed {
+                Routed::Cell(c, outcome) => outcomes.push((c, outcome)),
+                Routed::Side(value) => side_value = Some(value),
+            }
+        }
+        outcomes.sort_by_key(|&(c, _)| c);
+        for (cell, (_, outcome)) in planned.into_iter().zip(outcomes) {
+            cells.push(CellSample {
                 sample: RateSample {
-                    messages: batches[b].0,
+                    messages: cell.messages,
                     ticks: outcome.ticks,
                     rate: outcome.rate(),
                     completed: !matches!(
@@ -306,15 +480,18 @@ pub fn measure_rates_ctx(
                     ),
                 },
                 stranded: outcome.stranded,
-                unreachable: plans[b].unreachable.len(),
-                replans: plans[b].replans,
+                unreachable: cell.unreachable,
+                replans: cell.replans,
                 abort: outcome.abort,
-            };
-            (b, sample)
-        })
-        .collect();
-    samples.sort_by_key(|&(b, _)| b);
-    samples.into_iter().map(|(_, sample)| sample).collect()
+            });
+        }
+    }
+    #[expect(
+        clippy::expect_used,
+        reason = "the last route run holds the side job exactly once"
+    )]
+    let side = side_value.expect("the last route run ran the side task");
+    Measured { cells, trees, side }
 }
 
 /// The plateau estimate from a sweep: the maximum completed rate.
@@ -404,6 +581,68 @@ mod tests {
         assert!(s.rate > 0.5, "bus rate {}", s.rate);
     }
 
+    /// Trials of `multipliers` cells on `n` processors, seeded like an
+    /// estimator grid's.
+    fn grid(trials: usize, multipliers: &[usize], n: usize) -> Vec<Trial> {
+        (0..trials)
+            .map(|t| Trial {
+                batches: multipliers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| (k * n, fcn_exec::job_seed(5, (t * 8 + i) as u64)))
+                    .collect(),
+                plan_seed: fcn_exec::job_seed(6, t as u64),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_route_run_window_matches_trials_measured_alone() {
+        // The in-flight budget decides which trials share a route run:
+        // none (each trial alone), about one trial's batches (runs of two,
+        // and an odd last trial alone) or everything in one run. Every
+        // window, on every worker count, must give each trial's cells the
+        // bits of measuring that trial alone on one worker.
+        for m in [Machine::mesh(2, 6), Machine::de_bruijn(5)] {
+            let t = m.symmetric_traffic();
+            let ctx = RouteCtx::new(&m);
+            let trials = grid(5, &[1, 4, 2], t.n());
+            let alone: Vec<CellSample> = trials
+                .iter()
+                .flat_map(|trial| {
+                    let (batches, seed) = (&trial.batches, trial.plan_seed);
+                    let pool = Pool::sequential();
+                    measure_rates_ctx(&ctx, &t, batches, Strategy::ShortestPath, cfg(), seed, pool)
+                })
+                .collect();
+            let trial_hops: u64 = {
+                let (cells, _) =
+                    ctx.plan_cells(&t, &trials[0], Strategy::ShortestPath, Pool::sequential());
+                cells.iter().map(|c| c.batch.total_hops()).sum()
+            };
+            for count in [1, 2, 3, 5] {
+                for jobs in [1, 2, 3] {
+                    for budget in [0, trial_hops + 1, u64::MAX] {
+                        let got = measure_trials_within(
+                            &ctx,
+                            &t,
+                            &trials[..count],
+                            Strategy::ShortestPath,
+                            cfg(),
+                            Pool::new(jobs),
+                            || count * 10 + jobs,
+                            budget,
+                        );
+                        let what =
+                            format!("{} trials={count} jobs={jobs} budget={budget}", m.name());
+                        assert_eq!(got.cells, alone[..count * 3], "{what}");
+                        assert_eq!(got.side, count * 10 + jobs, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn rates_increase_with_batch_size() {
         let m = Machine::mesh(2, 8);
@@ -476,10 +715,9 @@ mod tests {
     #[test]
     fn malformed_route_panics_with_typed_message() {
         let m = Machine::linear_array(4);
-        let panic = std::panic::catch_unwind(|| {
-            RouteCtx::new(&m).route_planned(&[PacketPath::new(vec![0, 3])], cfg())
-        })
-        .expect_err("a path off the host graph must panic");
+        let panic =
+            std::panic::catch_unwind(|| RouteCtx::new(&m).compile(&[PacketPath::new(vec![0, 3])]))
+                .expect_err("a path off the host graph must panic");
         let msg = panic.downcast_ref::<String>().expect("formatted message");
         assert!(msg.contains("no wire 0 -> 3"), "{msg}");
     }

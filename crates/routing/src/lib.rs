@@ -50,9 +50,10 @@ pub use engine::{
     route_compiled, route_compiled_pooled, AbortCause, RouterConfig, RouterScratch, RoutingOutcome,
 };
 pub use harness::{
-    measure_rate, measure_rates_ctx, plateau_rate, CellSample, RateSample, RouteCtx,
+    measure_rate, measure_rates_ctx, measure_trials, plateau_rate, CellSample, Measured,
+    RateSample, RouteCtx, Trial, IN_FLIGHT_HOPS,
 };
-pub use native::{plan_routes_cached, plan_trial, DegradedPlan, Faults};
+pub use native::{plan_routes_cached, plan_trial, DegradedPlan, Faults, TrialPlan};
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};
 pub use steady::{saturation_throughput, steady_state_rate_ctx, SteadyConfig, SteadyOutcome};

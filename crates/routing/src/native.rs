@@ -52,6 +52,7 @@ pub fn plan_routes_cached(
         cache,
         Pool::sequential(),
     )
+    .batches
     .into_iter()
     .flat_map(|plan| plan.paths)
     .collect()
@@ -78,7 +79,7 @@ impl<'a> Faults<'a> {
 
 /// Outcome of planning one batch, around a [`FaultPlan`] or on the intact
 /// machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DegradedPlan {
     /// Routes for every *routable* demand, in input order (unreachable
     /// demands are simply absent).
@@ -89,6 +90,18 @@ pub struct DegradedPlan {
     /// Demands whose native route crossed a fault and were successfully
     /// re-routed by BFS on the degraded graph.
     pub replans: u64,
+}
+
+/// What [`plan_trial`] produces: each batch's plan, and the BFS trees the
+/// planning computed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TrialPlan {
+    /// One plan per batch, in input order.
+    pub batches: Vec<DegradedPlan>,
+    /// BFS trees computed for these batches: every tree planned, less those
+    /// the attached [`PlanCache`] served. Planners that route arithmetically
+    /// compute none.
+    pub trees: u64,
 }
 
 /// Plan several batches that share one plan seed — the cells of one
@@ -128,7 +141,7 @@ pub fn plan_trial(
     faults: Option<&Faults<'_>>,
     cache: Option<&PlanCache>,
     pool: Pool,
-) -> Vec<DegradedPlan> {
+) -> TrialPlan {
     let policy = machine.route_policy();
     let graph = faults.map_or(machine.graph(), |f| &f.graph);
     let oracle = || {
@@ -147,19 +160,19 @@ pub fn plan_trial(
             RoutePolicy::ShortestPath | RoutePolicy::RestrictToPrefix(_)
         );
     // Phase 1 — candidate routes, one list per batch.
+    let mut trees = 0;
     let mut candidates: Vec<Vec<Option<PacketPath>>> = if bfs {
-        let mut routes = oracle()
-            .with_pool(pool)
-            .try_routes(&batches.concat(), strategy)
-            .into_iter();
+        let mut o = oracle().with_pool(pool);
+        let mut routes = o.try_routes(&batches.concat(), strategy).into_iter();
+        trees += o.trees_computed();
         batches
             .iter()
             .map(|b| routes.by_ref().take(b.len()).collect())
             .collect()
     } else {
-        pool.run(batches.len(), |b| {
+        let planned = pool.run(batches.len(), |b| {
             let demands = batches[b];
-            match (strategy, policy) {
+            let routes = match (strategy, policy) {
                 (Strategy::ShortestPath, RoutePolicy::DeBruijnBits { g }) => demands
                     .iter()
                     .map(|&(u, v)| Some(PacketPath::new(de_bruijn_path(u, v, g))))
@@ -179,9 +192,21 @@ pub fn plan_trial(
                         .collect()
                 }
                 // Valiant; BFS shortest paths were planned above.
-                _ => oracle().try_routes(demands, strategy),
-            }
-        })
+                _ => {
+                    let mut o = oracle();
+                    let routes = o.try_routes(demands, strategy);
+                    return (routes, o.trees_computed());
+                }
+            };
+            (routes, 0)
+        });
+        planned
+            .into_iter()
+            .map(|(routes, computed)| {
+                trees += computed;
+                routes
+            })
+            .collect()
     };
     let mut replans = vec![0u64; batches.len()];
     if let Some(faults) = faults {
@@ -209,9 +234,9 @@ pub fn plan_trial(
         if !repairs.is_empty() {
             let demands: Vec<(NodeId, NodeId)> =
                 repairs.iter().map(|&(b, i)| batches[b][i]).collect();
-            let repaired = oracle()
-                .with_pool(pool)
-                .try_routes(&demands, Strategy::ShortestPath);
+            let mut o = oracle().with_pool(pool);
+            let repaired = o.try_routes(&demands, Strategy::ShortestPath);
+            trees += o.trees_computed();
             for (&(b, i), route) in repairs.iter().zip(repaired) {
                 replans[b] += u64::from(route.is_some());
                 candidates[b][i] = route;
@@ -256,7 +281,10 @@ pub fn plan_trial(
             });
         }
     }
-    plans
+    TrialPlan {
+        batches: plans,
+        trees,
+    }
 }
 
 /// The classical de Bruijn route: shift in the destination's bits, most
@@ -650,6 +678,7 @@ mod tests {
                             let one = [b.as_slice()];
                             let pool = Pool::sequential();
                             plan_trial(&m, &one, strategy, 9, faults.as_ref(), None, pool)
+                                .batches
                                 .swap_remove(0)
                         })
                         .collect();
@@ -674,7 +703,8 @@ mod tests {
                             m.name(),
                             faults.is_some()
                         );
-                        assert_eq!(trial, alone, "{what}");
+                        assert_eq!(trial.batches, alone, "{what}");
+                        assert_eq!(trial.trees, cache.misses(), "{what}");
                         if strategy == Strategy::ShortestPath {
                             assert_eq!(cache.hits(), 0, "{what}: a tree planned twice");
                         }

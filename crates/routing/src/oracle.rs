@@ -40,6 +40,7 @@
 //! [`crate::compiled::RouteError`] from that step indicates a planner bug,
 //! not bad input.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fcn_exec::{job_seed, Pool};
@@ -70,6 +71,8 @@ pub struct PathOracle<'g> {
     graph_fp: u64,
     /// Workers the distinct sources of a batch fan out over.
     pool: Pool,
+    /// BFS trees this oracle computed (a cache hit computes none).
+    trees: AtomicU64,
 }
 
 impl<'g> PathOracle<'g> {
@@ -83,6 +86,7 @@ impl<'g> PathOracle<'g> {
             cache: None,
             graph_fp: 0,
             pool: Pool::sequential(),
+            trees: AtomicU64::new(0),
         }
     }
 
@@ -107,6 +111,15 @@ impl<'g> PathOracle<'g> {
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
         self
+    }
+
+    /// BFS trees this oracle has computed: every tree it asked for, less
+    /// those an attached [`PlanCache`] served. Two oracles sharing one cache
+    /// split its misses between them.
+    pub(crate) fn trees_computed(&self) -> u64 {
+        // ordering: a count read after the pool runs that added to it have
+        // joined; no other memory is published through it.
+        self.trees.load(Ordering::Relaxed)
     }
 
     /// Compute routes for the given demands under a strategy.
@@ -229,6 +242,8 @@ impl<'g> PathOracle<'g> {
     fn parents_for(&self, src: NodeId, targets: &[NodeId]) -> Arc<Vec<NodeId>> {
         let bfs_seed = job_seed(self.plan_seed ^ BFS_STREAM, src as u64);
         let tree = |stop_at: Option<&[NodeId]>| {
+            // ordering: a commutative count; see `trees_computed`.
+            self.trees.fetch_add(1, Ordering::Relaxed);
             let mut rng = StdRng::seed_from_u64(bfs_seed);
             let (parent, dequeued) =
                 bfs_parents_shuffled(self.graph, src, self.node_limit, stop_at, &mut rng);

@@ -21,7 +21,8 @@ pub const EXEC_JOBS_TOTAL: &str = "exec_jobs_total";
 pub const EXEC_WORKERS_LAST: &str = "exec_workers_last";
 /// Wall-clock nanoseconds workers spent running jobs.
 pub const EXEC_WORKER_BUSY_NANOS_TOTAL: &str = "exec_worker_busy_nanos_total";
-/// Wall-clock nanoseconds workers spent waiting for work.
+/// Wall-clock nanoseconds workers spent waiting: workers × the run's wall
+/// span − busy, so a worker that ran out of jobs counts its wait at the join.
 pub const EXEC_WORKER_IDLE_NANOS_TOTAL: &str = "exec_worker_idle_nanos_total";
 /// Watchdog deadline expiries that triggered cancellation.
 pub const EXEC_WATCHDOG_FIRED_TOTAL: &str = "exec_watchdog_fired_total";

@@ -55,6 +55,7 @@ fn plan_one(
         None,
         Pool::sequential(),
     )
+    .batches
     .swap_remove(0)
 }
 
