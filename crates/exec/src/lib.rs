@@ -491,13 +491,13 @@ mod tests {
     fn merged_job_shards_match_sequential() {
         use fcn_telemetry as tele;
         let _serial = TELEMETRY.lock();
-        // Unique metric names so concurrent tests in this binary can't
-        // collide; all comparisons are against this thread's own shard.
+        // Table names the pool itself never records; all comparisons are
+        // against this thread's own shard.
         let work = |i: usize| {
             tele::with_shard(|s| {
-                s.add("exectest_jobs_seen_total", 1);
-                s.record("exectest_hist", (i as u64) % 13);
-                s.set_gauge("exectest_last_index", i as u64);
+                s.add(tele::names::ROUTER_RUNS_TOTAL, 1);
+                s.record(tele::names::ROUTER_QUEUE_OCCUPANCY, (i as u64) % 13);
+                s.set_gauge(tele::names::PLAN_CACHE_ENTRIES, i as u64);
             });
             i * 3
         };
@@ -505,24 +505,28 @@ mod tests {
         let _ = tele::take_shard();
         let seq_out = Pool::sequential().run(40, work);
         let seq = tele::take_shard();
-        assert_eq!(seq.counter("exectest_jobs_seen_total"), 40);
+        assert_eq!(seq.counter(tele::names::ROUTER_RUNS_TOTAL), 40);
         for jobs in [2, 4, 8] {
             let par_out = Pool::new(jobs).run(40, work);
             let par = tele::take_shard();
             assert_eq!(par_out, seq_out, "jobs={jobs} results diverged");
             assert_eq!(
-                par.counter("exectest_jobs_seen_total"),
-                seq.counter("exectest_jobs_seen_total"),
+                par.counter(tele::names::ROUTER_RUNS_TOTAL),
+                seq.counter(tele::names::ROUTER_RUNS_TOTAL),
                 "jobs={jobs}"
             );
             assert_eq!(
-                par.histogram("exectest_hist"),
-                seq.histogram("exectest_hist"),
+                par.histogram(tele::names::ROUTER_QUEUE_OCCUPANCY),
+                seq.histogram(tele::names::ROUTER_QUEUE_OCCUPANCY),
                 "jobs={jobs}"
             );
             // Index-order merge keeps the *last* job's gauge, exactly like
             // sequential execution.
-            assert_eq!(par.gauge("exectest_last_index"), Some(39), "jobs={jobs}");
+            assert_eq!(
+                par.gauge(tele::names::PLAN_CACHE_ENTRIES),
+                Some(39),
+                "jobs={jobs}"
+            );
             assert_eq!(par.counter(fcn_telemetry::names::EXEC_JOBS_TOTAL), 40);
             assert_eq!(
                 par.gauge(fcn_telemetry::names::EXEC_WORKERS_LAST),

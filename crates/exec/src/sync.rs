@@ -188,8 +188,8 @@ mod tests {
         let state = Lock::new(0u64);
         let reg = fcn_telemetry::MetricsRegistry::new();
         let mut g = state.lock();
-        reg.counter("sync_test_total").inc();
-        *g = reg.snapshot().counters["sync_test_total"];
+        reg.counter(fcn_telemetry::names::ROUTER_RUNS_TOTAL).inc();
+        *g = reg.snapshot().counters[fcn_telemetry::names::ROUTER_RUNS_TOTAL];
         drop(g);
         assert_eq!(state.into_inner(), 1);
     }

@@ -1,9 +1,10 @@
 //! The deadline-wrapping framed I/O layer.
 //!
 //! Every blocking socket read or write in this crate goes through
-//! [`FramedConn`] — this file is the single allowlisted home of raw
-//! `read`/`write` calls (enforced by `fcn-analyze`'s `SERVE-DEADLINE`
-//! rule), so no code path can accidentally block forever on a peer:
+//! [`FramedConn`]. This file and its `chaos` child are the only home of raw
+//! `read`/`write` calls and other blocking OS calls (the workspace test
+//! `tests/workspace_rules.rs` scans the rest of the crate), so no code path
+//! can accidentally block forever on a peer:
 //!
 //! * reads poll a caller-supplied stop flag at `poll_interval` while
 //!   waiting *between* frames, so an idle connection observes a server

@@ -1136,20 +1136,20 @@ mod tests {
         let first = MergeTicket::claim(&merge, &reg);
         let second = MergeTicket::claim(&merge, &reg);
         // Complete the *later* slot first, with a real delta...
-        with_shard(|s| s.add("mergetickettest_done_total", 1));
+        with_shard(|s| s.add(names::SERVE_REQUESTS_TOTAL, 1));
         second.finish(take_shard());
         // ...which cannot flush until seq 0 completes. Dropping the first
         // ticket unfinished (the unwind/disconnect path) must fill slot 0
         // and release the flush, not stall it forever.
         assert_eq!(
-            reg.snapshot().counters.get("mergetickettest_done_total"),
+            reg.snapshot().counters.get(names::SERVE_REQUESTS_TOTAL),
             None
         );
         drop(first);
         assert_eq!(
             reg.snapshot()
                 .counters
-                .get("mergetickettest_done_total")
+                .get(names::SERVE_REQUESTS_TOTAL)
                 .copied(),
             Some(1)
         );

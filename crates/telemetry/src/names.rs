@@ -2,10 +2,11 @@
 //!
 //! Every instrumented crate refers to these consts instead of inline string
 //! literals, so a metric name cannot drift between its emitter, its tests,
-//! and the rendered snapshot. `fcn-analyze`'s `TEL-NAME` rule enforces this
-//! at the token level: a string literal fed directly to a shard/registry
-//! call is a finding, and duplicate values *in this table* are findings too
-//! (two consts silently aliasing one name is how drift starts).
+//! and the rendered snapshot. In debug builds every `MetricsRegistry`
+//! getter and `LocalShard` recorder asserts that its name is in [`ALL`], so
+//! a literal name fails the first test that records it. The workspace test
+//! `tests/workspace_rules.rs` checks that [`ALL`] lists every const here and
+//! that each const is used by some library or binary outside this file.
 //!
 //! Naming conventions (Prometheus-compatible, checked by the table test):
 //! counters end in `_total`, histograms and spans are bare nouns, gauges

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard, OnceLock, PoisonError};
 
 use crate::hist::{bucket_index, LocalHistogram, HIST_BUCKETS};
+use crate::names::ALL;
 use crate::snapshot::MetricsSnapshot;
 
 /// A monotonically increasing `u64` counter.
@@ -154,15 +155,15 @@ impl Histogram {
 /// sites can share one counter.
 ///
 /// ```
-/// use fcn_telemetry::MetricsRegistry;
+/// use fcn_telemetry::{names, MetricsRegistry};
 ///
 /// let reg = MetricsRegistry::new();
 /// assert!(!reg.enabled());
-/// reg.counter("demo_total").add(3);
-/// reg.histogram("demo_hist").record(7);
+/// reg.counter(names::ROUTER_RUNS_TOTAL).add(3);
+/// reg.histogram(names::ROUTER_QUEUE_OCCUPANCY).record(7);
 /// let snap = reg.snapshot();
-/// assert_eq!(snap.counters["demo_total"], 3);
-/// assert_eq!(snap.histograms["demo_hist"].count, 1);
+/// assert_eq!(snap.counters[names::ROUTER_RUNS_TOTAL], 3);
+/// assert_eq!(snap.histograms[names::ROUTER_QUEUE_OCCUPANCY].count, 1);
 /// ```
 #[derive(Debug, Default)]
 #[allow(
@@ -184,14 +185,21 @@ struct Maps {
     histograms: BTreeMap<String, Histogram>,
 }
 
-/// Metric names are Prometheus-compatible identifiers.
-fn assert_name(name: &str) {
+/// Every metric name comes from the [`names`](crate::names) table: a table
+/// const, or the `span_{name}_calls_total` / `span_{name}_nanos_total`
+/// counter pair that a table span flushes into. Checked in debug builds
+/// only, so a name typed as a literal fails the first test that records it.
+#[inline]
+pub(crate) fn assert_name(name: &str) {
     debug_assert!(
-        !name.is_empty()
-            && name
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
-        "metric name {name:?} must be lowercase [a-z0-9_]"
+        ALL.contains(&name)
+            || name
+                .strip_prefix("span_")
+                .and_then(|r| r
+                    .strip_suffix("_calls_total")
+                    .or(r.strip_suffix("_nanos_total")))
+                .is_some_and(|s| ALL.contains(&s)),
+        "metric name {name:?} is not in fcn_telemetry::names::ALL"
     );
 }
 
@@ -296,15 +304,18 @@ pub fn global() -> &'static MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{
+        EXEC_RUNS_TOTAL, EXEC_WORKERS_LAST, ROUTER_QUEUE_OCCUPANCY, ROUTER_RUNS_TOTAL,
+    };
 
     #[test]
     fn counters_are_shared_by_name() {
         let reg = MetricsRegistry::new();
-        let a = reg.counter("shared_total");
-        let b = reg.counter("shared_total");
+        let a = reg.counter(ROUTER_RUNS_TOTAL);
+        let b = reg.counter(ROUTER_RUNS_TOTAL);
         a.add(2);
         b.inc();
-        assert_eq!(reg.counter("shared_total").get(), 3);
+        assert_eq!(reg.counter(ROUTER_RUNS_TOTAL).get(), 3);
     }
 
     #[test]
@@ -346,14 +357,14 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let reg = MetricsRegistry::new();
-        reg.counter("b_total").inc();
-        reg.counter("a_total").add(4);
-        reg.gauge("g").set(7);
-        reg.histogram("h").record(2);
+        reg.counter(ROUTER_RUNS_TOTAL).inc();
+        reg.counter(EXEC_RUNS_TOTAL).add(4);
+        reg.gauge(EXEC_WORKERS_LAST).set(7);
+        reg.histogram(ROUTER_QUEUE_OCCUPANCY).record(2);
         let snap = reg.snapshot();
         let names: Vec<_> = snap.counters.keys().cloned().collect();
-        assert_eq!(names, ["a_total", "b_total"]);
-        assert_eq!(snap.gauges["g"], 7);
-        assert_eq!(snap.histograms["h"].count, 1);
+        assert_eq!(names, [EXEC_RUNS_TOTAL, ROUTER_RUNS_TOTAL]);
+        assert_eq!(snap.gauges[EXEC_WORKERS_LAST], 7);
+        assert_eq!(snap.histograms[ROUTER_QUEUE_OCCUPANCY].count, 1);
     }
 }

@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::hist::LocalHistogram;
-use crate::registry::MetricsRegistry;
+use crate::registry::{assert_name, MetricsRegistry};
 
 /// Aggregate for one span name: call count plus total elapsed nanos.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,7 +28,8 @@ pub struct SpanStat {
 /// A plain, single-threaded bundle of metrics.
 ///
 /// Keys are `&'static str` because every metric name in the workspace is a
-/// compile-time constant; this keeps the hot path free of allocation.
+/// const of the [`names`](crate::names) table (each recorder debug-asserts
+/// it); this keeps the hot path free of allocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalShard {
     counters: BTreeMap<&'static str, u64>,
@@ -46,6 +47,7 @@ impl LocalShard {
     /// Add `v` to counter `name`.
     #[inline]
     pub fn add(&mut self, name: &'static str, v: u64) {
+        assert_name(name);
         *self.counters.entry(name).or_insert(0) += v;
     }
 
@@ -58,12 +60,14 @@ impl LocalShard {
     /// Set gauge `name` (last write wins; in a merge, `other` wins).
     #[inline]
     pub fn set_gauge(&mut self, name: &'static str, v: u64) {
+        assert_name(name);
         self.gauges.insert(name, v);
     }
 
     /// Record one observation into histogram `name`.
     #[inline]
     pub fn record(&mut self, name: &'static str, v: u64) {
+        assert_name(name);
         self.histograms.entry(name).or_default().record(v);
     }
 
@@ -71,6 +75,7 @@ impl LocalShard {
     /// router, which accumulates its per-run occupancy histogram locally
     /// and hands it over in one call).
     pub fn record_histogram(&mut self, name: &'static str, h: &LocalHistogram) {
+        assert_name(name);
         if !h.is_empty() {
             self.histograms.entry(name).or_default().merge(h);
         }
@@ -79,6 +84,7 @@ impl LocalShard {
     /// Record one completed span.
     #[inline]
     pub fn record_span(&mut self, name: &'static str, nanos: u64) {
+        assert_name(name);
         let s = self.spans.entry(name).or_default();
         s.calls += 1;
         s.nanos += nanos;
@@ -192,27 +198,31 @@ pub fn flush_thread_shard(reg: &MetricsRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{
+        EXEC_WORKERS_LAST, PLAN_CACHE_ENTRIES, ROUTER_HOPS_TOTAL, ROUTER_QUEUE_OCCUPANCY,
+        ROUTER_RUNS_TOTAL, ROUTER_TICKS_TOTAL, SPAN_FLUX,
+    };
 
     #[test]
     fn merge_adds_counters_hists_spans_and_overwrites_gauges() {
         let mut a = LocalShard::new();
-        a.add("c_total", 2);
-        a.set_gauge("g", 1);
-        a.record("h", 4);
-        a.record_span("work", 10);
+        a.add(ROUTER_RUNS_TOTAL, 2);
+        a.set_gauge(EXEC_WORKERS_LAST, 1);
+        a.record(ROUTER_QUEUE_OCCUPANCY, 4);
+        a.record_span(SPAN_FLUX, 10);
 
         let mut b = LocalShard::new();
-        b.add("c_total", 3);
-        b.set_gauge("g", 9);
-        b.record("h", 5);
-        b.record_span("work", 30);
+        b.add(ROUTER_RUNS_TOTAL, 3);
+        b.set_gauge(EXEC_WORKERS_LAST, 9);
+        b.record(ROUTER_QUEUE_OCCUPANCY, 5);
+        b.record_span(SPAN_FLUX, 30);
 
         a.merge(&b);
-        assert_eq!(a.counter("c_total"), 5);
-        assert_eq!(a.gauge("g"), Some(9));
-        assert_eq!(a.histogram("h").count, 2);
+        assert_eq!(a.counter(ROUTER_RUNS_TOTAL), 5);
+        assert_eq!(a.gauge(EXEC_WORKERS_LAST), Some(9));
+        assert_eq!(a.histogram(ROUTER_QUEUE_OCCUPANCY).count, 2);
         assert_eq!(
-            a.span("work"),
+            a.span(SPAN_FLUX),
             SpanStat {
                 calls: 2,
                 nanos: 40
@@ -223,11 +233,11 @@ mod tests {
     #[test]
     fn merge_is_order_sensitive_only_for_gauges() {
         let mut a = LocalShard::new();
-        a.add("x_total", 1);
-        a.record("h", 7);
+        a.add(ROUTER_TICKS_TOTAL, 1);
+        a.record(ROUTER_QUEUE_OCCUPANCY, 7);
         let mut b = LocalShard::new();
-        b.add("x_total", 4);
-        b.record("h", 2);
+        b.add(ROUTER_TICKS_TOTAL, 4);
+        b.record(ROUTER_QUEUE_OCCUPANCY, 2);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -238,12 +248,12 @@ mod tests {
 
     #[test]
     fn take_and_put_round_trip() {
-        with_shard(|s| s.add("tp_total", 7));
+        with_shard(|s| s.add(ROUTER_HOPS_TOTAL, 7));
         let shard = take_shard();
-        assert_eq!(shard.counter("tp_total"), 7);
+        assert_eq!(shard.counter(ROUTER_HOPS_TOTAL), 7);
         with_shard(|s| assert!(s.is_empty()));
         put_shard(shard);
-        with_shard(|s| assert_eq!(s.counter("tp_total"), 7));
+        with_shard(|s| assert_eq!(s.counter(ROUTER_HOPS_TOTAL), 7));
         // clean up for other tests on this thread
         let _ = take_shard();
     }
@@ -252,16 +262,16 @@ mod tests {
     fn flush_into_registry_including_spans() {
         let reg = MetricsRegistry::new();
         let mut s = LocalShard::new();
-        s.add("f_total", 2);
-        s.set_gauge("f_gauge", 5);
-        s.record("f_hist", 3);
-        s.record_span("step", 120);
+        s.add(ROUTER_RUNS_TOTAL, 2);
+        s.set_gauge(PLAN_CACHE_ENTRIES, 5);
+        s.record(ROUTER_QUEUE_OCCUPANCY, 3);
+        s.record_span(SPAN_FLUX, 120);
         s.flush_into(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters["f_total"], 2);
-        assert_eq!(snap.gauges["f_gauge"], 5);
-        assert_eq!(snap.histograms["f_hist"].count, 1);
-        assert_eq!(snap.counters["span_step_calls_total"], 1);
-        assert_eq!(snap.counters["span_step_nanos_total"], 120);
+        assert_eq!(snap.counters[ROUTER_RUNS_TOTAL], 2);
+        assert_eq!(snap.gauges[PLAN_CACHE_ENTRIES], 5);
+        assert_eq!(snap.histograms[ROUTER_QUEUE_OCCUPANCY].count, 1);
+        assert_eq!(snap.counters["span_flux_calls_total"], 1);
+        assert_eq!(snap.counters["span_flux_nanos_total"], 120);
     }
 }

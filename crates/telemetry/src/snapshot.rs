@@ -302,14 +302,18 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{
+        EXEC_JOBS_TOTAL, EXEC_RUNS_TOTAL, EXEC_WORKERS_LAST, ROUTER_QUEUE_OCCUPANCY,
+        ROUTER_RUNS_TOTAL, ROUTER_RUN_MAX_QUEUE, ROUTER_TICKS_TOTAL,
+    };
     use crate::registry::MetricsRegistry;
 
     fn sample() -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
-        reg.counter("a_total").add(3);
-        reg.counter("b_total").add(1);
-        reg.gauge("workers").set(4);
-        let h = reg.histogram("occ");
+        reg.counter(EXEC_RUNS_TOTAL).add(3);
+        reg.counter(EXEC_JOBS_TOTAL).add(1);
+        reg.gauge(EXEC_WORKERS_LAST).set(4);
+        let h = reg.histogram(ROUTER_QUEUE_OCCUPANCY);
         h.record(0);
         h.record(5);
         h.record(5);
@@ -353,34 +357,44 @@ mod tests {
     #[test]
     fn delta_since_subtracts_and_drops_zeroes() {
         let reg = MetricsRegistry::new();
-        reg.counter("steady_total").add(5);
-        reg.counter("idle_total").add(2);
-        reg.histogram("h").record(1);
+        reg.counter(ROUTER_TICKS_TOTAL).add(5);
+        reg.counter(ROUTER_RUNS_TOTAL).add(2);
+        reg.histogram(ROUTER_RUN_MAX_QUEUE).record(1);
         let base = reg.snapshot();
-        reg.counter("steady_total").add(7);
-        reg.gauge("g").set(9);
-        reg.histogram("h").record(8);
+        reg.counter(ROUTER_TICKS_TOTAL).add(7);
+        reg.gauge(EXEC_WORKERS_LAST).set(9);
+        reg.histogram(ROUTER_RUN_MAX_QUEUE).record(8);
         let now = reg.snapshot();
         let d = now.delta_since(&base);
-        assert_eq!(d.counters.get("steady_total"), Some(&7));
-        assert!(!d.counters.contains_key("idle_total"), "zero delta dropped");
-        assert_eq!(d.gauges["g"], 9);
-        assert_eq!(d.histograms["h"].count, 1);
-        assert_eq!(d.histograms["h"].sum, 8);
+        assert_eq!(d.counters.get(ROUTER_TICKS_TOTAL), Some(&7));
+        assert!(
+            !d.counters.contains_key(ROUTER_RUNS_TOTAL),
+            "zero delta dropped"
+        );
+        assert_eq!(d.gauges[EXEC_WORKERS_LAST], 9);
+        assert_eq!(d.histograms[ROUTER_RUN_MAX_QUEUE].count, 1);
+        assert_eq!(d.histograms[ROUTER_RUN_MAX_QUEUE].sum, 8);
     }
 
     #[test]
     fn prometheus_rendering_shape() {
         let snap = sample();
         let text = snap.to_prometheus();
-        assert!(text.contains("# TYPE a_total counter\na_total 3\n"));
-        assert!(text.contains("# TYPE workers gauge\nworkers 4\n"));
-        assert!(text.contains("# TYPE occ histogram\n"));
+        assert!(text.contains("# TYPE exec_runs_total counter\nexec_runs_total 3\n"));
+        assert!(text.contains("# TYPE exec_workers_last gauge\nexec_workers_last 4\n"));
+        assert!(text.contains("# TYPE router_queue_occupancy histogram\n"));
         // 0 falls in bucket 0 (le="0"), the two 5s in bucket 3 (le="7").
-        assert!(text.contains("occ_bucket{le=\"0\"} 1\n"), "{text}");
-        assert!(text.contains("occ_bucket{le=\"7\"} 3\n"), "{text}");
-        assert!(text.contains("occ_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.ends_with("occ_sum 10\nocc_count 3\n"));
+        let occ = "router_queue_occupancy";
+        assert!(
+            text.contains(&format!("{occ}_bucket{{le=\"0\"}} 1\n")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("{occ}_bucket{{le=\"7\"}} 3\n")),
+            "{text}"
+        );
+        assert!(text.contains(&format!("{occ}_bucket{{le=\"+Inf\"}} 3\n")));
+        assert!(text.ends_with(&format!("{occ}_sum 10\n{occ}_count 3\n")));
     }
 
     #[test]
@@ -391,7 +405,7 @@ mod tests {
         snap.counters
             .insert("exec_worker_busy_nanos_total".into(), 123);
         let clean = snap.without_wall_clock();
-        assert!(clean.counters.contains_key("a_total"));
+        assert!(clean.counters.contains_key(EXEC_RUNS_TOTAL));
         assert!(!clean.counters.contains_key("span_run_calls_total"));
         assert!(!clean.counters.contains_key("span_run_nanos_total"));
         assert!(!clean.counters.contains_key("exec_worker_busy_nanos_total"));

@@ -21,7 +21,7 @@ use crate::shard::with_shard;
 ///
 /// ```
 /// {
-///     let _span = fcn_telemetry::Span::enter("compile");
+///     let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_FLUX);
 ///     // ... timed work ...
 /// } // recorded here (if telemetry is enabled)
 /// ```
@@ -34,9 +34,11 @@ pub struct Span {
 
 impl Span {
     /// Start a span named `name`. Reads the clock only when the global
-    /// registry is enabled.
+    /// registry is enabled; the name is checked against the table either
+    /// way (debug builds).
     #[inline]
     pub fn enter(name: &'static str) -> Self {
+        crate::registry::assert_name(name);
         // Wall clock allowed: spans exist to measure wall time, and
         // span durations are excluded from determinism comparisons.
         #[allow(clippy::disallowed_methods)]
@@ -78,7 +80,7 @@ mod tests {
         }
         let _ = take_shard();
         {
-            let span = Span::enter("noop");
+            let span = Span::enter(crate::names::SPAN_FLUX);
             assert!(!span.is_active());
         }
         assert!(take_shard().is_empty());

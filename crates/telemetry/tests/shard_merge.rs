@@ -9,6 +9,10 @@
 //! * the merge is associative, so any contiguous grouping of jobs onto
 //!   workers gives the same result.
 
+use fcn_telemetry::names::{
+    BANDWIDTH_CELL_TICKS, EXEC_JOBS_TOTAL, EXEC_WORKERS_LAST, ROUTER_ABORTS_TOTAL,
+    ROUTER_HOPS_TOTAL, ROUTER_QUEUE_OCCUPANCY,
+};
 use fcn_telemetry::{LocalHistogram, LocalShard};
 use proptest::prelude::*;
 
@@ -17,14 +21,14 @@ use proptest::prelude::*;
 /// across hundreds of jobs.
 fn apply_job(shard: &mut LocalShard, draw: u64) {
     let v = draw & 0xffff_ffff;
-    shard.add("jobs_total", 1);
-    shard.add("work_total", v % 97);
-    shard.record("occupancy", v % 1024);
-    shard.record("ticks", v >> 16);
+    shard.add(EXEC_JOBS_TOTAL, 1);
+    shard.add(ROUTER_HOPS_TOTAL, v % 97);
+    shard.record(ROUTER_QUEUE_OCCUPANCY, v % 1024);
+    shard.record(BANDWIDTH_CELL_TICKS, v >> 16);
     if v.is_multiple_of(3) {
-        shard.inc("aborts_total");
+        shard.inc(ROUTER_ABORTS_TOTAL);
     }
-    shard.set_gauge("last_value", v);
+    shard.set_gauge(EXEC_WORKERS_LAST, v);
 }
 
 /// Run jobs `lo..hi` into a fresh shard (the "one worker owns this
