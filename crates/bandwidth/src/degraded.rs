@@ -33,7 +33,7 @@
 use fcn_exec::Pool;
 use fcn_faults::{FaultPlan, FaultSpec};
 use fcn_multigraph::Traffic;
-use fcn_routing::{CellSample, CompiledNet, RateSample, RouteCtx, RouterConfig, Strategy};
+use fcn_routing::{CellSample, CompiledNet, RateSample, RouteCtx};
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
 
@@ -48,20 +48,10 @@ pub struct DegradedSweep {
     /// Seed of the fault plane (independent of the traffic seed so the same
     /// degraded machine can be measured under many traffics).
     pub fault_seed: u64,
-    /// Batch sizes as multiples of the traffic population `n`.
-    pub multipliers: Vec<usize>,
-    /// Routing strategy (native policies degrade to BFS replanning around
-    /// dead wires automatically).
-    pub strategy: Strategy,
-    /// Router configuration (discipline, tick budget).
-    pub router: RouterConfig,
-    /// Independent trials per fault rate.
-    pub trials: usize,
-    /// Base seed for demand/plan streams (matches the intact estimator).
-    pub seed: u64,
-    /// Worker threads; `0` means one per hardware thread. Bit-identical for
-    /// every value.
-    pub jobs: usize,
+    /// The estimator run at each fault rate: its batch sizes, strategy
+    /// (native policies degrade to BFS replanning around dead wires
+    /// automatically), router, trials per rate, seed and worker count.
+    pub estimator: BandwidthEstimator,
 }
 
 impl Default for DegradedSweep {
@@ -69,12 +59,7 @@ impl Default for DegradedSweep {
         DegradedSweep {
             fault_rates: vec![0.0, 0.02, 0.05, 0.10],
             fault_seed: 0xfa17,
-            multipliers: vec![2, 4, 8],
-            strategy: Strategy::ShortestPath,
-            router: RouterConfig::default(),
-            trials: 3,
-            seed: 0xbead,
-            jobs: 1,
+            estimator: BandwidthEstimator::default(),
         }
     }
 }
@@ -125,19 +110,12 @@ impl DegradedPoint {
 impl DegradedSweep {
     /// Sweep `machine` under `traffic` across every configured fault rate.
     pub fn sweep(&self, machine: &Machine, traffic: &Traffic) -> Vec<DegradedPoint> {
-        assert!(self.trials >= 1, "at least one trial");
-        assert!(!self.multipliers.is_empty(), "at least one multiplier");
+        let estimator = &self.estimator;
+        assert!(estimator.trials >= 1, "at least one trial");
+        assert!(!estimator.multipliers.is_empty(), "at least one multiplier");
         assert!(!self.fault_rates.is_empty(), "at least one fault rate");
         let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_DEGRADED_BETA_SWEEP);
-        let estimator = BandwidthEstimator {
-            multipliers: self.multipliers.clone(),
-            strategy: self.strategy,
-            router: self.router,
-            trials: self.trials,
-            seed: self.seed,
-            jobs: self.jobs,
-        };
-        let pool = Pool::new(self.jobs);
+        let pool = Pool::new(estimator.jobs);
         let base = CompiledNet::shared(machine);
         self.fault_rates
             .iter()
@@ -145,7 +123,8 @@ impl DegradedSweep {
                 let spec = FaultSpec::uniform(self.fault_seed, fault_rate);
                 let plan = FaultPlan::generate(machine.graph(), &spec);
                 let ctx = RouteCtx::from_net(machine, base.clone()).with_faults(&plan);
-                let measured = estimator.run_trials(&ctx, traffic, 0..self.trials, pool, || ());
+                let measured =
+                    estimator.run_trials(&ctx, traffic, 0..estimator.trials, pool, || ());
                 self.aggregate(fault_rate, &plan, measured.cells)
             })
             .collect()
@@ -156,12 +135,6 @@ impl DegradedSweep {
         self.sweep(machine, &machine.symmetric_traffic())
     }
 
-    /// This sweep with a different worker count (builder-style).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
     fn aggregate(
         &self,
         fault_rate: f64,
@@ -169,7 +142,8 @@ impl DegradedSweep {
         samples: Vec<CellSample>,
     ) -> DegradedPoint {
         let rate_samples: Vec<RateSample> = samples.iter().map(|s| s.sample).collect();
-        let (plateau, complete_trials) = reduce_grid(&rate_samples, self.multipliers.len());
+        let (plateau, complete_trials) =
+            reduce_grid(&rate_samples, self.estimator.multipliers.len());
         let (rate, mean_rate) = plateau.unwrap_or((0.0, 0.0));
         let (dead_nodes, dead_links, outages) = plan.summary();
         let stranded: usize = samples.iter().map(|s| s.stranded).sum();
@@ -226,8 +200,11 @@ mod tests {
     fn quick_sweep(rates: &[f64]) -> DegradedSweep {
         DegradedSweep {
             fault_rates: rates.to_vec(),
-            multipliers: vec![2, 4],
-            trials: 2,
+            estimator: BandwidthEstimator {
+                multipliers: vec![2, 4],
+                trials: 2,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -283,7 +260,9 @@ mod tests {
         let t = m.symmetric_traffic();
         let seq = quick_sweep(&[0.0, 0.2]).sweep(&m, &t);
         for jobs in [2, 4] {
-            let par = quick_sweep(&[0.0, 0.2]).with_jobs(jobs).sweep(&m, &t);
+            let mut par = quick_sweep(&[0.0, 0.2]);
+            par.estimator.jobs = jobs;
+            let par = par.sweep(&m, &t);
             assert_eq!(par, seq, "jobs={jobs}");
         }
     }
@@ -294,16 +273,15 @@ mod tests {
         let t = m.symmetric_traffic();
         let net = CompiledNet::shared(&m);
         for trials in [1, 2, 3, 5] {
-            let sweep = DegradedSweep {
+            let mut sweep = DegradedSweep {
                 fault_rates: vec![0.0, 0.2],
-                trials,
+                estimator: BandwidthEstimator {
+                    trials,
+                    ..Default::default()
+                },
                 ..Default::default()
             };
-            let estimator = BandwidthEstimator {
-                multipliers: sweep.multipliers.clone(),
-                trials,
-                ..Default::default()
-            };
+            let estimator = sweep.estimator.clone();
             let alone: Vec<Vec<CellSample>> = sweep
                 .fault_rates
                 .iter()
@@ -322,7 +300,8 @@ mod tests {
                 })
                 .collect();
             for jobs in [1, 2, 3] {
-                let points = sweep.clone().with_jobs(jobs).sweep(&m, &t);
+                sweep.estimator.jobs = jobs;
+                let points = sweep.sweep(&m, &t);
                 for (point, alone) in points.iter().zip(&alone) {
                     let what = format!("rate={} trials={trials} jobs={jobs}", point.fault_rate);
                     assert_eq!(&point.samples, alone, "{what}");

@@ -244,9 +244,12 @@ fn check_valiant(jobs: usize) {
 fn check_degraded(jobs: usize) {
     let sweep = DegradedSweep {
         fault_rates: vec![0.1],
-        multipliers: vec![2, 4],
-        trials: 2,
-        jobs,
+        estimator: BandwidthEstimator {
+            multipliers: vec![2, 4],
+            trials: 2,
+            jobs,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let points = sweep.sweep_symmetric(&Machine::de_bruijn(6));

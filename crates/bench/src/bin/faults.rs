@@ -17,7 +17,7 @@
 
 use std::io::Write;
 
-use fcn_bandwidth::{DegradedPoint, DegradedSweep};
+use fcn_bandwidth::{BandwidthEstimator, DegradedPoint, DegradedSweep};
 use fcn_bench::{fmt, write_records, Failure, Report, RunOpts, Scale, FAULTS_SCHEMA};
 use fcn_topology::Machine;
 use serde::Serialize;
@@ -95,9 +95,12 @@ fn report(opts: &RunOpts, out: &mut dyn Write) -> Result<(), Failure> {
     };
     let sweep = DegradedSweep {
         fault_rates,
-        multipliers: opts.scale.multipliers(),
-        trials: opts.scale.trials(),
-        jobs: opts.jobs,
+        estimator: BandwidthEstimator {
+            multipliers: opts.scale.multipliers(),
+            trials: opts.scale.trials(),
+            jobs: opts.jobs,
+            ..Default::default()
+        },
         ..Default::default()
     };
 

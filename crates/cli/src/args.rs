@@ -136,17 +136,32 @@ impl Args {
     }
 }
 
+/// The largest machine size a size positional (`<size>`, `<n>`, `<m>`)
+/// may ask for. A machine is built whole before any work, so a larger one
+/// would abort the process on allocation (or overflow the `u32` node ids)
+/// instead of failing with a typed error; the largest size any doc, test
+/// or CI step uses is 16 384.
+pub const MAX_SIZE: usize = 1 << 16;
+
+/// The most `--trials` a run may ask for: the trial list is allocated up
+/// front. Docs, tests and CI use at most 9.
+pub const MAX_TRIALS: usize = 1 << 10;
+
+/// Refuse `value` above `max`, naming it `what`.
+pub fn at_most(what: &str, value: usize, max: usize) -> Result<usize, ParseError> {
+    if value > max {
+        return Err(ParseError(format!(
+            "{what} must be at most {max}, not {value}"
+        )));
+    }
+    Ok(value)
+}
+
 /// Refuse a `--jobs` count above [`fcn_exec::MAX_JOBS`]: each worker is an
 /// OS thread, so the bound is checked where the flag is parsed, before any
 /// work starts.
 pub fn check_jobs(jobs: usize) -> Result<usize, ParseError> {
-    if jobs > fcn_exec::MAX_JOBS {
-        return Err(ParseError(format!(
-            "--jobs must be at most {}, not {jobs}",
-            fcn_exec::MAX_JOBS
-        )));
-    }
-    Ok(jobs)
+    at_most("--jobs", jobs, fcn_exec::MAX_JOBS)
 }
 
 fn parse_value<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, ParseError> {

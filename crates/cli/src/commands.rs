@@ -86,6 +86,22 @@ fn jobs(args: &Args, default: usize) -> Result<usize, CmdError> {
     crate::args::check_jobs(args.flag("jobs", default)?).map_err(|e| CmdError::Usage(e.0))
 }
 
+/// Positional `i` as a machine size: malformed is a domain error, and a
+/// size above [`crate::args::MAX_SIZE`] a [`CmdError::Usage`] refused
+/// before the machine is built.
+fn size(args: &Args, i: usize, what: &str) -> Result<usize, CmdError> {
+    let size = args.count(i, what)?;
+    crate::args::at_most(&format!("<{what}>"), size, crate::args::MAX_SIZE)
+        .map_err(|e| CmdError::Usage(e.0))
+}
+
+/// `--trials` (default 3), refused above [`crate::args::MAX_TRIALS`] like
+/// [`jobs`].
+fn trials(args: &Args) -> Result<usize, CmdError> {
+    crate::args::at_most("--trials", args.flag("trials", 3)?, crate::args::MAX_TRIALS)
+        .map_err(|e| CmdError::Usage(e.0))
+}
+
 /// Usage text.
 pub fn usage() -> String {
     "fcnemu — fixed-connection network emulation-bounds toolkit
@@ -110,7 +126,8 @@ USAGE:
 `beta --jobs` and `faults --jobs` default to 0 (one worker per hardware
 thread; a served request defaults to 1); `audit --jobs` defaults to 1.
 --jobs accepts at most 64 workers. Output is byte-identical for every
---jobs value.
+--jobs value. A machine size (<size>, <n>, <m>) may be at most 65536 and
+--trials at most 1024.
 
 Every subcommand also accepts --metrics-out <path>: run with telemetry
 enabled and write a versioned JSONL metrics snapshot to <path> (the
@@ -216,7 +233,7 @@ fn cmd_machines(out: Out) -> CmdResult {
 
 fn cmd_build(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size = args.count(1, "size")?;
+    let size = size(args, 1, "size")?;
     let seed = args.flag("seed", 0u64)?;
     let format = args.value("format")?.unwrap_or("summary");
     let m = build(&id, size, seed)?;
@@ -259,8 +276,8 @@ pub(crate) fn beta_with(
     cancel: Option<&std::sync::atomic::AtomicBool>,
 ) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size = args.count(1, "size")?;
-    let trials = args.flag("trials", 3usize)?;
+    let size = size(args, 1, "size")?;
+    let trials = trials(args)?;
     let seed = args.flag("seed", 0xbeadu64)?;
     // Worker threads for each trial's plan and route phases; 0 = one per
     // hardware thread (the inline default). A served request defaults to
@@ -372,8 +389,8 @@ pub(crate) fn beta_with(
 /// `served` request defaults to one worker, as a served `beta` does.
 pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size = args.count(1, "size")?;
-    let trials = args.flag("trials", 3usize)?;
+    let size = size(args, 1, "size")?;
+    let trials = trials(args)?;
     let seed = args.flag("seed", 0xbeadu64)?;
     let fault_seed = args.flag("fault-seed", 0xfa17u64)?;
     let jobs = jobs(args, if served { 1 } else { 0 })?;
@@ -402,11 +419,13 @@ pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> CmdResult {
     let sweep = DegradedSweep {
         fault_rates,
         fault_seed,
-        multipliers: if quick { vec![2, 4] } else { vec![2, 4, 8] },
-        trials: if quick { trials.min(2) } else { trials },
-        seed,
-        jobs,
-        ..Default::default()
+        estimator: BandwidthEstimator {
+            multipliers: if quick { vec![2, 4] } else { vec![2, 4, 8] },
+            trials: if quick { trials.min(2) } else { trials },
+            seed,
+            jobs,
+            ..Default::default()
+        },
     };
     let points = sweep.sweep_symmetric(&m);
     let _ = writeln!(out, "machine    : {} (n = {})", m.name(), m.processors());
@@ -414,8 +433,8 @@ pub(crate) fn faults_with(args: &Args, out: Out, served: bool) -> CmdResult {
         out,
         "fault seed : {:#x} ({} trials x {} batch sizes per rate)",
         fault_seed,
-        sweep.trials,
-        sweep.multipliers.len()
+        sweep.estimator.trials,
+        sweep.estimator.multipliers.len()
     );
     let _ = writeln!(
         out,
@@ -492,9 +511,9 @@ fn cmd_bound(args: &Args, out: Out) -> CmdResult {
 
 fn cmd_emulate(args: &Args, out: Out) -> CmdResult {
     let gid = args.pos(0, "guest-family")?.to_string();
-    let n = args.count(1, "n")?;
+    let n = size(args, 1, "n")?;
     let hid = args.pos(2, "host-family")?.to_string();
-    let m = args.count(3, "m")?;
+    let m = size(args, 3, "m")?;
     let steps = args.flag("steps", 8u64)?;
     let guest = build(&gid, n, 0xa)?;
     let host = build(&hid, m, 0xb)?;
@@ -531,7 +550,7 @@ fn cmd_emulate(args: &Args, out: Out) -> CmdResult {
 
 fn cmd_audit(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size = args.count(1, "size")?;
+    let size = size(args, 1, "size")?;
     let seed = args.flag("seed", 7u64)?;
     let jobs = jobs(args, 1)?;
     let m = build(&id, size, seed)?;
@@ -573,7 +592,7 @@ fn cmd_audit(args: &Args, out: Out) -> CmdResult {
 
 fn cmd_witness(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size = args.count(1, "size")?;
+    let size = size(args, 1, "size")?;
     let alpha = args.flag("alpha", 1.0f64)?;
     // The witness circuit has ⌈(1+α)·Λ⌉ levels, so α bounds its size.
     if !(alpha > 0.0 && alpha <= 16.0) {
@@ -611,7 +630,7 @@ fn cmd_witness(args: &Args, out: Out) -> CmdResult {
 
 fn cmd_verify(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
-    let size = args.count(1, "size")?;
+    let size = size(args, 1, "size")?;
     let hosts = args.flag_min("hosts", 4usize, 1)?;
     let steps = args.flag("steps", 5u32)?;
     let m = build(&id, size, 3)?;
@@ -846,6 +865,31 @@ mod tests {
         }
         // A malformed value stays a domain error, like any flag's.
         let (code, out) = run_s("beta mesh2 16 --jobs x");
+        assert_eq!(code, 1, "{out}");
+    }
+
+    #[test]
+    fn sizes_and_trials_above_the_bound_are_a_usage_error() {
+        for (cmd, message) in [
+            ("beta mesh2 4000000000", "<size> must be at most 65536"),
+            ("build ring 5000000000", "<size> must be at most 65536"),
+            ("faults mesh2 65537 --quick", "<size> must be at most 65536"),
+            ("emulate mesh2 16 tree 70000", "<m> must be at most 65536"),
+            (
+                "beta mesh2 16 --trials 4000000000",
+                "--trials must be at most 1024",
+            ),
+            (
+                "faults mesh2 16 --trials 1025",
+                "--trials must be at most 1024",
+            ),
+        ] {
+            let (code, out) = run_s(cmd);
+            assert_eq!(code, 2, "{cmd}: {out}");
+            assert!(out.contains(message), "{cmd}: {out}");
+        }
+        // A malformed size stays a domain error.
+        let (code, out) = run_s("beta mesh2 many");
         assert_eq!(code, 1, "{out}");
     }
 

@@ -395,6 +395,40 @@ fn served_jobs_above_the_bound_are_refused() {
     daemon.shutdown();
 }
 
+/// One oversized size or `--trials` would abort the daemon on allocation:
+/// it is refused before any work, and the daemon keeps answering.
+#[test]
+fn served_oversized_sizes_and_trials_are_refused() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let before = router_runs(&mut client);
+    for (kind, args, message) in [
+        (
+            "beta",
+            &["mesh2", "4000000000"][..],
+            "<size> must be at most 65536",
+        ),
+        (
+            "beta",
+            &["mesh2", "16", "--trials", "4000000000"][..],
+            "--trials must be at most 1024",
+        ),
+        (
+            "faults",
+            &["mesh2", "70000", "--quick"][..],
+            "<size> must be at most 65536",
+        ),
+    ] {
+        let resp = client.call(kind, args).expect("framed response");
+        let err = resp.error.expect("a typed refusal");
+        assert_eq!(err.kind, ErrorKind::BadRequest, "{kind} {args:?}");
+        assert!(err.message.contains(message), "{}", err.message);
+    }
+    assert_eq!(router_runs(&mut client), before, "a refused request routed");
+    assert_eq!(client.call("ping", &[]).unwrap().output, "pong\n");
+    daemon.shutdown();
+}
+
 #[test]
 fn served_faults_verbose_counts_in_daemon_metrics() {
     let daemon = Daemon::start(&[]);

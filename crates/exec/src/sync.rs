@@ -188,7 +188,7 @@ mod tests {
         let state = Lock::new(0u64);
         let reg = fcn_telemetry::MetricsRegistry::new();
         let mut g = state.lock();
-        reg.counter(fcn_telemetry::names::ROUTER_RUNS_TOTAL).inc();
+        reg.add(fcn_telemetry::names::ROUTER_RUNS_TOTAL, 1);
         *g = reg.snapshot().counters[fcn_telemetry::names::ROUTER_RUNS_TOTAL];
         drop(g);
         assert_eq!(state.into_inner(), 1);

@@ -153,9 +153,6 @@ pub struct LinkOutage {
 /// plans compare and hash stably.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Fingerprint of the graph the plan was resolved against
-    /// (0 for [`FaultPlan::none`], which applies to any graph).
-    graph_fp: u64,
     /// Permanently dead nodes, ascending.
     dead_nodes: Vec<NodeId>,
     /// Permanently dead undirected links (`u <= v`), ascending. Includes
@@ -221,7 +218,6 @@ impl FaultPlan {
         // `edges()` yields ascending (u, v); keep the invariant explicit.
         debug_assert!(dead_links.windows(2).all(|w| w[0] < w[1]));
         FaultPlan {
-            graph_fp: fp,
             dead_nodes,
             dead_links,
             outages,
@@ -233,10 +229,8 @@ impl FaultPlan {
     /// outage schedules. Inputs are normalized to the plan invariants:
     /// nodes sorted and deduplicated, links canonicalized (`u <= v`),
     /// sorted and deduplicated, outages canonicalized and sorted by link
-    /// then window, and empty (`start >= end`) windows dropped. Like
-    /// [`FaultPlan::none`] the result carries fingerprint 0 (applies to
-    /// any graph). Unlike [`FaultPlan::generate`] there is no graph in
-    /// scope, so callers who kill a node must list its incident links in
+    /// then window, and empty (`start >= end`) windows dropped. Unlike
+    /// [`FaultPlan::generate`] there is no graph in scope, so callers who kill a node must list its incident links in
     /// `dead_links` themselves to uphold the plan invariant.
     pub fn assemble(
         dead_nodes: Vec<NodeId>,
@@ -262,7 +256,6 @@ impl FaultPlan {
             .collect();
         outs.sort_unstable_by_key(|o| (o.u, o.v, o.start, o.end, o.capacity));
         FaultPlan {
-            graph_fp: 0,
             dead_nodes,
             dead_links: links,
             outages: outs,
@@ -272,12 +265,6 @@ impl FaultPlan {
     /// True when the plan injects nothing (the transparency case).
     pub fn is_empty(&self) -> bool {
         self.dead_nodes.is_empty() && self.dead_links.is_empty() && self.outages.is_empty()
-    }
-
-    /// Fingerprint of the graph this plan was resolved against (0 for
-    /// [`FaultPlan::none`]).
-    pub fn graph_fingerprint(&self) -> u64 {
-        self.graph_fp
     }
 
     /// Permanently dead nodes, ascending.

@@ -24,7 +24,7 @@
 //! attached. The zero-capacity cache of a one-shot estimate is simply a
 //! cache that is always full.
 //!
-//! Counters are [`fcn_telemetry`] instruments owned per cache instance —
+//! Each cache counts its own lookups, under the same lock as its trees —
 //! observability only, attaching or detaching a cache never changes a
 //! routed bit. [`PlanCache::publish`] pushes their change since a
 //! [`PlanCache::counts`] snapshot into the thread's metric shard under the
@@ -38,7 +38,6 @@ use std::sync::Arc;
 
 use fcn_exec::sync::Lock;
 use fcn_multigraph::NodeId;
-use fcn_telemetry::Counter;
 
 /// Key of one memoized BFS parent tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,13 +66,16 @@ pub struct PlanCacheCounts {
 /// A memoizing store for BFS parent trees, shared across planning calls.
 #[derive(Debug)]
 pub struct PlanCache {
-    /// The stored trees. `Lock` recovers from poison, which is sound here:
-    /// the only edit is a single insert.
-    trees: Lock<BTreeMap<PlanKey, Arc<Vec<NodeId>>>>,
+    /// The stored trees and the lookup counts. `Lock` recovers from poison,
+    /// which is sound here: each edit is a single insert or count bump.
+    store: Lock<Store>,
     capacity: usize,
-    hits: Counter,
-    misses: Counter,
-    refusals: Counter,
+}
+
+#[derive(Debug, Default)]
+struct Store {
+    trees: BTreeMap<PlanKey, Arc<Vec<NodeId>>>,
+    counts: PlanCacheCounts,
 }
 
 impl Default for PlanCache {
@@ -90,22 +92,19 @@ impl PlanCache {
     /// A cache holding at most `capacity` trees.
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            trees: Lock::new(BTreeMap::new()),
+            store: Lock::new(Store::default()),
             capacity,
-            hits: Counter::new(),
-            misses: Counter::new(),
-            refusals: Counter::new(),
         }
     }
 
     /// Lookups served from memory.
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        self.counts().hits
     }
 
     /// Lookups that computed a fresh tree.
     pub fn misses(&self) -> u64 {
-        self.misses.get()
+        self.counts().misses
     }
 
     /// Always 0: the cache never evicts. Kept because the frozen benchmark
@@ -116,21 +115,17 @@ impl PlanCache {
 
     /// Trees computed but *not* stored because the cache was full.
     pub fn refusals(&self) -> u64 {
-        self.refusals.get()
+        self.counts().refusals
     }
 
     /// All three counters at once, the baseline for [`PlanCache::publish`].
     pub fn counts(&self) -> PlanCacheCounts {
-        PlanCacheCounts {
-            hits: self.hits(),
-            misses: self.misses(),
-            refusals: self.refusals(),
-        }
+        self.store.lock().counts
     }
 
     /// Trees currently stored.
     pub fn entries(&self) -> usize {
-        self.trees.lock().len()
+        self.store.lock().trees.len()
     }
 
     /// Push the counters' change since `before` (taken with
@@ -142,8 +137,10 @@ impl PlanCache {
         if !fcn_telemetry::global().enabled() {
             return;
         }
-        let now = self.counts();
-        let entries = self.entries() as u64;
+        let (now, entries) = {
+            let store = self.store.lock();
+            (store.counts, store.trees.len() as u64)
+        };
         fcn_telemetry::with_shard(|s| {
             use fcn_telemetry::names;
             s.add(names::PLAN_CACHE_HITS_TOTAL, now.hits - before.hits);
@@ -184,28 +181,31 @@ impl PlanCache {
             source,
         };
         let has_room = {
-            let trees = self.trees.lock();
-            if let Some(hit) = trees.get(&key).cloned() {
-                self.hits.inc();
+            let mut store = self.store.lock();
+            if let Some(hit) = store.trees.get(&key).cloned() {
+                store.counts.hits += 1;
                 return hit;
             }
-            trees.len() < self.capacity
+            store.counts.misses += 1;
+            let has_room = store.trees.len() < self.capacity;
+            if !has_room {
+                store.counts.refusals += 1;
+            }
+            has_room
         };
-        self.misses.inc();
         if !has_room {
-            self.refusals.inc();
             return Arc::new(compute(Some(targets)));
         }
         let fresh = Arc::new(compute(None));
-        let mut trees = self.trees.lock();
-        if let Some(raced) = trees.get(&key) {
+        let mut store = self.store.lock();
+        if let Some(raced) = store.trees.get(&key) {
             return raced.clone();
         }
-        if trees.len() >= self.capacity {
-            self.refusals.inc();
+        if store.trees.len() >= self.capacity {
+            store.counts.refusals += 1;
             return fresh;
         }
-        trees.insert(key, fresh.clone());
+        store.trees.insert(key, fresh.clone());
         fresh
     }
 }

@@ -34,7 +34,7 @@ use fcn_telemetry::names;
 fn global_inc(name: &'static str) {
     let g = fcn_telemetry::global();
     if g.enabled() {
-        g.counter(name).inc();
+        g.add(name, 1);
     }
 }
 

@@ -260,14 +260,14 @@ fn shed_text(resp: &Response) -> String {
 fn record_retry_attempt() {
     let g = fcn_telemetry::global();
     if g.enabled() {
-        g.counter(names::SERVE_RETRY_ATTEMPTS_TOTAL).inc();
+        g.add(names::SERVE_RETRY_ATTEMPTS_TOTAL, 1);
     }
 }
 
 fn record_retry_exhausted() {
     let g = fcn_telemetry::global();
     if g.enabled() {
-        g.counter(names::SERVE_RETRY_EXHAUSTED_TOTAL).inc();
+        g.add(names::SERVE_RETRY_EXHAUSTED_TOTAL, 1);
     }
 }
 

@@ -340,9 +340,9 @@ impl ChaosStream {
     }
 
     /// Record a fault the I/O layer actually applied: bumps the plan's
-    /// shared stats and the *global* telemetry registry (never the server's
-    /// request-ordered registry — transport chaos must not perturb the
-    /// `metrics` render).
+    /// shared stats and, when it is enabled, the *global* telemetry
+    /// registry (never the server's request-ordered registry — transport
+    /// chaos must not perturb the `metrics` render).
     pub(super) fn record(&self, action: &ChaosAction) {
         // ordering: monitoring counters; nothing synchronizes through them.
         let (slot, name) = match action {
@@ -353,7 +353,10 @@ impl ChaosStream {
             ChaosAction::Corrupt(_) => (&self.stats.corruptions, names::CHAOS_CORRUPTIONS_TOTAL),
         };
         slot.fetch_add(1, Ordering::Relaxed);
-        fcn_telemetry::global().counter(name).inc();
+        let g = fcn_telemetry::global();
+        if g.enabled() {
+            g.add(name, 1);
+        }
     }
 }
 

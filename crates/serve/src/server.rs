@@ -110,7 +110,7 @@ pub trait Handler: Sync {
 }
 
 /// Arrival-order telemetry merge: each request takes a sequence number the
-/// moment its frame is parsed, and completed shards are flushed into the
+/// moment its frame is parsed, and completed shards are merged into the
 /// server registry strictly in that sequence — whichever worker finishes
 /// first. This makes the registry's contents a deterministic function of
 /// the request arrival order, not the thread schedule.
@@ -141,7 +141,7 @@ impl MergeQueue {
             let key = st.next_flush;
             match st.done.remove(&key) {
                 Some(shard) => {
-                    shard.flush_into(reg);
+                    reg.merge(&shard);
                     st.next_flush += 1;
                 }
                 None => break,
@@ -353,7 +353,7 @@ impl<H: Handler> Server<H> {
                         self.connections.fetch_add(1, Ordering::Relaxed);
                         let g = fcn_telemetry::global();
                         if g.enabled() {
-                            g.counter(names::SERVE_CONNECTIONS_TOTAL).inc();
+                            g.add(names::SERVE_CONNECTIONS_TOTAL, 1);
                         }
                         scope.spawn(move || self.serve_conn(stream, shutdown));
                     }
@@ -367,9 +367,10 @@ impl<H: Handler> Server<H> {
                     Err(e) => return Err(e),
                 }
             }
-            self.metrics
-                .gauge(names::SERVE_DRAIN_INFLIGHT)
-                .set(self.admission.inflight() as u64);
+            self.metrics.set_gauge(
+                names::SERVE_DRAIN_INFLIGHT,
+                self.admission.inflight() as u64,
+            );
             Ok(())
             // Scope exit joins every connection thread: that *is* the drain.
         })
@@ -435,7 +436,7 @@ impl<H: Handler> Server<H> {
                 self.replayed.fetch_add(1, Ordering::Relaxed);
                 let g = fcn_telemetry::global();
                 if g.enabled() {
-                    g.counter(names::SERVE_REPLAYED_TOTAL).inc();
+                    g.add(names::SERVE_REPLAYED_TOTAL, 1);
                 }
                 return resp;
             }

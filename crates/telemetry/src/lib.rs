@@ -9,10 +9,11 @@
 )]
 //! # fcn-telemetry — deterministic observability for the fcn-emu workspace
 //!
-//! A zero-overhead-when-disabled metrics subsystem: atomic counters, gauges,
-//! and fixed-bucket histograms in a [`MetricsRegistry`]; scoped [`Span`]
-//! timers; and thread-local [`LocalShard`]s that `fcn-exec` merges in job
-//! index order. Design invariants:
+//! A zero-overhead-when-disabled metrics subsystem: `u64` counters, gauges,
+//! fixed-bucket histograms and scoped [`Span`] timers, all recorded into
+//! thread-local [`LocalShard`]s that `fcn-exec` merges in job index order,
+//! and merged at the end of a run into a [`MetricsRegistry`] — an enable
+//! switch plus one locked `LocalShard`. Design invariants:
 //!
 //! 1. **Disabled means free.** The [`global`] registry starts disabled, and
 //!    every instrumented hot path checks [`MetricsRegistry::enabled`] (one
@@ -25,19 +26,21 @@
 //! 3. **Metrics themselves are worker-count-independent.** Everything is
 //!    `u64` addition (histograms merge bucket-wise), so per-worker shards
 //!    merged in index order give the same totals as a single-threaded run —
-//!    property-tested in `tests/shard_merge.rs`. The only exceptions are
-//!    wall-clock measurements (spans, busy/idle nanos), which
-//!    [`MetricsSnapshot::without_wall_clock`] strips for comparisons.
+//!    property-tested in `tests/shard_merge.rs`. The exceptions are
+//!    wall-clock measurements (spans, busy/idle nanos) and the router's
+//!    scratch-arena counters, which follow the thread schedule;
+//!    [`MetricsSnapshot::without_wall_clock`] strips both for comparisons.
 //! 4. **Snapshots are versioned.** JSONL exports carry
 //!    [`SNAPSHOT_SCHEMA`] and validate on read
 //!    ([`MetricsSnapshot::from_jsonl`]); a Prometheus text exposition is
 //!    available via [`MetricsSnapshot::to_prometheus`] (`fcnemu metrics
 //!    --format prom`).
 //! 5. **The registry is a leaf lock.** A [`MetricsRegistry`] keeps its
-//!    named instruments behind one private mutex whose critical sections
-//!    call nothing outside `registry.rs`, so any layer may record a metric
-//!    while it holds its own lock. The workspace's lock type and its flat
-//!    lock order live one crate up, in `fcn_exec::sync`.
+//!    shard behind one private mutex, and each critical section is one
+//!    `LocalShard` method that calls nothing outside this crate, so any
+//!    layer may record a metric while it holds its own lock. The
+//!    workspace's lock type and its flat lock order live one crate up, in
+//!    `fcn_exec::sync`.
 
 pub mod hist;
 pub mod names;
@@ -47,7 +50,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use hist::{bucket_index, bucket_upper_bound, LocalHistogram, HIST_BUCKETS};
-pub use registry::{global, Counter, Gauge, Histogram, MetricsRegistry};
+pub use registry::{global, MetricsRegistry};
 pub use shard::{flush_thread_shard, put_shard, take_shard, with_shard, LocalShard, SpanStat};
 pub use snapshot::{MetricsSnapshot, SNAPSHOT_SCHEMA};
 pub use span::Span;

@@ -2,9 +2,11 @@
 //!
 //! Every instrumented crate refers to these consts instead of inline string
 //! literals, so a metric name cannot drift between its emitter, its tests,
-//! and the rendered snapshot. In debug builds every `MetricsRegistry`
-//! getter and `LocalShard` recorder asserts that its name is in [`ALL`], so
-//! a literal name fails the first test that records it. The workspace test
+//! and the rendered snapshot. In debug builds every `LocalShard` recorder
+//! (and so every `MetricsRegistry::add`/`set_gauge`, and `Span::enter`)
+//! asserts that its name is in [`ALL`], so a literal name fails the first
+//! test that records it. A span's `span_{name}_calls_total` /
+//! `span_{name}_nanos_total` counters exist only in a rendered snapshot. The workspace test
 //! `tests/workspace_rules.rs` checks that [`ALL`] lists every const here and
 //! that each const is used by some library or binary outside this file.
 //!

@@ -4,17 +4,30 @@
 //! from the hot path. Instead, each thread accumulates into a plain
 //! [`LocalShard`] (no atomics, no locks) and the *coordinator* — normally
 //! `fcn-exec`'s pool — collects the shards and merges them **in job-index
-//! order** before flushing once into the registry. Because every shard
-//! operation is a `u64` addition (and histogram merging is bucket-wise `u64`
-//! addition), the merged totals are independent of worker count and
-//! scheduling: telemetry can be enabled on any `--jobs N` without perturbing
-//! either the metrics or the simulation.
+//! order** before merging once into the registry, which is itself a locked
+//! `LocalShard`. Because every shard operation is a `u64` addition (and
+//! histogram merging is bucket-wise `u64` addition), the merged totals are
+//! independent of worker count and scheduling: telemetry can be enabled on
+//! any `--jobs N` without perturbing either the metrics or the simulation.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::hist::LocalHistogram;
-use crate::registry::{assert_name, MetricsRegistry};
+use crate::names::ALL;
+use crate::registry::MetricsRegistry;
+use crate::snapshot::MetricsSnapshot;
+
+/// Every metric and span name comes from the [`names`](crate::names) table.
+/// Checked in debug builds only, so a name typed as a literal fails the
+/// first test that records it.
+#[inline]
+pub(crate) fn assert_name(name: &str) {
+    debug_assert!(
+        ALL.contains(&name),
+        "metric name {name:?} is not in fcn_telemetry::names::ALL"
+    );
+}
 
 /// Aggregate for one span name: call count plus total elapsed nanos.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -138,23 +151,32 @@ impl LocalShard {
         self.spans.get(name).copied().unwrap_or_default()
     }
 
-    /// Flush everything into `reg`. Spans materialize as two counters,
+    /// Render as a [`MetricsSnapshot`]: counters that are not zero, every
+    /// gauge and histogram, and each span as two counters,
     /// `span_{name}_calls_total` and `span_{name}_nanos_total`.
-    pub fn flush_into(&self, reg: &MetricsRegistry) {
-        for (k, v) in &self.counters {
-            if *v != 0 {
-                reg.counter(k).add(*v);
-            }
-        }
-        for (k, v) in &self.gauges {
-            reg.gauge(k).set(*v);
-        }
-        for (k, h) in &self.histograms {
-            reg.histogram(k).merge_local(h);
-        }
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let mut counters: BTreeMap<String, u64> = self
+            .counters
+            .iter()
+            .filter(|(_, &v)| v != 0)
+            .map(|(k, &v)| (k.to_string(), v))
+            .collect();
         for (k, s) in &self.spans {
-            reg.counter(&format!("span_{k}_calls_total")).add(s.calls);
-            reg.counter(&format!("span_{k}_nanos_total")).add(s.nanos);
+            counters.insert(format!("span_{k}_calls_total"), s.calls);
+            counters.insert(format!("span_{k}_nanos_total"), s.nanos);
+        }
+        MetricsSnapshot {
+            counters,
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(k, &v)| (k.to_string(), v))
+                .collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .map(|(k, h)| (k.to_string(), h.clone()))
+                .collect(),
         }
     }
 }
@@ -191,7 +213,7 @@ pub fn put_shard(shard: LocalShard) {
 pub fn flush_thread_shard(reg: &MetricsRegistry) {
     let shard = take_shard();
     if !shard.is_empty() {
-        shard.flush_into(reg);
+        reg.merge(&shard);
     }
 }
 
@@ -199,8 +221,8 @@ pub fn flush_thread_shard(reg: &MetricsRegistry) {
 mod tests {
     use super::*;
     use crate::names::{
-        EXEC_WORKERS_LAST, PLAN_CACHE_ENTRIES, ROUTER_HOPS_TOTAL, ROUTER_QUEUE_OCCUPANCY,
-        ROUTER_RUNS_TOTAL, ROUTER_TICKS_TOTAL, SPAN_FLUX,
+        EXEC_WORKERS_LAST, ROUTER_HOPS_TOTAL, ROUTER_QUEUE_OCCUPANCY, ROUTER_RUNS_TOTAL,
+        ROUTER_TICKS_TOTAL, SPAN_FLUX,
     };
 
     #[test]
@@ -258,20 +280,10 @@ mod tests {
         let _ = take_shard();
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn flush_into_registry_including_spans() {
-        let reg = MetricsRegistry::new();
-        let mut s = LocalShard::new();
-        s.add(ROUTER_RUNS_TOTAL, 2);
-        s.set_gauge(PLAN_CACHE_ENTRIES, 5);
-        s.record(ROUTER_QUEUE_OCCUPANCY, 3);
-        s.record_span(SPAN_FLUX, 120);
-        s.flush_into(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters[ROUTER_RUNS_TOTAL], 2);
-        assert_eq!(snap.gauges[PLAN_CACHE_ENTRIES], 5);
-        assert_eq!(snap.histograms[ROUTER_QUEUE_OCCUPANCY].count, 1);
-        assert_eq!(snap.counters["span_flux_calls_total"], 1);
-        assert_eq!(snap.counters["span_flux_nanos_total"], 120);
+    #[should_panic(expected = "is not in fcn_telemetry::names::ALL")]
+    fn a_name_outside_the_table_panics_in_debug_builds() {
+        LocalShard::new().add("router_runs", 1);
     }
 }

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use serde::Value;
 
 use crate::hist::{bucket_upper_bound, LocalHistogram, HIST_BUCKETS};
+use crate::names;
 
 /// Schema tag stamped on (and required from) every JSONL snapshot.
 pub const SNAPSHOT_SCHEMA: &str = "fcn-telemetry/1";
@@ -109,14 +110,22 @@ impl MetricsSnapshot {
         out
     }
 
-    /// A copy with all wall-clock metrics removed (span timings and
-    /// busy/idle nano counters). What remains is deterministic: identical
-    /// across runs, worker counts, and machines for the same workload.
+    /// A copy with every metric that follows the clock or the thread
+    /// schedule removed: span timings, busy/idle nano counters, and the
+    /// router's scratch-arena counters. A router scratch is thread-local,
+    /// so whether a run creates one or reuses one depends on which worker
+    /// runs it. What remains is deterministic: identical across runs and
+    /// machines for the same workload and worker count (the `exec_*` pool
+    /// metrics count the pool's runs and workers, which follow the worker
+    /// count by design).
     pub fn without_wall_clock(&self) -> MetricsSnapshot {
         let mut out = self.clone();
-        out.counters.retain(|k, _| !k.ends_with("_nanos_total"));
-        out.counters
-            .retain(|k, _| !(k.starts_with("span_") && k.ends_with("_calls_total")));
+        out.counters.retain(|k, _| {
+            !(k.ends_with("_nanos_total")
+                || (k.starts_with("span_") && k.ends_with("_calls_total"))
+                || k == names::ROUTER_SCRATCH_CREATED_TOTAL
+                || k == names::ROUTER_SCRATCH_REUSED_TOTAL)
+        });
         out
     }
 
@@ -306,18 +315,17 @@ mod tests {
         EXEC_JOBS_TOTAL, EXEC_RUNS_TOTAL, EXEC_WORKERS_LAST, ROUTER_QUEUE_OCCUPANCY,
         ROUTER_RUNS_TOTAL, ROUTER_RUN_MAX_QUEUE, ROUTER_TICKS_TOTAL,
     };
-    use crate::registry::MetricsRegistry;
+    use crate::shard::LocalShard;
 
     fn sample() -> MetricsSnapshot {
-        let reg = MetricsRegistry::new();
-        reg.counter(EXEC_RUNS_TOTAL).add(3);
-        reg.counter(EXEC_JOBS_TOTAL).add(1);
-        reg.gauge(EXEC_WORKERS_LAST).set(4);
-        let h = reg.histogram(ROUTER_QUEUE_OCCUPANCY);
-        h.record(0);
-        h.record(5);
-        h.record(5);
-        reg.snapshot()
+        let mut s = LocalShard::new();
+        s.add(EXEC_RUNS_TOTAL, 3);
+        s.add(EXEC_JOBS_TOTAL, 1);
+        s.set_gauge(EXEC_WORKERS_LAST, 4);
+        for v in [0, 5, 5] {
+            s.record(ROUTER_QUEUE_OCCUPANCY, v);
+        }
+        s.snapshot()
     }
 
     #[test]
@@ -356,15 +364,15 @@ mod tests {
 
     #[test]
     fn delta_since_subtracts_and_drops_zeroes() {
-        let reg = MetricsRegistry::new();
-        reg.counter(ROUTER_TICKS_TOTAL).add(5);
-        reg.counter(ROUTER_RUNS_TOTAL).add(2);
-        reg.histogram(ROUTER_RUN_MAX_QUEUE).record(1);
-        let base = reg.snapshot();
-        reg.counter(ROUTER_TICKS_TOTAL).add(7);
-        reg.gauge(EXEC_WORKERS_LAST).set(9);
-        reg.histogram(ROUTER_RUN_MAX_QUEUE).record(8);
-        let now = reg.snapshot();
+        let mut s = LocalShard::new();
+        s.add(ROUTER_TICKS_TOTAL, 5);
+        s.add(ROUTER_RUNS_TOTAL, 2);
+        s.record(ROUTER_RUN_MAX_QUEUE, 1);
+        let base = s.snapshot();
+        s.add(ROUTER_TICKS_TOTAL, 7);
+        s.set_gauge(EXEC_WORKERS_LAST, 9);
+        s.record(ROUTER_RUN_MAX_QUEUE, 8);
+        let now = s.snapshot();
         let d = now.delta_since(&base);
         assert_eq!(d.counters.get(ROUTER_TICKS_TOTAL), Some(&7));
         assert!(
@@ -404,10 +412,20 @@ mod tests {
         snap.counters.insert("span_run_nanos_total".into(), 999);
         snap.counters
             .insert("exec_worker_busy_nanos_total".into(), 123);
+        snap.counters
+            .insert(names::ROUTER_SCRATCH_CREATED_TOTAL.into(), 2);
+        snap.counters
+            .insert(names::ROUTER_SCRATCH_REUSED_TOTAL.into(), 5);
         let clean = snap.without_wall_clock();
         assert!(clean.counters.contains_key(EXEC_RUNS_TOTAL));
         assert!(!clean.counters.contains_key("span_run_calls_total"));
         assert!(!clean.counters.contains_key("span_run_nanos_total"));
         assert!(!clean.counters.contains_key("exec_worker_busy_nanos_total"));
+        assert!(!clean
+            .counters
+            .contains_key(names::ROUTER_SCRATCH_CREATED_TOTAL));
+        assert!(!clean
+            .counters
+            .contains_key(names::ROUTER_SCRATCH_REUSED_TOTAL));
     }
 }

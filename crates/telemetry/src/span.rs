@@ -38,7 +38,7 @@ impl Span {
     /// way (debug builds).
     #[inline]
     pub fn enter(name: &'static str) -> Self {
-        crate::registry::assert_name(name);
+        crate::shard::assert_name(name);
         // Wall clock allowed: spans exist to measure wall time, and
         // span durations are excluded from determinism comparisons.
         #[allow(clippy::disallowed_methods)]
@@ -48,12 +48,6 @@ impl Span {
             None
         };
         Span { name, start }
-    }
-
-    /// True when this span is actually timing (telemetry was enabled at
-    /// entry).
-    pub fn is_active(&self) -> bool {
-        self.start.is_some()
     }
 }
 
@@ -79,10 +73,7 @@ mod tests {
             return;
         }
         let _ = take_shard();
-        {
-            let span = Span::enter(crate::names::SPAN_FLUX);
-            assert!(!span.is_active());
-        }
+        drop(Span::enter(crate::names::SPAN_FLUX));
         assert!(take_shard().is_empty());
     }
 }

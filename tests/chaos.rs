@@ -12,7 +12,7 @@
 //!   net equal to the original, and routing on it reproduces the intact
 //!   outcome exactly.
 
-use fcn_emu::bandwidth::DegradedSweep;
+use fcn_emu::bandwidth::{BandwidthEstimator, DegradedSweep};
 use fcn_emu::exec::Pool;
 use fcn_emu::faults::{FaultPlan, FaultSpec};
 use fcn_emu::routing::{
@@ -159,17 +159,20 @@ proptest! {
         rate in 0.05f64..0.35,
     ) {
         let machine = Machine::mesh(2, 8);
-        let sweep = DegradedSweep {
+        let mut sweep = DegradedSweep {
             fault_rates: vec![0.0, rate],
             fault_seed,
-            multipliers: vec![2, 4],
-            trials: 2,
-            seed,
-            jobs: 1,
-            ..Default::default()
+            estimator: BandwidthEstimator {
+                multipliers: vec![2, 4],
+                trials: 2,
+                seed,
+                jobs: 1,
+                ..Default::default()
+            },
         };
         let seq = sweep.sweep_symmetric(&machine);
-        let par = DegradedSweep { jobs: 4, ..sweep }.sweep_symmetric(&machine);
+        sweep.estimator.jobs = 4;
+        let par = sweep.sweep_symmetric(&machine);
         prop_assert_eq!(&seq, &par);
     }
 }
