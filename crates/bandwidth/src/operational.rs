@@ -25,9 +25,9 @@
 //! Sharing one *plan* seed across a trial's multipliers means the trial's
 //! growing batches route over the same BFS trees, so each trial is planned
 //! as one: its cells' demands are grouped by source and the sources fan out
-//! over the pool, each tree computed once and unwound into every path from
-//! that source. Each cell is compiled to its batch as soon as its trial is
-//! planned. Routing has no per-trial barrier: on a parallel pool
+//! over the pool, each tree computed once and unwound into every route from
+//! that source, written straight into the cells' batches as wire ids.
+//! Routing has no per-trial barrier: on a parallel pool
 //! [`fcn_routing::measure_trials`] routes the cells of consecutive trials
 //! in one pool run while their batches stay under
 //! [`fcn_routing::IN_FLIGHT_HOPS`] wire ids, largest batch first, so one

@@ -3,6 +3,7 @@
 //! measured, a failed `--metrics-out` write exits 2, and a closed stdout
 //! ends the run quietly instead of panicking.
 
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -37,13 +38,30 @@ fn exe(name: &str) -> &'static str {
         .unwrap_or_else(|| panic!("no binary {name}"))
 }
 
+/// A test's own target directory, removed when the test ends.
+struct Scratch(PathBuf);
+
+impl Deref for Scratch {
+    type Target = PathBuf;
+
+    fn deref(&self) -> &PathBuf {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A fresh target directory of the test's own, so records and manifests
 /// never land in the workspace's `target/`.
-fn scratch(test: &str) -> PathBuf {
+fn scratch(test: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("fcn-bench-cli-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    Scratch(dir)
 }
 
 /// Run `name` with `target` as its target directory and working directory.
@@ -153,7 +171,7 @@ fn a_closed_stdout_ends_the_run_quietly() {
     for name in ["table1", "table4"] {
         let mut child = Command::new(exe(name))
             .arg("--quick")
-            .env("CARGO_TARGET_DIR", &target)
+            .env("CARGO_TARGET_DIR", target.as_path())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()

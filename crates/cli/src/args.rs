@@ -147,6 +147,11 @@ pub const MAX_SIZE: usize = 1 << 16;
 /// front. Docs, tests and CI use at most 9.
 pub const MAX_TRIALS: usize = 1 << 10;
 
+/// The most `verify --steps` a run may ask for: the check simulates every
+/// step, at about 1 µs each, so 2³² steps would run for about an hour.
+/// Docs and tests use at most 5.
+pub const MAX_STEPS: usize = 1 << 16;
+
 /// Refuse `value` above `max`, naming it `what`.
 pub fn at_most(what: &str, value: usize, max: usize) -> Result<usize, ParseError> {
     if value > max {

@@ -632,7 +632,9 @@ fn cmd_verify(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
     let size = size(args, 1, "size")?;
     let hosts = args.flag_min("hosts", 4usize, 1)?;
-    let steps = args.flag("steps", 5u32)?;
+    // At most `MAX_STEPS`, so the cast to `u32` is exact.
+    let steps = crate::args::at_most("--steps", args.flag("steps", 5)?, crate::args::MAX_STEPS)
+        .map_err(|e| CmdError::Usage(e.0))? as u32;
     let m = build(&id, size, 3)?;
     let r = fcn_core::verify_direct_emulation(m.graph(), hosts.min(m.processors()), steps, 0xf);
     let _ = writeln!(
@@ -891,6 +893,25 @@ mod tests {
         // A malformed size stays a domain error.
         let (code, out) = run_s("beta mesh2 many");
         assert_eq!(code, 1, "{out}");
+    }
+
+    #[test]
+    fn verify_steps_above_the_bound_are_a_usage_error() {
+        for steps in ["65537", "4000000000", "5000000000"] {
+            let cmd = format!("verify mesh2 16 --steps {steps}");
+            let (code, out) = run_s(&cmd);
+            assert_eq!(code, 2, "{cmd}: {out}");
+            assert!(
+                out.contains(&format!("--steps must be at most 65536, not {steps}")),
+                "{cmd}: {out}"
+            );
+        }
+        // A malformed value stays a domain error.
+        let (code, out) = run_s("verify mesh2 16 --steps x");
+        assert_eq!(code, 1, "{out}");
+        // `emulate --steps` is a closed form: a huge count finishes at once.
+        let (code, out) = run_s("emulate mesh2 16 tree 16 --steps 4000000000");
+        assert_eq!(code, 0, "{out}");
     }
 
     #[test]

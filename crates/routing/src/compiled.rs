@@ -3,7 +3,7 @@
 //! The reference router ([`crate::engine::reference::route_batch`])
 //! rebuilds its directed-wire arrays and re-derives every packet's next-hop
 //! wire (a per-hop binary search) on every call. This module splits that
-//! work into three reusable artifacts:
+//! work into reusable artifacts:
 //!
 //! * [`CompiledNet`] — the machine's directed-wire CSR plus resolved
 //!   per-node send capacities, compiled **once per machine** and shared
@@ -15,27 +15,35 @@
 //! * [`RouteError`] — the typed error produced when a path is not a walk of
 //!   the host graph.
 //!
+//! Planners write wire ids, not vertex paths. Each planner job walks a
+//! route into a reused vertex buffer and appends its hops, resolved by
+//! [`CompiledNet::wire_between`], to the job's own arena (`Runs`); a
+//! trial's arenas are indexed by demand (`Routes`) and copied into each
+//! cell's batch in demand order. [`PacketBatch::compile`] writes
+//! hand-built [`PacketPath`]s into a batch, checking every hop.
+//!
 //! Compilation is pure bookkeeping: it draws no randomness and therefore
 //! cannot perturb the engine's RNG stream. `route_compiled` is
 //! bit-identical to the reference engine (pinned by
 //! `tests/compiled_router.rs`).
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use fcn_faults::FaultPlan;
-use fcn_multigraph::NodeId;
+use fcn_multigraph::{Multigraph, NodeId};
 use fcn_topology::Machine;
 
 use crate::packet::PacketPath;
 
 /// A path that is not a walk of the compiled host graph.
 ///
-/// Paths produced by [`crate::oracle::PathOracle`] and
+/// Routes written by [`crate::oracle::PathOracle`] and
 /// [`crate::native::plan_trial`] are walks by construction, so this error
 /// only surfaces for hand-built [`PacketPath`]s (ablations, tests, external
-/// inputs) — which is why [`PacketBatch::compile`] returns it while
-/// [`crate::RouteCtx::route_demands`] panics instead.
+/// inputs) — which is why [`PacketBatch::compile`] returns it while the
+/// planners panic instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {
     /// A path mentions a vertex the host does not have.
@@ -183,13 +191,23 @@ impl CompiledNet {
     /// Panics with [`RouteError::OffsetOverflow`] when the machine has more
     /// than `u32::MAX` directed wires.
     pub fn compile(machine: &Machine) -> CompiledNet {
-        let g = machine.graph();
+        let n = machine.graph().node_count() as NodeId;
+        let send_cap = (0..n).map(|u| machine.send_capacity(u)).collect();
+        CompiledNet::with_send_caps(machine.graph(), send_cap, machine.name())
+    }
+
+    /// The wires of a bare graph, every send budget unlimited: what a
+    /// [`crate::oracle::PathOracle`] writes its routes against.
+    pub(crate) fn of_graph(g: &Multigraph) -> CompiledNet {
+        CompiledNet::with_send_caps(g, vec![u32::MAX; g.node_count()], "graph")
+    }
+
+    fn with_send_caps(g: &Multigraph, send_cap: Vec<u32>, name: &str) -> CompiledNet {
         let n = g.node_count();
         let mut wire_offsets = Vec::with_capacity(n + 1);
         let mut wire_to: Vec<NodeId> = Vec::new();
         let mut wire_from: Vec<NodeId> = Vec::new();
         let mut wire_cap: Vec<u32> = Vec::new();
-        let mut send_cap = Vec::with_capacity(n);
         wire_offsets.push(0u32);
         #[expect(clippy::panic, reason = "documented panic: wire ids are u32 by design")]
         for u in 0..n as NodeId {
@@ -200,9 +218,7 @@ impl CompiledNet {
                     wire_cap.push(m);
                 }
             }
-            wire_offsets
-                .push(offset(wire_to.len()).unwrap_or_else(|e| panic!("{}: {e}", machine.name())));
-            send_cap.push(machine.send_capacity(u));
+            wire_offsets.push(offset(wire_to.len()).unwrap_or_else(|e| panic!("{name}: {e}")));
         }
         let unit = wire_cap.iter().all(|&c| c == 1) && send_cap.iter().all(|&b| b == u32::MAX);
         CompiledNet {
@@ -430,6 +446,15 @@ impl CompiledNet {
             .ok()
             .map(|i| (lo + i) as u32)
     }
+
+    /// The vertices of a route leaving `src` over `wires`: `src`, then
+    /// every wire's head.
+    pub(crate) fn walk_of(&self, src: NodeId, wires: &[u32]) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(wires.len() + 1);
+        out.push(src);
+        out.extend(wires.iter().map(|&w| self.wire_head(w)));
+        out
+    }
 }
 
 /// A batch of packets pre-compiled against a [`CompiledNet`]: every route
@@ -460,12 +485,7 @@ impl PacketBatch {
     pub fn compile(net: &CompiledNet, paths: &[PacketPath]) -> Result<PacketBatch, RouteError> {
         packet_ids(paths.len())?;
         let total_hops: usize = paths.iter().map(|p| p.path.len().saturating_sub(1)).sum();
-        let mut batch = PacketBatch {
-            hop_offsets: Vec::with_capacity(paths.len() + 1),
-            wire_ids: Vec::with_capacity(total_hops),
-            resting: Vec::new(),
-        };
-        batch.hop_offsets.push(0);
+        let mut batch = PacketBatch::with_capacity(paths.len(), total_hops);
         let n = net.node_count();
         for (packet, p) in paths.iter().enumerate() {
             let out_of_range = |node: NodeId| RouteError::NodeOutOfRange {
@@ -497,6 +517,17 @@ impl PacketBatch {
             batch.hop_offsets.push(offset(batch.wire_ids.len())?);
         }
         Ok(batch)
+    }
+
+    /// An empty batch with room for `packets` packets and `hops` wire ids.
+    fn with_capacity(packets: usize, hops: usize) -> PacketBatch {
+        let mut hop_offsets = Vec::with_capacity(packets + 1);
+        hop_offsets.push(0);
+        PacketBatch {
+            hop_offsets,
+            wire_ids: Vec::with_capacity(hops),
+            resting: Vec::new(),
+        }
     }
 
     /// Number of packets.
@@ -544,14 +575,178 @@ impl PacketBatch {
     /// the input path — pinned property-style by `tests/compiled_router.rs`.
     pub fn decode_path(&self, net: &CompiledNet, i: usize) -> Vec<NodeId> {
         let wires = self.wires(i);
-        let Some(&first) = wires.first() else {
-            let at = self.resting.partition_point(|&(p, _)| (p as usize) < i);
-            return vec![self.resting[at].1];
+        let src = match wires.first() {
+            Some(&first) => net.wire_tail(first),
+            None => self.resting[self.resting.partition_point(|&(p, _)| (p as usize) < i)].1,
         };
-        let mut out = Vec::with_capacity(wires.len() + 1);
-        out.push(net.wire_tail(first));
-        out.extend(wires.iter().map(|&w| net.wire_head(w)));
-        out
+        net.walk_of(src, wires)
+    }
+}
+
+/// Routes written by one planner job, in the order it planned them: the
+/// job's wire ids in one arena, and per route the index of the demand it
+/// serves with its range in the arena (`None`: the demand got no route).
+#[derive(Debug, Default)]
+pub(crate) struct Runs {
+    wires: Vec<u32>,
+    routes: Vec<(usize, Option<(u32, u32)>)>,
+}
+
+impl Runs {
+    /// Room for `routes` routes of `wires` wire ids in all.
+    pub(crate) fn with_capacity(routes: usize, wires: usize) -> Runs {
+        Runs {
+            wires: Vec::with_capacity(wires),
+            routes: Vec::with_capacity(routes),
+        }
+    }
+
+    /// Write the vertex walk `walk` (at least its source) as the route of
+    /// demand `demand`, each hop resolved by [`CompiledNet::wire_between`].
+    ///
+    /// # Panics
+    /// When two consecutive vertices share no wire, or the arena outgrows
+    /// its `u32` offsets: planners emit walks of the net they write against,
+    /// so either is a planner bug.
+    pub(crate) fn push_walk(&mut self, net: &CompiledNet, demand: usize, walk: &[NodeId]) {
+        let start = self.wires.len();
+        for hop in walk.windows(2) {
+            let wire = net.wire_between(hop[0], hop[1]);
+            #[expect(
+                clippy::panic,
+                reason = "documented panic: planners emit walks; `PacketBatch::compile` covers untrusted paths"
+            )]
+            let wire = wire.unwrap_or_else(|| {
+                let (from, to) = (hop[0], hop[1]);
+                let e = RouteError::NoWire {
+                    from,
+                    to,
+                    packet: demand,
+                };
+                panic!("planner produced unroutable path: {e}")
+            });
+            self.wires.push(wire);
+        }
+        self.close(demand, start);
+    }
+
+    /// Write the concatenation of `legs` as the route of demand `demand`.
+    pub(crate) fn push_joined(&mut self, demand: usize, legs: [&[u32]; 2]) {
+        let start = self.wires.len();
+        for leg in legs {
+            self.wires.extend_from_slice(leg);
+        }
+        self.close(demand, start);
+    }
+
+    /// Record that demand `demand` has no route.
+    pub(crate) fn push_none(&mut self, demand: usize) {
+        self.routes.push((demand, None));
+    }
+
+    /// Record that demand `demand`'s route is `wires[start..]`.
+    fn close(&mut self, demand: usize, start: usize) {
+        #[expect(
+            clippy::panic,
+            reason = "documented panic: a trial's wire ids are u32 by design"
+        )]
+        let end = offset(self.wires.len()).unwrap_or_else(|e| panic!("planner arena: {e}"));
+        // `start <= end`, so it fits `u32` too.
+        self.routes.push((demand, Some((start as u32, end))));
+    }
+}
+
+/// The routes of a list of demands, as planner jobs wrote them: the jobs'
+/// arenas, and per demand the arena and range that hold its route.
+#[derive(Debug)]
+pub(crate) struct Routes {
+    arenas: Vec<Vec<u32>>,
+    at: Vec<Option<(u32, u32, u32)>>,
+}
+
+impl Routes {
+    /// Index the routes `jobs` wrote for `demands` demands; a demand no job
+    /// wrote has no route.
+    pub(crate) fn new(jobs: Vec<Runs>, demands: usize) -> Routes {
+        let mut routes = Routes {
+            arenas: Vec::with_capacity(jobs.len()),
+            at: vec![None; demands],
+        };
+        for job in jobs {
+            routes.add(job, |i| i);
+        }
+        routes
+    }
+
+    /// Take in the routes of one more job, whose route `i` serves demand
+    /// `demand(i)`, replacing what those demands had.
+    pub(crate) fn add(&mut self, job: Runs, demand: impl Fn(usize) -> usize) {
+        let arena = self.arenas.len() as u32;
+        for (i, range) in job.routes {
+            self.at[demand(i)] = range.map(|(start, end)| (arena, start, end));
+        }
+        self.arenas.push(job.wires);
+    }
+
+    /// Demand `i`'s route, or `None` when it has none.
+    pub(crate) fn route(&self, i: usize) -> Option<&[u32]> {
+        let (arena, start, end) = self.at[i]?;
+        Some(&self.arenas[arena as usize][start as usize..end as usize])
+    }
+
+    /// Drop demand `i`'s route.
+    pub(crate) fn clear(&mut self, i: usize) {
+        self.at[i] = None;
+    }
+
+    /// The batch of demands `cell`, in demand order, demand `i`'s route
+    /// leaving `src(i)`. A demand with no route is left out and handed to
+    /// `missing`. Routes that lie back to back in one arena — a demand range
+    /// planned by one job — are copied with one call. Fails with
+    /// [`RouteError::OffsetOverflow`] when the batch outgrows its `u32`
+    /// packet ids or hop offsets.
+    pub(crate) fn batch(
+        &self,
+        cell: Range<usize>,
+        src: impl Fn(usize) -> NodeId,
+        mut missing: impl FnMut(usize),
+    ) -> Result<PacketBatch, RouteError> {
+        let routed = self.at[cell.clone()].iter().flatten();
+        let hops = routed.map(|&(_, start, end)| (end - start) as usize).sum();
+        let mut batch = PacketBatch::with_capacity(cell.len(), hops);
+        // Wire ids placed so far; the last `end - start` of them are
+        // `arenas[arena][start..end]`, not yet copied.
+        let mut placed = 0;
+        let (mut arena, mut start, mut end) = (0, 0, 0);
+        for i in cell {
+            let Some((a, s, e)) = self.at[i] else {
+                missing(i);
+                continue;
+            };
+            let packet = packet_ids(batch.len())?;
+            if s == e {
+                batch.resting.push((packet, src(i)));
+            }
+            if (a, s) != (arena, end) {
+                self.copy(&mut batch, arena, start..end);
+                (arena, start) = (a, s);
+            }
+            end = e;
+            placed += (e - s) as usize;
+            batch.hop_offsets.push(offset(placed)?);
+        }
+        self.copy(&mut batch, arena, start..end);
+        Ok(batch)
+    }
+
+    /// Append `arenas[arena][range]` to `batch`'s wire ids.
+    fn copy(&self, batch: &mut PacketBatch, arena: u32, range: Range<u32>) {
+        if !range.is_empty() {
+            let range = range.start as usize..range.end as usize;
+            batch
+                .wire_ids
+                .extend_from_slice(&self.arenas[arena as usize][range]);
+        }
     }
 }
 

@@ -15,26 +15,27 @@
 //!
 //! ## The trial schedule
 //!
-//! [`measure_trials`] plans trials in order, each plan fanning its sources
-//! out over the pool, and compiles every planned cell to its
-//! [`PacketBatch`] as soon as its trial is planned, freeing the cell's
-//! vertex paths. On a parallel pool, consecutive trials join one route run
-//! while its batches hold fewer than [`IN_FLIGHT_HOPS`] wire ids, and the
-//! run routes all their cells in one [`Pool::run`], largest batch first:
-//! one trial's largest cell overlaps the next trial's, and the smaller
-//! cells fill in behind them, where a per-trial barrier would leave a
-//! worker idle beside each trial's largest cell. The caller's side task
-//! (the CLI's flux bound) joins the last run as one more job. The budget
-//! bounds the batches alive at once; a trial above it routes alone. A
-//! sequential pool routes each trial alone, in trial order, holding one
-//! trial's batches. Every cell's seeds are pure functions of its indices,
-//! so the schedule never moves a bit.
+//! [`measure_trials`] plans trials in order. A trial's plan phase
+//! ([`plan_trial`]) writes its cells' [`PacketBatch`]es directly: its BFS
+//! sources, or the demand ranges of its arithmetic cells, fan out over the
+//! pool, each job writing wire ids into an arena of its own, and one
+//! assembly pass copies every route into its cell's batch in demand order.
+//! On a parallel pool, consecutive trials join one route run while its
+//! batches hold fewer than [`IN_FLIGHT_HOPS`] wire ids, and the run routes
+//! all their cells in one [`Pool::run`], largest batch first: one trial's
+//! largest cell overlaps the next trial's, and the smaller cells fill in
+//! behind them, where a per-trial barrier would leave a worker idle beside
+//! each trial's largest cell. The caller's side task (the CLI's flux bound)
+//! joins the last run as one more job. The budget bounds the batches alive
+//! at once; a trial above it routes alone. A sequential pool routes each
+//! trial alone, in trial order, holding one trial's batches. Every cell's
+//! seeds are pure functions of its indices, so the schedule never moves a
+//! bit.
 
 use std::cmp::Reverse;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use fcn_exec::sync::Lock;
 use fcn_exec::Pool;
 use fcn_faults::FaultPlan;
 use fcn_multigraph::{NodeId, Traffic};
@@ -44,8 +45,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::PlanCache;
 use crate::compiled::{CompiledNet, PacketBatch};
 use crate::engine::{route_compiled, AbortCause, RouterConfig, RoutingOutcome, POOLED_SCRATCH};
-use crate::native::{plan_trial, DegradedPlan, Faults};
-use crate::packet::{PacketPath, Strategy};
+use crate::native::{plan_trial, Faults};
+use crate::packet::Strategy;
 
 /// A compile-once routing context: one machine, its [`CompiledNet`], the
 /// faults it routes around (none by default), and an optional
@@ -72,8 +73,8 @@ use crate::packet::{PacketPath, Strategy};
 pub struct RouteCtx<'a> {
     machine: &'a Machine,
     net: Arc<CompiledNet>,
-    faults: Option<Faults<'a>>,
-    cache: Option<&'a PlanCache>,
+    pub(crate) faults: Option<Faults<'a>>,
+    pub(crate) cache: Option<&'a PlanCache>,
     cancel: Option<&'a AtomicBool>,
 }
 
@@ -139,10 +140,10 @@ impl<'a> RouteCtx<'a> {
         self.cancel
     }
 
-    /// Plan `demands` as one batch and route it: the planner runs
-    /// ([`plan_trial`]) around the context's faults and through its plan
-    /// cache, then the routes run on the calling thread's pooled scratch
-    /// under the context's cancellation flag. `plan_seed` drives planning,
+    /// Plan `demands` as one batch and route it: the planner
+    /// ([`plan_trial`]) writes the batch around the context's faults and
+    /// through its plan cache, then it runs on the calling thread's pooled
+    /// scratch under the context's cancellation flag. `plan_seed` drives planning,
     /// `cfg.seed` the router's ranks.
     ///
     /// On a faulted context, demands with no surviving route are left out
@@ -155,33 +156,8 @@ impl<'a> RouteCtx<'a> {
         plan_seed: u64,
         cfg: RouterConfig,
     ) -> RoutingOutcome {
-        let plan = plan_trial(
-            self.machine,
-            &[demands],
-            strategy,
-            plan_seed,
-            self.faults.as_ref(),
-            self.cache,
-            Pool::sequential(),
-        )
-        .batches
-        .swap_remove(0);
-        self.route_batch(&self.compile(&plan.paths), cfg)
-    }
-
-    /// Compile planner output against the context's net.
-    ///
-    /// # Panics
-    /// Panics if some path is not a walk of the host graph — a planner bug,
-    /// since planners only emit walks; compile untrusted paths with
-    /// [`PacketBatch::compile`] to get the typed error instead.
-    fn compile(&self, paths: &[PacketPath]) -> PacketBatch {
-        #[expect(
-            clippy::panic,
-            reason = "documented panic: planners emit walks; `PacketBatch::compile` covers untrusted paths"
-        )]
-        PacketBatch::compile(&self.net, paths)
-            .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"))
+        let plan = plan_trial(self, &[demands], strategy, plan_seed, Pool::sequential());
+        self.route_batch(&plan.batches[0].batch, cfg)
     }
 
     /// Route a compiled batch on the calling thread's pooled scratch,
@@ -191,9 +167,8 @@ impl<'a> RouteCtx<'a> {
             .with(|s| route_compiled(&self.net, batch, cfg, &mut s.borrow_mut(), self.cancel))
     }
 
-    /// Draw, plan and compile one trial's cells: the plan phase of
-    /// [`measure_trials`], timed as the `estimate_plan` span. Each cell's
-    /// vertex paths are freed as soon as its batch is compiled.
+    /// Draw and plan one trial's cells, straight into their batches: the
+    /// plan phase of [`measure_trials`], timed as the `estimate_plan` span.
     fn plan_cells(
         &self,
         traffic: &Traffic,
@@ -215,32 +190,18 @@ impl<'a> RouteCtx<'a> {
             .collect();
         let slices: Vec<&[(NodeId, NodeId)]> = demands.iter().map(Vec::as_slice).collect();
         let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_ESTIMATE_PLAN);
-        let plan = plan_trial(
-            self.machine,
-            &slices,
-            strategy,
-            trial.plan_seed,
-            self.faults.as_ref(),
-            self.cache,
-            pool,
-        );
-        let plans: Lock<Vec<Option<DegradedPlan>>> =
-            Lock::new(plan.batches.into_iter().map(Some).collect());
-        let cells = pool.run(trial.batches.len(), |b| {
-            // Each job takes its own cell's plan, so its paths drop here.
-            let taken = plans.lock()[b].take();
-            let DegradedPlan {
-                paths,
-                unreachable,
-                replans,
-            } = taken.unwrap_or_default();
-            PlannedCell {
-                messages: trial.batches[b].0,
-                batch: self.compile(&paths),
-                unreachable: unreachable.len(),
-                replans,
-            }
-        });
+        let plan = plan_trial(self, &slices, strategy, trial.plan_seed, pool);
+        let cells = plan
+            .batches
+            .into_iter()
+            .zip(&trial.batches)
+            .map(|(plan, &(messages, _))| PlannedCell {
+                messages,
+                batch: plan.batch,
+                unreachable: plan.unreachable.len(),
+                replans: plan.replans,
+            })
+            .collect();
         (cells, plan.trees)
     }
 }
@@ -266,7 +227,7 @@ pub struct Measured<X> {
     pub side: X,
 }
 
-/// A planned, compiled cell awaiting its route run.
+/// A planned cell awaiting its route run.
 struct PlannedCell {
     messages: usize,
     batch: PacketBatch,
@@ -374,19 +335,20 @@ pub fn measure_rates_ctx(
 
 /// The wire ids (4 bytes each, so 16 MiB) below which a parallel
 /// [`measure_trials`] plans one more trial into a route run. A trial that
-/// reaches it alone routes alone: the vertex paths its batches were
-/// compiled from stay resident in the allocator's heap, so a second such
-/// trial's batches on top raise peak memory by a third (`fcnemu beta mesh2
-/// 16384`, 19.6 M wire ids a trial: 216 MB one trial at a time, 289 MB two).
+/// reaches it alone routes alone: a trial's batches are its whole plan, and
+/// its planner arenas stay resident in the allocator's heap beside them,
+/// so a second such trial in flight raises peak memory by nearly half
+/// (`fcnemu beta mesh2 16384 --seed 1`, 19.6 M wire ids a trial: 169–175 MB
+/// one trial at a time, 245–250 MB two).
 pub const IN_FLIGHT_HOPS: u64 = 1 << 22;
 
 /// Measure an estimator's trials on a compile-once [`RouteCtx`], and run
 /// `side` once on the same pool (see the module's *trial schedule*).
 ///
-/// Each trial draws its cells' demands, then [`plan_trial`] plans them all
-/// at once around the context's faults and through its cache (one BFS tree
-/// per distinct source across the cells, sources fanned out over `pool`),
-/// and each cell is compiled as soon as its trial is planned. A route run
+/// Each trial draws its cells' demands, then [`plan_trial`] writes all
+/// their batches at once around the context's faults and through its cache
+/// (one BFS tree per distinct source across the cells, sources or demand
+/// ranges fanned out over `pool`). A route run
 /// takes consecutive trials while their batches hold fewer than
 /// [`IN_FLIGHT_HOPS`] wire ids (one trial on a sequential pool) and routes
 /// their cells largest batch first. `side` joins the last route run as one
@@ -714,10 +676,11 @@ mod tests {
 
     #[test]
     fn malformed_route_panics_with_typed_message() {
-        let m = Machine::linear_array(4);
-        let panic =
-            std::panic::catch_unwind(|| RouteCtx::new(&m).compile(&[PacketPath::new(vec![0, 3])]))
-                .expect_err("a path off the host graph must panic");
+        let net = CompiledNet::compile(&Machine::linear_array(4));
+        let panic = std::panic::catch_unwind(|| {
+            crate::compiled::Runs::default().push_walk(&net, 0, &[0, 3]);
+        })
+        .expect_err("a walk off the host graph must panic");
         let msg = panic.downcast_ref::<String>().expect("formatted message");
         assert!(msg.contains("no wire 0 -> 3"), "{msg}");
     }

@@ -22,7 +22,8 @@
 //! * [`cache`] — memoized BFS trees ([`PlanCache`]) serving repeated
 //!   batches on the same machine and seed;
 //! * [`native`] — machine-aware planning: [`plan_trial`] dispatches on each
-//!   machine's native routing policy and plans around faults;
+//!   machine's native routing policy, plans around faults and writes each
+//!   cell's routes straight into its [`PacketBatch`];
 //! * [`compiled`] — the compile-once artifacts: [`CompiledNet`] (the
 //!   machine's directed-wire CSR, shared across every batch of a sweep) and
 //!   [`PacketBatch`] (each route as a run of wire ids);
@@ -53,7 +54,7 @@ pub use harness::{
     measure_rate, measure_rates_ctx, measure_trials, plateau_rate, CellSample, Measured,
     RateSample, RouteCtx, Trial, IN_FLIGHT_HOPS,
 };
-pub use native::{plan_routes_cached, plan_trial, DegradedPlan, Faults, TrialPlan};
+pub use native::{plan_routes_cached, plan_trial, DegradedPlan, TrialPlan};
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};
 pub use steady::{saturation_throughput, steady_state_rate_ctx, SteadyConfig, SteadyOutcome};

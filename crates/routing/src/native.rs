@@ -8,27 +8,43 @@
 //! classical bit-correction schemes.
 //!
 //! [`plan_trial`] is the one planner: it plans one or more batches that
-//! share a plan seed, dispatching on the policy, around a fault plan's dead
-//! wires and nodes when given one ([`Faults`]). [`plan_routes_cached`] is
-//! its one-batch, intact case. To route demands as well as plan them, use
-//! [`crate::RouteCtx::route_demands`]. Callers that want to *ablate* the
-//! scheme can still construct a [`PathOracle`] directly.
+//! share a plan seed on a [`RouteCtx`], dispatching on the policy, around
+//! the context's faults when it has some. It writes each batch's
+//! [`PacketBatch`] directly: every planner job — a BFS source group, a
+//! demand range of an arithmetic cell, a Valiant cell, a group of fault
+//! repairs — walks its routes into a reused vertex buffer and appends the
+//! hops' wire ids to its own arena, and one assembly pass copies every
+//! route into its cell's batch in demand order. [`plan_routes_cached`] is
+//! its one-batch, intact case, decoded back into vertex paths. To route
+//! demands as well as plan them, use [`crate::RouteCtx::route_demands`].
+//! Callers that want to *ablate* the scheme can still construct a
+//! [`crate::PathOracle`] directly.
+
+use std::ops::Range;
 
 use fcn_exec::Pool;
 use fcn_faults::FaultPlan;
 use fcn_multigraph::{Multigraph, NodeId};
 use fcn_topology::{Machine, RoutePolicy};
+use rand::rngs::StdRng;
+use rand::SeedableRng as _;
 
 use crate::cache::PlanCache;
+use crate::compiled::{CompiledNet, PacketBatch, Routes, Runs};
+use crate::harness::RouteCtx;
 use crate::oracle::PathOracle;
 use crate::packet::{PacketPath, Strategy};
+
+/// Demands per job of an arithmetic cell: bit-correction routes are pure
+/// per demand, so a cell splits into ranges of this many over the pool.
+const WALK_CHUNK: usize = 4096;
 
 /// Plan routes for `demands` on the intact `machine` under `strategy`,
 /// honoring the machine's native routing policy, with an optional
 /// [`PlanCache`] serving the BFS trees: the one-batch, intact case of
-/// [`plan_trial`]. `Strategy::Valiant` always uses the two-phase
-/// random-intermediate scheme (restricted to the base prefix when the
-/// policy demands it).
+/// [`plan_trial`], decoded into vertex paths. `Strategy::Valiant` always
+/// uses the two-phase random-intermediate scheme (restricted to the base
+/// prefix when the policy demands it).
 ///
 /// Cached planning is bit-identical to fresh planning — the oracle's BFS
 /// trees are pure functions of `(graph, node limit, source, seed)` — so the
@@ -43,25 +59,22 @@ pub fn plan_routes_cached(
     seed: u64,
     cache: Option<&PlanCache>,
 ) -> Vec<PacketPath> {
-    plan_trial(
-        machine,
-        &[demands],
-        strategy,
-        seed,
-        None,
-        cache,
-        Pool::sequential(),
-    )
-    .batches
-    .into_iter()
-    .flat_map(|plan| plan.paths)
-    .collect()
+    let ctx = RouteCtx::new(machine);
+    let ctx = match cache {
+        Some(c) => ctx.with_cache(c),
+        None => ctx,
+    };
+    let plan = plan_trial(&ctx, &[demands], strategy, seed, Pool::sequential());
+    let batch = &plan.batches[0].batch;
+    (0..batch.len())
+        .map(|i| PacketPath::new(batch.decode_path(ctx.net(), i)))
+        .collect()
 }
 
 /// A non-empty [`FaultPlan`] as planners see it: the plan, and the surviving
 /// graph ([`FaultPlan::degrade_graph`]) their BFS trees grow on. Built once
 /// per plan and shared by every trial planned around it.
-pub struct Faults<'a> {
+pub(crate) struct Faults<'a> {
     plan: &'a FaultPlan,
     graph: Multigraph,
 }
@@ -69,21 +82,33 @@ pub struct Faults<'a> {
 impl<'a> Faults<'a> {
     /// `plan` resolved against `machine`'s graph, or `None` for an empty
     /// plan: the intact case.
-    pub fn new(machine: &Machine, plan: &'a FaultPlan) -> Option<Faults<'a>> {
+    pub(crate) fn new(machine: &Machine, plan: &'a FaultPlan) -> Option<Faults<'a>> {
         (!plan.is_empty()).then(|| Faults {
             plan,
             graph: plan.degrade_graph(machine.graph()),
         })
     }
+
+    /// Can the route leaving `src` over `wires` never be delivered? It
+    /// cannot when one of its wires is dead on `net` (the net with this
+    /// plan applied) or it touches a dead node: its source (the tail of its
+    /// first wire) or any wire's head. [`FaultPlan::path_blocked`] on the
+    /// wire run itself.
+    fn blocks(&self, net: &CompiledNet, src: NodeId, wires: &[u32]) -> bool {
+        self.plan.node_dead(src)
+            || wires
+                .iter()
+                .any(|&w| net.wire_dead(w) || self.plan.node_dead(net.wire_head(w)))
+    }
 }
 
 /// Outcome of planning one batch, around a [`FaultPlan`] or on the intact
 /// machine.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedPlan {
     /// Routes for every *routable* demand, in input order (unreachable
-    /// demands are simply absent).
-    pub paths: Vec<PacketPath>,
+    /// demands are simply absent), as wire ids of the context's net.
+    pub batch: PacketBatch,
     /// Indices (into the demand slice) of demands with no surviving route:
     /// a dead endpoint, or endpoints in different surviving components.
     pub unreachable: Vec<usize>,
@@ -104,44 +129,64 @@ pub struct TrialPlan {
     pub trees: u64,
 }
 
+/// How a trial's routes are planned.
+#[derive(Debug, Clone, Copy)]
+enum Planner {
+    /// BFS shortest paths, every batch's demands grouped by source.
+    Bfs,
+    /// Valiant's two phases, batch by batch.
+    Valiant,
+    /// A native arithmetic walk, demand by demand.
+    Walk(Walk),
+}
+
+/// The native policies that route arithmetically.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    DeBruijn(u32),
+    ShuffleExchange(u32),
+    XTree(u32),
+}
+
 /// Plan several batches that share one plan seed — the cells of one
-/// estimator trial — around `faults` (`None`: the intact machine),
-/// returning each batch's plan in input order.
+/// estimator trial — on `ctx`: around its faults (if any), through its
+/// plan cache (if any), each batch's routes written as wire ids of its net.
+/// Returns each batch's plan in input order.
 ///
 /// * **BFS policies** (shortest-path, prefix-restricted) under
 ///   [`Strategy::ShortestPath`] — the batches are planned as one: every
 ///   distinct source across them gets one tree on the surviving graph,
-///   fetched or computed once (through `cache`, if any) and unwound for all
-///   of that source's demands, and the sources fan out over `pool`. Every
-///   route avoids the faults by construction; a demand the tree does not
-///   reach is unreachable (a second tree from the same source and seed
+///   fetched or computed once (through the cache, if any) and unwound for
+///   all of that source's demands, and the sources fan out over `pool`.
+///   Every route avoids the faults by construction; a demand the tree does
+///   not reach is unreachable (a second tree from the same source and seed
 ///   would not reach it either).
-/// * **Arithmetic policies** (de Bruijn / shuffle-exchange bit correction,
-///   X-tree levels) and [`Strategy::Valiant`] draw from a sequential
-///   per-batch RNG, so they plan batch by batch, one batch per pool job:
-///   arithmetic routes on the intact topology, Valiant on the surviving
-///   graph. A route that crosses a fault, or a Valiant route with a dead
-///   intermediate, is then re-planned by BFS on the surviving graph —
-///   every batch's repairs at once, one tree per distinct source —
-///   and counted in [`DegradedPlan::replans`].
+/// * **Arithmetic policies** (de Bruijn / shuffle-exchange bit correction)
+///   route each demand on its own, so every batch splits into ranges of
+///   demands over `pool`. X-tree levels draw from one sequential RNG per
+///   batch and [`Strategy::Valiant`] draws its intermediates from one, so
+///   they plan one batch per pool job: arithmetic routes on the intact
+///   topology, Valiant on the surviving graph. A route that crosses a
+///   fault, or a Valiant route with a dead intermediate, is then re-planned
+///   by BFS on the surviving graph — every batch's repairs at once, one
+///   tree per distinct source — and counted in [`DegradedPlan::replans`].
 ///
 /// Demands with a permanently dead endpoint are always unreachable, even
 /// the trivial `s == s` ones — a dead processor originates nothing. Each
-/// batch's plan equals planning that batch alone, for every worker count. Attaching a [`PlanCache`] is safe: the degraded
-/// graph's fingerprint differs from the intact one's, so cached trees never
-/// cross over.
+/// batch's plan equals planning that batch alone, for every worker count.
+/// Attaching a [`PlanCache`] is safe: the degraded graph's fingerprint
+/// differs from the intact one's, so cached trees never cross over.
 ///
 /// # Panics
 /// On the intact machine, when some demand has no path in the host.
 pub fn plan_trial(
-    machine: &Machine,
+    ctx: &RouteCtx<'_>,
     batches: &[&[(NodeId, NodeId)]],
     strategy: Strategy,
     seed: u64,
-    faults: Option<&Faults<'_>>,
-    cache: Option<&PlanCache>,
     pool: Pool,
 ) -> TrialPlan {
+    let (machine, net, faults) = (ctx.machine(), &**ctx.net(), ctx.faults.as_ref());
     let policy = machine.route_policy();
     let graph = faults.map_or(machine.graph(), |f| &f.graph);
     let oracle = || {
@@ -149,82 +194,79 @@ pub fn plan_trial(
             RoutePolicy::RestrictToPrefix(p) => PathOracle::with_node_limit(graph, p, seed),
             _ => PathOracle::new(graph, seed),
         };
-        match cache {
+        match ctx.cache {
             Some(c) => o.with_cache(c),
             None => o,
         }
     };
-    let bfs = strategy == Strategy::ShortestPath
-        && matches!(
-            policy,
-            RoutePolicy::ShortestPath | RoutePolicy::RestrictToPrefix(_)
-        );
-    // Phase 1 — candidate routes, one list per batch.
-    let mut trees = 0;
-    let mut candidates: Vec<Vec<Option<PacketPath>>> = if bfs {
-        let mut o = oracle().with_pool(pool);
-        let mut routes = o.try_routes(&batches.concat(), strategy).into_iter();
-        trees += o.trees_computed();
-        batches
-            .iter()
-            .map(|b| routes.by_ref().take(b.len()).collect())
-            .collect()
-    } else {
-        let planned = pool.run(batches.len(), |b| {
-            let demands = batches[b];
-            let routes = match (strategy, policy) {
-                (Strategy::ShortestPath, RoutePolicy::DeBruijnBits { g }) => demands
-                    .iter()
-                    .map(|&(u, v)| Some(PacketPath::new(de_bruijn_path(u, v, g))))
-                    .collect(),
-                (Strategy::ShortestPath, RoutePolicy::ShuffleExchangeBits { g }) => demands
-                    .iter()
-                    .map(|&(u, v)| Some(PacketPath::new(shuffle_exchange_path(u, v, g))))
-                    .collect(),
-                (Strategy::ShortestPath, RoutePolicy::XTreeLevels { depth }) => {
-                    use rand::SeedableRng as _;
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    demands
-                        .iter()
-                        .map(|&(u, v)| {
-                            Some(PacketPath::new(xtree_level_path(u, v, depth, &mut rng)))
-                        })
-                        .collect()
-                }
-                // Valiant; BFS shortest paths were planned above.
-                _ => {
-                    let mut o = oracle();
-                    let routes = o.try_routes(demands, strategy);
-                    return (routes, o.trees_computed());
-                }
-            };
-            (routes, 0)
-        });
-        planned
-            .into_iter()
-            .map(|(routes, computed)| {
-                trees += computed;
-                routes
-            })
-            .collect()
+    let planner = match (strategy, policy) {
+        (Strategy::Valiant, _) => Planner::Valiant,
+        (_, RoutePolicy::DeBruijnBits { g }) => Planner::Walk(Walk::DeBruijn(g)),
+        (_, RoutePolicy::ShuffleExchangeBits { g }) => Planner::Walk(Walk::ShuffleExchange(g)),
+        (_, RoutePolicy::XTreeLevels { depth }) => Planner::Walk(Walk::XTree(depth)),
+        (_, RoutePolicy::ShortestPath | RoutePolicy::RestrictToPrefix(_)) => Planner::Bfs,
     };
+    // Demand `i` of batch `b` is demand `base[b] + i` of the trial.
+    let mut base = Vec::with_capacity(batches.len() + 1);
+    base.push(0);
+    for b in batches {
+        base.push(base[base.len() - 1] + b.len());
+    }
+    let demands = batches.concat();
+    // Phase 1 — candidate routes, every job into its own arena.
+    let mut trees = 0;
+    let jobs = match planner {
+        Planner::Bfs => {
+            let o = oracle().with_pool(pool);
+            let runs = o.leg_runs(net, &demands);
+            trees += o.trees_computed();
+            runs
+        }
+        Planner::Valiant => pool
+            .run(batches.len(), |b| {
+                let mut o = oracle();
+                (o.valiant_runs(net, batches[b], base[b]), o.trees_computed())
+            })
+            .into_iter()
+            .map(|(runs, computed)| {
+                trees += computed;
+                runs
+            })
+            .collect(),
+        Planner::Walk(walk) => {
+            // X-tree levels draw from one RNG per batch: one job per batch.
+            let chunk = match walk {
+                Walk::XTree(_) => usize::MAX,
+                _ => WALK_CHUNK,
+            };
+            let ranges: Vec<Range<usize>> = (0..batches.len())
+                .flat_map(|b| {
+                    let end = base[b + 1];
+                    (base[b]..end)
+                        .step_by(chunk)
+                        .map(move |lo| lo..end.min(lo.saturating_add(chunk)))
+                })
+                .collect();
+            pool.run(ranges.len(), |r| {
+                walk.runs(net, &demands, ranges[r].clone(), seed)
+            })
+        }
+    };
+    let mut routes = Routes::new(jobs, demands.len());
     let mut replans = vec![0u64; batches.len()];
     if let Some(faults) = faults {
         // Phase 2 — fault-check. Dead endpoints are never routable; a
         // blocked or missing non-BFS candidate is queued for repair.
-        let mut repairs: Vec<(usize, usize)> = Vec::new();
-        for (b, routes) in candidates.iter_mut().enumerate() {
-            for (i, route) in routes.iter_mut().enumerate() {
-                let (s, d) = batches[b][i];
-                let dead_end = faults.plan.node_dead(s) || faults.plan.node_dead(d);
-                let blocked = route
-                    .as_ref()
-                    .is_none_or(|p| faults.plan.path_blocked(&p.path));
-                if dead_end || blocked {
-                    *route = None;
-                    if !dead_end && !bfs {
-                        repairs.push((b, i));
-                    }
+        let mut repairs: Vec<usize> = Vec::new();
+        for (i, &(s, d)) in demands.iter().enumerate() {
+            let dead_end = faults.plan.node_dead(s) || faults.plan.node_dead(d);
+            let blocked = routes
+                .route(i)
+                .is_none_or(|wires| faults.blocks(net, s, wires));
+            if dead_end || blocked {
+                routes.clear(i);
+                if !dead_end && !matches!(planner, Planner::Bfs) {
+                    repairs.push(i);
                 }
             }
         }
@@ -232,40 +274,46 @@ pub fn plan_trial(
         // seeding keeps a repair a pure function of `(seed, demand)`,
         // independent of which other demands needed one.
         if !repairs.is_empty() {
-            let demands: Vec<(NodeId, NodeId)> =
-                repairs.iter().map(|&(b, i)| batches[b][i]).collect();
-            let mut o = oracle().with_pool(pool);
-            let repaired = o.try_routes(&demands, Strategy::ShortestPath);
+            let legs: Vec<(NodeId, NodeId)> = repairs.iter().map(|&i| demands[i]).collect();
+            let o = oracle().with_pool(pool);
+            for runs in o.leg_runs(net, &legs) {
+                routes.add(runs, |r| repairs[r]);
+            }
             trees += o.trees_computed();
-            for (&(b, i), route) in repairs.iter().zip(repaired) {
-                replans[b] += u64::from(route.is_some());
-                candidates[b][i] = route;
+            for &i in &repairs {
+                let b = base.partition_point(|&start| start <= i) - 1;
+                replans[b] += u64::from(routes.route(i).is_some());
             }
         }
     }
-    // Phase 4 — split routable from stranded.
-    let plans: Vec<DegradedPlan> = candidates
-        .into_iter()
-        .zip(batches)
+    // Phase 4 — assembly: each batch's routes in demand order.
+    let plans: Vec<DegradedPlan> = (0..batches.len())
         .zip(replans)
-        .map(|((routes, demands), replans)| {
-            let mut plan = DegradedPlan {
-                paths: Vec::with_capacity(routes.len()),
-                unreachable: Vec::new(),
-                replans,
-            };
-            for (i, route) in routes.into_iter().enumerate() {
-                match route {
-                    Some(p) => plan.paths.push(p),
-                    None if faults.is_some() => plan.unreachable.push(i),
-                    #[expect(
-                        clippy::panic,
-                        reason = "documented panic: every machine graph is connected"
-                    )]
-                    None => panic!("no path {} -> {} in host", demands[i].0, demands[i].1),
+        .map(|(b, replans)| {
+            let mut unreachable = Vec::new();
+            let missing = |i: usize| {
+                let (s, d) = demands[i];
+                #[expect(
+                    clippy::panic,
+                    reason = "documented panic: every machine graph is connected"
+                )]
+                if faults.is_none() {
+                    panic!("no path {s} -> {d} in host");
                 }
+                unreachable.push(i - base[b]);
+            };
+            #[expect(
+                clippy::panic,
+                reason = "documented panic: a trial's packet ids and wire ids fit u32"
+            )]
+            let batch = routes
+                .batch(base[b]..base[b + 1], |i| demands[i].0, missing)
+                .unwrap_or_else(|e| panic!("planner produced unroutable batch: {e}"));
+            DegradedPlan {
+                batch,
+                unreachable,
+                replans,
             }
-            plan
         })
         .collect();
     if fcn_telemetry::global().enabled() {
@@ -287,21 +335,65 @@ pub fn plan_trial(
     }
 }
 
-/// The classical de Bruijn route: shift in the destination's bits, most
-/// significant first (at most `g` hops), with two shortcuts — direct hops
-/// for graph-adjacent pairs, and whichever direction (shift-in `v` from `u`
-/// or the reverse of shift-in `u` from `v`) gives the shorter walk. The
-/// shortcuts matter for emulations, whose demands are guest-adjacent pairs.
-pub(crate) fn de_bruijn_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+impl Walk {
+    /// Hops to reserve per route: the most a bit-correction route takes
+    /// (one per bit, two on the shuffle-exchange), and an X-tree route's
+    /// longest climb and descent (its level walk may add more).
+    fn hops(self) -> usize {
+        match self {
+            Walk::DeBruijn(g) => g as usize,
+            Walk::ShuffleExchange(g) => 2 * g as usize,
+            Walk::XTree(depth) => 2 * depth as usize,
+        }
+    }
+
+    /// The routes of `demands[range]`, one batch's or part of one, written
+    /// against `net`. X-tree levels draw from a fresh RNG seeded with the
+    /// plan seed, so `range` must be a whole batch for them.
+    fn runs(
+        self,
+        net: &CompiledNet,
+        demands: &[(NodeId, NodeId)],
+        range: Range<usize>,
+        seed: u64,
+    ) -> Runs {
+        // Reserved for routes of the walk's usual length: a growing arena
+        // costs more than the walk itself.
+        let mut runs = Runs::with_capacity(range.len(), range.len() * self.hops());
+        let mut walk = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in range {
+            let (u, v) = demands[i];
+            walk.clear();
+            match self {
+                Walk::DeBruijn(g) => de_bruijn_walk(u, v, g, &mut walk),
+                Walk::ShuffleExchange(g) => shuffle_exchange_walk(u, v, g, &mut walk),
+                Walk::XTree(depth) => xtree_level_walk(u, v, depth, &mut rng, &mut walk),
+            }
+            runs.push_walk(net, i, &walk);
+        }
+        runs
+    }
+}
+
+/// The classical de Bruijn route, written into `walk`: shift in the
+/// destination's bits, most significant first (at most `g` hops), with two
+/// shortcuts — direct hops for graph-adjacent pairs, and whichever direction
+/// (shift-in `v` from `u` or the reverse of shift-in `u` from `v`) gives the
+/// shorter walk. The shortcuts matter for emulations, whose demands are
+/// guest-adjacent pairs.
+fn de_bruijn_walk(u: NodeId, v: NodeId, g: u32, walk: &mut Vec<NodeId>) {
     if u == v {
-        return vec![u];
+        walk.push(u);
+        return;
     }
     let mask = (1u64 << g) - 1;
     let (uu, vv) = (u as u64, v as u64);
     // Graph-adjacent (one a shift of the other): single hop.
     let shift_of = |a: u64, b: u64| ((a << 1) & mask) == b || (((a << 1) | 1) & mask) == b;
     if shift_of(uu, vv) || shift_of(vv, uu) {
-        return vec![u, v];
+        walk.extend([u, v]);
+        return;
     }
     // Count both walks' hops, then build only the shorter; the reversed
     // walk wins only when strictly shorter.
@@ -315,14 +407,11 @@ pub(crate) fn de_bruijn_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
     } else {
         (u, v)
     };
-    // At most `g` hops: one allocation per route.
-    let mut path = Vec::with_capacity(g as usize + 1);
-    path.push(a);
-    de_bruijn_shift_walk(a, b, g, |w| path.push(w));
+    walk.push(a);
+    de_bruijn_shift_walk(a, b, g, |w| walk.push(w));
     if a != u {
-        path.reverse();
+        walk.reverse();
     }
-    path
 }
 
 /// Shift-in walk `u -> v` (forward direction only): `step` is called on
@@ -343,57 +432,58 @@ fn de_bruijn_shift_walk(u: NodeId, v: NodeId, g: u32, mut step: impl FnMut(NodeI
     debug_assert_eq!(cur, v as u64, "de Bruijn route failed {u} -> {v}");
 }
 
-/// The classical shuffle-exchange route: `g` rounds of (optional exchange,
-/// shuffle). The bit corrected in round `j` lands at position `(g-j) mod g`,
-/// so round `j` targets that bit of `v`. At most `2g` hops.
-pub(crate) fn shuffle_exchange_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+/// The classical shuffle-exchange route, written into `walk`: `g` rounds
+/// of (optional exchange, shuffle). The bit corrected in round `j` lands at
+/// position `(g-j) mod g`, so round `j` targets that bit of `v`. At most
+/// `2g` hops.
+fn shuffle_exchange_walk(u: NodeId, v: NodeId, g: u32, walk: &mut Vec<NodeId>) {
     let mask = (1u64 << g) - 1;
     let rot_left = |x: u64| ((x << 1) | (x >> (g - 1))) & mask;
+    walk.push(u);
     if u == v {
-        return vec![u];
+        return;
     }
     // Graph-adjacent pairs (exchange or shuffle edges) hop directly —
     // emulation demands are guest-adjacent and must not pay the 2g-walk.
     if (u ^ v) == 1 || rot_left(u as u64) == v as u64 || rot_left(v as u64) == u as u64 {
-        return vec![u, v];
+        walk.push(v);
+        return;
     }
     let mut cur = u as u64;
-    // At most `2g` hops: one allocation per walk.
-    let mut path = Vec::with_capacity(2 * g as usize + 1);
-    path.push(u);
     for j in 0..g {
         let pos = if j == 0 { 0 } else { g - j };
         let target = (v as u64 >> pos) & 1;
         if cur & 1 != target {
             cur ^= 1; // exchange edge
-            path.push(cur as NodeId);
+            walk.push(cur as NodeId);
         }
         let shuffled = rot_left(cur);
         if shuffled != cur {
-            path.push(shuffled as NodeId);
+            walk.push(shuffled as NodeId);
             cur = shuffled;
         }
     }
     debug_assert_eq!(cur, v as u64, "shuffle-exchange route failed {u} -> {v}");
-    path
 }
 
-/// Level-balanced X-Tree route.
+/// Level-balanced X-Tree route, written into `walk`.
 ///
 /// Nodes use heap numbering (root 0; children `2i+1`, `2i+2`; level of `i`
 /// is `⌊lg(i+1)⌋`). The pair picks a crossing level `ℓ` uniformly between
 /// its LCA's level and `depth`, climbs from `u` to its level-`ℓ` ancestor,
 /// walks the level's sibling links, and descends to `v`. Adjacent pairs
 /// (tree or level edges) hop directly.
-pub(crate) fn xtree_level_path(
+fn xtree_level_walk(
     u: NodeId,
     v: NodeId,
     _depth: u32,
     rng: &mut impl rand::Rng,
-) -> Vec<NodeId> {
+    walk: &mut Vec<NodeId>,
+) {
     use rand::RngExt as _;
+    walk.push(u);
     if u == v {
-        return vec![u];
+        return;
     }
     let level_of = |x: NodeId| 32 - (x + 1).leading_zeros() - 1;
     let ancestor_at = |mut x: NodeId, mut lx: u32, target: u32| -> NodeId {
@@ -409,7 +499,8 @@ pub(crate) fn xtree_level_path(
         || (lv == lu + 1 && (v - 1) / 2 == u)
         || (lu == lv && u.abs_diff(v) == 1)
     {
-        return vec![u, v];
+        walk.push(v);
+        return;
     }
     // LCA level.
     let common = lu.min(lv);
@@ -421,53 +512,66 @@ pub(crate) fn xtree_level_path(
         lca_level -= 1;
     }
     // Walk level: uniform between the LCA and the shallower endpoint, so
-    // both endpoints climb (never descend) to it. At `walk == lca_level`
+    // both endpoints climb (never descend) to it. At `level == lca_level`
     // the horizontal segment is empty (the pure tree path).
     let hi_walk = lu.min(lv);
-    let walk = if hi_walk <= lca_level {
+    let level = if hi_walk <= lca_level {
         lca_level
     } else {
         rng.random_range(lca_level..=hi_walk)
     };
-    let mut path = Vec::new();
     let mut x = u;
     let mut lx = lu;
-    path.push(x);
-    while lx > walk {
+    while lx > level {
         x = (x - 1) / 2;
         lx -= 1;
-        path.push(x);
+        walk.push(x);
     }
     // Horizontal walk along the level's sibling links to v's ancestor.
-    let target = ancestor_at(v, lv, walk);
+    let target = ancestor_at(v, lv, level);
     while x != target {
         if x < target {
             x += 1;
         } else {
             x -= 1;
         }
-        path.push(x);
+        walk.push(x);
     }
-    // Descend along v's ancestor chain.
-    let mut chain = Vec::new();
+    // Descend along v's ancestor chain: push it bottom-up, then reverse it.
+    let descent = walk.len();
     let mut y = v;
     let mut ly = lv;
-    while ly > walk {
-        chain.push(y);
+    while ly > level {
+        walk.push(y);
         y = (y - 1) / 2;
         ly -= 1;
     }
     debug_assert_eq!(y, target);
-    for &node in chain.iter().rev() {
-        path.push(node);
-    }
-    path
+    walk[descent..].reverse();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fcn_topology::Machine;
+
+    fn de_bruijn_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+        let mut walk = Vec::new();
+        de_bruijn_walk(u, v, g, &mut walk);
+        walk
+    }
+
+    fn shuffle_exchange_path(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+        let mut walk = Vec::new();
+        shuffle_exchange_walk(u, v, g, &mut walk);
+        walk
+    }
+
+    fn xtree_level_path(u: NodeId, v: NodeId, depth: u32, rng: &mut StdRng) -> Vec<NodeId> {
+        let mut walk = Vec::new();
+        xtree_level_walk(u, v, depth, rng, &mut walk);
+        walk
+    }
 
     #[test]
     fn de_bruijn_paths_are_graph_walks_for_all_pairs() {
@@ -670,38 +774,35 @@ mod tests {
             let faulted = FaultPlan::generate(m.graph(), &FaultSpec::uniform(3, 0.15));
             assert!(!faulted.is_empty(), "{}", m.name());
             for fault_plan in [FaultPlan::none(), faulted] {
-                let faults = Faults::new(&m, &fault_plan);
+                let ctx = RouteCtx::new(&m).with_faults(&fault_plan);
                 for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
                     let alone: Vec<_> = batches
                         .iter()
                         .map(|b| {
                             let one = [b.as_slice()];
-                            let pool = Pool::sequential();
-                            plan_trial(&m, &one, strategy, 9, faults.as_ref(), None, pool)
+                            plan_trial(&ctx, &one, strategy, 9, Pool::sequential())
                                 .batches
                                 .swap_remove(0)
                         })
                         .collect();
                     for (plan, batch) in alone.iter().zip(&batches) {
                         replans += plan.replans;
-                        assert_eq!(plan.paths.len() + plan.unreachable.len(), batch.len());
-                        assert!(plan.paths.iter().all(|p| !fault_plan.path_blocked(&p.path)));
+                        assert_eq!(plan.batch.len() + plan.unreachable.len(), batch.len());
+                        for i in 0..plan.batch.len() {
+                            let walk = plan.batch.decode_path(ctx.net(), i);
+                            assert!(!fault_plan.path_blocked(&walk));
+                        }
                     }
                     for jobs in [1, 2, 3] {
                         let cache = PlanCache::default();
-                        let trial = plan_trial(
-                            &m,
-                            &slices,
-                            strategy,
-                            9,
-                            faults.as_ref(),
-                            Some(&cache),
-                            Pool::new(jobs),
-                        );
+                        let cached = RouteCtx::new(&m)
+                            .with_faults(&fault_plan)
+                            .with_cache(&cache);
+                        let trial = plan_trial(&cached, &slices, strategy, 9, Pool::new(jobs));
                         let what = format!(
                             "{} {strategy:?} faulted={} jobs={jobs}",
                             m.name(),
-                            faults.is_some()
+                            !fault_plan.is_empty()
                         );
                         assert_eq!(trial.batches, alone, "{what}");
                         assert_eq!(trial.trees, cache.misses(), "{what}");
@@ -713,6 +814,51 @@ mod tests {
             }
         }
         assert!(replans > 0, "the fault plans must force some repairs");
+    }
+
+    #[test]
+    fn the_wire_run_fault_check_is_path_blocked() {
+        // Random walks, some through dead wires and dead nodes, some not:
+        // `Faults::blocks` on a walk's wire run must agree with
+        // `FaultPlan::path_blocked` on its vertices, zero-hop walks too.
+        use fcn_faults::FaultSpec;
+        use rand::RngExt as _;
+        let (mut blocked, mut clear) = (0, 0);
+        for (m, rate) in [
+            (Machine::mesh(2, 8), 0.1),
+            (Machine::de_bruijn(6), 0.05),
+            (Machine::xtree(5), 0.2),
+        ] {
+            let plan = FaultPlan::generate(m.graph(), &FaultSpec::uniform(11, rate));
+            let faults = Faults::new(&m, &plan).expect("a non-empty plan");
+            let net = CompiledNet::compile(&m).apply_faults(&plan);
+            let mut rng = StdRng::seed_from_u64(17);
+            for _ in 0..2000 {
+                let mut walk = vec![rng.random_range(0..m.graph().node_count() as NodeId)];
+                for _ in 0..rng.random_range(0..8usize) {
+                    let here = walk[walk.len() - 1];
+                    let out: Vec<NodeId> = m
+                        .graph()
+                        .neighbor_ids(here)
+                        .iter()
+                        .copied()
+                        .filter(|&v| v != here)
+                        .collect();
+                    walk.push(out[rng.random_range(0..out.len())]);
+                }
+                let mut runs = Runs::default();
+                runs.push_walk(&net, 0, &walk);
+                let routes = Routes::new(vec![runs], 1);
+                let wires = routes.route(0).expect("a walk has a route");
+                let expect = plan.path_blocked(&walk);
+                assert_eq!(faults.blocks(&net, walk[0], wires), expect, "{walk:?}");
+                *if expect { &mut blocked } else { &mut clear } += 1;
+            }
+        }
+        assert!(
+            blocked > 100 && clear > 100,
+            "{blocked} blocked, {clear} clear"
+        );
     }
 
     #[test]

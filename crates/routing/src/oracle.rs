@@ -3,12 +3,12 @@
 //!
 //! One BFS tree is computed per distinct *group key* (source for direct
 //! routing, intermediate for the second Valiant leg) and dropped as soon as
-//! its group is done, so peak memory is one tree plus the output paths.
-//! Unless an attached [`PlanCache`] will store it, a tree's BFS stops once
-//! its group's destinations are all reached. Per
-//! group, BFS tie-breaking uses a random neighbor-preference permutation so
-//! that shortest-path load spreads across equal-cost alternatives (on
-//! meshes this approximates the usual randomized dimension-interleaving).
+//! its group is done, so peak memory is one tree per worker plus the
+//! written routes. Unless an attached [`PlanCache`] will store it, a tree's
+//! BFS stops once its group's destinations are all reached. Per group, BFS
+//! tie-breaking uses a random neighbor-preference permutation so that
+//! shortest-path load spreads across equal-cost alternatives (on meshes
+//! this approximates the usual randomized dimension-interleaving).
 //!
 //! ## Seeding discipline
 //!
@@ -30,25 +30,25 @@
 //! Attaching a [`Pool`] via [`PathOracle::with_pool`] fans the distinct
 //! sources of a batch out over its workers: each source's tree is still
 //! fetched or computed exactly once and unwound for all of that source's
-//! demands, and the routes come back in input order, so the output is
-//! bit-identical for every worker count.
+//! demands, and every route is tagged with its demand's index, so the
+//! output is bit-identical for every worker count.
 //!
-//! Every emitted path is a walk on the host graph (BFS parents are graph
-//! edges by construction), so compiling oracle output into a
-//! [`crate::compiled::PacketBatch`] against the same machine's
-//! [`crate::compiled::CompiledNet`] is infallible; a
-//! [`crate::compiled::RouteError`] from that step indicates a planner bug,
-//! not bad input.
+//! A group writes its routes as wire ids into its own arena (`Runs`):
+//! each tree path is walked into a reused vertex buffer and its hops
+//! resolved against a [`CompiledNet`]. BFS parents are graph edges, so
+//! every hop has a wire. [`PathOracle::routes`] decodes the wire runs back
+//! into [`PacketPath`]s for callers that want vertices.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fcn_exec::{job_seed, Pool};
-use fcn_multigraph::{bfs_parents_shuffled, path_from_parents, Multigraph, NodeId};
+use fcn_multigraph::{bfs_parents_shuffled, Multigraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::cache::PlanCache;
+use crate::compiled::{CompiledNet, Routes, Runs};
 use crate::packet::{PacketPath, Strategy};
 
 /// Domain separator so BFS seeds never collide with other uses of the
@@ -128,47 +128,40 @@ impl<'g> PathOracle<'g> {
     ///
     /// # Panics
     /// Panics when some demand has no path in the host (possible only on
-    /// disconnected graphs — e.g. a [`fcn_faults::FaultPlan`]-degraded one);
-    /// use [`PathOracle::try_routes`] there.
+    /// disconnected graphs — e.g. a [`fcn_faults::FaultPlan`]-degraded one).
     pub fn routes(&mut self, demands: &[(NodeId, NodeId)], strategy: Strategy) -> Vec<PacketPath> {
-        self.try_routes(demands, strategy)
-            .into_iter()
+        let net = CompiledNet::of_graph(self.graph);
+        let jobs = match strategy {
+            Strategy::ShortestPath => self.leg_runs(&net, demands),
+            Strategy::Valiant => vec![self.valiant_runs(&net, demands, 0)],
+        };
+        let routes = Routes::new(jobs, demands.len());
+        demands
+            .iter()
             .enumerate()
-            .map(|(i, p)| {
+            .map(|(i, &(s, d))| {
                 #[expect(
                     clippy::panic,
-                    reason = "documented panicking wrapper; `try_routes` is the Option-returning entry point"
+                    reason = "documented panic: `plan_trial` reports unreachable demands instead"
                 )]
-                p.unwrap_or_else(|| {
-                    let (s, d) = demands[i];
-                    panic!("no path {s} -> {d} in host")
-                })
+                let wires = routes
+                    .route(i)
+                    .unwrap_or_else(|| panic!("no path {s} -> {d} in host"));
+                PacketPath::new(net.walk_of(s, wires))
             })
             .collect()
     }
 
-    /// [`PathOracle::routes`] surfacing unreachable demands as `None`
-    /// instead of panicking — the fault-aware entry point: on a
-    /// degraded graph a demand whose endpoints fall in different surviving
-    /// components has no route. Reachable demands' routes are bit-identical
-    /// to [`PathOracle::routes`] (same BFS trees, same RNG draws, in the
-    /// same order).
-    pub fn try_routes(
+    /// Valiant routes for `demands`, written as wire runs against `net`:
+    /// route `i` serves demand `base + i`, and is the shortest path to a
+    /// uniformly random intermediate joined to the one from it. A demand
+    /// either of whose legs has no path gets no route.
+    pub(crate) fn valiant_runs(
         &mut self,
+        net: &CompiledNet,
         demands: &[(NodeId, NodeId)],
-        strategy: Strategy,
-    ) -> Vec<Option<PacketPath>> {
-        match strategy {
-            Strategy::ShortestPath => self
-                .legs_grouped(demands)
-                .into_iter()
-                .map(|leg| leg.map(PacketPath::new))
-                .collect(),
-            Strategy::Valiant => self.valiant_routes(demands),
-        }
-    }
-
-    fn valiant_routes(&mut self, demands: &[(NodeId, NodeId)]) -> Vec<Option<PacketPath>> {
+        base: usize,
+    ) -> Runs {
         let n = (self.graph.node_count().min(self.node_limit)) as NodeId;
         let intermediates: Vec<NodeId> = (0..demands.len())
             .map(|_| self.rng.random_range(0..n))
@@ -183,50 +176,52 @@ impl<'g> PathOracle<'g> {
             .zip(&intermediates)
             .map(|(&(_, d), &w)| (w, d))
             .collect();
-        let leg1 = self.legs_grouped(&first);
-        let leg2 = self.legs_grouped(&second);
-        leg1.into_iter()
-            .zip(leg2)
-            .map(|(a, b)| {
-                let (mut a, b) = (a?, b?);
-                debug_assert_eq!(a.last(), b.first());
-                a.extend_from_slice(&b[1..]);
-                Some(PacketPath::new(a))
-            })
-            .collect()
-    }
-
-    /// Shortest-path legs for all demands, one BFS per distinct source,
-    /// sources fanned out over the oracle's pool, trees dropped eagerly
-    /// (unless cached) and grown only as far as their group's destinations
-    /// (see [`PathOracle::parents_for`]). Returns raw vertex sequences in
-    /// input order; `None` marks demands with no path (disconnected or
-    /// degraded hosts).
-    fn legs_grouped(&self, demands: &[(NodeId, NodeId)]) -> Vec<Option<Vec<NodeId>>> {
-        let mut order: Vec<usize> = (0..demands.len()).collect();
-        order.sort_by_key(|&i| demands[i].0);
-        let groups: Vec<&[usize]> = order
-            .chunk_by(|&a, &b| demands[a].0 == demands[b].0)
-            .collect();
-        let legs = self.pool.run(groups.len(), |g| {
-            let src = demands[groups[g][0]].0;
-            let targets: Vec<NodeId> = groups[g].iter().map(|&i| demands[i].1).collect();
-            let parent = self.parents_for(src, &targets);
-            groups[g]
-                .iter()
-                .map(|&i| match demands[i].1 {
-                    dst if dst == src => Some(vec![src]),
-                    dst => path_from_parents(&parent, src, dst),
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut out: Vec<Option<Vec<NodeId>>> = vec![None; demands.len()];
-        for (group, legs) in groups.iter().zip(legs) {
-            for (&i, leg) in group.iter().zip(legs) {
-                out[i] = leg;
+        let leg1 = Routes::new(self.leg_runs(net, &first), demands.len());
+        let leg2 = Routes::new(self.leg_runs(net, &second), demands.len());
+        let joined = |i| Some([leg1.route(i)?, leg2.route(i)?]);
+        let hops = (0..demands.len())
+            .filter_map(joined)
+            .map(|[a, b]| a.len() + b.len());
+        let mut runs = Runs::with_capacity(demands.len(), hops.sum());
+        for i in 0..demands.len() {
+            match joined(i) {
+                Some(legs) => runs.push_joined(base + i, legs),
+                None => runs.push_none(base + i),
             }
         }
-        out
+        runs
+    }
+
+    /// Shortest-path legs for `legs`, written as wire runs against `net`:
+    /// one BFS per distinct source, sources fanned out over the oracle's
+    /// pool, trees dropped eagerly (unless cached) and grown only as far as
+    /// their group's destinations (see [`PathOracle::parents_for`]). One
+    /// [`Runs`] per source group; route `i` serves leg `i`, and a leg with
+    /// no path (disconnected or degraded hosts) gets no route.
+    pub(crate) fn leg_runs(&self, net: &CompiledNet, legs: &[(NodeId, NodeId)]) -> Vec<Runs> {
+        let mut order: Vec<usize> = (0..legs.len()).collect();
+        order.sort_by_key(|&i| legs[i].0);
+        let groups: Vec<&[usize]> = order.chunk_by(|&a, &b| legs[a].0 == legs[b].0).collect();
+        self.pool.run(groups.len(), |g| {
+            let src = legs[groups[g][0]].0;
+            let targets: Vec<NodeId> = groups[g].iter().map(|&i| legs[i].1).collect();
+            let parent = self.parents_for(src, &targets);
+            // Sized exactly: arenas are a trial's largest allocation.
+            let hops = targets
+                .iter()
+                .map(|&dst| tree_depth(&parent, src, dst))
+                .sum();
+            let mut runs = Runs::with_capacity(targets.len(), hops);
+            let mut walk = Vec::new();
+            for &i in groups[g] {
+                if tree_walk(&parent, src, legs[i].1, &mut walk) {
+                    runs.push_walk(net, i, &walk);
+                } else {
+                    runs.push_none(i);
+                }
+            }
+            runs
+        })
     }
 
     /// The (possibly memoized) BFS parent tree for `src`: a pure function
@@ -275,6 +270,38 @@ impl<'g> PathOracle<'g> {
     pub fn rng(&mut self) -> &mut impl Rng {
         &mut self.rng
     }
+}
+
+/// Hops of the tree path `src -> dst` (0 when the tree does not reach
+/// `dst`).
+fn tree_depth(parent: &[NodeId], src: NodeId, dst: NodeId) -> usize {
+    if parent[dst as usize] == NodeId::MAX {
+        return 0;
+    }
+    let (mut cur, mut hops) = (dst, 0);
+    while cur != src {
+        cur = parent[cur as usize];
+        hops += 1;
+    }
+    hops
+}
+
+/// Write the tree path `src -> dst` of the BFS parent array `parent` into
+/// `walk`; false when the tree does not reach `dst`.
+fn tree_walk(parent: &[NodeId], src: NodeId, dst: NodeId, walk: &mut Vec<NodeId>) -> bool {
+    walk.clear();
+    if dst != src && parent[dst as usize] == NodeId::MAX {
+        return false;
+    }
+    let mut cur = dst;
+    walk.push(cur);
+    while cur != src {
+        cur = parent[cur as usize];
+        walk.push(cur);
+        debug_assert!(walk.len() <= parent.len(), "parent cycle");
+    }
+    walk.reverse();
+    true
 }
 
 #[cfg(test)]

@@ -543,3 +543,373 @@ fn compile_rejects_malformed_paths_with_typed_errors() {
         other => panic!("expected NoWire at packet 1, got {other:?}"),
     }
 }
+
+/// The vertex-path planning pipeline the wire writer replaced, kept as the
+/// writer's spec: each route is a `Vec` of vertices, and a cell's batch is
+/// `PacketBatch::compile` of its routes.
+mod vertex_planner {
+    use std::collections::BTreeMap;
+
+    use fcn_exec::job_seed;
+    use fcn_faults::FaultPlan;
+    use fcn_multigraph::{bfs_parents_shuffled, path_from_parents, Multigraph, NodeId};
+    use fcn_routing::{PacketPath, Strategy};
+    use fcn_topology::{Machine, RoutePolicy};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The oracle's BFS seed stream (`oracle.rs`).
+    const BFS_STREAM: u64 = 0xb5f5_0000_0000_0001;
+
+    type Route = Option<Vec<NodeId>>;
+
+    /// One cell's plan: routes of the routable demands, the unreachable
+    /// demands' indices, and the repairs that found a route.
+    pub struct Cell {
+        pub paths: Vec<PacketPath>,
+        pub unreachable: Vec<usize>,
+        pub replans: u64,
+    }
+
+    /// BFS shortest paths, one whole tree per distinct source.
+    fn legs(
+        g: &Multigraph,
+        limit: usize,
+        seed: u64,
+        demands: &[(NodeId, NodeId)],
+    ) -> (Vec<Route>, u64) {
+        let mut trees: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        let routes = demands
+            .iter()
+            .map(|&(s, d)| {
+                let parent = trees.entry(s).or_insert_with(|| {
+                    let mut rng = StdRng::seed_from_u64(job_seed(seed ^ BFS_STREAM, s as u64));
+                    bfs_parents_shuffled(g, s, limit, None, &mut rng).0
+                });
+                if s == d {
+                    Some(vec![s])
+                } else {
+                    path_from_parents(parent, s, d)
+                }
+            })
+            .collect();
+        (routes, trees.len() as u64)
+    }
+
+    fn valiant(
+        g: &Multigraph,
+        limit: usize,
+        seed: u64,
+        demands: &[(NodeId, NodeId)],
+    ) -> (Vec<Route>, u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = g.node_count().min(limit) as NodeId;
+        let mid: Vec<NodeId> = demands.iter().map(|_| rng.random_range(0..n)).collect();
+        let first: Vec<_> = demands
+            .iter()
+            .zip(&mid)
+            .map(|(&(s, _), &w)| (s, w))
+            .collect();
+        let second: Vec<_> = demands
+            .iter()
+            .zip(&mid)
+            .map(|(&(_, d), &w)| (w, d))
+            .collect();
+        let (a, ta) = legs(g, limit, seed, &first);
+        let (b, tb) = legs(g, limit, seed, &second);
+        let joined = a
+            .into_iter()
+            .zip(b)
+            .map(|(a, b)| {
+                let (mut a, b) = (a?, b?);
+                a.extend_from_slice(&b[1..]);
+                Some(a)
+            })
+            .collect();
+        (joined, ta + tb)
+    }
+
+    /// Shift-in walk `u -> v`, both directions built, the reversed one kept
+    /// only when strictly shorter.
+    fn de_bruijn(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+        let mask = (1u64 << g) - 1;
+        let shift_of = |a: NodeId, b: NodeId| {
+            let (a, b) = (a as u64, b as u64);
+            (a << 1) & mask == b || ((a << 1) | 1) & mask == b
+        };
+        if u == v {
+            return vec![u];
+        }
+        if shift_of(u, v) || shift_of(v, u) {
+            return vec![u, v];
+        }
+        let walk = |a: NodeId, b: NodeId| {
+            let mut path = vec![a];
+            let mut cur = a as u64;
+            for i in (0..g).rev() {
+                if cur == b as u64 {
+                    break;
+                }
+                let next = ((cur << 1) | ((b as u64 >> i) & 1)) & mask;
+                if next != cur {
+                    path.push(next as NodeId);
+                    cur = next;
+                }
+            }
+            path
+        };
+        let (fwd, mut rev) = (walk(u, v), walk(v, u));
+        if rev.len() < fwd.len() {
+            rev.reverse();
+            rev
+        } else {
+            fwd
+        }
+    }
+
+    fn shuffle_exchange(u: NodeId, v: NodeId, g: u32) -> Vec<NodeId> {
+        let mask = (1u64 << g) - 1;
+        let rot = |x: u64| ((x << 1) | (x >> (g - 1))) & mask;
+        if u == v {
+            return vec![u];
+        }
+        if (u ^ v) == 1 || rot(u as u64) == v as u64 || rot(v as u64) == u as u64 {
+            return vec![u, v];
+        }
+        let (mut cur, mut path) = (u as u64, vec![u]);
+        for j in 0..g {
+            let pos = if j == 0 { 0 } else { g - j };
+            if cur & 1 != (v as u64 >> pos) & 1 {
+                cur ^= 1;
+                path.push(cur as NodeId);
+            }
+            if rot(cur) != cur {
+                cur = rot(cur);
+                path.push(cur as NodeId);
+            }
+        }
+        path
+    }
+
+    fn xtree(u: NodeId, v: NodeId, rng: &mut StdRng) -> Vec<NodeId> {
+        if u == v {
+            return vec![u];
+        }
+        let level = |x: NodeId| 31 - (x + 1).leading_zeros();
+        let up = |x: NodeId| (x - 1) / 2;
+        let (lu, lv) = (level(u), level(v));
+        if (lu == lv + 1 && up(u) == v)
+            || (lv == lu + 1 && up(v) == u)
+            || (lu == lv && u.abs_diff(v) == 1)
+        {
+            return vec![u, v];
+        }
+        let ancestor = |mut x: NodeId, mut lx: u32, at: u32| {
+            while lx > at {
+                (x, lx) = (up(x), lx - 1);
+            }
+            x
+        };
+        let common = lu.min(lv);
+        let (mut a, mut b, mut lca) = (ancestor(u, lu, common), ancestor(v, lv, common), common);
+        while a != b {
+            (a, b, lca) = (up(a), up(b), lca - 1);
+        }
+        let cross = if common <= lca {
+            lca
+        } else {
+            rng.random_range(lca..=common)
+        };
+        let mut path = vec![u];
+        let (mut x, mut lx) = (u, lu);
+        while lx > cross {
+            (x, lx) = (up(x), lx - 1);
+            path.push(x);
+        }
+        let target = ancestor(v, lv, cross);
+        while x != target {
+            x = if x < target { x + 1 } else { x - 1 };
+            path.push(x);
+        }
+        let mut down = Vec::new();
+        let (mut y, mut ly) = (v, lv);
+        while ly > cross {
+            down.push(y);
+            (y, ly) = (up(y), ly - 1);
+        }
+        path.extend(down.iter().rev());
+        path
+    }
+
+    /// Plan `batches` like `fcn_routing::plan_trial`, route by route.
+    pub fn plan(
+        machine: &Machine,
+        faults: &FaultPlan,
+        batches: &[Vec<(NodeId, NodeId)>],
+        strategy: Strategy,
+        seed: u64,
+    ) -> (Vec<Cell>, u64) {
+        let policy = machine.route_policy();
+        let degraded = faults.degrade_graph(machine.graph());
+        let limit = match policy {
+            RoutePolicy::RestrictToPrefix(p) => p,
+            _ => usize::MAX,
+        };
+        let bfs = strategy == Strategy::ShortestPath
+            && matches!(
+                policy,
+                RoutePolicy::ShortestPath | RoutePolicy::RestrictToPrefix(_)
+            );
+        let mut trees = 0;
+        let mut candidates: Vec<Vec<Route>> = if bfs {
+            let (mut all, t) = legs(&degraded, limit, seed, &batches.concat());
+            trees += t;
+            batches
+                .iter()
+                .map(|b| all.drain(..b.len()).collect())
+                .collect()
+        } else {
+            batches
+                .iter()
+                .map(|b| match (strategy, policy) {
+                    (Strategy::Valiant, _) => {
+                        let (routes, t) = valiant(&degraded, limit, seed, b);
+                        trees += t;
+                        routes
+                    }
+                    (_, RoutePolicy::DeBruijnBits { g }) => {
+                        b.iter().map(|&(u, v)| Some(de_bruijn(u, v, g))).collect()
+                    }
+                    (_, RoutePolicy::ShuffleExchangeBits { g }) => b
+                        .iter()
+                        .map(|&(u, v)| Some(shuffle_exchange(u, v, g)))
+                        .collect(),
+                    (_, RoutePolicy::XTreeLevels { .. }) => {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        b.iter()
+                            .map(|&(u, v)| Some(xtree(u, v, &mut rng)))
+                            .collect()
+                    }
+                    _ => unreachable!("BFS policies plan above"),
+                })
+                .collect()
+        };
+        let mut replans = vec![0; batches.len()];
+        if !faults.is_empty() {
+            let mut repairs = Vec::new();
+            for (b, routes) in candidates.iter_mut().enumerate() {
+                for (i, route) in routes.iter_mut().enumerate() {
+                    let (s, d) = batches[b][i];
+                    let dead_end = faults.node_dead(s) || faults.node_dead(d);
+                    if dead_end || route.as_ref().is_none_or(|p| faults.path_blocked(p)) {
+                        *route = None;
+                        if !dead_end && !bfs {
+                            repairs.push((b, i));
+                        }
+                    }
+                }
+            }
+            let demands: Vec<_> = repairs.iter().map(|&(b, i)| batches[b][i]).collect();
+            let (repaired, t) = legs(&degraded, limit, seed, &demands);
+            if !repairs.is_empty() {
+                trees += t;
+            }
+            for (&(b, i), route) in repairs.iter().zip(repaired) {
+                replans[b] += u64::from(route.is_some());
+                candidates[b][i] = route;
+            }
+        }
+        let cells = candidates
+            .into_iter()
+            .zip(replans)
+            .map(|(routes, replans)| {
+                let mut cell = Cell {
+                    paths: Vec::new(),
+                    unreachable: Vec::new(),
+                    replans,
+                };
+                for (i, route) in routes.into_iter().enumerate() {
+                    match route {
+                        Some(p) => cell.paths.push(PacketPath::new(p)),
+                        None => cell.unreachable.push(i),
+                    }
+                }
+                cell
+            })
+            .collect();
+        (cells, trees)
+    }
+}
+
+/// The planners write every cell's wire ids directly; each planned cell
+/// must equal `PacketBatch::compile` of the vertex paths the old pipeline
+/// planned — every family at n ≈ 64–256, both strategies, intact and under
+/// a seeded fault plan, on one to three workers, with no cache and with a
+/// storing one — and so must its unreachable demands, its repairs and the
+/// trial's tree count.
+#[test]
+fn planned_cells_equal_the_vertex_path_pipeline() {
+    use fcn_exec::Pool;
+    use fcn_faults::FaultSpec;
+    use fcn_routing::{plan_trial, PlanCache, RouteCtx};
+    use rand::SeedableRng;
+    let (mut replans, mut unreachable, mut resting) = (0, 0, 0);
+    for (fi, family) in Family::all_with_dims(&[1, 2, 3]).iter().enumerate() {
+        let machine = family.build_near(64 + 48 * (fi % 5), 0x11);
+        let traffic = machine.symmetric_traffic();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xd1ff + fi as u64);
+        let batches: Vec<Vec<(u32, u32)>> = [1, 2]
+            .iter()
+            .map(|&k| {
+                let mut cell: Vec<_> = (0..k * traffic.n())
+                    .map(|_| traffic.sample(&mut rng))
+                    .collect();
+                cell.extend((0..3).map(|i| (i * 5, i * 5)));
+                cell
+            })
+            .collect();
+        let slices: Vec<&[(u32, u32)]> = batches.iter().map(Vec::as_slice).collect();
+        let faulted = FaultPlan::generate(machine.graph(), &FaultSpec::uniform(fi as u64, 0.08));
+        for faults in [FaultPlan::none(), faulted] {
+            for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
+                let seed = 0x5eed ^ fi as u64;
+                let (cells, trees) =
+                    vertex_planner::plan(&machine, &faults, &batches, strategy, seed);
+                for jobs in [1, 2, 3] {
+                    for cache in [None, Some(PlanCache::default())] {
+                        let ctx = RouteCtx::new(&machine).with_faults(&faults);
+                        let ctx = match &cache {
+                            Some(c) => ctx.with_cache(c),
+                            None => ctx,
+                        };
+                        let what = format!(
+                            "{} {strategy:?} faults={} jobs={jobs} cache={}",
+                            machine.name(),
+                            faults.summary().1,
+                            cache.is_some()
+                        );
+                        let plan = plan_trial(&ctx, &slices, strategy, seed, Pool::new(jobs));
+                        let want_trees = cache.as_ref().map_or(trees, PlanCache::misses);
+                        assert_eq!(plan.trees, want_trees, "{what}");
+                        for (got, want) in plan.batches.iter().zip(&cells) {
+                            let compiled = PacketBatch::compile(ctx.net(), &want.paths)
+                                .expect("old planner paths are walks");
+                            assert_eq!(got.batch, compiled, "{what}");
+                            assert_eq!(got.unreachable, want.unreachable, "{what}");
+                            assert_eq!(got.replans, want.replans, "{what}");
+                        }
+                    }
+                }
+                for cell in &cells {
+                    replans += cell.replans;
+                    unreachable += cell.unreachable.len();
+                    resting += cell.paths.iter().filter(|p| p.hops() == 0).count();
+                }
+            }
+        }
+    }
+    assert!(
+        replans > 0 && unreachable > 0 && resting > 0,
+        "{replans} {unreachable} {resting}"
+    );
+}

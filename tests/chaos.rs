@@ -16,7 +16,7 @@ use fcn_emu::bandwidth::{BandwidthEstimator, DegradedSweep};
 use fcn_emu::exec::Pool;
 use fcn_emu::faults::{FaultPlan, FaultSpec};
 use fcn_emu::routing::{
-    plan_trial, route_compiled_pooled, AbortCause, CompiledNet, DegradedPlan, Faults, PacketBatch,
+    plan_trial, route_compiled_pooled, AbortCause, CompiledNet, DegradedPlan, RouteCtx,
     RouterConfig, Strategy,
 };
 use fcn_emu::topology::{Family, Machine};
@@ -44,19 +44,10 @@ fn plan_one(
     plan_seed: u64,
     plan: &FaultPlan,
 ) -> DegradedPlan {
-    let faults = Faults::new(machine, plan);
-    let batches = [demands];
-    plan_trial(
-        machine,
-        &batches,
-        strategy,
-        plan_seed,
-        faults.as_ref(),
-        None,
-        Pool::sequential(),
-    )
-    .batches
-    .swap_remove(0)
+    let ctx = RouteCtx::new(machine).with_faults(plan);
+    plan_trial(&ctx, &[demands], strategy, plan_seed, Pool::sequential())
+        .batches
+        .swap_remove(0)
 }
 
 fn demands_on(machine: &Machine, raw: &[(u64, u64)]) -> Vec<(u32, u32)> {
@@ -90,18 +81,17 @@ proptest! {
 
         let dp = plan_one(&machine, &demands, strategy, plan_seed, &plan);
         // Every demand is either planned or reported unreachable.
-        prop_assert_eq!(dp.paths.len() + dp.unreachable.len(), demands.len());
+        prop_assert_eq!(dp.batch.len() + dp.unreachable.len(), demands.len());
         prop_assert!(dp.unreachable.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
 
         let net = CompiledNet::compile(&machine).apply_faults(&plan);
-        let batch = PacketBatch::compile(&net, &dp.paths).expect("degraded paths are walks");
         let cfg = RouterConfig { max_ticks: 200_000, ..RouterConfig::default() };
-        let out = route_compiled_pooled(&net, &batch, cfg);
+        let out = route_compiled_pooled(&net, &dp.batch, cfg);
 
         // Typed termination: the tick budget is respected and the abort
         // cause agrees with the delivery accounting.
         prop_assert!(out.ticks <= cfg.max_ticks);
-        prop_assert_eq!(out.total, dp.paths.len());
+        prop_assert_eq!(out.total, dp.batch.len());
         match out.abort {
             AbortCause::Completed => {
                 prop_assert_eq!(out.stranded, 0);
@@ -139,10 +129,8 @@ proptest! {
         prop_assert!(dp.unreachable.is_empty());
         prop_assert_eq!(dp.replans, 0);
         let cfg = RouterConfig::default();
-        let b1 = PacketBatch::compile(&base, &dp.paths).expect("walks");
-        let b2 = PacketBatch::compile(&applied, &dp.paths).expect("walks");
-        let o1 = route_compiled_pooled(&base, &b1, cfg);
-        let o2 = route_compiled_pooled(&applied, &b2, cfg);
+        let o1 = route_compiled_pooled(&base, &dp.batch, cfg);
+        let o2 = route_compiled_pooled(&applied, &dp.batch, cfg);
         prop_assert_eq!(o1, o2);
         prop_assert_eq!(o1.abort, if o1.completed { AbortCause::Completed } else { AbortCause::MaxTicks });
     }
