@@ -8,7 +8,8 @@ use fcn_bandwidth::{
 };
 use fcn_core::{
     build_witness, direct_emulation, fig1_data, generate_table, max_host_size, numeric_host_size,
-    slowdown_lower_bound, table1_spec, table2_spec, table3_spec, EmulationConfig, Lemma9Config,
+    slowdown_lower_bound, table1_spec, table2_spec, table3_spec, witness_depth, EmulationConfig,
+    Lemma9Config,
 };
 use fcn_routing::{saturation_throughput, RouterConfig, SteadyConfig};
 use fcn_topology::{Family, Machine};
@@ -114,7 +115,7 @@ USAGE:
   fcnemu bound   <guest-family> <host-family> [--n N] [--m M]
   fcnemu emulate <guest-family> <n> <host-family> <m> [--steps N]
   fcnemu audit   <family> <size> [--seed N] [--jobs N]
-  fcnemu witness <family> <size> [--alpha X (0 < X <= 16)]
+  fcnemu witness <family> <size> [--alpha X (0 < X <= 16)]  (circuit n·(t+1) <= 32768)
   fcnemu verify  <family> <size> [--hosts M] [--steps N]
   fcnemu table   <1|2|3> [--size N]
   fcnemu fig1    <guest-family> <host-family> [--n N]
@@ -590,6 +591,40 @@ fn cmd_audit(args: &Args, out: Out) -> CmdResult {
     Ok(())
 }
 
+/// The largest circuit `fcnemu witness` builds, in nodes n·(t+1): the
+/// construction's cost grows like its square. On a 2-vCPU host,
+/// linear_array 128 (32 640 nodes) took 43 s and mesh2 1024 (128 000) ran
+/// past a minute.
+pub const MAX_WITNESS_NODES: usize = 1 << 15;
+
+/// Refuse, before any cone is built, a witness whose circuit would exceed
+/// [`MAX_WITNESS_NODES`]. Λ is at least vertex 0's eccentricity, so one BFS
+/// refuses a long guest without the all-pairs diameter; since t ≥ 1, a
+/// guest above half the bound is refused without even that BFS.
+fn witness_fits(g: &fcn_multigraph::Multigraph, alpha: f64) -> Result<(), CmdError> {
+    let n = g.node_count();
+    let nodes = |lambda: u32| n * (witness_depth(lambda, alpha) as usize + 1);
+    let refuse = |nodes: String| {
+        Err(CmdError::Usage(format!(
+            "witness circuit n·(t+1) must be at most {MAX_WITNESS_NODES}, not {nodes} (n = {n})"
+        )))
+    };
+    if n > MAX_WITNESS_NODES / 2 {
+        return refuse(format!("more than {}", 2 * n));
+    }
+    let ecc = fcn_multigraph::bfs_distances(g, 0)
+        .into_iter()
+        .max()
+        .unwrap_or(0);
+    if nodes(ecc) > MAX_WITNESS_NODES {
+        return refuse(format!("at least {}", nodes(ecc)));
+    }
+    match nodes(fcn_multigraph::diameter(g)) {
+        exact if exact > MAX_WITNESS_NODES => refuse(exact.to_string()),
+        _ => Ok(()),
+    }
+}
+
 fn cmd_witness(args: &Args, out: Out) -> CmdResult {
     let id = args.pos(0, "family")?.to_string();
     let size = size(args, 1, "size")?;
@@ -599,6 +634,7 @@ fn cmd_witness(args: &Args, out: Out) -> CmdResult {
         return Err(format!("--alpha must be in (0, 16], not {alpha}").into());
     }
     let m = build(&id, size, 3)?;
+    witness_fits(m.graph(), alpha)?;
     let w = build_witness(m.graph(), Lemma9Config { alpha, seed: 0x9e });
     let _ = writeln!(out, "guest           : {} (n = {})", m.name(), w.n);
     let _ = writeln!(
@@ -706,7 +742,7 @@ fn cmd_fig1(args: &Args, out: Out) -> CmdResult {
 
 /// Render a previously written `--metrics-out` snapshot.
 ///
-/// The snapshot is validated against the `fcn-telemetry/1` schema on read;
+/// The snapshot is validated against the `fcn-telemetry/2` schema on read;
 /// `--format prom` emits the Prometheus text exposition, `--format jsonl`
 /// re-emits the canonical JSONL, and the default `table` is a human
 /// summary (histograms show count / sum / mean).
@@ -728,12 +764,6 @@ fn cmd_metrics(args: &Args, out: Out) -> CmdResult {
             let _ = writeln!(out, "{:<40} {:>16}", "counter", "value");
             for (k, v) in &snap.counters {
                 let _ = writeln!(out, "{k:<40} {v:>16}");
-            }
-            if !snap.gauges.is_empty() {
-                let _ = writeln!(out, "{:<40} {:>16}", "gauge", "value");
-                for (k, v) in &snap.gauges {
-                    let _ = writeln!(out, "{k:<40} {v:>16}");
-                }
             }
             if !snap.histograms.is_empty() {
                 let _ = writeln!(
@@ -1056,6 +1086,31 @@ mod tests {
     }
 
     #[test]
+    fn witness_circuits_above_the_bound_are_a_usage_error() {
+        // linear_array 16385 and mesh2 65536 are refused on n alone, ring
+        // 256 (256·257) on vertex 0's eccentricity, and tree 1023 (Λ = 18,
+        // twice the root's eccentricity) on its exact diameter.
+        for (cmd, nodes) in [
+            ("witness linear_array 16385", "more than 32770"),
+            ("witness mesh2 65536", "more than 131072"),
+            ("witness ring 256", "at least 65792"),
+            ("witness linear_array 128 --alpha 2", "at least 48896"),
+            ("witness tree 1023", "37851"),
+        ] {
+            let (code, out) = run_s(cmd);
+            assert_eq!(code, 2, "{cmd}: {out}");
+            assert!(
+                out.contains(&format!("must be at most 32768, not {nodes}")),
+                "{cmd}: {out}"
+            );
+        }
+        // linear_array 128 at the default α is 128·255 = 32 640 nodes: it
+        // fits (built here only up to the check).
+        let g = fcn_topology::Machine::linear_array(128);
+        assert!(super::witness_fits(g.graph(), 1.0).is_ok());
+    }
+
+    #[test]
     fn witness_reports_lemma9() {
         let (code, out) = run_s("witness mesh2 25");
         assert_eq!(code, 0, "{out}");
@@ -1127,7 +1182,7 @@ mod tests {
         // the expected instrument families.
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
-            text.starts_with("{\"schema\":\"fcn-telemetry/1\""),
+            text.starts_with("{\"schema\":\"fcn-telemetry/2\""),
             "{text}"
         );
         let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&text).expect("snapshot validates");
@@ -1152,7 +1207,13 @@ mod tests {
                 .contains_key(&format!("span_{span}_nanos_total")));
         }
         assert!(snap.histograms.contains_key("router_queue_occupancy"));
-        assert!(snap.gauges.contains_key("plan_cache_entries"));
+        // A one-shot estimate's cache has no room: every tree it computes
+        // is refused, and none is stored.
+        assert_eq!(
+            snap.counters["plan_cache_refusals_total"],
+            snap.counters["plan_cache_misses_total"]
+        );
+        assert!(!snap.counters.contains_key("plan_cache_stored_total"));
         // Router accounting is self-consistent.
         assert!(snap.counters["router_delivered_total"] <= snap.counters["router_packets_total"]);
         let occ = &snap.histograms["router_queue_occupancy"];
@@ -1196,7 +1257,7 @@ mod tests {
         let bad = dir.join("bad.jsonl");
         std::fs::write(
             &bad,
-            "{\"schema\":\"fcn-telemetry/9\",\"kind\":\"header\",\"counters\":0,\"gauges\":0,\"histograms\":0}\n",
+            "{\"schema\":\"fcn-telemetry/9\",\"kind\":\"header\",\"counters\":0,\"histograms\":0}\n",
         )
         .unwrap();
         let (code, out) = run_s(&format!("metrics {} --format prom", bad.to_str().unwrap()));

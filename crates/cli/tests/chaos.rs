@@ -1,7 +1,7 @@
 //! The differential chaos pin: a retrying client driving a chaos-wrapped
 //! daemon must recover **byte-identical** response payloads to a clean
 //! single-attempt run — including the final `metrics` render, which proves
-//! the server's request-ordered registry saw exactly one execution per
+//! the server's request registry saw exactly one execution per
 //! logical request (lost replies were replayed from the idempotency cache,
 //! never re-run).
 //!
@@ -121,7 +121,7 @@ fn retrying_client_recovers_byte_identical_payloads_under_chaos() {
     }
 
     // The matrix must actually have exercised injection; then churn cheap
-    // interactive requests (they never touch the ordered registry, so the
+    // interactive requests (they never touch the request registry, so the
     // metrics comparison above stays untainted) until every fault category
     // has fired at least once under this fixed seed.
     let stats = Arc::clone(chaos.server.chaos_stats().expect("plan configured"));

@@ -1,8 +1,8 @@
 //! `MetricsSnapshot::without_wall_clock` promises a snapshot that is the
 //! same on every run of one workload at one worker count. Checked on the
 //! real binary at two workers, where the thread schedule differs run to
-//! run: the router's scratch-arena counters follow it, and the stripped
-//! snapshot must not.
+//! run: which worker runs which job, and the order in which the workers'
+//! shards merge, follow it, and the stripped snapshot must not.
 
 use fcn_telemetry::MetricsSnapshot;
 

@@ -538,5 +538,12 @@ fn served_plan_cache_counters_are_per_request_deltas() {
         computed
     );
     assert_eq!(counter(fcn_telemetry::names::PLAN_CACHE_HITS_TOTAL), 384);
+    // The cache never evicts, so the trees the requests stored are its
+    // entries; the one machine is one registry net.
+    assert_eq!(
+        counter(fcn_telemetry::names::PLAN_CACHE_STORED_TOTAL),
+        computed
+    );
+    assert_eq!(counter(fcn_telemetry::names::SERVE_REGISTRY_NETS_TOTAL), 1);
     daemon.shutdown();
 }

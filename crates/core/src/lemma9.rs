@@ -7,8 +7,9 @@
 //! `β(Ĝ_t, γ) ≥ Ω(t·β(G))` — the bandwidth of a `t`-step guest computation
 //! is preserved no matter how cleverly the circuit is built.
 //!
-//! This module *builds the witness* on the canonical circuit and *measures*
-//! everything the proof claims:
+//! This module *builds the witness* inside a circuit — the canonical
+//! nonredundant one, or any redundant one — and *measures* everything the
+//! proof claims:
 //!
 //! * **S-nodes**: one representative per guest vertex on each of the last
 //!   `t - L_min + 1` levels;
@@ -22,12 +23,12 @@
 //! Congestion is accounted per circuit edge without materializing the
 //! `Θ(n²t²)` γ-edges individually.
 
-use std::collections::BTreeMap;
-
 use fcn_multigraph::{bfs_parents, path_from_parents, Embedding, Multigraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+use crate::circuit::Circuit;
 
 /// Parameters of the construction.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -102,6 +103,54 @@ impl Lemma9Witness {
     }
 }
 
+/// Depth of the witness circuit for guest diameter `lambda`:
+/// `t = ⌈(1+α)·Λ⌉`.
+pub fn witness_depth(lambda: u32, alpha: f64) -> u32 {
+    ((1.0 + alpha) * lambda as f64).ceil() as u32
+}
+
+/// The arcs from one circuit level into the next, grouped by the node they
+/// feed: each node's inputs sorted by guest vertex, keeping the first arc
+/// per vertex. An arc's position here indexes its γ load.
+struct Inputs {
+    /// `start[j]..start[j + 1]` is node `j`'s run in `from`.
+    start: Vec<u32>,
+    /// `(guest vertex, source node on the level below)` per kept arc.
+    from: Vec<(NodeId, u32)>,
+}
+
+impl Inputs {
+    fn new(circuit: &Circuit, i: u32) -> Inputs {
+        let below = circuit.level(i);
+        let mut arcs: Vec<(u32, NodeId, u32)> = circuit
+            .arcs_at(i)
+            .iter()
+            .map(|&(f, to)| (to, below[f as usize].vertex, f))
+            .collect();
+        // Stable, so the first arc from each vertex stays first.
+        arcs.sort_by_key(|&(to, v, _)| (to, v));
+        arcs.dedup_by_key(|&mut (to, v, _)| (to, v));
+        let mut start = vec![0u32; circuit.level(i + 1).len() + 1];
+        for &(to, _, _) in &arcs {
+            start[to as usize + 1] += 1;
+        }
+        for j in 1..start.len() {
+            start[j] += start[j - 1];
+        }
+        let from = arcs.into_iter().map(|(_, v, f)| (v, f)).collect();
+        Inputs { start, from }
+    }
+
+    /// The arc into `node` from a representative of `vertex`, if any.
+    fn find(&self, node: u32, vertex: NodeId) -> Option<usize> {
+        let lo = self.start[node as usize] as usize;
+        let run = &self.from[lo..self.start[node as usize + 1] as usize];
+        run.binary_search_by_key(&vertex, |&(v, _)| v)
+            .ok()
+            .map(|k| lo + k)
+    }
+}
+
 /// Build the Lemma 9 witness inside an arbitrary *efficient* circuit.
 ///
 /// This is the lemma's true generality: the adversary may run any
@@ -112,7 +161,7 @@ impl Lemma9Witness {
 /// returned statistics are measured on the concrete circuit.
 pub fn build_witness_in_circuit(
     g: &Multigraph,
-    circuit: &crate::circuit::Circuit,
+    circuit: &Circuit,
     cfg: Lemma9Config,
 ) -> Lemma9Witness {
     let n = g.node_count();
@@ -128,28 +177,13 @@ pub fn build_witness_in_circuit(
     );
     let cutoff = (((1.0 + cfg.alpha / 2.0) / (1.0 + cfg.alpha)) * lambda as f64).ceil() as u32;
     let cutoff = cutoff.clamp(1, lambda);
-    let l_min = cutoff;
+    let l_min = cutoff; // S-levels: [l_min, t]; terminals stay >= 0.
 
-    // Per level: index of one representative per vertex, and per node its
-    // chosen identity-predecessor and per-neighbor routing predecessors.
-    // For each level i in [1, t]: pred[i][j] = (arc sources by guest vertex)
-    // — we precompute, per node, a map vertex -> source index.
-    let mut pred: Vec<Vec<std::collections::BTreeMap<NodeId, u32>>> =
-        Vec::with_capacity(t as usize);
-    for i in 0..t {
-        let nodes_above = circuit.level(i + 1).len();
-        let mut maps: Vec<std::collections::BTreeMap<NodeId, u32>> =
-            vec![std::collections::BTreeMap::new(); nodes_above];
-        let from_level = circuit.level(i);
-        for &(f, to) in circuit.arcs_at(i) {
-            let fv = from_level[f as usize].vertex;
-            maps[to as usize].entry(fv).or_insert(f);
-        }
-        pred.push(maps);
-    }
+    // inputs[i]: the arcs from level i into level i + 1.
+    let inputs: Vec<Inputs> = (0..t).map(|i| Inputs::new(circuit, i)).collect();
     // Representative chain: rep[level][vertex] = node index representing
-    // that vertex on the S-chain, built by following identity predecessors
-    // down from the last level.
+    // that vertex on the S-chain, built by following identity inputs down
+    // from the last level.
     let mut rep: Vec<Vec<u32>> = vec![Vec::new(); t as usize + 1];
     rep[t as usize] = {
         let mut first = vec![u32::MAX; n];
@@ -160,125 +194,24 @@ pub fn build_witness_in_circuit(
         }
         first
     };
-    for i in (0..t).rev() {
+    for i in (0..t as usize).rev() {
         let mut below = vec![u32::MAX; n];
         #[expect(
             clippy::expect_used,
             reason = "shallow-circuit construction wires an identity input at every level"
         )]
         for v in 0..n {
-            let above = rep[i as usize + 1][v];
+            let above = rep[i + 1][v];
             if above == u32::MAX {
                 continue;
             }
-            below[v] = *pred[i as usize][above as usize]
-                .get(&(v as NodeId))
+            let arc = inputs[i]
+                .find(above, v as NodeId)
                 .expect("valid circuit: identity input exists");
+            below[v] = inputs[i].from[arc].1;
         }
-        rep[i as usize] = below;
+        rep[i] = below;
     }
-
-    // Mirrors the canonical construction, but congestion keys are concrete
-    // circuit node indices (level, node-index pairs).
-    let mut congestion: BTreeMap<(u32, u32, u32), u64> = BTreeMap::new();
-    let mut cone_paths = 0usize;
-    let mut gamma_edges = 0u64;
-    let mut used_nodes: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let kn = fcn_multigraph::Traffic::symmetric(n).to_multigraph();
-    let kn_embedding = Embedding::shortest_paths(&kn, g, (0..n as NodeId).collect(), &mut rng);
-    let c_g_kn = kn_embedding.stats().congestion;
-    let beta_g = kn.simple_edge_count() as f64 / c_g_kn as f64;
-
-    for u in 0..n as NodeId {
-        let (dist, parent) = bfs_parents(g, u);
-        for v in 0..n as NodeId {
-            if v == u {
-                continue;
-            }
-            let d = dist[v as usize];
-            if d > cutoff {
-                continue;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "BFS reached v (dist is finite), so the parent chain is complete"
-            )]
-            let path = path_from_parents(&parent, u, v).expect("connected");
-            for level in l_min..=t {
-                let terminal_level = level - d;
-                cone_paths += 1;
-                let bundle = terminal_level as u64 + 1;
-                gamma_edges += bundle;
-                used_nodes.insert((level, rep[level as usize][u as usize]));
-                // Routing legs: follow the circuit's actual arcs backward
-                // along the shortest path, starting from u's representative.
-                let mut cur = rep[level as usize][u as usize];
-                for (s, w) in path.windows(2).enumerate() {
-                    let gap = level - s as u32 - 1;
-                    // cur lives at level gap+1; its predecessor representing
-                    // w[1] sits at level gap.
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "cone construction added a routing input for every shortest-path arc"
-                    )]
-                    let nxt = *pred[gap as usize][cur as usize]
-                        .get(&w[1])
-                        .expect("valid circuit: routing input exists");
-                    *congestion.entry((gap, nxt, cur)).or_insert(0) += bundle;
-                    cur = nxt;
-                }
-                // Identity chain of v from the terminal up to level 0.
-                let mut q = cur; // v's representative at terminal_level
-                used_nodes.insert((terminal_level, q));
-                for i in (0..terminal_level).rev() {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "identity chains run unbroken from the terminal level to level 0"
-                    )]
-                    let nxt = *pred[i as usize][q as usize]
-                        .get(&v)
-                        .expect("valid circuit: identity input exists");
-                    *congestion.entry((i, nxt, q)).or_insert(0) += i as u64 + 1;
-                    q = nxt;
-                    used_nodes.insert((i, q));
-                }
-            }
-        }
-    }
-
-    let max_congestion = congestion.values().copied().max().unwrap_or(0);
-    let congestion_cap = ((n as u64) * (t as u64) * (t as u64)).max((t as u64) * c_g_kn);
-    Lemma9Witness {
-        n,
-        lambda,
-        t,
-        cutoff,
-        s_nodes: n * (t - l_min + 1) as usize,
-        cone_paths,
-        gamma_vertices: used_nodes.len(),
-        gamma_edges,
-        congestion: max_congestion,
-        c_g_kn,
-        congestion_cap,
-        circuit_bandwidth: gamma_edges as f64 / max_congestion.max(1) as f64,
-        target_bandwidth: t as f64 * beta_g,
-    }
-}
-
-/// Build the Lemma 9 witness over guest graph `g`.
-///
-/// Works on the canonical nonredundant circuit (`Circuit::nonredundant`
-/// structure is implicit: node `(v, level)`, identity and routing edges).
-pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
-    let n = g.node_count();
-    assert!(n >= 2, "guest too small");
-    assert!(cfg.alpha > 0.0, "lemma 9 needs alpha > 0");
-    let lambda = fcn_multigraph::diameter(g);
-    let t = ((1.0 + cfg.alpha) * lambda as f64).ceil() as u32;
-    let cutoff = (((1.0 + cfg.alpha / 2.0) / (1.0 + cfg.alpha)) * lambda as f64).ceil() as u32;
-    let cutoff = cutoff.clamp(1, lambda);
-    let l_min = cutoff; // S-levels: [l_min, t]; terminals stay >= 0.
 
     // Measured C(G, K_n): shortest-path embedding of the symmetric traffic
     // multigraph into G.
@@ -288,16 +221,16 @@ pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
     let c_g_kn = kn_embedding.stats().congestion;
     let beta_g = kn.simple_edge_count() as f64 / c_g_kn as f64;
 
-    // One BFS tree per vertex (shared by all S-levels for that vertex): the
-    // embedding paths that "witness β(G)".
-    // Congestion accumulators: key = (gap level, lower vertex, upper vertex)
-    // for the circuit edge between (x, gap) and (y, gap+1).
-    let mut congestion: BTreeMap<(u32, NodeId, NodeId), u64> = BTreeMap::new();
+    // γ load per arc (indexed like `inputs`) and the circuit nodes γ uses.
+    let mut load: Vec<Vec<u64>> = inputs.iter().map(|a| vec![0; a.from.len()]).collect();
+    let mut used: Vec<Vec<bool>> = (0..=t)
+        .map(|i| vec![false; circuit.level(i).len()])
+        .collect();
     let mut cone_paths = 0usize;
     let mut gamma_edges = 0u64;
-    let mut used_nodes: std::collections::BTreeSet<(NodeId, u32)> =
-        std::collections::BTreeSet::new();
 
+    // One BFS tree per vertex (shared by all S-levels for that vertex): the
+    // embedding paths that "witness β(G)".
     for u in 0..n as NodeId {
         let (dist, parent) = bfs_parents(g, u);
         for v in 0..n as NodeId {
@@ -305,7 +238,6 @@ pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
                 continue;
             }
             let d = dist[v as usize];
-            assert!(d != u32::MAX, "guest must be connected");
             if d > cutoff {
                 continue; // long embedding path: not a cone path
             }
@@ -321,27 +253,44 @@ pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
                 // Bundle size: Q-set = (v, terminal_level) .. (v, 0).
                 let bundle = terminal_level as u64 + 1;
                 gamma_edges += bundle;
-                used_nodes.insert((u, level));
-                for j in 0..=terminal_level {
-                    used_nodes.insert((v, j));
-                }
-                // Routing legs: hop s goes (path[s], level-s) ->
-                // (path[s+1], level-s-1); circuit edge at gap level-s-1.
+                // Routing legs: follow the circuit's actual arcs backward
+                // along the shortest path, starting from u's representative;
+                // hop s crosses the gap below level - s.
+                let mut cur = rep[level as usize][u as usize];
+                used[level as usize][cur as usize] = true;
                 for (s, w) in path.windows(2).enumerate() {
-                    let gap = level - s as u32 - 1;
-                    *congestion.entry((gap, w[1], w[0])).or_insert(0) += bundle;
+                    let gap = (level - s as u32 - 1) as usize;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cone construction added a routing input for every shortest-path arc"
+                    )]
+                    let arc = inputs[gap]
+                        .find(cur, w[1])
+                        .expect("valid circuit: routing input exists");
+                    load[gap][arc] += bundle;
+                    cur = inputs[gap].from[arc].1;
                 }
-                // Identity edges: gap i between (v,i) and (v,i+1), for
-                // i < terminal_level, carries the γ-edges destined to
-                // levels 0..=i: i+1 of them.
-                for i in 0..terminal_level {
-                    *congestion.entry((i, v, v)).or_insert(0) += i as u64 + 1;
+                // Identity chain of v from the terminal down to level 0: the
+                // arc below level i + 1 carries the γ-edges destined to
+                // levels 0..=i, i + 1 of them.
+                used[terminal_level as usize][cur as usize] = true;
+                for i in (0..terminal_level as usize).rev() {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "identity chains run unbroken from the terminal level to level 0"
+                    )]
+                    let arc = inputs[i]
+                        .find(cur, v)
+                        .expect("valid circuit: identity input exists");
+                    load[i][arc] += i as u64 + 1;
+                    cur = inputs[i].from[arc].1;
+                    used[i][cur as usize] = true;
                 }
             }
         }
     }
 
-    let max_congestion = congestion.values().copied().max().unwrap_or(0);
+    let max_congestion = load.iter().flatten().copied().max().unwrap_or(0);
     let congestion_cap = ((n as u64) * (t as u64) * (t as u64)).max((t as u64) * c_g_kn);
     Lemma9Witness {
         n,
@@ -350,7 +299,7 @@ pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
         cutoff,
         s_nodes: n * (t - l_min + 1) as usize,
         cone_paths,
-        gamma_vertices: used_nodes.len(),
+        gamma_vertices: used.iter().flatten().filter(|&&u| u).count(),
         gamma_edges,
         congestion: max_congestion,
         c_g_kn,
@@ -358,6 +307,15 @@ pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
         circuit_bandwidth: gamma_edges as f64 / max_congestion.max(1) as f64,
         target_bandwidth: t as f64 * beta_g,
     }
+}
+
+/// Build the Lemma 9 witness over guest graph `g`, on the canonical
+/// nonredundant circuit of depth [`witness_depth`].
+pub fn build_witness(g: &Multigraph, cfg: Lemma9Config) -> Lemma9Witness {
+    assert!(g.node_count() >= 2, "guest too small");
+    assert!(cfg.alpha > 0.0, "lemma 9 needs alpha > 0");
+    let t = witness_depth(fcn_multigraph::diameter(g), cfg.alpha);
+    build_witness_in_circuit(g, &Circuit::nonredundant(g, t), cfg)
 }
 
 #[cfg(test)]
@@ -447,29 +405,50 @@ mod tests {
         assert!(e_ratio > 24.0 && e_ratio < 150.0, "e_ratio {e_ratio}");
     }
 
+    /// The full witness of `fig2 --quick`'s guests, recorded when the
+    /// canonical circuit still had a cone walk of its own (field order of
+    /// [`Lemma9Witness`]; the two bandwidths as `f64` bits).
     #[test]
-    fn general_witness_matches_canonical_on_nonredundant_circuit() {
-        use crate::circuit::Circuit;
-        let m = Machine::mesh(2, 4);
-        let cfg = Lemma9Config::default();
-        let canonical = build_witness(m.graph(), cfg);
-        let circuit = Circuit::nonredundant(m.graph(), canonical.t);
-        let general = build_witness_in_circuit(m.graph(), &circuit, cfg);
-        // Same combinatorics: identical counts; congestion identical because
-        // the nonredundant circuit has exactly one representative per class.
-        assert_eq!(general.gamma_edges, canonical.gamma_edges);
-        assert_eq!(general.cone_paths, canonical.cone_paths);
-        assert_eq!(general.s_nodes, canonical.s_nodes);
-        assert_eq!(general.congestion, canonical.congestion);
+    fn fig2_quick_witnesses_match_recorded_values() {
+        #[rustfmt::skip]
+        let pins: [(Machine, [u64; 11], [u64; 2]); 3] = [
+            (Machine::ring(16), [16, 8, 16, 6, 176, 2112, 272, 17952, 546, 66, 4096],
+                [0x4040708708708708, 0x404d1745d1745d17]),
+            (Machine::mesh(2, 5), [25, 8, 16, 6, 275, 6380, 425, 56144, 1260, 126, 6400],
+                [0x4046478478478478, 0x40530c30c30c30c3]),
+            (Machine::de_bruijn(4), [16, 4, 8, 3, 96, 1380, 144, 6126, 188, 38, 1024],
+                [0x40404ae4c415c988, 0x4049435e50d79436]),
+        ];
+        for (m, counts, bits) in pins {
+            let w = witness_for(&m);
+            let got = [
+                w.n as u64,
+                w.lambda as u64,
+                w.t as u64,
+                w.cutoff as u64,
+                w.s_nodes as u64,
+                w.cone_paths as u64,
+                w.gamma_vertices as u64,
+                w.gamma_edges,
+                w.congestion,
+                w.c_g_kn,
+                w.congestion_cap,
+            ];
+            assert_eq!(got, counts, "{}", m.name());
+            assert_eq!(
+                [w.circuit_bandwidth.to_bits(), w.target_bandwidth.to_bits()],
+                bits,
+                "{}",
+                m.name()
+            );
+        }
     }
 
     #[test]
     fn general_witness_survives_redundant_circuits() {
-        use crate::circuit::Circuit;
         let m = Machine::mesh(2, 4);
         let cfg = Lemma9Config::default();
-        let lambda = fcn_multigraph::diameter(m.graph());
-        let t = ((1.0 + cfg.alpha) * lambda as f64).ceil() as u32;
+        let t = witness_depth(fcn_multigraph::diameter(m.graph()), cfg.alpha);
         for seed in [1u64, 2, 3] {
             let circuit = Circuit::redundant_random(m.graph(), t, 3, seed);
             circuit.validate(m.graph()).unwrap();
@@ -497,7 +476,6 @@ mod tests {
         // nodes, but the preserved bandwidth stays within a constant of the
         // canonical circuit's — the heart of the Efficient Emulation
         // Theorem's robustness.
-        use crate::circuit::Circuit;
         let m = Machine::ring(12);
         let cfg = Lemma9Config::default();
         let canonical = build_witness(m.graph(), cfg);
@@ -513,7 +491,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "too shallow")]
     fn shallow_circuits_rejected() {
-        use crate::circuit::Circuit;
         let m = Machine::mesh(2, 4);
         let circuit = Circuit::nonredundant(m.graph(), 3); // Λ = 6, needs ≥ 12
         let _ = build_witness_in_circuit(m.graph(), &circuit, Lemma9Config::default());

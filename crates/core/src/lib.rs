@@ -54,7 +54,9 @@ pub use hostsize::{
     HostSizeCell,
 };
 pub use lemma11::{collapse_preservation, Lemma11Report};
-pub use lemma9::{build_witness, build_witness_in_circuit, Lemma9Config, Lemma9Witness};
+pub use lemma9::{
+    build_witness, build_witness_in_circuit, witness_depth, Lemma9Config, Lemma9Witness,
+};
 pub use patterns::{execute_pattern, pattern_bandwidth, CommPattern, PatternExecution};
 pub use statements::{theorem2, theorem3, theorem4, theorem5, TheoremStatement};
 pub use tables::{

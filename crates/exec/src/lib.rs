@@ -32,12 +32,12 @@
 //! ## Telemetry
 //!
 //! The pool is also the merge point of the [`fcn_telemetry`] shard design:
-//! when the global registry is enabled, each job's metric delta is captured
-//! from its worker's thread-local shard and the deltas are merged **in job
-//! index order** into the calling thread's shard — so merged totals (all
-//! `u64` additions) are bit-identical to a `--jobs 1` run, and gauges keep
-//! the last job's value exactly as sequential execution would. The pool
-//! additionally reports its own `exec_*` metrics (runs, jobs, per-worker
+//! when the global registry is enabled, each worker takes its thread-local
+//! shard once, after its last job, and the worker shards are merged into
+//! the calling thread's shard in whatever order the workers finish. Every
+//! metric is a `u64` sum, so the merged totals are bit-identical to a
+//! `--jobs 1` run whichever worker ran which job. The pool additionally
+//! reports its own `exec_*` metrics (runs, jobs, workers, per-worker
 //! busy/idle nanos; the nano counters are wall-clock and excluded from
 //! determinism comparisons). When the registry is disabled all of this
 //! costs one relaxed load per `run` call.
@@ -51,11 +51,9 @@
 //! private mutex is the one leaf below them all.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
-
-use fcn_telemetry::LocalShard;
 
 pub mod sync;
 
@@ -214,21 +212,16 @@ impl Pool {
             fcn_telemetry::with_shard(|s| {
                 s.inc(fcn_telemetry::names::EXEC_RUNS_TOTAL);
                 s.add(fcn_telemetry::names::EXEC_JOBS_TOTAL, count as u64);
-                s.set_gauge(fcn_telemetry::names::EXEC_WORKERS_LAST, 1);
+                s.inc(fcn_telemetry::names::EXEC_WORKERS_TOTAL);
                 s.add(fcn_telemetry::names::EXEC_WORKER_BUSY_NANOS_TOTAL, busy);
             });
             return out;
         }
         let next = AtomicUsize::new(0);
         let slots: Lock<Vec<Option<T>>> = Lock::new((0..count).map(|_| None).collect());
-        // Per-job metric deltas, captured on the worker and merged below in
-        // job index order (never in completion order).
-        let job_shards: Lock<Vec<Option<LocalShard>>> = Lock::new(if tele_on {
-            (0..count).map(|_| None).collect()
-        } else {
-            Vec::new()
-        });
-        let busy_nanos = AtomicU64::new(0);
+        // The workers' summed busy nanos and merged shards, added to as each
+        // worker finishes: every metric is a sum, so the order is free.
+        let recorded: Lock<(u64, fcn_telemetry::LocalShard)> = Lock::default();
         // Wall clock allowed: busy/idle-nanos telemetry only.
         #[allow(clippy::disallowed_methods)]
         let run_start = tele_on.then(Instant::now);
@@ -250,36 +243,27 @@ impl Pool {
                         let value = f(i);
                         if let Some(t0) = job_start {
                             busy += saturating_nanos(t0);
-                            // Worker threads start with an empty shard and we
-                            // drain after every job, so this take is exactly
-                            // job i's delta.
-                            let shard = fcn_telemetry::take_shard();
-                            if !shard.is_empty() {
-                                job_shards.lock()[i] = Some(shard);
-                            }
                         }
                         slots.lock()[i] = Some(value);
                     }
-                    // ordering: commutative additions summed across workers;
-                    // the read below happens after the scope join, which
-                    // already synchronizes.
-                    busy_nanos.fetch_add(busy, Ordering::Relaxed);
+                    if tele_on {
+                        // A worker thread starts with an empty shard, so
+                        // this take is exactly what its jobs recorded.
+                        let shard = fcn_telemetry::take_shard();
+                        let mut recorded = recorded.lock();
+                        recorded.0 += busy;
+                        recorded.1.merge(&shard);
+                    }
                 });
             }
         });
         if tele_on {
-            let shards = job_shards.into_inner();
+            let (busy, shard) = recorded.into_inner();
             fcn_telemetry::with_shard(|s| {
-                for shard in shards.into_iter().flatten() {
-                    s.merge(&shard);
-                }
+                s.merge(&shard);
                 s.inc(fcn_telemetry::names::EXEC_RUNS_TOTAL);
                 s.add(fcn_telemetry::names::EXEC_JOBS_TOTAL, count as u64);
-                s.set_gauge(fcn_telemetry::names::EXEC_WORKERS_LAST, workers as u64);
-                // ordering: the thread scope above already joined every
-                // worker, so this read observes the final total; the atomic
-                // only resolved cross-worker additions.
-                let busy = busy_nanos.load(Ordering::Relaxed);
+                s.add(fcn_telemetry::names::EXEC_WORKERS_TOTAL, workers as u64);
                 // Idle is measured against the run's wall span, not each
                 // worker's own lifetime: a worker that runs out of jobs
                 // exits early, and its wait for the join is idle too.
@@ -497,7 +481,6 @@ mod tests {
             tele::with_shard(|s| {
                 s.add(tele::names::ROUTER_RUNS_TOTAL, 1);
                 s.record(tele::names::ROUTER_QUEUE_OCCUPANCY, (i as u64) % 13);
-                s.set_gauge(tele::names::PLAN_CACHE_ENTRIES, i as u64);
             });
             i * 3
         };
@@ -520,17 +503,10 @@ mod tests {
                 seq.histogram(tele::names::ROUTER_QUEUE_OCCUPANCY),
                 "jobs={jobs}"
             );
-            // Index-order merge keeps the *last* job's gauge, exactly like
-            // sequential execution.
-            assert_eq!(
-                par.gauge(tele::names::PLAN_CACHE_ENTRIES),
-                Some(39),
-                "jobs={jobs}"
-            );
             assert_eq!(par.counter(fcn_telemetry::names::EXEC_JOBS_TOTAL), 40);
             assert_eq!(
-                par.gauge(fcn_telemetry::names::EXEC_WORKERS_LAST),
-                Some(jobs as u64)
+                par.counter(fcn_telemetry::names::EXEC_WORKERS_TOTAL),
+                jobs as u64
             );
         }
         tele::global().set_enabled(false);

@@ -3,8 +3,8 @@
 //!
 //! The order is flat: a thread never takes a [`Lock`] while it holds
 //! another one. Every service and runtime lock (admission, the serve
-//! registry, the merge queue, the reply cache, the plan cache, the pool's
-//! bookkeeping and the watchdog) is therefore a leaf, and no interleaving
+//! registry, the reply cache, the plan cache, the pool's result slots and
+//! worker shards, and the watchdog) is therefore a leaf, and no interleaving
 //! of them can deadlock. The telemetry [`fcn_telemetry::MetricsRegistry`]
 //! keeps one private mutex that is a leaf *below* every `Lock`: its
 //! critical sections call nothing outside its own file, so recording a

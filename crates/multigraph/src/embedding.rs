@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use rand::{Rng, RngExt};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::dist::{bfs_parents_shuffled, path_from_parents};
@@ -100,95 +100,6 @@ impl Embedding {
         }
     }
 
-    /// Embed `guest` into `host` via per-edge random intermediates
-    /// (Valiant-style): each guest edge routes `φ(u) → w → φ(v)` with `w`
-    /// uniform, both legs on BFS trees rooted at `w`.
-    ///
-    /// Compared to [`Embedding::shortest_paths`], paths are at most twice as
-    /// long but the per-source tree-trunk correlation disappears (each pair
-    /// uses an independent random tree), which makes the congestion witness
-    /// near-balanced — the right choice when the embedding certifies a
-    /// bandwidth *lower bound* (`β ≥ E/c`).
-    pub fn valiant(
-        guest: &Multigraph,
-        host: &Multigraph,
-        phi: Vec<NodeId>,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert_eq!(phi.len(), guest.node_count(), "phi must map every vertex");
-        for &h in &phi {
-            assert!((h as usize) < host.node_count(), "phi maps out of range");
-        }
-        let guest_edges: Vec<EdgeRef> = guest.edges().collect();
-        let hn = host.node_count() as NodeId;
-        // Sample intermediates, then group edges by intermediate so only one
-        // BFS tree lives at a time.
-        let mids: Vec<NodeId> = (0..guest_edges.len())
-            .map(|_| rng.random_range(0..hn))
-            .collect();
-        let mut order: Vec<usize> = (0..guest_edges.len()).collect();
-        order.sort_by_key(|&i| mids[i]);
-        let mut paths: Vec<Vec<NodeId>> = vec![Vec::new(); guest_edges.len()];
-        let mut current: Option<NodeId> = None;
-        let mut parent: Vec<NodeId> = Vec::new();
-        for &i in &order {
-            let e = &guest_edges[i];
-            let (src, dst) = (phi[e.u as usize], phi[e.v as usize]);
-            if src == dst {
-                paths[i] = vec![src];
-                continue;
-            }
-            let w = mids[i];
-            if current != Some(w) {
-                parent = bfs_parents_shuffled(host, w, host.node_count(), None, rng).0;
-                current = Some(w);
-            }
-            // Leg 1: src -> w is the reverse of the tree path w -> src.
-            #[expect(
-                clippy::panic,
-                reason = "documented precondition: callers embed into connected hosts"
-            )]
-            let mut leg1 = path_from_parents(&parent, w, src)
-                .unwrap_or_else(|| panic!("host disconnects {w} and {src}"));
-            leg1.reverse();
-            #[expect(
-                clippy::panic,
-                reason = "documented precondition: callers embed into connected hosts"
-            )]
-            let leg2 = path_from_parents(&parent, w, dst)
-                .unwrap_or_else(|| panic!("host disconnects {w} and {dst}"));
-            leg1.extend_from_slice(&leg2[1..]);
-            paths[i] = leg1;
-        }
-        Embedding {
-            phi,
-            guest_edges,
-            paths,
-        }
-    }
-
-    /// The identity embedding of a graph into itself (paths are single
-    /// edges). Useful as a baseline witness: congestion equals the max edge
-    /// multiplicity.
-    pub fn identity(g: &Multigraph) -> Self {
-        let guest_edges: Vec<EdgeRef> = g.edges().collect();
-        let paths = guest_edges
-            .iter()
-            .map(|e| {
-                if e.u == e.v {
-                    vec![e.u]
-                } else {
-                    vec![e.u, e.v]
-                }
-            })
-            .collect();
-        Embedding {
-            phi: (0..g.node_count() as NodeId).collect(),
-            guest_edges,
-            paths,
-        }
-    }
-
     /// Verify structural validity against the host: endpoints match `phi`,
     /// consecutive path vertices are host-adjacent.
     pub fn validate(&self, host: &Multigraph) -> Result<(), String> {
@@ -214,7 +125,7 @@ impl Embedding {
 
     /// Per-host-edge load: map from unordered host edge to total guest
     /// multiplicity crossing it.
-    pub fn edge_loads(&self) -> BTreeMap<(NodeId, NodeId), u64> {
+    fn edge_loads(&self) -> BTreeMap<(NodeId, NodeId), u64> {
         let mut loads: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
         for (e, p) in self.guest_edges.iter().zip(&self.paths) {
             for w in p.windows(2) {
@@ -248,18 +159,6 @@ impl Embedding {
             total_load: weighted_len,
         }
     }
-
-    /// Lower-bound witness on the bandwidth `β(host, guest-as-traffic)`:
-    /// `E(guest) / congestion`. (The true bandwidth uses the *minimum*
-    /// congestion, so any explicit embedding certifies `β ≥ E/c`.)
-    pub fn bandwidth_witness(&self, guest: &Multigraph) -> f64 {
-        let stats = self.stats();
-        if stats.congestion == 0 {
-            f64::INFINITY
-        } else {
-            guest.simple_edge_count() as f64 / stats.congestion as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -274,17 +173,6 @@ mod tests {
 
     fn path(n: usize) -> Multigraph {
         Multigraph::from_edges(n, (0..n as NodeId - 1).map(|i| (i, i + 1)))
-    }
-
-    #[test]
-    fn identity_embedding_is_valid_with_unit_stats() {
-        let g = cycle(6);
-        let emb = Embedding::identity(&g);
-        emb.validate(&g).unwrap();
-        let s = emb.stats();
-        assert_eq!(s.congestion, 1);
-        assert_eq!(s.dilation, 1);
-        assert!((s.avg_dilation - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -327,17 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_witness_matches_ratio() {
-        let guest = cycle(8);
-        let host = path(8);
-        let mut rng = StdRng::seed_from_u64(4);
-        let emb = Embedding::shortest_paths(&guest, &host, (0..8).collect(), &mut rng);
-        let s = emb.stats();
-        let expected = guest.simple_edge_count() as f64 / s.congestion as f64;
-        assert!((emb.bandwidth_witness(&guest) - expected).abs() < 1e-12);
-    }
-
-    #[test]
     fn validate_catches_bad_paths() {
         let guest = Multigraph::from_edges(2, [(0, 1)]);
         let host = path(3);
@@ -360,56 +237,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let emb = Embedding::shortest_paths(&guest, &host, vec![0, 3], &mut rng);
         assert_eq!(emb.stats().dilation, 3);
-    }
-
-    #[test]
-    fn valiant_embedding_validates_and_connects() {
-        let guest = cycle(12);
-        let host = path(12);
-        let mut rng = StdRng::seed_from_u64(8);
-        let emb = Embedding::valiant(&guest, &host, (0..12).collect(), &mut rng);
-        emb.validate(&host).unwrap();
-        for (e, p) in emb.guest_edges.iter().zip(&emb.paths) {
-            assert_eq!(*p.first().unwrap(), e.u);
-            assert_eq!(*p.last().unwrap(), e.v);
-        }
-    }
-
-    #[test]
-    fn valiant_congestion_within_factor_of_trees() {
-        // With per-tree decorrelated tie-breaking the shortest-path witness
-        // is the tighter one; Valiant pays its 2x path length but must stay
-        // within that factor (it exists for adversarial guests where
-        // per-source trees misbehave).
-        use crate::graph::MultigraphBuilder;
-        use crate::traffic::complete_multigraph;
-        let side = 16;
-        let mut b = MultigraphBuilder::new(side * side);
-        for r in 0..side {
-            for c in 0..side {
-                let id = (r * side + c) as NodeId;
-                if c + 1 < side {
-                    b.add_edge(id, id + 1);
-                }
-                if r + 1 < side {
-                    b.add_edge(id, id + side as u32);
-                }
-            }
-        }
-        let host = b.build();
-        let kn = complete_multigraph(side * side, 1);
-        let phi: Vec<NodeId> = (0..(side * side) as NodeId).collect();
-        let mut rng = StdRng::seed_from_u64(4);
-        let tree_c = Embedding::shortest_paths(&kn, &host, phi.clone(), &mut rng)
-            .stats()
-            .congestion;
-        let val_c = Embedding::valiant(&kn, &host, phi, &mut rng)
-            .stats()
-            .congestion;
-        assert!(
-            (val_c as f64) < 2.5 * tree_c as f64,
-            "valiant {val_c} vs trees {tree_c}"
-        );
     }
 
     #[test]

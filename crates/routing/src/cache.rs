@@ -31,7 +31,8 @@
 //! `plan_cache_*` names (surfaced by `--metrics-out`; `fcnemu beta
 //! --verbose` prints the misses as trees computed). Publishing a delta
 //! keeps a long-lived cache, such as the daemon's warm one, from adding its
-//! lifetime totals to every request.
+//! lifetime totals to every request; since nothing is evicted, the summed
+//! `plan_cache_stored_total` of a cache's runs is its entry count.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -61,6 +62,8 @@ pub struct PlanCacheCounts {
     pub misses: u64,
     /// Computed trees not stored because the cache was full.
     pub refusals: u64,
+    /// Computed trees stored.
+    pub stored: u64,
 }
 
 /// A memoizing store for BFS parent trees, shared across planning calls.
@@ -118,7 +121,7 @@ impl PlanCache {
         self.counts().refusals
     }
 
-    /// All three counters at once, the baseline for [`PlanCache::publish`].
+    /// Every counter at once, the baseline for [`PlanCache::publish`].
     pub fn counts(&self) -> PlanCacheCounts {
         self.store.lock().counts
     }
@@ -129,18 +132,14 @@ impl PlanCache {
     }
 
     /// Push the counters' change since `before` (taken with
-    /// [`PlanCache::counts`] when the run started) and the resident entry
-    /// count into the thread's telemetry shard; a no-op when the global
-    /// registry is disabled. Call once per run, after the work that used
-    /// the cache.
+    /// [`PlanCache::counts`] when the run started) into the thread's
+    /// telemetry shard; a no-op when the global registry is disabled. Call
+    /// once per run, after the work that used the cache.
     pub fn publish(&self, before: PlanCacheCounts) {
         if !fcn_telemetry::global().enabled() {
             return;
         }
-        let (now, entries) = {
-            let store = self.store.lock();
-            (store.counts, store.trees.len() as u64)
-        };
+        let now = self.counts();
         fcn_telemetry::with_shard(|s| {
             use fcn_telemetry::names;
             s.add(names::PLAN_CACHE_HITS_TOTAL, now.hits - before.hits);
@@ -149,7 +148,7 @@ impl PlanCache {
                 names::PLAN_CACHE_REFUSALS_TOTAL,
                 now.refusals - before.refusals,
             );
-            s.set_gauge(names::PLAN_CACHE_ENTRIES, entries);
+            s.add(names::PLAN_CACHE_STORED_TOTAL, now.stored - before.stored);
         });
     }
 
@@ -206,6 +205,7 @@ impl PlanCache {
             return fresh;
         }
         store.trees.insert(key, fresh.clone());
+        store.counts.stored += 1;
         fresh
     }
 }
@@ -252,7 +252,7 @@ mod tests {
                 assert_eq!(tree[0], u32::from(stored), "seed {seed} source {src}");
             }
         }
-        assert_eq!(cache.entries(), 2);
+        assert_eq!((cache.entries(), cache.counts().stored), (2, 2));
         assert_eq!((cache.misses(), cache.refusals()), (10, 8));
         // A new seed evicts nothing: the first trees stored keep hitting.
         for src in 0..2u32 {
@@ -274,6 +274,7 @@ mod tests {
         });
         assert_eq!(tree[0], 0);
         assert_eq!((cache.entries(), cache.refusals()), (1, 1));
+        assert_eq!(cache.counts().stored, 1);
         let kept = cache.get_or_compute(1, usize::MAX, 7, 1, &[], |_| unreachable!());
         assert_eq!(kept[0], 1);
     }

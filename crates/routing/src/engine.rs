@@ -184,9 +184,6 @@ pub struct RouterScratch {
     arrivals: Vec<u32>,
     /// Per-packet routing state.
     packets: Vec<Packet>,
-    /// Runs served by this scratch (telemetry: pool-reuse accounting; the
-    /// first run of a scratch counts as a creation, later runs as reuse).
-    runs: u64,
 }
 
 /// One packet's routing state, kept in one 16-byte record so an arrival
@@ -238,7 +235,6 @@ impl RouterScratch {
                 remaining: hops,
             });
         }
-        self.runs += 1;
     }
 
     /// Size and zero the node loop's per-node arrays.
@@ -428,15 +424,14 @@ pub fn route_compiled(
         }
     };
     if let Some(t) = tele {
-        publish_run(&out, &t, scratch.runs);
+        publish_run(&out, &t);
     }
     out
 }
 
 /// Push one run's router metrics into this thread's telemetry shard.
-/// Called only when the registry is enabled at run start. `scratch_runs`
-/// (the run's own included) feeds the scratch-pool reuse counters.
-fn publish_run(out: &RoutingOutcome, tele: &RunTele, scratch_runs: u64) {
+/// Called only when the registry is enabled at run start.
+fn publish_run(out: &RoutingOutcome, tele: &RunTele) {
     fcn_telemetry::with_shard(|s| {
         s.inc(fcn_telemetry::names::ROUTER_RUNS_TOTAL);
         s.add(fcn_telemetry::names::ROUTER_TICKS_TOTAL, out.ticks);
@@ -481,13 +476,6 @@ fn publish_run(out: &RoutingOutcome, tele: &RunTele, scratch_runs: u64) {
             fcn_telemetry::names::ROUTER_QUEUE_OCCUPANCY,
             &tele.occupancy,
         );
-        // Scratch-pool reuse: a scratch's first run is a creation, every
-        // later run is an arena reuse (zero allocations after warm-up).
-        if scratch_runs == 1 {
-            s.inc(fcn_telemetry::names::ROUTER_SCRATCH_CREATED_TOTAL);
-        } else {
-            s.inc(fcn_telemetry::names::ROUTER_SCRATCH_REUSED_TOTAL);
-        }
     });
 }
 

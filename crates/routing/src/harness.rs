@@ -70,6 +70,7 @@ use crate::packet::Strategy;
 /// assert!(out.completed);
 /// assert_eq!(out.delivered, 3);
 /// ```
+#[derive(Clone)]
 pub struct RouteCtx<'a> {
     machine: &'a Machine,
     net: Arc<CompiledNet>,

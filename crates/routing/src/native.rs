@@ -74,6 +74,7 @@ pub fn plan_routes_cached(
 /// A non-empty [`FaultPlan`] as planners see it: the plan, and the surviving
 /// graph ([`FaultPlan::degrade_graph`]) their BFS trees grow on. Built once
 /// per plan and shared by every trial planned around it.
+#[derive(Clone)]
 pub(crate) struct Faults<'a> {
     plan: &'a FaultPlan,
     graph: Multigraph,

@@ -871,36 +871,51 @@ fn planned_cells_equal_the_vertex_path_pipeline() {
         let slices: Vec<&[(u32, u32)]> = batches.iter().map(Vec::as_slice).collect();
         let faulted = FaultPlan::generate(machine.graph(), &FaultSpec::uniform(fi as u64, 0.08));
         for faults in [FaultPlan::none(), faulted] {
+            // The faulted net and surviving graph, built once per plan.
+            let base = RouteCtx::new(&machine).with_faults(&faults);
             for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
                 let seed = 0x5eed ^ fi as u64;
                 let (cells, trees) =
                     vertex_planner::plan(&machine, &faults, &batches, strategy, seed);
-                for jobs in [1, 2, 3] {
-                    for cache in [None, Some(PlanCache::default())] {
-                        let ctx = RouteCtx::new(&machine).with_faults(&faults);
-                        let ctx = match &cache {
-                            Some(c) => ctx.with_cache(c),
-                            None => ctx,
-                        };
-                        let what = format!(
-                            "{} {strategy:?} faults={} jobs={jobs} cache={}",
-                            machine.name(),
-                            faults.summary().1,
-                            cache.is_some()
-                        );
-                        let plan = plan_trial(&ctx, &slices, strategy, seed, Pool::new(jobs));
-                        let want_trees = cache.as_ref().map_or(trees, PlanCache::misses);
-                        assert_eq!(plan.trees, want_trees, "{what}");
-                        for (got, want) in plan.batches.iter().zip(&cells) {
-                            let compiled = PacketBatch::compile(ctx.net(), &want.paths)
-                                .expect("old planner paths are walks");
-                            assert_eq!(got.batch, compiled, "{what}");
-                            assert_eq!(got.unreachable, want.unreachable, "{what}");
-                            assert_eq!(got.replans, want.replans, "{what}");
+                let compiled: Vec<PacketBatch> = cells
+                    .iter()
+                    .map(|want| PacketBatch::compile(base.net(), &want.paths))
+                    .collect::<Result<_, _>>()
+                    .expect("old planner paths are walks");
+                // The six (jobs, cache) cases are independent: run them at
+                // once, each on its own thread.
+                let (machine, faults, base) = (&machine, &faults, &base);
+                let (slices, cells, compiled) = (&slices, &cells, &compiled);
+                std::thread::scope(|scope| {
+                    for jobs in [1, 2, 3] {
+                        for stores in [false, true] {
+                            scope.spawn(move || {
+                                let cache = stores.then(PlanCache::default);
+                                let ctx = match &cache {
+                                    Some(c) => base.clone().with_cache(c),
+                                    None => base.clone(),
+                                };
+                                let what = format!(
+                                    "{} {strategy:?} faults={} jobs={jobs} cache={stores}",
+                                    machine.name(),
+                                    faults.summary().1,
+                                );
+                                let plan =
+                                    plan_trial(&ctx, slices, strategy, seed, Pool::new(jobs));
+                                let want_trees = cache.as_ref().map_or(trees, PlanCache::misses);
+                                assert_eq!(plan.trees, want_trees, "{what}");
+                                for ((got, want), compiled) in
+                                    plan.batches.iter().zip(cells).zip(compiled)
+                                {
+                                    assert_eq!(&got.batch, compiled, "{what}");
+                                    assert_eq!(got.unreachable, want.unreachable, "{what}");
+                                    assert_eq!(got.replans, want.replans, "{what}");
+                                }
+                            });
                         }
                     }
-                }
-                for cell in &cells {
+                });
+                for cell in cells {
                     replans += cell.replans;
                     unreachable += cell.unreachable.len();
                     resting += cell.paths.iter().filter(|p| p.hops() == 0).count();

@@ -69,8 +69,8 @@ fn route_once(machine: &Machine, discipline: QueueDiscipline, max_ticks: u64) ->
         ..RouterConfig::default()
     };
     let mut scratch = RouterScratch::new();
-    // Route twice through the same scratch so both the scratch-created and
-    // scratch-reused instrumentation branches are exercised.
+    // Route twice through the same scratch so a reused scratch is
+    // exercised too.
     let first = route_compiled(&net, &batch, cfg, &mut scratch, None);
     let second = route_compiled(&net, &batch, cfg, &mut scratch, None);
     assert_eq!(
@@ -160,8 +160,6 @@ fn enabled_run_actually_collects() {
         shard.counter("router_delivered_total"),
         2 * out.delivered as u64
     );
-    assert_eq!(shard.counter("router_scratch_created_total"), 1);
-    assert_eq!(shard.counter("router_scratch_reused_total"), 1);
     let occ = shard.histogram("router_queue_occupancy");
     assert_eq!(occ.count, 2 * out.ticks, "one occupancy sample per tick");
 }
@@ -227,13 +225,8 @@ fn wire_loop_records_what_the_node_loop_records() {
     let (node_out, node) = collect_runs(&twin, &paths);
     assert_eq!(wire_out, record(&off));
     assert_eq!(wire_out, node_out, "the loops route different outcomes");
-    for name in [
-        "router_stalled_packet_ticks_total",
-        "router_scratch_created_total",
-        "router_scratch_reused_total",
-    ] {
-        assert_eq!(wire.counter(name), node.counter(name), "{name}");
-    }
+    let stalled = "router_stalled_packet_ticks_total";
+    assert_eq!(wire.counter(stalled), node.counter(stalled), "{stalled}");
     assert!(wire.counter("router_stalled_packet_ticks_total") > 0);
     assert_eq!(
         wire.histogram("router_queue_occupancy"),

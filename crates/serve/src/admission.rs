@@ -30,7 +30,7 @@ use fcn_telemetry::names;
 
 /// Bump a process-global counter when global telemetry is enabled (the
 /// admission queue's counters are transport-level and deliberately stay out
-/// of the server's request-ordered registry; see the server module docs).
+/// of the server's request registry; see the server module docs).
 fn global_inc(name: &'static str) {
     let g = fcn_telemetry::global();
     if g.enabled() {

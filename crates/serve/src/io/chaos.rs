@@ -209,8 +209,8 @@ impl ChaosAction {
 
 /// Counters of faults actually applied to sockets, shared by every stream
 /// of one plan. Rendered by the `health` request kind; deliberately *not*
-/// part of the server's request-ordered metrics registry, so a `metrics`
-/// render stays a pure function of the executed request sequence even
+/// part of the server's request metrics registry, so a `metrics`
+/// render stays a pure function of the executed requests even
 /// under chaos.
 #[derive(Debug, Default)]
 pub struct ChaosStats {
@@ -341,7 +341,7 @@ impl ChaosStream {
 
     /// Record a fault the I/O layer actually applied: bumps the plan's
     /// shared stats and, when it is enabled, the *global* telemetry
-    /// registry (never the server's request-ordered registry — transport
+    /// registry (never the server's request registry — transport
     /// chaos must not perturb the `metrics` render).
     pub(super) fn record(&self, action: &ChaosAction) {
         // ordering: monitoring counters; nothing synchronizes through them.

@@ -15,7 +15,7 @@
 //!
 //! The crate is deliberately split from `fcn-cli`: this crate owns the
 //! *mechanism* (framed protocol, admission control, deadlines, the warm
-//! [`Registry`] of compiled nets, arrival-ordered telemetry merging) and
+//! [`Registry`] of compiled nets, per-request telemetry merging) and
 //! exposes a [`Handler`] trait for the *policy* — `fcn-cli` implements the
 //! trait by dispatching request kinds into its existing subcommand bodies,
 //! which is what makes daemon responses byte-identical to inline `fcnemu`
@@ -46,12 +46,12 @@
 //!   listener stops accepting, in-flight requests finish and reply, and
 //!   frames that arrive during the drain get a framed `Shutdown` error.
 //! * **Telemetry**: each request's metrics are captured in a thread-local
-//!   shard and merged into the server's registry in *request-arrival*
-//!   order, so a `metrics` request renders the same bytes regardless of
-//!   which worker finished first. Connection, chaos, and replay counters
-//!   live *outside* the request-ordered registry, which is what keeps the
-//!   `metrics` render a pure function of the executed request sequence even
-//!   under chaos.
+//!   shard and merged into the server's registry as soon as the request has
+//!   executed. Every metric is a sum, so a `metrics` request renders the
+//!   same bytes regardless of which worker finished first. Connection,
+//!   chaos, and replay counters live *outside* the request registry, which
+//!   is what keeps the `metrics` render a pure function of the executed
+//!   requests even under chaos.
 //! * **Chaos**: wire faults are injected only by a seeded [`ChaosPlan`]
 //!   (a pure function of seed + rates) wrapped around a [`FramedConn`]'s
 //!   reply path, and only *after* the request executed — so a retrying

@@ -7,6 +7,7 @@
 //! one [`CompiledNet`] and one warm [`PlanCache`] even when they arrive on
 //! different connections.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -51,13 +52,13 @@ impl Registry {
 
     /// Fetch the warm entry for `machine`'s graph, compiling it on first
     /// use. The second return is `true` on a warm hit. Telemetry
-    /// (`serve_registry_*`) flows into the caller's thread shard so it
-    /// merges in request-arrival order with the rest of the request's
-    /// counters.
+    /// (`serve_registry_*`) flows into the caller's thread shard and merges
+    /// with the rest of the request's counters.
     pub fn get_or_compile(&self, machine: &Machine) -> (RegistryEntry, bool) {
+        use fcn_telemetry::names;
         let key = machine.graph().fingerprint();
         if let Some(entry) = self.entries.lock().get(&key).cloned() {
-            self.record(true);
+            record(names::SERVE_REGISTRY_HITS_TOTAL);
             return (entry, true);
         }
         // Compile outside the lock: compilation is the expensive step and
@@ -69,30 +70,23 @@ impl Registry {
             net: CompiledNet::shared(machine),
             cache: Arc::new(PlanCache::default()),
         };
-        let mut map = self.entries.lock();
-        let entry = map.entry(key).or_insert(fresh).clone();
-        let nets = map.len() as u64;
-        drop(map);
-        self.record(false);
-        if fcn_telemetry::global().enabled() {
-            fcn_telemetry::with_shard(|s| {
-                s.set_gauge(fcn_telemetry::names::SERVE_REGISTRY_NETS, nets);
-            });
+        let (entry, won) = match self.entries.lock().entry(key) {
+            Entry::Vacant(slot) => (slot.insert(fresh).clone(), true),
+            Entry::Occupied(slot) => (slot.get().clone(), false),
+        };
+        record(names::SERVE_REGISTRY_MISSES_TOTAL);
+        if won {
+            record(names::SERVE_REGISTRY_NETS_TOTAL);
         }
         (entry, false)
     }
+}
 
-    fn record(&self, hit: bool) {
-        if !fcn_telemetry::global().enabled() {
-            return;
-        }
-        fcn_telemetry::with_shard(|s| {
-            if hit {
-                s.inc(fcn_telemetry::names::SERVE_REGISTRY_HITS_TOTAL);
-            } else {
-                s.inc(fcn_telemetry::names::SERVE_REGISTRY_MISSES_TOTAL);
-            }
-        });
+/// Count one `serve_registry_*` event in the thread's shard, when the
+/// global registry is enabled.
+fn record(name: &'static str) {
+    if fcn_telemetry::global().enabled() {
+        fcn_telemetry::with_shard(|s| s.inc(name));
     }
 }
 

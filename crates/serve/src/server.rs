@@ -3,17 +3,18 @@
 //! The server owns the *mechanism* invariants promised in the crate docs —
 //! every frame gets a framed reply, admission is a bounded FIFO queue with
 //! typed shedding, deadlines cancel through the same [`fcn_exec::Watchdog`]
-//! machinery the inline CLI uses, and per-request telemetry merges into the
-//! server's registry in request-arrival order. What a request kind actually
-//! *does* is delegated to the [`Handler`], so the CLI can plug its
+//! machinery the inline CLI uses, and each request's telemetry merges into
+//! the server's registry as soon as it has executed. What a request kind
+//! actually *does* is delegated to the [`Handler`], so the CLI can plug its
 //! subcommand bodies in and inherit byte-identical output for free.
 //!
 //! ## Which counters live where
 //!
-//! The request-ordered [`MetricsRegistry`] (what a `metrics` request
-//! renders) is a pure function of the *executed* request sequence: only
-//! handler work and its per-request outcome counters flush into it, in
-//! arrival order. Connection, chaos, shed, and replay counters are
+//! The request [`MetricsRegistry`] (what a `metrics` request renders) is a
+//! pure function of the *executed* request set: only handler work and its
+//! per-request outcome counters merge into it, and every metric is a sum,
+//! so neither the arrival order nor which request finishes first can
+//! change it. Connection, chaos, shed, and replay counters are
 //! transport-level noise that retries are allowed to perturb, so they live
 //! in the `health` render (plus the process-global registry) instead —
 //! that separation is what makes a retried run's `metrics` output
@@ -29,7 +30,7 @@ use std::time::Duration;
 use fcn_exec::sync::Lock;
 use fcn_exec::Watchdog;
 use fcn_telemetry::names;
-use fcn_telemetry::{take_shard, with_shard, LocalShard, MetricsRegistry};
+use fcn_telemetry::{take_shard, with_shard, MetricsRegistry};
 
 use crate::admission::{Admission, Admit};
 use crate::io::chaos::{ChaosPlan, ChaosSpec, ChaosStats};
@@ -107,86 +108,6 @@ pub trait Handler: Sync {
     /// Run `kind` with `args`; poll `cancel` and abort with partial
     /// accounting when it rises.
     fn handle(&self, kind: &str, args: &[String], cancel: &AtomicBool) -> HandlerOutcome;
-}
-
-/// Arrival-order telemetry merge: each request takes a sequence number the
-/// moment its frame is parsed, and completed shards are merged into the
-/// server registry strictly in that sequence — whichever worker finishes
-/// first. This makes the registry's contents a deterministic function of
-/// the request arrival order, not the thread schedule.
-#[derive(Debug, Default)]
-struct MergeQueue {
-    state: Lock<MergeState>,
-}
-
-#[derive(Debug, Default)]
-struct MergeState {
-    next_seq: u64,
-    next_flush: u64,
-    done: std::collections::BTreeMap<u64, LocalShard>,
-}
-
-impl MergeQueue {
-    fn admit(&self) -> u64 {
-        let mut st = self.state.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        seq
-    }
-
-    fn complete(&self, seq: u64, shard: LocalShard, reg: &MetricsRegistry) {
-        let mut st = self.state.lock();
-        st.done.insert(seq, shard);
-        loop {
-            let key = st.next_flush;
-            match st.done.remove(&key) {
-                Some(shard) => {
-                    reg.merge(&shard);
-                    st.next_flush += 1;
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// A claimed merge slot that *always* completes: [`MergeTicket::finish`]
-/// merges the request's real shard, and if the request path unwinds or
-/// returns early instead (a panic outside the handler's `catch_unwind`, a
-/// disconnect racing the reply), the `Drop` impl completes the slot with
-/// whatever the thread shard holds. Without this, one dead slot would stall
-/// the in-order flush for every later request (the orphaned-shard bug).
-struct MergeTicket<'a> {
-    merge: &'a MergeQueue,
-    reg: &'a MetricsRegistry,
-    seq: u64,
-    done: bool,
-}
-
-impl<'a> MergeTicket<'a> {
-    fn claim(merge: &'a MergeQueue, reg: &'a MetricsRegistry) -> MergeTicket<'a> {
-        MergeTicket {
-            merge,
-            reg,
-            seq: merge.admit(),
-            done: false,
-        }
-    }
-
-    fn finish(mut self, shard: LocalShard) {
-        self.done = true;
-        self.merge.complete(self.seq, shard, self.reg);
-    }
-}
-
-impl Drop for MergeTicket<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            // Fill the slot with the thread's (possibly partial) shard so
-            // the arrival-order flush never stalls on this sequence number.
-            self.merge.complete(self.seq, take_shard(), self.reg);
-        }
-    }
 }
 
 /// Bounded FIFO cache of completed replies, keyed by idempotency key, so a
@@ -278,13 +199,12 @@ pub struct Server<H: Handler> {
     listener: TcpListener,
     admission: Arc<Admission>,
     metrics: MetricsRegistry,
-    merge: MergeQueue,
     replies: ReplyCache,
     chaos: Option<ChaosPlan>,
     /// Deterministic per-connection chaos-stream index (accept order).
     conn_seq: AtomicU64,
     /// Connections accepted; a transport-level counter, kept out of the
-    /// request-ordered registry (see module docs).
+    /// request registry (see module docs).
     connections: AtomicU64,
     /// Requests answered from the reply cache instead of re-executing.
     replayed: AtomicU64,
@@ -307,7 +227,6 @@ impl<H: Handler> Server<H> {
             listener,
             admission,
             metrics: MetricsRegistry::new(),
-            merge: MergeQueue::default(),
             replies: ReplyCache::default(),
             chaos,
             conn_seq: AtomicU64::new(0),
@@ -367,8 +286,8 @@ impl<H: Handler> Server<H> {
                     Err(e) => return Err(e),
                 }
             }
-            self.metrics.set_gauge(
-                names::SERVE_DRAIN_INFLIGHT,
+            self.metrics.add(
+                names::SERVE_DRAIN_INFLIGHT_TOTAL,
                 self.admission.inflight() as u64,
             );
             Ok(())
@@ -410,8 +329,9 @@ impl<H: Handler> Server<H> {
     }
 
     /// Decode and execute one frame, always producing a framed response.
-    /// The thread's telemetry shard is captured afterwards and merged in
-    /// arrival order, so this must only run on a dedicated request thread.
+    /// The thread's telemetry shard is merged into the registry as soon as
+    /// the request has executed, so this must only run on a dedicated
+    /// request thread.
     fn handle_frame(&self, payload: &[u8], shutdown: &AtomicBool) -> Response {
         let req = match std::str::from_utf8(payload)
             .map_err(|e| e.to_string())
@@ -428,9 +348,9 @@ impl<H: Handler> Server<H> {
         if let (Some(key), Some(fp)) = (req.idem_key, fp.as_deref()) {
             if let Some(mut resp) = self.replies.get(key, fp) {
                 // A retry of a request that already completed: replay the
-                // cached reply under the retry's id. No merge slot, no
-                // handler, no ordered-registry delta — the executed request
-                // sequence is unchanged, which is the byte-identity pin.
+                // cached reply under the retry's id. No handler, no
+                // registry delta — the executed request set is unchanged,
+                // which is the byte-identity pin.
                 resp.id = req.id;
                 // ordering: plain statistic; see run().
                 self.replayed.fetch_add(1, Ordering::Relaxed);
@@ -441,9 +361,8 @@ impl<H: Handler> Server<H> {
                 return resp;
             }
         }
-        let ticket = MergeTicket::claim(&self.merge, &self.metrics);
         let resp = self.execute(&req, shutdown);
-        ticket.finish(take_shard());
+        self.metrics.merge(&take_shard());
         if let (Some(key), Some(fp)) = (req.idem_key, fp.as_deref()) {
             if cacheable(&resp) {
                 self.replies.insert(key, fp, &resp);
@@ -493,7 +412,7 @@ impl<H: Handler> Server<H> {
             // delta is empty), so back-to-back probes render identically.
             "metrics" => self.render_metrics(req),
             // Likewise read-only: transport/occupancy counters for load
-            // generators, deliberately *outside* the ordered registry.
+            // generators, deliberately *outside* the request registry.
             "health" => self.render_health(req),
             _ => self.execute_admitted(req),
         }
@@ -1010,7 +929,7 @@ mod tests {
         assert_ne!(second.id, first.id, "replay answers under the retry's id");
         // ordering: plain statistic; test-side read.
         assert_eq!(server.replayed.load(Ordering::Relaxed), 1);
-        // The ordered registry saw exactly one executed echo.
+        // The request registry saw exactly one executed echo.
         let metrics = client.call("metrics", &[]).unwrap();
         let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&metrics.output).unwrap();
         assert_eq!(
@@ -1085,7 +1004,7 @@ mod tests {
                 health.output
             );
         }
-        // Health probes leave the ordered registry untouched.
+        // Health probes leave the request registry untouched.
         let metrics = client.call("metrics", &[]).unwrap();
         let snap = fcn_telemetry::MetricsSnapshot::from_jsonl(&metrics.output).unwrap();
         assert_eq!(
@@ -1115,8 +1034,8 @@ mod tests {
         while server.handler.running.load(Ordering::SeqCst) != 0 {
             std::hint::spin_loop();
         }
-        // Later requests' telemetry still merges: the dead slot completed
-        // (via MergeTicket) instead of stalling the in-order flush.
+        // The orphaned request merged its shard before its reply write
+        // failed, and later requests' telemetry still merges.
         let mut client = Client::connect(&addr).unwrap();
         assert!(client.call("ping", &[]).unwrap().ok);
         let metrics = client.call("metrics", &[]).unwrap();
@@ -1127,33 +1046,6 @@ mod tests {
             "the orphaned request's shard and the ping must both have merged"
         );
         stop(&shutdown, runner);
-    }
-
-    #[test]
-    fn merge_ticket_drop_fills_its_slot() {
-        let merge = MergeQueue::default();
-        let reg = MetricsRegistry::new();
-        let _ = take_shard(); // start this thread's shard clean
-        let first = MergeTicket::claim(&merge, &reg);
-        let second = MergeTicket::claim(&merge, &reg);
-        // Complete the *later* slot first, with a real delta...
-        with_shard(|s| s.add(names::SERVE_REQUESTS_TOTAL, 1));
-        second.finish(take_shard());
-        // ...which cannot flush until seq 0 completes. Dropping the first
-        // ticket unfinished (the unwind/disconnect path) must fill slot 0
-        // and release the flush, not stall it forever.
-        assert_eq!(
-            reg.snapshot().counters.get(names::SERVE_REQUESTS_TOTAL),
-            None
-        );
-        drop(first);
-        assert_eq!(
-            reg.snapshot()
-                .counters
-                .get(names::SERVE_REQUESTS_TOTAL)
-                .copied(),
-            Some(1)
-        );
     }
 
     #[test]

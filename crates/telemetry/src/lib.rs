@@ -9,9 +9,9 @@
 )]
 //! # fcn-telemetry — deterministic observability for the fcn-emu workspace
 //!
-//! A zero-overhead-when-disabled metrics subsystem: `u64` counters, gauges,
+//! A zero-overhead-when-disabled metrics subsystem: `u64` counters,
 //! fixed-bucket histograms and scoped [`Span`] timers, all recorded into
-//! thread-local [`LocalShard`]s that `fcn-exec` merges in job index order,
+//! thread-local [`LocalShard`]s that `fcn-exec` merges once per worker,
 //! and merged at the end of a run into a [`MetricsRegistry`] — an enable
 //! switch plus one locked `LocalShard`. Design invariants:
 //!
@@ -23,13 +23,13 @@
 //!    simulation state; no simulated bit depends on whether metrics are on.
 //!    `crates/routing/tests/telemetry_determinism.rs` asserts byte-identical
 //!    outcomes with telemetry on vs off at `--jobs 1` and `--jobs 4`.
-//! 3. **Metrics themselves are worker-count-independent.** Everything is
-//!    `u64` addition (histograms merge bucket-wise), so per-worker shards
-//!    merged in index order give the same totals as a single-threaded run —
-//!    property-tested in `tests/shard_merge.rs`. The exceptions are
-//!    wall-clock measurements (spans, busy/idle nanos) and the router's
-//!    scratch-arena counters, which follow the thread schedule;
-//!    [`MetricsSnapshot::without_wall_clock`] strips both for comparisons.
+//! 3. **Every metric is a sum.** Everything is `u64` addition (histograms
+//!    merge bucket-wise), so merging commutes: per-worker shards merged in
+//!    any order give the same totals as a single-threaded run —
+//!    property-tested in `tests/shard_merge.rs`. There is no last-write-wins
+//!    kind. The exceptions are wall-clock measurements (span timings and
+//!    busy/idle nanos); [`MetricsSnapshot::without_wall_clock`] strips them
+//!    for comparisons.
 //! 4. **Snapshots are versioned.** JSONL exports carry
 //!    [`SNAPSHOT_SCHEMA`] and validate on read
 //!    ([`MetricsSnapshot::from_jsonl`]); a Prometheus text exposition is

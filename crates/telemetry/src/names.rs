@@ -3,7 +3,7 @@
 //! Every instrumented crate refers to these consts instead of inline string
 //! literals, so a metric name cannot drift between its emitter, its tests,
 //! and the rendered snapshot. In debug builds every `LocalShard` recorder
-//! (and so every `MetricsRegistry::add`/`set_gauge`, and `Span::enter`)
+//! (and so `MetricsRegistry::add` and `Span::enter`)
 //! asserts that its name is in [`ALL`], so a literal name fails the first
 //! test that records it. A span's `span_{name}_calls_total` /
 //! `span_{name}_nanos_total` counters exist only in a rendered snapshot. The workspace test
@@ -11,8 +11,8 @@
 //! that each const is used by some library or binary outside this file.
 //!
 //! Naming conventions (Prometheus-compatible, checked by the table test):
-//! counters end in `_total`, histograms and spans are bare nouns, gauges
-//! describe a last-observed state.
+//! counters end in `_total`, histograms and spans are bare nouns. There is
+//! no gauge: every instrument is a sum, so shards merge in any order.
 
 // --- exec pool ----------------------------------------------------------
 
@@ -20,8 +20,9 @@
 pub const EXEC_RUNS_TOTAL: &str = "exec_runs_total";
 /// Jobs executed across all pool runs.
 pub const EXEC_JOBS_TOTAL: &str = "exec_jobs_total";
-/// Worker count of the most recent pool run (gauge).
-pub const EXEC_WORKERS_LAST: &str = "exec_workers_last";
+/// Workers across all pool runs; over `exec_runs_total`, the mean worker
+/// count.
+pub const EXEC_WORKERS_TOTAL: &str = "exec_workers_total";
 /// Wall-clock nanoseconds workers spent running jobs.
 pub const EXEC_WORKER_BUSY_NANOS_TOTAL: &str = "exec_worker_busy_nanos_total";
 /// Wall-clock nanoseconds workers spent waiting: workers × the run's wall
@@ -38,8 +39,9 @@ pub const PLAN_CACHE_HITS_TOTAL: &str = "plan_cache_hits_total";
 pub const PLAN_CACHE_MISSES_TOTAL: &str = "plan_cache_misses_total";
 /// Fresh trees not stored because the cache was full.
 pub const PLAN_CACHE_REFUSALS_TOTAL: &str = "plan_cache_refusals_total";
-/// Resident entries at publish time (gauge).
-pub const PLAN_CACHE_ENTRIES: &str = "plan_cache_entries";
+/// Fresh trees stored. The cache never evicts, so a long-lived cache's
+/// total is its entry count.
+pub const PLAN_CACHE_STORED_TOTAL: &str = "plan_cache_stored_total";
 
 // --- compiled router ----------------------------------------------------
 
@@ -71,10 +73,6 @@ pub const ROUTER_FAULTS_GATED_TOTAL: &str = "router_faults_gated_total";
 pub const ROUTER_RUN_MAX_QUEUE: &str = "router_run_max_queue";
 /// Queue occupancy samples (histogram).
 pub const ROUTER_QUEUE_OCCUPANCY: &str = "router_queue_occupancy";
-/// Scratch arenas created (first run on a pooled scratch).
-pub const ROUTER_SCRATCH_CREATED_TOTAL: &str = "router_scratch_created_total";
-/// Scratch arenas reused without reallocation.
-pub const ROUTER_SCRATCH_REUSED_TOTAL: &str = "router_scratch_reused_total";
 
 // --- fault plane --------------------------------------------------------
 
@@ -150,16 +148,17 @@ pub const SERVE_OVERLOADED_TOTAL: &str = "serve_overloaded_total";
 pub const SERVE_DEADLINE_CANCELLED_TOTAL: &str = "serve_deadline_cancelled_total";
 /// Requests that returned a framed error of any kind.
 pub const SERVE_ERRORS_TOTAL: &str = "serve_errors_total";
-/// Compiled nets resident in the service registry (gauge).
-pub const SERVE_REGISTRY_NETS: &str = "serve_registry_nets";
+/// Compiled nets inserted into the service registry, added by the request
+/// whose insert won; the registry never drops a net, so this is its size.
+pub const SERVE_REGISTRY_NETS_TOTAL: &str = "serve_registry_nets_total";
 /// Requests served from an already-compiled registry net.
 pub const SERVE_REGISTRY_HITS_TOTAL: &str = "serve_registry_hits_total";
 /// Requests that compiled a net into the registry.
 pub const SERVE_REGISTRY_MISSES_TOTAL: &str = "serve_registry_misses_total";
 /// Connections accepted by the listener.
 pub const SERVE_CONNECTIONS_TOTAL: &str = "serve_connections_total";
-/// Requests still in flight when a drain began (gauge).
-pub const SERVE_DRAIN_INFLIGHT: &str = "serve_drain_inflight";
+/// Requests still in flight when a drain began, added once per drain.
+pub const SERVE_DRAIN_INFLIGHT_TOTAL: &str = "serve_drain_inflight_total";
 /// Heavy requests that waited in the admission queue before running.
 pub const SERVE_QUEUED_TOTAL: &str = "serve_queued_total";
 /// Requests shed because the admission queue was full.
@@ -188,14 +187,14 @@ pub const CHAOS_CORRUPTIONS_TOTAL: &str = "chaos_corruptions_total";
 pub const ALL: &[&str] = &[
     EXEC_RUNS_TOTAL,
     EXEC_JOBS_TOTAL,
-    EXEC_WORKERS_LAST,
+    EXEC_WORKERS_TOTAL,
     EXEC_WORKER_BUSY_NANOS_TOTAL,
     EXEC_WORKER_IDLE_NANOS_TOTAL,
     EXEC_WATCHDOG_FIRED_TOTAL,
     PLAN_CACHE_HITS_TOTAL,
     PLAN_CACHE_MISSES_TOTAL,
     PLAN_CACHE_REFUSALS_TOTAL,
-    PLAN_CACHE_ENTRIES,
+    PLAN_CACHE_STORED_TOTAL,
     ROUTER_RUNS_TOTAL,
     ROUTER_TICKS_TOTAL,
     ROUTER_DELIVERED_TOTAL,
@@ -210,8 +209,6 @@ pub const ALL: &[&str] = &[
     ROUTER_FAULTS_GATED_TOTAL,
     ROUTER_RUN_MAX_QUEUE,
     ROUTER_QUEUE_OCCUPANCY,
-    ROUTER_SCRATCH_CREATED_TOTAL,
-    ROUTER_SCRATCH_REUSED_TOTAL,
     FAULT_PLANS_APPLIED_TOTAL,
     FAULT_DEAD_WIRES_TOTAL,
     FAULT_DEAD_NODES_TOTAL,
@@ -242,11 +239,11 @@ pub const ALL: &[&str] = &[
     SERVE_OVERLOADED_TOTAL,
     SERVE_DEADLINE_CANCELLED_TOTAL,
     SERVE_ERRORS_TOTAL,
-    SERVE_REGISTRY_NETS,
+    SERVE_REGISTRY_NETS_TOTAL,
     SERVE_REGISTRY_HITS_TOTAL,
     SERVE_REGISTRY_MISSES_TOTAL,
     SERVE_CONNECTIONS_TOTAL,
-    SERVE_DRAIN_INFLIGHT,
+    SERVE_DRAIN_INFLIGHT_TOTAL,
     SERVE_QUEUED_TOTAL,
     SERVE_SHED_FULL_TOTAL,
     SERVE_SHED_DEADLINE_TOTAL,

@@ -3,7 +3,7 @@
 //! Workers record into their thread's shard and the coordinator merges
 //! whole shards here ([`MetricsRegistry::merge`]); the few transport-level
 //! counters that have no shard of their own call
-//! [`MetricsRegistry::add`] or [`MetricsRegistry::set_gauge`]. The
+//! [`MetricsRegistry::add`]. The
 //! registry stores metrics the same way a shard does, so there is one
 //! store and one rendering ([`MetricsRegistry::snapshot`]).
 
@@ -76,7 +76,7 @@ impl MetricsRegistry {
     }
 
     /// Merge a whole shard ([`LocalShard::merge`]: counters, histograms
-    /// and spans add, gauges take `other`'s value).
+    /// and spans add, so merges may come in any order).
     pub fn merge(&self, other: &LocalShard) {
         self.shard().merge(other);
     }
@@ -86,13 +86,8 @@ impl MetricsRegistry {
         self.shard().add(name, v);
     }
 
-    /// Set gauge `name` (last write wins).
-    pub fn set_gauge(&self, name: &'static str, v: u64) {
-        self.shard().set_gauge(name, v);
-    }
-
     /// A point-in-time copy of every metric, sorted by name: counters that
-    /// are not zero, every gauge and histogram, and each span as its
+    /// are not zero, every histogram, and each span as its
     /// `span_{name}_calls_total` / `span_{name}_nanos_total` counter pair.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.shard().snapshot()
@@ -113,8 +108,8 @@ pub fn global() -> &'static MetricsRegistry {
 mod tests {
     use super::*;
     use crate::names::{
-        EXEC_RUNS_TOTAL, EXEC_WORKERS_LAST, PLAN_CACHE_ENTRIES, PLAN_CACHE_HITS_TOTAL,
-        ROUTER_QUEUE_OCCUPANCY, ROUTER_RUNS_TOTAL, SPAN_FLUX,
+        EXEC_RUNS_TOTAL, PLAN_CACHE_HITS_TOTAL, ROUTER_QUEUE_OCCUPANCY, ROUTER_RUNS_TOTAL,
+        SPAN_FLUX,
     };
 
     #[test]
@@ -132,30 +127,26 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.add(ROUTER_RUNS_TOTAL, 1);
         reg.add(EXEC_RUNS_TOTAL, 4);
-        reg.set_gauge(EXEC_WORKERS_LAST, 7);
         let mut shard = LocalShard::new();
         shard.record(ROUTER_QUEUE_OCCUPANCY, 2);
         reg.merge(&shard);
         let snap = reg.snapshot();
         let names: Vec<_> = snap.counters.keys().cloned().collect();
         assert_eq!(names, [EXEC_RUNS_TOTAL, ROUTER_RUNS_TOTAL]);
-        assert_eq!(snap.gauges[EXEC_WORKERS_LAST], 7);
         assert_eq!(snap.histograms[ROUTER_QUEUE_OCCUPANCY].count, 1);
     }
 
     #[test]
-    fn merging_two_shards_renders_nonzero_counters_last_gauges_and_span_pairs() {
+    fn merging_two_shards_renders_nonzero_counters_and_span_pairs() {
         let reg = MetricsRegistry::new();
         let mut a = LocalShard::new();
         a.add(ROUTER_RUNS_TOTAL, 2);
         a.add(PLAN_CACHE_HITS_TOTAL, 0);
-        a.set_gauge(PLAN_CACHE_ENTRIES, 5);
         a.record(ROUTER_QUEUE_OCCUPANCY, 3);
         a.record_span(SPAN_FLUX, 120);
         let mut b = LocalShard::new();
         b.add(ROUTER_RUNS_TOTAL, 1);
         b.add(PLAN_CACHE_HITS_TOTAL, 0);
-        b.set_gauge(PLAN_CACHE_ENTRIES, 2);
         b.record_span(SPAN_FLUX, 0);
         reg.merge(&a);
         reg.merge(&b);
@@ -174,8 +165,6 @@ mod tests {
             ],
             "a zero counter is omitted; a span is its two counters"
         );
-        assert_eq!(snap.gauges.len(), 1);
-        assert_eq!(snap.gauges[PLAN_CACHE_ENTRIES], 2, "the last merge wins");
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[ROUTER_QUEUE_OCCUPANCY].count, 1);
     }

@@ -3,12 +3,13 @@
 //! Workers never touch the shared [`MetricsRegistry`]
 //! from the hot path. Instead, each thread accumulates into a plain
 //! [`LocalShard`] (no atomics, no locks) and the *coordinator* — normally
-//! `fcn-exec`'s pool — collects the shards and merges them **in job-index
-//! order** before merging once into the registry, which is itself a locked
-//! `LocalShard`. Because every shard operation is a `u64` addition (and
-//! histogram merging is bucket-wise `u64` addition), the merged totals are
-//! independent of worker count and scheduling: telemetry can be enabled on
-//! any `--jobs N` without perturbing either the metrics or the simulation.
+//! `fcn-exec`'s pool — merges the shards, in whatever order they arrive,
+//! before merging once into the registry, which is itself a locked
+//! `LocalShard`. Every instrument is a sum: every shard operation is a
+//! `u64` addition (histogram merging is bucket-wise `u64` addition), so
+//! merge commutes and the merged totals are independent of worker count
+//! and scheduling: telemetry can be enabled on any `--jobs N` without
+//! perturbing either the metrics or the simulation.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -46,7 +47,6 @@ pub struct SpanStat {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalShard {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, LocalHistogram>,
     spans: BTreeMap<&'static str, SpanStat>,
 }
@@ -68,13 +68,6 @@ impl LocalShard {
     #[inline]
     pub fn inc(&mut self, name: &'static str) {
         self.add(name, 1);
-    }
-
-    /// Set gauge `name` (last write wins; in a merge, `other` wins).
-    #[inline]
-    pub fn set_gauge(&mut self, name: &'static str, v: u64) {
-        assert_name(name);
-        self.gauges.insert(name, v);
     }
 
     /// Record one observation into histogram `name`.
@@ -103,15 +96,11 @@ impl LocalShard {
         s.nanos += nanos;
     }
 
-    /// Merge `other` into `self`: counters, histograms, and spans add;
-    /// gauges take `other`'s value (last-write-wins, matching the
-    /// index-order merge convention where later jobs are "newer").
+    /// Merge `other` into `self`: counters, histograms, and spans add, so
+    /// the result does not depend on the order of merges.
     pub fn merge(&mut self, other: &LocalShard) {
         for (k, v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k, *v);
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k).or_default().merge(h);
@@ -125,20 +114,12 @@ impl LocalShard {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
     }
 
     /// Counter value (0 if absent) — test/inspection helper.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value (None if never set) — test/inspection helper.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
     }
 
     /// Histogram contents (empty if absent) — test/inspection helper.
@@ -152,7 +133,7 @@ impl LocalShard {
     }
 
     /// Render as a [`MetricsSnapshot`]: counters that are not zero, every
-    /// gauge and histogram, and each span as two counters,
+    /// histogram, and each span as two counters,
     /// `span_{name}_calls_total` and `span_{name}_nanos_total`.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut counters: BTreeMap<String, u64> = self
@@ -167,11 +148,6 @@ impl LocalShard {
         }
         MetricsSnapshot {
             counters,
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(k, &v)| (k.to_string(), v))
-                .collect(),
             histograms: self
                 .histograms
                 .iter()
@@ -197,9 +173,9 @@ pub fn with_shard<R>(f: impl FnOnce(&mut LocalShard) -> R) -> R {
 
 /// Take this thread's shard, leaving an empty one behind.
 ///
-/// `fcn-exec` calls this after each job closure returns to capture the
-/// job's metric delta, and again around sequential fallbacks to keep the
-/// caller's own shard untouched.
+/// Each of `fcn-exec`'s workers calls this once, after its last job, to
+/// hand what its jobs recorded to the pool's caller; `fcn-serve` calls it
+/// after each request to merge what the request recorded.
 pub fn take_shard() -> LocalShard {
     SHARD.with(|s| std::mem::take(&mut *s.borrow_mut()))
 }
@@ -221,27 +197,23 @@ pub fn flush_thread_shard(reg: &MetricsRegistry) {
 mod tests {
     use super::*;
     use crate::names::{
-        EXEC_WORKERS_LAST, ROUTER_HOPS_TOTAL, ROUTER_QUEUE_OCCUPANCY, ROUTER_RUNS_TOTAL,
-        ROUTER_TICKS_TOTAL, SPAN_FLUX,
+        ROUTER_HOPS_TOTAL, ROUTER_QUEUE_OCCUPANCY, ROUTER_RUNS_TOTAL, ROUTER_TICKS_TOTAL, SPAN_FLUX,
     };
 
     #[test]
-    fn merge_adds_counters_hists_spans_and_overwrites_gauges() {
+    fn merge_adds_counters_hists_and_spans() {
         let mut a = LocalShard::new();
         a.add(ROUTER_RUNS_TOTAL, 2);
-        a.set_gauge(EXEC_WORKERS_LAST, 1);
         a.record(ROUTER_QUEUE_OCCUPANCY, 4);
         a.record_span(SPAN_FLUX, 10);
 
         let mut b = LocalShard::new();
         b.add(ROUTER_RUNS_TOTAL, 3);
-        b.set_gauge(EXEC_WORKERS_LAST, 9);
         b.record(ROUTER_QUEUE_OCCUPANCY, 5);
         b.record_span(SPAN_FLUX, 30);
 
         a.merge(&b);
         assert_eq!(a.counter(ROUTER_RUNS_TOTAL), 5);
-        assert_eq!(a.gauge(EXEC_WORKERS_LAST), Some(9));
         assert_eq!(a.histogram(ROUTER_QUEUE_OCCUPANCY).count, 2);
         assert_eq!(
             a.span(SPAN_FLUX),
@@ -254,18 +226,21 @@ mod tests {
 
     #[test]
     fn merge_is_order_sensitive_only_for_gauges() {
+        // With no gauge kind, every merge commutes.
         let mut a = LocalShard::new();
         a.add(ROUTER_TICKS_TOTAL, 1);
         a.record(ROUTER_QUEUE_OCCUPANCY, 7);
+        a.record_span(SPAN_FLUX, 3);
         let mut b = LocalShard::new();
         b.add(ROUTER_TICKS_TOTAL, 4);
         b.record(ROUTER_QUEUE_OCCUPANCY, 2);
+        b.add(ROUTER_HOPS_TOTAL, 9);
 
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab, ba, "no gauges => merge commutes");
+        assert_eq!(ab, ba);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! The JSONL format is one self-describing object per line:
 //!
 //! ```text
-//! {"schema":"fcn-telemetry/1","kind":"header","counters":2,"gauges":1,"histograms":1}
+//! {"schema":"fcn-telemetry/2","kind":"header","counters":2,"histograms":1}
+//! {"kind":"counter","name":"exec_workers_total","value":4}
 //! {"kind":"counter","name":"router_ticks_total","value":1024}
-//! {"kind":"gauge","name":"exec_workers_last","value":4}
 //! {"kind":"histogram","name":"router_queue_occupancy","count":9,"sum":41,"buckets":[...34 entries...]}
 //! ```
 
@@ -19,18 +19,16 @@ use std::collections::BTreeMap;
 use serde::Value;
 
 use crate::hist::{bucket_upper_bound, LocalHistogram, HIST_BUCKETS};
-use crate::names;
 
-/// Schema tag stamped on (and required from) every JSONL snapshot.
-pub const SNAPSHOT_SCHEMA: &str = "fcn-telemetry/1";
+/// Schema tag stamped on (and required from) every JSONL snapshot. `/2`
+/// has no gauge kind, so a `/1` file is refused.
+pub const SNAPSHOT_SCHEMA: &str = "fcn-telemetry/2";
 
 /// A point-in-time copy of every instrument in a registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, u64>,
     /// Histogram contents by name.
     pub histograms: BTreeMap<String, LocalHistogram>,
 }
@@ -80,11 +78,11 @@ impl MetricsSnapshot {
 
     /// True when no instrument carries any data.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// What this snapshot adds over `baseline`: counters and histograms
-    /// subtract (saturating), gauges keep their current value. Instruments
+    /// subtract (saturating). Instruments
     /// whose delta is zero/empty are dropped, so a run that never touched a
     /// metric does not report it.
     pub fn delta_since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
@@ -94,9 +92,6 @@ impl MetricsSnapshot {
             if d != 0 {
                 out.counters.insert(k.clone(), d);
             }
-        }
-        for (k, v) in &self.gauges {
-            out.gauges.insert(k.clone(), *v);
         }
         for (k, h) in &self.histograms {
             let d = match baseline.histograms.get(k) {
@@ -110,21 +105,16 @@ impl MetricsSnapshot {
         out
     }
 
-    /// A copy with every metric that follows the clock or the thread
-    /// schedule removed: span timings, busy/idle nano counters, and the
-    /// router's scratch-arena counters. A router scratch is thread-local,
-    /// so whether a run creates one or reuses one depends on which worker
-    /// runs it. What remains is deterministic: identical across runs and
-    /// machines for the same workload and worker count (the `exec_*` pool
-    /// metrics count the pool's runs and workers, which follow the worker
-    /// count by design).
+    /// A copy with every metric that follows the clock removed: span
+    /// timings and busy/idle nano counters. What remains is deterministic:
+    /// identical across runs and machines for the same workload and worker
+    /// count (the `exec_*` pool metrics count the pool's runs and workers,
+    /// which follow the worker count by design).
     pub fn without_wall_clock(&self) -> MetricsSnapshot {
         let mut out = self.clone();
         out.counters.retain(|k, _| {
             !(k.ends_with("_nanos_total")
-                || (k.starts_with("span_") && k.ends_with("_calls_total"))
-                || k == names::ROUTER_SCRATCH_CREATED_TOTAL
-                || k == names::ROUTER_SCRATCH_REUSED_TOTAL)
+                || (k.starts_with("span_") && k.ends_with("_calls_total")))
         });
         out
     }
@@ -132,27 +122,17 @@ impl MetricsSnapshot {
     /// Render as versioned JSONL (format in the module docs). Lines are
     /// sorted by kind then name, so equal snapshots render byte-identically.
     pub fn to_jsonl(&self) -> String {
-        let mut lines =
-            Vec::with_capacity(1 + self.counters.len() + self.gauges.len() + self.histograms.len());
+        let mut lines = Vec::with_capacity(1 + self.counters.len() + self.histograms.len());
         let header = obj(vec![
             ("schema", Value::String(SNAPSHOT_SCHEMA.to_string())),
             ("kind", Value::String("header".to_string())),
             ("counters", Value::UInt(self.counters.len() as u64)),
-            ("gauges", Value::UInt(self.gauges.len() as u64)),
             ("histograms", Value::UInt(self.histograms.len() as u64)),
         ]);
         lines.push(render_line(&header));
         for (k, v) in &self.counters {
             let line = obj(vec![
                 ("kind", Value::String("counter".to_string())),
-                ("name", Value::String(k.clone())),
-                ("value", Value::UInt(*v)),
-            ]);
-            lines.push(render_line(&line));
-        }
-        for (k, v) in &self.gauges {
-            let line = obj(vec![
-                ("kind", Value::String("gauge".to_string())),
                 ("name", Value::String(k.clone())),
                 ("value", Value::UInt(*v)),
             ]);
@@ -193,7 +173,6 @@ impl MetricsSnapshot {
             return Err("first line must have kind \"header\"".to_string());
         }
         let want_counters = field_u64(&header, "counters")?;
-        let want_gauges = field_u64(&header, "gauges")?;
         let want_hists = field_u64(&header, "histograms")?;
 
         let mut snap = MetricsSnapshot::new();
@@ -209,11 +188,6 @@ impl MetricsSnapshot {
                     let value =
                         field_u64(&v, "value").map_err(|e| format!("line {}: {e}", i + 2))?;
                     snap.counters.insert(name, value);
-                }
-                "gauge" => {
-                    let value =
-                        field_u64(&v, "value").map_err(|e| format!("line {}: {e}", i + 2))?;
-                    snap.gauges.insert(name, value);
                 }
                 "histogram" => {
                     let count =
@@ -264,14 +238,11 @@ impl MetricsSnapshot {
                 other => return Err(format!("line {}: unknown kind {other:?}", i + 2)),
             }
         }
-        if snap.counters.len() as u64 != want_counters
-            || snap.gauges.len() as u64 != want_gauges
-            || snap.histograms.len() as u64 != want_hists
+        if snap.counters.len() as u64 != want_counters || snap.histograms.len() as u64 != want_hists
         {
             return Err(format!(
-                "header promised {want_counters} counters / {want_gauges} gauges / {want_hists} histograms, found {} / {} / {}",
+                "header promised {want_counters} counters / {want_hists} histograms, found {} / {}",
                 snap.counters.len(),
-                snap.gauges.len(),
                 snap.histograms.len()
             ));
         }
@@ -284,9 +255,6 @@ impl MetricsSnapshot {
         let mut out = String::new();
         for (k, v) in &self.counters {
             out.push_str(&format!("# TYPE {k} counter\n{k} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("# TYPE {k} gauge\n{k} {v}\n"));
         }
         for (k, h) in &self.histograms {
             out.push_str(&format!("# TYPE {k} histogram\n"));
@@ -312,7 +280,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::names::{
-        EXEC_JOBS_TOTAL, EXEC_RUNS_TOTAL, EXEC_WORKERS_LAST, ROUTER_QUEUE_OCCUPANCY,
+        EXEC_JOBS_TOTAL, EXEC_RUNS_TOTAL, EXEC_WORKERS_TOTAL, ROUTER_QUEUE_OCCUPANCY,
         ROUTER_RUNS_TOTAL, ROUTER_RUN_MAX_QUEUE, ROUTER_TICKS_TOTAL,
     };
     use crate::shard::LocalShard;
@@ -321,7 +289,7 @@ mod tests {
         let mut s = LocalShard::new();
         s.add(EXEC_RUNS_TOTAL, 3);
         s.add(EXEC_JOBS_TOTAL, 1);
-        s.set_gauge(EXEC_WORKERS_LAST, 4);
+        s.add(EXEC_WORKERS_TOTAL, 4);
         for v in [0, 5, 5] {
             s.record(ROUTER_QUEUE_OCCUPANCY, v);
         }
@@ -342,12 +310,20 @@ mod tests {
     fn from_jsonl_rejects_bad_input() {
         assert!(MetricsSnapshot::from_jsonl("").is_err());
         assert!(MetricsSnapshot::from_jsonl("{\"kind\":\"header\"}").is_err());
-        let wrong_schema =
-            "{\"schema\":\"fcn-telemetry/9\",\"kind\":\"header\",\"counters\":0,\"gauges\":0,\"histograms\":0}\n";
-        let err = MetricsSnapshot::from_jsonl(wrong_schema).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
+        for old in ["fcn-telemetry/1", "fcn-telemetry/9"] {
+            let wrong_schema = format!(
+                "{{\"schema\":\"{old}\",\"kind\":\"header\",\"counters\":0,\"gauges\":0,\"histograms\":0}}\n"
+            );
+            let err = MetricsSnapshot::from_jsonl(&wrong_schema).unwrap_err();
+            assert!(err.contains("schema"), "{err}");
+        }
+        let gauge = format!(
+            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"kind\":\"header\",\"counters\":0,\"histograms\":0}}\n{{\"kind\":\"gauge\",\"name\":\"x\",\"value\":1}}\n"
+        );
+        let err = MetricsSnapshot::from_jsonl(&gauge).unwrap_err();
+        assert!(err.contains("unknown kind"), "{err}");
         let bad_count = format!(
-            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"kind\":\"header\",\"counters\":2,\"gauges\":0,\"histograms\":0}}\n{{\"kind\":\"counter\",\"name\":\"x_total\",\"value\":1}}\n"
+            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"kind\":\"header\",\"counters\":2,\"histograms\":0}}\n{{\"kind\":\"counter\",\"name\":\"x_total\",\"value\":1}}\n"
         );
         let err = MetricsSnapshot::from_jsonl(&bad_count).unwrap_err();
         assert!(err.contains("promised"), "{err}");
@@ -355,7 +331,7 @@ mod tests {
         let mut buckets = vec!["0"; HIST_BUCKETS];
         buckets[1] = "2";
         let bad_hist = format!(
-            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"kind\":\"header\",\"counters\":0,\"gauges\":0,\"histograms\":1}}\n{{\"kind\":\"histogram\",\"name\":\"h\",\"count\":3,\"sum\":2,\"buckets\":[{}]}}\n",
+            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"kind\":\"header\",\"counters\":0,\"histograms\":1}}\n{{\"kind\":\"histogram\",\"name\":\"h\",\"count\":3,\"sum\":2,\"buckets\":[{}]}}\n",
             buckets.join(",")
         );
         let err = MetricsSnapshot::from_jsonl(&bad_hist).unwrap_err();
@@ -370,7 +346,6 @@ mod tests {
         s.record(ROUTER_RUN_MAX_QUEUE, 1);
         let base = s.snapshot();
         s.add(ROUTER_TICKS_TOTAL, 7);
-        s.set_gauge(EXEC_WORKERS_LAST, 9);
         s.record(ROUTER_RUN_MAX_QUEUE, 8);
         let now = s.snapshot();
         let d = now.delta_since(&base);
@@ -379,7 +354,6 @@ mod tests {
             !d.counters.contains_key(ROUTER_RUNS_TOTAL),
             "zero delta dropped"
         );
-        assert_eq!(d.gauges[EXEC_WORKERS_LAST], 9);
         assert_eq!(d.histograms[ROUTER_RUN_MAX_QUEUE].count, 1);
         assert_eq!(d.histograms[ROUTER_RUN_MAX_QUEUE].sum, 8);
     }
@@ -389,7 +363,8 @@ mod tests {
         let snap = sample();
         let text = snap.to_prometheus();
         assert!(text.contains("# TYPE exec_runs_total counter\nexec_runs_total 3\n"));
-        assert!(text.contains("# TYPE exec_workers_last gauge\nexec_workers_last 4\n"));
+        assert!(text.contains("# TYPE exec_workers_total counter\nexec_workers_total 4\n"));
+        assert!(!text.contains("gauge"), "{text}");
         assert!(text.contains("# TYPE router_queue_occupancy histogram\n"));
         // 0 falls in bucket 0 (le="0"), the two 5s in bucket 3 (le="7").
         let occ = "router_queue_occupancy";
@@ -412,20 +387,11 @@ mod tests {
         snap.counters.insert("span_run_nanos_total".into(), 999);
         snap.counters
             .insert("exec_worker_busy_nanos_total".into(), 123);
-        snap.counters
-            .insert(names::ROUTER_SCRATCH_CREATED_TOTAL.into(), 2);
-        snap.counters
-            .insert(names::ROUTER_SCRATCH_REUSED_TOTAL.into(), 5);
         let clean = snap.without_wall_clock();
         assert!(clean.counters.contains_key(EXEC_RUNS_TOTAL));
+        assert!(clean.counters.contains_key(EXEC_WORKERS_TOTAL));
         assert!(!clean.counters.contains_key("span_run_calls_total"));
         assert!(!clean.counters.contains_key("span_run_nanos_total"));
         assert!(!clean.counters.contains_key("exec_worker_busy_nanos_total"));
-        assert!(!clean
-            .counters
-            .contains_key(names::ROUTER_SCRATCH_CREATED_TOTAL));
-        assert!(!clean
-            .counters
-            .contains_key(names::ROUTER_SCRATCH_REUSED_TOTAL));
     }
 }

@@ -1,17 +1,19 @@
 //! Property tests for per-worker shard merging.
 //!
-//! The pool's telemetry contract is: record each job's metrics into a
-//! private shard, then merge the shards **in job index order**. These
-//! properties pin down why that is safe at any `--jobs N`:
+//! The pool's telemetry contract is: each worker records its jobs' metrics
+//! into its own shard, and the caller merges the worker shards in whatever
+//! order they finish. Every instrument is a sum, so these properties pin
+//! down why that is safe at any `--jobs N`:
 //!
-//! * merged shards equal the single-threaded shard for the same job set
-//!   (worker-count independence), and
+//! * merged shards equal the single-threaded shard for the same job set,
+//!   whichever worker ran which job and in whichever order the workers'
+//!   shards merge (worker-count and schedule independence), and
 //! * the merge is associative, so any contiguous grouping of jobs onto
 //!   workers gives the same result.
 
 use fcn_telemetry::names::{
-    BANDWIDTH_CELL_TICKS, EXEC_JOBS_TOTAL, EXEC_WORKERS_LAST, ROUTER_ABORTS_TOTAL,
-    ROUTER_HOPS_TOTAL, ROUTER_QUEUE_OCCUPANCY,
+    BANDWIDTH_CELL_TICKS, EXEC_JOBS_TOTAL, ROUTER_ABORTS_TOTAL, ROUTER_HOPS_TOTAL,
+    ROUTER_QUEUE_OCCUPANCY, SPAN_FLUX,
 };
 use fcn_telemetry::{LocalHistogram, LocalShard};
 use proptest::prelude::*;
@@ -28,7 +30,7 @@ fn apply_job(shard: &mut LocalShard, draw: u64) {
     if v.is_multiple_of(3) {
         shard.inc(ROUTER_ABORTS_TOTAL);
     }
-    shard.set_gauge(EXEC_WORKERS_LAST, v);
+    shard.record_span(SPAN_FLUX, v % 1000);
 }
 
 /// Run jobs `lo..hi` into a fresh shard (the "one worker owns this
@@ -44,34 +46,28 @@ fn run_chunk(draws: &[u64], lo: usize, hi: usize) -> LocalShard {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Splitting the job list across any number of workers and merging the
-    /// per-worker shards in index order reproduces the single-threaded
-    /// shard exactly — counters, histograms, spans, and gauges alike
-    /// (gauges because index-order merge keeps the *last* job's value,
-    /// same as sequential execution).
+    /// Dealing the job list to any number of workers, one shard each, and
+    /// merging the worker shards in any order reproduces the
+    /// single-threaded shard exactly — counters, histograms and spans.
     #[test]
     fn merged_worker_shards_equal_single_threaded(
         draws in proptest::collection::vec(proptest::strategy::any::<u64>(), 1..80),
         workers in 1usize..9,
+        rotate in 0usize..9,
     ) {
         let single = run_chunk(&draws, 0, draws.len());
 
-        // Deal jobs to workers the way the pool does: each worker pulls the
-        // next index, so worker w owns indices {w, w+workers, w+2*workers, ...}.
-        // Per-job shards are captured individually and merged in job index
-        // order, which is what fcn-exec does.
-        let mut per_job: Vec<LocalShard> = Vec::with_capacity(draws.len());
-        for &d in &draws {
-            let mut s = LocalShard::new();
-            apply_job(&mut s, d);
-            per_job.push(s);
+        // Deal jobs to workers: worker w runs indices {w, w+workers, ...}
+        // into its one shard, as a pool worker keeps its thread shard
+        // across its jobs.
+        let mut per_worker = vec![LocalShard::new(); workers];
+        for (i, &d) in draws.iter().enumerate() {
+            apply_job(&mut per_worker[i % workers], d);
         }
-        // Simulate out-of-order completion: job i finishes on worker
-        // (i % workers) at an arbitrary time, but the coordinator still
-        // merges by index.
-        let _ = workers; // scheduling cannot matter: merge order is by index
+        // Workers finish in any order: merge from a rotated start, backwards.
+        per_worker.rotate_left(rotate % workers);
         let mut merged = LocalShard::new();
-        for s in &per_job {
+        for s in per_worker.iter().rev() {
             merged.merge(s);
         }
         prop_assert_eq!(&merged, &single);
