@@ -14,7 +14,7 @@
 //!   measured rate into a three-sided certificate, and checks the theorem's
 //!   claim that all three agree within constants.
 
-use fcn_multigraph::{Embedding, NodeId, Traffic};
+use fcn_multigraph::{embed_shortest_paths, NodeId, Traffic};
 use fcn_routing::{measure_rate, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use rand::rngs::StdRng;
@@ -42,19 +42,14 @@ pub struct EmbeddingBound {
 ///
 /// Only materializes the traffic multigraph, so use moderate `n` for the
 /// symmetric distribution (`Θ(n²)` edges).
+///
+/// # Panics
+/// Panics if the traffic population exceeds the machine.
 pub fn embedding_lower_bound(machine: &Machine, traffic: &Traffic, seed: u64) -> EmbeddingBound {
     let t_graph = traffic.to_multigraph();
-    assert!(
-        t_graph.node_count() <= machine.node_count(),
-        "traffic population exceeds machine"
-    );
     let mut rng = StdRng::seed_from_u64(seed);
     let phi: Vec<NodeId> = (0..t_graph.node_count() as NodeId).collect();
-    // Per-source trees with per-tree randomized tie-breaking: the tighter
-    // witness (Valiant doubles path lengths; decorrelated trees already
-    // spread load).
-    let emb = Embedding::shortest_paths(&t_graph, machine.graph(), phi, &mut rng);
-    let stats = emb.stats();
+    let stats = embed_shortest_paths(&t_graph, machine.graph(), &phi, &mut rng, |_, _| {});
     EmbeddingBound {
         traffic_edges: t_graph.simple_edge_count(),
         congestion: stats.congestion,

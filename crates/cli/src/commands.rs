@@ -114,7 +114,7 @@ USAGE:
   fcnemu faults  <family> <size> [--rates R1,R2,..] [--trials N] [--seed N] [--fault-seed N] [--jobs N] [--quick] [--verbose]
   fcnemu bound   <guest-family> <host-family> [--n N] [--m M]
   fcnemu emulate <guest-family> <n> <host-family> <m> [--steps N]
-  fcnemu audit   <family> <size> [--seed N] [--jobs N]
+  fcnemu audit   <family> <size> [--seed N] [--jobs N]  (n <= 8192, n(n-1)·ecc(0) <= 2^34)
   fcnemu witness <family> <size> [--alpha X (0 < X <= 16)]  (circuit n·(t+1) <= 32768)
   fcnemu verify  <family> <size> [--hosts M] [--steps N]
   fcnemu table   <1|2|3> [--size N]
@@ -555,6 +555,7 @@ fn cmd_audit(args: &Args, out: Out) -> CmdResult {
     let seed = args.flag("seed", 7u64)?;
     let jobs = jobs(args, 1)?;
     let m = build(&id, size, seed)?;
+    audit_fits(&m)?;
     // Same cheap estimator as `quick_audit`, with the worker count
     // threaded through: the audit cells run in parallel, the output is
     // bit-identical for every `--jobs` value.
@@ -591,6 +592,41 @@ fn cmd_audit(args: &Args, out: Out) -> CmdResult {
     Ok(())
 }
 
+/// The most processors `fcnemu audit` certifies. Its Theorem 6 witness
+/// embeds K_n, whose multigraph takes about 22 bytes a pair while it is
+/// built: on a 2-vCPU host, n = 8192 peaked at 1.4 GB.
+pub const MAX_AUDIT_PROCESSORS: usize = 8192;
+
+/// The largest n(n−1)·ecc(0) `fcnemu audit` accepts: a bound on the
+/// Σ d(u,v) hops its K_n witness walks, since d(u,v) ≤ 2·ecc(0). On a
+/// 2-vCPU host, linear_array 2580 (at the bound) took 20 s, mesh2 8100 33 s.
+pub const MAX_AUDIT_HOPS: u64 = 1 << 34;
+
+/// Vertex 0's eccentricity: one BFS, and a lower bound on the diameter.
+fn ecc0(g: &fcn_multigraph::Multigraph) -> u32 {
+    let dist = fcn_multigraph::bfs_distances(g, 0);
+    dist.into_iter().max().unwrap_or(0)
+}
+
+/// Refuse, before any estimate, an audit above [`MAX_AUDIT_PROCESSORS`]
+/// or [`MAX_AUDIT_HOPS`].
+fn audit_fits(m: &Machine) -> Result<(), CmdError> {
+    let n = m.processors();
+    if n > MAX_AUDIT_PROCESSORS {
+        return Err(CmdError::Usage(format!(
+            "audit needs at most {MAX_AUDIT_PROCESSORS} processors, not {n}"
+        )));
+    }
+    let ecc = ecc0(m.graph());
+    let hops = (n * n.saturating_sub(1)) as u64 * ecc as u64;
+    if hops > MAX_AUDIT_HOPS {
+        return Err(CmdError::Usage(format!(
+            "audit work n(n-1)·ecc(0) must be at most 2^34, not {hops} (n = {n}, ecc(0) = {ecc})"
+        )));
+    }
+    Ok(())
+}
+
 /// The largest circuit `fcnemu witness` builds, in nodes n·(t+1): the
 /// construction's cost grows like its square. On a 2-vCPU host,
 /// linear_array 128 (32 640 nodes) took 43 s and mesh2 1024 (128 000) ran
@@ -612,10 +648,7 @@ fn witness_fits(g: &fcn_multigraph::Multigraph, alpha: f64) -> Result<(), CmdErr
     if n > MAX_WITNESS_NODES / 2 {
         return refuse(format!("more than {}", 2 * n));
     }
-    let ecc = fcn_multigraph::bfs_distances(g, 0)
-        .into_iter()
-        .max()
-        .unwrap_or(0);
+    let ecc = ecc0(g);
     if nodes(ecc) > MAX_WITNESS_NODES {
         return refuse(format!("at least {}", nodes(ecc)));
     }
@@ -1108,6 +1141,25 @@ mod tests {
         // fits (built here only up to the check).
         let g = fcn_topology::Machine::linear_array(128);
         assert!(super::witness_fits(g.graph(), 1.0).is_ok());
+    }
+
+    #[test]
+    fn audits_above_the_bound_are_a_usage_error() {
+        // mesh2 65536 is refused on its processor count, linear_array 4096
+        // (4096·4095·4095 hops) on vertex 0's eccentricity.
+        for (cmd, message) in [
+            ("audit mesh2 65536", "at most 8192 processors, not 65536"),
+            (
+                "audit linear_array 4096",
+                "at most 2^34, not 68685926400 (n = 4096, ecc(0) = 4095)",
+            ),
+        ] {
+            let (code, out) = run_s(cmd);
+            assert_eq!(code, 2, "{cmd}: {out}");
+            assert!(out.contains(message), "{cmd}: {out}");
+        }
+        // mesh2 256 fits (checked here only up to the bound).
+        assert!(super::audit_fits(&fcn_topology::Machine::mesh(2, 16)).is_ok());
     }
 
     #[test]

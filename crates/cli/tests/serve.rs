@@ -429,6 +429,28 @@ fn served_oversized_sizes_and_trials_are_refused() {
     daemon.shutdown();
 }
 
+/// An audit whose K_n witness is past the work bound is refused after the
+/// build and before any estimate, with the inline bytes and exit code, and
+/// the daemon keeps answering.
+#[test]
+fn served_oversized_audit_is_refused() {
+    let daemon = Daemon::start(&[]);
+    let mut client = daemon.client();
+    let before = router_runs(&mut client);
+    for (args, message) in [
+        (&["linear_array", "65536"][..], "at most 8192 processors"),
+        (&["linear_array", "4096"][..], "ecc(0) must be at most 2^34"),
+    ] {
+        let resp = client.call("audit", args).expect("framed response");
+        assert_eq!(resp.exit_code, 2, "{args:?}: {}", resp.output);
+        assert!(resp.output.contains(message), "{}", resp.output);
+        assert_differential(&mut client, "audit", args);
+    }
+    assert_eq!(router_runs(&mut client), before, "a refused audit routed");
+    assert_eq!(client.call("ping", &[]).unwrap().output, "pong\n");
+    daemon.shutdown();
+}
+
 #[test]
 fn served_faults_verbose_counts_in_daemon_metrics() {
     let daemon = Daemon::start(&[]);

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use fcn_multigraph::{collapse, Embedding, Multigraph, NodeId, Traffic};
+use fcn_multigraph::{collapse, embed_shortest_paths, Multigraph, NodeId, Traffic};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -72,47 +72,36 @@ pub fn collapse_preservation(
     assert_eq!(gamma.n(), c.node_count(), "traffic must cover C exactly");
     let gamma_graph = gamma.to_multigraph();
     let mut rng = StdRng::seed_from_u64(seed);
-    let embedding = Embedding::shortest_paths(
-        &gamma_graph,
-        c,
-        (0..c.node_count() as NodeId).collect(),
-        &mut rng,
-    );
-    let c_congestion = embedding.stats().congestion;
-    let collapsed = collapse(c, assign, num_supers);
-
-    // ξ: collapsed γ-edges between distinct supers.
+    let phi: Vec<NodeId> = (0..c.node_count() as NodeId).collect();
+    // Collapse each γ-edge and its path as it is walked. ξ counts the
+    // γ-edges between distinct supers; `m_load` is the load on each M edge,
+    // to be divided by its multiplicity (the number of parallel C wires
+    // collapsed into it) for the per-unit-capacity congestion on M.
     let mut xi: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-    let mut self_collapsed = 0u64;
-    let mut gamma_edges = 0u64;
-    for e in gamma_graph.edges() {
-        gamma_edges += e.multiplicity as u64;
-        let (a, b) = (assign[e.u as usize], assign[e.v as usize]);
-        if a == b {
-            self_collapsed += e.multiplicity as u64;
-        } else {
-            *xi.entry((a.min(b), a.max(b))).or_insert(0) += e.multiplicity as u64;
-        }
-    }
-    let xi_edges: u64 = xi.values().sum();
-    let max_pair_multiplicity = xi.values().copied().max().unwrap_or(0);
-
-    // Collapse the γ-paths and measure per-unit-capacity congestion on M:
-    // the load on an M edge divided by its multiplicity (number of parallel
-    // C wires collapsed into it).
     let mut m_load: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-    for (e, path) in embedding.guest_edges.iter().zip(&embedding.paths) {
-        // Skip γ-edges that collapse to self-loops: they need no M wires.
-        if assign[e.u as usize] == assign[e.v as usize] {
-            continue;
+    let (mut gamma_edges, mut self_collapsed) = (0u64, 0u64);
+    let c_congestion = embed_shortest_paths(&gamma_graph, c, &phi, &mut rng, |e, path| {
+        let mult = e.multiplicity as u64;
+        gamma_edges += mult;
+        let (a, b) = (assign[e.u as usize], assign[e.v as usize]);
+        // A γ-edge that collapses to a self-loop needs no M wires.
+        if a == b {
+            self_collapsed += mult;
+            return;
         }
+        *xi.entry((a.min(b), a.max(b))).or_insert(0) += mult;
         for w in path.windows(2) {
             let (a, b) = (assign[w[0] as usize], assign[w[1] as usize]);
             if a != b {
-                *m_load.entry((a.min(b), a.max(b))).or_insert(0) += e.multiplicity as u64;
+                *m_load.entry((a.min(b), a.max(b))).or_insert(0) += mult;
             }
         }
-    }
+    })
+    .congestion;
+    let collapsed = collapse(c, assign, num_supers);
+    let xi_edges: u64 = xi.values().sum();
+    let max_pair_multiplicity = xi.values().copied().max().unwrap_or(0);
+
     let m_unit_congestion = m_load
         .iter()
         .map(|(&(a, b), &load)| {

@@ -23,7 +23,7 @@
 //! Congestion is accounted per circuit edge without materializing the
 //! `Θ(n²t²)` γ-edges individually.
 
-use fcn_multigraph::{bfs_parents, path_from_parents, Embedding, Multigraph, NodeId};
+use fcn_multigraph::{bfs_parents, embed_shortest_paths, path_from_parents, Multigraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -217,8 +217,8 @@ pub fn build_witness_in_circuit(
     // multigraph into G.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let kn = fcn_multigraph::Traffic::symmetric(n).to_multigraph();
-    let kn_embedding = Embedding::shortest_paths(&kn, g, (0..n as NodeId).collect(), &mut rng);
-    let c_g_kn = kn_embedding.stats().congestion;
+    let phi: Vec<NodeId> = (0..n as NodeId).collect();
+    let c_g_kn = embed_shortest_paths(&kn, g, &phi, &mut rng, |_, _| {}).congestion;
     let beta_g = kn.simple_edge_count() as f64 / c_g_kn as f64;
 
     // γ load per arc (indexed like `inputs`) and the circuit nodes γ uses.

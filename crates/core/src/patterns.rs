@@ -13,7 +13,7 @@
 //! FFT/butterfly exchange, odd-even transposition sort, nearest-neighbor
 //! stencils, all-to-all, tree broadcast, and random permutations.
 
-use fcn_multigraph::{Cut, Embedding, Multigraph, MultigraphBuilder, NodeId, Traffic};
+use fcn_multigraph::{embed_shortest_paths, Cut, Multigraph, MultigraphBuilder, NodeId, Traffic};
 use fcn_routing::{RouteCtx, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use rand::rngs::StdRng;
@@ -228,26 +228,21 @@ pub fn execute_pattern(
         }
     }
 
+    let collapsed = fcn_multigraph::collapse(&pattern.graph, &assign, m);
     let (ticks_measured, witness) = if demands.is_empty() {
         (0, None)
     } else {
         let out = RouteCtx::new(host).route_demands(&demands, Strategy::ShortestPath, seed, cfg);
         assert!(out.completed, "pattern routing incomplete");
         // Embedding witness for the congestion side.
-        let collapsed = fcn_multigraph::collapse(&pattern.graph, &assign, m);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa11);
-        let emb = Embedding::shortest_paths(
-            &collapsed.graph,
-            host.graph(),
-            (0..m as NodeId).collect(),
-            &mut rng,
-        );
-        (out.ticks, Some(emb.stats()))
+        let phi: Vec<NodeId> = (0..m as NodeId).collect();
+        let stats = embed_shortest_paths(&collapsed.graph, host.graph(), &phi, &mut rng, |_, _| {});
+        (out.ticks, Some(stats))
     };
 
     // Flux lower bound: for each candidate cut of the host, the collapsed
     // pattern mass crossing it over the doubled cut capacity.
-    let collapsed = fcn_multigraph::collapse(&pattern.graph, &assign, m);
     let mut ticks_lower: f64 = 0.0;
     let mut cuts: Vec<Cut> = host.canonical_cuts().to_vec();
     if m >= 2 {
@@ -283,13 +278,9 @@ pub fn pattern_bandwidth(pattern: &CommPattern, host: &Machine, seed: u64) -> (f
     assert!(pattern.n <= host.processors());
     // Lower: embedding witness.
     let mut rng = StdRng::seed_from_u64(seed);
-    let emb = Embedding::shortest_paths(
-        &pattern.graph,
-        host.graph(),
-        (0..pattern.n as NodeId).collect(),
-        &mut rng,
-    );
-    let lower = pattern.message_count() as f64 / emb.stats().congestion.max(1) as f64;
+    let phi: Vec<NodeId> = (0..pattern.n as NodeId).collect();
+    let stats = embed_shortest_paths(&pattern.graph, host.graph(), &phi, &mut rng, |_, _| {});
+    let lower = pattern.message_count() as f64 / stats.congestion.max(1) as f64;
     // Upper: flux against the pattern-as-traffic distribution.
     let pairs: Vec<(NodeId, NodeId)> = pattern
         .graph

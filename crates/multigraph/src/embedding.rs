@@ -5,35 +5,19 @@
 //! `C(H,T)` is the minimum congestion of a (1-to-1) embedding of the traffic
 //! multigraph `T` into `H`. Minimum congestion is intractable, but the paper
 //! only ever *uses* explicit embeddings as upper-bound witnesses on
-//! congestion (hence lower-bound witnesses on bandwidth). [`Embedding`]
-//! represents such a witness: a vertex map `φ` plus one host path per
-//! distinct guest edge, and [`EmbeddingStats`] measures its congestion `c`,
-//! dilation `δ` and average dilation `δ̄` — exactly the quantities of the
-//! paper's `C(H,G)`, `Λ(H,G)`, `λ(H,G)` definitions at finite size.
-
-use std::collections::BTreeMap;
+//! congestion (hence lower-bound witnesses on bandwidth).
+//! [`embed_shortest_paths`] builds such a witness and measures it as it
+//! walks, with no path stored: [`EmbeddingStats`] holds its congestion `c`,
+//! dilation `δ` and average dilation `δ̄` — the quantities of the paper's
+//! `C(H,G)`, `Λ(H,G)`, `λ(H,G)` definitions at finite size.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::dist::{bfs_parents_shuffled, path_from_parents};
+use crate::dist::bfs_parents_shuffled;
 use crate::graph::{EdgeRef, Multigraph, NodeId};
 
-/// An embedding of `guest` into `host`: a vertex map and one host routing
-/// path per distinct guest edge (parallel guest edges share the path and
-/// contribute their multiplicity to its load).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Embedding {
-    /// `phi[u]` is the host image of guest vertex `u`.
-    pub phi: Vec<NodeId>,
-    /// Snapshot of the guest's distinct edges, aligned with `paths`.
-    pub guest_edges: Vec<EdgeRef>,
-    /// Host vertex sequences; `paths[i]` connects `phi[guest_edges[i].u]` to
-    /// `phi[guest_edges[i].v]`. A self-image edge may have a length-1 path.
-    pub paths: Vec<Vec<NodeId>>,
-}
-
-/// Congestion/dilation measurements of an [`Embedding`].
+/// Congestion/dilation measurements of an embedding.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EmbeddingStats {
     /// Max over host edges of the total guest multiplicity routed across it
@@ -47,117 +31,93 @@ pub struct EmbeddingStats {
     pub total_load: u64,
 }
 
-impl Embedding {
-    /// Embed `guest` into `host` along BFS shortest paths.
-    ///
-    /// One BFS tree is computed per distinct source image and reused for all
-    /// guest edges sharing it; `rng` permutes each vertex's neighbor
-    /// preference so independent calls spread load across equal-length
-    /// paths. `phi` may be many-to-one (the emulation case).
-    ///
-    /// # Panics
-    /// Panics if `phi` has the wrong length, maps out of range, or some edge
-    /// endpoint pair is disconnected in the host.
-    pub fn shortest_paths(
-        guest: &Multigraph,
-        host: &Multigraph,
-        phi: Vec<NodeId>,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert_eq!(phi.len(), guest.node_count(), "phi must map every vertex");
-        for &h in &phi {
-            assert!((h as usize) < host.node_count(), "phi maps out of range");
-        }
-        let guest_edges: Vec<EdgeRef> = guest.edges().collect();
-        let mut trees: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        let mut paths = Vec::with_capacity(guest_edges.len());
-        for e in &guest_edges {
-            let (src, dst) = (phi[e.u as usize], phi[e.v as usize]);
-            if src == dst {
-                paths.push(vec![src]);
-                continue;
-            }
-            // Tie-breaking is randomized independently per tree: a shared
-            // neighbor order would make all trees prefer the same corridors
-            // and inflate the congestion witness. Trees are grown whole:
-            // they share `rng`, so one stopped early would shift every
-            // later tree's draws.
-            let parent = trees
-                .entry(src)
-                .or_insert_with(|| bfs_parents_shuffled(host, src, host.node_count(), None, rng).0);
-            #[expect(
-                clippy::panic,
-                reason = "documented precondition: callers embed into connected hosts"
-            )]
-            let p = path_from_parents(parent, src, dst)
-                .unwrap_or_else(|| panic!("host disconnects images {src} and {dst}"));
-            paths.push(p);
-        }
-        Embedding {
-            phi,
-            guest_edges,
-            paths,
+/// Embed `guest` into `host` by the vertex map `phi` (which may be
+/// many-to-one, the emulation case) along BFS shortest paths, and measure
+/// the embedding. Each distinct guest edge `{u, v}` (`u <= v`) follows the
+/// BFS tree of `φ(u)` to `φ(v)`, loading every host edge on the way with
+/// its multiplicity; `visit(e, walk)` sees that walk from `φ(u)` to `φ(v)`
+/// (one vertex when the images meet) in a buffer reused between edges.
+///
+/// One tree is grown per source image, in the order each source first
+/// appears in [`Multigraph::edges`], and the edges are walked grouped by
+/// source, so one tree is alive at a time. `rng` shuffles each tree's
+/// neighbour preference, spreading load across equal-length paths; trees
+/// are grown whole, since one stopped early would shift every later tree's
+/// draws.
+///
+/// # Panics
+/// Panics if `phi` has the wrong length, maps out of range, or some edge
+/// endpoint pair is disconnected in the host.
+pub fn embed_shortest_paths(
+    guest: &Multigraph,
+    host: &Multigraph,
+    phi: &[NodeId],
+    rng: &mut impl Rng,
+    mut visit: impl FnMut(EdgeRef, &[NodeId]),
+) -> EmbeddingStats {
+    assert_eq!(phi.len(), guest.node_count(), "phi must map every vertex");
+    assert!(
+        phi.iter().all(|&h| (h as usize) < host.node_count()),
+        "phi maps out of range"
+    );
+    // `rank[s]` orders the sources by the first edge that leaves `s`;
+    // sorting the guest vertices stably by it groups each source's edges.
+    let mut rank = vec![u32::MAX; host.node_count()];
+    let mut sources = 0;
+    for u in 0..guest.node_count() as NodeId {
+        let s = phi[u as usize];
+        let leaves = |&v: &NodeId| v >= u && phi[v as usize] != s;
+        if rank[s as usize] == u32::MAX && guest.neighbor_ids(u).iter().any(leaves) {
+            rank[s as usize] = sources;
+            sources += 1;
         }
     }
+    let mut by_source: Vec<NodeId> = (0..guest.node_count() as NodeId).collect();
+    by_source.sort_by_key(|&u| rank[phi[u as usize] as usize]);
 
-    /// Verify structural validity against the host: endpoints match `phi`,
-    /// consecutive path vertices are host-adjacent.
-    pub fn validate(&self, host: &Multigraph) -> Result<(), String> {
-        if self.guest_edges.len() != self.paths.len() {
-            return Err("paths and guest_edges length mismatch".into());
+    let mut loads = vec![0u64; 2 * host.distinct_edge_count()];
+    let (mut parent, mut root) = (Vec::new(), NodeId::MAX);
+    let mut walk = Vec::new();
+    let (mut dilation, mut weighted_len, mut weight) = (0u32, 0u64, 0u64);
+    for &u in &by_source {
+        let src = phi[u as usize];
+        if rank[src as usize] != u32::MAX && root != src {
+            parent = bfs_parents_shuffled(host, src, host.node_count(), None, rng).0;
+            root = src;
         }
-        for (e, p) in self.guest_edges.iter().zip(&self.paths) {
-            let (src, dst) = (self.phi[e.u as usize], self.phi[e.v as usize]);
-            if p.is_empty() {
-                return Err(format!("empty path for edge {e:?}"));
-            }
-            if p.first() != Some(&src) || p.last() != Some(&dst) {
-                return Err(format!("path endpoints do not match φ for {e:?}"));
-            }
-            for w in p.windows(2) {
-                if !host.has_edge(w[0], w[1]) {
-                    return Err(format!("non-adjacent hop {}-{} for {e:?}", w[0], w[1]));
+        for (v, multiplicity) in guest.neighbors(u).filter(|&(v, _)| v >= u) {
+            let (dst, mult) = (phi[v as usize], multiplicity as u64);
+            walk.clear();
+            walk.push(dst);
+            if src != dst {
+                assert!(
+                    parent[dst as usize] != NodeId::MAX,
+                    "host disconnects images {src} and {dst}"
+                );
+                let mut cur = dst;
+                while cur != src {
+                    let up = parent[cur as usize];
+                    #[expect(clippy::expect_used, reason = "a BFS tree's parent is a neighbour")]
+                    let slot = host.edge_slot(cur, up).expect("tree hop is a host edge");
+                    loads[slot] += mult;
+                    walk.push(up);
+                    cur = up;
                 }
+                walk.reverse();
             }
-        }
-        Ok(())
-    }
-
-    /// Per-host-edge load: map from unordered host edge to total guest
-    /// multiplicity crossing it.
-    fn edge_loads(&self) -> BTreeMap<(NodeId, NodeId), u64> {
-        let mut loads: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-        for (e, p) in self.guest_edges.iter().zip(&self.paths) {
-            for w in p.windows(2) {
-                let key = (w[0].min(w[1]), w[0].max(w[1]));
-                *loads.entry(key).or_insert(0) += e.multiplicity as u64;
-            }
-        }
-        loads
-    }
-
-    /// Measure congestion, dilation and load.
-    pub fn stats(&self) -> EmbeddingStats {
-        let congestion = self.edge_loads().values().copied().max().unwrap_or(0);
-        let mut dilation = 0u32;
-        let mut weighted_len = 0u64;
-        let mut weight = 0u64;
-        for (e, p) in self.guest_edges.iter().zip(&self.paths) {
-            let len = (p.len() - 1) as u32;
+            let len = (walk.len() - 1) as u32;
             dilation = dilation.max(len);
-            weighted_len += len as u64 * e.multiplicity as u64;
-            weight += e.multiplicity as u64;
+            weighted_len += len as u64 * mult;
+            weight += mult;
+            visit(EdgeRef { u, v, multiplicity }, &walk);
         }
-        EmbeddingStats {
-            congestion,
-            dilation,
-            avg_dilation: if weight == 0 {
-                0.0
-            } else {
-                weighted_len as f64 / weight as f64
-            },
-            total_load: weighted_len,
-        }
+    }
+    EmbeddingStats {
+        congestion: loads.into_iter().max().unwrap_or(0),
+        dilation,
+        // With no weight there is no length either: 0 / 1.
+        avg_dilation: weighted_len as f64 / weight.max(1) as f64,
+        total_load: weighted_len,
     }
 }
 
@@ -175,16 +135,16 @@ mod tests {
         Multigraph::from_edges(n, (0..n as NodeId - 1).map(|i| (i, i + 1)))
     }
 
+    fn stats(guest: &Multigraph, host: &Multigraph, phi: &[NodeId], seed: u64) -> EmbeddingStats {
+        let mut rng = StdRng::seed_from_u64(seed);
+        embed_shortest_paths(guest, host, phi, &mut rng, |_, _| {})
+    }
+
     #[test]
     fn cycle_into_path_dilation() {
         // Embedding C_n into P_n with φ = id forces the wrap edge to dilate
         // across the whole path.
-        let guest = cycle(8);
-        let host = path(8);
-        let mut rng = StdRng::seed_from_u64(1);
-        let emb = Embedding::shortest_paths(&guest, &host, (0..8).collect(), &mut rng);
-        emb.validate(&host).unwrap();
-        let s = emb.stats();
+        let s = stats(&cycle(8), &path(8), &(0..8).collect::<Vec<_>>(), 1);
         assert_eq!(s.dilation, 7);
         assert_eq!(s.congestion, 2); // wrap path overlaps each unit edge once
     }
@@ -192,12 +152,22 @@ mod tests {
     #[test]
     fn many_to_one_phi_produces_self_paths() {
         let guest = cycle(4);
-        let host = path(2);
+        let mut walks = Vec::new();
         let mut rng = StdRng::seed_from_u64(2);
-        let emb = Embedding::shortest_paths(&guest, &host, vec![0, 0, 1, 1], &mut rng);
-        emb.validate(&host).unwrap();
-        // Edges 0-1 and 2-3 collapse to self-paths of length 0.
-        let s = emb.stats();
+        let s = embed_shortest_paths(&guest, &path(2), &[0, 0, 1, 1], &mut rng, |e, w| {
+            walks.push((e.u, e.v, w.to_vec()))
+        });
+        // Edges 0-1 and 2-3 collapse to self-paths of length 0; edge 0-3
+        // runs from φ(0) = 0 to φ(3) = 1.
+        assert_eq!(
+            walks,
+            [
+                (0, 1, vec![0]),
+                (0, 3, vec![0, 1]),
+                (1, 2, vec![0, 1]),
+                (2, 3, vec![1])
+            ]
+        );
         assert_eq!(s.dilation, 1);
         assert_eq!(s.congestion, 2); // edges 1-2 and 3-0 both cross the link
     }
@@ -205,38 +175,16 @@ mod tests {
     #[test]
     fn multiplicity_weights_congestion() {
         let guest = Multigraph::from_edges(2, [(0, 1)]).scaled(9);
-        let host = path(3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let emb = Embedding::shortest_paths(&guest, &host, vec![0, 2], &mut rng);
-        let s = emb.stats();
+        let s = stats(&guest, &path(3), &[0, 2], 3);
         assert_eq!(s.congestion, 9);
         assert_eq!(s.dilation, 2);
         assert_eq!(s.total_load, 18);
     }
 
     #[test]
-    fn validate_catches_bad_paths() {
-        let guest = Multigraph::from_edges(2, [(0, 1)]);
-        let host = path(3);
-        let mut emb = Embedding {
-            phi: vec![0, 2],
-            guest_edges: guest.edges().collect(),
-            paths: vec![vec![0, 2]], // skips vertex 1: not host-adjacent
-        };
-        assert!(emb.validate(&host).is_err());
-        emb.paths = vec![vec![0, 1, 2]];
-        assert!(emb.validate(&host).is_ok());
-        emb.paths = vec![vec![1, 2]];
-        assert!(emb.validate(&host).is_err()); // wrong endpoint
-    }
-
-    #[test]
     fn shortest_paths_are_shortest() {
         let guest = Multigraph::from_edges(2, [(0, 1)]);
-        let host = cycle(10);
-        let mut rng = StdRng::seed_from_u64(5);
-        let emb = Embedding::shortest_paths(&guest, &host, vec![0, 3], &mut rng);
-        assert_eq!(emb.stats().dilation, 3);
+        assert_eq!(stats(&guest, &cycle(10), &[0, 3], 5).dilation, 3);
     }
 
     #[test]
@@ -244,7 +192,6 @@ mod tests {
     fn disconnected_host_panics() {
         let guest = Multigraph::from_edges(2, [(0, 1)]);
         let host = Multigraph::from_edges(4, [(0, 1), (2, 3)]);
-        let mut rng = StdRng::seed_from_u64(6);
-        let _ = Embedding::shortest_paths(&guest, &host, vec![0, 3], &mut rng);
+        let _ = stats(&guest, &host, &[0, 3], 6);
     }
 }

@@ -221,6 +221,14 @@ impl Multigraph {
         &self.neighbors[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
+    /// The CSR slot (below `2 · distinct_edge_count()`) of edge `{u, v}` in
+    /// the sorted neighbour list of `min(u, v)`, or `None` if it is absent.
+    pub(crate) fn edge_slot(&self, u: NodeId, v: NodeId) -> Option<usize> {
+        let (a, b) = (u.min(v), u.max(v));
+        let lo = self.offsets[a as usize];
+        self.neighbor_ids(a).binary_search(&b).ok().map(|i| lo + i)
+    }
+
     /// Weighted degree of `u` (sum of incident multiplicities; self-loops
     /// count twice, as in the standard degree-sum convention).
     pub fn degree(&self, u: NodeId) -> u64 {

@@ -44,7 +44,7 @@ pub use dist::{
     bfs_distances, bfs_parents, bfs_parents_shuffled, diameter, distance_stats, pair_distance_sum,
     path_from_parents, DistanceStats, UNREACHABLE,
 };
-pub use embedding::{Embedding, EmbeddingStats};
+pub use embedding::{embed_shortest_paths, EmbeddingStats};
 pub use graph::{EdgeRef, Multigraph, MultigraphBuilder, NodeId};
 pub use io::{from_edge_list, from_json, to_edge_list, to_json};
 pub use traffic::{complete_multigraph, in_k_class, Traffic, TrafficKind};

@@ -17,8 +17,8 @@
 //!
 //! The state machine (documented in DESIGN.md §3) is: `admit → {run |
 //! queued}`, `queued → {run | shed(wait-expired)}`, `full-queue →
-//! shed(queue-full)`. [`Class::Interactive`] kinds (`ping`, `metrics`,
-//! `health`) never enter the queue at all — a monitoring probe must answer
+//! shed(queue-full)`. The interactive kinds (`ping`, `metrics`, `health`,
+//! answered by `Server::execute` itself) never enter the queue at all — a monitoring probe must answer
 //! in microseconds even while heavy beta grids saturate every slot.
 
 use std::collections::VecDeque;
@@ -35,25 +35,6 @@ fn global_inc(name: &'static str) {
     let g = fcn_telemetry::global();
     if g.enabled() {
         g.add(name, 1);
-    }
-}
-
-/// Priority class of a request kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Class {
-    /// Microsecond-cheap monitoring kinds: never admitted through the
-    /// queue, never counted against `max_inflight`.
-    Interactive,
-    /// Everything that does real work (`beta`, `audit`, `faults`): admitted
-    /// through the bounded queue.
-    Heavy,
-}
-
-/// The class a request kind belongs to.
-pub fn class_of(kind: &str) -> Class {
-    match kind {
-        "ping" | "metrics" | "health" => Class::Interactive,
-        _ => Class::Heavy,
     }
 }
 
@@ -397,15 +378,5 @@ mod tests {
         shed(adm.admit(0));
         drop(p);
         drop(granted(adm.admit(0)));
-    }
-
-    #[test]
-    fn classes_split_monitoring_from_heavy_kinds() {
-        for kind in ["ping", "metrics", "health"] {
-            assert_eq!(class_of(kind), Class::Interactive);
-        }
-        for kind in ["beta", "audit", "faults", "anything-else"] {
-            assert_eq!(class_of(kind), Class::Heavy);
-        }
     }
 }

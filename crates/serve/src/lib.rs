@@ -67,9 +67,7 @@ pub mod proto;
 pub mod registry;
 pub mod server;
 
-pub use admission::{
-    class_of, Admission, AdmissionSnapshot, Admit, Class, Permit, Shed, ShedReason,
-};
+pub use admission::{Admission, AdmissionSnapshot, Admit, Permit, Shed, ShedReason};
 pub use client::{Client, ClientError, RetryPolicy};
 pub use io::chaos::{ChaosPlan, ChaosRates, ChaosSpec, ChaosStats};
 pub use io::FramedConn;

@@ -286,10 +286,6 @@ impl<H: Handler> Server<H> {
                     Err(e) => return Err(e),
                 }
             }
-            self.metrics.add(
-                names::SERVE_DRAIN_INFLIGHT_TOTAL,
-                self.admission.inflight() as u64,
-            );
             Ok(())
             // Scope exit joins every connection thread: that *is* the drain.
         })
@@ -710,8 +706,9 @@ mod tests {
         );
         assert!(err.retry_after_ms.unwrap_or(0) >= 1, "hint must be framed");
         // Interactive kinds bypass the saturated gate entirely.
-        assert!(client.call("ping", &[]).unwrap().ok);
-        assert!(client.call("health", &[]).unwrap().ok);
+        for kind in ["ping", "metrics", "health"] {
+            assert!(client.call(kind, &[]).unwrap().ok, "{kind}");
+        }
         // Release the blocker; its reply must still arrive intact.
         server.handler.release.store(true, Ordering::SeqCst);
         let released = blocker.join().unwrap();

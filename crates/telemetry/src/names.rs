@@ -157,8 +157,6 @@ pub const SERVE_REGISTRY_HITS_TOTAL: &str = "serve_registry_hits_total";
 pub const SERVE_REGISTRY_MISSES_TOTAL: &str = "serve_registry_misses_total";
 /// Connections accepted by the listener.
 pub const SERVE_CONNECTIONS_TOTAL: &str = "serve_connections_total";
-/// Requests still in flight when a drain began, added once per drain.
-pub const SERVE_DRAIN_INFLIGHT_TOTAL: &str = "serve_drain_inflight_total";
 /// Heavy requests that waited in the admission queue before running.
 pub const SERVE_QUEUED_TOTAL: &str = "serve_queued_total";
 /// Requests shed because the admission queue was full.
@@ -243,7 +241,6 @@ pub const ALL: &[&str] = &[
     SERVE_REGISTRY_HITS_TOTAL,
     SERVE_REGISTRY_MISSES_TOTAL,
     SERVE_CONNECTIONS_TOTAL,
-    SERVE_DRAIN_INFLIGHT_TOTAL,
     SERVE_QUEUED_TOTAL,
     SERVE_SHED_FULL_TOTAL,
     SERVE_SHED_DEADLINE_TOTAL,

@@ -5,8 +5,8 @@
 
 use fcn_emu::asymptotics::{invert_monotone, Asym, Rational};
 use fcn_emu::multigraph::{
-    bfs_distances, bfs_parents, collapse, contiguous_blocks, path_from_parents, Cut, Embedding,
-    Multigraph, MultigraphBuilder, NodeId, Traffic,
+    bfs_distances, bfs_parents, collapse, contiguous_blocks, embed_shortest_paths,
+    path_from_parents, Cut, Multigraph, MultigraphBuilder, NodeId, Traffic,
 };
 use fcn_emu::routing::{
     route_compiled_pooled, CompiledNet, PacketBatch, PacketPath, PathOracle, QueueDiscipline,
@@ -217,22 +217,52 @@ proptest! {
     #[test]
     fn shortest_path_embeddings_validate(g in connected_graph(), seed in any::<u64>()) {
         use rand::SeedableRng;
+        use std::collections::BTreeMap;
         let n = g.node_count();
-        // Guest: a ring on the same vertex count.
+        // Guest: a ring on the same vertex count, each edge `1 + seed % 3`
+        // times.
         let guest = Multigraph::from_edges(
             n,
             (0..n as NodeId).map(|i| (i, (i + 1) % n as NodeId)),
-        );
+        )
+        .scaled(1 + (seed % 3) as u32);
+        let phi: Vec<NodeId> = (0..n as NodeId).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let emb = Embedding::shortest_paths(&guest, &g, (0..n as NodeId).collect(), &mut rng);
-        prop_assert!(emb.validate(&g).is_ok());
-        let stats = emb.stats();
-        // Dilation bounded by host diameter.
-        let max_d = (0..n as NodeId)
-            .map(|u| bfs_distances(&g, u).into_iter().max().unwrap())
-            .max()
-            .unwrap();
-        prop_assert!(stats.dilation <= max_d);
+        let mut walks = Vec::new();
+        let stats = embed_shortest_paths(&guest, &g, &phi, &mut rng, |e, walk| {
+            walks.push((e, walk.to_vec()));
+        });
+        // Every guest edge is visited once, with a host walk from φ(u) to
+        // φ(v) that is a shortest path.
+        let mut visited: Vec<_> = walks.iter().map(|(e, _)| *e).collect();
+        visited.sort_by_key(|e| (e.u, e.v));
+        prop_assert_eq!(visited, guest.edges().collect::<Vec<_>>());
+        for (e, walk) in &walks {
+            prop_assert_eq!(walk.first(), Some(&phi[e.u as usize]));
+            prop_assert_eq!(walk.last(), Some(&phi[e.v as usize]));
+            for w in walk.windows(2) {
+                prop_assert!(g.has_edge(w[0], w[1]), "non-adjacent hop {:?}", w);
+            }
+            let d = bfs_distances(&g, walk[0])[*walk.last().unwrap() as usize];
+            prop_assert_eq!(walk.len() as u32 - 1, d);
+        }
+        // The statistics are those recounted from the visited walks.
+        let mut loads: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+        let (mut dilation, mut total_load, mut weight) = (0u32, 0u64, 0u64);
+        for (e, walk) in &walks {
+            let mult = e.multiplicity as u64;
+            for w in walk.windows(2) {
+                *loads.entry((w[0].min(w[1]), w[0].max(w[1]))).or_insert(0) += mult;
+            }
+            let len = walk.len() as u32 - 1;
+            dilation = dilation.max(len);
+            total_load += len as u64 * mult;
+            weight += mult;
+        }
+        prop_assert_eq!(stats.congestion, loads.values().copied().max().unwrap_or(0));
+        prop_assert_eq!(stats.dilation, dilation);
+        prop_assert_eq!(stats.total_load, total_load);
+        prop_assert_eq!(stats.avg_dilation, total_load as f64 / weight as f64);
     }
 }
 
