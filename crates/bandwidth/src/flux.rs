@@ -82,7 +82,11 @@ pub fn flux_upper_bound(
     // where no small cut exists. For machines whose *nodes* are capacitated
     // (weak hypercube), the per-tick slot supply is the total send capacity
     // instead of the wire count. All sampled pairs are drawn before the
-    // distance kernel runs; it draws no randomness of its own.
+    // distance kernel runs; it draws no randomness of its own. The sum is
+    // exact whichever search `pair_distance_sum` picks from the graph and
+    // the pairs: a bit-parallel BFS of 64 sources per sweep on shallow
+    // machines where each source has about four or more pairs (every
+    // served n = 256 β), and one search per source elsewhere.
     {
         let samples = 2000usize;
         let pairs: Vec<_> = (0..samples).map(|_| traffic.sample(&mut rng)).collect();

@@ -147,6 +147,14 @@ pub const MAX_SIZE: usize = 1 << 16;
 /// front. Docs, tests and CI use at most 9.
 pub const MAX_TRIALS: usize = 1 << 10;
 
+/// The largest `beta --max-ticks` budget a run may ask for: 2³² − 1 ticks.
+/// The router counts ticks in a `u64`, but the reports resolve a cell's
+/// tick count only below 2³²: the `bandwidth_cell_ticks` histogram's last
+/// finite bucket ends at 2³² − 1 and lumps every larger count into `+Inf`.
+/// A larger budget would let a cell run past what its report can show. The
+/// default budget is 4 000 000; docs and tests ask for at most 1 000 000.
+pub const MAX_TICKS: usize = u32::MAX as usize;
+
 /// The most `verify --steps` a run may ask for: the check simulates every
 /// step, at about 1 µs each, so 2³² steps would run for about an hour.
 /// Docs and tests use at most 5.

@@ -103,6 +103,18 @@ fn trials(args: &Args) -> Result<usize, CmdError> {
         .map_err(|e| CmdError::Usage(e.0))
 }
 
+/// `--max-ticks` (default 0, the router's own budget), refused above
+/// [`crate::args::MAX_TICKS`] like [`trials`].
+fn max_ticks(args: &Args) -> Result<u64, CmdError> {
+    crate::args::at_most(
+        "--max-ticks",
+        args.flag("max-ticks", 0)?,
+        crate::args::MAX_TICKS,
+    )
+    .map(|ticks| ticks as u64)
+    .map_err(|e| CmdError::Usage(e.0))
+}
+
 /// Usage text.
 pub fn usage() -> String {
     "fcnemu — fixed-connection network emulation-bounds toolkit
@@ -127,8 +139,9 @@ USAGE:
 `beta --jobs` and `faults --jobs` default to 0 (one worker per hardware
 thread; a served request defaults to 1); `audit --jobs` defaults to 1.
 --jobs accepts at most 64 workers. Output is byte-identical for every
---jobs value. A machine size (<size>, <n>, <m>) may be at most 65536 and
---trials at most 1024.
+--jobs value. A machine size (<size>, <n>, <m>) may be at most 65536,
+--trials at most 1024 and --max-ticks at most 4294967295 (0, the default,
+keeps the router's budget).
 
 Every subcommand also accepts --metrics-out <path>: run with telemetry
 enabled and write a versioned JSONL metrics snapshot to <path> (the
@@ -287,7 +300,7 @@ pub(crate) fn beta_with(
     let jobs = jobs(args, if warm.is_some() { 1 } else { 0 })?;
     // Router tick budget; 0 keeps the default. Cells that exhaust it are
     // reported (under --verbose) instead of silently depressing the plateau.
-    let max_ticks = args.flag("max-ticks", 0u64)?;
+    let max_ticks = max_ticks(args)?;
     let steady = args.switch("steady")?;
     let verbose = args.switch("verbose")?;
     if trials == 0 {
@@ -959,6 +972,24 @@ mod tests {
     }
 
     #[test]
+    fn max_ticks_above_the_bound_are_a_usage_error() {
+        for ticks in ["4294967296", "18446744073709551615"] {
+            let cmd = format!("beta mesh2 16 --max-ticks {ticks}");
+            let (code, out) = run_s(&cmd);
+            assert_eq!(code, 2, "{cmd}: {out}");
+            assert!(
+                out.contains(&format!(
+                    "--max-ticks must be at most 4294967295, not {ticks}"
+                )),
+                "{cmd}: {out}"
+            );
+        }
+        // A malformed value stays a domain error.
+        let (code, out) = run_s("beta mesh2 16 --max-ticks -1");
+        assert_eq!(code, 1, "{out}");
+    }
+
+    #[test]
     fn verify_steps_above_the_bound_are_a_usage_error() {
         for steps in ["65537", "4000000000", "5000000000"] {
             let cmd = format!("verify mesh2 16 --steps {steps}");
@@ -1420,7 +1451,13 @@ mod tests {
         assert_eq!(code, 0, "{plain}");
         let (code, budget) = run_s("beta mesh2 64 --trials 2 --max-ticks 1000000");
         assert_eq!(code, 0, "{budget}");
-        // A generous explicit budget changes nothing.
+        // A generous explicit budget changes nothing, nor does the largest
+        // one, nor 0, which keeps the default.
         assert_eq!(plain, budget);
+        for ticks in ["4294967295", "0"] {
+            let (code, out) = run_s(&format!("beta mesh2 64 --trials 2 --max-ticks {ticks}"));
+            assert_eq!(code, 0, "{out}");
+            assert_eq!(plain, out, "--max-ticks {ticks}");
+        }
     }
 }

@@ -395,8 +395,9 @@ fn served_jobs_above_the_bound_are_refused() {
     daemon.shutdown();
 }
 
-/// One oversized size or `--trials` would abort the daemon on allocation:
-/// it is refused before any work, and the daemon keeps answering.
+/// One oversized size or `--trials` would abort the daemon on allocation,
+/// and a `--max-ticks` above 2³² − 1 is past what the tick histogram can
+/// resolve: each is refused before any work, and the daemon keeps answering.
 #[test]
 fn served_oversized_sizes_and_trials_are_refused() {
     let daemon = Daemon::start(&[]);
@@ -417,6 +418,11 @@ fn served_oversized_sizes_and_trials_are_refused() {
             "faults",
             &["mesh2", "70000", "--quick"][..],
             "<size> must be at most 65536",
+        ),
+        (
+            "beta",
+            &["mesh2", "16", "--max-ticks", "4294967296"][..],
+            "--max-ticks must be at most 4294967295",
         ),
     ] {
         let resp = client.call(kind, args).expect("framed response");

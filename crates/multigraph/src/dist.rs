@@ -197,12 +197,19 @@ fn all_pairs(g: &Multigraph) -> (u32, u64) {
 /// # Panics
 /// Panics if the graph is disconnected.
 fn is_shallow(g: &Multigraph) -> bool {
+    #[expect(clippy::expect_used, reason = "documented panic")]
+    let e = eccentricity_of_0(g).expect("distances on a disconnected graph");
+    e <= BITPARALLEL_MAX_ECC
+}
+
+/// Vertex 0's eccentricity `e`, by one scalar BFS, or `None` if the graph
+/// is disconnected. Every distance in the graph is at most `2e`.
+fn eccentricity_of_0(g: &Multigraph) -> Option<u32> {
     let n = g.node_count();
     let mut dist = vec![UNREACHABLE; n];
     let mut queue = Vec::with_capacity(n);
     bfs_fill(g, 0, &mut dist, &mut queue);
-    assert!(queue.len() == n, "distances on a disconnected graph");
-    dist[queue[n - 1] as usize] <= BITPARALLEL_MAX_ECC
+    (queue.len() == n).then(|| dist[queue[n - 1] as usize])
 }
 
 /// [`all_pairs`] by one scalar BFS per source: the deep-graph kernel, and
@@ -211,79 +218,288 @@ fn is_shallow(g: &Multigraph) -> bool {
 /// # Panics
 /// Panics if the graph is disconnected.
 fn all_pairs_scalar(g: &Multigraph) -> (u32, u64) {
-    let n = g.node_count();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = Vec::with_capacity(n);
-    let (mut diameter, mut total) = (0, 0u64);
-    for u in 0..n as NodeId {
-        dist.fill(UNREACHABLE);
-        bfs_fill(g, u, &mut dist, &mut queue);
-        assert!(queue.len() == n, "distances on a disconnected graph");
-        diameter = diameter.max(dist[queue[n - 1] as usize]);
-        total += dist.iter().map(|&d| d as u64).sum::<u64>();
-    }
-    (diameter, total)
+    let sources: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
+    scalar_sums(g, &sources)
 }
 
-/// [`all_pairs`] by bit-parallel BFS, 64 sources per pass (Then et al.,
-/// "The More the Merrier", VLDB 2014). Bit `i` of a vertex's `seen` word
-/// says source `base + i` has reached it, and of its `frontier` word that
-/// it did so at the current level. Each level ORs every vertex's
-/// neighbours' frontier words, keeps the bits not yet seen, and adds their
-/// count times the level to the sum. The level that finds the block's last
-/// pair is its largest eccentricity. Vertices every source has reached
-/// skip the sweep.
+/// [`all_pairs`] by the bit-parallel kernel, 64 sources per block.
 ///
 /// # Panics
 /// Panics if the graph is disconnected.
 fn all_pairs_bitparallel(g: &Multigraph) -> (u32, u64) {
+    let sources: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
+    bitparallel_sums(g, &sources)
+}
+
+/// The largest eccentricity of `sources` and the sum of `d(s, v)` over
+/// every source `s` (repeats count) and vertex `v`, by one scalar BFS per
+/// source.
+///
+/// # Panics
+/// Panics if the graph is disconnected.
+fn scalar_sums(g: &Multigraph, sources: &[NodeId]) -> (u32, u64) {
     let n = g.node_count();
-    let mut seen = vec![0u64; n];
-    let mut frontier = vec![0u64; n];
-    let mut next = vec![0u64; n];
-    let (mut diameter, mut total) = (0, 0u64);
-    for base in (0..n).step_by(64) {
-        let width = (n - base).min(64);
-        let all = u64::MAX >> (64 - width);
-        seen.fill(0);
-        frontier.fill(0);
-        for i in 0..width {
-            seen[base + i] = 1 << i;
-            frontier[base + i] = 1 << i;
-        }
+    let mut dist = vec![UNREACHABLE; n];
+    let mut queue = Vec::with_capacity(n);
+    let (mut ecc, mut total) = (0, 0u64);
+    for &u in sources {
+        dist.fill(UNREACHABLE);
+        bfs_fill(g, u, &mut dist, &mut queue);
+        assert!(queue.len() == n, "distances on a disconnected graph");
+        ecc = ecc.max(dist[queue[n - 1] as usize]);
+        total += dist.iter().map(|&d| d as u64).sum::<u64>();
+    }
+    (ecc, total)
+}
+
+/// [`scalar_sums`] by the bit-parallel kernel, [`BitBfs`] blocks of 64
+/// sources. A block's last level is its largest eccentricity.
+///
+/// # Panics
+/// Panics if the graph is disconnected.
+fn bitparallel_sums(g: &Multigraph, sources: &[NodeId]) -> (u32, u64) {
+    let n = g.node_count();
+    let mut bfs = BitBfs::new(n);
+    let (mut ecc, mut total) = (0, 0u64);
+    for block in sources.chunks(64) {
+        bfs.start(block);
         // Pairs `(source, v)` labelled so far, `d(s, s) = 0` included.
-        let (mut found, want) = (width as u64, (n * width) as u64);
+        let (mut found, want) = (block.len() as u64, (n * block.len()) as u64);
         let mut level = 0;
         while found < want {
             let mut fresh_pairs = 0u64;
-            for v in 0..n {
-                let old = seen[v];
-                if old == all {
-                    next[v] = 0;
-                    continue;
-                }
-                let reach = g
-                    .neighbor_ids(v as NodeId)
-                    .iter()
-                    .fold(0u64, |acc, &u| acc | frontier[u as usize]);
-                let fresh = reach & !old;
-                next[v] = fresh;
-                seen[v] = old | fresh;
-                fresh_pairs += u64::from(fresh.count_ones());
-            }
-            assert!(fresh_pairs > 0, "distances on a disconnected graph");
-            level += 1;
+            level = bfs.step(g, |_, fresh| fresh_pairs += u64::from(fresh.count_ones()));
             found += fresh_pairs;
             total += fresh_pairs * u64::from(level);
-            std::mem::swap(&mut frontier, &mut next);
         }
-        diameter = diameter.max(level);
+        ecc = ecc.max(level);
     }
-    (diameter, total)
+    (ecc, total)
+}
+
+/// Multi-source BFS, up to 64 sources per block (Then et al., "The More
+/// the Merrier", VLDB 2014): the kernel behind every distance sum over
+/// many sources. Bit `i` of a vertex's `seen` word says source `i` of the
+/// block has reached it, and of its `frontier` word that it did so at the
+/// current level. Each [`step`](Self::step) ORs every vertex's neighbours'
+/// frontier words and hands the bits not yet seen to the caller; vertices
+/// every source of the block has reached skip the sweep. The caller stops
+/// stepping once its block is done.
+struct BitBfs {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    /// The bits of the block's sources.
+    all: u64,
+    /// Levels swept since [`start`](Self::start).
+    level: u32,
+}
+
+impl BitBfs {
+    fn new(n: usize) -> Self {
+        BitBfs {
+            seen: vec![0; n],
+            frontier: vec![0; n],
+            next: vec![0; n],
+            all: 0,
+            level: 0,
+        }
+    }
+
+    /// Start a block at level 0: bit `i` is `sources[i]`. At most 64
+    /// sources; a repeated source takes two bits, which move together.
+    fn start(&mut self, sources: &[NodeId]) {
+        debug_assert!(sources.len() <= 64, "a block holds at most 64 sources");
+        self.seen.fill(0);
+        self.frontier.fill(0);
+        for (i, &s) in sources.iter().enumerate() {
+            self.seen[s as usize] |= 1 << i;
+            self.frontier[s as usize] |= 1 << i;
+        }
+        self.all = u64::MAX.checked_shr(64 - sources.len() as u32).unwrap_or(0);
+        self.level = 0;
+    }
+
+    /// Sweep the next level and return it. `visit(v, fresh)` gets, for
+    /// every vertex `v` some source has not reached before, the bits of the
+    /// sources that reach it at this level.
+    ///
+    /// # Panics
+    /// Panics if no source reaches a new vertex: the caller is waiting for
+    /// a pair the graph does not connect.
+    fn step(&mut self, g: &Multigraph, mut visit: impl FnMut(usize, u64)) -> u32 {
+        let mut any = 0u64;
+        for v in 0..self.seen.len() {
+            let old = self.seen[v];
+            if old == self.all {
+                self.next[v] = 0;
+                continue;
+            }
+            let reach = g
+                .neighbor_ids(v as NodeId)
+                .iter()
+                .fold(0u64, |acc, &u| acc | self.frontier[u as usize]);
+            let fresh = reach & !old;
+            self.next[v] = fresh;
+            self.seen[v] = old | fresh;
+            any |= fresh;
+            visit(v, fresh);
+        }
+        assert!(any != 0, "distances on a disconnected graph");
+        std::mem::swap(&mut self.frontier, &mut self.next);
+        self.level += 1;
+        self.level
+    }
 }
 
 /// Sum of `d(s, t)` over `pairs` (repeats count): the exact integer behind
 /// a sampled average distance.
+///
+/// Pairs with `s = t` add 0 and are dropped; the rest are sorted by source.
+/// Three searches give the same sum:
+/// - bit-parallel: distinct sources 64 to a block of the multi-source BFS
+///   kernel, each block stopped at its last wanted pair;
+/// - grouped BFS: one BFS from a source that stops at its last target;
+/// - bidirectional: one bidirectional BFS per pair.
+///
+/// Each call picks once, from the input alone, between the bit-parallel
+/// search and a per-source choice between the other two (whichever the
+/// running means expect to label fewer vertices for each source's group).
+/// The bit-parallel search is taken when the sources have at least four
+/// pairs each on average and its blocks' sweeps, at most `2e` levels per
+/// block with `e` vertex 0's eccentricity, are fewer than the distinct
+/// sources. Measured on the 2 000 pairs `flux_upper_bound` draws
+/// (EXPERIMENTS.md, "One bit-parallel kernel for every distance sum"), it
+/// is 1.4–8× faster on every Table 4 machine it is taken on, up to n = 1023
+/// where 500 processors give four pairs a source. Near n = 1024 (2.3
+/// pairs a source) it ranges from 0.85× on trees to 10× on the global
+/// bus, and at n ≥ 2304 (1.5 pairs a source) from 2.5× slower on de Bruijn
+/// graphs to about even on butterflies, so both sizes are left to the
+/// per-source searches. The 1-d families, whose depth grows like `n`, keep
+/// the per-source searches at every size.
+///
+/// # Panics
+/// Panics if some pair is disconnected.
+pub fn pair_distance_sum(g: &Multigraph, pairs: &[(NodeId, NodeId)]) -> u64 {
+    let sorted = sorted_pairs(g.node_count(), pairs);
+    match choose_pair_search(g, &sorted) {
+        PairSearch::BitParallel => pair_sum_bitparallel(g, &sorted),
+        PairSearch::PerSource => pair_sum_per_source(g, &sorted),
+    }
+}
+
+/// `pairs` without those with `s = t` (they add 0), in ascending order: a
+/// counting sort by source, then each source's targets sorted in place.
+fn sorted_pairs(n: usize, pairs: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
+    let mut start = vec![0usize; n + 1];
+    for &(s, t) in pairs {
+        start[s as usize + 1] += usize::from(s != t);
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut sorted = vec![(0, 0); start[n]];
+    let mut cursor = start.clone();
+    for &(s, t) in pairs.iter().filter(|(s, t)| s != t) {
+        sorted[cursor[s as usize]] = (s, t);
+        cursor[s as usize] += 1;
+    }
+    for v in 0..n {
+        sorted[start[v]..start[v + 1]].sort_unstable();
+    }
+    sorted
+}
+
+/// The two ways [`pair_distance_sum`] can run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairSearch {
+    /// [`pair_sum_bitparallel`].
+    BitParallel,
+    /// [`pair_sum_per_source`].
+    PerSource,
+}
+
+/// Fewest targets per source at which [`pair_distance_sum`] may take the
+/// bit-parallel search. A source's own search then labels most of the
+/// graph, which is what the bit-parallel block's sweeps replace.
+const BITPARALLEL_MIN_TARGETS: usize = 4;
+
+/// [`PairSearch::BitParallel`] when each source has at least
+/// [`BITPARALLEL_MIN_TARGETS`] pairs on average and the blocks' sweeps,
+/// at most `2e` per block with `e` vertex 0's eccentricity, are fewer
+/// than the distinct sources; [`PairSearch::PerSource`] otherwise, on a
+/// disconnected graph, and without pairs (which run no BFS at all).
+fn choose_pair_search(g: &Multigraph, sorted: &[(NodeId, NodeId)]) -> PairSearch {
+    let sources = sorted.chunk_by(|a, b| a.0 == b.0).count();
+    if sorted.is_empty() || sorted.len() < BITPARALLEL_MIN_TARGETS * sources {
+        return PairSearch::PerSource;
+    }
+    match eccentricity_of_0(g) {
+        Some(e) if sources.div_ceil(64) * 2 * (e as usize) < sources => PairSearch::BitParallel,
+        _ => PairSearch::PerSource,
+    }
+}
+
+/// [`pair_distance_sum`] of sorted pairs with `s ≠ t` by the bit-parallel
+/// kernel: distinct sources 64 to a block, and per vertex a `want` word
+/// that marks the block's targets. Each level adds `level × popcount(fresh
+/// & want[v])`, and the block stops once its last wanted pair is labelled.
+/// `want` is stored bit-sliced so that a pair drawn `k` times adds `k`:
+/// slice `b` marks the pairs whose multiplicity has bit `b` set, and adds
+/// its popcount times `2^b`. A block without a repeated pair has one slice,
+/// `want` itself.
+///
+/// # Panics
+/// Panics if some pair is disconnected.
+fn pair_sum_bitparallel(g: &Multigraph, sorted: &[(NodeId, NodeId)]) -> u64 {
+    let n = g.node_count();
+    let mut bfs = BitBfs::new(n);
+    // `want[v * slices + b]`: slice `b` of vertex `v`'s word.
+    let mut want: Vec<u64> = Vec::new();
+    let mut sources = Vec::with_capacity(64);
+    let groups: Vec<&[(NodeId, NodeId)]> = sorted.chunk_by(|a, b| a.0 == b.0).collect();
+    let mut total = 0u64;
+    for block in groups.chunks(64) {
+        let most = block
+            .iter()
+            .flat_map(|group| group.chunk_by(|a, b| a == b))
+            .map(<[_]>::len)
+            .max()
+            .unwrap_or(1);
+        let slices = (usize::BITS - most.leading_zeros()) as usize;
+        want.clear();
+        want.resize(n * slices, 0);
+        sources.clear();
+        let mut remaining = 0u64;
+        for (bit, group) in block.iter().enumerate() {
+            sources.push(group[0].0);
+            for run in group.chunk_by(|a, b| a == b) {
+                let word = &mut want[run[0].1 as usize * slices..][..slices];
+                for (b, w) in word.iter_mut().enumerate() {
+                    *w |= ((run.len() >> b) as u64 & 1) << bit;
+                }
+                remaining += 1;
+            }
+        }
+        bfs.start(&sources);
+        while remaining > 0 {
+            let (mut labelled, mut pairs) = (0u64, 0u64);
+            let level = bfs.step(g, |v, fresh| {
+                let mut targets = 0;
+                for (b, &w) in want[v * slices..][..slices].iter().enumerate() {
+                    targets |= w;
+                    pairs += u64::from((fresh & w).count_ones()) << b;
+                }
+                labelled += u64::from((fresh & targets).count_ones());
+            });
+            remaining -= labelled;
+            total += u64::from(level) * pairs;
+        }
+    }
+    total
+}
+
+/// [`pair_distance_sum`] of sorted pairs, one source at a time.
 ///
 /// Pairs are grouped by source, and each group goes to whichever search is
 /// expected to label fewer vertices: one BFS from the source that stops
@@ -300,9 +516,7 @@ fn all_pairs_bitparallel(g: &Multigraph) -> (u32, u64) {
 ///
 /// # Panics
 /// Panics if some pair is disconnected.
-pub fn pair_distance_sum(g: &Multigraph, pairs: &[(NodeId, NodeId)]) -> u64 {
-    let mut sorted = pairs.to_vec();
-    sorted.sort_unstable();
+fn pair_sum_per_source(g: &Multigraph, sorted: &[(NodeId, NodeId)]) -> u64 {
     let n = g.node_count();
     let (mut fwd, mut bwd) = (Labels::new(n), Labels::new(n));
     let mut wanted = vec![0u32; n];
@@ -481,24 +695,13 @@ pub fn distance_stats(
             exact: true,
         };
     }
-    let mut max_ecc = 0;
-    let mut total = 0u64;
-    let mut count = 0u64;
-    for _ in 0..samples.max(1) {
-        let u = rng.random_range(0..n as NodeId);
-        let d = bfs_distances(g, u);
-        for (v, &dv) in d.iter().enumerate() {
-            assert!(dv != UNREACHABLE, "distance stats on disconnected graph");
-            if v as NodeId != u {
-                total += dv as u64;
-                count += 1;
-                max_ecc = max_ecc.max(dv);
-            }
-        }
-    }
+    let sources: Vec<NodeId> = (0..samples.max(1))
+        .map(|_| rng.random_range(0..n as NodeId))
+        .collect();
+    let (diameter, total) = scalar_sums(g, &sources);
     DistanceStats {
-        diameter: max_ecc,
-        avg_distance: total as f64 / count as f64,
+        diameter,
+        avg_distance: total as f64 / (sources.len() * (n - 1)) as f64,
         exact: false,
     }
 }
@@ -778,6 +981,194 @@ mod tests {
         assert_eq!(dequeued, 0);
         let (_, dequeued) = bfs_parents_shuffled(&g, 0, 10, None, &mut rng);
         assert_eq!(dequeued, 10);
+    }
+
+    /// A machine's name, graph and sampled pairs.
+    type MachineInput = (String, Multigraph, Vec<(NodeId, NodeId)>);
+
+    /// The Table 4 machines near `target`, each graph rebuilt as this
+    /// crate's `Multigraph` (the topology crate links its own copy), with
+    /// 2 000 pairs drawn from its symmetric traffic as `flux_upper_bound`
+    /// draws them, plus a few pairs with `s = t`.
+    fn table4_inputs(target: usize) -> Vec<MachineInput> {
+        fcn_topology::Family::all_with_dims(&[1, 2, 3])
+            .into_iter()
+            .map(|family| machine_input(family, target))
+            .collect()
+    }
+
+    fn machine_input(family: fcn_topology::Family, target: usize) -> MachineInput {
+        let m = family.build_near(target, 0xbead);
+        let mut b = crate::graph::MultigraphBuilder::new(m.node_count());
+        for e in m.graph().edges() {
+            b.add_edge_mult(e.u, e.v, e.multiplicity);
+        }
+        let traffic = m.symmetric_traffic();
+        let mut rng = StdRng::seed_from_u64(target as u64);
+        let mut pairs: Vec<(NodeId, NodeId)> =
+            (0..2000).map(|_| traffic.sample(&mut rng)).collect();
+        pairs.extend([(0, 0), (1, 1), (1, 1)]);
+        (m.name().to_string(), b.build(), pairs)
+    }
+
+    fn family(id: &str) -> fcn_topology::Family {
+        fcn_topology::Family::all_with_dims(&[1, 2, 3])
+            .into_iter()
+            .find(|f| f.id() == id)
+            .unwrap()
+    }
+
+    /// `Σ d(s, t)` by one full BFS per distinct source.
+    fn pair_sum_reference(g: &Multigraph, pairs: &[(NodeId, NodeId)]) -> u64 {
+        let mut by_source = pairs.to_vec();
+        by_source.sort_unstable();
+        by_source
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let d = bfs_distances(g, group[0].0);
+                group
+                    .iter()
+                    .map(|&(_, t)| u64::from(d[t as usize]))
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn each_pair_search_matches_on_every_table4_family() {
+        for target in [64, 256] {
+            for (name, g, pairs) in table4_inputs(target) {
+                let want = pair_sum_reference(&g, &pairs);
+                let sorted = sorted_pairs(g.node_count(), &pairs);
+                assert_eq!(pair_sum_bitparallel(&g, &sorted), want, "{name}");
+                assert_eq!(pair_sum_per_source(&g, &sorted), want, "{name}");
+                assert_eq!(pair_distance_sum(&g, &pairs), want, "{name}");
+            }
+        }
+    }
+
+    /// The choice keeps today's per-source search on the deep 1-d families
+    /// and at the sizes where few pairs share a source, and takes the
+    /// bit-parallel search on the served n = 256 machines.
+    #[test]
+    fn pair_search_choice_follows_the_rule() {
+        let choice = |id: &str, target: usize| {
+            let (name, g, pairs) = machine_input(family(id), target);
+            (
+                name,
+                choose_pair_search(&g, &sorted_pairs(g.node_count(), &pairs)),
+            )
+        };
+        for id in ["mesh2", "butterfly", "de_bruijn"] {
+            let (name, search) = choice(id, 256);
+            assert_eq!(search, PairSearch::BitParallel, "{name}");
+        }
+        for (id, target) in [
+            ("mesh2", 2304),
+            ("butterfly", 2304),
+            ("de_bruijn", 4096),
+            ("shuffle_exchange", 4096),
+        ] {
+            let (name, search) = choice(id, target);
+            assert_eq!(search, PairSearch::PerSource, "{name}");
+        }
+        for id in ["linear_array", "ring", "mesh1", "torus1", "xgrid1"] {
+            for target in [64, 256, 1024] {
+                let (name, search) = choice(id, target);
+                assert_eq!(search, PairSearch::PerSource, "{name}");
+            }
+        }
+        // A disconnected graph has no eccentricity bound.
+        let g = Multigraph::from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5)]);
+        let pairs = sorted_pairs(6, &[(2, 5), (2, 4), (2, 3), (3, 5)].repeat(4));
+        assert_eq!(choose_pair_search(&g, &pairs), PairSearch::PerSource);
+        // No pairs (or only `s = t` ones) need no search, not even vertex
+        // 0's BFS: the sum of an empty graph's empty pair list is 0.
+        assert_eq!(choose_pair_search(&g, &[]), PairSearch::PerSource);
+        assert_eq!(pair_distance_sum(&Multigraph::from_edges(0, []), &[]), 0);
+        assert_eq!(pair_distance_sum(&g, &[(4, 4), (0, 0)]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn bitparallel_pair_search_rejects_a_disconnected_pair() {
+        let g = Multigraph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let _ = pair_sum_bitparallel(&g, &sorted_pairs(6, &[(0, 2), (1, 0), (1, 5)]));
+    }
+
+    /// `distance_stats`' sampled branch as a loop of full BFS that skips
+    /// each draw's own source: its specification.
+    fn sampled_stats_reference(
+        g: &Multigraph,
+        samples: usize,
+        rng: &mut impl Rng,
+    ) -> DistanceStats {
+        let n = g.node_count();
+        let (mut max_ecc, mut total, mut count) = (0, 0u64, 0u64);
+        for _ in 0..samples.max(1) {
+            let u = rng.random_range(0..n as NodeId);
+            for (v, &dv) in bfs_distances(g, u).iter().enumerate() {
+                if v as NodeId != u {
+                    total += dv as u64;
+                    count += 1;
+                    max_ecc = max_ecc.max(dv);
+                }
+            }
+        }
+        DistanceStats {
+            diameter: max_ecc,
+            avg_distance: total as f64 / count as f64,
+            exact: false,
+        }
+    }
+
+    fn assert_same_stats(got: DistanceStats, want: DistanceStats, what: &str) {
+        assert_eq!(got.diameter, want.diameter, "{what}");
+        assert_eq!(
+            got.avg_distance.to_bits(),
+            want.avg_distance.to_bits(),
+            "{what}"
+        );
+        assert_eq!(got.exact, want.exact, "{what}");
+    }
+
+    /// Table 4's Distance pieces above the exact threshold: the sampled
+    /// statistics are bit-identical to the reference loop's.
+    #[test]
+    fn sampled_distance_stats_match_the_scalar_loop() {
+        for id in ["mesh2", "de_bruijn", "xtree", "linear_array"] {
+            let (name, g, _) = machine_input(family(id), 4096);
+            let stats = distance_stats(&g, 2048, 16, &mut StdRng::seed_from_u64(0x7ab1e4));
+            let want = sampled_stats_reference(&g, 16, &mut StdRng::seed_from_u64(0x7ab1e4));
+            assert_same_stats(stats, want, &name);
+        }
+        // Duplicate draws count twice.
+        for (expander, samples) in [(true, 200), (false, 300)] {
+            let g = backbone_multigraph(150, expander, 7);
+            let stats = distance_stats(&g, 10, samples, &mut StdRng::seed_from_u64(3));
+            let want = sampled_stats_reference(&g, samples, &mut StdRng::seed_from_u64(3));
+            assert_same_stats(
+                stats,
+                want,
+                &format!("expander {expander}, {samples} samples"),
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bitparallel_sums_match_scalar_with_repeated_sources(
+            n in 2usize..200,
+            expander in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+            count in 1usize..150,
+        ) {
+            let g = backbone_multigraph(n, expander, seed);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let sources: Vec<NodeId> =
+                (0..count).map(|_| rng.random_range(0..n as NodeId)).collect();
+            proptest::prop_assert_eq!(bitparallel_sums(&g, &sources), scalar_sums(&g, &sources));
+        }
     }
 
     #[test]

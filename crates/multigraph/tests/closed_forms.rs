@@ -1,7 +1,7 @@
 //! The closed forms that replace materialized data must agree with it bit
 //! for bit: prefix-symmetric traffic against its explicit lexicographic pair
-//! list, and the grouped/bidirectional pair-distance kernel against one full
-//! BFS per pair.
+//! list, and the pair-distance searches (bit-parallel, grouped BFS and
+//! bidirectional) against one full BFS per source.
 
 use fcn_multigraph::{
     best_flux_bound, bfs_distances, improve_cut, pair_distance_sum, Cut, Multigraph,
@@ -115,20 +115,46 @@ proptest! {
     fn pair_distance_sum_matches_per_pair_bfs(
         n in 2usize..301,
         seed in any::<u64>(),
-        per_node in 0usize..300,
+        pool in 1usize..301,
+        per_source in 1usize..13,
+        repeat in 0.0..0.5f64,
+        same in 0.0..0.2f64,
     ) {
         let g = connected_multigraph(n, seed);
         let mut rng = StdRng::seed_from_u64(!seed);
-        // From a handful of pairs (lone sources) to three per vertex
-        // (shared sources), on path-like and expander-like graphs, so both
-        // the grouped BFS and the bidirectional search run.
-        let k = 1 + per_node * n / 100;
-        let pairs: Vec<(NodeId, NodeId)> = (0..k)
-            .map(|_| (rng.random_range(0..n as NodeId), rng.random_range(0..n as NodeId)))
+        // Up to `pool` distinct sources (more than 64 once both pass 64),
+        // `per_source` pairs each on average, some pairs drawn again and
+        // some with `s = t`. Path-like graphs and sparse pairs keep the
+        // per-source searches (grouped BFS and bidirectional search), and
+        // expander-like graphs with four or more pairs per source take the
+        // bit-parallel search.
+        let sources: Vec<NodeId> = (0..pool.min(n))
+            .map(|_| rng.random_range(0..n as NodeId))
             .collect();
-        let reference: u64 = pairs
-            .iter()
-            .map(|&(s, t)| bfs_distances(&g, s)[t as usize] as u64)
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+        for _ in 0..per_source * sources.len() {
+            let pair = match pairs.last() {
+                Some(&last) if rng.random_bool(repeat) => last,
+                _ => {
+                    let s = sources[rng.random_range(0..sources.len())];
+                    let t = if rng.random_bool(same) {
+                        s
+                    } else {
+                        rng.random_range(0..n as NodeId)
+                    };
+                    (s, t)
+                }
+            };
+            pairs.push(pair);
+        }
+        let mut by_source = pairs.clone();
+        by_source.sort_unstable();
+        let reference: u64 = by_source
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let d = bfs_distances(&g, group[0].0);
+                group.iter().map(|&(_, t)| d[t as usize] as u64).sum::<u64>()
+            })
             .sum();
         prop_assert_eq!(pair_distance_sum(&g, &pairs), reference);
     }
